@@ -1,6 +1,17 @@
 //! The memoizing artifact store behind every sweep and experiment.
 //!
-//! The in-memory tiers, all keyed on provenance rather than content:
+//! Every tier is one memo: a map from a provenance key (never a content
+//! hash) to an `Arc<OnceLock<...>>` slot. The map's mutex is held only for
+//! the key lookup; the expensive compile, capture or replay runs outside
+//! it, and concurrent requests for the same key block on the single
+//! in-flight computation instead of duplicating work (the cheap sharing of
+//! read-mostly data McKenney's *Is Parallel Programming Hard?*
+//! recommends). Deterministic failures are cached too — a workload that
+//! cannot compile fails every request identically instead of being
+//! retried by each sweep point — while transient ones are evicted so a
+//! retry re-resolves the artifact.
+//!
+//! The tiers, and what keys them:
 //!
 //! * compiled TRIPS programs: `(workload, scale, options-signature, hand)`;
 //! * captured TRIPS trace logs: the compile key plus `(memory size, block
@@ -21,9 +32,7 @@
 //!   because its result is bit-identical by construction);
 //! * fitted phase plans ([`Session::trips_phase_plan`] /
 //!   [`Session::ooo_phase_plan`]): the stream key plus the
-//!   [`trips_phase::PhaseSpec`], so BBV extraction and k-means run once
-//!   per process (and, with a store, once per *store* — artifacts persist
-//!   as a third container kind keyed off the parent trace);
+//!   [`trips_phase::PhaseSpec`];
 //! * live-point checkpoint sets ([`Session::set_live_points`]): the
 //!   parent stream key plus the fitted plan's signature, the timing
 //!   configuration's signature and the core discriminant. When the tier
@@ -38,28 +47,31 @@
 //!   fast-forward-then-replay on every backend (enforced by tests in
 //!   both timing crates).
 //!
-//! Entries hold an `Arc<OnceLock<...>>`, so the map's mutex is held only for
-//! the key lookup; the (expensive) compile or functional capture runs
-//! outside it, and concurrent requests for the same key block on the single
-//! in-flight computation instead of duplicating work. Failures are cached
-//! too — a workload that cannot compile fails every request identically
-//! instead of being retried by each sweep point.
+//! With a content-addressed [`TraceStore`] installed
+//! ([`Session::with_store`]), the four tiers whose identities implement
+//! [`StoreKey`] — block traces ([`TraceId`]), RISC streams
+//! ([`RiscTraceId`]), fitted phase artifacts ([`BbvId`]) and live-point
+//! sets ([`LivePointId`]) — persist across processes through one disk
+//! choreography. On a memo miss the verified container is loaded and
+//! deep-validated against what it must describe (a log or stream against
+//! the compiled program, an artifact against its stream, a set against
+//! its plan); a container-valid but foreign file is quarantined, never
+//! served. Otherwise the tier produces the artifact (behind its chaos
+//! hook, span and cost timer) and writes it back, so process B replays
+//! what process A captured. A store whose circuit breaker has tripped is
+//! skipped: the session degrades to memory-only tiers.
 //!
-//! An optional third tier persists traces across processes: a
-//! content-addressed [`TraceStore`] directory (see
-//! [`Session::with_store`]). On an in-memory miss the store is consulted
-//! first — a verified `<key>.trace` file stands in for a functional capture
-//! — and fresh captures are written back, so process B replays what process
-//! A captured. Successful loads must also pass
-//! [`TraceLog::validate`](trips_isa::TraceLog::validate) against the
-//! compiled program, so even a hash-valid but stale file can never drive
-//! the timing model out of bounds; it is rejected and recaptured instead.
+//! Each tier counts its events — memo hits and misses, and for the four
+//! store-backed tiers also captures, disk hits, misses, rejects, I/O
+//! errors and store writes — once, into both [`CacheStats`] and a
+//! metrics-registry series named `session_<tier prefix><event>`.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use trips_compiler::{CompileOptions, CompiledProgram};
 use trips_isa::{TraceId, TraceLog, TraceMeta};
@@ -67,7 +79,7 @@ use trips_workloads::{Scale, Workload};
 
 use crate::store::{
     plan_sig, BbvId, LivePointId, LivePointSet, LivePointStates, LoadOutcome, RiscTraceId,
-    TraceStore, KIND_BLOCK_TRACE, KIND_RISC_TRACE,
+    StoreKey, TraceStore, KIND_BLOCK_TRACE, KIND_RISC_TRACE,
 };
 use trips_phase::{PhaseArtifact, PhaseSpec};
 use trips_risc::{RiscTrace, RiscTraceMeta};
@@ -197,6 +209,61 @@ struct TraceKey {
     budget: u64,
 }
 
+impl CompileKey {
+    fn new(w: &Workload, scale: Scale, opts: &CompileOptions, hand: bool) -> CompileKey {
+        CompileKey {
+            workload: w.name.to_string(),
+            scale: scale_label(scale),
+            opts: opts_sig(opts),
+            hand,
+        }
+    }
+}
+
+impl TraceKey {
+    fn new(
+        w: &Workload,
+        scale: Scale,
+        opts: &CompileOptions,
+        hand: bool,
+        mem: usize,
+        budget: u64,
+    ) -> TraceKey {
+        TraceKey {
+            compile: CompileKey::new(w, scale, opts, hand),
+            mem,
+            budget,
+        }
+    }
+
+    /// The store identity of the TRIPS block trace captured under this key.
+    fn trips_id(&self, compiled: &CompiledProgram) -> TraceId {
+        let c = &self.compile;
+        TraceId {
+            workload: c.workload.clone(),
+            scale: c.scale.to_string(),
+            opts_sig: c.opts,
+            hand: c.hand,
+            code_sig: code_sig(compiled),
+            mem_size: self.mem as u64,
+            max_blocks: self.budget,
+        }
+    }
+
+    /// The store identity of the RISC event stream captured under this key.
+    fn risc_id(&self, art: &RiscArtifacts) -> RiscTraceId {
+        let c = &self.compile;
+        RiscTraceId {
+            workload: c.workload.clone(),
+            scale: c.scale.to_string(),
+            opts_sig: c.opts,
+            code_sig: risc_code_sig(art),
+            mem_size: self.mem as u64,
+            max_steps: self.budget,
+        }
+    }
+}
+
 /// The normalized replay-mode component of a [`ReplayKey`]: covering
 /// plans of either kind collapse to `Full` before keying, so bit-identical
 /// results share one entry and genuinely different modes never alias.
@@ -240,6 +307,155 @@ struct PhaseKey {
 }
 
 type Slot<T> = Arc<OnceLock<Result<Arc<T>, EngineError>>>;
+
+/// One session counter, kept in two places by one writer: a relaxed
+/// atomic that [`Session::cache_stats`] reads, and the metrics-registry
+/// series a `--metrics` snapshot reads. Artifact-granularity (per
+/// compile, capture or disk probe, never per replayed unit), so the
+/// registry lock is uncontended in practice.
+struct Count {
+    n: AtomicU64,
+    series: String,
+}
+
+impl Count {
+    fn new(series: String) -> Count {
+        Count {
+            n: AtomicU64::new(0),
+            series,
+        }
+    }
+
+    fn bump(&self) {
+        self.n.fetch_add(1, Ordering::Relaxed);
+        trips_obs::counter(&self.series).inc(1);
+    }
+
+    fn get(&self) -> u64 {
+        self.n.load(Ordering::Relaxed)
+    }
+}
+
+/// What a tier counts: every tier its memo hits and misses, a
+/// store-backed tier also each outcome of the disk choreography.
+#[derive(Clone, Copy)]
+enum Event {
+    MemoHit,
+    MemoMiss,
+    /// The tier produced the artifact itself (capture, fit, or live-point
+    /// capture pass) because neither memo nor disk could serve it.
+    Capture,
+    DiskHit,
+    DiskMiss,
+    /// A stored file failed verification or deep validation.
+    DiskReject,
+    /// A stored file could not be read (it is left in place).
+    DiskIoError,
+    StoreWrite,
+}
+
+/// Registry-series suffix of each [`Event`], in declaration order.
+const EVENT_SERIES: [&str; 8] = [
+    "memo_hits",
+    "memo_misses",
+    "captures",
+    "disk_hits",
+    "disk_misses",
+    "disk_rejects",
+    "disk_io_errors",
+    "store_writes",
+];
+
+/// One tier's event counters, with registry series named
+/// `session_<prefix><event>`. The TRIPS block-trace tier has the empty
+/// prefix (its series predate the other tiers'), so its disk hits are
+/// `session_disk_hits` and the RISC tier's `session_risc_disk_hits`.
+struct TierStats(Vec<Count>);
+
+impl TierStats {
+    /// A memory-only tier: memo hits and misses.
+    fn memo(prefix: &str) -> TierStats {
+        TierStats::counting(prefix, &EVENT_SERIES[..2])
+    }
+
+    /// A store-backed tier: every [`Event`].
+    fn disk(prefix: &str) -> TierStats {
+        TierStats::counting(prefix, &EVENT_SERIES)
+    }
+
+    fn counting(prefix: &str, events: &[&str]) -> TierStats {
+        TierStats(
+            events
+                .iter()
+                .map(|e| Count::new(format!("session_{prefix}{e}")))
+                .collect(),
+        )
+    }
+
+    fn bump(&self, e: Event) {
+        self.0[e as usize].bump();
+    }
+
+    fn get(&self, e: Event) -> u64 {
+        self.0[e as usize].get()
+    }
+}
+
+/// One memoized tier: the slot map and the tier's counters.
+struct Memo<K, T> {
+    map: Mutex<HashMap<K, Slot<T>>>,
+    stats: TierStats,
+}
+
+impl<K: Clone + Eq + Hash, T> Memo<K, T> {
+    fn new(stats: TierStats) -> Memo<K, T> {
+        Memo {
+            map: Mutex::new(HashMap::new()),
+            stats,
+        }
+    }
+
+    fn map(&self) -> MutexGuard<'_, HashMap<K, Slot<T>>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The artifact under `key`, computed by `init` on the first request
+    /// (concurrent requests wait on that one run, outside the map lock).
+    ///
+    /// Transient failures must not poison the memo ("failures are cached
+    /// too" is for *deterministic* failures — a workload that cannot
+    /// compile fails every time; an injected I/O fault does not), so their
+    /// slot is evicted and the next request re-resolves the artifact,
+    /// which is what makes sweep-level retries effective.
+    fn get_or_init(
+        &self,
+        key: &K,
+        init: impl FnOnce() -> Result<Arc<T>, EngineError>,
+    ) -> Result<Arc<T>, EngineError> {
+        let (slot, event) = {
+            let mut map = self.map();
+            match map.get(key) {
+                Some(slot) => (Arc::clone(slot), Event::MemoHit),
+                None => {
+                    let slot: Slot<T> = Arc::default();
+                    map.insert(key.clone(), Arc::clone(&slot));
+                    (slot, Event::MemoMiss)
+                }
+            }
+        };
+        self.stats.bump(event);
+        let res = slot.get_or_init(init).clone();
+        if matches!(&res, Err(e) if e.is_transient()) {
+            let mut map = self.map();
+            // Only evict our own slot — a racing retry may already have
+            // installed a fresh one.
+            if map.get(key).is_some_and(|cur| Arc::ptr_eq(cur, &slot)) {
+                map.remove(key);
+            }
+        }
+        res
+    }
+}
 
 /// Cache hit/miss counters (for the sweep report's summary).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
@@ -347,65 +563,43 @@ pub struct CacheStats {
 }
 
 /// A memoizing measurement session shared by all sweep workers.
-#[derive(Default)]
 pub struct Session {
-    compiled: Mutex<HashMap<CompileKey, Slot<CompiledProgram>>>,
-    traces: Mutex<HashMap<TraceKey, Slot<TraceLog>>>,
-    isa: Mutex<HashMap<TraceKey, Slot<IsaOutcome>>>,
-    risc: Mutex<HashMap<CompileKey, Slot<RiscArtifacts>>>,
-    rtraces: Mutex<HashMap<TraceKey, Slot<RiscTrace>>>,
-    replays: Mutex<HashMap<ReplayKey, Slot<trips_sim::SimResult>>>,
-    ooo_replays: Mutex<HashMap<ReplayKey, Slot<trips_ooo::OooResult>>>,
-    phases: Mutex<HashMap<PhaseKey, Slot<PhasePlan>>>,
-    livepoints: Mutex<HashMap<LivePointId, Slot<LivePointSet>>>,
-    compile_hits: AtomicU64,
-    compile_misses: AtomicU64,
-    trace_hits: AtomicU64,
-    trace_misses: AtomicU64,
-    isa_hits: AtomicU64,
-    isa_misses: AtomicU64,
-    risc_hits: AtomicU64,
-    risc_misses: AtomicU64,
-    captures: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    disk_rejects: AtomicU64,
-    store_writes: AtomicU64,
-    rtrace_hits: AtomicU64,
-    rtrace_misses: AtomicU64,
-    risc_captures: AtomicU64,
-    risc_disk_hits: AtomicU64,
-    risc_disk_misses: AtomicU64,
-    risc_disk_rejects: AtomicU64,
-    risc_store_writes: AtomicU64,
-    replay_hits: AtomicU64,
-    replay_misses: AtomicU64,
-    ooo_replay_hits: AtomicU64,
-    ooo_replay_misses: AtomicU64,
-    phase_hits: AtomicU64,
-    phase_misses: AtomicU64,
-    phase_fits: AtomicU64,
-    phase_disk_hits: AtomicU64,
-    phase_disk_misses: AtomicU64,
-    phase_disk_rejects: AtomicU64,
-    phase_store_writes: AtomicU64,
-    livepoint_hits: AtomicU64,
-    livepoint_misses: AtomicU64,
-    livepoint_captures: AtomicU64,
-    livepoint_disk_hits: AtomicU64,
-    livepoint_disk_misses: AtomicU64,
-    livepoint_disk_rejects: AtomicU64,
-    livepoint_store_writes: AtomicU64,
-    disk_io_errors: AtomicU64,
-    risc_disk_io_errors: AtomicU64,
-    phase_disk_io_errors: AtomicU64,
-    livepoint_disk_io_errors: AtomicU64,
-    degraded: AtomicU64,
+    compiled: Memo<CompileKey, CompiledProgram>,
+    traces: Memo<TraceKey, TraceLog>,
+    isa: Memo<TraceKey, IsaOutcome>,
+    risc: Memo<CompileKey, RiscArtifacts>,
+    rtraces: Memo<TraceKey, RiscTrace>,
+    replays: Memo<ReplayKey, trips_sim::SimResult>,
+    ooo_replays: Memo<ReplayKey, trips_ooo::OooResult>,
+    phases: Memo<PhaseKey, PhasePlan>,
+    livepoints: Memo<LivePointId, LivePointSet>,
+    /// Requests that skipped the disk tier because the store's circuit
+    /// breaker is open.
+    degraded: Count,
     /// Live-point tier switch: 0 = disabled, `threads + 1` otherwise
     /// (so a stored 1 means "one worker per core", matching the pool's
     /// `threads = 0` convention).
     live_points: AtomicU64,
     store: OnceLock<TraceStore>,
+}
+
+impl Default for Session {
+    fn default() -> Session {
+        Session {
+            compiled: Memo::new(TierStats::memo("compile_")),
+            traces: Memo::new(TierStats::disk("")),
+            isa: Memo::new(TierStats::memo("isa_")),
+            risc: Memo::new(TierStats::memo("risc_program_")),
+            rtraces: Memo::new(TierStats::disk("risc_")),
+            replays: Memo::new(TierStats::memo("replay_")),
+            ooo_replays: Memo::new(TierStats::memo("ooo_replay_")),
+            phases: Memo::new(TierStats::disk("phase_")),
+            livepoints: Memo::new(TierStats::disk("livepoint_")),
+            degraded: Count::new("session_degraded".to_string()),
+            live_points: AtomicU64::new(0),
+            store: OnceLock::new(),
+        }
+    }
 }
 
 /// A cached functional (untimed) run: what the ISA figures need, without
@@ -426,13 +620,6 @@ pub struct RiscArtifacts {
     pub program: trips_risc::RProgram,
     /// The optimized IR (data image + reference semantics).
     pub ir: trips_ir::Program,
-}
-
-/// One registry touch for a session-tier event. Artifact-granularity
-/// (per compile/capture/disk probe, never per replayed unit), so the
-/// registry lock is uncontended in practice.
-fn m(name: &str) {
-    trips_obs::counter(name).inc(1);
 }
 
 impl Session {
@@ -488,60 +675,86 @@ impl Session {
         GLOBAL.get_or_init(Session::new)
     }
 
-    fn slot<K: Clone + Eq + std::hash::Hash, T>(
-        map: &Mutex<HashMap<K, Slot<T>>>,
-        key: &K,
-        hits: &AtomicU64,
-        misses: &AtomicU64,
-    ) -> Slot<T> {
-        let mut guard = map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(slot) = guard.get(key) {
-            hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(slot);
-        }
-        misses.fetch_add(1, Ordering::Relaxed);
-        let slot: Slot<T> = Arc::new(OnceLock::new());
-        guard.insert(key.clone(), Arc::clone(&slot));
-        slot
-    }
-
-    /// Transient failures must not poison the memo ("failures are cached
-    /// too" is for *deterministic* failures — a workload that cannot
-    /// compile fails every time; an injected I/O fault does not). The
-    /// slot is evicted so the next request re-resolves the artifact,
-    /// which is what makes sweep-level retries effective.
-    fn evict_transient<K: Clone + Eq + std::hash::Hash, T>(
-        map: &Mutex<HashMap<K, Slot<T>>>,
-        key: &K,
-        slot: &Slot<T>,
-        res: &Result<Arc<T>, EngineError>,
-    ) {
-        if matches!(res, Err(e) if e.is_transient()) {
-            let mut guard = map
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            // Only evict our own slot — a racing retry may already have
-            // installed a fresh one.
-            if guard.get(key).is_some_and(|cur| Arc::ptr_eq(cur, slot)) {
-                guard.remove(key);
-            }
+    /// Registers every tier's metrics series, so a `--metrics` snapshot
+    /// carries them (as zeros) even when a run never hit the event.
+    pub(crate) fn register_series(&self) {
+        let tiers = [
+            &self.compiled.stats,
+            &self.traces.stats,
+            &self.isa.stats,
+            &self.risc.stats,
+            &self.rtraces.stats,
+            &self.replays.stats,
+            &self.ooo_replays.stats,
+            &self.phases.stats,
+            &self.livepoints.stats,
+        ];
+        for count in tiers.into_iter().flat_map(|t| &t.0).chain([&self.degraded]) {
+            let _ = trips_obs::counter(&count.series);
         }
     }
 
     /// The disk tier, unless the store's circuit breaker has tripped —
     /// then the request counts as degraded and is served memory-only
-    /// (recapture instead of read, skip the write-back) rather than
+    /// (produce instead of read, skip the write-back) rather than
     /// paying retry backoffs against a disk that is plainly gone.
     fn healthy_store(&self) -> Option<&TraceStore> {
         let store = self.store.get()?;
         if store.degraded() {
-            self.degraded.fetch_add(1, Ordering::Relaxed);
-            m("session_degraded");
+            self.degraded.bump();
             return None;
         }
         Some(store)
+    }
+
+    /// The disk choreography every store-backed tier runs on a memo miss:
+    /// a verified stored payload that also passes `deep_check` stands in
+    /// for `produce`; a container-valid payload that fails it (e.g. a
+    /// stale build's capture) is quarantined; otherwise `produce` runs and
+    /// its result is written back. `produce` carries the tier's chaos
+    /// hook, span and cost timer; a transient error from it is that hook
+    /// firing before any work ran, so it counts no capture.
+    fn through_store<K: StoreKey>(
+        &self,
+        stats: &TierStats,
+        id: &K,
+        deep_check: impl FnOnce(&K::Payload) -> Result<(), String>,
+        produce: impl FnOnce() -> Result<K::Payload, EngineError>,
+    ) -> Result<K::Payload, EngineError> {
+        // Consulted once per resolve, so a degraded request counts once.
+        let store = self.healthy_store();
+        if let Some(store) = store {
+            let event = match store.load(id) {
+                LoadOutcome::Hit(payload) => match deep_check(&payload) {
+                    Ok(()) => {
+                        stats.bump(Event::DiskHit);
+                        trips_obs::cost::set_tier("disk");
+                        return Ok(*payload);
+                    }
+                    Err(why) => {
+                        store.quarantine(id, &format!("deep validation failed: {why}"));
+                        Event::DiskReject
+                    }
+                },
+                LoadOutcome::Miss => Event::DiskMiss,
+                LoadOutcome::Reject(_) => Event::DiskReject,
+                LoadOutcome::IoError(_) => Event::DiskIoError,
+            };
+            stats.bump(event);
+        }
+        let produced = produce();
+        if !matches!(&produced, Err(e) if e.is_transient()) {
+            stats.bump(Event::Capture);
+        }
+        let payload = produced?;
+        // The breaker may have tripped during this very resolve; re-check
+        // without counting the request as degraded a second time.
+        if let Some(store) = store.filter(|s| !s.degraded()) {
+            if store.save(id, &payload).is_ok() {
+                stats.bump(Event::StoreWrite);
+            }
+        }
+        Ok(payload)
     }
 
     /// Compiles `workload` (memoized). `hand` selects the hand-optimized IR
@@ -556,32 +769,20 @@ impl Session {
         opts: &CompileOptions,
         hand: bool,
     ) -> Result<Arc<CompiledProgram>, EngineError> {
-        let key = CompileKey {
-            workload: w.name.to_string(),
-            scale: scale_label(scale),
-            opts: opts_sig(opts),
-            hand,
-        };
-        let slot = Self::slot(
-            &self.compiled,
-            &key,
-            &self.compile_hits,
-            &self.compile_misses,
-        );
-        slot.get_or_init(|| {
-            let _span = trips_obs::span_with("session.compile", || w.name.to_string());
-            let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
-            m("session_compiles_total{side=\"trips\"}");
-            let program = if hand {
-                w.build_hand(scale)
-            } else {
-                (w.build)(scale)
-            };
-            trips_compiler::compile(&program, opts)
-                .map(Arc::new)
-                .map_err(|e| EngineError::Compile(format!("{}: {e}", w.name)))
-        })
-        .clone()
+        self.compiled
+            .get_or_init(&CompileKey::new(w, scale, opts, hand), || {
+                let _span = trips_obs::span_with("session.compile", || w.name.to_string());
+                let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
+                trips_obs::counter("session_compiles_total{side=\"trips\"}").inc(1);
+                let program = if hand {
+                    w.build_hand(scale)
+                } else {
+                    (w.build)(scale)
+                };
+                trips_compiler::compile(&program, opts)
+                    .map(Arc::new)
+                    .map_err(|e| EngineError::Compile(format!("{}: {e}", w.name)))
+            })
     }
 
     /// Captures (memoized) the functional trace of `workload` compiled with
@@ -598,90 +799,37 @@ impl Session {
         mem: usize,
         budget: u64,
     ) -> Result<Arc<TraceLog>, EngineError> {
-        let compile_key = CompileKey {
-            workload: w.name.to_string(),
-            scale: scale_label(scale),
-            opts: opts_sig(opts),
-            hand,
-        };
-        let key = TraceKey {
-            compile: compile_key,
-            mem,
-            budget,
-        };
-        let slot = Self::slot(&self.traces, &key, &self.trace_hits, &self.trace_misses);
+        let key = TraceKey::new(w, scale, opts, hand, mem, budget);
         trips_obs::cost::set_tier("mem");
-        let res = slot
-            .get_or_init(|| {
-                let compiled = self.compiled(w, scale, opts, hand)?;
-                let id = TraceId {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale).to_string(),
-                    opts_sig: opts_sig(opts),
-                    hand,
-                    code_sig: code_sig(&compiled),
-                    mem_size: mem as u64,
-                    max_blocks: budget,
-                };
-                // Disk tier: a verified stored capture stands in for a fresh one.
-                if let Some(store) = self.healthy_store() {
-                    match store.load(&id) {
-                        LoadOutcome::Hit(log) => {
-                            if log.validate(&compiled.trips).is_ok() {
-                                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                                m("session_disk_hits");
-                                trips_obs::cost::set_tier("disk");
-                                return Ok(Arc::new(*log));
-                            }
-                            // Container-valid but structurally foreign (e.g. a
-                            // stale build's capture): recapture over it.
-                            self.disk_rejects.fetch_add(1, Ordering::Relaxed);
-                            m("session_disk_rejects");
-                            store.quarantine(
-                                &id,
-                                "deep validation failed: log does not match the compiled program",
-                            );
-                        }
-                        LoadOutcome::Miss => {
-                            self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                            m("session_disk_misses");
-                        }
-                        LoadOutcome::Reject(_) => {
-                            self.disk_rejects.fetch_add(1, Ordering::Relaxed);
-                            m("session_disk_rejects");
-                        }
-                        LoadOutcome::IoError(_) => {
-                            self.disk_io_errors.fetch_add(1, Ordering::Relaxed);
-                            m("session_disk_io_errors");
-                        }
+        self.traces.get_or_init(&key, || {
+            let compiled = self.compiled(w, scale, opts, hand)?;
+            let id = key.trips_id(&compiled);
+            self.through_store(
+                &self.traces.stats,
+                &id,
+                |log| {
+                    log.validate(&compiled.trips)
+                        .map_err(|e| format!("log does not match the compiled program: {e}"))
+                },
+                || {
+                    if let Some(why) = trips_chaos::capture_fault() {
+                        return Err(EngineError::Transient(format!("{}: {why}", w.name)));
                     }
-                }
-                if let Some(why) = trips_chaos::capture_fault() {
-                    return Err(EngineError::Transient(format!("{}: {why}", w.name)));
-                }
-                self.captures.fetch_add(1, Ordering::Relaxed);
-                m("session_captures");
-                trips_obs::cost::set_tier("capture");
-                let _span = trips_obs::span_with("session.capture_trace", || w.name.to_string());
-                let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
-                let meta = TraceMeta {
-                    workload: id.workload.clone(),
-                    scale: id.scale.clone(),
-                    opts_sig: id.opts_sig,
-                };
-                let log = TraceLog::capture(&compiled.trips, &compiled.opt_ir, mem, budget, meta)
-                    .map_err(|e| EngineError::Capture(format!("{}: {e}", w.name)))?;
-                if let Some(store) = self.healthy_store() {
-                    if store.save(&id, &log).is_ok() {
-                        self.store_writes.fetch_add(1, Ordering::Relaxed);
-                        m("session_store_writes");
-                    }
-                }
-                Ok(Arc::new(log))
-            })
-            .clone();
-        Self::evict_transient(&self.traces, &key, &slot, &res);
-        res
+                    trips_obs::cost::set_tier("capture");
+                    let _span =
+                        trips_obs::span_with("session.capture_trace", || w.name.to_string());
+                    let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
+                    let meta = TraceMeta {
+                        workload: id.workload.clone(),
+                        scale: id.scale.clone(),
+                        opts_sig: id.opts_sig,
+                    };
+                    TraceLog::capture(&compiled.trips, &compiled.opt_ir, mem, budget, meta)
+                        .map_err(|e| EngineError::Capture(format!("{}: {e}", w.name)))
+                },
+            )
+            .map(Arc::new)
+        })
     }
 
     /// Runs (memoized) the functional interpreter for ISA-level statistics
@@ -699,25 +847,14 @@ impl Session {
         mem: usize,
         budget: u64,
     ) -> Result<Arc<IsaOutcome>, EngineError> {
-        let compile_key = CompileKey {
-            workload: w.name.to_string(),
-            scale: scale_label(scale),
-            opts: opts_sig(opts),
-            hand,
-        };
-        let key = TraceKey {
-            compile: compile_key,
-            mem,
-            budget,
-        };
-        let slot = Self::slot(&self.isa, &key, &self.isa_hits, &self.isa_misses);
+        let key = TraceKey::new(w, scale, opts, hand, mem, budget);
         trips_obs::cost::set_tier("mem");
-        slot.get_or_init(|| {
+        self.isa.get_or_init(&key, || {
             let compiled = self.compiled(w, scale, opts, hand)?;
             trips_obs::cost::set_tier("capture");
             let _span = trips_obs::span_with("session.capture_isa", || w.name.to_string());
             let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
-            m("session_isa_runs_total");
+            trips_obs::counter("session_isa_runs_total").inc(1);
             trips_isa::interp::run_program_with(&compiled.trips, &compiled.opt_ir, mem, budget)
                 .map(|out| {
                     Arc::new(IsaOutcome {
@@ -727,7 +864,6 @@ impl Session {
                 })
                 .map_err(|e| EngineError::Capture(format!("{}: {e}", w.name)))
         })
-        .clone()
     }
 
     /// Builds (memoized) the RISC-side program: IR built, optimized with
@@ -742,24 +878,18 @@ impl Session {
         scale: Scale,
         opts: &CompileOptions,
     ) -> Result<Arc<RiscArtifacts>, EngineError> {
-        let key = CompileKey {
-            workload: w.name.to_string(),
-            scale: scale_label(scale),
-            opts: opts_sig(opts),
-            hand: false,
-        };
-        let slot = Self::slot(&self.risc, &key, &self.risc_hits, &self.risc_misses);
-        slot.get_or_init(|| {
-            let _span = trips_obs::span_with("session.compile", || format!("{} (risc)", w.name));
-            let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
-            m("session_compiles_total{side=\"risc\"}");
-            let mut ir = (w.build)(scale);
-            trips_compiler::opt::optimize(&mut ir, opts);
-            trips_risc::compile_program(&ir)
-                .map(|program| Arc::new(RiscArtifacts { program, ir }))
-                .map_err(|e| EngineError::Compile(format!("{} (risc): {e}", w.name)))
-        })
-        .clone()
+        self.risc
+            .get_or_init(&CompileKey::new(w, scale, opts, false), || {
+                let _span =
+                    trips_obs::span_with("session.compile", || format!("{} (risc)", w.name));
+                let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
+                trips_obs::counter("session_compiles_total{side=\"risc\"}").inc(1);
+                let mut ir = (w.build)(scale);
+                trips_compiler::opt::optimize(&mut ir, opts);
+                trips_risc::compile_program(&ir)
+                    .map(|program| Arc::new(RiscArtifacts { program, ir }))
+                    .map_err(|e| EngineError::Compile(format!("{} (risc): {e}", w.name)))
+            })
     }
 
     /// Captures (memoized) the RISC event stream of `workload` built with
@@ -781,86 +911,37 @@ impl Session {
         mem: usize,
         budget: u64,
     ) -> Result<Arc<RiscTrace>, EngineError> {
-        let key = TraceKey {
-            compile: CompileKey {
-                workload: w.name.to_string(),
-                scale: scale_label(scale),
-                opts: opts_sig(opts),
-                hand: false,
-            },
-            mem,
-            budget,
-        };
-        let slot = Self::slot(&self.rtraces, &key, &self.rtrace_hits, &self.rtrace_misses);
+        let key = TraceKey::new(w, scale, opts, false, mem, budget);
         trips_obs::cost::set_tier("mem");
-        let res = slot
-            .get_or_init(|| {
-                let art = self.risc_program(w, scale, opts)?;
-                let id = RiscTraceId {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale).to_string(),
-                    opts_sig: opts_sig(opts),
-                    code_sig: risc_code_sig(&art),
-                    mem_size: mem as u64,
-                    max_steps: budget,
-                };
-                // Disk tier: a verified stored stream stands in for a fresh
-                // execution.
-                if let Some(store) = self.healthy_store() {
-                    match store.load_risc(&id) {
-                        LoadOutcome::Hit(trace) => {
-                            if trace.validate(&art.program).is_ok() {
-                                self.risc_disk_hits.fetch_add(1, Ordering::Relaxed);
-                                m("session_risc_disk_hits");
-                                trips_obs::cost::set_tier("disk");
-                                return Ok(Arc::new(*trace));
-                            }
-                            // Container-valid but structurally foreign (e.g. a
-                            // stale build's capture): recapture over it.
-                            self.risc_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                            m("session_risc_disk_rejects");
-                            store.quarantine_risc(&id, "deep validation failed: stream does not match the compiled program");
-                        }
-                        LoadOutcome::Miss => {
-                            self.risc_disk_misses.fetch_add(1, Ordering::Relaxed);
-                            m("session_risc_disk_misses");
-                        }
-                        LoadOutcome::Reject(_) => {
-                            self.risc_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                            m("session_risc_disk_rejects");
-                        }
-                        LoadOutcome::IoError(_) => {
-                            self.risc_disk_io_errors.fetch_add(1, Ordering::Relaxed);
-                            m("session_disk_io_errors");
-                        }
+        self.rtraces.get_or_init(&key, || {
+            let art = self.risc_program(w, scale, opts)?;
+            let id = key.risc_id(&art);
+            self.through_store(
+                &self.rtraces.stats,
+                &id,
+                |trace| {
+                    trace
+                        .validate(&art.program)
+                        .map_err(|e| format!("stream does not match the compiled program: {e}"))
+                },
+                || {
+                    if let Some(why) = trips_chaos::capture_fault() {
+                        return Err(EngineError::Transient(format!("{} (risc): {why}", w.name)));
                     }
-                }
-                if let Some(why) = trips_chaos::capture_fault() {
-                    return Err(EngineError::Transient(format!("{} (risc): {why}", w.name)));
-                }
-                self.risc_captures.fetch_add(1, Ordering::Relaxed);
-                m("session_risc_captures");
-                trips_obs::cost::set_tier("capture");
-                let _span = trips_obs::span_with("session.capture_risc", || w.name.to_string());
-                let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
-                let meta = RiscTraceMeta {
-                    workload: id.workload.clone(),
-                    scale: id.scale.clone(),
-                    opts_sig: id.opts_sig,
-                };
-                let trace = RiscTrace::capture(&art.program, &art.ir, mem, budget, meta)
-                    .map_err(|e| EngineError::Capture(format!("{} (risc): {e}", w.name)))?;
-                if let Some(store) = self.healthy_store() {
-                    if store.save_risc(&id, &trace).is_ok() {
-                        self.risc_store_writes.fetch_add(1, Ordering::Relaxed);
-                        m("session_risc_store_writes");
-                    }
-                }
-                Ok(Arc::new(trace))
-            })
-            .clone();
-        Self::evict_transient(&self.rtraces, &key, &slot, &res);
-        res
+                    trips_obs::cost::set_tier("capture");
+                    let _span = trips_obs::span_with("session.capture_risc", || w.name.to_string());
+                    let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
+                    let meta = RiscTraceMeta {
+                        workload: id.workload.clone(),
+                        scale: id.scale.clone(),
+                        opts_sig: id.opts_sig,
+                    };
+                    RiscTrace::capture(&art.program, &art.ir, mem, budget, meta)
+                        .map_err(|e| EngineError::Capture(format!("{} (risc): {e}", w.name)))
+                },
+            )
+            .map(Arc::new)
+        })
     }
 
     /// The fitted phase plan for a workload's TRIPS block-trace stream
@@ -886,42 +967,18 @@ impl Session {
         spec: &PhaseSpec,
     ) -> Result<Arc<PhasePlan>, EngineError> {
         let key = PhaseKey {
-            trace: TraceKey {
-                compile: CompileKey {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale),
-                    opts: opts_sig(opts),
-                    hand,
-                },
-                mem,
-                budget,
-            },
+            trace: TraceKey::new(w, scale, opts, hand, mem, budget),
             risc: false,
             spec: *spec,
         };
-        let slot = Self::slot(&self.phases, &key, &self.phase_hits, &self.phase_misses);
-        let res = slot
-            .get_or_init(|| {
-                let compiled = self.compiled(w, scale, opts, hand)?;
-                let log = self.trace(w, scale, opts, hand, mem, budget)?;
-                let seed = TraceId {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale).to_string(),
-                    opts_sig: opts_sig(opts),
-                    hand,
-                    code_sig: code_sig(&compiled),
-                    mem_size: mem as u64,
-                    max_blocks: budget,
-                }
-                .stable_hash();
-                let total = log.seq.len() as u64;
-                self.fit_phase(seed, total, spec, || {
-                    Ok(trips_phase::trips_fit(&log, spec, seed))
-                })
+        self.phases.get_or_init(&key, || {
+            let compiled = self.compiled(w, scale, opts, hand)?;
+            let log = self.trace(w, scale, opts, hand, mem, budget)?;
+            let seed = key.trace.trips_id(&compiled).stable_hash();
+            self.fit_phase(seed, log.seq.len() as u64, spec, || {
+                Ok(trips_phase::trips_fit(&log, spec, seed))
             })
-            .clone();
-        Self::evict_transient(&self.phases, &key, &slot, &res);
-        res
+        })
     }
 
     /// The RISC-side counterpart of [`Session::trips_phase_plan`]: the
@@ -941,48 +998,24 @@ impl Session {
         spec: &PhaseSpec,
     ) -> Result<Arc<PhasePlan>, EngineError> {
         let key = PhaseKey {
-            trace: TraceKey {
-                compile: CompileKey {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale),
-                    opts: opts_sig(opts),
-                    hand: false,
-                },
-                mem,
-                budget,
-            },
+            trace: TraceKey::new(w, scale, opts, false, mem, budget),
             risc: true,
             spec: *spec,
         };
-        let slot = Self::slot(&self.phases, &key, &self.phase_hits, &self.phase_misses);
-        let res = slot
-            .get_or_init(|| {
-                let art = self.risc_program(w, scale, opts)?;
-                let trace = self.risc_trace(w, scale, opts, mem, budget)?;
-                let seed = RiscTraceId {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale).to_string(),
-                    opts_sig: opts_sig(opts),
-                    code_sig: risc_code_sig(&art),
-                    mem_size: mem as u64,
-                    max_steps: budget,
-                }
-                .stable_hash();
-                let total = trace.header.dynamic_insts;
-                self.fit_phase(seed, total, spec, || {
-                    trips_phase::risc_fit(&trace, &art.program, spec, seed)
-                        .map_err(|e| EngineError::Capture(format!("{} (phase): {e}", w.name)))
-                })
+        self.phases.get_or_init(&key, || {
+            let art = self.risc_program(w, scale, opts)?;
+            let trace = self.risc_trace(w, scale, opts, mem, budget)?;
+            let seed = key.trace.risc_id(&art).stable_hash();
+            self.fit_phase(seed, trace.header.dynamic_insts, spec, || {
+                trips_phase::risc_fit(&trace, &art.program, spec, seed)
+                    .map_err(|e| EngineError::Capture(format!("{} (phase): {e}", w.name)))
             })
-            .clone();
-        Self::evict_transient(&self.phases, &key, &slot, &res);
-        res
+        })
     }
 
-    /// The disk-tier choreography both phase tiers share: consult the
-    /// store under the parent key, validate a hit against the spec and
-    /// stream extent (rejecting and re-fitting stale artifacts), and
-    /// persist fresh fits.
+    /// The disk step both phase tiers share: the stored artifact under the
+    /// parent key and fit parameters, if it validates against the spec and
+    /// stream extent, else a fresh fit written back.
     fn fit_phase(
         &self,
         parent_key: u64,
@@ -1000,107 +1033,58 @@ impl Session {
             boundary: spec.boundary,
             tail: spec.tail,
         };
-        if let Some(store) = self.healthy_store() {
-            match store.load_bbv(&id) {
-                LoadOutcome::Hit(art) => {
-                    if art.validate(spec, total_units).is_ok() {
-                        self.phase_disk_hits.fetch_add(1, Ordering::Relaxed);
-                        m("session_phase_disk_hits");
-                        trips_obs::cost::set_tier("disk");
-                        return Ok(Arc::new(art.plan));
-                    }
-                    // Container-valid but fitted to a different stream
-                    // (e.g. a stale build's capture): re-cluster over it.
-                    self.phase_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                    m("session_phase_disk_rejects");
-                    store.quarantine_bbv(
-                        &id,
-                        "deep validation failed: artifact fitted to a different stream",
-                    );
+        self.through_store(
+            &self.phases.stats,
+            &id,
+            |art| {
+                art.validate(spec, total_units)
+                    .map_err(|e| format!("artifact fitted to a different stream: {e}"))
+            },
+            || {
+                if let Some(why) = trips_chaos::fit_fault() {
+                    return Err(EngineError::Transient(format!("phase fit: {why}")));
                 }
-                LoadOutcome::Miss => {
-                    self.phase_disk_misses.fetch_add(1, Ordering::Relaxed);
-                    m("session_phase_disk_misses");
-                }
-                LoadOutcome::Reject(_) => {
-                    self.phase_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                    m("session_phase_disk_rejects");
-                }
-                LoadOutcome::IoError(_) => {
-                    self.phase_disk_io_errors.fetch_add(1, Ordering::Relaxed);
-                    m("session_disk_io_errors");
-                }
-            }
-        }
-        if let Some(why) = trips_chaos::fit_fault() {
-            return Err(EngineError::Transient(format!("phase fit: {why}")));
-        }
-        self.phase_fits.fetch_add(1, Ordering::Relaxed);
-        m("session_phase_fits");
-        let art = {
-            let _span = trips_obs::span("session.fit_phase");
-            let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Fit);
-            fit()?
-        };
-        if let Some(store) = self.healthy_store() {
-            if store.save_bbv(&id, &art).is_ok() {
-                self.phase_store_writes.fetch_add(1, Ordering::Relaxed);
-                m("session_phase_store_writes");
-            }
-        }
-        Ok(Arc::new(art.plan))
+                let _span = trips_obs::span("session.fit_phase");
+                let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Fit);
+                fit()
+            },
+        )
+        .map(|art| Arc::new(art.plan))
     }
 
-    /// Disk tier of the live-point choreography: a verified stored set
-    /// whose shape can seed `plan` stands in for a capture pass. Sets of
-    /// the wrong shape (window count, stream extent, or core variant) are
-    /// rejected and deleted so the caller recaptures over them.
-    fn load_live_points(&self, id: &LivePointId, plan: &PhasePlan) -> Option<LivePointSet> {
-        let store = self.healthy_store()?;
-        match store.load_livepoint(id) {
-            LoadOutcome::Hit(set) => {
-                let right_core = match &set.states {
-                    LivePointStates::Trips(_) => id.core == KIND_BLOCK_TRACE,
-                    LivePointStates::Ooo(_) => id.core == KIND_RISC_TRACE,
-                };
-                if right_core
-                    && set.total_units == plan.total_units
-                    && set.states.len() == plan.windows.len()
-                {
-                    self.livepoint_disk_hits.fetch_add(1, Ordering::Relaxed);
-                    m("session_livepoint_disk_hits");
-                    trips_obs::cost::set_tier("disk");
-                    return Some(*set);
-                }
-                self.livepoint_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_disk_rejects");
-                store.quarantine_livepoint(id, "deep validation failed: wrong shape for the plan");
-            }
-            LoadOutcome::Miss => {
-                self.livepoint_disk_misses.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_disk_misses");
-            }
-            LoadOutcome::Reject(_) => {
-                self.livepoint_disk_rejects.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_disk_rejects");
-            }
-            LoadOutcome::IoError(_) => {
-                self.livepoint_disk_io_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                m("session_disk_io_errors");
-            }
-        }
-        None
-    }
-
-    /// Persists a fresh checkpoint set, counting the write.
-    fn save_live_points(&self, id: &LivePointId, set: &LivePointSet) {
-        if let Some(store) = self.healthy_store() {
-            if store.save_livepoint(id, set).is_ok() {
-                self.livepoint_store_writes.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_store_writes");
-            }
-        }
+    /// Resolves one live-point checkpoint set memo → store → capture.
+    /// `capture` runs the sequential capture pass, which *is* a phased
+    /// replay; when it runs, its result comes back beside the set so
+    /// nothing runs twice.
+    fn live_point_set<R>(
+        &self,
+        id: &LivePointId,
+        plan: &PhasePlan,
+        capture: impl FnOnce() -> Result<(R, LivePointStates), EngineError>,
+    ) -> Result<(Arc<LivePointSet>, Option<R>), EngineError> {
+        let mut fresh = None;
+        let set = self.livepoints.get_or_init(id, || {
+            self.through_store(
+                &self.livepoints.stats,
+                id,
+                |set| fits_plan(id, plan, set),
+                || {
+                    trips_obs::cost::set_tier("capture");
+                    let (res, states) = capture()?;
+                    fresh = Some(res);
+                    Ok(LivePointSet {
+                        parent_key: id.parent_key,
+                        plan_sig: id.plan_sig,
+                        cfg_sig: id.cfg_sig,
+                        core: id.core,
+                        total_units: plan.total_units,
+                        states,
+                    })
+                },
+            )
+            .map(Arc::new)
+        })?;
+        Ok((set, fresh))
     }
 
     /// The live-point tier for one TRIPS phased replay. Resolves the
@@ -1126,40 +1110,14 @@ impl Session {
             cfg_sig: trips_cfg_sig(cfg),
             core: KIND_BLOCK_TRACE,
         };
-        let slot = Self::slot(
-            &self.livepoints,
-            &id,
-            &self.livepoint_hits,
-            &self.livepoint_misses,
-        );
-        let mut fresh: Option<trips_sim::SimResult> = None;
-        let set = slot
-            .get_or_init(|| {
-                if let Some(set) = self.load_live_points(&id, plan) {
-                    return Ok(Arc::new(set));
-                }
-                self.livepoint_captures.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_captures");
-                trips_obs::cost::set_tier("capture");
-                let _span = trips_obs::span_with("session.capture_livepoints", || {
-                    format!("trips cfg={:016x}", id.cfg_sig)
-                });
-                let (res, snaps) =
-                    trips_sim::timing::replay_trace_phased_capture(compiled, cfg, log, plan)
-                        .map_err(|e| EngineError::Replay(e.to_string()))?;
-                fresh = Some(res);
-                let set = LivePointSet {
-                    parent_key: id.parent_key,
-                    plan_sig: id.plan_sig,
-                    cfg_sig: id.cfg_sig,
-                    core: id.core,
-                    total_units: plan.total_units,
-                    states: LivePointStates::Trips(snaps),
-                };
-                self.save_live_points(&id, &set);
-                Ok(Arc::new(set))
-            })
-            .clone()?;
+        let (set, fresh) = self.live_point_set(&id, plan, || {
+            let _span = trips_obs::span_with("session.capture_livepoints", || {
+                format!("trips cfg={:016x}", id.cfg_sig)
+            });
+            trips_sim::timing::replay_trace_phased_capture(compiled, cfg, log, plan)
+                .map(|(res, snaps)| (res, LivePointStates::Trips(snaps)))
+                .map_err(|e| EngineError::Replay(e.to_string()))
+        })?;
         if let Some(res) = fresh {
             return Ok(res);
         }
@@ -1202,39 +1160,14 @@ impl Session {
             cfg_sig: ooo_cfg_sig(cfg),
             core: KIND_RISC_TRACE,
         };
-        let slot = Self::slot(
-            &self.livepoints,
-            &id,
-            &self.livepoint_hits,
-            &self.livepoint_misses,
-        );
-        let mut fresh: Option<trips_ooo::OooResult> = None;
-        let set = slot
-            .get_or_init(|| {
-                if let Some(set) = self.load_live_points(&id, plan) {
-                    return Ok(Arc::new(set));
-                }
-                self.livepoint_captures.fetch_add(1, Ordering::Relaxed);
-                m("session_livepoint_captures");
-                trips_obs::cost::set_tier("capture");
-                let _span = trips_obs::span_with("session.capture_livepoints", || {
-                    format!("{} cfg={:016x}", cfg.name, id.cfg_sig)
-                });
-                let (res, snaps) = trips_ooo::run_ooo_phased_capture(rp, trace, cfg, plan)
-                    .map_err(|e| EngineError::Replay(e.to_string()))?;
-                fresh = Some(res);
-                let set = LivePointSet {
-                    parent_key: id.parent_key,
-                    plan_sig: id.plan_sig,
-                    cfg_sig: id.cfg_sig,
-                    core: id.core,
-                    total_units: plan.total_units,
-                    states: LivePointStates::Ooo(snaps),
-                };
-                self.save_live_points(&id, &set);
-                Ok(Arc::new(set))
-            })
-            .clone()?;
+        let (set, fresh) = self.live_point_set(&id, plan, || {
+            let _span = trips_obs::span_with("session.capture_livepoints", || {
+                format!("{} cfg={:016x}", cfg.name, id.cfg_sig)
+            });
+            trips_ooo::run_ooo_phased_capture(rp, trace, cfg, plan)
+                .map(|(res, snaps)| (res, LivePointStates::Ooo(snaps)))
+                .map_err(|e| EngineError::Replay(e.to_string()))
+        })?;
         if let Some(res) = fresh {
             return Ok(res);
         }
@@ -1280,62 +1213,34 @@ impl Session {
         mode: &ReplayMode,
     ) -> Result<Arc<trips_ooo::OooResult>, EngineError> {
         let key = ReplayKey {
-            trace: TraceKey {
-                compile: CompileKey {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale),
-                    opts: opts_sig(opts),
-                    hand: false,
-                },
-                mem,
-                budget,
-            },
+            trace: TraceKey::new(w, scale, opts, false, mem, budget),
             cfg: ooo_cfg_sig(cfg),
             mode: ModeKey::of(mode),
         };
-        let slot = Self::slot(
-            &self.ooo_replays,
-            &key,
-            &self.ooo_replay_hits,
-            &self.ooo_replay_misses,
-        );
         trips_obs::cost::set_tier("memo");
-        let res = slot
-            .get_or_init(|| {
-                let art = self.risc_program(w, scale, opts)?;
-                let trace = self.risc_trace(w, scale, opts, mem, budget)?;
-                let _span = trips_obs::span_with("session.replay_ooo", || {
-                    format!("{} {}", w.name, cfg.name)
-                });
-                if let (Some(threads), Some(plan)) = (self.live_points(), mode.phase()) {
-                    if !plan.covers_everything() {
-                        let parent_key = RiscTraceId {
-                            workload: w.name.to_string(),
-                            scale: scale_label(scale).to_string(),
-                            opts_sig: opts_sig(opts),
-                            code_sig: risc_code_sig(&art),
-                            mem_size: mem as u64,
-                            max_steps: budget,
-                        }
-                        .stable_hash();
-                        return self
-                            .replay_ooo_live(&art.program, &trace, cfg, plan, parent_key, threads)
-                            .map(Arc::new)
-                            .map_err(|e| match e {
-                                EngineError::Replay(msg) => {
-                                    EngineError::Replay(format!("{} ({}): {msg}", w.name, cfg.name))
-                                }
-                                other => other,
-                            });
-                    }
+        self.ooo_replays.get_or_init(&key, || {
+            let art = self.risc_program(w, scale, opts)?;
+            let trace = self.risc_trace(w, scale, opts, mem, budget)?;
+            let _span =
+                trips_obs::span_with("session.replay_ooo", || format!("{} {}", w.name, cfg.name));
+            if let (Some(threads), Some(plan)) = (self.live_points(), mode.phase()) {
+                if !plan.covers_everything() {
+                    let parent_key = key.trace.risc_id(&art).stable_hash();
+                    return self
+                        .replay_ooo_live(&art.program, &trace, cfg, plan, parent_key, threads)
+                        .map(Arc::new)
+                        .map_err(|e| match e {
+                            EngineError::Replay(msg) => {
+                                EngineError::Replay(format!("{} ({}): {msg}", w.name, cfg.name))
+                            }
+                            other => other,
+                        });
                 }
-                trips_ooo::run_timed_trace_mode(&art.program, &trace, cfg, mode)
-                    .map(Arc::new)
-                    .map_err(|e| EngineError::Replay(format!("{} ({}): {e}", w.name, cfg.name)))
-            })
-            .clone();
-        Self::evict_transient(&self.ooo_replays, &key, &slot, &res);
-        res
+            }
+            trips_ooo::run_timed_trace_mode(&art.program, &trace, cfg, mode)
+                .map(Arc::new)
+                .map_err(|e| EngineError::Replay(format!("{} ({}): {e}", w.name, cfg.name)))
+        })
     }
 
     /// Replays the (memoized) trace against one timing configuration: the
@@ -1357,102 +1262,107 @@ impl Session {
         mode: &ReplayMode,
     ) -> Result<Arc<trips_sim::SimResult>, EngineError> {
         let key = ReplayKey {
-            trace: TraceKey {
-                compile: CompileKey {
-                    workload: w.name.to_string(),
-                    scale: scale_label(scale),
-                    opts: opts_sig(opts),
-                    hand,
-                },
-                mem,
-                budget,
-            },
+            trace: TraceKey::new(w, scale, opts, hand, mem, budget),
             cfg: trips_cfg_sig(cfg),
             mode: ModeKey::of(mode),
         };
-        let slot = Self::slot(&self.replays, &key, &self.replay_hits, &self.replay_misses);
         trips_obs::cost::set_tier("memo");
-        let res = slot
-            .get_or_init(|| {
-                let compiled = self.compiled(w, scale, opts, hand)?;
-                let log = self.trace(w, scale, opts, hand, mem, budget)?;
-                let _span = trips_obs::span_with("session.replay_trips", || {
-                    format!("{} cfg={:016x}", w.name, trips_cfg_sig(cfg))
-                });
-                if let (Some(threads), Some(plan)) = (self.live_points(), mode.phase()) {
-                    if !plan.covers_everything() {
-                        let parent_key = TraceId {
-                            workload: w.name.to_string(),
-                            scale: scale_label(scale).to_string(),
-                            opts_sig: opts_sig(opts),
-                            hand,
-                            code_sig: code_sig(&compiled),
-                            mem_size: mem as u64,
-                            max_blocks: budget,
-                        }
-                        .stable_hash();
-                        return self
-                            .replay_trips_live(&compiled, &log, cfg, plan, parent_key, threads)
-                            .map(Arc::new);
-                    }
+        self.replays.get_or_init(&key, || {
+            let compiled = self.compiled(w, scale, opts, hand)?;
+            let log = self.trace(w, scale, opts, hand, mem, budget)?;
+            let _span = trips_obs::span_with("session.replay_trips", || {
+                format!("{} cfg={:016x}", w.name, key.cfg)
+            });
+            if let (Some(threads), Some(plan)) = (self.live_points(), mode.phase()) {
+                if !plan.covers_everything() {
+                    let parent_key = key.trace.trips_id(&compiled).stable_hash();
+                    return self
+                        .replay_trips_live(&compiled, &log, cfg, plan, parent_key, threads)
+                        .map(Arc::new);
                 }
-                trips_sim::timing::replay_trace_mode(&compiled, cfg, &log, mode)
-                    .map(Arc::new)
-                    .map_err(|e| EngineError::Replay(e.to_string()))
-            })
-            .clone();
-        Self::evict_transient(&self.replays, &key, &slot, &res);
-        res
+            }
+            trips_sim::timing::replay_trace_mode(&compiled, cfg, &log, mode)
+                .map(Arc::new)
+                .map_err(|e| EngineError::Replay(e.to_string()))
+        })
     }
 
     /// Current hit/miss counters.
     pub fn cache_stats(&self) -> CacheStats {
+        use Event::{
+            Capture, DiskHit, DiskIoError, DiskMiss, DiskReject, MemoHit, MemoMiss, StoreWrite,
+        };
+        let (t, r, p, l) = (
+            &self.traces.stats,
+            &self.rtraces.stats,
+            &self.phases.stats,
+            &self.livepoints.stats,
+        );
         CacheStats {
-            compile_hits: self.compile_hits.load(Ordering::Relaxed),
-            compile_misses: self.compile_misses.load(Ordering::Relaxed),
-            trace_hits: self.trace_hits.load(Ordering::Relaxed),
-            trace_misses: self.trace_misses.load(Ordering::Relaxed),
-            isa_hits: self.isa_hits.load(Ordering::Relaxed),
-            isa_misses: self.isa_misses.load(Ordering::Relaxed),
-            risc_hits: self.risc_hits.load(Ordering::Relaxed),
-            risc_misses: self.risc_misses.load(Ordering::Relaxed),
-            captures: self.captures.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
-            disk_rejects: self.disk_rejects.load(Ordering::Relaxed),
-            store_writes: self.store_writes.load(Ordering::Relaxed),
-            rtrace_hits: self.rtrace_hits.load(Ordering::Relaxed),
-            rtrace_misses: self.rtrace_misses.load(Ordering::Relaxed),
-            risc_captures: self.risc_captures.load(Ordering::Relaxed),
-            risc_disk_hits: self.risc_disk_hits.load(Ordering::Relaxed),
-            risc_disk_misses: self.risc_disk_misses.load(Ordering::Relaxed),
-            risc_disk_rejects: self.risc_disk_rejects.load(Ordering::Relaxed),
-            risc_store_writes: self.risc_store_writes.load(Ordering::Relaxed),
-            phase_hits: self.phase_hits.load(Ordering::Relaxed),
-            phase_misses: self.phase_misses.load(Ordering::Relaxed),
-            phase_fits: self.phase_fits.load(Ordering::Relaxed),
-            phase_disk_hits: self.phase_disk_hits.load(Ordering::Relaxed),
-            phase_disk_misses: self.phase_disk_misses.load(Ordering::Relaxed),
-            phase_disk_rejects: self.phase_disk_rejects.load(Ordering::Relaxed),
-            phase_store_writes: self.phase_store_writes.load(Ordering::Relaxed),
-            livepoint_hits: self.livepoint_hits.load(Ordering::Relaxed),
-            livepoint_misses: self.livepoint_misses.load(Ordering::Relaxed),
-            livepoint_captures: self.livepoint_captures.load(Ordering::Relaxed),
-            livepoint_disk_hits: self.livepoint_disk_hits.load(Ordering::Relaxed),
-            livepoint_disk_misses: self.livepoint_disk_misses.load(Ordering::Relaxed),
-            livepoint_disk_rejects: self.livepoint_disk_rejects.load(Ordering::Relaxed),
-            livepoint_store_writes: self.livepoint_store_writes.load(Ordering::Relaxed),
-            replay_hits: self.replay_hits.load(Ordering::Relaxed),
-            replay_misses: self.replay_misses.load(Ordering::Relaxed),
-            ooo_replay_hits: self.ooo_replay_hits.load(Ordering::Relaxed),
-            ooo_replay_misses: self.ooo_replay_misses.load(Ordering::Relaxed),
-            disk_io_errors: self.disk_io_errors.load(Ordering::Relaxed),
-            risc_disk_io_errors: self.risc_disk_io_errors.load(Ordering::Relaxed),
-            phase_disk_io_errors: self.phase_disk_io_errors.load(Ordering::Relaxed),
-            livepoint_disk_io_errors: self.livepoint_disk_io_errors.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
+            compile_hits: self.compiled.stats.get(MemoHit),
+            compile_misses: self.compiled.stats.get(MemoMiss),
+            trace_hits: t.get(MemoHit),
+            trace_misses: t.get(MemoMiss),
+            isa_hits: self.isa.stats.get(MemoHit),
+            isa_misses: self.isa.stats.get(MemoMiss),
+            risc_hits: self.risc.stats.get(MemoHit),
+            risc_misses: self.risc.stats.get(MemoMiss),
+            captures: t.get(Capture),
+            disk_hits: t.get(DiskHit),
+            disk_misses: t.get(DiskMiss),
+            disk_rejects: t.get(DiskReject),
+            store_writes: t.get(StoreWrite),
+            rtrace_hits: r.get(MemoHit),
+            rtrace_misses: r.get(MemoMiss),
+            risc_captures: r.get(Capture),
+            risc_disk_hits: r.get(DiskHit),
+            risc_disk_misses: r.get(DiskMiss),
+            risc_disk_rejects: r.get(DiskReject),
+            risc_store_writes: r.get(StoreWrite),
+            phase_hits: p.get(MemoHit),
+            phase_misses: p.get(MemoMiss),
+            phase_fits: p.get(Capture),
+            phase_disk_hits: p.get(DiskHit),
+            phase_disk_misses: p.get(DiskMiss),
+            phase_disk_rejects: p.get(DiskReject),
+            phase_store_writes: p.get(StoreWrite),
+            livepoint_hits: l.get(MemoHit),
+            livepoint_misses: l.get(MemoMiss),
+            livepoint_captures: l.get(Capture),
+            livepoint_disk_hits: l.get(DiskHit),
+            livepoint_disk_misses: l.get(DiskMiss),
+            livepoint_disk_rejects: l.get(DiskReject),
+            livepoint_store_writes: l.get(StoreWrite),
+            replay_hits: self.replays.stats.get(MemoHit),
+            replay_misses: self.replays.stats.get(MemoMiss),
+            ooo_replay_hits: self.ooo_replays.stats.get(MemoHit),
+            ooo_replay_misses: self.ooo_replays.stats.get(MemoMiss),
+            disk_io_errors: t.get(DiskIoError),
+            risc_disk_io_errors: r.get(DiskIoError),
+            phase_disk_io_errors: p.get(DiskIoError),
+            livepoint_disk_io_errors: l.get(DiskIoError),
+            degraded: self.degraded.get(),
         }
     }
+}
+
+/// Deep validation of a stored live-point set: the right core's states,
+/// one per plan window, over the plan's stream extent.
+fn fits_plan(id: &LivePointId, plan: &PhasePlan, set: &LivePointSet) -> Result<(), String> {
+    let right_core = match &set.states {
+        LivePointStates::Trips(_) => id.core == KIND_BLOCK_TRACE,
+        LivePointStates::Ooo(_) => id.core == KIND_RISC_TRACE,
+    };
+    if right_core && set.total_units == plan.total_units && set.states.len() == plan.windows.len() {
+        return Ok(());
+    }
+    Err(format!(
+        "wrong shape for the plan: {} states over {} units, plan has {} windows over {}",
+        set.states.len(),
+        set.total_units,
+        plan.windows.len(),
+        plan.total_units
+    ))
 }
 
 #[cfg(test)]

@@ -15,10 +15,10 @@
 //!   (per-entry `OnceLock`, see McKenney's *Is Parallel Programming
 //!   Hard?* on sharing read-mostly data cheaply).
 //! * [`TraceStore`] — an optional persistent tier under the session: a
-//!   content-addressed directory of `<key>.trace` files
-//!   ([`trips_isa::TraceId::stable_hash`] / [`RiscTraceId::stable_hash`]
-//!   keys, verified atomic-rename containers in four kinds: block traces,
-//!   RISC streams, fitted phase plans, and live-point checkpoint sets), so
+//!   content-addressed directory of `<key>.trace` files (verified
+//!   atomic-rename containers in four kinds, one per [`store::StoreKey`]
+//!   identity: block traces, RISC streams, fitted phase plans, and
+//!   live-point checkpoint sets), so
 //!   captures survive the process and CI runs share them via a
 //!   cached directory (`trips-sweep --trace-dir`), with
 //!   [`TraceStore::stats`]/[`TraceStore::prune_stale`] keeping long-lived

@@ -4,7 +4,7 @@
 //! The in-memory caches die with the process, so every process (and every
 //! CI run) used to re-capture every workload from scratch — exactly the
 //! redundant functional execution the replay design exists to avoid. A
-//! [`TraceStore`] persists captures instead, in two container kinds:
+//! [`TraceStore`] persists captures instead, in four container kinds:
 //!
 //! * **TRIPS block traces** ([`trips_isa::TraceLog`]), keyed by
 //!   [`TraceId::stable_hash`] — the stable hash of the complete capture
@@ -29,6 +29,12 @@
 //!   a warm store serves any sweep point at that config with zero
 //!   stream-prefix replay (and the windows replay in parallel).
 //!
+//! Every identity implements [`StoreKey`] — its payload type, container
+//! kind and payload version, stable key, and the payload-vs-identity
+//! check — so one generic [`TraceStore::load`]/[`TraceStore::save`]/
+//! [`TraceStore::quarantine`]/[`TraceStore::path_for`] serves all four
+//! kinds.
+//!
 //! Each capture is written once to `<dir>/<key>.trace`. Equal identity ⇒
 //! equal file name ⇒ any process can reuse any other process's capture,
 //! including across CI runs when the directory rides in a cache; a compiler
@@ -44,7 +50,7 @@
 //! * **Loads are verified.** A fixed header carries a store magic/version,
 //!   the container kind and its payload-format version, the expected key,
 //!   and a content hash of the payload; the payload must deserialize, and
-//!   the log's own header must match the requested identity. Any mismatch —
+//!   it must match the requested identity ([`StoreKey::check`]). Any mismatch —
 //!   truncation, corruption, a stale format, a renamed file — classifies as
 //!   [`LoadOutcome::Reject`]: the bad file is moved into the store's
 //!   `quarantine/` subdirectory with a `.reason` sidecar (evidence is
@@ -149,6 +155,87 @@ pub enum LoadOutcome<T = TraceLog> {
     /// into miss/reject accounting.
     IoError(String),
 }
+
+/// An identity one container kind is stored under: the payload it keys,
+/// the container kind and payload-format version recorded in the header,
+/// the stable key that names the file, and the check that a decoded
+/// payload really belongs to this identity.
+pub trait StoreKey {
+    /// The payload type persisted under this identity.
+    type Payload: serde::Serialize + serde::DeserializeOwned;
+    /// Container kind (one of the `KIND_*` constants).
+    const KIND: u32;
+    /// Payload-format version; a bump retires every stored container of
+    /// this kind.
+    const VERSION: u32;
+    /// The stable 64-bit key the container file is named by.
+    fn key(&self) -> u64;
+    /// Checks a decoded payload against this identity (kind confusion and
+    /// renamed files reject rather than serve a foreign payload).
+    ///
+    /// # Errors
+    /// A description of the first mismatch.
+    fn check(&self, payload: &Self::Payload) -> Result<(), String>;
+}
+
+impl StoreKey for TraceId {
+    type Payload = TraceLog;
+    const KIND: u32 = KIND_BLOCK_TRACE;
+    const VERSION: u32 = trips_isa::trace::TRACE_VERSION;
+    fn key(&self) -> u64 {
+        self.stable_hash()
+    }
+    fn check(&self, log: &TraceLog) -> Result<(), String> {
+        self.matches_header(&log.header)
+    }
+}
+
+impl StoreKey for RiscTraceId {
+    type Payload = RiscTrace;
+    const KIND: u32 = KIND_RISC_TRACE;
+    const VERSION: u32 = RISC_TRACE_VERSION;
+    fn key(&self) -> u64 {
+        self.stable_hash()
+    }
+    fn check(&self, trace: &RiscTrace) -> Result<(), String> {
+        self.matches_header(&trace.header)
+    }
+}
+
+impl StoreKey for BbvId {
+    type Payload = PhaseArtifact;
+    const KIND: u32 = KIND_BBV;
+    const VERSION: u32 = BBV_VERSION;
+    fn key(&self) -> u64 {
+        self.stable_hash()
+    }
+    /// An artifact records no identity of its own; the caller validates it
+    /// against the spec and stream it is about to serve.
+    fn check(&self, _: &PhaseArtifact) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+impl StoreKey for LivePointId {
+    type Payload = LivePointSet;
+    const KIND: u32 = KIND_LIVEPOINT;
+    const VERSION: u32 = LIVEPOINT_VERSION;
+    fn key(&self) -> u64 {
+        self.stable_hash()
+    }
+    fn check(&self, set: &LivePointSet) -> Result<(), String> {
+        set.matches_id(self)
+    }
+}
+
+/// The `(kind, payload version)` pair of every container the current
+/// build can load.
+const CURRENT: [(u32, u32); 4] = [
+    (TraceId::KIND, TraceId::VERSION),
+    (RiscTraceId::KIND, RiscTraceId::VERSION),
+    (BbvId::KIND, BbvId::VERSION),
+    (LivePointId::KIND, LivePointId::VERSION),
+];
 
 /// The complete identity of one RISC event-stream capture: everything that,
 /// if changed, would change the recorded stream. The RISC-side counterpart
@@ -481,10 +568,8 @@ pub struct PruneReport {
 
 /// How a container header classifies against the current build.
 enum ContainerClass {
-    CurrentBlock,
-    CurrentRisc,
-    CurrentBbv,
-    CurrentLivePoint,
+    /// A container of this kind at its current payload version.
+    Current(u32),
     Stale,
 }
 
@@ -578,104 +663,82 @@ impl TraceStore {
         self.dir.join(format!("{key:016x}.trace"))
     }
 
-    /// The file path a TRIPS block-trace identity is stored under.
+    /// The file path an identity is stored under.
     #[must_use]
-    pub fn path_for(&self, id: &TraceId) -> PathBuf {
-        self.path_for_key(id.stable_hash())
+    pub fn path_for<K: StoreKey>(&self, id: &K) -> PathBuf {
+        self.path_for_key(id.key())
     }
 
-    /// The file path a RISC event-stream identity is stored under.
+    /// [`TraceStore::path_for`] for a RISC stream; the benchmark harness
+    /// calls it.
     #[must_use]
     pub fn path_for_risc(&self, id: &RiscTraceId) -> PathBuf {
-        self.path_for_key(id.stable_hash())
+        self.path_for(id)
     }
 
-    /// The file path a BBV/phase-plan identity is stored under.
+    /// [`TraceStore::path_for`] for a phase artifact; the benchmark harness
+    /// calls it.
     #[must_use]
     pub fn path_for_bbv(&self, id: &BbvId) -> PathBuf {
-        self.path_for_key(id.stable_hash())
+        self.path_for(id)
     }
 
-    /// The file path a live-point identity is stored under.
+    /// [`TraceStore::path_for`] for a live-point set; the benchmark
+    /// harness calls it.
     #[must_use]
     pub fn path_for_livepoint(&self, id: &LivePointId) -> PathBuf {
-        self.path_for_key(id.stable_hash())
+        self.path_for(id)
     }
 
-    /// Looks up a TRIPS block trace, verifying the container (magic,
-    /// versions, kind, key, payload hash) and the log's provenance header.
-    /// Rejected files are quarantined so the next writer replaces them
-    /// (and the evidence survives for post-mortems).
-    pub fn load(&self, id: &TraceId) -> LoadOutcome<TraceLog> {
-        self.load_kind(
-            id.stable_hash(),
-            KIND_BLOCK_TRACE,
-            trips_isa::trace::TRACE_VERSION,
-            |payload| {
-                let log: TraceLog =
-                    serde::bin::from_bytes(payload).map_err(|e| format!("payload decode: {e}"))?;
-                id.matches_header(&log.header)
-                    .map_err(|e| format!("identity mismatch: {e}"))?;
-                Ok(log)
-            },
-        )
-    }
-
-    /// Looks up a BBV/phase-plan artifact; same verification discipline
-    /// as [`TraceStore::load`] (the caller still validates the artifact
-    /// against the spec and stream it is about to serve).
-    pub fn load_bbv(&self, id: &BbvId) -> LoadOutcome<PhaseArtifact> {
-        self.load_kind(id.stable_hash(), KIND_BBV, BBV_VERSION, |payload| {
-            let art: PhaseArtifact =
-                serde::bin::from_bytes(payload).map_err(|e| format!("payload decode: {e}"))?;
-            Ok(art)
-        })
-    }
-
-    /// Looks up a live-point checkpoint set; same verification discipline
-    /// as [`TraceStore::load`], plus the payload's embedded identity must
-    /// match `id` (the caller still checks the window count against the
-    /// plan it is about to schedule).
-    pub fn load_livepoint(&self, id: &LivePointId) -> LoadOutcome<LivePointSet> {
-        self.load_kind(
-            id.stable_hash(),
-            KIND_LIVEPOINT,
-            LIVEPOINT_VERSION,
-            |payload| {
-                let set: LivePointSet =
-                    serde::bin::from_bytes(payload).map_err(|e| format!("payload decode: {e}"))?;
-                set.matches_id(id)
-                    .map_err(|e| format!("identity mismatch: {e}"))?;
-                Ok(set)
-            },
-        )
-    }
-
-    /// Looks up a RISC event stream; same verification discipline as
-    /// [`TraceStore::load`].
+    /// [`TraceStore::load`] for a RISC stream; the benchmark harness calls
+    /// it.
     pub fn load_risc(&self, id: &RiscTraceId) -> LoadOutcome<RiscTrace> {
-        self.load_kind(
-            id.stable_hash(),
-            KIND_RISC_TRACE,
-            RISC_TRACE_VERSION,
-            |payload| {
-                let trace: RiscTrace =
-                    serde::bin::from_bytes(payload).map_err(|e| format!("payload decode: {e}"))?;
-                id.matches_header(&trace.header)
-                    .map_err(|e| format!("identity mismatch: {e}"))?;
-                Ok(trace)
-            },
-        )
+        self.load(id)
     }
 
-    fn load_kind<T>(
-        &self,
-        key: u64,
-        kind: u32,
-        payload_version: u32,
-        decode_payload: impl FnOnce(&[u8]) -> Result<T, String>,
-    ) -> LoadOutcome<T> {
+    /// [`TraceStore::load`] for a live-point set; the benchmark harness
+    /// calls it.
+    pub fn load_livepoint(&self, id: &LivePointId) -> LoadOutcome<LivePointSet> {
+        self.load(id)
+    }
+
+    /// [`TraceStore::save`] for a RISC stream; the benchmark harness calls
+    /// it.
+    ///
+    /// # Errors
+    /// Any I/O error.
+    pub fn save_risc(&self, id: &RiscTraceId, trace: &RiscTrace) -> io::Result<()> {
+        self.save(id, trace)
+    }
+
+    /// [`TraceStore::save`] for a phase artifact; the benchmark harness
+    /// calls it.
+    ///
+    /// # Errors
+    /// Any I/O error.
+    pub fn save_bbv(&self, id: &BbvId, art: &PhaseArtifact) -> io::Result<()> {
+        self.save(id, art)
+    }
+
+    /// [`TraceStore::save`] for a live-point set; the benchmark harness
+    /// calls it.
+    ///
+    /// # Errors
+    /// Any I/O error.
+    pub fn save_livepoint(&self, id: &LivePointId, set: &LivePointSet) -> io::Result<()> {
+        self.save(id, set)
+    }
+
+    /// Looks up the payload stored under `id`, verifying the container
+    /// (magic, versions, kind, key, payload hash), decoding the payload,
+    /// and checking it against `id` ([`StoreKey::check`]). Rejected files
+    /// are quarantined so the next writer replaces them (and the evidence
+    /// survives for post-mortems). The caller still deep-validates the
+    /// payload against what it is about to serve (a log against its
+    /// program, an artifact against its stream, a set against its plan).
+    pub fn load<K: StoreKey>(&self, id: &K) -> LoadOutcome<K::Payload> {
         let _span = trips_obs::span("store.load");
+        let key = id.key();
         let path = self.path_for_key(key);
         let mut attempt = 0u32;
         let bytes = loop {
@@ -715,63 +778,42 @@ impl TraceStore {
         self.record_io_ok();
         trips_obs::counter("store_read_bytes_total").inc(bytes.len() as u64);
         trips_obs::cost::add_store_read(bytes.len() as u64);
-        let payload = match Self::verify_container(key, kind, payload_version, &bytes) {
-            Ok(p) => p,
-            Err(why) => return self.reject(&path, why),
-        };
-        match decode_payload(payload) {
+        let decoded =
+            Self::verify_container(key, K::KIND, K::VERSION, &bytes).and_then(|payload| {
+                let v: K::Payload =
+                    serde::bin::from_bytes(payload).map_err(|e| format!("payload decode: {e}"))?;
+                id.check(&v)
+                    .map_err(|e| format!("identity mismatch: {e}"))?;
+                Ok(v)
+            });
+        match decoded {
             Ok(v) => LoadOutcome::Hit(Box::new(v)),
-            Err(why) => self.reject(&path, why),
+            Err(why) => {
+                self.quarantine_file(&path, &why);
+                LoadOutcome::Reject(why)
+            }
         }
     }
 
-    /// Persists a TRIPS block trace under `id`: serialize, frame, write to
-    /// a unique temp file in the store directory, atomically rename into
-    /// place.
+    /// Persists `payload` under `id`: serialize, frame, write to a unique
+    /// temp file in the store directory, atomically rename into place.
     ///
     /// # Errors
     /// Any I/O error (the temp file is cleaned up best-effort; the store is
     /// a cache, so callers typically log-and-continue).
-    pub fn save(&self, id: &TraceId, log: &TraceLog) -> io::Result<()> {
-        self.save_kind(
-            id.stable_hash(),
-            KIND_BLOCK_TRACE,
-            trips_isa::trace::TRACE_VERSION,
-            &serde::bin::to_bytes(log),
-        )
-    }
-
-    /// Persists a RISC event stream under `id`; same discipline as
-    /// [`TraceStore::save`].
-    ///
-    /// # Errors
-    /// Any I/O error.
-    pub fn save_risc(&self, id: &RiscTraceId, trace: &RiscTrace) -> io::Result<()> {
-        self.save_kind(
-            id.stable_hash(),
-            KIND_RISC_TRACE,
-            RISC_TRACE_VERSION,
-            &serde::bin::to_bytes(trace),
-        )
-    }
-
-    fn save_kind(
-        &self,
-        key: u64,
-        kind: u32,
-        payload_version: u32,
-        payload: &[u8],
-    ) -> io::Result<()> {
+    pub fn save<K: StoreKey>(&self, id: &K, payload: &K::Payload) -> io::Result<()> {
+        let payload = serde::bin::to_bytes(payload);
         let _span = trips_obs::span("store.save");
+        let key = id.key();
         let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
         bytes.extend_from_slice(&STORE_MAGIC);
         bytes.extend_from_slice(&STORE_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&kind.to_le_bytes());
-        bytes.extend_from_slice(&payload_version.to_le_bytes());
+        bytes.extend_from_slice(&K::KIND.to_le_bytes());
+        bytes.extend_from_slice(&K::VERSION.to_le_bytes());
         bytes.extend_from_slice(&key.to_le_bytes());
-        bytes.extend_from_slice(&trips_isa::hash::content_hash(payload).to_le_bytes());
+        bytes.extend_from_slice(&trips_isa::hash::content_hash(&payload).to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&payload);
 
         // Transient write errors (a filesystem having a moment, injected
         // ENOSPC/short writes) retry with bounded backoff; only a
@@ -860,63 +902,12 @@ impl TraceStore {
         }
     }
 
-    /// Quarantines the file under a TRIPS block-trace identity (used when
-    /// a verified-at-container-level log still fails deeper validation
-    /// against the program).
-    pub fn quarantine(&self, id: &TraceId, why: &str) {
+    /// Quarantines the file under `id` (used when a container-valid
+    /// payload still fails deeper validation against what it must
+    /// describe: a log against its program, an artifact against its
+    /// stream, a set against its plan).
+    pub fn quarantine<K: StoreKey>(&self, id: &K, why: &str) {
         self.quarantine_file(&self.path_for(id), why);
-    }
-
-    /// Quarantines the file under a RISC event-stream identity.
-    pub fn quarantine_risc(&self, id: &RiscTraceId, why: &str) {
-        self.quarantine_file(&self.path_for_risc(id), why);
-    }
-
-    /// Persists a BBV/phase-plan artifact under `id`; same discipline as
-    /// [`TraceStore::save`].
-    ///
-    /// # Errors
-    /// Any I/O error.
-    pub fn save_bbv(&self, id: &BbvId, art: &PhaseArtifact) -> io::Result<()> {
-        self.save_kind(
-            id.stable_hash(),
-            KIND_BBV,
-            BBV_VERSION,
-            &serde::bin::to_bytes(art),
-        )
-    }
-
-    /// Quarantines the file under a BBV/phase-plan identity (used when a
-    /// container-valid artifact fails validation against the stream it is
-    /// meant to describe).
-    pub fn quarantine_bbv(&self, id: &BbvId, why: &str) {
-        self.quarantine_file(&self.path_for_key(id.stable_hash()), why);
-    }
-
-    /// Persists a live-point checkpoint set under `id`; same discipline as
-    /// [`TraceStore::save`].
-    ///
-    /// # Errors
-    /// Any I/O error.
-    pub fn save_livepoint(&self, id: &LivePointId, set: &LivePointSet) -> io::Result<()> {
-        self.save_kind(
-            id.stable_hash(),
-            KIND_LIVEPOINT,
-            LIVEPOINT_VERSION,
-            &serde::bin::to_bytes(set),
-        )
-    }
-
-    /// Quarantines the file under a live-point identity (used when a
-    /// container-valid set fails validation against the plan it is meant
-    /// to seed — e.g. a wrong window count).
-    pub fn quarantine_livepoint(&self, id: &LivePointId, why: &str) {
-        self.quarantine_file(&self.path_for_key(id.stable_hash()), why);
-    }
-
-    fn reject<T>(&self, path: &Path, why: String) -> LoadOutcome<T> {
-        self.quarantine_file(path, &why);
-        LoadOutcome::Reject(why)
     }
 
     /// Moves a rejected container into `quarantine/` with a `.reason`
@@ -1118,14 +1109,11 @@ impl TraceStore {
         if u32_at(4) != STORE_VERSION {
             return ContainerClass::Stale;
         }
-        match (u32_at(8), u32_at(12)) {
-            (KIND_BLOCK_TRACE, v) if v == trips_isa::trace::TRACE_VERSION => {
-                ContainerClass::CurrentBlock
-            }
-            (KIND_RISC_TRACE, v) if v == RISC_TRACE_VERSION => ContainerClass::CurrentRisc,
-            (KIND_BBV, v) if v == BBV_VERSION => ContainerClass::CurrentBbv,
-            (KIND_LIVEPOINT, v) if v == LIVEPOINT_VERSION => ContainerClass::CurrentLivePoint,
-            _ => ContainerClass::Stale,
+        let kind = u32_at(8);
+        if CURRENT.contains(&(kind, u32_at(12))) {
+            ContainerClass::Current(kind)
+        } else {
+            ContainerClass::Stale
         }
     }
 
@@ -1172,10 +1160,10 @@ impl TraceStore {
             s.containers += 1;
             s.bytes += len;
             match class {
-                ContainerClass::CurrentBlock => s.block_traces += 1,
-                ContainerClass::CurrentRisc => s.risc_traces += 1,
-                ContainerClass::CurrentBbv => s.bbv_plans += 1,
-                ContainerClass::CurrentLivePoint => s.live_points += 1,
+                ContainerClass::Current(KIND_BLOCK_TRACE) => s.block_traces += 1,
+                ContainerClass::Current(KIND_RISC_TRACE) => s.risc_traces += 1,
+                ContainerClass::Current(KIND_BBV) => s.bbv_plans += 1,
+                ContainerClass::Current(_) => s.live_points += 1,
                 ContainerClass::Stale => s.stale += 1,
             }
         }
@@ -1208,12 +1196,12 @@ impl TraceStore {
         let mut live_plans: std::collections::HashSet<u64> = std::collections::HashSet::new();
         for (path, _, class) in &containers {
             match class {
-                ContainerClass::CurrentBlock | ContainerClass::CurrentRisc => {
+                ContainerClass::Current(KIND_BLOCK_TRACE | KIND_RISC_TRACE) => {
                     if let Some(key) = Self::key_from_path(path) {
                         parents.insert(key);
                     }
                 }
-                ContainerClass::CurrentBbv => {
+                ContainerClass::Current(KIND_BBV) => {
                     if let Ok(bytes) = fs::read(path) {
                         if bytes.len() >= HEADER_LEN {
                             if let Ok(art) =
@@ -1230,11 +1218,8 @@ impl TraceStore {
         for (path, len, class) in &containers {
             report.scanned += 1;
             let (collect, orphan) = match class {
-                ContainerClass::CurrentBlock
-                | ContainerClass::CurrentRisc
-                | ContainerClass::CurrentBbv => (false, false),
                 ContainerClass::Stale => (true, false),
-                ContainerClass::CurrentLivePoint => {
+                ContainerClass::Current(KIND_LIVEPOINT) => {
                     match fs::read(path).ok().and_then(|bytes| {
                         (bytes.len() >= HEADER_LEN)
                             .then(|| {
@@ -1253,6 +1238,7 @@ impl TraceStore {
                         None => (false, false),
                     }
                 }
+                ContainerClass::Current(_) => (false, false),
             };
             if collect && fs::remove_file(path).is_ok() {
                 report.removed += 1;

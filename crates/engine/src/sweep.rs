@@ -667,12 +667,8 @@ pub fn run_sweep(spec: &SweepSpec, session: &Session) -> Result<SweepReport, Eng
     // them even when this particular run never exercised the event
     // (e.g. a cold run has zero disk hits, a store-less run writes no
     // bytes). The pool registers its own series the same way.
+    session.register_series();
     for series in [
-        "session_disk_hits",
-        "session_disk_misses",
-        "session_captures",
-        "session_livepoint_captures",
-        "session_livepoint_disk_hits",
         "store_read_bytes_total",
         "store_write_bytes_total",
         "replay_events_total{core=\"trips\"}",

@@ -299,9 +299,10 @@ fn io_failure_storm_trips_the_breaker_and_degrades_to_memory_tiers() {
         BREAKER_TRIP_AFTER / 2,
         "only pre-trip requests reach the disk: {st:?}"
     );
-    assert!(
-        st.degraded > 0,
-        "post-trip consults count degradation: {st:?}"
+    assert_eq!(
+        st.degraded,
+        BREAKER_TRIP_AFTER + 2 - BREAKER_TRIP_AFTER / 2,
+        "each post-trip request counts degradation exactly once: {st:?}"
     );
     assert_eq!(st.store_writes, 0, "no write ever landed: {st:?}");
     assert_eq!(

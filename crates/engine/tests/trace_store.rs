@@ -10,7 +10,7 @@ use trips_compiler::CompileOptions;
 use trips_engine::cache::{code_sig, opts_sig, risc_code_sig, trips_cfg_sig};
 use trips_engine::store::{plan_sig, LivePointId, LivePointSet, LivePointStates, KIND_BLOCK_TRACE};
 use trips_engine::{
-    BbvId, LoadOutcome, PhaseK, PhaseSpec, ReplayMode, RiscTraceId, Session, TraceStore,
+    BbvId, CacheStats, LoadOutcome, PhaseK, PhaseSpec, ReplayMode, RiscTraceId, Session, TraceStore,
 };
 use trips_isa::{TraceId, TraceLog, TraceMeta};
 use trips_risc::{RiscTrace, RiscTraceMeta};
@@ -426,18 +426,15 @@ fn stats_census_and_prune_remove_only_stale_containers() {
     // The current-version containers still load after the sweep.
     assert!(matches!(store.load(&block_id), LoadOutcome::Hit(_)));
     assert!(matches!(store.load_risc(&risc_id), LoadOutcome::Hit(_)));
-    assert!(matches!(store.load_bbv(&bbv_id), LoadOutcome::Hit(_)));
+    assert!(matches!(store.load(&bbv_id), LoadOutcome::Hit(_)));
     assert!(matches!(store.load_livepoint(&lp_id), LoadOutcome::Hit(_)));
     let s = store.stats().unwrap();
     assert_eq!((s.containers, s.stale), (4, 0));
 }
 
-/// A fitted phase artifact for the `vadd` capture plus its store identity.
-fn fitted_vadd_bbv(
-    block_id: &TraceId,
-    log: &TraceLog,
-) -> (BbvId, trips_engine::phase::PhaseArtifact) {
-    let spec = PhaseSpec {
+/// The fit parameters of [`fitted_vadd_bbv`].
+fn vadd_fit_spec() -> PhaseSpec {
+    PhaseSpec {
         interval: 8,
         warmup: 2,
         k: PhaseK::Auto,
@@ -445,7 +442,15 @@ fn fitted_vadd_bbv(
         rep_span: 4,
         boundary: 1,
         tail: 1,
-    };
+    }
+}
+
+/// A fitted phase artifact for the `vadd` capture plus its store identity.
+fn fitted_vadd_bbv(
+    block_id: &TraceId,
+    log: &TraceLog,
+) -> (BbvId, trips_engine::phase::PhaseArtifact) {
+    let spec = vadd_fit_spec();
     let seed = block_id.stable_hash();
     let art = trips_engine::phase::trips_fit(log, &spec, seed);
     (
@@ -470,7 +475,7 @@ fn bbv_containers_round_trip_and_reject_corruption_and_kind_confusion() {
     let (block_id, log) = captured_vadd();
     let (bbv_id, art) = fitted_vadd_bbv(&block_id, &log);
     store.save_bbv(&bbv_id, &art).unwrap();
-    match store.load_bbv(&bbv_id) {
+    match store.load(&bbv_id) {
         LoadOutcome::Hit(back) => {
             assert_eq!(*back, art);
             back.validate(
@@ -494,22 +499,22 @@ fn bbv_containers_round_trip_and_reject_corruption_and_kind_confusion() {
         rep_span: 8,
         ..bbv_id
     };
-    assert!(matches!(store.load_bbv(&other), LoadOutcome::Miss));
+    assert!(matches!(store.load(&other), LoadOutcome::Miss));
     // A block-trace container renamed onto the BBV key must reject — kind
     // confusion can never serve a wrong payload.
     store.save(&block_id, &log).unwrap();
     std::fs::copy(store.path_for(&block_id), store.path_for_bbv(&bbv_id)).unwrap();
-    assert!(matches!(store.load_bbv(&bbv_id), LoadOutcome::Reject(_)));
+    assert!(matches!(store.load(&bbv_id), LoadOutcome::Reject(_)));
     // The reject removed the impostor; a re-save restores service.
     store.save_bbv(&bbv_id, &art).unwrap();
-    assert!(matches!(store.load_bbv(&bbv_id), LoadOutcome::Hit(_)));
+    assert!(matches!(store.load(&bbv_id), LoadOutcome::Hit(_)));
     // Bit-flips in the payload fail the content hash.
     let path = store.path_for_bbv(&bbv_id);
     let mut bytes = std::fs::read(&path).unwrap();
     let at = bytes.len() - 3;
     bytes[at] ^= 0x40;
     std::fs::write(&path, &bytes).unwrap();
-    assert!(matches!(store.load_bbv(&bbv_id), LoadOutcome::Reject(_)));
+    assert!(matches!(store.load(&bbv_id), LoadOutcome::Reject(_)));
 }
 
 #[test]
@@ -661,7 +666,7 @@ fn livepoint_kind_confusion_rejects_in_both_directions() {
     }
     store.save_livepoint(&id, &set).unwrap();
     std::fs::copy(store.path_for_livepoint(&id), store.path_for_bbv(&bbv_id)).unwrap();
-    match store.load_bbv(&bbv_id) {
+    match store.load(&bbv_id) {
         LoadOutcome::Reject(why) => assert!(why.contains("kind"), "{why}"),
         other => panic!("expected a reject, got {other:?}"),
     }
@@ -813,4 +818,153 @@ fn warm_store_serves_livepoints_to_a_fresh_session_without_rewarming() {
         "disk-restored replay must be bit-identical"
     );
     assert_eq!(a.return_value, b.return_value);
+}
+
+/// Plants a container that verifies but fails its tier's deep validation
+/// (at `path`), then checks the tier end to end: a fresh session rejects
+/// it once, quarantines it with its evidence and a reason, produces the
+/// artifact afresh and writes it back; a second fresh session then hits
+/// on disk. `tier` reads the tier's `(disk_rejects, captures,
+/// store_writes, disk_hits)`.
+fn assert_deep_reject(
+    dir: &Path,
+    path: &Path,
+    resolve: impl Fn(&Session),
+    tier: impl Fn(&CacheStats) -> (u64, u64, u64, u64),
+) {
+    let planted = std::fs::read(path).unwrap();
+    let s = Session::with_store(TraceStore::open(dir).unwrap());
+    resolve(&s);
+    let st = s.cache_stats();
+    let (rejects, captures, writes, _) = tier(&st);
+    assert_eq!(
+        (rejects, captures, writes),
+        (1, 1, 1),
+        "deep reject must quarantine, produce and repopulate: {st:?}"
+    );
+    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+    let qdir = dir.join("quarantine");
+    assert_eq!(
+        std::fs::read(qdir.join(&name)).unwrap(),
+        planted,
+        "quarantine must preserve the evidence, never unlink it"
+    );
+    let reason = std::fs::read_to_string(qdir.join(format!("{name}.reason"))).unwrap();
+    assert!(reason.contains("deep validation failed"), "{reason}");
+
+    let s2 = Session::with_store(TraceStore::open(dir).unwrap());
+    resolve(&s2);
+    let st2 = s2.cache_stats();
+    let (_, captures, _, hits) = tier(&st2);
+    assert_eq!(
+        (hits, captures),
+        (1, 0),
+        "repopulated key must hit: {st2:?}"
+    );
+}
+
+#[test]
+fn deep_validation_rejects_on_every_disk_tier() {
+    let w = by_name("vadd").unwrap();
+    let opts = CompileOptions::o1();
+    let (block_id, log) = captured_vadd();
+
+    // Block trace: a `seq` entry naming a block the program lacks.
+    let dir = tmp_dir("deep-trace");
+    let store = TraceStore::open(&dir).unwrap();
+    let mut bad = log.clone();
+    bad.seq[0].0 = u32::MAX;
+    store.save(&block_id, &bad).unwrap();
+    assert_deep_reject(
+        &dir,
+        &store.path_for(&block_id),
+        |s| {
+            s.trace(&w, Scale::Test, &opts, false, MEM, BUDGET).unwrap();
+        },
+        |st| (st.disk_rejects, st.captures, st.store_writes, st.disk_hits),
+    );
+
+    // RISC stream: one recorded memory address too few, so the stream
+    // walk runs dry.
+    let dir = tmp_dir("deep-risc");
+    let store = TraceStore::open(&dir).unwrap();
+    let (risc_id, mut trace) = captured_vadd_risc();
+    trace.mems.pop().unwrap();
+    trace.header.mem_count -= 1;
+    store.save(&risc_id, &trace).unwrap();
+    assert_deep_reject(
+        &dir,
+        &store.path_for(&risc_id),
+        |s| {
+            s.risc_trace(&w, Scale::Test, &CompileOptions::gcc_ref(), MEM, BUDGET)
+                .unwrap();
+        },
+        |st| {
+            (
+                st.risc_disk_rejects,
+                st.risc_captures,
+                st.risc_store_writes,
+                st.risc_disk_hits,
+            )
+        },
+    );
+
+    // Phase artifact: fitted to a shorter stream than the one it keys.
+    let dir = tmp_dir("deep-bbv");
+    let store = TraceStore::open(&dir).unwrap();
+    let mut short = log.clone();
+    short.seq.truncate(log.seq.len() / 2);
+    let (bbv_id, art) = fitted_vadd_bbv(&block_id, &short);
+    store.save(&bbv_id, &art).unwrap();
+    let spec = vadd_fit_spec();
+    assert_deep_reject(
+        &dir,
+        &store.path_for(&bbv_id),
+        |s| {
+            s.trips_phase_plan(&w, Scale::Test, &opts, false, MEM, BUDGET, &spec)
+                .unwrap();
+        },
+        |st| {
+            (
+                st.phase_disk_rejects,
+                st.phase_fits,
+                st.phase_store_writes,
+                st.phase_disk_hits,
+            )
+        },
+    );
+
+    // Live-point set: one window too few for the plan.
+    let dir = tmp_dir("deep-lp");
+    let store = TraceStore::open(&dir).unwrap();
+    let (_, art) = fitted_vadd_bbv(&block_id, &log);
+    let (lp_id, mut set) = captured_vadd_livepoints(&block_id, &log, &art);
+    match &mut set.states {
+        LivePointStates::Trips(snaps) => snaps.pop().unwrap(),
+        LivePointStates::Ooo(_) => unreachable!("a TRIPS capture"),
+    };
+    store.save(&lp_id, &set).unwrap();
+    let cfg = trips_sim::TripsConfig::prototype();
+    assert_deep_reject(
+        &dir,
+        &store.path_for(&lp_id),
+        |s| {
+            s.set_live_points(2);
+            let plan = s
+                .trips_phase_plan(&w, Scale::Test, &opts, false, MEM, BUDGET, &spec)
+                .unwrap();
+            assert!(!plan.covers_everything());
+            let mode = ReplayMode::Phased((*plan).clone());
+            s.replayed(&w, Scale::Test, &opts, false, &cfg, MEM, BUDGET, &mode)
+                .unwrap();
+        },
+        |st| {
+            (
+                st.livepoint_disk_rejects,
+                st.livepoint_captures,
+                st.livepoint_store_writes,
+                st.livepoint_disk_hits,
+            )
+        },
+    );
 }
