@@ -501,16 +501,10 @@ pub fn fig8(scale: Scale) -> String {
     );
     let mut profile = |label: &str, s: &trips_sim::SimStats| {
         use trips_sim::opn::TrafficClass as TC;
-        let total: u64 = s.opn.hist.values().flat_map(|h| h.iter()).sum();
-        let class_total = |c: TC| {
-            s.opn
-                .hist
-                .get(&c)
-                .map(|h| h.iter().sum::<u64>())
-                .unwrap_or(0)
-        };
+        let total: u64 = s.opn.hist.iter().flatten().sum();
+        let class_total = |c: TC| s.opn.hist[c as usize].iter().sum::<u64>();
         let etet = class_total(TC::EtEt);
-        let zero = s.opn.hist.get(&TC::EtEt).map(|h| h[0]).unwrap_or(0);
+        let zero = s.opn.hist[TC::EtEt as usize][0];
         t2.row_f(
             label,
             &[
@@ -535,14 +529,7 @@ pub fn fig8(scale: Scale) -> String {
     let mut agg = trips_sim::SimStats::default();
     for w in eembc.iter().take(4) {
         let s = runner::trips_cycles_for(w, scale, false);
-        for (k, v) in s.opn.hist {
-            let e = agg.opn.hist.entry(k).or_default();
-            for i in 0..6 {
-                e[i] += v[i];
-            }
-        }
-        agg.opn.packets += s.opn.packets;
-        agg.opn.total_hops += s.opn.total_hops;
+        agg.opn.absorb(&s.opn);
     }
     profile("EEMBC mean", &agg);
     t2.note("paper: ET-ET dominates; ~half of ET-ET operands bypass locally; ~0.9 avg ET-ET hops");

@@ -277,8 +277,17 @@ pub fn snapshot_text() -> String {
 mod tests {
     use super::*;
 
+    /// Held by every test that touches the process-global registry, so no
+    /// series moves while another test renders two snapshots.
+    static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
+
+    fn hold_registry() -> std::sync::MutexGuard<'static, ()> {
+        REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn counter_sums_across_threads() {
+        let _g = hold_registry();
         let c = counter("test_counter_total");
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -312,6 +321,7 @@ mod tests {
 
     #[test]
     fn histogram_conserves_count_and_sum() {
+        let _g = hold_registry();
         let h = histogram("test_hist_ns");
         for v in [0u64, 1, 7, 8, 1023, 1024, 1 << 40] {
             h.observe(v);
@@ -323,6 +333,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_deterministic_and_typed() {
+        let _g = hold_registry();
         counter("test_snap_b_total").inc(2);
         gauge("test_snap_a").set(9);
         let one = snapshot_text();
@@ -339,6 +350,7 @@ mod tests {
 
     #[test]
     fn labeled_series_are_distinct() {
+        let _g = hold_registry();
         gauge("test_worker_busy_ns{worker=\"0\"}").set(5);
         gauge("test_worker_busy_ns{worker=\"1\"}").set(6);
         let snap = snapshot_text();

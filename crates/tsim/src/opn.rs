@@ -7,9 +7,15 @@
 //! link carries one packet per cycle, so concurrent traffic backs up —
 //! the contention §7 identifies as the prototype's biggest performance
 //! artifact.
+//!
+//! State is dense: each of the 100 directed links (25 nodes × 4
+//! directions, counting the unused off-mesh ones) has a slot in one
+//! array holding its claimed cycles as a `ClaimList` (see
+//! [`crate::cache`]), and the hop histogram is a fixed array indexed by
+//! [`TrafficClass`].
 
+use crate::cache::ClaimList;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A node on the 5×5 mesh, as (row, col) with `0 ≤ row, col ≤ 4`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,9 +52,64 @@ impl Node {
     pub fn hops(self, other: Node) -> u32 {
         (self.row.abs_diff(other.row) + self.col.abs_diff(other.col)) as u32
     }
+
+    fn on_mesh(self) -> bool {
+        self.row < MESH && self.col < MESH
+    }
 }
 
-/// Traffic classes matching the paper's Figure 8 breakdown.
+/// Mesh side length.
+const MESH: u8 = 5;
+/// Directed link slots: four outgoing directions per node.
+const LINKS: usize = (MESH as usize) * (MESH as usize) * 4;
+
+/// The link slot of the hop `from → to` between adjacent nodes. The
+/// directions are numbered north, west, east, south, which orders a
+/// node's outgoing links by their destination's (row, col) — so slot
+/// order is exactly the (from, to) order snapshots are sorted by.
+fn link_id(from: Node, to: Node) -> usize {
+    let dir = if to.row < from.row {
+        0
+    } else if to.col < from.col {
+        1
+    } else if to.col > from.col {
+        2
+    } else {
+        3
+    };
+    (usize::from(from.row) * usize::from(MESH) + usize::from(from.col)) * 4 + dir
+}
+
+/// Inverse of [`link_id`] for the slots of on-mesh links.
+fn link_nodes(id: usize) -> (Node, Node) {
+    let node = id / 4;
+    let from = Node {
+        row: (node / usize::from(MESH)) as u8,
+        col: (node % usize::from(MESH)) as u8,
+    };
+    let to = match id % 4 {
+        0 => Node {
+            row: from.row.wrapping_sub(1),
+            ..from
+        },
+        1 => Node {
+            col: from.col.wrapping_sub(1),
+            ..from
+        },
+        2 => Node {
+            col: from.col + 1,
+            ..from
+        },
+        _ => Node {
+            row: from.row + 1,
+            ..from
+        },
+    };
+    (from, to)
+}
+
+/// Traffic classes matching the paper's Figure 8 breakdown; the
+/// discriminant indexes [`OpnStats::hist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TrafficClass {
     /// Execution tile to execution tile.
@@ -63,11 +124,16 @@ pub enum TrafficClass {
     DtRt,
 }
 
+impl TrafficClass {
+    /// Number of classes.
+    pub const COUNT: usize = 5;
+}
+
 /// Per-class hop-count histogram (0..=5+ hops).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpnStats {
-    /// `hist[class][hops.min(5)]` packet counts.
-    pub hist: HashMap<TrafficClass, [u64; 6]>,
+    /// `hist[class as usize][hops.min(5)]` packet counts.
+    pub hist: [[u64; 6]; TrafficClass::COUNT],
     /// Total packets.
     pub packets: u64,
     /// Total hops.
@@ -80,9 +146,8 @@ impl OpnStats {
     /// Adds another run's traffic into this one (the live-point
     /// parallel-replay reduction).
     pub fn absorb(&mut self, o: &OpnStats) {
-        for (class, h) in &o.hist {
-            let e = self.hist.entry(*class).or_default();
-            for (a, b) in e.iter_mut().zip(h) {
+        for (mine, theirs) in self.hist.iter_mut().zip(&o.hist) {
+            for (a, b) in mine.iter_mut().zip(theirs) {
                 *a += b;
             }
         }
@@ -102,14 +167,11 @@ impl OpnStats {
 
     /// Fraction of packets of `class` with exactly `hops` hops (5 = "5+").
     pub fn fraction(&self, class: TrafficClass, hops: usize) -> f64 {
-        let total: u64 = self.hist.values().flat_map(|h| h.iter()).sum();
+        let total: u64 = self.hist.iter().flatten().sum();
         if total == 0 {
             return 0.0;
         }
-        self.hist
-            .get(&class)
-            .map(|h| h[hops.min(5)] as f64 / total as f64)
-            .unwrap_or(0.0)
+        self.hist[class as usize][hops.min(5)] as f64 / total as f64
     }
 }
 
@@ -120,7 +182,7 @@ impl OpnStats {
 /// state).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpnSnapshot {
-    links: Vec<(Node, Node, Vec<u64>)>,
+    pub(crate) links: Vec<(Node, Node, Vec<u64>)>,
 }
 
 /// The mesh with exact per-link, per-cycle occupancy.
@@ -129,13 +191,21 @@ pub struct OpnSnapshot {
 /// keeps an occupancy set per directed link rather than a monotonic
 /// next-free cycle: a packet claims the first free cycle ≥ its ready time
 /// on each hop.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Opn {
-    /// Per-directed-link set of claimed cycles, fast-hashed: restores and
-    /// the routing hot loop both churn through these sets.
-    link_busy: HashMap<(Node, Node), crate::cache::ClaimSet>,
+    /// Claimed cycles per directed link, indexed by [`link_id`].
+    link_busy: Vec<ClaimList>,
     /// Aggregate statistics.
     pub stats: OpnStats,
+}
+
+impl Default for Opn {
+    fn default() -> Opn {
+        Opn {
+            link_busy: vec![ClaimList::default(); LINKS],
+            stats: OpnStats::default(),
+        }
+    }
 }
 
 impl Opn {
@@ -148,8 +218,7 @@ impl Opn {
     /// arrival cycle. Local delivery (same node) is a zero-cost bypass.
     pub fn route(&mut self, from: Node, to: Node, t: u64, class: TrafficClass) -> u64 {
         let hops = from.hops(to);
-        let e = self.stats.hist.entry(class).or_default();
-        e[(hops as usize).min(5)] += 1;
+        self.stats.hist[class as usize][(hops as usize).min(5)] += 1;
         self.stats.packets += 1;
         self.stats.total_hops += hops as u64;
         if hops == 0 {
@@ -178,16 +247,7 @@ impl Opn {
                     },
                 }
             };
-            let busy = self.link_busy.entry((cur, next)).or_default();
-            let mut depart = now;
-            while busy.contains(&depart) {
-                depart += 1;
-            }
-            busy.insert(depart);
-            if busy.len() > 2048 {
-                let horizon = depart.saturating_sub(1024);
-                busy.retain(|&c| c >= horizon);
-            }
+            let depart = self.link_busy[link_id(cur, next)].claim(now, 1);
             self.stats.contention_cycles += depart - now;
             now = depart + 1;
             cur = next;
@@ -203,30 +263,49 @@ impl Opn {
     /// dropping them keeps cold links from pinning dead cycles into every
     /// snapshot without perturbing the replay.
     pub fn snapshot(&self, horizon: u64) -> OpnSnapshot {
-        let mut links: Vec<(Node, Node, Vec<u64>)> = self
+        let links = self
             .link_busy
             .iter()
-            .filter_map(|(&(from, to), busy)| {
-                let mut v: Vec<u64> = busy.iter().copied().filter(|&c| c >= horizon).collect();
+            .enumerate()
+            .filter_map(|(id, busy)| {
+                let v = busy.snapshot(horizon);
                 if v.is_empty() {
                     return None;
                 }
-                v.sort_unstable();
+                let (from, to) = link_nodes(id);
                 Some((from, to, v))
             })
             .collect();
-        links.sort_unstable_by_key(|&(a, b, _)| (a.row, a.col, b.row, b.col));
         OpnSnapshot { links }
     }
 
     /// Restores link occupancy captured by [`Opn::snapshot`]; statistics
     /// are left untouched (the caller baselines them).
-    pub fn restore(&mut self, s: &OpnSnapshot) {
-        self.link_busy.clear();
+    ///
+    /// # Errors
+    /// When a link's endpoints are off the mesh or not adjacent, links are
+    /// out of order or repeated, or a link's claims are not strictly
+    /// ascending; the network is then left untouched.
+    pub fn restore(&mut self, s: &OpnSnapshot) -> Result<(), String> {
+        let mut link_busy = vec![ClaimList::default(); LINKS];
+        let mut prev = None;
         for (from, to, claims) in &s.links {
-            self.link_busy
-                .insert((*from, *to), claims.iter().copied().collect());
+            if !from.on_mesh() || !to.on_mesh() || from.hops(*to) != 1 {
+                return Err(format!(
+                    "snapshot link {from:?} -> {to:?} is not a mesh hop"
+                ));
+            }
+            let id = link_id(*from, *to);
+            if prev.is_some_and(|p| p >= id) {
+                return Err(format!(
+                    "snapshot link {from:?} -> {to:?} is out of order or repeated"
+                ));
+            }
+            prev = Some(id);
+            link_busy[id] = ClaimList::from_sorted(claims)?;
         }
+        self.link_busy = link_busy;
+        Ok(())
     }
 }
 
@@ -291,7 +370,51 @@ mod tests {
         let mut o = Opn::new();
         o.route(Node::et(0), Node::et(0), 0, TrafficClass::EtEt);
         o.route(Node::rt(0), Node::et(12), 0, TrafficClass::EtRt);
-        assert_eq!(o.stats.hist[&TrafficClass::EtEt][0], 1);
+        assert_eq!(o.stats.hist[TrafficClass::EtEt as usize][0], 1);
+        assert_eq!(o.stats.hist[TrafficClass::EtRt as usize][4], 1);
+        assert!((o.stats.fraction(TrafficClass::EtEt, 0) - 0.5).abs() < 1e-9);
         assert!(o.stats.avg_hops() > 0.0);
+        let mut sum = o.stats.clone();
+        sum.absorb(&o.stats);
+        assert_eq!(sum.hist[TrafficClass::EtRt as usize][4], 2);
+        assert_eq!(sum.packets, 4);
+    }
+
+    #[test]
+    fn link_slots_follow_snapshot_order() {
+        let mut links = vec![];
+        for id in 0..LINKS {
+            let (from, to) = link_nodes(id);
+            if to.on_mesh() {
+                assert_eq!(link_id(from, to), id);
+                assert_eq!(from.hops(to), 1);
+                links.push((from.row, from.col, to.row, to.col));
+            }
+        }
+        assert_eq!(links.len(), 80, "5x5 mesh has 80 directed links");
+        assert!(links.windows(2).all(|p| p[0] < p[1]));
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_rejects_malformed_links() {
+        let mut o = Opn::new();
+        o.route(Node::GT, Node::et(15), 5, TrafficClass::EtGt);
+        o.route(Node::et(15), Node::GT, 5, TrafficClass::EtGt);
+        let snap = o.snapshot(0);
+        assert_eq!(snap.links.len(), 16);
+        let mut back = Opn::new();
+        back.restore(&snap).unwrap();
+        assert_eq!(back.snapshot(0), snap);
+        let far = Node { row: 0, col: 2 };
+        let off = Node { row: 5, col: 0 };
+        for bad in [
+            vec![(Node::GT, far, vec![1])],
+            vec![(Node::dt(3), off, vec![1])],
+            vec![(Node::GT, Node::rt(0), vec![2, 1])],
+            vec![(Node::GT, Node::rt(0), vec![1, 1])],
+            vec![(Node::GT, Node::rt(0), vec![1]); 2],
+        ] {
+            assert!(back.restore(&OpnSnapshot { links: bad }).is_err());
+        }
     }
 }

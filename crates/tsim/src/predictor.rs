@@ -24,20 +24,20 @@ fn mix(block: u32, hist: u32) -> u32 {
 /// captured, keeping live-point snapshots pure machine state.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PredictorSnapshot {
-    lht: Vec<u16>,
-    lpt: Vec<(u8, u8)>,
-    gpt: Vec<(u8, u8)>,
-    chooser: Vec<u8>,
+    pub(crate) lht: Vec<u16>,
+    pub(crate) lpt: Vec<(u8, u8)>,
+    pub(crate) gpt: Vec<(u8, u8)>,
+    pub(crate) chooser: Vec<u8>,
     ghr: u32,
-    btb: Vec<Option<(u64, u32)>>,
-    ras: Vec<u32>,
+    pub(crate) btb: Vec<Option<(u64, u32)>>,
+    pub(crate) ras: Vec<u32>,
 }
 
 /// Serializable image of a [`LoadWaitTable`]'s learned wait bits
 /// (`violations` is accounting and excluded).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LoadWaitSnapshot {
-    bits: Vec<bool>,
+    pub(crate) bits: Vec<bool>,
 }
 
 /// Local/global tournament exit predictor.
@@ -319,13 +319,41 @@ impl NextBlockPredictor {
         }
     }
 
-    /// Restores state captured by [`NextBlockPredictor::snapshot`]. Table
-    /// geometries must match (the live-point key's config signature
-    /// guarantees it); `stats` is left untouched for the caller to
-    /// baseline.
-    pub fn restore(&mut self, s: &PredictorSnapshot) {
-        debug_assert_eq!(self.exits.lht.len(), s.lht.len(), "table size mismatch");
-        debug_assert_eq!(self.targets.btb.len(), s.btb.len(), "BTB size mismatch");
+    /// Restores state captured by [`NextBlockPredictor::snapshot`];
+    /// `stats` is left untouched for the caller to baseline.
+    ///
+    /// # Errors
+    /// When a table's size differs from this predictor's or the return
+    /// stack is deeper than its limit (the live-point key's config
+    /// signature normally rules both out); nothing is restored then.
+    pub fn restore(&mut self, s: &PredictorSnapshot) -> Result<(), String> {
+        let entries = self.exits.lht.len();
+        for (name, len) in [
+            ("local history", s.lht.len()),
+            ("local pattern", s.lpt.len()),
+            ("global pattern", s.gpt.len()),
+            ("chooser", s.chooser.len()),
+        ] {
+            if len != entries {
+                return Err(format!(
+                    "predictor snapshot {name} table has {len} entries, predictor has {entries}"
+                ));
+            }
+        }
+        if s.btb.len() != self.targets.btb.len() {
+            return Err(format!(
+                "predictor snapshot BTB has {} entries, predictor has {}",
+                s.btb.len(),
+                self.targets.btb.len()
+            ));
+        }
+        if s.ras.len() > self.targets.ras_depth {
+            return Err(format!(
+                "predictor snapshot return stack holds {} entries, depth is {}",
+                s.ras.len(),
+                self.targets.ras_depth
+            ));
+        }
         self.exits.lht.clone_from(&s.lht);
         self.exits.lpt.clone_from(&s.lpt);
         self.exits.gpt.clone_from(&s.gpt);
@@ -333,6 +361,7 @@ impl NextBlockPredictor {
         self.exits.ghr = s.ghr;
         self.targets.btb.clone_from(&s.btb);
         self.targets.ras.clone_from(&s.ras);
+        Ok(())
     }
 }
 
@@ -452,9 +481,19 @@ impl LoadWaitTable {
 
     /// Restores bits captured by [`LoadWaitTable::snapshot`] (`violations`
     /// is the caller's to baseline).
-    pub fn restore(&mut self, s: &LoadWaitSnapshot) {
-        debug_assert_eq!(self.bits.len(), s.bits.len(), "table size mismatch");
+    ///
+    /// # Errors
+    /// When the snapshot's table size differs from this table's.
+    pub fn restore(&mut self, s: &LoadWaitSnapshot) -> Result<(), String> {
+        if s.bits.len() != self.bits.len() {
+            return Err(format!(
+                "load-wait snapshot has {} entries, table has {}",
+                s.bits.len(),
+                self.bits.len()
+            ));
+        }
         self.bits.clone_from(&s.bits);
+        Ok(())
     }
 }
 

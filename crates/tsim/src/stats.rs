@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use trips_isa::IsaStats;
 
 /// Everything the experiments need from a timing run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Total cycles (commit time of the last block).
     pub cycles: u64,
@@ -58,19 +58,6 @@ pub struct SimStats {
     /// stream (`cycles × total_units / detailed_units`); equals `cycles`
     /// for full runs.
     pub est_cycles: u64,
-}
-
-/// Deserialization is only needed for the experiment tooling's own output,
-/// which re-reads serialized stats; OpnStats uses a map keyed by enum.
-impl<'de> Deserialize<'de> for SimStats {
-    fn deserialize<D>(_: D) -> Result<Self, D::Error>
-    where
-        D: serde::Deserializer<'de>,
-    {
-        Err(serde::de::Error::custom(
-            "SimStats deserialization is not supported",
-        ))
-    }
 }
 
 impl SimStats {
@@ -229,6 +216,18 @@ mod tests {
         // A full run's fields degenerate to the classic rates.
         let full = SimStats::default();
         assert_eq!(full.detailed_frac(), 1.0);
+    }
+
+    #[test]
+    fn stats_round_trip_through_the_binary_codec() {
+        let mut s = SimStats {
+            cycles: 7,
+            window_inst_cycles: u128::from(u64::MAX) + 3,
+            ..Default::default()
+        };
+        s.opn.hist[2][5] = 11;
+        let back: SimStats = serde::bin::from_bytes(&serde::bin::to_bytes(&s)).unwrap();
+        assert_eq!(back, s);
     }
 
     #[test]

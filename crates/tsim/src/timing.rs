@@ -34,13 +34,14 @@ use crate::predictor::{
 };
 use crate::stats::SimStats;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use trips_compiler::CompiledProgram;
 use trips_ir::Program;
 use trips_isa::block::ExitTarget;
 use trips_isa::interp::{BlockTrace, TraceSrc, TripsExecError};
+use trips_isa::limits::NUM_REGS;
 use trips_isa::{TOpcode, TraceLog};
 use trips_sample::{Phase, PhasePlan, PhaseWindow, ReplayMode};
 
@@ -474,6 +475,9 @@ pub fn assemble_trips_phased(
 /// the model probes occupancy more than a few thousand cycles back.
 const CLAIM_SNAPSHOT_MARGIN: u64 = 1 << 20;
 
+/// `Timing::done` entry of an instruction that has not fired.
+const NOT_DONE: u64 = u64::MAX;
+
 struct Timing<'a> {
     cp: &'a CompiledProgram,
     cfg: TripsConfig,
@@ -487,7 +491,22 @@ struct Timing<'a> {
     icache: Cache,
     predictor: NextBlockPredictor,
     lwt: LoadWaitTable,
-    reg_avail: HashMap<u8, u64>,
+    /// Cycle each register's latest write reaches its register tile (0
+    /// until written).
+    reg_avail: [u64; NUM_REGS],
+    /// Bit `r` set once register `r` has been written: the registers a
+    /// snapshot lists.
+    reg_written: u128,
+    /// Per-block scratch: completion cycle of each fired instruction,
+    /// indexed by instruction id, [`NOT_DONE`] otherwise. Reset after
+    /// every block.
+    done: [u64; 256],
+    /// Per-block scratch: `(lsid, resolution order, addr, bytes)` of the
+    /// block's stores. The timed path orders by the cycle a store reaches
+    /// its data tile and keeps one entry per LSID (the latest store
+    /// wins); the warming path orders by fire position and keeps every
+    /// store.
+    stores: Vec<(u8, u64, u64, u8)>,
     commits: VecDeque<u64>,
     last_commit: u64,
     prev_dispatch: u64,
@@ -521,7 +540,10 @@ impl<'a> Timing<'a> {
             icache: Cache::new(cfg.l1i_bytes, 2, 128),
             predictor: NextBlockPredictor::new(cfg.exit_entries, cfg.btb_entries, cfg.ras_depth),
             lwt: LoadWaitTable::new(cfg.lwt_entries.next_power_of_two()),
-            reg_avail: HashMap::new(),
+            reg_avail: [0; NUM_REGS],
+            reg_written: 0,
+            done: [NOT_DONE; 256],
+            stores: Vec::new(),
             commits: VecDeque::new(),
             last_commit: 0,
             prev_dispatch: 0,
@@ -584,16 +606,13 @@ impl<'a> Timing<'a> {
         // fire) order stands in: a load observing an overlapping older
         // store that fires *after* it would have read the bank too early,
         // and trains its wait bit exactly as the timed path would.
-        let stores: Vec<(u8, u64, u8, usize)> = trace
-            .fired
-            .iter()
-            .enumerate()
-            .filter_map(|(at, ti)| {
+        self.stores.clear();
+        self.stores
+            .extend(trace.fired.iter().enumerate().filter_map(|(at, ti)| {
                 let mem = ti.mem.filter(|m| m.is_store)?;
                 let lsid = block.insts[ti.idx as usize].lsid.unwrap_or(0);
-                Some((lsid, mem.addr, mem.bytes, at))
-            })
-            .collect();
+                Some((lsid, at as u64, mem.addr, mem.bytes))
+            }));
         for (at, ti) in trace.fired.iter().enumerate() {
             let Some(mem) = ti.mem else { continue };
             let bank = ((mem.addr / self.cfg.line as u64) % TripsConfig::L1D_BANKS as u64) as usize;
@@ -604,9 +623,9 @@ impl<'a> Timing<'a> {
             }
             if !mem.is_store && !self.lwt.should_wait(bidx, ti.idx) {
                 if let Some(l) = block.insts[ti.idx as usize].lsid {
-                    let would_violate = stores.iter().any(|&(l2, a2, b2, at2)| {
+                    let would_violate = self.stores.iter().any(|&(l2, at2, a2, b2)| {
                         l2 < l
-                            && at2 > at
+                            && at2 > at as u64
                             && a2 < mem.addr + mem.bytes as u64
                             && mem.addr < a2 + b2 as u64
                     });
@@ -682,9 +701,7 @@ impl<'a> Timing<'a> {
         self.prev_chunk = block.chunk_capacity();
 
         // --- dataflow timing -------------------------------------------------
-        let mut done: HashMap<u8, u64> = HashMap::new();
-        let mut store_dt_time: HashMap<u8, (u64, u64, u8)> = HashMap::new(); // lsid -> (ready@DT, addr, bytes)
-        let mut read_cache: HashMap<u8, u64> = HashMap::new();
+        self.stores.clear();
         let mut completion = dispatch + 1;
         let mut resolve = dispatch + 1;
         let mut violated = false;
@@ -698,16 +715,16 @@ impl<'a> Timing<'a> {
             for src in &ti.srcs {
                 let arr = match src {
                     TraceSrc::Read(r) => {
+                        // Register availability only moves in the write
+                        // phase below, so every read sees its value at
+                        // dispatch.
                         let reg = block.reads[*r as usize].reg;
-                        let avail = *read_cache
-                            .entry(reg)
-                            .or_insert_with(|| self.reg_avail.get(&reg).copied().unwrap_or(0));
-                        let t0 = avail.max(dispatch);
+                        let t0 = self.reg_avail[reg as usize].max(dispatch);
                         self.opn
                             .route(Node::rt(reg / 32), here, t0, TrafficClass::EtRt)
                     }
                     TraceSrc::Inst(p) => {
-                        let t0 = done.get(p).copied().unwrap_or(dispatch);
+                        let t0 = self.done_or(*p, dispatch);
                         let from =
                             Node::et(placement.get(*p as usize).copied().unwrap_or(0).min(15));
                         self.opn.route(from, here, t0, TrafficClass::EtEt)
@@ -727,7 +744,11 @@ impl<'a> Timing<'a> {
                     let t = self.dt_banks.reserve(bank, arr, 1);
                     self.l1d[bank].access(mem.addr);
                     self.stats.l1_bytes += mem.bytes as u64;
-                    store_dt_time.insert(inst.lsid.unwrap_or(0), (t + 1, mem.addr, mem.bytes));
+                    let entry = (inst.lsid.unwrap_or(0), t + 1, mem.addr, mem.bytes);
+                    match self.stores.iter_mut().find(|s| s.0 == entry.0) {
+                        Some(s) => *s = entry,
+                        None => self.stores.push(entry),
+                    }
                     completion = completion.max(t + 1);
                     t + 1
                 } else {
@@ -735,9 +756,9 @@ impl<'a> Timing<'a> {
                     // dependence predictor.
                     let mut lissue = issue;
                     if self.lwt.should_wait(bidx, ti.idx) {
-                        for (lsid2, (t2, _, _)) in &store_dt_time {
-                            if inst.lsid.map(|l| *lsid2 < l).unwrap_or(false) {
-                                lissue = lissue.max(*t2);
+                        for &(lsid2, t2, _, _) in &self.stores {
+                            if inst.lsid.map(|l| lsid2 < l).unwrap_or(false) {
+                                lissue = lissue.max(t2);
                             }
                         }
                     }
@@ -768,10 +789,10 @@ impl<'a> Timing<'a> {
                     // resolved after this load read the bank.
                     if !self.lwt.should_wait(bidx, ti.idx) {
                         if let Some(l) = inst.lsid {
-                            for (lsid2, (t2, a2, b2)) in &store_dt_time {
-                                let overlap = *a2 < mem.addr + mem.bytes as u64
-                                    && mem.addr < *a2 + *b2 as u64;
-                                if *lsid2 < l && overlap && *t2 > t {
+                            for &(lsid2, t2, a2, b2) in &self.stores {
+                                let overlap =
+                                    a2 < mem.addr + mem.bytes as u64 && mem.addr < a2 + b2 as u64;
+                                if lsid2 < l && overlap && t2 > t {
                                     violated = true;
                                     self.lwt.record_violation(bidx, ti.idx);
                                     break;
@@ -796,7 +817,7 @@ impl<'a> Timing<'a> {
             } else {
                 issue + inst.op.latency() as u64
             };
-            done.insert(ti.idx, out_t);
+            self.done[ti.idx as usize] = out_t;
         }
 
         // Register writes resolve at their RT.
@@ -806,21 +827,22 @@ impl<'a> Timing<'a> {
             let (t0, from) = match src {
                 TraceSrc::Read(r) => {
                     let rr = block.reads[*r as usize].reg;
-                    (
-                        self.reg_avail.get(&rr).copied().unwrap_or(0).max(dispatch),
-                        Node::rt(rr / 32),
-                    )
+                    (self.reg_avail[rr as usize].max(dispatch), Node::rt(rr / 32))
                 }
                 TraceSrc::Inst(p) => (
-                    done.get(p).copied().unwrap_or(dispatch),
+                    self.done_or(*p, dispatch),
                     Node::et(placement.get(*p as usize).copied().unwrap_or(0).min(15)),
                 ),
             };
             let arr = self
                 .opn
                 .route(from, Node::rt(reg / 32), t0, TrafficClass::EtRt);
-            self.reg_avail.insert(reg, arr);
+            self.reg_avail[reg as usize] = arr;
+            self.reg_written |= 1 << reg;
             completion = completion.max(arr);
+        }
+        for ti in &trace.fired {
+            self.done[ti.idx as usize] = NOT_DONE;
         }
         completion = completion.max(resolve);
         if violated {
@@ -853,12 +875,23 @@ impl<'a> Timing<'a> {
         self.pending = Some((bidx, trace.exit, kind, cont, resolve));
     }
 
+    /// Completion cycle of instruction `p` in the current block, or
+    /// `default` when it has not fired (yet).
+    fn done_or(&self, p: u8, default: u64) -> u64 {
+        match self.done[p as usize] {
+            NOT_DONE => default,
+            t => t,
+        }
+    }
+
     /// Captures the machine's live-point at stream `unit` (called before
     /// the unit is processed). Pure machine state only — see
     /// [`TsimSnapshot`].
     fn snapshot(&self, unit: u64) -> TsimSnapshot {
-        let mut reg_avail: Vec<(u8, u64)> = self.reg_avail.iter().map(|(&r, &t)| (r, t)).collect();
-        reg_avail.sort_unstable();
+        let reg_avail: Vec<(u8, u64)> = (0..NUM_REGS)
+            .filter(|&r| self.reg_written >> r & 1 == 1)
+            .map(|r| (r as u8, self.reg_avail[r]))
+            .collect();
         // Occupancy claims this far behind the commit point are dead: no
         // packet or bank request ever probes a cycle ~1M behind the clock
         // (in-flight blocks span tens of cycles), so snapshots exclude
@@ -896,6 +929,9 @@ impl<'a> Timing<'a> {
     /// Restores a live-point into a freshly constructed machine. All
     /// accounting stays at zero, so everything this replay subsequently
     /// counts is the window's own delta.
+    ///
+    /// Every piece is checked against this machine's geometry first, so a
+    /// malformed or foreign snapshot is an `Err`, never a panic.
     fn restore(&mut self, s: &TsimSnapshot) -> Result<(), String> {
         if self.l1d.len() != s.l1d.len() {
             return Err(format!(
@@ -904,19 +940,41 @@ impl<'a> Timing<'a> {
                 self.l1d.len()
             ));
         }
-        self.opn.restore(&s.opn);
+        if let Some(p) = s.pending {
+            if p.block as usize >= self.cp.trips.blocks.len() {
+                return Err(format!(
+                    "live-point pending exit names block {} of {}",
+                    p.block,
+                    self.cp.trips.blocks.len()
+                ));
+            }
+        }
+        let mut reg_avail = [0; NUM_REGS];
+        let mut reg_written: u128 = 0;
+        for &(r, t) in &s.reg_avail {
+            if r as usize >= NUM_REGS {
+                return Err(format!("live-point register {r} out of range"));
+            }
+            if reg_written >> r != 0 {
+                return Err(format!("live-point register {r} out of order or repeated"));
+            }
+            reg_avail[r as usize] = t;
+            reg_written |= 1 << r;
+        }
+        self.opn.restore(&s.opn)?;
         self.et_free = s.et_free;
         for (c, cs) in self.l1d.iter_mut().zip(&s.l1d) {
-            c.restore(cs);
+            c.restore(cs)?;
         }
-        self.dt_banks.restore(&s.dt_banks);
-        self.l2.restore(&s.l2);
-        self.l2_banks.restore(&s.l2_banks);
-        self.dram.restore(&s.dram);
-        self.icache.restore(&s.icache);
-        self.predictor.restore(&s.predictor);
-        self.lwt.restore(&s.lwt);
-        self.reg_avail = s.reg_avail.iter().copied().collect();
+        self.dt_banks.restore(&s.dt_banks)?;
+        self.l2.restore(&s.l2)?;
+        self.l2_banks.restore(&s.l2_banks)?;
+        self.dram.restore(&s.dram)?;
+        self.icache.restore(&s.icache)?;
+        self.predictor.restore(&s.predictor)?;
+        self.lwt.restore(&s.lwt)?;
+        self.reg_avail = reg_avail;
+        self.reg_written = reg_written;
         self.commits = s.commits.iter().copied().collect();
         self.last_commit = s.last_commit;
         self.prev_dispatch = s.prev_dispatch;
@@ -1232,6 +1290,128 @@ mod tests {
             assemble_trips_phased(&log, &plan, &[]),
             Err(SimError::Trace(_))
         ));
+    }
+
+    #[test]
+    fn malformed_livepoints_are_rejected_without_panicking() {
+        let p = sum_program(2000);
+        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
+        let log = TraceLog::capture(
+            &compiled.trips,
+            &compiled.opt_ir,
+            1 << 20,
+            u64::MAX,
+            Default::default(),
+        )
+        .unwrap();
+        let plan = handmade_plan(log.seq.len() as u64);
+        let cfg = TripsConfig::prototype();
+        let (_, snaps) = replay_trace_phased_capture(&compiled, &cfg, &log, &plan).unwrap();
+        let (window, good) = (&plan.windows[1], &snaps[1]);
+        assert!(replay_trips_window(&compiled, &cfg, &log, window, good).is_ok());
+        assert!(!good.opn.links.is_empty() && !good.reg_avail.is_empty());
+        let far = Node { row: 4, col: 4 };
+        let off = Node { row: 5, col: 4 };
+        type Mutation = Box<dyn Fn(&mut TsimSnapshot)>;
+        let mutations: Vec<(&str, Mutation)> = vec![
+            (
+                "L1D set count",
+                Box::new(|s| {
+                    s.l1d[0].tags.pop();
+                }),
+            ),
+            ("L2 way count", Box::new(|s| s.l2.tags[3].push((0, 0)))),
+            (
+                "I-cache set count",
+                Box::new(|s| s.icache.tags.push(vec![])),
+            ),
+            ("DT bank count", Box::new(|s| s.dt_banks.busy.push(vec![]))),
+            (
+                "L2 bank count",
+                Box::new(|s| {
+                    s.l2_banks.busy.pop();
+                }),
+            ),
+            ("DRAM channel count", Box::new(|s| s.dram.busy.push(vec![]))),
+            (
+                "non-adjacent link",
+                Box::new(move |s| s.opn.links[0].1 = far),
+            ),
+            (
+                "off-mesh link",
+                Box::new(move |s| s.opn.links.push((far, off, vec![1]))),
+            ),
+            (
+                "repeated link",
+                Box::new(|s| {
+                    let first = s.opn.links[0].clone();
+                    s.opn.links.insert(0, first);
+                }),
+            ),
+            (
+                "unsorted link claims",
+                Box::new(|s| s.opn.links[0].2 = vec![9, 3]),
+            ),
+            (
+                "duplicate link claims",
+                Box::new(|s| s.opn.links[0].2 = vec![3, 3]),
+            ),
+            (
+                "unsorted bank claims",
+                Box::new(|s| s.dt_banks.busy[0] = vec![9, 3]),
+            ),
+            (
+                "duplicate DRAM claims",
+                Box::new(|s| s.dram.busy[1] = vec![4, 4]),
+            ),
+            ("register id", Box::new(|s| s.reg_avail.push((128, 1)))),
+            (
+                "repeated register",
+                Box::new(|s| s.reg_avail.push(s.reg_avail[0])),
+            ),
+            (
+                "exit table size",
+                Box::new(|s| {
+                    s.predictor.lht.pop();
+                }),
+            ),
+            ("chooser size", Box::new(|s| s.predictor.chooser.push(0))),
+            ("BTB size", Box::new(|s| s.predictor.btb.push(None))),
+            (
+                "return stack depth",
+                Box::new(|s| s.predictor.ras = vec![0; 64]),
+            ),
+            (
+                "load-wait table size",
+                Box::new(|s| {
+                    s.lwt.bits.pop();
+                }),
+            ),
+            (
+                "pending block",
+                Box::new(|s| {
+                    s.pending = Some(PendingExit {
+                        block: u32::MAX,
+                        exit: 0,
+                        kind: ExitKind::Jump,
+                        cont: None,
+                        resolve: 0,
+                    })
+                }),
+            ),
+        ];
+        for (what, mutate) in mutations {
+            let mut bad = good.clone();
+            mutate(&mut bad);
+            assert_ne!(&bad, good, "{what}: mutation must change the snapshot");
+            assert!(
+                matches!(
+                    replay_trips_window(&compiled, &cfg, &log, window, &bad),
+                    Err(SimError::Trace(_))
+                ),
+                "{what}: malformed live-point must be rejected"
+            );
+        }
     }
 
     #[test]
