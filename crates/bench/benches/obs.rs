@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use trips_bench::MEM;
 use trips_compiler::{compile, CompileOptions};
 use trips_isa::{TraceLog, TraceMeta};
-use trips_sim::TripsConfig;
+use trips_sim::{ReplayMode, TripsConfig};
 use trips_workloads::Scale;
 
 const SIM_BUDGET: u64 = 1_000_000;
@@ -34,7 +34,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     .unwrap();
     let cfg = TripsConfig::prototype();
     let replay = || {
-        trips_sim::timing::replay_trace(&compiled, &cfg, &log)
+        trips_sim::timing::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full)
             .unwrap()
             .stats
             .cycles

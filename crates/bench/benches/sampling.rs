@@ -33,7 +33,7 @@ fn bench_trips_replay(c: &mut Criterion) {
     let cfg = TripsConfig::prototype();
     c.bench_function("sampling/trips_replay_full/bzip2", |b| {
         b.iter(|| {
-            trips_sim::timing::replay_trace(&compiled, &cfg, &log)
+            trips_sim::timing::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full)
                 .unwrap()
                 .stats
                 .cycles
@@ -71,7 +71,7 @@ fn bench_ooo_replay(c: &mut Criterion) {
     let cfg = trips_ooo::core2();
     c.bench_function("sampling/ooo_replay_full/vadd", |b| {
         b.iter(|| {
-            trips_ooo::run_timed_trace(&rp, &stream, &cfg)
+            trips_ooo::run_timed_trace_mode(&rp, &stream, &cfg, &ReplayMode::Full)
                 .unwrap()
                 .stats
                 .cycles

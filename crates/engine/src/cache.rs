@@ -78,12 +78,14 @@ use trips_isa::{TraceId, TraceLog, TraceMeta};
 use trips_workloads::{Scale, Workload};
 
 use crate::store::{
-    plan_sig, BbvId, LivePointId, LivePointSet, LivePointStates, LoadOutcome, RiscTraceId,
-    StoreKey, TraceStore, KIND_BLOCK_TRACE, KIND_RISC_TRACE,
+    plan_sig, BbvId, LivePointId, LivePointSet, LiveState, LoadOutcome, RiscTraceId, StoreKey,
+    TraceStore,
 };
+use trips_ooo::OooCore;
 use trips_phase::{PhaseArtifact, PhaseSpec};
 use trips_risc::{RiscTrace, RiscTraceMeta};
-use trips_sample::{PhasePlan, ReplayMode, SamplePlan};
+use trips_sample::{PhasePlan, PhaseWindow, ReplayMode, SamplePlan, TimingCore};
+use trips_sim::TsimCore;
 
 /// Engine failures (compile and functional-execution errors are carried as
 /// rendered strings so they can live in the cache).
@@ -1052,153 +1054,90 @@ impl Session {
         .map(|art| Arc::new(art.plan))
     }
 
-    /// Resolves one live-point checkpoint set memo → store → capture.
-    /// `capture` runs the sequential capture pass, which *is* a phased
-    /// replay; when it runs, its result comes back beside the set so
-    /// nothing runs twice.
-    fn live_point_set<R>(
+    /// The replay both timing backends share. Without live-points, or for
+    /// a mode that is not phased, it is one [`trips_sample::replay`] of a
+    /// fresh `make()` machine (the stream was validated by the tier that
+    /// served it). With them, a phased replay resolves its checkpoint set
+    /// memo → store → capture; a capture pass *is* the sequential phased
+    /// replay, so its result is returned directly and nothing runs twice.
+    /// With a resolved set, each measured window replays from its
+    /// restored state as an independent pool job, and the measurements
+    /// assemble into the bit-identical sequential estimate. Every replay
+    /// error is prefixed `"{workload} ({label}): "`.
+    fn replay_core<C>(
         &self,
-        id: &LivePointId,
-        plan: &PhasePlan,
-        capture: impl FnOnce() -> Result<(R, LivePointStates), EngineError>,
-    ) -> Result<(Arc<LivePointSet>, Option<R>), EngineError> {
+        workload: &str,
+        label: &str,
+        mode: &ReplayMode,
+        cfg_sig: u64,
+        parent_key: impl FnOnce() -> u64,
+        make: impl Fn() -> C + Sync,
+    ) -> Result<C::Output, EngineError>
+    where
+        C: TimingCore,
+        C::Snapshot: LiveState + Sync,
+        C::Stats: Send,
+        C::Error: fmt::Display + Send,
+    {
+        let fail = |why: String| EngineError::Replay(format!("{workload} ({label}): {why}"));
+        let core_fail = |e: C::Error| fail(e.to_string());
+        let (Some(threads), Some(plan)) = (self.live_points(), mode.phase()) else {
+            return trips_sample::replay(make(), mode).map_err(core_fail);
+        };
+        let id = LivePointId {
+            parent_key: parent_key(),
+            plan_sig: plan_sig(plan),
+            cfg_sig,
+            core: C::Snapshot::CORE,
+        };
         let mut fresh = None;
-        let set = self.livepoints.get_or_init(id, || {
+        let set = self.livepoints.get_or_init(&id, || {
             self.through_store(
                 &self.livepoints.stats,
-                id,
-                |set| fits_plan(id, plan, set),
+                &id,
+                |set| C::Snapshot::fitted(set, plan).map(drop),
                 || {
                     trips_obs::cost::set_tier("capture");
-                    let (res, states) = capture()?;
+                    let _span = trips_obs::span_with("session.capture_livepoints", || {
+                        format!("{label} cfg={cfg_sig:016x}")
+                    });
+                    let (res, snaps) =
+                        trips_sample::capture_phased(make(), plan).map_err(core_fail)?;
                     fresh = Some(res);
                     Ok(LivePointSet {
                         parent_key: id.parent_key,
                         plan_sig: id.plan_sig,
-                        cfg_sig: id.cfg_sig,
+                        cfg_sig,
                         core: id.core,
                         total_units: plan.total_units,
-                        states,
+                        states: C::Snapshot::wrap(snaps),
                     })
                 },
             )
             .map(Arc::new)
         })?;
-        Ok((set, fresh))
-    }
-
-    /// The live-point tier for one TRIPS phased replay. Resolves the
-    /// checkpoint set memo → store → capture; a capture pass *is* a
-    /// sequential phased replay, so its result is returned directly and
-    /// nothing runs twice. With a resolved set, each measured window
-    /// replays from its restored state as an independent pool job and the
-    /// per-window measurements assemble into the same estimate the
-    /// sequential replay produces (bit-identical; see
-    /// `trips_sim::timing`'s live-point tests).
-    fn replay_trips_live(
-        &self,
-        compiled: &CompiledProgram,
-        log: &TraceLog,
-        cfg: &trips_sim::TripsConfig,
-        plan: &PhasePlan,
-        parent_key: u64,
-        threads: usize,
-    ) -> Result<trips_sim::SimResult, EngineError> {
-        let id = LivePointId {
-            parent_key,
-            plan_sig: plan_sig(plan),
-            cfg_sig: trips_cfg_sig(cfg),
-            core: KIND_BLOCK_TRACE,
-        };
-        let (set, fresh) = self.live_point_set(&id, plan, || {
-            let _span = trips_obs::span_with("session.capture_livepoints", || {
-                format!("trips cfg={:016x}", id.cfg_sig)
-            });
-            trips_sim::timing::replay_trace_phased_capture(compiled, cfg, log, plan)
-                .map(|(res, snaps)| (res, LivePointStates::Trips(snaps)))
-                .map_err(|e| EngineError::Replay(e.to_string()))
-        })?;
         if let Some(res) = fresh {
             return Ok(res);
         }
-        let LivePointStates::Trips(snaps) = &set.states else {
-            return Err(EngineError::Replay(
-                "live-point set holds foreign-core state".into(),
-            ));
-        };
+        let snaps = C::Snapshot::fitted(&set, plan).map_err(fail)?;
         let _span = trips_obs::span_with("session.replay_windows", || {
-            format!("trips n={}", snaps.len())
+            format!("{} n={}", C::LABEL, snaps.len())
         });
-        let jobs: Vec<(trips_sample::PhaseWindow, &trips_sim::TsimSnapshot)> =
-            plan.windows.iter().copied().zip(snaps.iter()).collect();
-        let measures = crate::pool::parallel_map(jobs, threads, |(window, snap)| {
-            trips_sim::replay_trips_window(compiled, cfg, log, &window, snap)
-        });
-        let mut windows = Vec::with_capacity(measures.len());
-        for res in measures {
-            windows.push(res.map_err(|e| EngineError::Replay(e.to_string()))?);
-        }
-        trips_sim::assemble_trips_phased(log, plan, &windows)
-            .map_err(|e| EngineError::Replay(e.to_string()))
+        let jobs: Vec<(PhaseWindow, &C::Snapshot)> =
+            plan.windows.iter().copied().zip(snaps).collect();
+        let windows = crate::pool::parallel_map(jobs, threads, |(window, snap)| {
+            trips_sample::replay_window(make(), &window, snap)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(core_fail)?;
+        trips_sample::assemble_windows(make(), plan, &windows).map_err(core_fail)
     }
 
-    /// The out-of-order counterpart of [`Session::replay_trips_live`]:
-    /// same memo → store → capture choreography over the recorded RISC
-    /// stream, shared by every reference-platform configuration.
-    fn replay_ooo_live(
-        &self,
-        rp: &trips_risc::RProgram,
-        trace: &RiscTrace,
-        cfg: &trips_ooo::OooConfig,
-        plan: &PhasePlan,
-        parent_key: u64,
-        threads: usize,
-    ) -> Result<trips_ooo::OooResult, EngineError> {
-        let id = LivePointId {
-            parent_key,
-            plan_sig: plan_sig(plan),
-            cfg_sig: ooo_cfg_sig(cfg),
-            core: KIND_RISC_TRACE,
-        };
-        let (set, fresh) = self.live_point_set(&id, plan, || {
-            let _span = trips_obs::span_with("session.capture_livepoints", || {
-                format!("{} cfg={:016x}", cfg.name, id.cfg_sig)
-            });
-            trips_ooo::run_ooo_phased_capture(rp, trace, cfg, plan)
-                .map(|(res, snaps)| (res, LivePointStates::Ooo(snaps)))
-                .map_err(|e| EngineError::Replay(e.to_string()))
-        })?;
-        if let Some(res) = fresh {
-            return Ok(res);
-        }
-        let LivePointStates::Ooo(snaps) = &set.states else {
-            return Err(EngineError::Replay(
-                "live-point set holds foreign-core state".into(),
-            ));
-        };
-        let _span = trips_obs::span_with("session.replay_windows", || {
-            format!("ooo n={}", snaps.len())
-        });
-        let jobs: Vec<(trips_sample::PhaseWindow, &trips_ooo::OooSnapshot)> =
-            plan.windows.iter().copied().zip(snaps.iter()).collect();
-        let measures = crate::pool::parallel_map(jobs, threads, |(window, snap)| {
-            trips_ooo::replay_ooo_window(rp, trace, cfg, &window, snap)
-        });
-        let mut windows = Vec::with_capacity(measures.len());
-        for res in measures {
-            windows.push(res.map_err(|e| EngineError::Replay(e.to_string()))?);
-        }
-        trips_ooo::assemble_ooo_phased(trace, plan, &windows)
-            .map_err(|e| EngineError::Replay(e.to_string()))
-    }
-
-    /// Times one out-of-order configuration by replaying the (memoized)
-    /// recorded RISC stream: the reference-platform hot path — one
-    /// functional execution, N of these. Full mode is bit-identical to
-    /// driving the timing model from a live machine; sampled mode
-    /// fast-forwards and extrapolates per the plan. Results are memoized
-    /// under the trace key, the configuration signature *and* the plan, so
-    /// full and sampled measurements never alias.
+    /// The out-of-order front of the session's generic replay: times one
+    /// reference platform over the (memoized) recorded RISC stream — one
+    /// functional execution, N of these. Results are memoized like
+    /// [`Session::replayed`]'s.
     ///
     /// # Errors
     /// Any cached artifact failure, or [`EngineError::Replay`] (cached).
@@ -1223,30 +1162,23 @@ impl Session {
             let trace = self.risc_trace(w, scale, opts, mem, budget)?;
             let _span =
                 trips_obs::span_with("session.replay_ooo", || format!("{} {}", w.name, cfg.name));
-            if let (Some(threads), Some(plan)) = (self.live_points(), mode.phase()) {
-                if !plan.covers_everything() {
-                    let parent_key = key.trace.risc_id(&art).stable_hash();
-                    return self
-                        .replay_ooo_live(&art.program, &trace, cfg, plan, parent_key, threads)
-                        .map(Arc::new)
-                        .map_err(|e| match e {
-                            EngineError::Replay(msg) => {
-                                EngineError::Replay(format!("{} ({}): {msg}", w.name, cfg.name))
-                            }
-                            other => other,
-                        });
-                }
-            }
-            trips_ooo::run_timed_trace_mode(&art.program, &trace, cfg, mode)
-                .map(Arc::new)
-                .map_err(|e| EngineError::Replay(format!("{} ({}): {e}", w.name, cfg.name)))
+            self.replay_core(
+                w.name,
+                &cfg.name,
+                mode,
+                key.cfg,
+                || key.trace.risc_id(&art).stable_hash(),
+                || OooCore::new(&art.program, &trace, cfg),
+            )
+            .map(Arc::new)
         })
     }
 
-    /// Replays the (memoized) trace against one timing configuration: the
-    /// sweep's hot path — one capture, N of these. Results are memoized
-    /// under the trace key, the configuration signature *and* the sampling
-    /// plan, so full and sampled measurements never alias.
+    /// The TRIPS front of the session's generic replay: replays the (memoized)
+    /// block trace against one timing configuration — one capture, N of
+    /// these. Results are memoized under the trace key, the configuration
+    /// signature *and* the normalized mode, so full, sampled and phased
+    /// measurements never alias.
     ///
     /// # Errors
     /// Any cached artifact failure, or [`EngineError::Replay`] (cached).
@@ -1273,17 +1205,15 @@ impl Session {
             let _span = trips_obs::span_with("session.replay_trips", || {
                 format!("{} cfg={:016x}", w.name, key.cfg)
             });
-            if let (Some(threads), Some(plan)) = (self.live_points(), mode.phase()) {
-                if !plan.covers_everything() {
-                    let parent_key = key.trace.trips_id(&compiled).stable_hash();
-                    return self
-                        .replay_trips_live(&compiled, &log, cfg, plan, parent_key, threads)
-                        .map(Arc::new);
-                }
-            }
-            trips_sim::timing::replay_trace_mode(&compiled, cfg, &log, mode)
-                .map(Arc::new)
-                .map_err(|e| EngineError::Replay(e.to_string()))
+            self.replay_core(
+                w.name,
+                "trips",
+                mode,
+                key.cfg,
+                || key.trace.trips_id(&compiled).stable_hash(),
+                || TsimCore::new(&compiled, cfg, &log),
+            )
+            .map(Arc::new)
         })
     }
 
@@ -1344,25 +1274,6 @@ impl Session {
             degraded: self.degraded.get(),
         }
     }
-}
-
-/// Deep validation of a stored live-point set: the right core's states,
-/// one per plan window, over the plan's stream extent.
-fn fits_plan(id: &LivePointId, plan: &PhasePlan, set: &LivePointSet) -> Result<(), String> {
-    let right_core = match &set.states {
-        LivePointStates::Trips(_) => id.core == KIND_BLOCK_TRACE,
-        LivePointStates::Ooo(_) => id.core == KIND_RISC_TRACE,
-    };
-    if right_core && set.total_units == plan.total_units && set.states.len() == plan.windows.len() {
-        return Ok(());
-    }
-    Err(format!(
-        "wrong shape for the plan: {} states over {} units, plan has {} windows over {}",
-        set.states.len(),
-        set.total_units,
-        plan.windows.len(),
-        plan.total_units
-    ))
 }
 
 #[cfg(test)]
@@ -1585,7 +1496,14 @@ mod tests {
         }
         .stable_hash();
         let par = s
-            .replay_trips_live(&compiled, &log, &cfg, &plan, parent_key, 2)
+            .replay_core(
+                w.name,
+                "trips",
+                &mode,
+                trips_cfg_sig(&cfg),
+                || parent_key,
+                || TsimCore::new(&compiled, &cfg, &log),
+            )
             .unwrap();
         assert_eq!(
             par.stats, seq.stats,
@@ -1597,6 +1515,62 @@ mod tests {
             (1, 1),
             "second resolve must hit the memo tier without recapturing: {st:?}"
         );
+    }
+
+    #[test]
+    fn replay_errors_name_the_workload_on_both_cores() {
+        let w = by_name("vadd").unwrap();
+        // A plan fitted to a three-unit stream: both of vadd's are longer.
+        let foreign = ReplayMode::Phased(PhasePlan {
+            interval: 1,
+            total_units: 3,
+            k: 1,
+            windows: vec![trips_sample::PhaseWindow {
+                warm_start: 0,
+                detail_start: 0,
+                end: 1,
+                weight_units: 3,
+            }],
+            assignments: vec![],
+        });
+        let (scale, mem) = (Scale::Test, 1usize << 22);
+        for live_points in [false, true] {
+            let s = Session::new();
+            if live_points {
+                s.set_live_points(1);
+            }
+            let trips = s
+                .replayed(
+                    &w,
+                    scale,
+                    &CompileOptions::o1(),
+                    false,
+                    &trips_sim::TripsConfig::prototype(),
+                    mem,
+                    1_000_000,
+                    &foreign,
+                )
+                .map(drop);
+            let ooo = s
+                .ooo_replayed(
+                    &w,
+                    scale,
+                    &CompileOptions::gcc_ref(),
+                    &trips_ooo::core2(),
+                    mem,
+                    400_000_000,
+                    &foreign,
+                )
+                .map(drop);
+            for res in [trips, ooo] {
+                match res {
+                    Err(EngineError::Replay(msg)) => {
+                        assert!(msg.starts_with("vadd ("), "live={live_points}: {msg}");
+                    }
+                    other => panic!("live={live_points}: expected a replay error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

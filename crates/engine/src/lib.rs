@@ -33,9 +33,9 @@
 //!
 //! The speedup structure, on both backends: a TRIPS timing sweep of N
 //! configurations costs one functional capture plus N replays
-//! (`trips_sim::timing::replay_trace`), and an out-of-order reference sweep
-//! costs one RISC execution plus N stream replays
-//! (`trips_ooo::run_timed_trace`) — never N functional executions. Replays
+//! (`trips_sim::timing::replay_trace_mode`), and an out-of-order reference
+//! sweep costs one RISC execution plus N stream replays
+//! (`trips_ooo::run_timed_trace_mode`) — never N functional executions. Replays
 //! of *different* workloads and configurations run concurrently. On top of
 //! that, each replay can be made **sublinear in trace length** by
 //! interval sampling ([`sample`], `SweepSpec::sample`, `trips-sweep
@@ -104,8 +104,8 @@ pub use phase::{PhaseK, PhaseSpec};
 pub use pool::{parallel_map, parallel_map_catch, JobPanic};
 pub use sample::{PhasePlan, ReplayMode, SamplePlan};
 pub use store::{
-    BbvId, FsckReport, LivePointId, LivePointSet, LivePointStates, LoadOutcome, PruneReport,
-    RiscTraceId, StoreStats, TraceStore,
+    BbvId, FsckReport, LivePointId, LivePointSet, LivePointStates, LiveState, LoadOutcome,
+    PruneReport, RiscTraceId, StoreStats, TraceStore,
 };
 pub use sweep::{
     run_sweep, BackendSpec, ConfigVariant, RowDetail, SweepReport, SweepRow, SweepSpec,

@@ -429,22 +429,64 @@ pub enum LivePointStates {
     Ooo(Vec<trips_ooo::OooSnapshot>),
 }
 
-impl LivePointStates {
-    /// Number of checkpoints (must equal the plan's window count).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            LivePointStates::Trips(v) => v.len(),
-            LivePointStates::Ooo(v) => v.len(),
-        }
-    }
+/// A timing core's live-point state: its core discriminant in a
+/// [`LivePointId`] and its variant of [`LivePointStates`].
+pub trait LiveState: Sized {
+    /// The [`LivePointId::core`] of this core's sets.
+    const CORE: u32;
 
-    /// True when no checkpoints are present.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Wraps one capture pass's states.
+    fn wrap(states: Vec<Self>) -> LivePointStates;
+
+    /// The states, when they are this core's.
+    fn unwrap(states: &LivePointStates) -> Option<&[Self]>;
+
+    /// This core's states in `set` (whose identity, core tag included, the
+    /// store has checked): one per `plan` window, over the plan's extent.
+    ///
+    /// # Errors
+    /// Another core's states, or a set of the wrong shape for the plan.
+    fn fitted<'s>(
+        set: &'s LivePointSet,
+        plan: &trips_sample::PhasePlan,
+    ) -> Result<&'s [Self], String> {
+        let states = Self::unwrap(&set.states).ok_or("live-points of another core")?;
+        if states.len() == plan.windows.len() && set.total_units == plan.total_units {
+            return Ok(states);
+        }
+        Err(format!(
+            "wrong shape for the plan: {} states over {} units, plan has {} windows over {}",
+            states.len(),
+            set.total_units,
+            plan.windows.len(),
+            plan.total_units
+        ))
     }
 }
+
+/// Implements [`LiveState`] for the snapshot type of one
+/// [`LivePointStates`] variant.
+macro_rules! live_state {
+    ($snapshot:ty, $core:expr, $variant:ident) => {
+        impl LiveState for $snapshot {
+            const CORE: u32 = $core;
+
+            fn wrap(states: Vec<Self>) -> LivePointStates {
+                LivePointStates::$variant(states)
+            }
+
+            fn unwrap(states: &LivePointStates) -> Option<&[Self]> {
+                match states {
+                    LivePointStates::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+live_state!(trips_sim::TsimSnapshot, KIND_BLOCK_TRACE, Trips);
+live_state!(trips_ooo::OooSnapshot, KIND_RISC_TRACE, Ooo);
 
 /// Persisted live-point checkpoint set: the identity fields ride inside
 /// the payload so a loaded set can be cross-checked against the requested

@@ -7,7 +7,8 @@
 use trips_compiler::CompileOptions;
 use trips_engine::cache::opts_sig;
 use trips_isa::{TraceLog, TraceMeta};
-use trips_sim::timing::{replay_trace, simulate_with_budget};
+use trips_sim::timing::{replay_trace_mode, simulate_with_budget};
+use trips_sim::ReplayMode;
 use trips_sim::TripsConfig;
 use trips_workloads::{by_name, Scale};
 
@@ -31,7 +32,7 @@ fn replayed_simstats_are_bit_identical_to_direct_simulation() {
 
         for cfg in [TripsConfig::prototype(), TripsConfig::improved_predictor()] {
             let direct = simulate_with_budget(&compiled, &cfg, MEM, BUDGET).unwrap();
-            let replayed = replay_trace(&compiled, &cfg, &log).unwrap();
+            let replayed = replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full).unwrap();
             assert_eq!(
                 replayed.return_value, direct.return_value,
                 "{name}: return value"
@@ -41,7 +42,7 @@ fn replayed_simstats_are_bit_identical_to_direct_simulation() {
                 "{name}: replayed SimStats must match direct simulation exactly"
             );
             // And replay is itself deterministic.
-            let replayed2 = replay_trace(&compiled, &cfg, &log).unwrap();
+            let replayed2 = replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full).unwrap();
             assert_eq!(
                 replayed.stats, replayed2.stats,
                 "{name}: replay must be deterministic"
@@ -70,8 +71,8 @@ fn trace_log_roundtrips_through_both_serde_formats() {
     let restored: TraceLog = serde::bin::from_bytes(&bytes).unwrap();
     assert_eq!(restored, log);
     let cfg = TripsConfig::prototype();
-    let a = replay_trace(&compiled, &cfg, &log).unwrap();
-    let b = replay_trace(&compiled, &cfg, &restored).unwrap();
+    let a = replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full).unwrap();
+    let b = replay_trace_mode(&compiled, &cfg, &restored, &ReplayMode::Full).unwrap();
     assert_eq!(a.stats, b.stats);
 
     // JSON round-trips too (debugging / interchange format).

@@ -591,7 +591,7 @@ fn livepoint_containers_round_trip() {
     let (_, art) = fitted_vadd_bbv(&block_id, &log);
     let (id, set) = captured_vadd_livepoints(&block_id, &log, &art);
     assert!(
-        !set.states.is_empty(),
+        matches!(&set.states, LivePointStates::Trips(snaps) if !snaps.is_empty()),
         "the fitted plan must sample for the round trip to carry state"
     );
     assert!(matches!(store.load_livepoint(&id), LoadOutcome::Miss));

@@ -5,7 +5,7 @@
 //! over — pay for each artifact once per process. Timing comes from trace
 //! *replay* on both backends: TRIPS cycle counts re-time one captured
 //! [`trips_isa::TraceLog`] per configuration
-//! ([`trips_sim::timing::replay_trace`]), and out-of-order reference cycles
+//! ([`trips_sim::timing::replay_trace_mode`]), and out-of-order reference cycles
 //! re-time one recorded [`trips_risc::RiscTrace`] per platform. The figures
 //! themselves measure through declarative [`SweepSpec`]s executed by
 //! [`trips_engine::run_sweep`] ([`sweep_rows`]), the same code path
@@ -458,7 +458,7 @@ pub const TRIPS_SAMPLE_FLOOR: u64 = 2048;
 /// mini-period. The OoO model's event-driven retirement clock is spikier
 /// than the TRIPS commit clock (one DRAM miss moves it by a full memory
 /// latency); metering windows on the issue-attributed smoothed clock
-/// (see `time_events_mode`) keeps in-flight DRAM tails out of whichever
+/// (see `trips_ooo::OooCore`) keeps in-flight DRAM tails out of whichever
 /// window happens to be open, tightening the per-workload bound from
 /// ~±4.2% to ≤3.3% (±0.2% in aggregate) on the bundled workloads at Ref
 /// scale.
@@ -557,7 +557,7 @@ pub fn sample_accuracy(ws: &[Workload], scale: Scale) -> Vec<SampleAccuracy> {
         );
         let cfg = TripsConfig::prototype();
         let t0 = Instant::now();
-        let full = trips_sim::timing::replay_trace(&compiled, &cfg, &log)
+        let full = trips_sim::timing::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full)
             .unwrap_or_else(|e| panic!("{} (full): {e}", w.name));
         let full_s = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
@@ -584,7 +584,7 @@ pub fn sample_accuracy(ws: &[Workload], scale: Scale) -> Vec<SampleAccuracy> {
         );
         let ocfg = trips_ooo::core2();
         let t0 = Instant::now();
-        let full = trips_ooo::run_timed_trace(&art.program, &stream, &ocfg)
+        let full = trips_ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &ReplayMode::Full)
             .unwrap_or_else(|e| panic!("{} (core2 full): {e}", w.name));
         let full_s = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();

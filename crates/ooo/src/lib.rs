@@ -18,8 +18,7 @@ pub mod model;
 
 pub use configs::{core2, pentium3, pentium4, OooConfig};
 pub use model::{
-    assemble_ooo_phased, replay_ooo_window, run_ooo_phased_capture, run_timed, run_timed_trace,
-    run_timed_trace_mode, time_events, time_events_mode, OooResult, OooSnapshot, OooStats,
-    OooWindowMeasure,
+    replay_ooo_window, run_ooo_phased_capture, run_timed, run_timed_trace_mode, OooCore, OooResult,
+    OooSnapshot, OooStats,
 };
 pub use trips_sample::{ReplayMode, SamplePlan};

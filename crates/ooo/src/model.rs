@@ -5,28 +5,24 @@
 //! assigns each instruction fetch, issue and completion cycles under the
 //! configured machine's resource constraints.
 //!
-//! The source may be a live functional machine ([`run_timed`]) or a
-//! recorded [`RiscTrace`] ([`run_timed_trace`]); both feed the same
-//! [`time_events`] core, so replayed timing is bit-identical to
-//! execution-driven timing by construction — one capture serves every
-//! configuration.
-//!
-//! The core itself has two per-event paths, selected by a
-//! [`trips_sample::ReplayMode`] ([`time_events_mode`]): the detailed
-//! pipeline model, and a fast-forward path that advances the event source
-//! while touching only the caches and the branch predictor (functional
-//! warming, no cycle accounting). A [`trips_sample::SamplePlan`]
-//! alternates skip/warm/detail over the dynamic instruction stream and
-//! extrapolates the measured cycles, making a replay point sublinear in
-//! trace length.
+//! The source may be a live functional machine ([`run_timed`], the
+//! execution-driven reference, always detailed) or a recorded
+//! [`RiscTrace`] walked by [`OooCore`] as a [`trips_sample::TimingCore`],
+//! so full, sampled and phased replay, live-point capture and restored
+//! windows are the shared drivers of `trips-sample`. Both feed the same
+//! per-instruction model (detailed, or functional warming of the caches
+//! and branch predictor), so replayed timing is bit-identical to
+//! execution-driven timing by construction.
 
 use crate::configs::OooConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use trips_ir::Program;
 use trips_risc::exec::{CtrlKind, EventSource, MachineSource, RiscError, StepEvent};
-use trips_risc::{CursorState, RCat, RProgram, RiscTrace};
-use trips_sample::{Phase, PhasePlan, PhaseWindow, ReplayMode};
+use trips_risc::{CursorState, RCat, RProgram, RiscTrace, TraceCursor};
+use trips_sample::{
+    Phase, PhasePlan, PhaseWindow, ReplayMode, SampleSummary, TimingCore, WindowMeasure,
+};
 
 /// Timing statistics of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,21 +57,6 @@ pub struct OooStats {
 }
 
 impl OooStats {
-    /// Adds another replay's *measured* (detailed-window) counters into
-    /// this one, field-wise — the reduction step of live-point parallel
-    /// replay. Clock-derived fields (`cycles`, `est_cycles`,
-    /// `total_insts`, `sampled`) are *not* summed; the assembler sets
-    /// them from the schedule summary.
-    pub fn absorb_measured(&mut self, w: &OooStats) {
-        self.insts += w.insts;
-        self.branches += w.branches;
-        self.br_mispredicts += w.br_mispredicts;
-        self.ras_mispredicts += w.ras_mispredicts;
-        self.l1_misses += w.l1_misses;
-        self.l2_misses += w.l2_misses;
-        self.l1_accesses += w.l1_accesses;
-    }
-
     /// Instructions per cycle. For a sampled run this is the whole-run
     /// estimate (total instructions over extrapolated cycles); for a full
     /// run the two formulations coincide.
@@ -126,8 +107,8 @@ pub struct OooResult {
 struct Cache {
     sets: usize,
     line: usize,
-    tags: Vec<Vec<(u64, u64)>>,
-    stamp: u64,
+    /// Tags and LRU clock: the state a live-point carries.
+    img: CacheSnap,
 }
 
 impl Cache {
@@ -136,29 +117,32 @@ impl Cache {
         Cache {
             sets,
             line,
-            tags: vec![vec![(u64::MAX, 0); ways]; sets],
-            stamp: 0,
+            img: CacheSnap {
+                tags: vec![vec![(u64::MAX, 0); ways]; sets],
+                stamp: 0,
+            },
         }
     }
 
     fn access(&mut self, addr: u64) -> bool {
-        self.stamp += 1;
+        let img = &mut self.img;
+        img.stamp += 1;
         let lineno = addr / self.line as u64;
         let set = (lineno % self.sets as u64) as usize;
         let tag = lineno / self.sets as u64;
-        for w in self.tags[set].iter_mut() {
+        for w in img.tags[set].iter_mut() {
             if w.0 == tag {
-                w.1 = self.stamp;
+                w.1 = img.stamp;
                 return true;
             }
         }
-        let v = self.tags[set]
+        let v = img.tags[set]
             .iter()
             .enumerate()
             .min_by_key(|(_, w)| w.1)
             .map(|(i, _)| i)
             .unwrap_or(0);
-        self.tags[set][v] = (tag, self.stamp);
+        img.tags[set][v] = (tag, img.stamp);
         false
     }
 }
@@ -166,12 +150,9 @@ impl Cache {
 /// Gshare/bimodal tournament predictor with a return-address stack.
 struct Predictor {
     mask: usize,
-    bim: Vec<u8>,
-    gsh: Vec<u8>,
-    chooser: Vec<u8>,
-    ghr: u32,
-    ras: Vec<(u32, u32)>,
     ras_depth: usize,
+    /// Tables and histories: the state a live-point carries.
+    t: PredSnap,
 }
 
 impl Predictor {
@@ -179,25 +160,27 @@ impl Predictor {
         let n = entries.next_power_of_two();
         Predictor {
             mask: n - 1,
-            bim: vec![1; n],
-            gsh: vec![1; n],
-            chooser: vec![1; n],
-            ghr: 0,
-            ras: Vec::new(),
             ras_depth,
+            t: PredSnap {
+                bim: vec![1; n],
+                gsh: vec![1; n],
+                chooser: vec![1; n],
+                ghr: 0,
+                ras: Vec::new(),
+            },
         }
     }
 
     fn branch(&mut self, pc: u32, taken: bool) -> bool {
         let bi = pc as usize & self.mask;
-        let gi = (pc as usize ^ (self.ghr as usize)) & self.mask;
-        let bp = self.bim[bi] >= 2;
-        let gp = self.gsh[gi] >= 2;
-        let pred = if self.chooser[bi] >= 2 { gp } else { bp };
+        let gi = (pc as usize ^ (self.t.ghr as usize)) & self.mask;
+        let bp = self.t.bim[bi] >= 2;
+        let gp = self.t.gsh[gi] >= 2;
+        let pred = if self.t.chooser[bi] >= 2 { gp } else { bp };
         if gp == taken && bp != taken {
-            self.chooser[bi] = (self.chooser[bi] + 1).min(3);
+            self.t.chooser[bi] = (self.t.chooser[bi] + 1).min(3);
         } else if bp == taken && gp != taken {
-            self.chooser[bi] = self.chooser[bi].saturating_sub(1);
+            self.t.chooser[bi] = self.t.chooser[bi].saturating_sub(1);
         }
         let bump = |c: &mut u8| {
             if taken {
@@ -206,21 +189,21 @@ impl Predictor {
                 *c = c.saturating_sub(1)
             }
         };
-        bump(&mut self.bim[bi]);
-        bump(&mut self.gsh[gi]);
-        self.ghr = (self.ghr << 1) | taken as u32;
+        bump(&mut self.t.bim[bi]);
+        bump(&mut self.t.gsh[gi]);
+        self.t.ghr = (self.t.ghr << 1) | taken as u32;
         pred
     }
 
     fn call(&mut self, ret_to: (u32, u32)) {
-        if self.ras.len() == self.ras_depth {
-            self.ras.remove(0);
+        if self.t.ras.len() == self.ras_depth {
+            self.t.ras.remove(0);
         }
-        self.ras.push(ret_to);
+        self.t.ras.push(ret_to);
     }
 
     fn ret(&mut self, actual: (u32, u32)) -> bool {
-        self.ras.pop() == Some(actual)
+        self.t.ras.pop() == Some(actual)
     }
 }
 
@@ -295,8 +278,7 @@ struct PredSnap {
 /// One OoO core's complete warmed machine state at a live-point boundary,
 /// plus the trace-cursor position, so a restored replay resumes the event
 /// stream and the pipeline model bit-identically to a sequential
-/// fast-forward. Fields are private (the payload is an opaque checkpoint);
-/// [`OooSnapshot::unit`] exposes the boundary for validation.
+/// fast-forward. Fields are private (the payload is an opaque checkpoint).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OooSnapshot {
     unit: u64,
@@ -316,18 +298,8 @@ pub struct OooSnapshot {
     idx: u64,
 }
 
-impl OooSnapshot {
-    /// The stream unit this snapshot was captured at (a window's
-    /// `warm_start`).
-    pub fn unit(&self) -> u64 {
-        self.unit
-    }
-}
-
-/// The complete mutable state of the timing core, factored out so the
-/// sequential replay loop, the checkpoint-capture pass, and restored
-/// window replays all drive the *same* per-event code paths — bit-identity
-/// between them is by construction, not by parallel maintenance.
+/// The complete mutable machine state, shared by the execution-driven
+/// loop ([`run_timed`]) and every replay ([`OooCore`]).
 struct OooState {
     l1: Cache,
     l2: Cache,
@@ -340,8 +312,16 @@ struct OooState {
     fetched_this_cycle: u32,
     retire_ring: Vec<u64>,
     last_retire: u64,
-    /// The smoothed accounting clock sampled windows are metered on (see
-    /// the comment in [`time_events_mode`]).
+    /// The smoothed clock sampled windows are metered on. `last_retire`
+    /// jumps by a full DRAM latency the moment a missing load is
+    /// processed, even when nothing in the window waits on the data, so
+    /// metering on it charged in-flight latency that full replay overlaps
+    /// with later instructions to whichever window happened to be open
+    /// (short windows were noisy, ~±4% per workload). `acct` advances to
+    /// each instruction's *issue-side* completion horizon instead: a
+    /// miss's DRAM tail enters it only once a dependent's operand wait, a
+    /// full ROB or a fetch stall propagates it into some issue time. Full
+    /// replay never reads it.
     acct: u64,
     idx: u64,
 }
@@ -543,21 +523,9 @@ impl OooState {
         OooSnapshot {
             unit,
             cursor,
-            l1: CacheSnap {
-                tags: self.l1.tags.clone(),
-                stamp: self.l1.stamp,
-            },
-            l2: CacheSnap {
-                tags: self.l2.tags.clone(),
-                stamp: self.l2.stamp,
-            },
-            pred: PredSnap {
-                bim: self.pred.bim.clone(),
-                gsh: self.pred.gsh.clone(),
-                chooser: self.pred.chooser.clone(),
-                ghr: self.pred.ghr,
-                ras: self.pred.ras.clone(),
-            },
+            l1: self.l1.img.clone(),
+            l2: self.l2.img.clone(),
+            pred: self.pred.t.clone(),
             issue: self.issue.snapshot(horizon),
             mem_ports: self.mem_ports.snapshot(horizon),
             fp_ports: self.fp_ports.snapshot(horizon),
@@ -571,48 +539,47 @@ impl OooState {
         }
     }
 
-    /// Builds a machine in exactly the captured state, validating that the
-    /// snapshot's geometry matches `cfg` (a live-point only fits the
-    /// configuration that captured it).
-    fn restore(cfg: &OooConfig, s: &OooSnapshot) -> Result<OooState, String> {
-        let mut st = OooState::new(cfg);
-        if st.l1.tags.len() != s.l1.tags.len() || st.l2.tags.len() != s.l2.tags.len() {
+    /// Puts this machine in exactly the captured state, after validating
+    /// that the snapshot's geometry matches this machine's configuration
+    /// (a live-point only fits the configuration that captured it).
+    fn restore(&mut self, s: &OooSnapshot) -> Result<(), String> {
+        let (l1, l2, pred) = (&mut self.l1.img, &mut self.l2.img, &mut self.pred.t);
+        if l1.tags.len() != s.l1.tags.len() || l2.tags.len() != s.l2.tags.len() {
             return Err("live-point cache geometry does not match this config".into());
         }
-        if st.pred.bim.len() != s.pred.bim.len()
-            || st.pred.gsh.len() != s.pred.gsh.len()
-            || st.pred.chooser.len() != s.pred.chooser.len()
+        if pred.bim.len() != s.pred.bim.len()
+            || pred.gsh.len() != s.pred.gsh.len()
+            || pred.chooser.len() != s.pred.chooser.len()
         {
             return Err("live-point predictor geometry does not match this config".into());
         }
-        if st.retire_ring.len() != s.retire_ring.len() {
+        if self.retire_ring.len() != s.retire_ring.len() {
             return Err("live-point ROB depth does not match this config".into());
         }
-        st.l1.tags.clone_from(&s.l1.tags);
-        st.l1.stamp = s.l1.stamp;
-        st.l2.tags.clone_from(&s.l2.tags);
-        st.l2.stamp = s.l2.stamp;
-        st.pred.bim.clone_from(&s.pred.bim);
-        st.pred.gsh.clone_from(&s.pred.gsh);
-        st.pred.chooser.clone_from(&s.pred.chooser);
-        st.pred.ghr = s.pred.ghr;
-        st.pred.ras.clone_from(&s.pred.ras);
-        st.issue.restore(&s.issue);
-        st.mem_ports.restore(&s.mem_ports);
-        st.fp_ports.restore(&s.fp_ports);
-        st.reg_ready = s.reg_ready;
-        st.fetch_cycle = s.fetch_cycle;
-        st.fetched_this_cycle = s.fetched_this_cycle;
-        st.retire_ring.clone_from(&s.retire_ring);
-        st.last_retire = s.last_retire;
-        st.acct = s.acct;
-        st.idx = s.idx;
-        Ok(st)
+        // Field-wise, so the tag arrays reuse their allocations.
+        l1.tags.clone_from(&s.l1.tags);
+        l1.stamp = s.l1.stamp;
+        l2.tags.clone_from(&s.l2.tags);
+        l2.stamp = s.l2.stamp;
+        pred.clone_from(&s.pred);
+        self.issue.restore(&s.issue);
+        self.mem_ports.restore(&s.mem_ports);
+        self.fp_ports.restore(&s.fp_ports);
+        self.reg_ready = s.reg_ready;
+        self.fetch_cycle = s.fetch_cycle;
+        self.fetched_this_cycle = s.fetched_this_cycle;
+        self.retire_ring.clone_from(&s.retire_ring);
+        self.last_retire = s.last_retire;
+        self.acct = s.acct;
+        self.idx = s.idx;
+        Ok(())
     }
 }
 
 /// Runs `rp` on the configured reference machine, driving the timing model
-/// from a live functional execution.
+/// from a live functional execution: the execution-driven reference every
+/// replay is bit-identical to. Always detailed — a live source has no
+/// known length to place sampling windows in.
 ///
 /// # Errors
 /// Propagates functional execution errors ([`RiscError`]).
@@ -624,354 +591,189 @@ pub fn run_timed(
     step_limit: u64,
 ) -> Result<OooResult, RiscError> {
     let mut src = MachineSource::new(rp, ir, mem_size, step_limit);
-    time_events(rp, &mut src, cfg)
-}
-
-/// Times a recorded RISC event stream on the configured reference machine:
-/// the sweep's hot path — one functional execution, N of these.
-///
-/// The resulting [`OooStats`] are bit-identical to [`run_timed`] over the
-/// same program, because both sources feed the same [`time_events`] core.
-///
-/// # Errors
-/// [`RiscError::Trace`] if the stream is malformed or disagrees with `rp`
-/// (callers holding a store-loaded trace should `validate` it first).
-pub fn run_timed_trace(
-    rp: &RProgram,
-    trace: &RiscTrace,
-    cfg: &OooConfig,
-) -> Result<OooResult, RiscError> {
-    let mut src = trace.cursor(rp);
-    time_events(rp, &mut src, cfg)
-}
-
-/// [`run_timed_trace`] under an explicit [`ReplayMode`] — the sampled
-/// sweep's hot path.
-///
-/// # Errors
-/// See [`run_timed_trace`].
-pub fn run_timed_trace_mode(
-    rp: &RProgram,
-    trace: &RiscTrace,
-    cfg: &OooConfig,
-    mode: &ReplayMode,
-) -> Result<OooResult, RiscError> {
-    let mut src = trace.cursor(rp);
-    time_events_mode(rp, &mut src, cfg, mode)
-}
-
-/// The timing core: assigns cycles to whatever event stream `src` yields.
-///
-/// # Errors
-/// Whatever the source raises ([`RiscError`]).
-pub fn time_events(
-    rp: &RProgram,
-    src: &mut impl EventSource,
-    cfg: &OooConfig,
-) -> Result<OooResult, RiscError> {
-    time_events_mode(rp, src, cfg, &ReplayMode::Full)
-}
-
-/// [`time_events`] under an explicit [`ReplayMode`].
-///
-/// `Full` (and any plan that measures everything) is the bit-exact
-/// detailed path. A sampling plan alternates three per-instruction paths
-/// over the stream: *warm* (the fast-forward path — the source advances
-/// and only the caches and branch predictor observe the instruction),
-/// *timed warmup* (the full pipeline model runs but its counters are
-/// discarded, so each measurement window starts with plausible in-flight
-/// state instead of an idle machine), and *measure* (the full model,
-/// counted). Cycles are accumulated per measurement window and
-/// extrapolated over the stream ([`OooStats::est_cycles`]).
-///
-/// # Errors
-/// Whatever the source raises ([`RiscError`]).
-pub fn time_events_mode(
-    rp: &RProgram,
-    src: &mut impl EventSource,
-    cfg: &OooConfig,
-    mode: &ReplayMode,
-) -> Result<OooResult, RiscError> {
-    // The schedule (systematic sampler or fitted phase plan) meters
-    // measurement windows and keeps the extrapolation bookkeeping. It
-    // needs the stream extent up front (windows are positioned from the
-    // end), which only a recorded source knows.
-    let mut sampler = if mode.is_full() {
-        None
-    } else {
-        match src.len_hint() {
-            Some(total) => mode.schedule(total).map_err(RiscError::Trace)?,
-            None => {
-                return Err(RiscError::Trace(
-                    "interval-sampled timing needs a recorded stream (live sources have no \
-                     length)"
-                        .into(),
-                ))
-            }
-        }
-    };
-    let mut total: u64 = 0;
-    let mut stats = OooStats::default();
     let mut st = OooState::new(cfg);
-    // The sampled paths meter windows on `st.acct`, a smoothed accounting
-    // clock, instead of the raw retirement clock. `last_retire` jumps by
-    // a full DRAM latency the moment a missing load is processed, even
-    // when nothing in the window ever waits on the data — in full replay
-    // that in-flight latency overlaps the execution of later (here:
-    // unmeasured) instructions, so charging it to the window that
-    // happened to be open when retirement landed is what made short OoO
-    // windows noisy (per-workload error bounded at ~±4%). `acct` instead
-    // advances to each instruction's *issue-side* completion horizon —
-    // the DRAM component of a miss only enters the clock once a
-    // dependent's operand wait, a full ROB, or an in-order fetch stall
-    // actually propagates it into some instruction's issue time — so
-    // spillover cycles stay attributed to the window that issued the miss
-    // and windows that merely inherit an in-flight tail are not charged
-    // for it. Full replay never consults `acct`, so the bit-exact path is
-    // untouched.
-    //
-    // Per-row cost segments are timed on phase transitions only: when a
-    // sweep cost scope is active this is one enum compare per event,
-    // otherwise a single predictable branch (see trips_obs::SegmentTimer).
-    let replay_start = std::time::Instant::now();
-    let mut seg = trips_obs::SegmentTimer::new();
-
+    let mut stats = OooStats::default();
     while let Some(ev) = src.next_event()? {
-        let phase = sampler
-            .as_mut()
-            .map_or(Phase::Detailed, |s| s.advance(st.acct));
-        seg.switch(match phase {
-            Phase::Detailed => trips_obs::CostKind::Detailed,
-            _ => trips_obs::CostKind::Warm,
-        });
-        total += 1;
-        if phase == Phase::Warm {
-            st.warm(&ev);
-            continue;
-        }
-        // TimedWarm and Detailed both run the full pipeline model;
-        // TimedWarm discards the counters (`counting` is false), refilling
-        // in-flight state so the next window measures a busy machine.
-        st.step(rp, cfg, &ev, phase == Phase::Detailed, &mut stats);
+        st.step(rp, cfg, &ev, true, &mut stats);
     }
-
-    seg.finish();
-    // Per-backend replay throughput telemetry: O(1) per replay call.
-    trips_obs::counter("replay_events_total{core=\"ooo\"}").inc(total);
-    let elapsed_ns = replay_start.elapsed().as_nanos() as u64;
-    if elapsed_ns > 0 && total > 0 {
-        trips_obs::histogram("replay_events_per_sec{core=\"ooo\"}")
-            .observe(total.saturating_mul(1_000_000_000) / elapsed_ns);
-    }
-    stats.total_insts = total;
-    stats.est_cycles = if let Some(sampler) = sampler {
-        let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-        let s = sampler.finish(st.acct);
-        drop(timed);
-        debug_assert_eq!(s.measured_units, stats.insts);
-        stats.sampled = true;
-        // Measured-window cycles only: timed warmup advanced the clock but
-        // is not part of the sample.
-        stats.cycles = s.measured_cycles.max(u64::from(stats.insts > 0));
-        s.est_cycles.max(stats.cycles)
-    } else {
-        stats.cycles
-    };
+    stats.total_insts = stats.insts;
+    stats.est_cycles = stats.cycles;
     Ok(OooResult {
         return_value: src.return_value(),
         stats,
     })
 }
 
-/// One restored window's measurement: the inputs the phased-estimate
-/// assembly needs from each parallel replay job.
-#[derive(Debug, Clone)]
-pub struct OooWindowMeasure {
-    /// Accounting-clock cycles the detailed span took.
-    pub cycles: u64,
-    /// Detailed units measured (`window.detailed_units()`).
-    pub units: u64,
-    /// Counters accumulated over the detailed span only.
-    pub stats: OooStats,
-}
-
-/// Sequential phased replay that additionally captures a live-point at
-/// every window's `warm_start` boundary — machine state plus trace-cursor
-/// position — so later sweeps can [`replay_ooo_window`] each window
-/// independently. The returned result is bit-identical to
-/// [`run_timed_trace_mode`] under the same plan.
+/// Times a recorded RISC event stream on the configured reference machine
+/// under `mode` ([`trips_sample::replay`]): one functional execution, N of
+/// these. A `Full` replay is bit-identical to [`run_timed`].
 ///
 /// # Errors
-/// [`RiscError::Trace`] on a malformed stream, or if `plan` covers the
-/// whole stream (nothing is fast-forwarded, so checkpoints buy nothing —
-/// callers should use the plain replay path).
+/// [`RiscError::Trace`] if the stream disagrees with `rp` (callers holding
+/// a store-loaded trace should `validate` it first), or a phase plan was
+/// fitted to another stream.
+pub fn run_timed_trace_mode(
+    rp: &RProgram,
+    trace: &RiscTrace,
+    cfg: &OooConfig,
+    mode: &ReplayMode,
+) -> Result<OooResult, RiscError> {
+    trips_sample::replay(OooCore::new(rp, trace, cfg), mode)
+}
+
+/// A phased replay that also captures a live-point — machine state plus
+/// cursor position — at each window's warm start
+/// ([`trips_sample::capture_phased`]).
+///
+/// # Errors
+/// See [`run_timed_trace_mode`]; also a plan that covers everything.
 pub fn run_ooo_phased_capture(
     rp: &RProgram,
     trace: &RiscTrace,
     cfg: &OooConfig,
     plan: &PhasePlan,
 ) -> Result<(OooResult, Vec<OooSnapshot>), RiscError> {
-    let total_units = trace.header.dynamic_insts;
-    let mode = ReplayMode::Phased(plan.clone());
-    let Some(mut sched) = mode.schedule(total_units).map_err(RiscError::Trace)? else {
-        return Err(RiscError::Trace(
-            "phase plan covers everything: no warmed prefix to checkpoint".into(),
-        ));
-    };
-    let replay_start = std::time::Instant::now();
-    let mut cursor = trace.cursor(rp);
-    let mut st = OooState::new(cfg);
-    let mut stats = OooStats::default();
-    let mut snaps: Vec<OooSnapshot> = Vec::with_capacity(plan.windows.len());
-    let mut total: u64 = 0;
-    let mut seg = trips_obs::SegmentTimer::new();
-    loop {
-        if snaps.len() < plan.windows.len() && total == plan.windows[snaps.len()].warm_start {
-            let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::CheckpointSave);
-            snaps.push(st.snapshot(total, cursor.state()));
-            drop(timed);
-        }
-        let Some(ev) = cursor.next_event()? else {
-            break;
-        };
-        total += 1;
-        match sched.advance(st.acct) {
-            Phase::Warm => {
-                seg.switch(trips_obs::CostKind::Warm);
-                st.warm(&ev);
-            }
-            Phase::TimedWarm => {
-                seg.switch(trips_obs::CostKind::Warm);
-                st.step(rp, cfg, &ev, false, &mut stats);
-            }
-            Phase::Detailed => {
-                seg.switch(trips_obs::CostKind::Detailed);
-                st.step(rp, cfg, &ev, true, &mut stats);
-            }
-        }
-    }
-    seg.finish();
-    debug_assert_eq!(snaps.len(), plan.windows.len());
-    trips_obs::counter("replay_events_total{core=\"ooo\"}").inc(total);
-    let elapsed_ns = replay_start.elapsed().as_nanos() as u64;
-    if elapsed_ns > 0 && total > 0 {
-        trips_obs::histogram("replay_events_per_sec{core=\"ooo\"}")
-            .observe(total.saturating_mul(1_000_000_000) / elapsed_ns);
-    }
-    stats.total_insts = total;
-    let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-    let s = sched.finish(st.acct);
-    drop(timed);
-    debug_assert_eq!(s.measured_units, stats.insts);
-    stats.sampled = true;
-    // Measured-window cycles only: timed warmup advanced the clock but is
-    // not part of the sample.
-    stats.cycles = s.measured_cycles.max(u64::from(stats.insts > 0));
-    stats.est_cycles = s.est_cycles.max(stats.cycles);
-    Ok((
-        OooResult {
-            return_value: cursor.return_value(),
-            stats,
-        },
-        snaps,
-    ))
+    trips_sample::capture_phased(OooCore::new(rp, trace, cfg), plan)
 }
 
-/// Replays one phase window from its live-point: restore, run the
-/// timed-warmup span with counters discarded, then measure the detailed
-/// span — bit-identical to the same span inside a sequential phased
-/// replay, with no dependence on the stream prefix.
+/// Replays one phase window from its live-point
+/// ([`trips_sample::replay_window`]).
 ///
 /// # Errors
-/// [`RiscError::Trace`] if the snapshot does not belong to this window's
-/// boundary or config, or the stream ends inside the window.
+/// [`RiscError::Trace`] for a malformed window or a snapshot of another
+/// boundary or config.
 pub fn replay_ooo_window(
     rp: &RProgram,
     trace: &RiscTrace,
     cfg: &OooConfig,
     window: &PhaseWindow,
     snap: &OooSnapshot,
-) -> Result<OooWindowMeasure, RiscError> {
-    if snap.unit != window.warm_start {
-        return Err(RiscError::Trace(format!(
-            "live-point at unit {} cannot seed a window warming from {}",
-            snap.unit, window.warm_start
-        )));
-    }
-    if window.end > trace.header.dynamic_insts {
-        return Err(RiscError::Trace(format!(
-            "window end {} past stream extent {}",
-            window.end, trace.header.dynamic_insts
-        )));
-    }
-    let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::CheckpointRestore);
-    let mut st = OooState::restore(cfg, snap).map_err(RiscError::Trace)?;
-    let mut cursor = trace.cursor_at(rp, &snap.cursor);
-    drop(timed);
-    let mut stats = OooStats::default();
-    let mut seg = trips_obs::SegmentTimer::new();
-    let ended = || RiscError::Trace("stream ended inside a live-point window".into());
-    for _ in window.warm_start..window.detail_start {
-        seg.switch(trips_obs::CostKind::Warm);
-        let ev = cursor.next_event()?.ok_or_else(ended)?;
-        st.step(rp, cfg, &ev, false, &mut stats);
-    }
-    let mark = st.acct;
-    for _ in window.detail_start..window.end {
-        seg.switch(trips_obs::CostKind::Detailed);
-        let ev = cursor.next_event()?.ok_or_else(ended)?;
-        st.step(rp, cfg, &ev, true, &mut stats);
-    }
-    seg.finish();
-    trips_obs::counter("replay_events_total{core=\"ooo\"}").inc(window.end - window.warm_start);
-    Ok(OooWindowMeasure {
-        cycles: st.acct - mark,
-        units: window.detailed_units(),
-        stats,
-    })
+) -> Result<WindowMeasure<OooStats>, RiscError> {
+    trips_sample::replay_window(OooCore::new(rp, trace, cfg), window, snap)
 }
 
-/// Folds independently measured windows into the whole-run result a
-/// sequential phased replay would have produced: counters sum field-wise,
-/// and the cycle estimate comes from the same weighted extrapolation the
-/// sequential sampler computes ([`trips_sample::assemble_phased`]).
-///
-/// # Errors
-/// [`RiscError::Trace`] if the measurement count does not match the plan.
-pub fn assemble_ooo_phased(
-    trace: &RiscTrace,
-    plan: &PhasePlan,
-    windows: &[OooWindowMeasure],
-) -> Result<OooResult, RiscError> {
-    if windows.len() != plan.windows.len() {
-        return Err(RiscError::Trace(format!(
-            "phase plan has {} windows but {} were measured",
-            plan.windows.len(),
-            windows.len()
-        )));
+/// One out-of-order machine walking a recorded RISC stream: the
+/// [`TimingCore`] behind every replay driver. Windows are metered on the
+/// smoothed accounting clock `acct`.
+pub struct OooCore<'a> {
+    rp: &'a RProgram,
+    cfg: &'a OooConfig,
+    trace: &'a RiscTrace,
+    cursor: TraceCursor<'a>,
+    st: OooState,
+    stats: OooStats,
+    /// Next stream unit.
+    pos: u64,
+}
+
+impl<'a> OooCore<'a> {
+    /// A fresh `cfg` machine at the start of `trace`, replayed against
+    /// `rp`.
+    #[must_use]
+    pub fn new(rp: &'a RProgram, trace: &'a RiscTrace, cfg: &'a OooConfig) -> Self {
+        OooCore {
+            rp,
+            cfg,
+            trace,
+            cursor: trace.cursor(rp),
+            st: OooState::new(cfg),
+            stats: OooStats::default(),
+            pos: 0,
+        }
     }
-    let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-    let closed: Vec<(u64, u64, u64)> = plan
-        .windows
-        .iter()
-        .zip(windows)
-        .map(|(w, m)| (m.cycles, m.units, w.weight_units))
-        .collect();
-    let summary = trips_sample::assemble_phased(plan.total_units, &closed);
-    let mut stats = OooStats::default();
-    for m in windows {
-        stats.absorb_measured(&m.stats);
+}
+
+impl TimingCore for OooCore<'_> {
+    type Snapshot = OooSnapshot;
+    type Stats = OooStats;
+    type Output = OooResult;
+    type Error = RiscError;
+    const LABEL: &'static str = "ooo";
+
+    fn units(&self) -> u64 {
+        self.trace.header.dynamic_insts
     }
-    drop(timed);
-    debug_assert_eq!(summary.measured_units, stats.insts);
-    stats.sampled = true;
-    stats.total_insts = summary.total_units;
-    stats.cycles = summary.measured_cycles.max(u64::from(stats.insts > 0));
-    stats.est_cycles = summary.est_cycles.max(stats.cycles);
-    Ok(OooResult {
-        return_value: trace.return_value,
-        stats,
-    })
+
+    fn clock(&self) -> u64 {
+        self.st.acct
+    }
+
+    #[inline]
+    fn step(&mut self, phase: Phase) -> Result<(), RiscError> {
+        let ev = self.cursor.next_event()?.ok_or_else(|| {
+            RiscError::Trace(format!(
+                "stream ended at unit {} of its recording",
+                self.pos
+            ))
+        })?;
+        self.pos += 1;
+        match phase {
+            Phase::Warm => self.st.warm(&ev),
+            // TimedWarm and Detailed both run the full pipeline model;
+            // TimedWarm discards the counters, refilling in-flight state
+            // so the next window measures a busy machine.
+            Phase::TimedWarm => self.st.step(self.rp, self.cfg, &ev, false, &mut self.stats),
+            Phase::Detailed => self.st.step(self.rp, self.cfg, &ev, true, &mut self.stats),
+        }
+        if self.pos == self.units() {
+            // Past its last event the cursor checks that the branch and
+            // address streams were consumed exactly.
+            self.cursor.next_event()?;
+        }
+        Ok(())
+    }
+
+    fn snapshot(&self) -> OooSnapshot {
+        self.st.snapshot(self.pos, self.cursor.state())
+    }
+
+    fn restore(&mut self, snap: &OooSnapshot) -> Result<u64, RiscError> {
+        self.st.restore(snap).map_err(RiscError::Trace)?;
+        self.cursor = self.trace.cursor_at(self.rp, &snap.cursor);
+        self.pos = snap.unit;
+        Ok(snap.unit)
+    }
+
+    fn window_stats(self) -> OooStats {
+        self.stats
+    }
+
+    /// Field-wise sum of the measured counters; the clock-derived fields
+    /// come from `finish`.
+    fn absorb(&mut self, w: &OooStats) {
+        let s = &mut self.stats;
+        s.insts += w.insts;
+        s.branches += w.branches;
+        s.br_mispredicts += w.br_mispredicts;
+        s.ras_mispredicts += w.ras_mispredicts;
+        s.l1_misses += w.l1_misses;
+        s.l2_misses += w.l2_misses;
+        s.l1_accesses += w.l1_accesses;
+    }
+
+    fn finish(self, summary: Option<&SampleSummary>) -> OooResult {
+        let mut stats = self.stats;
+        stats.total_insts = self.trace.header.dynamic_insts;
+        match summary {
+            Some(s) => {
+                debug_assert_eq!(s.measured_units, stats.insts);
+                stats.sampled = true;
+                // Measured-window cycles only: timed warmup advanced the
+                // clock but is not part of the sample.
+                stats.cycles = s.measured_cycles.max(u64::from(stats.insts > 0));
+                stats.est_cycles = s.est_cycles.max(stats.cycles);
+            }
+            None => stats.est_cycles = stats.cycles,
+        }
+        OooResult {
+            return_value: self.trace.return_value,
+            stats,
+        }
+    }
+
+    fn reject(why: String) -> RiscError {
+        RiscError::Trace(why)
+    }
 }
 
 #[cfg(test)]
@@ -980,6 +782,15 @@ mod tests {
     use crate::configs;
     use trips_ir::{IntCc, Operand, ProgramBuilder};
     use trips_risc::compile_program;
+    use trips_sample::assemble_windows;
+
+    fn full_replay(
+        rp: &RProgram,
+        trace: &RiscTrace,
+        cfg: &OooConfig,
+    ) -> Result<OooResult, RiscError> {
+        run_timed_trace_mode(rp, trace, cfg, &ReplayMode::Full)
+    }
 
     fn sum_program(n: i64) -> Program {
         let mut pb = ProgramBuilder::new();
@@ -1085,7 +896,7 @@ mod tests {
         .unwrap();
         let plan = trips_sample::SamplePlan::new(0, 9, 9).unwrap();
         for cfg in [configs::core2(), configs::pentium4(), configs::pentium3()] {
-            let full = run_timed_trace(&rp, &trace, &cfg).unwrap();
+            let full = full_replay(&rp, &trace, &cfg).unwrap();
             let covered =
                 run_timed_trace_mode(&rp, &trace, &cfg, &ReplayMode::Sampled(plan)).unwrap();
             assert_eq!(covered.stats, full.stats, "{}", cfg.name);
@@ -1108,7 +919,7 @@ mod tests {
         )
         .unwrap();
         let cfg = configs::core2();
-        let full = run_timed_trace(&rp, &trace, &cfg).unwrap().stats;
+        let full = full_replay(&rp, &trace, &cfg).unwrap().stats;
         let plan = trips_sample::SamplePlan::new(64, 64, 256).unwrap();
         let s = run_timed_trace_mode(&rp, &trace, &cfg, &ReplayMode::Sampled(plan))
             .unwrap()
@@ -1197,7 +1008,7 @@ mod tests {
             );
             assert_eq!(snaps.len(), plan.windows.len());
             // Snapshots round-trip through bytes (the store's discipline).
-            let measures: Vec<OooWindowMeasure> = plan
+            let measures: Vec<WindowMeasure<OooStats>> = plan
                 .windows
                 .iter()
                 .zip(&snaps)
@@ -1208,7 +1019,8 @@ mod tests {
                     replay_ooo_window(&rp, &trace, &cfg, w, &back).unwrap()
                 })
                 .collect();
-            let assembled = assemble_ooo_phased(&trace, &plan, &measures).unwrap();
+            let assembled =
+                assemble_windows(OooCore::new(&rp, &trace, &cfg), &plan, &measures).unwrap();
             assert_eq!(
                 assembled.stats, sequential.stats,
                 "{}: restore-then-replay must match fast-forward-then-replay",
@@ -1246,7 +1058,58 @@ mod tests {
         )
         .is_err());
         // Wrong measurement count.
-        assert!(assemble_ooo_phased(&trace, &plan, &[]).is_err());
+        let core2 = configs::core2();
+        assert!(assemble_windows(OooCore::new(&rp, &trace, &core2), &plan, &[]).is_err());
+    }
+
+    #[test]
+    fn malformed_windows_are_rejected() {
+        let p = sum_program(3000);
+        let rp = compile_program(&p).unwrap();
+        let trace = trips_risc::RiscTrace::capture(
+            &rp,
+            &p,
+            1 << 20,
+            100_000_000,
+            trips_risc::RiscTraceMeta::default(),
+        )
+        .unwrap();
+        let plan = handmade_plan(trace.header.dynamic_insts);
+        let cfg = configs::core2();
+        let (_, snaps) = run_ooo_phased_capture(&rp, &trace, &cfg, &plan).unwrap();
+        let (good, snap) = (plan.windows[1], &snaps[1]);
+        assert!(good.warm_start < good.detail_start);
+        assert!(replay_ooo_window(&rp, &trace, &cfg, &good, snap).is_ok());
+        for bad in [
+            // Measurement before its own warmup.
+            PhaseWindow {
+                detail_start: good.warm_start - 1,
+                ..good
+            },
+            // Measured span empty or inverted.
+            PhaseWindow {
+                end: good.detail_start,
+                ..good
+            },
+            PhaseWindow {
+                detail_start: good.end + 1,
+                end: good.end,
+                ..good
+            },
+            // Past the stream.
+            PhaseWindow {
+                end: trace.header.dynamic_insts + 1,
+                ..good
+            },
+        ] {
+            assert!(
+                matches!(
+                    replay_ooo_window(&rp, &trace, &cfg, &bad, snap),
+                    Err(RiscError::Trace(_))
+                ),
+                "{bad:?} must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -1263,7 +1126,7 @@ mod tests {
         .unwrap();
         for cfg in [configs::core2(), configs::pentium4(), configs::pentium3()] {
             let direct = run_timed(&rp, &p, &cfg, 1 << 20, 100_000_000).unwrap();
-            let replayed = run_timed_trace(&rp, &trace, &cfg).unwrap();
+            let replayed = full_replay(&rp, &trace, &cfg).unwrap();
             assert_eq!(replayed.return_value, direct.return_value, "{}", cfg.name);
             assert_eq!(replayed.stats, direct.stats, "{}", cfg.name);
         }

@@ -393,14 +393,6 @@ pub trait EventSource {
     /// The program's return value (`r3` at final return); meaningful once
     /// [`EventSource::next_event`] has returned `None`.
     fn return_value(&self) -> u64;
-
-    /// Total events this source will yield, when known up front. A
-    /// recorded stream knows its length; a live machine does not.
-    /// Interval-sampled timing needs the extent (its final-period stratum
-    /// is positioned from the end), so it requires a `Some` source.
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// [`EventSource`] over a live machine, with a dynamic-instruction budget.

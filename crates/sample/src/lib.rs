@@ -66,9 +66,25 @@
 //! weighted, instead of being re-measured every period. The
 //! [`PhasedSampler`] realizes a fitted plan over a replay; [`Schedule`]
 //! unifies the two drivers so the timing cores carry one sampled path.
+//!
+//! ## One set of replay drivers for every timing core
+//!
+//! The TRIPS block-trace core (`trips-sim`) and the out-of-order cores
+//! (`trips-ooo`) implement [`TimingCore`] over their recorded-stream
+//! cursors. The drivers — [`replay`], [`capture_phased`],
+//! [`replay_window`] and [`assemble_windows`] — are written once against
+//! it and own the schedule, the window metering, the extrapolation, the
+//! live-point capture and restore, the per-row cost segments and the
+//! `replay_events_total{core=…}` telemetry of both cores.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+mod driver;
+
+pub use driver::{
+    assemble_windows, capture_phased, replay, replay_window, TimingCore, WindowMeasure,
+};
 
 /// Low-discrepancy offset for period `k` in `0..=slack`: the golden-ratio
 /// (Weyl) sequence. Deterministic like a hash, but consecutive periods'
@@ -217,10 +233,10 @@ pub struct PhaseWindow {
 }
 
 impl PhaseWindow {
-    /// Measured units in this window.
+    /// Measured units in this window (none when it is malformed).
     #[must_use]
     pub fn detailed_units(&self) -> u64 {
-        self.end - self.detail_start
+        self.end.saturating_sub(self.detail_start)
     }
 }
 
@@ -355,13 +371,6 @@ impl ReplayMode {
             ReplayMode::Phased(p) if !p.covers_everything() => Some(p),
             _ => None,
         }
-    }
-
-    /// True when this mode times every unit (including normalized covering
-    /// plans of either kind).
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.plan().is_none() && self.phase().is_none()
     }
 
     /// Builds the mode an optional plan implies.
@@ -710,12 +719,11 @@ impl PhasedSampler {
 
 /// The [`PhasedSampler::finish`] math over explicit per-window
 /// measurements: extrapolate each `(cycles, measured units, weight units)`
-/// triple by its population and sum, in window order.
-///
-/// A truncated replay (stream shorter than the plan's extent is rejected
-/// upstream, but a window that measured nothing keeps its weight out of
-/// the estimate) never divides by zero.
-fn phased_summary(total_units: u64, closed: &[(u64, u64, u64)]) -> SampleSummary {
+/// triple by its population and sum, in window order. Shared with the
+/// live-point assembly ([`assemble_windows`]), so the two paths cannot
+/// drift; a window that measured nothing keeps its weight out of the
+/// estimate instead of dividing by zero.
+pub(crate) fn phased_summary(total_units: u64, closed: &[(u64, u64, u64)]) -> SampleSummary {
     let mut measured_units = 0u64;
     let mut measured_cycles = 0u64;
     let mut est: u128 = 0;
@@ -734,24 +742,20 @@ fn phased_summary(total_units: u64, closed: &[(u64, u64, u64)]) -> SampleSummary
     }
 }
 
-/// Assembles independently measured phase windows into the whole-run
-/// summary a sequential [`PhasedSampler`] drive would have produced — the
-/// reduction step of live-point parallel replay. `closed` holds one
-/// `(cycles, measured units, weight units)` triple per plan window, in
-/// window order; the math (and the sampling telemetry it bumps) is shared
-/// with [`PhasedSampler::finish`], so the two paths cannot drift.
-#[must_use]
-pub fn assemble_phased(total_units: u64, closed: &[(u64, u64, u64)]) -> SampleSummary {
-    let summary = phased_summary(total_units, closed);
-    trips_obs::counter("sample_measured_units_total{kind=\"phase\"}").inc(summary.measured_units);
-    trips_obs::counter("sample_stream_units_total{kind=\"phase\"}").inc(summary.total_units);
-    summary
+/// One registry touch per replay: how much of each stream the sampling
+/// schedules of `kind` (`interval` or `phase`) actually measured.
+pub(crate) fn record_measured(kind: &str, summary: &SampleSummary) {
+    trips_obs::counter(&format!("sample_measured_units_total{{kind=\"{kind}\"}}"))
+        .inc(summary.measured_units);
+    trips_obs::counter(&format!("sample_stream_units_total{{kind=\"{kind}\"}}"))
+        .inc(summary.total_units);
 }
 
-/// The unified schedule driver behind a sampled [`ReplayMode`]: both
-/// timing cores walk their stream, call [`Schedule::advance`] per unit and
-/// [`Schedule::finish`] at the end, without caring whether the windows are
-/// systematic ([`Sampler`]) or phase-classified ([`PhasedSampler`]).
+/// The unified schedule driver behind a sampled [`ReplayMode`]: the
+/// replay drivers walk a [`TimingCore`]'s stream, call
+/// [`Schedule::advance`] per unit and [`Schedule::finish`] at the end,
+/// without caring whether the windows are systematic ([`Sampler`]) or
+/// phase-classified ([`PhasedSampler`]).
 #[derive(Debug, Clone)]
 pub enum Schedule {
     /// Systematic interval sampling.
@@ -772,30 +776,11 @@ impl Schedule {
     /// Closes the schedule and produces the whole-run estimate.
     #[must_use]
     pub fn finish(self, clock: u64) -> SampleSummary {
-        let kind = match &self {
-            Schedule::Sampled(_) => "interval",
-            Schedule::Phased(_) => "phase",
+        let (kind, summary) = match self {
+            Schedule::Sampled(s) => ("interval", s.finish(clock)),
+            Schedule::Phased(p) => ("phase", p.finish(clock)),
         };
-        let summary = match self {
-            Schedule::Sampled(s) => s.finish(clock),
-            Schedule::Phased(p) => p.finish(clock),
-        };
-        // One registry touch per replay: how much of each stream the
-        // sampling schedules actually measured, per schedule kind.
-        match kind {
-            "interval" => {
-                trips_obs::counter("sample_measured_units_total{kind=\"interval\"}")
-                    .inc(summary.measured_units);
-                trips_obs::counter("sample_stream_units_total{kind=\"interval\"}")
-                    .inc(summary.total_units);
-            }
-            _ => {
-                trips_obs::counter("sample_measured_units_total{kind=\"phase\"}")
-                    .inc(summary.measured_units);
-                trips_obs::counter("sample_stream_units_total{kind=\"phase\"}")
-                    .inc(summary.total_units);
-            }
-        }
+        record_measured(kind, &summary);
         summary
     }
 }
@@ -1111,7 +1096,7 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(assemble_phased(plan.total_units, &closed), sequential);
+        assert_eq!(phased_summary(plan.total_units, &closed), sequential);
     }
 
     #[test]
@@ -1141,14 +1126,12 @@ mod tests {
         assert!(covering.covers_everything());
         let mode = ReplayMode::Phased(covering);
         assert!(mode.phase().is_none());
-        assert!(mode.is_full());
         assert!(mode.schedule(16).unwrap().is_none());
         // A real plan drives a phased schedule, but only over the stream
         // it was fitted to.
         let plan = tiny_phase_plan();
         let mode = ReplayMode::Phased(plan.clone());
         assert_eq!(mode.phase(), Some(&plan));
-        assert!(!mode.is_full());
         assert!(matches!(mode.schedule(40), Ok(Some(Schedule::Phased(_)))));
         assert!(mode.schedule(39).is_err(), "foreign stream length rejected");
         // Sampled modes route through the same surface.

@@ -33,7 +33,7 @@ pub mod timing;
 pub use config::TripsConfig;
 pub use stats::SimStats;
 pub use timing::{
-    assemble_trips_phased, replay_trace, replay_trace_mode, replay_trace_phased_capture,
-    replay_trips_window, simulate, SimError, SimResult, TsimSnapshot, TsimWindowMeasure,
+    replay_trace_mode, replay_trace_phased_capture, replay_trips_window, simulate, SimError,
+    SimResult, TsimCore, TsimSnapshot,
 };
 pub use trips_sample::{ReplayMode, SamplePlan};

@@ -61,33 +61,6 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Adds another replay's *measured* (detailed-window) counters into
-    /// this one, field-wise — the reduction step of live-point parallel
-    /// replay, where each plan window is measured by an independent
-    /// restored replay and the per-window deltas sum to exactly what one
-    /// sequential replay accumulates. Clock-derived fields (`cycles`,
-    /// `est_cycles`, `total_units`, `detailed_units`, `sampled`) and the
-    /// functional `isa` composition are *not* summed; the assembler sets
-    /// them from the schedule summary.
-    pub fn absorb_measured(&mut self, w: &SimStats) {
-        self.blocks += w.blocks;
-        self.predictor.absorb(&w.predictor);
-        self.opn.absorb(&w.opn);
-        self.icache_accesses += w.icache_accesses;
-        self.icache_misses += w.icache_misses;
-        self.l1d_accesses += w.l1d_accesses;
-        self.l1d_misses += w.l1d_misses;
-        self.l2_accesses += w.l2_accesses;
-        self.l2_misses += w.l2_misses;
-        self.load_flushes += w.load_flushes;
-        self.mispredict_flushes += w.mispredict_flushes;
-        self.window_inst_cycles += w.window_inst_cycles;
-        self.l1_bytes += w.l1_bytes;
-        self.l2_bytes += w.l2_bytes;
-        self.dram_bytes += w.dram_bytes;
-        self.bank_conflict_cycles += w.bank_conflict_cycles;
-    }
-
     /// The cycle count IPC rates divide by: the whole-run estimate. The
     /// `isa` numerators always cover the *entire* functional stream, so a
     /// sampled run must divide by the extrapolated [`SimStats::est_cycles`];

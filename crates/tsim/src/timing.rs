@@ -7,24 +7,15 @@
 //! fetch protocol's throughput allows (§5). Mispredictions and load-order
 //! violations flush and restart the pipeline at the offending point.
 //!
-//! The engine has two per-block paths, driven by a
-//! [`trips_sample::ReplayMode`]:
-//!
-//! * `Timing::time_block` — the full detailed model described above;
-//! * `Timing::warm_block` — functional warming only: the I-cache, data
-//!   hierarchy, next-block predictor and load-wait table see the block,
-//!   but no cycles are accounted.
-//!
-//! Full replay times every block. Sampled replay ([`replay_trace_mode`])
-//! walks the recorded stream through a [`trips_sample::SamplePlan`] —
-//! functionally warm most of each period, run the detailed model with
-//! discarded counters for a short timed warmup, measure the window at the
-//! period's end — and extrapolates the measured cycles over the whole
-//! stream, making a sweep point sublinear in trace length.
-//! Phase-classified replay ([`trips_sample::PhasePlan`], fitted by the
-//! `trips-phase` crate) drives the same three per-block paths, but places
-//! one measured window per behavior cluster and extrapolates by cluster
-//! population instead of sampling every period.
+//! The engine has three per-block paths, one per [`trips_sample::Phase`]:
+//! `Timing::time_block` (the detailed model above),
+//! `Timing::time_block_discarded` (the same with its counters discarded)
+//! and `Timing::warm_block` (functional warming only: the I-cache, data
+//! hierarchy, next-block predictor and load-wait table see the block, but
+//! no cycles are accounted). [`TsimCore`] walks a recorded [`TraceLog`]
+//! through them as a [`trips_sample::TimingCore`], so full, sampled and
+//! phased replay, live-point capture and restored windows are the shared
+//! drivers of `trips-sample`.
 
 use crate::cache::{BankPorts, BankPortsSnapshot, Cache, CacheSnapshot};
 use crate::config::TripsConfig;
@@ -43,7 +34,9 @@ use trips_isa::block::ExitTarget;
 use trips_isa::interp::{BlockTrace, TraceSrc, TripsExecError};
 use trips_isa::limits::NUM_REGS;
 use trips_isa::{TOpcode, TraceLog};
-use trips_sample::{Phase, PhasePlan, PhaseWindow, ReplayMode};
+use trips_sample::{
+    Phase, PhasePlan, PhaseWindow, ReplayMode, SampleSummary, TimingCore, WindowMeasure,
+};
 
 /// Simulation failures (functional execution errors surface unchanged).
 #[derive(Debug)]
@@ -112,40 +105,14 @@ pub fn simulate_with_budget(
     })
 }
 
-/// Simulates a previously captured [`TraceLog`] against `cfg`, instead of
-/// re-running the functional interpreter.
-///
-/// The timing model is a pure function of the `(block, trace)` call
-/// sequence, so replaying the log a program produced under the same budget
-/// yields *bit-identical* [`SimStats`] to [`simulate_with_budget`] — that
-/// is what lets a sweep run one functional execution and N timing
-/// configurations.
+/// Replays a captured [`TraceLog`] against `cfg` under `mode`
+/// ([`trips_sample::replay`]) instead of re-running the functional
+/// interpreter. A `Full` replay is bit-identical to
+/// [`simulate_with_budget`] under the capture's budget.
 ///
 /// # Errors
-/// [`SimError::Trace`] when the log's header or indices do not match
-/// `compiled`.
-pub fn replay_trace(
-    compiled: &CompiledProgram,
-    cfg: &TripsConfig,
-    log: &TraceLog,
-) -> Result<SimResult, SimError> {
-    replay_trace_mode(compiled, cfg, log, &ReplayMode::Full)
-}
-
-/// [`replay_trace`] under an explicit [`ReplayMode`].
-///
-/// `Full` (and any sampled plan that measures every unit) is the bit-exact
-/// path above. A sampling plan walks the recorded block stream through its
-/// phases: most blocks are functionally warmed (long-lived state updated,
-/// no cycle accounting), a short timed warmup before each window runs the
-/// detailed model with its counters discarded (so the window starts on a
-/// busy pipeline), and the window itself is measured in full. The returned
-/// stats carry the measured-vs-total unit counts and the extrapolated
-/// whole-run estimate ([`SimStats::est_cycles`](crate::SimStats)).
-///
-/// # Errors
-/// [`SimError::Trace`] when the log's header or indices do not match
-/// `compiled`.
+/// [`SimError::Trace`] when the log does not match `compiled`, or a phase
+/// plan was fitted to another stream.
 pub fn replay_trace_mode(
     compiled: &CompiledProgram,
     cfg: &TripsConfig,
@@ -153,77 +120,155 @@ pub fn replay_trace_mode(
     mode: &ReplayMode,
 ) -> Result<SimResult, SimError> {
     log.validate(&compiled.trips).map_err(SimError::Trace)?;
-    let replay_start = std::time::Instant::now();
-    let mut t = Timing::new(compiled, cfg);
-    let mut summary = None;
-    match mode
-        .schedule(log.seq.len() as u64)
-        .map_err(SimError::Trace)?
-    {
-        // Full replay: the untouched hot path — per-row cost attribution
-        // (when a sweep scope is active) brackets the whole loop, adding
-        // nothing per block.
-        None => {
-            let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Detailed);
-            log.replay(|bidx, trace| t.time_block(bidx, trace));
-            drop(timed);
+    trips_sample::replay(TsimCore::new(compiled, cfg, log), mode)
+}
+
+/// A phased replay that also captures a live-point at each window's warm
+/// start ([`trips_sample::capture_phased`]).
+///
+/// # Errors
+/// See [`replay_trace_mode`]; also a plan that covers everything.
+pub fn replay_trace_phased_capture(
+    compiled: &CompiledProgram,
+    cfg: &TripsConfig,
+    log: &TraceLog,
+    plan: &PhasePlan,
+) -> Result<(SimResult, Vec<TsimSnapshot>), SimError> {
+    log.validate(&compiled.trips).map_err(SimError::Trace)?;
+    trips_sample::capture_phased(TsimCore::new(compiled, cfg, log), plan)
+}
+
+/// Replays one plan window from its live-point
+/// ([`trips_sample::replay_window`]); `log` is trusted to match
+/// `compiled`.
+///
+/// # Errors
+/// [`SimError::Trace`] for a malformed window, a foreign snapshot or a
+/// shape index outside the log.
+pub fn replay_trips_window(
+    compiled: &CompiledProgram,
+    cfg: &TripsConfig,
+    log: &TraceLog,
+    window: &PhaseWindow,
+    snap: &TsimSnapshot,
+) -> Result<WindowMeasure<SimStats>, SimError> {
+    trips_sample::replay_window(TsimCore::new(compiled, cfg, log), window, snap)
+}
+
+/// The TRIPS timing machine walking one recorded block trace: the
+/// [`TimingCore`] behind every replay driver. Windows are metered on the
+/// commit clock.
+pub struct TsimCore<'a> {
+    t: Timing<'a>,
+    log: &'a TraceLog,
+    /// Next stream unit.
+    pos: u64,
+}
+
+impl<'a> TsimCore<'a> {
+    /// A fresh machine under `cfg` at the start of `log`, which is trusted
+    /// to match `compiled` (see [`TraceLog::validate`]).
+    #[must_use]
+    pub fn new(compiled: &'a CompiledProgram, cfg: &TripsConfig, log: &'a TraceLog) -> Self {
+        TsimCore {
+            t: Timing::new(compiled, cfg),
+            log,
+            pos: 0,
         }
-        Some(mut sched) => {
-            // The schedule (systematic sampler or fitted phase plan)
-            // meters measurement windows on the commit clock and keeps
-            // the extrapolation bookkeeping. Cost segments are timed on
-            // phase *transitions* only (one enum compare per block when
-            // a sweep cost scope is active, nothing otherwise).
-            let mut seg = trips_obs::SegmentTimer::new();
-            if seg.enabled() {
-                log.replay(|bidx, trace| match sched.advance(t.last_commit) {
-                    Phase::Warm => {
-                        seg.switch(trips_obs::CostKind::Warm);
-                        t.warm_block(bidx, trace);
-                    }
-                    Phase::TimedWarm => {
-                        seg.switch(trips_obs::CostKind::Warm);
-                        t.time_block_discarded(bidx, trace);
-                    }
-                    Phase::Detailed => {
-                        seg.switch(trips_obs::CostKind::Detailed);
-                        t.time_block(bidx, trace);
-                    }
-                });
-            } else {
-                log.replay(|bidx, trace| match sched.advance(t.last_commit) {
-                    Phase::Warm => t.warm_block(bidx, trace),
-                    Phase::TimedWarm => t.time_block_discarded(bidx, trace),
-                    Phase::Detailed => t.time_block(bidx, trace),
-                });
-            }
-            seg.finish();
-            let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-            summary = Some(sched.finish(t.last_commit));
-            drop(timed);
+    }
+}
+
+impl TimingCore for TsimCore<'_> {
+    type Snapshot = TsimSnapshot;
+    type Stats = SimStats;
+    type Output = SimResult;
+    type Error = SimError;
+    const LABEL: &'static str = "trips";
+
+    fn units(&self) -> u64 {
+        self.log.seq.len() as u64
+    }
+
+    fn clock(&self) -> u64 {
+        self.t.last_commit
+    }
+
+    #[inline]
+    fn step(&mut self, phase: Phase) -> Result<(), SimError> {
+        let &(bidx, sidx) = self
+            .log
+            .seq
+            .get(self.pos as usize)
+            .ok_or_else(|| SimError::Trace(format!("no block at unit {}", self.pos)))?;
+        let trace = self
+            .log
+            .shapes
+            .get(sidx as usize)
+            .ok_or_else(|| SimError::Trace(format!("shape index {sidx} out of range")))?;
+        self.pos += 1;
+        match phase {
+            Phase::Warm => self.t.warm_block(bidx, trace),
+            Phase::TimedWarm => self.t.time_block_discarded(bidx, trace),
+            Phase::Detailed => self.t.time_block(bidx, trace),
+        }
+        Ok(())
+    }
+
+    fn snapshot(&self) -> TsimSnapshot {
+        self.t.snapshot(self.pos)
+    }
+
+    fn restore(&mut self, snap: &TsimSnapshot) -> Result<u64, SimError> {
+        self.t.restore(snap).map_err(SimError::Trace)?;
+        self.pos = snap.unit;
+        Ok(snap.unit)
+    }
+
+    fn window_stats(self) -> SimStats {
+        self.t.counters()
+    }
+
+    /// Field-wise sum of the measured counters; the clock-derived fields
+    /// and the functional `isa` composition come from `finish`.
+    fn absorb(&mut self, w: &SimStats) {
+        let s = &mut self.t.stats;
+        s.blocks += w.blocks;
+        s.predictor.absorb(&w.predictor);
+        s.opn.absorb(&w.opn);
+        s.icache_accesses += w.icache_accesses;
+        s.icache_misses += w.icache_misses;
+        s.l1d_accesses += w.l1d_accesses;
+        s.l1d_misses += w.l1d_misses;
+        s.l2_accesses += w.l2_accesses;
+        s.l2_misses += w.l2_misses;
+        s.load_flushes += w.load_flushes;
+        s.mispredict_flushes += w.mispredict_flushes;
+        s.window_inst_cycles += w.window_inst_cycles;
+        s.l1_bytes += w.l1_bytes;
+        s.l2_bytes += w.l2_bytes;
+        s.dram_bytes += w.dram_bytes;
+        s.bank_conflict_cycles += w.bank_conflict_cycles;
+    }
+
+    fn finish(self, summary: Option<&SampleSummary>) -> SimResult {
+        let mut stats = self.t.finish();
+        stats.isa = self.log.stats.clone();
+        if let Some(s) = summary {
+            debug_assert_eq!(s.measured_units, stats.blocks);
+            stats.sampled = true;
+            stats.total_units = s.total_units;
+            stats.cycles = s.measured_cycles.max(u64::from(stats.blocks > 0));
+            stats.est_cycles = s.est_cycles.max(stats.cycles);
+        }
+        SimResult {
+            return_value: self.log.return_value,
+            stats,
         }
     }
-    let mut stats = t.finish();
-    stats.isa = log.stats.clone();
-    if let Some(s) = summary {
-        debug_assert_eq!(s.measured_units, stats.blocks);
-        stats.sampled = true;
-        stats.total_units = s.total_units;
-        stats.cycles = s.measured_cycles.max(u64::from(stats.blocks > 0));
-        stats.est_cycles = s.est_cycles.max(stats.cycles);
+
+    fn reject(why: String) -> SimError {
+        SimError::Trace(why)
     }
-    // Per-backend replay throughput telemetry: O(1) per replay call.
-    let units = log.seq.len() as u64;
-    trips_obs::counter("replay_events_total{core=\"trips\"}").inc(units);
-    let elapsed_ns = replay_start.elapsed().as_nanos() as u64;
-    if elapsed_ns > 0 && units > 0 {
-        trips_obs::histogram("replay_events_per_sec{core=\"trips\"}")
-            .observe(units.saturating_mul(1_000_000_000) / elapsed_ns);
-    }
-    Ok(SimResult {
-        return_value: log.return_value,
-        stats,
-    })
 }
 
 /// The pending control transfer awaiting the next block id, in
@@ -264,210 +309,6 @@ pub struct TsimSnapshot {
     prev_dispatch: u64,
     prev_chunk: u64,
     pending: Option<PendingExit>,
-}
-
-impl TsimSnapshot {
-    /// The stream unit this live-point resumes at.
-    #[must_use]
-    pub fn unit(&self) -> u64 {
-        self.unit
-    }
-}
-
-/// One plan window's accounting, measured by an independent restored
-/// replay ([`replay_trips_window`]); bit-identical to the same window's
-/// contribution in a sequential phased replay.
-#[derive(Debug, Clone)]
-pub struct TsimWindowMeasure {
-    /// Cycles the measured span took (commit-clock delta).
-    pub cycles: u64,
-    /// Units measured in detail.
-    pub units: u64,
-    /// Detailed-block counters this window contributed.
-    pub stats: SimStats,
-}
-
-/// Performs a full sequential phased replay while capturing a live-point
-/// at each window's warm-start boundary. The returned [`SimResult`] is
-/// bit-identical to `replay_trace_mode(.., Phased(plan))`; the snapshots
-/// seed [`replay_trips_window`] so later sweep points (or parallel window
-/// jobs) replay windows without touching the stream prefix.
-///
-/// # Errors
-/// [`SimError::Trace`] when the log fails validation, the plan was fitted
-/// to a different stream, or the plan covers everything (nothing to
-/// checkpoint — callers should take the full path instead).
-pub fn replay_trace_phased_capture(
-    compiled: &CompiledProgram,
-    cfg: &TripsConfig,
-    log: &TraceLog,
-    plan: &PhasePlan,
-) -> Result<(SimResult, Vec<TsimSnapshot>), SimError> {
-    log.validate(&compiled.trips).map_err(SimError::Trace)?;
-    let total = log.seq.len() as u64;
-    let mode = ReplayMode::Phased(plan.clone());
-    let Some(mut sched) = mode.schedule(total).map_err(SimError::Trace)? else {
-        return Err(SimError::Trace(
-            "phase plan covers everything: no warmed prefix to checkpoint".into(),
-        ));
-    };
-    let replay_start = std::time::Instant::now();
-    let mut t = Timing::new(compiled, cfg);
-    let mut snaps: Vec<TsimSnapshot> = Vec::with_capacity(plan.windows.len());
-    let mut unit: u64 = 0;
-    let mut seg = trips_obs::SegmentTimer::new();
-    log.replay(|bidx, trace| {
-        if snaps.len() < plan.windows.len() && unit == plan.windows[snaps.len()].warm_start {
-            let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::CheckpointSave);
-            snaps.push(t.snapshot(unit));
-            drop(timed);
-        }
-        unit += 1;
-        match sched.advance(t.last_commit) {
-            Phase::Warm => {
-                seg.switch(trips_obs::CostKind::Warm);
-                t.warm_block(bidx, trace);
-            }
-            Phase::TimedWarm => {
-                seg.switch(trips_obs::CostKind::Warm);
-                t.time_block_discarded(bidx, trace);
-            }
-            Phase::Detailed => {
-                seg.switch(trips_obs::CostKind::Detailed);
-                t.time_block(bidx, trace);
-            }
-        }
-    });
-    seg.finish();
-    debug_assert_eq!(snaps.len(), plan.windows.len());
-    let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-    let summary = sched.finish(t.last_commit);
-    drop(timed);
-    let mut stats = t.finish();
-    stats.isa = log.stats.clone();
-    debug_assert_eq!(summary.measured_units, stats.blocks);
-    stats.sampled = true;
-    stats.total_units = summary.total_units;
-    stats.cycles = summary.measured_cycles.max(u64::from(stats.blocks > 0));
-    stats.est_cycles = summary.est_cycles.max(stats.cycles);
-    trips_obs::counter("replay_events_total{core=\"trips\"}").inc(total);
-    let elapsed_ns = replay_start.elapsed().as_nanos() as u64;
-    if elapsed_ns > 0 && total > 0 {
-        trips_obs::histogram("replay_events_per_sec{core=\"trips\"}")
-            .observe(total.saturating_mul(1_000_000_000) / elapsed_ns);
-    }
-    Ok((
-        SimResult {
-            return_value: log.return_value,
-            stats,
-        },
-        snaps,
-    ))
-}
-
-/// Replays one plan window from its live-point: restore, run the timed
-/// warmup span with discarded counters, then measure the detailed span.
-/// Because the restored machine state is bit-identical to the sequential
-/// replay's state at the same boundary, the measurement is too.
-///
-/// The caller is responsible for having validated `log` (the engine
-/// validates on capture and on store load); indices are still
-/// bounds-checked here so a mismatched log errors instead of panicking.
-///
-/// # Errors
-/// [`SimError::Trace`] when the snapshot does not belong to this window or
-/// the window lies outside the log.
-pub fn replay_trips_window(
-    compiled: &CompiledProgram,
-    cfg: &TripsConfig,
-    log: &TraceLog,
-    window: &PhaseWindow,
-    snap: &TsimSnapshot,
-) -> Result<TsimWindowMeasure, SimError> {
-    if snap.unit != window.warm_start {
-        return Err(SimError::Trace(format!(
-            "live-point captured at unit {} cannot seed the window warming from {}",
-            snap.unit, window.warm_start
-        )));
-    }
-    if window.end as usize > log.seq.len() {
-        return Err(SimError::Trace(format!(
-            "window ends at unit {} but the log has {}",
-            window.end,
-            log.seq.len()
-        )));
-    }
-    let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::CheckpointRestore);
-    let mut t = Timing::new(compiled, cfg);
-    t.restore(snap).map_err(SimError::Trace)?;
-    drop(timed);
-    let shape = |sidx: u32| {
-        log.shapes
-            .get(sidx as usize)
-            .ok_or_else(|| SimError::Trace(format!("shape index {sidx} out of range")))
-    };
-    let mut seg = trips_obs::SegmentTimer::new();
-    seg.switch(trips_obs::CostKind::Warm);
-    for &(bidx, sidx) in &log.seq[window.warm_start as usize..window.detail_start as usize] {
-        t.time_block_discarded(bidx, shape(sidx)?);
-    }
-    let mark = t.last_commit;
-    seg.switch(trips_obs::CostKind::Detailed);
-    for &(bidx, sidx) in &log.seq[window.detail_start as usize..window.end as usize] {
-        t.time_block(bidx, shape(sidx)?);
-    }
-    seg.finish();
-    let cycles = t.last_commit - mark;
-    trips_obs::counter("replay_events_total{core=\"trips\"}").inc(window.end - window.warm_start);
-    Ok(TsimWindowMeasure {
-        cycles,
-        units: window.detailed_units(),
-        stats: t.into_window_stats(),
-    })
-}
-
-/// Assembles independently measured windows (one [`TsimWindowMeasure`] per
-/// plan window, in order) into the [`SimResult`] a sequential phased
-/// replay of the same plan produces: counters sum field-wise, and the
-/// whole-run estimate uses the shared [`trips_sample::assemble_phased`]
-/// math.
-///
-/// # Errors
-/// [`SimError::Trace`] when the measurement count does not match the plan.
-pub fn assemble_trips_phased(
-    log: &TraceLog,
-    plan: &PhasePlan,
-    windows: &[TsimWindowMeasure],
-) -> Result<SimResult, SimError> {
-    if windows.len() != plan.windows.len() {
-        return Err(SimError::Trace(format!(
-            "{} window measurements for a {}-window plan",
-            windows.len(),
-            plan.windows.len()
-        )));
-    }
-    let timed = trips_obs::cost::Timed::start(trips_obs::CostKind::Extrapolate);
-    let closed: Vec<(u64, u64, u64)> = windows
-        .iter()
-        .zip(&plan.windows)
-        .map(|(m, w)| (m.cycles, m.units, w.weight_units))
-        .collect();
-    let summary = trips_sample::assemble_phased(plan.total_units, &closed);
-    let mut stats = SimStats::default();
-    for m in windows {
-        stats.absorb_measured(&m.stats);
-    }
-    stats.isa = log.stats.clone();
-    stats.sampled = true;
-    stats.detailed_units = stats.blocks;
-    stats.total_units = summary.total_units;
-    stats.cycles = summary.measured_cycles.max(u64::from(stats.blocks > 0));
-    stats.est_cycles = summary.est_cycles.max(stats.cycles);
-    drop(timed);
-    Ok(SimResult {
-        return_value: log.return_value,
-        stats,
-    })
 }
 
 /// Cycles of bank/link occupancy history a live-point snapshot keeps
@@ -985,26 +826,26 @@ impl<'a> Timing<'a> {
         Ok(())
     }
 
-    /// Folds the component accounting into the stats without the full-run
-    /// clock defaults: the per-window delta of a restored replay.
-    fn into_window_stats(mut self) -> SimStats {
-        self.stats.predictor = self.predictor.stats;
-        self.stats.opn = std::mem::take(&mut self.opn.stats);
-        self.stats.bank_conflict_cycles = self.dt_banks.conflict_cycles;
+    /// Folds the component accounting into the counters, without the
+    /// full-run clock defaults: a restored window's delta. Additive, so
+    /// counters absorbed from windows survive the fold.
+    fn counters(mut self) -> SimStats {
+        self.stats.predictor.absorb(&self.predictor.stats);
+        self.stats.opn.absorb(&self.opn.stats);
+        self.stats.bank_conflict_cycles += self.dt_banks.conflict_cycles;
         self.stats
     }
 
-    fn finish(mut self) -> SimStats {
-        self.stats.cycles = self.last_commit.max(1);
-        self.stats.predictor = self.predictor.stats;
-        self.stats.opn = std::mem::take(&mut self.opn.stats);
-        self.stats.bank_conflict_cycles = self.dt_banks.conflict_cycles;
+    fn finish(self) -> SimStats {
+        let cycles = self.last_commit.max(1);
+        let mut stats = self.counters();
+        stats.cycles = cycles;
         // Full-run defaults; a sampling replay overrides total_units and
         // est_cycles after folding in the stream length.
-        self.stats.detailed_units = self.stats.blocks;
-        self.stats.total_units = self.stats.blocks;
-        self.stats.est_cycles = self.stats.cycles;
-        self.stats
+        stats.detailed_units = stats.blocks;
+        stats.total_units = stats.blocks;
+        stats.est_cycles = stats.cycles;
+        stats
     }
 }
 
@@ -1012,6 +853,15 @@ impl<'a> Timing<'a> {
 mod tests {
     use super::*;
     use trips_compiler::{compile, CompileOptions};
+    use trips_sample::assemble_windows;
+
+    fn full_replay(
+        compiled: &CompiledProgram,
+        cfg: &TripsConfig,
+        log: &TraceLog,
+    ) -> Result<SimResult, SimError> {
+        replay_trace_mode(compiled, cfg, log, &ReplayMode::Full)
+    }
     use trips_ir::{IntCc, Operand, ProgramBuilder};
 
     fn sum_program(n: i64) -> trips_ir::Program {
@@ -1105,7 +955,7 @@ mod tests {
         );
         for cfg in [TripsConfig::prototype(), TripsConfig::improved_predictor()] {
             let direct = simulate(&compiled, &cfg, 1 << 20).unwrap();
-            let replayed = replay_trace(&compiled, &cfg, &log).unwrap();
+            let replayed = full_replay(&compiled, &cfg, &log).unwrap();
             assert_eq!(replayed.return_value, direct.return_value);
             assert_eq!(
                 replayed.stats, direct.stats,
@@ -1127,7 +977,7 @@ mod tests {
         )
         .unwrap();
         let cfg = TripsConfig::prototype();
-        let full = replay_trace(&compiled, &cfg, &log).unwrap();
+        let full = full_replay(&compiled, &cfg, &log).unwrap();
         let plan = trips_sample::SamplePlan::new(0, 7, 7).unwrap();
         let covered = replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Sampled(plan)).unwrap();
         assert_eq!(covered.stats, full.stats, "sample-everything must be Full");
@@ -1149,7 +999,7 @@ mod tests {
         )
         .unwrap();
         let cfg = TripsConfig::prototype();
-        let full = replay_trace(&compiled, &cfg, &log).unwrap();
+        let full = full_replay(&compiled, &cfg, &log).unwrap();
         let plan = trips_sample::SamplePlan::new(8, 8, 32).unwrap();
         let s = replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Sampled(plan))
             .unwrap()
@@ -1245,7 +1095,7 @@ mod tests {
             );
             assert_eq!(snaps.len(), plan.windows.len());
             // Snapshots round-trip through bytes (the store's discipline).
-            let measures: Vec<TsimWindowMeasure> = plan
+            let measures: Vec<WindowMeasure<SimStats>> = plan
                 .windows
                 .iter()
                 .zip(&snaps)
@@ -1256,7 +1106,8 @@ mod tests {
                     replay_trips_window(&compiled, &cfg, &log, w, &back).unwrap()
                 })
                 .collect();
-            let assembled = assemble_trips_phased(&log, &plan, &measures).unwrap();
+            let assembled =
+                assemble_windows(TsimCore::new(&compiled, &cfg, &log), &plan, &measures).unwrap();
             assert_eq!(
                 assembled.stats, sequential.stats,
                 "restore-then-replay must be bit-identical to fast-forward-then-replay"
@@ -1287,9 +1138,60 @@ mod tests {
         ));
         // A wrong-count assembly is rejected.
         assert!(matches!(
-            assemble_trips_phased(&log, &plan, &[]),
+            assemble_windows(TsimCore::new(&compiled, &cfg, &log), &plan, &[]),
             Err(SimError::Trace(_))
         ));
+    }
+
+    #[test]
+    fn malformed_windows_are_rejected_without_panicking() {
+        let p = sum_program(2000);
+        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
+        let log = TraceLog::capture(
+            &compiled.trips,
+            &compiled.opt_ir,
+            1 << 20,
+            u64::MAX,
+            Default::default(),
+        )
+        .unwrap();
+        let plan = handmade_plan(log.seq.len() as u64);
+        let cfg = TripsConfig::prototype();
+        let (_, snaps) = replay_trace_phased_capture(&compiled, &cfg, &log, &plan).unwrap();
+        let (good, snap) = (plan.windows[1], &snaps[1]);
+        assert!(good.warm_start < good.detail_start);
+        assert!(replay_trips_window(&compiled, &cfg, &log, &good, snap).is_ok());
+        let total = log.seq.len() as u64;
+        for bad in [
+            // Measurement before its own warmup.
+            PhaseWindow {
+                detail_start: good.warm_start - 1,
+                ..good
+            },
+            // Measured span empty or inverted.
+            PhaseWindow {
+                end: good.detail_start,
+                ..good
+            },
+            PhaseWindow {
+                detail_start: good.end + 1,
+                end: good.end,
+                ..good
+            },
+            // Past the stream.
+            PhaseWindow {
+                end: total + 1,
+                ..good
+            },
+        ] {
+            assert!(
+                matches!(
+                    replay_trips_window(&compiled, &cfg, &log, &bad, snap),
+                    Err(SimError::Trace(_))
+                ),
+                "{bad:?} must be rejected"
+            );
+        }
     }
 
     #[test]
@@ -1431,7 +1333,7 @@ mod tests {
         log.seq.push((nblocks + 10, 0));
         log.header.dynamic_blocks += 1;
         assert!(matches!(
-            replay_trace(&small, &TripsConfig::prototype(), &log),
+            full_replay(&small, &TripsConfig::prototype(), &log),
             Err(SimError::Trace(_))
         ));
         // A shape whose instruction indices do not exist in the block is
@@ -1446,7 +1348,7 @@ mod tests {
         .unwrap();
         log2.shapes[0].fired[0].idx = 200;
         assert!(matches!(
-            replay_trace(&big, &TripsConfig::prototype(), &log2),
+            full_replay(&big, &TripsConfig::prototype(), &log2),
             Err(SimError::Trace(_))
         ));
     }

@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use trips::compiler::CompileOptions;
-use trips::engine::sample::{PhasePlan, PhaseWindow};
+use trips::engine::sample::{assemble_windows, PhasePlan, PhaseWindow};
 use trips::engine::{parallel_map, PhaseK, PhaseSpec, ReplayMode, Session, TraceStore};
 use trips::workloads::{by_name, Scale};
 use trips::{ooo, sim};
@@ -77,7 +77,8 @@ fn restored_window_replay_is_bit_identical_on_every_backend() {
         .zip(&snaps)
         .map(|(win, snap)| sim::replay_trips_window(&compiled, &cfg, &log, win, snap).unwrap())
         .collect();
-    let assembled = sim::assemble_trips_phased(&log, &plan, &windows).unwrap();
+    let assembled =
+        assemble_windows(sim::TsimCore::new(&compiled, &cfg, &log), &plan, &windows).unwrap();
     assert_eq!(assembled.stats, seq.stats, "trips must be bit-identical");
     assert_eq!(assembled.return_value, seq.return_value);
 
@@ -110,7 +111,12 @@ fn restored_window_replay_is_bit_identical_on_every_backend() {
                 ooo::replay_ooo_window(&art.program, &stream, &ocfg, win, snap).unwrap()
             })
             .collect();
-        let assembled = ooo::assemble_ooo_phased(&stream, &plan, &windows).unwrap();
+        let assembled = assemble_windows(
+            ooo::OooCore::new(&art.program, &stream, &ocfg),
+            &plan,
+            &windows,
+        )
+        .unwrap();
         assert_eq!(
             assembled.stats, seq.stats,
             "{} must be bit-identical",
@@ -264,7 +270,7 @@ proptest! {
                 sim::replay_trips_window(&s.compiled, &cfg, &s.log, win, snap).unwrap()
             })
             .collect();
-        let assembled = sim::assemble_trips_phased(&s.log, &plan, &windows).unwrap();
+        let assembled = assemble_windows(sim::TsimCore::new(&s.compiled, &cfg, &s.log), &plan, &windows).unwrap();
         prop_assert_eq!(&assembled.stats, &seq.stats);
         prop_assert_eq!(assembled.return_value, seq.return_value);
 
@@ -287,7 +293,7 @@ proptest! {
                     ooo::replay_ooo_window(&s.art.program, &s.stream, &ocfg, win, snap).unwrap()
                 })
                 .collect();
-            let assembled = ooo::assemble_ooo_phased(&s.stream, &plan, &windows).unwrap();
+            let assembled = assemble_windows(ooo::OooCore::new(&s.art.program, &s.stream, &ocfg), &plan, &windows).unwrap();
             prop_assert_eq!(&assembled.stats, &seq.stats, "{} diverged", ocfg.name);
             prop_assert_eq!(assembled.return_value, seq.return_value);
         }
@@ -401,7 +407,7 @@ fn parallel_window_replay_is_3x_faster_on_the_largest_workload() {
         let measures: Vec<_> = parallel_map(jobs, threads, |(win, snap)| {
             sim::replay_trips_window(&compiled, &cfg, &log, &win, snap).unwrap()
         });
-        sim::assemble_trips_phased(&log, &plan, &measures).unwrap()
+        assemble_windows(sim::TsimCore::new(&compiled, &cfg, &log), &plan, &measures).unwrap()
     };
     let assembled = parallel();
     assert_eq!(

@@ -123,9 +123,9 @@ fn covering_phase_plan_is_bit_identical_on_every_backend() {
         .unwrap();
     assert!(plan.covers_everything());
     let mode = ReplayMode::Phased((*plan).clone());
-    assert!(mode.is_full());
+    assert!(mode.phase().is_none());
     let cfg = sim::TripsConfig::prototype();
-    let full = sim::replay_trace(&compiled, &cfg, &log).unwrap();
+    let full = sim::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full).unwrap();
     let covered = sim::replay_trace_mode(&compiled, &cfg, &log, &mode).unwrap();
     assert_eq!(covered.stats, full.stats, "trips must be bit-identical");
     assert!(!covered.stats.sampled);
@@ -160,7 +160,8 @@ fn covering_phase_plan_is_bit_identical_on_every_backend() {
     assert!(plan.covers_everything());
     let mode = ReplayMode::Phased((*plan).clone());
     for ocfg in [ooo::core2(), ooo::pentium4(), ooo::pentium3()] {
-        let full = ooo::run_timed_trace(&art.program, &stream, &ocfg).unwrap();
+        let full =
+            ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &ReplayMode::Full).unwrap();
         let covered = ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &mode).unwrap();
         assert_eq!(
             covered.stats, full.stats,

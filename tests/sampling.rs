@@ -145,7 +145,7 @@ fn sample_everything_is_bit_identical_on_every_backend() {
         )
         .unwrap();
     let cfg = sim::TripsConfig::prototype();
-    let full = sim::replay_trace(&compiled, &cfg, &log).unwrap();
+    let full = sim::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full).unwrap();
     for plan in covering {
         let covered =
             sim::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Sampled(plan)).unwrap();
@@ -168,7 +168,8 @@ fn sample_everything_is_bit_identical_on_every_backend() {
         )
         .unwrap();
     for ocfg in [ooo::core2(), ooo::pentium4(), ooo::pentium3()] {
-        let full = ooo::run_timed_trace(&art.program, &stream, &ocfg).unwrap();
+        let full =
+            ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &ReplayMode::Full).unwrap();
         for plan in covering {
             let covered =
                 ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &ReplayMode::Sampled(plan))
@@ -177,19 +178,6 @@ fn sample_everything_is_bit_identical_on_every_backend() {
             assert_eq!(covered.return_value, full.return_value);
         }
     }
-}
-
-#[test]
-fn sampling_a_live_machine_is_rejected() {
-    let ir = stream_program(5, 7);
-    let rp = compile_program(&ir).unwrap();
-    let mut live = trips::risc::MachineSource::new(&rp, &ir, MEM, 1_000_000);
-    let plan = SamplePlan::new(4, 4, 16).unwrap();
-    let err = ooo::time_events_mode(&rp, &mut live, &ooo::core2(), &ReplayMode::Sampled(plan));
-    assert!(
-        err.is_err(),
-        "live sources have no length to sample against"
-    );
 }
 
 /// A fast subset of the accuracy gate that runs under tier-1 `cargo test`:
@@ -292,7 +280,9 @@ fn sampled_replay_is_5x_faster_on_the_largest_workload() {
     let cfg = sim::TripsConfig::prototype();
     let mode = ReplayMode::Sampled(trips::experiments::runner::speedup_plan());
     // Warm both paths once, then take the best of three to damp CI noise.
-    let full = sim::replay_trace(&compiled, &cfg, &log).unwrap().stats;
+    let full = sim::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full)
+        .unwrap()
+        .stats;
     let sampled = sim::replay_trace_mode(&compiled, &cfg, &log, &mode)
         .unwrap()
         .stats;
@@ -306,7 +296,7 @@ fn sampled_replay_is_5x_faster_on_the_largest_workload() {
             .fold(f64::INFINITY, f64::min)
     };
     let tf = best(&|| {
-        let _ = sim::replay_trace(&compiled, &cfg, &log).unwrap();
+        let _ = sim::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full).unwrap();
     });
     let ts = best(&|| {
         let _ = sim::replay_trace_mode(&compiled, &cfg, &log, &mode).unwrap();
