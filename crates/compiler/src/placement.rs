@@ -23,7 +23,7 @@ pub const GRID: usize = 4;
 pub const SLOTS_PER_ET: usize = limits::MAX_INSTS / (GRID * GRID);
 
 /// Placement policies (the default is SPS-like; the alternatives exist for
-/// the ablation benchmarks).
+/// the `repro ablations` study).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlacementPolicy {
     /// Criticality-ordered greedy placement minimizing operand arrival time.

@@ -104,7 +104,22 @@ fn main() {
             "phase-classifying timing backends (k={k})"
         );
     }
-    let what = args.first().map(String::as_str).unwrap_or("all");
+    let what = match args.as_slice() {
+        [] => "all",
+        [what] => what.as_str(),
+        [what, rest @ ..] => {
+            trips_obs::log!(
+                Level::Error,
+                "repro",
+                "unexpected argument(s) after `{what}`: {} (one experiment name per run)",
+                rest.iter()
+                    .map(|a| format!("`{a}`"))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            );
+            std::process::exit(1);
+        }
+    };
 
     let names: Vec<&str> = if what == "all" {
         trips_experiments::EXPERIMENTS.to_vec()

@@ -762,6 +762,29 @@ pub fn matmul_fpc(scale: Scale) -> String {
     t.render()
 }
 
+/// §7 lessons-learned ablations: block-formation cap, per-block dispatch
+/// cost, predictor sizing and instruction placement, each varied alone
+/// against the prototype ([`runner::ablations`]).
+pub fn ablations(scale: Scale) -> String {
+    let mut t = Table::new(
+        "Sec 7: design-choice ablations (prototype unless varied)",
+        &["workload", "cycles", "mispredicts", "avg hops"],
+    );
+    for a in runner::ablations(scale) {
+        t.row(
+            format!("{} {}", a.study, a.setting),
+            vec![
+                a.workload.to_string(),
+                a.cycles.to_string(),
+                a.mispredicts.to_string(),
+                format!("{:.2}", a.avg_hops),
+            ],
+        );
+    }
+    t.note("each row simulates its own compile to completion (execution-driven, no trace replay)");
+    t.render()
+}
+
 /// Sampled-replay accuracy harness: sampled vs full IPC per workload on
 /// both timing backends, under the per-backend accuracy plans (streams
 /// below a backend's sampling floor replay in full). The footnotes

@@ -33,6 +33,7 @@ pub const EXPERIMENTS: &[&str] = &[
     "fig12",
     "table3",
     "matmul_fpc",
+    "ablations",
     "sample_accuracy",
     "phase_accuracy",
 ];
@@ -63,6 +64,7 @@ pub fn run_experiment(name: &str, quick: bool) -> Result<String, String> {
         "fig12" => Ok(exps::fig12(scale)),
         "table3" => Ok(exps::table3(scale)),
         "matmul_fpc" => Ok(exps::matmul_fpc(scale)),
+        "ablations" => Ok(exps::ablations(scale)),
         "sample_accuracy" => Ok(exps::sample_accuracy(scale)),
         "phase_accuracy" => Ok(exps::phase_accuracy(scale)),
         other => Err(format!(

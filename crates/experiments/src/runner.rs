@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+use trips_compiler::placement::{place_block_with, PlacementPolicy};
 use trips_compiler::{CompileOptions, CompiledProgram};
 use trips_engine::{
     run_sweep, BackendSpec, ConfigVariant, PhaseK, PhaseSpec, ReplayMode, RowDetail, SamplePlan,
@@ -361,14 +362,6 @@ fn ooo_run(
         .clone()
 }
 
-/// Simulates a compiled program on the TRIPS prototype configuration
-/// (direct, uncached; see [`trips_cycles_for`] for the engine path).
-pub fn trips_cycles(compiled: &CompiledProgram) -> SimStats {
-    trips_sim::timing::simulate_with_budget(compiled, &TripsConfig::prototype(), MEM, SIM_BUDGET)
-        .map(|r| r.stats)
-        .unwrap_or_else(|e| panic!("sim: {e}"))
-}
-
 /// TRIPS cycle-level statistics via the engine: the workload's functional
 /// trace is captured once (memoized) and replayed against `cfg`.
 pub fn trips_cycles_cfg(w: &Workload, scale: Scale, hand: bool, cfg: &TripsConfig) -> SimStats {
@@ -415,27 +408,14 @@ pub fn measure_perf(w: &Workload, scale: Scale, include_hand: bool) -> PerfMeasu
 /// SIM-budget trace captures), so a cycle-level figure's measurement loop
 /// only replays.
 pub fn prewarm(ws: &[Workload], scale: Scale, hand_too: bool) {
-    prewarm_with(ws, hand_too, |w, hand| {
-        let _ = Session::global().trace(w, scale, &trips_preset(hand), hand, MEM, SIM_BUDGET);
-    });
-}
-
-/// Fills the session caches for the ISA figures (compiles plus FUNC-budget
-/// functional runs; no trace streams are retained).
-pub fn prewarm_isa(ws: &[Workload], scale: Scale, hand_too: bool) {
-    prewarm_with(ws, hand_too, |w, hand| {
-        let _ =
-            Session::global().isa_outcome(w, scale, &trips_preset(hand), hand, MEM, FUNC_BUDGET);
-    });
-}
-
-fn prewarm_with(ws: &[Workload], hand_too: bool, fill: impl Fn(&Workload, bool) + Sync) {
     let mut jobs: Vec<(Workload, bool)> = ws.iter().map(|w| (w.clone(), false)).collect();
     if hand_too {
         jobs.extend(ws.iter().map(|w| (w.clone(), true)));
     }
     // Failures surface (with context) when the figure actually measures.
-    trips_engine::parallel_map(jobs, 0, |(w, hand)| fill(&w, hand));
+    trips_engine::parallel_map(jobs, 0, |(w, hand)| {
+        let _ = Session::global().trace(&w, scale, &trips_preset(hand), hand, MEM, SIM_BUDGET);
+    });
 }
 
 /// The sampling plan the accuracy harness (and the CI gate) uses on the
@@ -788,6 +768,113 @@ pub fn phase_assignment_csv(rows: &[PhaseAccuracy]) -> String {
         }
     }
     out
+}
+
+/// One point of the §7 ablation study: one design choice set one way,
+/// measured by execution-driven simulation.
+#[derive(Debug, Clone)]
+pub struct Ablation {
+    /// The design choice varied (`block cap`, `dispatch interval`,
+    /// `predictor` or `placement`).
+    pub study: &'static str,
+    /// The setting of that choice this point measures.
+    pub setting: String,
+    /// The workload simulated.
+    pub workload: &'static str,
+    /// Simulated cycles.
+    pub cycles: u64,
+    /// Next-block predictor mispredictions.
+    pub mispredicts: u64,
+    /// Average operand-network hops per packet.
+    pub avg_hops: f64,
+}
+
+/// Measures the design choices §7 ("Lessons Learned") calls out, each on
+/// its own workload: the block-formation cap (`autocor` at `-O2`), the
+/// per-block dispatch interval (`fft`), prototype vs improved predictor
+/// sizing (`gzip`), and the instruction placement policy (`conv`). Every
+/// point runs [`trips_sim::simulate`] to completion on its own compile —
+/// no trace replay, no budget — so the placement and block-cap points
+/// time programs the session caches never see.
+pub fn ablations(scale: Scale) -> Vec<Ablation> {
+    let build = |name: &str, opts: &CompileOptions| {
+        let w = trips_workloads::by_name(name).unwrap_or_else(|| panic!("workload {name}"));
+        trips_compiler::compile(&(w.build)(scale), opts)
+            .unwrap_or_else(|e| panic!("{name} (compile): {e}"))
+    };
+    let measure = |study: &'static str,
+                   setting: String,
+                   workload: &'static str,
+                   comp: &CompiledProgram,
+                   cfg: &TripsConfig| {
+        let s = trips_sim::simulate(comp, cfg, MEM)
+            .unwrap_or_else(|e| panic!("{workload} ({study} {setting}): {e}"))
+            .stats;
+        Ablation {
+            study,
+            setting,
+            workload,
+            cycles: s.cycles,
+            mispredicts: s.predictor.mispredicts(),
+            avg_hops: s.opn.avg_hops(),
+        }
+    };
+    let prototype = TripsConfig::prototype();
+    let mut points = Vec::new();
+    for cap in [8u32, 24, 64] {
+        let mut opts = CompileOptions::o2();
+        opts.region_cap = cap;
+        let autocor = build("autocor", &opts);
+        points.push(measure(
+            "block cap",
+            cap.to_string(),
+            "autocor",
+            &autocor,
+            &prototype,
+        ));
+    }
+    let fft = build("fft", &CompileOptions::o1());
+    for di in [1u64, 8, 16] {
+        let cfg = TripsConfig {
+            dispatch_interval: di,
+            ..TripsConfig::prototype()
+        };
+        points.push(measure(
+            "dispatch interval",
+            di.to_string(),
+            "fft",
+            &fft,
+            &cfg,
+        ));
+    }
+    let gzip = build("gzip", &CompileOptions::o1());
+    for (label, cfg) in [
+        ("prototype", TripsConfig::prototype()),
+        ("improved", TripsConfig::improved_predictor()),
+    ] {
+        points.push(measure("predictor", label.into(), "gzip", &gzip, &cfg));
+    }
+    let mut conv = build("conv", &CompileOptions::o1());
+    for policy in [
+        PlacementPolicy::Sps,
+        PlacementPolicy::RowMajor,
+        PlacementPolicy::Scatter,
+    ] {
+        conv.placements = conv
+            .trips
+            .blocks
+            .iter()
+            .map(|b| place_block_with(b, policy))
+            .collect();
+        points.push(measure(
+            "placement",
+            format!("{policy:?}"),
+            "conv",
+            &conv,
+            &prototype,
+        ));
+    }
+    points
 }
 
 /// Geometric mean of the positive entries; zero/negative values are

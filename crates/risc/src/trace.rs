@@ -169,9 +169,8 @@ impl RiscTrace {
     }
 
     /// A cursor resumed at a previously captured [`CursorState`]: emits
-    /// exactly the events a fresh cursor would emit after stepping (or
-    /// fast-forwarding) to the same position — the live-point restore
-    /// primitive.
+    /// exactly the events a fresh cursor would emit after stepping to the
+    /// same position — the live-point restore primitive.
     pub fn cursor_at<'a>(&'a self, rp: &'a RProgram, state: &CursorState) -> TraceCursor<'a> {
         TraceCursor {
             trace: self,
@@ -377,73 +376,6 @@ impl TraceCursor<'_> {
             ))
         })
     }
-
-    /// Advances the cursor by up to `units` instructions without building
-    /// [`StepEvent`]s, returning how many it actually advanced (short only
-    /// at end of stream). The walk is the same one [`EventSource::next_event`]
-    /// performs — program counter, call stack, branch-bit and address
-    /// streams all move in lockstep — so stepping after a fast-forward
-    /// yields exactly the events a step-by-step walk would have yielded
-    /// from the same position (property-tested in `tests/sampling.rs`).
-    ///
-    /// This is the cheap repositioning primitive for consumers that do
-    /// *not* need the skipped events. The OoO sampled replay is not one
-    /// of them — its fast-forward path warms caches and predictors, which
-    /// takes the events — so it steps through
-    /// [`EventSource::next_event`] instead.
-    ///
-    /// # Errors
-    /// The same stream-corruption errors stepping would raise.
-    pub fn fast_forward(&mut self, units: u64) -> Result<u64, RiscError> {
-        let mut advanced = 0;
-        while advanced < units {
-            if self.emitted == self.trace.header.dynamic_insts {
-                break;
-            }
-            if self.done {
-                return Err(RiscError::Trace(format!(
-                    "trace records {} instructions past program completion",
-                    self.trace.header.dynamic_insts - self.emitted
-                )));
-            }
-            let (fi, ii) = self.pc;
-            let inst = self
-                .rp
-                .funcs
-                .get(fi as usize)
-                .and_then(|f| f.insts.get(ii as usize))
-                .ok_or(RiscError::BadTarget { func: fi, idx: ii })?;
-            let mut next = (fi, ii + 1);
-            match inst {
-                RInst::Load { .. } | RInst::Store { .. } => {
-                    self.take_mem()?;
-                }
-                RInst::B { target } => next = (fi, *target),
-                RInst::Bnz { target, .. } | RInst::Bz { target, .. } => {
-                    let taken = self.take_cond()?;
-                    if taken {
-                        next = (fi, *target);
-                    }
-                }
-                RInst::Bl { func } => {
-                    self.call_stack.push((fi, ii + 1));
-                    next = (*func, 0);
-                }
-                RInst::Blr => match self.call_stack.pop() {
-                    Some(ret) => next = ret,
-                    None => {
-                        self.done = true;
-                        next = (fi, ii); // park, as the live machine does
-                    }
-                },
-                _ => {}
-            }
-            self.pc = next;
-            self.emitted += 1;
-            advanced += 1;
-        }
-        Ok(advanced)
-    }
 }
 
 impl EventSource for TraceCursor<'_> {
@@ -619,32 +551,6 @@ mod tests {
         }
         assert_eq!(live, replayed, "replay must emit the identical stream");
         assert_eq!(cur.return_value(), trace.return_value);
-    }
-
-    #[test]
-    fn fast_forward_then_step_matches_step_by_step() {
-        let ir = busy_program();
-        let rp = compile_program(&ir).unwrap();
-        let trace =
-            RiscTrace::capture(&rp, &ir, 1 << 20, 1_000_000, RiscTraceMeta::default()).unwrap();
-        let total = trace.header.dynamic_insts;
-        for skip in [0, 1, 2, 7, total / 2, total - 1, total, total + 5] {
-            let mut walked = trace.cursor(&rp);
-            let mut stepped = 0;
-            while stepped < skip && walked.next_event().unwrap().is_some() {
-                stepped += 1;
-            }
-            let mut jumped = trace.cursor(&rp);
-            assert_eq!(jumped.fast_forward(skip).unwrap(), stepped.min(total));
-            loop {
-                let a = walked.next_event().unwrap();
-                let b = jumped.next_event().unwrap();
-                assert_eq!(a, b, "divergence after skipping {skip}");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
     }
 
     #[test]
