@@ -578,10 +578,9 @@ pub struct Session {
     /// Requests that skipped the disk tier because the store's circuit
     /// breaker is open.
     degraded: Count,
-    /// Live-point tier switch: 0 = disabled, `threads + 1` otherwise
-    /// (so a stored 1 means "one worker per core", matching the pool's
-    /// `threads = 0` convention).
-    live_points: AtomicU64,
+    /// Live-point tier switch: the window-replay worker count when
+    /// enabled (0 = one per core, the pool's convention).
+    live_points: Mutex<Option<usize>>,
     store: OnceLock<TraceStore>,
 }
 
@@ -598,7 +597,7 @@ impl Default for Session {
             phases: Memo::new(TierStats::disk("phase_")),
             livepoints: Memo::new(TierStats::disk("livepoint_")),
             degraded: Count::new("session_degraded".to_string()),
-            live_points: AtomicU64::new(0),
+            live_points: Mutex::new(None),
             store: OnceLock::new(),
         }
     }
@@ -652,22 +651,26 @@ impl Session {
         self.store.get()
     }
 
-    /// Enables the live-point tier: phased replays whose plan skips work
-    /// capture (or load) persisted per-window checkpoints and replay each
-    /// measured window as its own job on `threads` pool workers (0 = one
-    /// per core). Off by default — sweeps opt in (`--live-points`).
-    pub fn set_live_points(&self, threads: usize) {
-        self.live_points
-            .store(threads as u64 + 1, Ordering::Relaxed);
+    /// Switches the live-point tier: with `Some(threads)`, phased replays
+    /// whose plan skips work capture (or load) persisted per-window
+    /// checkpoints and replay each measured window as its own job on
+    /// `threads` pool workers (0 = one per core); `None` turns it off.
+    /// Off by default — each sweep sets it from its spec
+    /// (`--live-points`).
+    pub fn set_live_points(&self, threads: Option<usize>) {
+        *self
+            .live_points
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = threads;
     }
 
     /// The live-point worker count, when the tier is enabled (0 = one
     /// per core).
     pub fn live_points(&self) -> Option<usize> {
-        match self.live_points.load(Ordering::Relaxed) {
-            0 => None,
-            v => Some((v - 1) as usize),
-        }
+        *self
+            .live_points
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The process-wide session used by the experiment harness, so separate
@@ -1448,7 +1451,7 @@ mod tests {
     #[test]
     fn live_point_tier_is_bit_identical_and_captures_once() {
         let s = Session::new();
-        s.set_live_points(2);
+        s.set_live_points(Some(2));
         let w = by_name("vadd").unwrap();
         let spec = PhaseSpec {
             interval: 8,
@@ -1537,7 +1540,7 @@ mod tests {
         for live_points in [false, true] {
             let s = Session::new();
             if live_points {
-                s.set_live_points(1);
+                s.set_live_points(Some(1));
             }
             let trips = s
                 .replayed(

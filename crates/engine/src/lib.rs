@@ -39,9 +39,11 @@
 //! of *different* workloads and configurations run concurrently. On top of
 //! that, each replay can be made **sublinear in trace length** by
 //! interval sampling ([`sample`], `SweepSpec::sample`, `trips-sweep
-//! --sample`): the timing cores fast-forward most of the stream with
-//! functional warming and extrapolate from stratified measurement
-//! windows, with full and sampled results memoized under distinct keys.
+//! --sample`) or phase classification (`SweepSpec::phase`, `--phase`):
+//! each plan becomes one list of measurement windows, the shared replay
+//! walker fast-forwards between them with functional warming, and one
+//! estimator extrapolates from what they measured, with full and sampled
+//! results memoized under distinct keys.
 //! With live-points enabled (`Session::set_live_points`, `trips-sweep
 //! --live-points`), the warmed machine state at each measured-window
 //! boundary is checkpointed into the store as a fourth container kind, so
@@ -66,11 +68,11 @@ pub mod store;
 pub mod sweep;
 
 /// Interval-sampling plans (re-exported from `trips-sample`, the shared
-/// home both timing cores consume them from): [`sample::SamplePlan`]
-/// schedules skip/warm/detail phases over a recorded stream,
-/// [`sample::ReplayMode`] threads the choice through every replay entry
-/// point, and [`sample::extrapolate_cycles`] turns a detailed window into
-/// a whole-run estimate.
+/// home both timing cores consume them from): [`sample::SamplePlan`] and
+/// [`sample::PhasePlan`] place warm/detail windows over a recorded
+/// stream, [`sample::ReplayMode`] threads the choice through every replay
+/// entry point, and [`sample::replay`] walks the windows and turns what
+/// they measured into a whole-run estimate.
 pub use trips_sample as sample;
 
 /// Phase classification (re-exported from `trips-phase`): BBV projection,

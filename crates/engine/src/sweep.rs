@@ -680,12 +680,11 @@ pub fn run_sweep(spec: &SweepSpec, session: &Session) -> Result<SweepReport, Eng
     ] {
         let _ = trips_obs::counter(series);
     }
-    if spec.live_points {
-        // Window jobs run on a nested pool inside each point's job; give
-        // them the sweep's own thread budget (the pool clamps to the
-        // window count, so small plans do not over-spawn).
-        session.set_live_points(spec.threads);
-    }
+    // Window jobs run on a nested pool inside each point's job; give them
+    // the sweep's own thread budget (the pool clamps to the window count,
+    // so small plans do not over-spawn). Every spec sets the switch, so a
+    // live-point sweep never leaks into a later plain one.
+    session.set_live_points(spec.live_points.then_some(spec.threads));
     let points = expand(spec)?;
     let n = points.len();
     let threads = effective_threads(spec.threads, n);
@@ -1072,6 +1071,41 @@ mod tests {
             .unwrap()
             .contains("extrapolate_ns,checkpoint_save_ns,checkpoint_restore_ns,queue_ns"));
         assert!(to_json_lines(&live.rows).contains("\"checkpoint_save_ns\""));
+    }
+
+    #[test]
+    fn live_point_switch_follows_every_sweep() {
+        let base = SweepSpec {
+            workloads: vec!["conv".into()],
+            scale: Scale::Ref,
+            configs: vec![ConfigVariant::prototype()],
+            backends: vec![BackendSpec::Trips],
+            phase: Some(PhaseK::Auto),
+            threads: 2,
+            live_points: true,
+            ..SweepSpec::default()
+        };
+        let session = Session::new();
+        let live = run_sweep(&base, &session).unwrap();
+        assert!(live.errors.is_empty(), "{:?}", live.errors);
+        assert_eq!(session.live_points(), Some(2));
+        let misses = session.cache_stats().livepoint_misses;
+        assert!(misses > 0, "the live sweep must use the tier");
+        // A later plain sweep on the same session, on a configuration the
+        // tier has not seen, must not take the live-point path.
+        let plain = run_sweep(
+            &SweepSpec {
+                configs: vec![ConfigVariant::improved()],
+                live_points: false,
+                ..base
+            },
+            &session,
+        )
+        .unwrap();
+        assert!(plain.errors.is_empty(), "{:?}", plain.errors);
+        assert!(plain.rows[0].phase_k > 0, "{:?}", plain.rows[0]);
+        assert_eq!(session.live_points(), None);
+        assert_eq!(session.cache_stats().livepoint_misses, misses);
     }
 
     #[test]

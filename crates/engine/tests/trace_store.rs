@@ -786,7 +786,7 @@ fn warm_store_serves_livepoints_to_a_fresh_session_without_rewarming() {
     let cfg = trips_sim::TripsConfig::prototype();
     let run = |dir: &Path| {
         let s = Session::with_store(TraceStore::open(dir).unwrap());
-        s.set_live_points(2);
+        s.set_live_points(Some(2));
         let plan = s
             .trips_phase_plan(&w, Scale::Test, &opts, false, MEM, BUDGET, &spec)
             .unwrap();
@@ -949,7 +949,7 @@ fn deep_validation_rejects_on_every_disk_tier() {
         &dir,
         &store.path_for(&lp_id),
         |s| {
-            s.set_live_points(2);
+            s.set_live_points(Some(2));
             let plan = s
                 .trips_phase_plan(&w, Scale::Test, &opts, false, MEM, BUDGET, &spec)
                 .unwrap();

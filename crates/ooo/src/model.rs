@@ -1113,6 +1113,30 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_phase_plans_are_rejected() {
+        let p = sum_program(3000);
+        let rp = compile_program(&p).unwrap();
+        let trace = trips_risc::RiscTrace::capture(
+            &rp,
+            &p,
+            1 << 20,
+            100_000_000,
+            trips_risc::RiscTraceMeta::default(),
+        )
+        .unwrap();
+        let mut plan = handmade_plan(trace.header.dynamic_insts);
+        plan.windows.reverse();
+        assert!(plan.validate().is_err());
+        let cfg = configs::core2();
+        let mode = ReplayMode::Phased(plan.clone());
+        assert!(matches!(
+            run_timed_trace_mode(&rp, &trace, &cfg, &mode),
+            Err(RiscError::Trace(_))
+        ));
+        assert!(run_ooo_phased_capture(&rp, &trace, &cfg, &plan).is_err());
+    }
+
+    #[test]
     fn trace_replay_is_bit_identical_to_direct_timing() {
         let p = sum_program(800);
         let rp = compile_program(&p).unwrap();

@@ -1,18 +1,20 @@
 //! The [`TimingCore`] trait and the replay drivers written once for every
-//! core that implements it: the cores supply the per-unit model and one
-//! stats finaliser; the drivers own the [`Schedule`], window metering,
-//! extrapolation, live-point capture and restore, window assembly, cost
-//! segments and `replay_events_total{core=…}` telemetry.
+//! core that implements it. The cores supply the per-unit model and one
+//! stats finaliser; the drivers own the rest. One walker drives a
+//! replay's window list (functional warming up to each window, then the
+//! per-window body), one per-window body meters every window — the
+//! walker's and a restored live-point's alike — and one estimator turns
+//! the measurements into a result, sequential or assembled. The drivers
+//! also own the cost segments and the `replay_events_total{core=…}`
+//! telemetry.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use trips_obs::cost::Timed;
 use trips_obs::{CostKind, SegmentTimer};
 
-use crate::{
-    phased_summary, record_measured, Phase, PhasePlan, PhaseWindow, ReplayMode, SampleSummary,
-    Schedule,
-};
+use crate::{Phase, PhasePlan, PhaseWindow, ReplayMode, SampleSummary, Span, Windows};
 
 /// A timing model over one recorded stream, positioned at a unit.
 ///
@@ -70,15 +72,17 @@ pub struct WindowMeasure<S> {
 }
 
 /// Replays the whole stream under `mode`: a plain detailed loop for full
-/// replay (and covering plans), the mode's [`Schedule`] otherwise.
+/// replay (and covering plans), a walk of the mode's window list
+/// otherwise.
 ///
 /// # Errors
-/// A phase plan fitted to another stream length, or a step failure.
+/// A phase plan that is malformed or fitted to another stream length, or
+/// a step failure.
 pub fn replay<C: TimingCore>(mut core: C, mode: &ReplayMode) -> Result<C::Output, C::Error> {
     let units = core.units();
-    let schedule = mode.schedule(units).map_err(C::reject)?;
+    let windows = mode.windows(units).map_err(C::reject)?;
     let start = Instant::now();
-    let summary = match schedule {
+    let summary = match windows {
         None => {
             let _timed = Timed::start(CostKind::Detailed);
             for _ in 0..units {
@@ -86,7 +90,7 @@ pub fn replay<C: TimingCore>(mut core: C, mode: &ReplayMode) -> Result<C::Output
             }
             None
         }
-        Some(schedule) => Some(drive(&mut core, schedule, |_, _| {})?),
+        Some(windows) => Some(walk(&mut core, &windows, |_| {})?),
     };
     record_replay::<C>(units, start);
     Ok(core.finish(summary.as_ref()))
@@ -96,34 +100,31 @@ pub fn replay<C: TimingCore>(mut core: C, mode: &ReplayMode) -> Result<C::Output
 /// machine at every window's `warm_start`, to seed [`replay_window`].
 ///
 /// # Errors
-/// A plan fitted to another stream, a plan that covers everything (no
-/// warmed prefix to checkpoint), or a step failure.
+/// A plan that covers everything (no warmed prefix to checkpoint), is
+/// malformed or was fitted to another stream, or a step failure.
 pub fn capture_phased<C: TimingCore>(
     mut core: C,
     plan: &PhasePlan,
 ) -> Result<(C::Output, Vec<C::Snapshot>), C::Error> {
-    let units = core.units();
-    let mode = ReplayMode::Phased(plan.clone());
-    let Some(schedule) = mode.schedule(units).map_err(C::reject)? else {
+    if plan.covers_everything() {
         return Err(C::reject(
             "phase plan covers everything: no warmed prefix to checkpoint".into(),
         ));
-    };
+    }
+    let units = core.units();
+    let windows = Windows::phased(plan, units).map_err(C::reject)?;
     let start = Instant::now();
     let mut snaps = Vec::with_capacity(plan.windows.len());
-    let mut boundaries = plan.windows.iter().map(|w| w.warm_start).peekable();
-    let summary = drive(&mut core, schedule, |core, unit| {
-        if boundaries.next_if_eq(&unit).is_some() {
-            let _timed = Timed::start(CostKind::CheckpointSave);
-            snaps.push(core.snapshot());
-        }
+    let summary = walk(&mut core, &windows, |core| {
+        let _timed = Timed::start(CostKind::CheckpointSave);
+        snaps.push(core.snapshot());
     })?;
     record_replay::<C>(units, start);
     Ok((core.finish(Some(&summary)), snaps))
 }
 
-/// Replays one plan window from its live-point: restore, run the timed
-/// warmup with its counters discarded, then measure the detailed span.
+/// Replays one plan window from its live-point: restore, then the
+/// walker's own per-window body.
 ///
 /// # Errors
 /// A window that breaks `warm_start ≤ detail_start < end ≤ units`, a
@@ -148,19 +149,11 @@ pub fn replay_window<C: TimingCore>(
         )));
     }
     let mut seg = SegmentTimer::new();
-    seg.switch(CostKind::Warm);
-    for _ in w.warm_start..w.detail_start {
-        core.step(Phase::TimedWarm)?;
-    }
-    let mark = core.clock();
-    seg.switch(CostKind::Detailed);
-    for _ in w.detail_start..w.end {
-        core.step(Phase::Detailed)?;
-    }
+    let cycles = measure(&mut core, &mut seg, &Span::from(w))?;
     seg.finish();
     trips_obs::counter(&series::<C>("replay_events_total")).inc(w.end - w.warm_start);
     Ok(WindowMeasure {
-        cycles: core.clock() - mark,
+        cycles,
         stats: core.window_stats(),
     })
 }
@@ -168,56 +161,90 @@ pub fn replay_window<C: TimingCore>(
 /// Assembles independently measured windows (one per plan window, in
 /// order) into the result a sequential phased replay produces: the fresh
 /// `core` absorbs every window's counters, and the estimate is the
-/// phased sampler's own math.
+/// walker's own estimator.
 ///
 /// # Errors
-/// A measurement count that does not match the plan, or a plan fitted to
-/// another stream.
+/// A measurement count that does not match the plan, or a plan that is
+/// malformed or fitted to another stream.
 pub fn assemble_windows<C: TimingCore>(
     mut core: C,
     plan: &PhasePlan,
     windows: &[WindowMeasure<C::Stats>],
 ) -> Result<C::Output, C::Error> {
-    if windows.len() != plan.windows.len() || plan.total_units != core.units() {
-        let (n, units) = (windows.len(), core.units());
-        return Err(C::reject(format!(
-            "{n} window measurements over {units} units for {plan}"
-        )));
+    let list = Windows::phased(plan, core.units()).map_err(C::reject)?;
+    if windows.len() != list.spans.len() {
+        let n = windows.len();
+        return Err(C::reject(format!("{n} window measurements for {plan}")));
     }
     let _timed = Timed::start(CostKind::Extrapolate);
-    let closed: Vec<(u64, u64, u64)> = windows
-        .iter()
-        .zip(&plan.windows)
-        .map(|(m, w)| (m.cycles, w.detailed_units(), w.weight_units))
-        .collect();
-    let summary = phased_summary(plan.total_units, &closed);
-    record_measured("phase", &summary);
+    let cycles: Vec<u64> = windows.iter().map(|m| m.cycles).collect();
+    let summary = list.estimate(&cycles);
     for m in windows {
         core.absorb(&m.stats);
     }
     Ok(core.finish(Some(&summary)))
 }
 
-/// Walks the whole stream through `schedule`, calling `before` ahead of
-/// each unit. Cost segments switch only on phase transitions.
-fn drive<C: TimingCore>(
+/// The one window walker: warms functionally up to each window's
+/// `warm_start`, calls `at_window` there (the live-point capture hook),
+/// meters the window with [`measure`], warms through the rest of the
+/// stream and estimates. Cost segments switch once per run of units.
+fn walk<C: TimingCore>(
     core: &mut C,
-    mut schedule: Schedule,
-    mut before: impl FnMut(&C, u64),
+    windows: &Windows,
+    mut at_window: impl FnMut(&C),
 ) -> Result<SampleSummary, C::Error> {
     let mut seg = SegmentTimer::new();
-    for unit in 0..core.units() {
-        before(core, unit);
-        let phase = schedule.advance(core.clock());
-        seg.switch(match phase {
-            Phase::Detailed => CostKind::Detailed,
-            Phase::Warm | Phase::TimedWarm => CostKind::Warm,
-        });
-        core.step(phase)?;
+    let mut cycles = Vec::with_capacity(windows.spans.len());
+    let mut pos = 0;
+    for (span, _) in &windows.spans {
+        run(core, &mut seg, Phase::Warm, pos..span.warm_start)?;
+        at_window(core);
+        cycles.push(measure(core, &mut seg, span)?);
+        pos = span.end;
     }
+    run(core, &mut seg, Phase::Warm, pos..windows.total)?;
     seg.finish();
     let _timed = Timed::start(CostKind::Extrapolate);
-    Ok(schedule.finish(core.clock()))
+    Ok(windows.estimate(&cycles))
+}
+
+/// The per-window body: from `span.warm_start`, the timed warmup with its
+/// counters discarded, then the detailed span metered on the core's
+/// clock. Returns the detailed span's cycles.
+fn measure<C: TimingCore>(
+    core: &mut C,
+    seg: &mut SegmentTimer,
+    span: &Span,
+) -> Result<u64, C::Error> {
+    let (warmup, detail) = (
+        span.warm_start..span.detail_start,
+        span.detail_start..span.end,
+    );
+    run(core, seg, Phase::TimedWarm, warmup)?;
+    let mark = core.clock();
+    run(core, seg, Phase::Detailed, detail)?;
+    Ok(core.clock() - mark)
+}
+
+/// Steps every unit of `units` in `phase`, attributed to its cost segment.
+fn run<C: TimingCore>(
+    core: &mut C,
+    seg: &mut SegmentTimer,
+    phase: Phase,
+    units: Range<u64>,
+) -> Result<(), C::Error> {
+    if units.is_empty() {
+        return Ok(());
+    }
+    seg.switch(match phase {
+        Phase::Detailed => CostKind::Detailed,
+        Phase::Warm | Phase::TimedWarm => CostKind::Warm,
+    });
+    for _ in units {
+        core.step(phase)?;
+    }
+    Ok(())
 }
 
 /// The registry series `name{core="<label>"}` of core `C`.
@@ -238,105 +265,11 @@ fn record_replay<C: TimingCore>(units: u64, start: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A synthetic core: unit `u` costs `cost(u)` cycles when timed, and
-    /// the machine state is just the clock.
-    struct Toy {
-        units: u64,
-        pos: u64,
-        clock: u64,
-        timed: u64,
-    }
-
-    fn cost(u: u64) -> u64 {
-        if u.is_multiple_of(3) {
-            12
-        } else {
-            5
-        }
-    }
-
-    impl Toy {
-        fn new(units: u64) -> Toy {
-            Toy {
-                units,
-                pos: 0,
-                clock: 0,
-                timed: 0,
-            }
-        }
-    }
-
-    impl TimingCore for Toy {
-        type Snapshot = (u64, u64);
-        type Stats = u64;
-        type Output = (u64, Option<SampleSummary>);
-        type Error = String;
-        const LABEL: &'static str = "toy";
-
-        fn units(&self) -> u64 {
-            self.units
-        }
-        fn clock(&self) -> u64 {
-            self.clock
-        }
-        fn step(&mut self, phase: Phase) -> Result<(), String> {
-            if self.pos == self.units {
-                return Err("past the end".into());
-            }
-            if phase != Phase::Warm {
-                self.clock += cost(self.pos);
-            }
-            if phase == Phase::Detailed {
-                self.timed += 1;
-            }
-            self.pos += 1;
-            Ok(())
-        }
-        fn snapshot(&self) -> (u64, u64) {
-            (self.pos, self.clock)
-        }
-        fn restore(&mut self, snap: &(u64, u64)) -> Result<u64, String> {
-            (self.pos, self.clock) = *snap;
-            Ok(self.pos)
-        }
-        fn window_stats(self) -> u64 {
-            self.timed
-        }
-        fn absorb(&mut self, window: &u64) {
-            self.timed += window;
-        }
-        fn finish(self, summary: Option<&SampleSummary>) -> (u64, Option<SampleSummary>) {
-            (self.timed, summary.copied())
-        }
-        fn reject(why: String) -> String {
-            why
-        }
-    }
-
-    fn plan() -> PhasePlan {
-        let window = |warm_start, detail_start, end, weight_units| PhaseWindow {
-            warm_start,
-            detail_start,
-            end,
-            weight_units,
-        };
-        PhasePlan {
-            interval: 8,
-            total_units: 40,
-            k: 1,
-            windows: vec![
-                window(0, 0, 8, 8),
-                window(14, 16, 24, 24),
-                window(30, 32, 40, 8),
-            ],
-            assignments: vec![1, 0, 0, 0, 2],
-        }
-    }
+    use crate::tests::{tiny_phase_plan, Toy};
 
     #[test]
     fn capture_and_restored_windows_match_the_sequential_replay() {
-        let plan = plan();
+        let plan = tiny_phase_plan();
         let sequential = replay(Toy::new(40), &ReplayMode::Phased(plan.clone())).unwrap();
         let (captured, snaps) = capture_phased(Toy::new(40), &plan).unwrap();
         assert_eq!(captured, sequential);

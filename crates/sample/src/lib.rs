@@ -5,52 +5,62 @@
 //!
 //! Trace replay decouples functional execution from timing, but a full
 //! replay still *times every recorded event*, so a sweep point stays O(trace
-//! length). A [`SamplePlan`] makes a point sublinear: the recorded stream is
-//! cut into fixed-size periods, and within each period the timing core
+//! length). A sampled replay is sublinear: it measures a few **windows** of
+//! the recorded stream and extrapolates. Every window has the same shape —
 //!
-//! 1. **fast-forwards** the leading units with *functional warming* —
+//! 1. the units before it are **fast-forwarded** with *functional warming* —
 //!    caches, predictors and dependence tables observe every unit, but the
 //!    pipeline model never runs and no cycles are accounted;
-//! 2. runs the next `warmup_units` through the **detailed model with the
-//!    counters discarded** (timed warmup) — this refills the in-flight
-//!    state functional warming cannot express (outstanding misses, queue
+//! 2. its first units run through the **detailed model with the counters
+//!    discarded** (timed warmup) — this refills the in-flight state
+//!    functional warming cannot express (outstanding misses, queue
 //!    backpressure, in-order retirement horizons), which otherwise makes
-//!    every measurement window start on an implausibly idle machine; and
-//! 3. **measures** the final `detailed_units` in full detail.
+//!    every measurement start on an implausibly idle machine; and
+//! 3. the rest of it is **measured** in full detail.
 //!
-//! Putting the measured window at the *end* of the period means
-//! measurement always follows both kinds of warming, so long-lived state
-//! (cache tags, predictor tables) *and* short-lived state (pipeline
-//! occupancy) are representative when counting starts.
+//! Both plan kinds below become one crate-private *window list* per
+//! replay: sorted, disjoint `[warm_start, detail_start, end)` windows, each
+//! tagged with an *estimate group* that stands for a fixed number of
+//! stream units (see the last section for who walks it).
 //!
-//! Two exceptions to the periodic schedule, both handled by the
-//! [`Sampler`] driver: the **first two periods** and the **final two
-//! periods** are measured in full. Program startup is a transient —
-//! compulsory cache misses, untrained predictors, dependence tables still
-//! learning — and teardown phases (reductions, result stores) are
-//! another; a periodic schedule whose windows all sit in period interiors
-//! would observe neither, biasing every estimate fast. Measuring the
-//! boundary strata exactly turns each transient into its own stratum.
+//! ## Systematic plans
 //!
-//! Whole-run cycles are then estimated stratified ([`Sampler::finish`]):
-//! the boundary periods contribute their cycles at weight one, and the
-//! middle windows are pooled — `est = first + mid_cycles × mid_extent /
-//! mid_units + last`. With one window per mini-period the pooled rate is
-//! an unbiased average over every mini-period, and pooling keeps single
-//! outlier windows (one DRAM burst in a short window) from being scaled
-//! up on their own.
+//! A [`SamplePlan`] `warmup,detailed,period` is tiled over the stream once:
+//!
+//! * the **first two periods** and the **final two periods** are each one
+//!   fully measured window whose group weight is its own length. Program
+//!   startup is a transient — compulsory cache misses, untrained
+//!   predictors, dependence tables still learning — and teardown phases
+//!   (reductions, result stores) are another; a periodic schedule whose
+//!   windows all sit in period interiors would observe neither, biasing
+//!   every estimate fast. Measuring the boundary strata exactly turns
+//!   each transient into its own stratum;
+//! * the middle is tiled with **variable-length mini-periods** (between
+//!   `period/2` and `3·period/2` units, drawn from a deterministic
+//!   golden-ratio sequence), each carrying one
+//!   `[timed-warm × w][measure × d]` window at an offset drawn the same
+//!   way. Fixed-length periods at a fixed offset *resonate* with loop
+//!   structure — a window that always lands on the same slice of an
+//!   iteration pattern samples that slice, not the program — while the
+//!   low-discrepancy draws spread placements evenly and remain pure
+//!   functions of position, so replays stay exactly reproducible. The mid
+//!   windows pool into one group weighted by the middle's extent, so the
+//!   pooled rate is an average over every mini-period and a single
+//!   outlier window (one DRAM burst) is not scaled up on its own;
+//! * a middle too short to host a window leaves the boundary windows in
+//!   one group weighted by the whole stream, and a stream too short to
+//!   have a middle is one fully measured window — estimated exactly.
 //!
 //! The *unit* is whatever the consuming timing core iterates over: TRIPS
 //! block-trace replay samples over dynamic blocks (`TraceLog::seq`
 //! entries), the out-of-order reference models over dynamic instructions
-//! (`RiscTrace` events). The plan itself is agnostic — the [`Sampler`]
-//! turns it into a deterministic schedule over any stream.
+//! (`RiscTrace` events). The plans themselves are agnostic.
 //!
 //! [`ReplayMode`] is the knob threaded through the replay entry points:
 //! `Full` is the bit-exact everything-timed path, `Sampled(plan)` the
 //! interval-sampled one, and `Phased(plan)` the phase-classified one. A
-//! plan whose detailed window covers the whole period
-//! ([`SamplePlan::covers_everything`]) normalizes to `Full`, so "sample
+//! plan that measures every unit ([`SamplePlan::covers_everything`],
+//! [`PhasePlan::covers_everything`]) normalizes to `Full`, so "sample
 //! everything" is *bit-identical* to full replay by construction.
 //!
 //! ## Phase-classified plans
@@ -63,19 +73,21 @@
 //! **one representative interval per cluster** — extrapolating each
 //! cluster's cycles by its population weight. Phase-repetitive streams
 //! need far fewer detailed units this way: each phase is timed once and
-//! weighted, instead of being re-measured every period. The
-//! [`PhasedSampler`] realizes a fitted plan over a replay; [`Schedule`]
-//! unifies the two drivers so the timing cores carry one sampled path.
+//! weighted, instead of being re-measured every period. Its window list
+//! is the plan's own windows, one group each, weighted by `weight_units`;
+//! a plan that fails [`PhasePlan::validate`] or was fitted to another
+//! stream length is rejected rather than replayed.
 //!
 //! ## One set of replay drivers for every timing core
 //!
 //! The TRIPS block-trace core (`trips-sim`) and the out-of-order cores
 //! (`trips-ooo`) implement [`TimingCore`] over their recorded-stream
-//! cursors. The drivers — [`replay`], [`capture_phased`],
-//! [`replay_window`] and [`assemble_windows`] — are written once against
-//! it and own the schedule, the window metering, the extrapolation, the
-//! live-point capture and restore, the per-row cost segments and the
-//! `replay_events_total{core=…}` telemetry of both cores.
+//! cursors, and the drivers are written once against it. One walker
+//! ([`replay`], [`capture_phased`]) drives the window list, one per-window
+//! body meters every window (also a restored live-point's, in
+//! [`replay_window`]), and one estimator turns the measurements into a
+//! result (also [`assemble_windows`]'s): `est = Σ_g cycles_g × weight_g /
+//! units_g`. "Restore ≡ sequential" therefore holds by construction.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -90,7 +102,7 @@ pub use driver::{
 /// (Weyl) sequence. Deterministic like a hash, but consecutive periods'
 /// offsets spread evenly across the range instead of clumping, so even a
 /// stream with only a handful of periods gets well-stratified window
-/// placements ([`Sampler::advance`]).
+/// placements ([`Windows::sampled`]).
 fn weyl_offset(k: u64, slack: u64) -> u64 {
     // k · φ⁻¹ in 0.64 fixed point, scaled to 0..=slack. `slack + 1`
     // cannot overflow: slack < period ≤ MAX_PERIOD.
@@ -98,7 +110,7 @@ fn weyl_offset(k: u64, slack: u64) -> u64 {
     ((u128::from(frac) * u128::from(slack + 1)) >> 64) as u64
 }
 
-/// What a sampled replay does with one stream unit (see [`Sampler::advance`]).
+/// What a replay does with one stream unit ([`TimingCore::step`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Fast-forward with functional warming: caches/predictors observe the
@@ -116,9 +128,9 @@ pub enum Phase {
 /// Nominally, every period of `period` units carries one window of
 /// `warmup_units` timed (counter-discarded) pipeline warmup followed by
 /// `detailed_units` of measurement; everything else is fast-forwarded
-/// with functional warming. The [`Sampler`] realizes the plan with
-/// variable-length mini-periods and jittered window placement (resonance
-/// control), keeping the same average rates. Invariants (enforced by
+/// with functional warming. A replay tiles the plan with variable-length
+/// mini-periods and jittered window placement (resonance control),
+/// keeping the same average rates. Invariants (enforced by
 /// [`SamplePlan::new`]): `detailed_units ≥ 1`, `period ≥ 1`,
 /// `warmup_units + detailed_units ≤ period`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -244,8 +256,8 @@ impl PhaseWindow {
 ///
 /// The stream is cut into `interval`-unit intervals; the first and last
 /// intervals are always measured in full at weight one (startup and
-/// teardown transients, mirroring the systematic [`Sampler`]'s boundary
-/// strata), and each interior cluster contributes one representative
+/// teardown transients, mirroring a [`SamplePlan`]'s boundary strata),
+/// and each interior cluster contributes one representative
 /// window weighted by its population. Unlike a [`SamplePlan`], a
 /// `PhasePlan` is specific to the stream it was fitted to
 /// ([`PhasePlan::total_units`]); replaying it against a different-length
@@ -382,412 +394,304 @@ impl ReplayMode {
         }
     }
 
-    /// The schedule driver this mode implies for a stream of
-    /// `total_units`: `None` for the bit-exact full path (including
-    /// covering plans of either kind), a [`Schedule`] otherwise.
+    /// The window list this mode implies for a stream of `total_units`:
+    /// `None` for the bit-exact full path (including covering plans of
+    /// either kind).
     ///
     /// # Errors
-    /// A phased plan fitted to a different stream length — replaying it
-    /// elsewhere would silently misweight every cluster, so it is
-    /// rejected instead.
-    pub fn schedule(&self, total_units: u64) -> Result<Option<Schedule>, String> {
+    /// A phase plan that fails [`PhasePlan::validate`] or was fitted to
+    /// another stream length: replaying it would silently misweight its
+    /// clusters, so it is rejected instead.
+    pub(crate) fn windows(&self, total_units: u64) -> Result<Option<Windows>, String> {
         if let Some(plan) = self.plan() {
-            return Ok(Some(Schedule::Sampled(Sampler::new(*plan, total_units))));
+            return Ok(Some(Windows::sampled(plan, total_units)));
         }
-        if let Some(plan) = self.phase() {
-            if plan.total_units != total_units {
-                return Err(format!(
-                    "phase plan was fitted to a {}-unit stream, replaying {} units",
-                    plan.total_units, total_units
-                ));
-            }
-            return Ok(Some(Schedule::Phased(PhasedSampler::new(plan.clone()))));
-        }
-        Ok(None)
+        self.phase()
+            .map(|plan| Windows::phased(plan, total_units))
+            .transpose()
     }
 }
 
-/// Extrapolates detailed-window cycles over the whole stream:
-/// `detailed_cycles × total_units / detailed_units`, in 128-bit
-/// intermediate precision. Degenerate inputs (nothing measured, or the
-/// whole stream measured) return `detailed_cycles` unchanged.
-#[must_use]
-pub fn extrapolate_cycles(detailed_cycles: u64, total_units: u64, detailed_units: u64) -> u64 {
-    if detailed_units == 0 || total_units <= detailed_units {
-        return detailed_cycles;
-    }
-    let est = u128::from(detailed_cycles) * u128::from(total_units) / u128::from(detailed_units);
-    u64::try_from(est).unwrap_or(u64::MAX)
-}
-
-/// Which stratum a measured unit belongs to (see [`Sampler`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stratum {
-    /// The fully measured startup stratum (leading periods).
-    First,
-    /// Steady-state measurement windows in the middle of the stream.
-    Mid,
-    /// The fully measured final period (teardown transient).
-    Last,
-}
-
-/// What one sampled replay measured (see [`Sampler::finish`]).
+/// What one sampled or phased replay measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleSummary {
     /// Stream units walked.
     pub total_units: u64,
-    /// Units measured in detail (all strata).
+    /// Units measured in detail (all windows).
     pub measured_units: u64,
-    /// Cycles those measured units took (all strata).
+    /// Cycles those measured units took (all windows).
     pub measured_cycles: u64,
-    /// The stratified whole-run cycle estimate: boundary periods at weight
-    /// one, steady-state windows extrapolated over the middle.
+    /// The whole-run cycle estimate: each estimate group's measured rate
+    /// scaled over the stream units it stands for.
     pub est_cycles: u64,
 }
 
-/// The per-replay schedule driver of a [`SamplePlan`]: a timing core walks
-/// its recorded stream, asks [`Sampler::advance`] what to do with each
-/// unit, and reports its monotonic clock (commit or retirement time) as
-/// it goes.
-///
-/// The sampler owns the whole schedule:
-///
-/// * the first two periods and the final two periods are measured in
-///   full — the startup and teardown transient strata;
-/// * the middle is tiled with **variable-length mini-periods** (between
-///   `period/2` and `3·period/2` units, drawn from a deterministic
-///   golden-ratio sequence), each carrying one
-///   `[timed-warm × w][measure × d]` window at an offset drawn the same
-///   way. Fixed-length periods at a fixed in-window offset *resonate*
-///   with loop structure — a window that always lands on the same slice
-///   of an iteration pattern samples that slice, not the program — while
-///   the low-discrepancy draws spread placements evenly and remain pure
-///   functions of position, so replays stay exactly reproducible.
-///
-/// [`Sampler::finish`] folds the bookkeeping into the stratified
-/// whole-run estimate. Centralizing all of this here keeps the two timing
-/// cores' sampled paths structurally identical.
-#[derive(Debug, Clone)]
-pub struct Sampler {
-    plan: SamplePlan,
-    total: u64,
-    /// First unit past the startup stratum.
-    head_end: u64,
-    /// First unit of the teardown stratum.
-    tail_start: u64,
-    pos: u64,
-    window_mark: Option<u64>,
-    window_units: u64,
-    window_stratum: Stratum,
-    strata: [(u64, u64); 3], // (cycles, units) per Stratum
-    /// End of the current mid-region mini-period.
-    mini_end: u64,
-    /// Timed-warm start of the current mini-period's window (`u64::MAX`
-    /// when no window fits).
-    mini_win: u64,
-    /// Mini-periods begun (the low-discrepancy draw index).
-    minis: u64,
+/// One measurement window: timed warmup over `[warm_start, detail_start)`
+/// with its counters discarded, then metered detail over
+/// `[detail_start, end)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub(crate) warm_start: u64,
+    pub(crate) detail_start: u64,
+    pub(crate) end: u64,
 }
 
-impl Sampler {
-    /// A sampler for one replay of a stream of `total_units` units. The
-    /// boundary strata span two nominal periods each; a stream too short
-    /// to leave a middle between them is simply measured in full (and
-    /// therefore estimated exactly).
-    #[must_use]
-    pub fn new(plan: SamplePlan, total_units: u64) -> Sampler {
-        let bound = 2 * plan.period;
-        let (head_end, tail_start) = if total_units > 2 * bound {
-            (bound, total_units - bound)
-        } else {
-            (total_units, total_units)
-        };
-        Sampler {
-            plan,
-            total: total_units,
-            head_end,
-            tail_start,
-            pos: 0,
-            window_mark: None,
-            window_units: 0,
-            window_stratum: Stratum::First,
-            strata: [(0, 0); 3],
-            mini_end: 0,
-            mini_win: u64::MAX,
-            minis: 0,
+impl Span {
+    /// A window measured in full over `[start, end)`.
+    fn detailed(start: u64, end: u64) -> Span {
+        Span {
+            warm_start: start,
+            detail_start: start,
+            end,
         }
     }
+}
 
-    fn stratum_of(&self, unit: u64) -> Stratum {
-        if unit < self.head_end {
-            Stratum::First
-        } else if unit >= self.tail_start {
-            Stratum::Last
-        } else {
-            Stratum::Mid
+impl From<&PhaseWindow> for Span {
+    fn from(w: &PhaseWindow) -> Span {
+        Span {
+            warm_start: w.warm_start,
+            detail_start: w.detail_start,
+            end: w.end,
         }
     }
+}
 
-    fn close_window(&mut self, clock: u64) {
-        if let Some(mark) = self.window_mark.take() {
-            let bucket = &mut self.strata[self.window_stratum as usize];
-            bucket.0 += clock - mark;
-            bucket.1 += self.window_units;
-            self.window_units = 0;
-        }
-    }
+/// A replay's window list: sorted, disjoint windows inside `[0, total)`,
+/// each tagged with the estimate group its measurement is pooled into.
+/// The group weights sum to `total`, and every group stands for at least
+/// the units it measures.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Windows {
+    /// The `kind` label of the `sample_*_units_total` series: `interval`
+    /// or `phase`.
+    pub(crate) kind: &'static str,
+    /// Stream units.
+    pub(crate) total: u64,
+    /// The windows in stream order, each with its group index.
+    pub(crate) spans: Vec<(Span, usize)>,
+    /// Stream units each group's pooled rate stands for.
+    pub(crate) weights: Vec<u64>,
+}
 
-    /// Starts the mini-period beginning at `unit`: draws its length and
-    /// its window placement from the golden-ratio sequence.
-    fn begin_mini(&mut self, unit: u64) {
-        self.minis += 1;
-        let p = self.plan.period;
-        let timed = self.plan.warmup_units + self.plan.detailed_units;
-        let len = (p / 2 + weyl_offset(self.minis * 2, p)).max(timed);
-        self.mini_end = (unit + len).min(self.tail_start);
-        let span = self.mini_end - unit;
-        self.mini_win = if span >= timed {
-            unit + weyl_offset(self.minis * 2 + 1, span - timed)
-        } else {
-            // The sliver before the tail stratum is too small to host a
-            // window; it is covered by the pooled mid extrapolation.
-            u64::MAX
-        };
-    }
-
-    /// The phase of the next stream unit. `clock` is the replay's current
-    /// monotonic cycle count (commit/retirement time); the sampler uses it
-    /// to meter measurement windows.
-    pub fn advance(&mut self, clock: u64) -> Phase {
-        let unit = self.pos;
-        self.pos += 1;
-        let stratum = self.stratum_of(unit);
-        let phase = if stratum == Stratum::Mid {
-            if unit >= self.mini_end {
-                self.begin_mini(unit);
+impl Windows {
+    /// Tiles `plan` over a stream of `total` units (see the crate docs):
+    /// a fully measured head and tail stratum of two periods each, and one
+    /// jittered window per golden-ratio mini-period between them, pooled
+    /// into one group over the middle.
+    pub(crate) fn sampled(plan: &SamplePlan, total: u64) -> Windows {
+        let (w, d, p) = (plan.warmup_units, plan.detailed_units, plan.period);
+        let bound = 2 * p;
+        let mut spans = Vec::new();
+        let mut weights = vec![total];
+        if total > 2 * bound {
+            let (head_end, tail_start) = (bound, total - bound);
+            spans.push((Span::detailed(0, head_end), 0));
+            let timed = w + d;
+            let (mut at, mut k) = (head_end, 0);
+            while at < tail_start {
+                k += 1;
+                let len = (p / 2 + weyl_offset(k * 2, p)).max(timed);
+                let end = (at + len).min(tail_start);
+                // The sliver before the tail stratum may be too small to
+                // host a window; the pooled mid rate covers it.
+                if end - at >= timed {
+                    let s = at + weyl_offset(k * 2 + 1, end - at - timed);
+                    let span = Span {
+                        warm_start: s,
+                        detail_start: s + w,
+                        end: s + timed,
+                    };
+                    spans.push((span, 1));
+                }
+                at = end;
             }
-            let w = self.plan.warmup_units;
-            let d = self.plan.detailed_units;
-            if unit < self.mini_win || unit >= self.mini_win + w + d {
-                Phase::Warm
-            } else if unit < self.mini_win + w {
-                Phase::TimedWarm
+            spans.push((Span::detailed(tail_start, total), 2));
+            if spans.len() > 2 {
+                weights = vec![head_end, tail_start - head_end, bound];
             } else {
-                Phase::Detailed
+                // No window fits the middle: the boundary rate stands for
+                // the whole stream.
+                spans[1].1 = 0;
             }
-        } else {
-            Phase::Detailed
-        };
-        if phase == Phase::Detailed {
-            // Windows never span strata: a boundary period abutting a
-            // steady window closes one bucket and opens the next.
-            if self.window_mark.is_some() && self.window_stratum != stratum {
-                self.close_window(clock);
-            }
-            if self.window_mark.is_none() {
-                self.window_mark = Some(clock);
-                self.window_stratum = stratum;
-            }
-            self.window_units += 1;
-        } else {
-            self.close_window(clock);
+        } else if total > 0 {
+            // No middle at all: the stream is measured in full.
+            spans.push((Span::detailed(0, total), 0));
         }
-        phase
+        Windows {
+            kind: "interval",
+            total,
+            spans,
+            weights,
+        }
     }
 
-    /// Closes the final window at `clock` and produces the stratified
-    /// estimate: the boundary periods (startup and teardown transients)
-    /// count their measured cycles exactly, and the pooled steady-state
-    /// windows are extrapolated over the middle of the stream. A stream
-    /// with no measurable middle is therefore estimated *exactly*.
-    #[must_use]
-    pub fn finish(mut self, clock: u64) -> SampleSummary {
-        self.close_window(clock);
-        let [first, mid, last] = self.strata;
-        let measured_units = first.1 + mid.1 + last.1;
-        let measured_cycles = first.0 + mid.0 + last.0;
-        let mid_extent = self.tail_start.saturating_sub(self.head_end);
-        let est_cycles = if mid.1 > 0 {
-            first
-                .0
-                .saturating_add(extrapolate_cycles(mid.0, mid_extent, mid.1))
-                .saturating_add(last.0)
-        } else if measured_units >= self.total {
-            measured_cycles
-        } else {
-            // Nothing sampled in the middle (stream barely longer than two
-            // periods): scale the boundary rate over the gap.
-            extrapolate_cycles(measured_cycles, self.total, measured_units)
-        };
-        SampleSummary {
+    /// The window list of a fitted `plan` over a stream of `total` units:
+    /// the plan's own windows, one group each, weighted by `weight_units`.
+    ///
+    /// # Errors
+    /// A plan fitted to another stream length, or one that fails
+    /// [`PhasePlan::validate`].
+    pub(crate) fn phased(plan: &PhasePlan, total: u64) -> Result<Windows, String> {
+        if plan.total_units != total {
+            return Err(format!(
+                "phase plan was fitted to a {}-unit stream, replaying {total} units",
+                plan.total_units
+            ));
+        }
+        plan.validate()
+            .map_err(|why| format!("malformed phase plan: {why}"))?;
+        Ok(Windows {
+            kind: "phase",
+            total,
+            spans: plan.windows.iter().map(Span::from).zip(0..).collect(),
+            weights: plan.windows.iter().map(|w| w.weight_units).collect(),
+        })
+    }
+
+    /// The one estimator, over the cycles each window measured (in window
+    /// order): every group's pooled rate is scaled over the units it stands
+    /// for, `est = Σ_g cycles_g × weight_g / units_g` in 128-bit precision,
+    /// and never falls below the measured cycles. A group that measured
+    /// nothing keeps its weight out of the estimate. Records the
+    /// `sample_*_units_total{kind=…}` series: one registry touch per
+    /// replay.
+    pub(crate) fn estimate(&self, cycles: &[u64]) -> SampleSummary {
+        let mut groups = vec![(0u64, 0u64); self.weights.len()];
+        for ((span, g), c) in self.spans.iter().zip(cycles) {
+            groups[*g].0 += c;
+            groups[*g].1 += span.end - span.detail_start;
+        }
+        let mut est = 0u128;
+        for (&(c, units), &weight) in groups.iter().zip(&self.weights) {
+            if units > 0 {
+                est += u128::from(c) * u128::from(weight) / u128::from(units);
+            }
+        }
+        let measured_cycles = groups.iter().map(|g| g.0).sum();
+        let summary = SampleSummary {
             total_units: self.total,
-            measured_units,
+            measured_units: groups.iter().map(|g| g.1).sum(),
             measured_cycles,
-            est_cycles,
-        }
-    }
-}
-
-/// The per-replay schedule driver of a [`PhasePlan`]: the phased
-/// counterpart of [`Sampler`], consumed through the same
-/// [`Schedule::advance`]/[`Schedule::finish`] surface.
-///
-/// Units outside every window fast-forward with functional warming; a
-/// window's warmup prefix runs the detailed model with discarded counters
-/// (exactly like the systematic sampler's timed warmup); the measured
-/// span is metered on the replay's monotonic clock. [`PhasedSampler::finish`]
-/// extrapolates each window's measured cycles over its cluster's
-/// population: `est = Σ window_cycles × weight_units / window_units`.
-/// Boundary windows have `weight == units`, so the startup and teardown
-/// transients contribute exactly.
-#[derive(Debug, Clone)]
-pub struct PhasedSampler {
-    plan: PhasePlan,
-    pos: u64,
-    /// Index of the first window not yet past.
-    widx: usize,
-    window_mark: Option<u64>,
-    window_units: u64,
-    /// Closed windows: (cycles, measured units, weight units).
-    closed: Vec<(u64, u64, u64)>,
-}
-
-impl PhasedSampler {
-    /// A sampler realizing `plan` over one replay of its stream.
-    #[must_use]
-    pub fn new(plan: PhasePlan) -> PhasedSampler {
-        let n = plan.windows.len();
-        PhasedSampler {
-            plan,
-            pos: 0,
-            widx: 0,
-            window_mark: None,
-            window_units: 0,
-            closed: Vec::with_capacity(n),
-        }
-    }
-
-    fn close_window(&mut self, clock: u64, weight: u64) {
-        if let Some(mark) = self.window_mark.take() {
-            self.closed.push((clock - mark, self.window_units, weight));
-            self.window_units = 0;
-        }
-    }
-
-    /// The phase of the next stream unit; `clock` is the replay's current
-    /// monotonic cycle count.
-    pub fn advance(&mut self, clock: u64) -> Phase {
-        let unit = self.pos;
-        self.pos += 1;
-        // Step past windows that ended before this unit, closing the
-        // accounting of whichever one was open.
-        while let Some(w) = self.plan.windows.get(self.widx) {
-            if unit < w.end {
-                break;
-            }
-            let weight = w.weight_units;
-            self.close_window(clock, weight);
-            self.widx += 1;
-        }
-        let Some(w) = self.plan.windows.get(self.widx) else {
-            return Phase::Warm;
+            est_cycles: u64::try_from(est).unwrap_or(u64::MAX).max(measured_cycles),
         };
-        if unit < w.warm_start {
-            Phase::Warm
-        } else if unit < w.detail_start {
-            Phase::TimedWarm
-        } else {
-            if self.window_mark.is_none() {
-                self.window_mark = Some(clock);
-            }
-            self.window_units += 1;
-            Phase::Detailed
-        }
-    }
-
-    /// Closes the final window at `clock` and produces the
-    /// population-weighted whole-run estimate.
-    #[must_use]
-    pub fn finish(mut self, clock: u64) -> SampleSummary {
-        if let Some(w) = self.plan.windows.get(self.widx) {
-            let weight = w.weight_units;
-            self.close_window(clock, weight);
-        }
-        phased_summary(self.plan.total_units, &self.closed)
-    }
-}
-
-/// The [`PhasedSampler::finish`] math over explicit per-window
-/// measurements: extrapolate each `(cycles, measured units, weight units)`
-/// triple by its population and sum, in window order. Shared with the
-/// live-point assembly ([`assemble_windows`]), so the two paths cannot
-/// drift; a window that measured nothing keeps its weight out of the
-/// estimate instead of dividing by zero.
-pub(crate) fn phased_summary(total_units: u64, closed: &[(u64, u64, u64)]) -> SampleSummary {
-    let mut measured_units = 0u64;
-    let mut measured_cycles = 0u64;
-    let mut est: u128 = 0;
-    for &(cycles, units, weight) in closed {
-        measured_units += units;
-        measured_cycles += cycles;
-        if units > 0 {
-            est += u128::from(cycles) * u128::from(weight) / u128::from(units);
-        }
-    }
-    SampleSummary {
-        total_units,
-        measured_units,
-        measured_cycles,
-        est_cycles: u64::try_from(est).unwrap_or(u64::MAX).max(measured_cycles),
-    }
-}
-
-/// One registry touch per replay: how much of each stream the sampling
-/// schedules of `kind` (`interval` or `phase`) actually measured.
-pub(crate) fn record_measured(kind: &str, summary: &SampleSummary) {
-    trips_obs::counter(&format!("sample_measured_units_total{{kind=\"{kind}\"}}"))
-        .inc(summary.measured_units);
-    trips_obs::counter(&format!("sample_stream_units_total{{kind=\"{kind}\"}}"))
-        .inc(summary.total_units);
-}
-
-/// The unified schedule driver behind a sampled [`ReplayMode`]: the
-/// replay drivers walk a [`TimingCore`]'s stream, call
-/// [`Schedule::advance`] per unit and [`Schedule::finish`] at the end,
-/// without caring whether the windows are systematic ([`Sampler`]) or
-/// phase-classified ([`PhasedSampler`]).
-#[derive(Debug, Clone)]
-pub enum Schedule {
-    /// Systematic interval sampling.
-    Sampled(Sampler),
-    /// Phase-classified sampling.
-    Phased(PhasedSampler),
-}
-
-impl Schedule {
-    /// The phase of the next stream unit (see [`Sampler::advance`]).
-    pub fn advance(&mut self, clock: u64) -> Phase {
-        match self {
-            Schedule::Sampled(s) => s.advance(clock),
-            Schedule::Phased(p) => p.advance(clock),
-        }
-    }
-
-    /// Closes the schedule and produces the whole-run estimate.
-    #[must_use]
-    pub fn finish(self, clock: u64) -> SampleSummary {
-        let (kind, summary) = match self {
-            Schedule::Sampled(s) => ("interval", s.finish(clock)),
-            Schedule::Phased(p) => ("phase", p.finish(clock)),
-        };
-        record_measured(kind, &summary);
+        let kind = self.kind;
+        trips_obs::counter(&format!("sample_measured_units_total{{kind=\"{kind}\"}}"))
+            .inc(summary.measured_units);
+        trips_obs::counter(&format!("sample_stream_units_total{{kind=\"{kind}\"}}"))
+            .inc(summary.total_units);
         summary
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A synthetic core: unit `u` costs `cost(u)` cycles when timed, and
+    /// the machine state is its position and clock.
+    pub(crate) struct Toy {
+        units: u64,
+        pos: u64,
+        clock: u64,
+        timed: u64,
+        cost: fn(u64) -> u64,
+    }
+
+    /// The default phase-dependent cost: every third unit is expensive.
+    fn cost(u: u64) -> u64 {
+        if u.is_multiple_of(3) {
+            12
+        } else {
+            5
+        }
+    }
+
+    impl Toy {
+        pub(crate) fn new(units: u64) -> Toy {
+            Toy::with_cost(units, cost)
+        }
+
+        pub(crate) fn with_cost(units: u64, cost: fn(u64) -> u64) -> Toy {
+            Toy {
+                units,
+                pos: 0,
+                clock: 0,
+                timed: 0,
+                cost,
+            }
+        }
+    }
+
+    impl TimingCore for Toy {
+        type Snapshot = (u64, u64);
+        type Stats = u64;
+        type Output = (u64, Option<SampleSummary>);
+        type Error = String;
+        const LABEL: &'static str = "toy";
+
+        fn units(&self) -> u64 {
+            self.units
+        }
+        fn clock(&self) -> u64 {
+            self.clock
+        }
+        fn step(&mut self, phase: Phase) -> Result<(), String> {
+            if self.pos == self.units {
+                return Err("past the end".into());
+            }
+            if phase != Phase::Warm {
+                self.clock += (self.cost)(self.pos);
+            }
+            if phase == Phase::Detailed {
+                self.timed += 1;
+            }
+            self.pos += 1;
+            Ok(())
+        }
+        fn snapshot(&self) -> (u64, u64) {
+            (self.pos, self.clock)
+        }
+        fn restore(&mut self, snap: &(u64, u64)) -> Result<u64, String> {
+            (self.pos, self.clock) = *snap;
+            Ok(self.pos)
+        }
+        fn window_stats(self) -> u64 {
+            self.timed
+        }
+        fn absorb(&mut self, window: &u64) {
+            self.timed += window;
+        }
+        fn finish(self, summary: Option<&SampleSummary>) -> (u64, Option<SampleSummary>) {
+            (self.timed, summary.copied())
+        }
+        fn reject(why: String) -> String {
+            why
+        }
+    }
+
+    /// The summary of a sampled or phased toy replay of `total` units.
+    fn summary(mode: &ReplayMode, total: u64, cost: fn(u64) -> u64) -> SampleSummary {
+        let (timed, summary) = replay(Toy::with_cost(total, cost), mode).unwrap();
+        let summary = summary.expect("a sampled replay");
+        assert_eq!(summary.measured_units, timed);
+        summary
+    }
+
+    /// The per-unit phases a window list walks.
+    fn phases(list: &Windows) -> Vec<Phase> {
+        let mut out = vec![Phase::Warm; list.total as usize];
+        for (s, _) in &list.spans {
+            out[s.warm_start as usize..s.detail_start as usize].fill(Phase::TimedWarm);
+            out[s.detail_start as usize..s.end as usize].fill(Phase::Detailed);
+        }
+        out
+    }
+
+    /// The per-unit phases of `plan` tiled over `total` units.
+    fn tiling(plan: SamplePlan, total: u64) -> Vec<Phase> {
+        phases(&Windows::sampled(&plan, total))
+    }
 
     #[test]
     fn invariants_are_enforced() {
@@ -795,16 +699,17 @@ mod tests {
         assert!(SamplePlan::new(0, 1, 0).is_err());
         assert!(SamplePlan::new(3, 2, 4).is_err());
         assert!(SamplePlan::new(u64::MAX, 1, u64::MAX).is_err());
-        // Periods past MAX_PERIOD would overflow the schedule arithmetic
+        // Periods past MAX_PERIOD would overflow the tiling arithmetic
         // (2x boundary strata, 3/2x mini-periods); they are rejected, and
-        // the largest accepted period drives a sampler without panicking.
+        // the largest accepted period tiles and replays without panicking.
         assert!(SamplePlan::new(0, 1, SamplePlan::MAX_PERIOD + 1).is_err());
         let huge = SamplePlan::new(0, 1, SamplePlan::MAX_PERIOD).unwrap();
-        let mut s = Sampler::new(huge, 10);
-        for _ in 0..10 {
-            let _ = s.advance(0);
-        }
-        assert_eq!(s.finish(70).est_cycles, 70);
+        assert_eq!(
+            summary(&ReplayMode::Sampled(huge), 10, |_| 7).est_cycles,
+            70
+        );
+        let list = Windows::sampled(&huge, 1 << 52);
+        assert!(list.spans.len() > 2 && list.weights.iter().sum::<u64>() == 1 << 52);
         assert!(SamplePlan::new(2, 2, 4).is_ok());
     }
 
@@ -825,18 +730,11 @@ mod tests {
         assert!(SamplePlan::parse("4,8,8").is_err());
     }
 
-    /// Collects the full phase schedule a sampler produces over a stream
-    /// (clock irrelevant to placement: a constant works).
-    fn schedule(plan: SamplePlan, total: u64) -> Vec<Phase> {
-        let mut s = Sampler::new(plan, total);
-        (0..total).map(|_| s.advance(0)).collect()
-    }
-
     #[test]
     fn schedule_is_structurally_sound_and_jittered() {
         let plan = SamplePlan::new(2, 3, 8).unwrap();
         let total = 512;
-        let phases = schedule(plan, total);
+        let phases = tiling(plan, total);
         // Boundary strata: two periods at each end, measured end to end.
         assert!(phases[..16].iter().all(|&x| x == Phase::Detailed));
         assert!(phases[496..].iter().all(|&x| x == Phase::Detailed));
@@ -872,10 +770,10 @@ mod tests {
             windows >= mid_periods / 2 && windows <= mid_periods * 2,
             "{windows} windows for {mid_periods} nominal periods"
         );
-        // The schedule is deterministic and the jitter actually moves
+        // The tiling is deterministic and the jitter actually moves
         // windows: window start offsets are not all congruent mod the
         // nominal period.
-        assert_eq!(phases, schedule(plan, total));
+        assert_eq!(phases, tiling(plan, total));
         let starts: std::collections::HashSet<u64> = {
             let mut v = std::collections::HashSet::new();
             let mut i = 16;
@@ -892,19 +790,88 @@ mod tests {
         assert!(starts.len() > 1, "window placement must vary: {starts:?}");
     }
 
-    /// Drives a sampler over a synthetic stream where every unit costs
-    /// `cost` cycles *when timed* (warm units don't advance the clock),
-    /// returning the summary.
-    fn drive(plan: SamplePlan, total: u64, cost: u64) -> SampleSummary {
-        let mut s = Sampler::new(plan, total);
-        let mut clock = 0;
-        for _ in 0..total {
-            match s.advance(clock) {
-                Phase::Warm => {}
-                Phase::TimedWarm | Phase::Detailed => clock += cost,
+    /// Bounded exhaustive check of the systematic tiling, in the spirit of
+    /// bounded model checking: every valid plan with `period ≤ 12` over
+    /// every stream of at most 160 units.
+    #[test]
+    fn sampled_tiling_is_sound_for_every_small_plan() {
+        for p in 1..=12u64 {
+            for d in 1..=p {
+                for w in 0..=p - d {
+                    let plan = SamplePlan::new(w, d, p).unwrap();
+                    for total in 0..=160 {
+                        check_tiling(plan, total);
+                    }
+                }
             }
         }
-        s.finish(clock)
+    }
+
+    fn check_tiling(plan: SamplePlan, total: u64) {
+        let (w, d, p) = (plan.warmup_units, plan.detailed_units, plan.period);
+        let list = Windows::sampled(&plan, total);
+        let at = format!("plan {plan} over {total}");
+        // Sorted, disjoint, inside the stream; every group outweighs what
+        // it measures, and the weights tile the stream.
+        let mut prev = 0;
+        let mut measured = vec![0; list.weights.len()];
+        for (s, g) in &list.spans {
+            assert!(prev <= s.warm_start, "{at}: {s:?} overlaps");
+            assert!(
+                s.warm_start <= s.detail_start && s.detail_start < s.end,
+                "{at}"
+            );
+            assert!(s.end <= total, "{at}: {s:?} past the stream");
+            measured[*g] += s.end - s.detail_start;
+            prev = s.end;
+        }
+        assert!(
+            measured.iter().zip(&list.weights).all(|(u, w)| u <= w),
+            "{at}"
+        );
+        assert_eq!(list.weights.iter().sum::<u64>(), total, "{at}");
+        let n = list.spans.len();
+        if total > 4 * p {
+            // Head and tail strata measured in full; every mid window is
+            // exactly `w` timed-warm units followed by `d` detailed ones.
+            let (head_end, tail_start) = (2 * p, total - 2 * p);
+            assert_eq!(list.spans[0].0, Span::detailed(0, head_end), "{at}");
+            assert_eq!(
+                list.spans[n - 1].0,
+                Span::detailed(tail_start, total),
+                "{at}"
+            );
+            for (s, g) in &list.spans[1..n - 1] {
+                assert_eq!(
+                    (s.detail_start - s.warm_start, s.end - s.detail_start),
+                    (w, d)
+                );
+                assert!(head_end <= s.warm_start && s.end <= tail_start, "{at}");
+                assert_eq!(*g, 1, "{at}");
+            }
+            if n > 2 {
+                assert_eq!(list.weights, [head_end, tail_start - head_end, 2 * p]);
+                assert_eq!((list.spans[0].1, list.spans[n - 1].1), (0, 2), "{at}");
+            } else {
+                assert!(tail_start - head_end < w + d, "{at}: a window fits");
+                assert_eq!(list.weights, [total], "{at}");
+                assert!(list.spans.iter().all(|&(_, g)| g == 0), "{at}");
+            }
+        } else if total > 0 {
+            assert_eq!(list.spans, [(Span::detailed(0, total), 0)], "{at}");
+        } else {
+            assert!(list.spans.is_empty(), "{at}");
+        }
+        // Uniform cost ⇒ the estimate is exact.
+        let mode = ReplayMode::Sampled(plan);
+        match replay(Toy::with_cost(total, |_| 3), &mode).unwrap() {
+            (timed, Some(s)) => {
+                assert_eq!((s.est_cycles, s.total_units), (3 * total, total), "{at}");
+                assert_eq!(s.measured_units, timed, "{at}");
+                assert_eq!(s.measured_units, measured.iter().sum::<u64>(), "{at}");
+            }
+            (timed, None) => assert!(plan.covers_everything() && timed == total, "{at}"),
+        }
     }
 
     #[test]
@@ -912,7 +879,7 @@ mod tests {
         let plan = SamplePlan::new(2, 2, 8).unwrap();
         // 160 units: 16-unit boundary strata at each end measured in
         // full, the 128-unit middle sampled by mini-period windows.
-        let s = drive(plan, 160, 10);
+        let s = summary(&ReplayMode::Sampled(plan), 160, |_| 10);
         assert_eq!(s.total_units, 160);
         assert!(
             s.measured_units > 32 && s.measured_units < 160,
@@ -925,9 +892,9 @@ mod tests {
 
     #[test]
     fn sampler_is_exact_on_streams_without_a_middle() {
-        let plan = SamplePlan::new(2, 2, 8).unwrap();
+        let mode = ReplayMode::Sampled(SamplePlan::new(2, 2, 8).unwrap());
         for total in [1, 5, 8, 9, 16, 32] {
-            let s = drive(plan, total, 7);
+            let s = summary(&mode, total, |_| 7);
             assert_eq!(s.measured_units, total, "total {total}");
             assert_eq!(s.est_cycles, total * 7, "total {total}");
         }
@@ -937,20 +904,10 @@ mod tests {
     fn sampler_captures_boundary_transients_exactly() {
         // Expensive start and end, cheap middle: the strata keep the
         // transients at weight one.
-        let plan = SamplePlan::new(2, 2, 8).unwrap();
-        let total = 160u64;
-        let mut s = Sampler::new(plan, total);
-        let mut clock = 0;
-        let mut truth = 0;
-        for unit in 0..total {
-            let cost = if (16..144).contains(&unit) { 10 } else { 100 };
-            truth += cost;
-            match s.advance(clock) {
-                Phase::Warm => {}
-                Phase::TimedWarm | Phase::Detailed => clock += cost,
-            }
-        }
-        let sum = s.finish(clock);
+        let cost = |u| if (16..144).contains(&u) { 10 } else { 100 };
+        let truth: u64 = (0..160).map(cost).sum();
+        let mode = ReplayMode::Sampled(SamplePlan::new(2, 2, 8).unwrap());
+        let sum = summary(&mode, 160, cost);
         assert_eq!(sum.est_cycles, truth, "uniform-middle stream is exact");
     }
 
@@ -972,30 +929,21 @@ mod tests {
     /// A hand-built plan: 40-unit stream, 8-unit intervals, head/tail
     /// boundary windows plus one representative (interval 2) standing for
     /// the three interior intervals.
-    fn tiny_phase_plan() -> PhasePlan {
+    pub(crate) fn tiny_phase_plan() -> PhasePlan {
+        let window = |warm_start, detail_start, end, weight_units| PhaseWindow {
+            warm_start,
+            detail_start,
+            end,
+            weight_units,
+        };
         PhasePlan {
             interval: 8,
             total_units: 40,
             k: 1,
             windows: vec![
-                PhaseWindow {
-                    warm_start: 0,
-                    detail_start: 0,
-                    end: 8,
-                    weight_units: 8,
-                },
-                PhaseWindow {
-                    warm_start: 14,
-                    detail_start: 16,
-                    end: 24,
-                    weight_units: 24,
-                },
-                PhaseWindow {
-                    warm_start: 30,
-                    detail_start: 32,
-                    end: 40,
-                    weight_units: 8,
-                },
+                window(0, 0, 8, 8),
+                window(14, 16, 24, 24),
+                window(30, 32, 40, 8),
             ],
             assignments: vec![1, 0, 0, 0, 2],
         }
@@ -1022,10 +970,9 @@ mod tests {
 
     #[test]
     fn phased_sampler_schedules_warmup_and_windows() {
-        let plan = tiny_phase_plan();
-        let mut s = PhasedSampler::new(plan);
-        let phases: Vec<Phase> = (0..40).map(|_| s.advance(0)).collect();
-        for (unit, phase) in phases.iter().enumerate() {
+        let list = Windows::phased(&tiny_phase_plan(), 40).unwrap();
+        assert_eq!(list.weights, [8, 24, 8]);
+        for (unit, phase) in phases(&list).iter().enumerate() {
             let want = match unit {
                 0..=7 | 16..=23 | 32..=39 => Phase::Detailed,
                 14 | 15 | 30 | 31 => Phase::TimedWarm,
@@ -1039,64 +986,38 @@ mod tests {
     fn phased_estimate_weights_clusters_by_population() {
         // Uniform 10-cycle units: every window measures rate 10, so the
         // weighted estimate reproduces the whole stream exactly.
-        let plan = tiny_phase_plan();
-        let mut s = PhasedSampler::new(plan.clone());
-        let mut clock = 0;
-        for _ in 0..40 {
-            match s.advance(clock) {
-                Phase::Warm => {}
-                Phase::TimedWarm | Phase::Detailed => clock += 10,
-            }
-        }
-        let sum = s.finish(clock);
+        let mode = ReplayMode::Phased(tiny_phase_plan());
+        let sum = summary(&mode, 40, |_| 10);
         assert_eq!(sum.total_units, 40);
         assert_eq!(sum.measured_units, 24);
         assert_eq!(sum.est_cycles, 400);
         // Phase-dependent cost: the representative's rate is scaled by its
         // cluster population, the boundaries count at weight one.
-        let mut s = PhasedSampler::new(plan);
-        let mut clock = 0;
-        let mut truth = 0u64;
-        for unit in 0u64..40 {
-            let cost = if (8..32).contains(&unit) { 7 } else { 100 };
-            truth += cost;
-            match s.advance(clock) {
-                Phase::Warm => {}
-                Phase::TimedWarm | Phase::Detailed => clock += cost,
-            }
-        }
-        let sum = s.finish(clock);
+        let cost = |u| if (8..32).contains(&u) { 7 } else { 100 };
+        let truth: u64 = (0..40).map(cost).sum();
+        let sum = summary(&mode, 40, cost);
         assert_eq!(sum.est_cycles, truth, "uniform-per-phase stream is exact");
     }
 
     #[test]
     fn assemble_phased_matches_sequential_finish() {
-        // Independently measured per-window triples (the parallel replay's
-        // view) must assemble into exactly the summary a sequential drive
+        // Independently measured windows (the parallel replay's view)
+        // must assemble into exactly the result a sequential replay
         // produces, for a phase-dependent cost model.
         let plan = tiny_phase_plan();
-        let cost = |u: u64| if u.is_multiple_of(3) { 12 } else { 5 };
-        let mut s = PhasedSampler::new(plan.clone());
-        let mut clock = 0;
-        for unit in 0..plan.total_units {
-            match s.advance(clock) {
-                Phase::Warm => {}
-                Phase::TimedWarm | Phase::Detailed => clock += cost(unit),
-            }
-        }
-        let sequential = s.finish(clock);
-        let closed: Vec<(u64, u64, u64)> = plan
+        let sequential = replay(Toy::new(40), &ReplayMode::Phased(plan.clone())).unwrap();
+        let measures: Vec<WindowMeasure<u64>> = plan
             .windows
             .iter()
-            .map(|w| {
-                (
-                    (w.detail_start..w.end).map(cost).sum(),
-                    w.detailed_units(),
-                    w.weight_units,
-                )
+            .map(|w| WindowMeasure {
+                cycles: (w.detail_start..w.end).map(cost).sum(),
+                stats: w.detailed_units(),
             })
             .collect();
-        assert_eq!(phased_summary(plan.total_units, &closed), sequential);
+        assert_eq!(
+            assemble_windows(Toy::new(40), &plan, &measures).unwrap(),
+            sequential
+        );
     }
 
     #[test]
@@ -1126,37 +1047,75 @@ mod tests {
         assert!(covering.covers_everything());
         let mode = ReplayMode::Phased(covering);
         assert!(mode.phase().is_none());
-        assert!(mode.schedule(16).unwrap().is_none());
-        // A real plan drives a phased schedule, but only over the stream
-        // it was fitted to.
+        assert!(mode.windows(16).unwrap().is_none());
+        // A real plan yields a phased window list, but only over the
+        // stream it was fitted to.
         let plan = tiny_phase_plan();
         let mode = ReplayMode::Phased(plan.clone());
         assert_eq!(mode.phase(), Some(&plan));
-        assert!(matches!(mode.schedule(40), Ok(Some(Schedule::Phased(_)))));
-        assert!(mode.schedule(39).is_err(), "foreign stream length rejected");
+        assert_eq!(mode.windows(40).unwrap().unwrap().kind, "phase");
+        assert!(mode.windows(39).is_err(), "foreign stream length rejected");
         // Sampled modes route through the same surface.
         let sampled = ReplayMode::Sampled(SamplePlan::new(2, 2, 8).unwrap());
-        assert!(matches!(
-            sampled.schedule(100),
-            Ok(Some(Schedule::Sampled(_)))
-        ));
-        assert!(ReplayMode::Full.schedule(100).unwrap().is_none());
+        assert_eq!(sampled.windows(100).unwrap().unwrap().kind, "interval");
+        assert!(ReplayMode::Full.windows(100).unwrap().is_none());
+    }
+
+    #[test]
+    fn malformed_phase_plans_are_rejected() {
+        // Unsorted windows: `validate` fails, so replay must too instead
+        // of estimating from whatever the walk happened to measure.
+        let mut plan = tiny_phase_plan();
+        plan.windows = vec![
+            PhaseWindow {
+                warm_start: 20,
+                detail_start: 20,
+                end: 30,
+                weight_units: 10,
+            },
+            PhaseWindow {
+                warm_start: 0,
+                detail_start: 0,
+                end: 10,
+                weight_units: 30,
+            },
+        ];
+        assert!(plan.validate().is_err());
+        let mode = ReplayMode::Phased(plan.clone());
+        let err = replay(Toy::new(40), &mode).unwrap_err();
+        assert!(err.contains("malformed phase plan"), "{err}");
+        assert!(capture_phased(Toy::new(40), &plan).is_err());
     }
 
     #[test]
     fn extrapolation_is_exact_and_total() {
-        assert_eq!(extrapolate_cycles(100, 1000, 100), 1000);
-        assert_eq!(extrapolate_cycles(7, 7, 7), 7);
-        assert_eq!(extrapolate_cycles(5, 3, 0), 5);
-        assert_eq!(extrapolate_cycles(0, 1000, 10), 0);
-        // 128-bit intermediate: no overflow on huge cycle counts.
-        assert_eq!(extrapolate_cycles(u64::MAX / 2, 4, 2), u64::MAX - 1,);
+        // One group of `weight` units measured over `[0, units)`.
+        let one = |total, weight, units| Windows {
+            kind: "interval",
+            total,
+            spans: vec![(Span::detailed(0, units), 0)],
+            weights: vec![weight],
+        };
+        assert_eq!(one(1000, 1000, 100).estimate(&[100]).est_cycles, 1000);
+        assert_eq!(one(7, 7, 7).estimate(&[7]).est_cycles, 7);
+        assert_eq!(one(1000, 1000, 10).estimate(&[0]).est_cycles, 0);
+        // A group that measured nothing keeps its weight out.
+        let mut two = one(20, 10, 5);
+        two.weights.push(10);
+        assert_eq!(two.estimate(&[15]).est_cycles, 30);
+        // 128-bit intermediate: no overflow on huge cycle counts, and an
+        // estimate past u64 saturates.
+        assert_eq!(
+            one(4, 4, 2).estimate(&[u64::MAX / 2]).est_cycles,
+            u64::MAX - 1
+        );
+        assert_eq!(one(4, 4, 2).estimate(&[u64::MAX]).est_cycles, u64::MAX);
     }
 
     #[test]
     fn steady_state_detail_rate_tracks_the_plan() {
         let plan = SamplePlan::new(16, 16, 128).unwrap();
-        let phases = schedule(plan, 128 * 130);
+        let phases = tiling(plan, 128 * 130);
         // Census over the mid region only (boundary strata are fully
         // measured by design): the realized detail rate stays near the
         // planned 1/8 despite variable mini-periods.

@@ -1195,6 +1195,30 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_phase_plans_are_rejected() {
+        let p = sum_program(2000);
+        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
+        let log = TraceLog::capture(
+            &compiled.trips,
+            &compiled.opt_ir,
+            1 << 20,
+            u64::MAX,
+            Default::default(),
+        )
+        .unwrap();
+        let mut plan = handmade_plan(log.seq.len() as u64);
+        plan.windows.reverse();
+        assert!(plan.validate().is_err());
+        let cfg = TripsConfig::prototype();
+        let mode = ReplayMode::Phased(plan.clone());
+        assert!(matches!(
+            replay_trace_mode(&compiled, &cfg, &log, &mode),
+            Err(SimError::Trace(_))
+        ));
+        assert!(replay_trace_phased_capture(&compiled, &cfg, &log, &plan).is_err());
+    }
+
+    #[test]
     fn malformed_livepoints_are_rejected_without_panicking() {
         let p = sum_program(2000);
         let compiled = compile(&p, &CompileOptions::o1()).unwrap();

@@ -318,7 +318,7 @@ fn warm_store_replays_ooo_windows_without_rewarming() {
     };
     let run = |dir: &std::path::Path| {
         let s = Session::with_store(TraceStore::open(dir).unwrap());
-        s.set_live_points(2);
+        s.set_live_points(Some(2));
         let plan = s
             .ooo_phase_plan(&w, Scale::Test, &gcc, MEM, 400_000_000, &spec)
             .unwrap();
