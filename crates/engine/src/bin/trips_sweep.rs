@@ -566,22 +566,14 @@ fn run(
         c.captures,
         c.trace_hits,
     );
-    let t = &report.cost_totals;
-    trips_obs::log!(
-        Level::Info,
-        "trips-sweep",
-        "cost: capture={:.1}ms fit={:.1}ms warm={:.1}ms detailed={:.1}ms extrapolate={:.1}ms ckpt_save={:.1}ms ckpt_restore={:.1}ms queue={:.1}ms store_read={}B store_write={}B",
-        t.capture_ns as f64 / 1e6,
-        t.fit_ns as f64 / 1e6,
-        t.warm_ns as f64 / 1e6,
-        t.detailed_ns as f64 / 1e6,
-        t.extrapolate_ns as f64 / 1e6,
-        t.checkpoint_save_ns as f64 / 1e6,
-        t.checkpoint_restore_ns as f64 / 1e6,
-        t.queue_ns as f64 / 1e6,
-        t.store_read_bytes,
-        t.store_write_bytes,
-    );
+    let mut cost = String::from("cost:");
+    for (column, value) in report.cost_totals.columns() {
+        match column.strip_suffix("_ns") {
+            Some(stem) => cost.push_str(&format!(" {stem}={:.1}ms", value as f64 / 1e6)),
+            None => cost.push_str(&format!(" {column}={value}")),
+        }
+    }
+    trips_obs::log!(Level::Info, "trips-sweep", "{cost}");
     if let Some(plan) = &spec.sample {
         trips_obs::log!(
             Level::Info,

@@ -57,7 +57,7 @@
 //! the compiled program, an artifact against its stream, a set against
 //! its plan); a container-valid but foreign file is quarantined, never
 //! served. Otherwise the tier produces the artifact (behind its chaos
-//! hook, span and cost timer) and writes it back, so process B replays
+//! hook and charging span) and writes it back, so process B replays
 //! what process A captured. A store whose circuit breaker has tripped is
 //! skipped: the session degrades to memory-only tiers.
 //!
@@ -81,6 +81,7 @@ use crate::store::{
     plan_sig, BbvId, LivePointId, LivePointSet, LiveState, LoadOutcome, RiscTraceId, StoreKey,
     TraceStore,
 };
+use trips_obs::CostKind;
 use trips_ooo::OooCore;
 use trips_phase::{PhaseArtifact, PhaseSpec};
 use trips_risc::{RiscTrace, RiscTraceMeta};
@@ -717,7 +718,7 @@ impl Session {
     /// for `produce`; a container-valid payload that fails it (e.g. a
     /// stale build's capture) is quarantined; otherwise `produce` runs and
     /// its result is written back. `produce` carries the tier's chaos
-    /// hook, span and cost timer; a transient error from it is that hook
+    /// hook and charging span; a transient error from it is that hook
     /// firing before any work ran, so it counts no capture.
     fn through_store<K: StoreKey>(
         &self,
@@ -776,8 +777,9 @@ impl Session {
     ) -> Result<Arc<CompiledProgram>, EngineError> {
         self.compiled
             .get_or_init(&CompileKey::new(w, scale, opts, hand), || {
-                let _span = trips_obs::span_with("session.compile", || w.name.to_string());
-                let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
+                let _span = trips_obs::charged_with("session.compile", CostKind::Capture, || {
+                    w.name.to_string()
+                });
                 trips_obs::counter("session_compiles_total{side=\"trips\"}").inc(1);
                 let program = if hand {
                     w.build_hand(scale)
@@ -822,8 +824,9 @@ impl Session {
                     }
                     trips_obs::cost::set_tier("capture");
                     let _span =
-                        trips_obs::span_with("session.capture_trace", || w.name.to_string());
-                    let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
+                        trips_obs::charged_with("session.capture_trace", CostKind::Capture, || {
+                            w.name.to_string()
+                        });
                     let meta = TraceMeta {
                         workload: id.workload.clone(),
                         scale: id.scale.clone(),
@@ -857,8 +860,9 @@ impl Session {
         self.isa.get_or_init(&key, || {
             let compiled = self.compiled(w, scale, opts, hand)?;
             trips_obs::cost::set_tier("capture");
-            let _span = trips_obs::span_with("session.capture_isa", || w.name.to_string());
-            let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
+            let _span = trips_obs::charged_with("session.capture_isa", CostKind::Capture, || {
+                w.name.to_string()
+            });
             trips_obs::counter("session_isa_runs_total").inc(1);
             trips_isa::interp::run_program_with(&compiled.trips, &compiled.opt_ir, mem, budget)
                 .map(|out| {
@@ -885,9 +889,9 @@ impl Session {
     ) -> Result<Arc<RiscArtifacts>, EngineError> {
         self.risc
             .get_or_init(&CompileKey::new(w, scale, opts, false), || {
-                let _span =
-                    trips_obs::span_with("session.compile", || format!("{} (risc)", w.name));
-                let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
+                let _span = trips_obs::charged_with("session.compile", CostKind::Capture, || {
+                    format!("{} (risc)", w.name)
+                });
                 trips_obs::counter("session_compiles_total{side=\"risc\"}").inc(1);
                 let mut ir = (w.build)(scale);
                 trips_compiler::opt::optimize(&mut ir, opts);
@@ -934,8 +938,10 @@ impl Session {
                         return Err(EngineError::Transient(format!("{} (risc): {why}", w.name)));
                     }
                     trips_obs::cost::set_tier("capture");
-                    let _span = trips_obs::span_with("session.capture_risc", || w.name.to_string());
-                    let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Capture);
+                    let _span =
+                        trips_obs::charged_with("session.capture_risc", CostKind::Capture, || {
+                            w.name.to_string()
+                        });
                     let meta = RiscTraceMeta {
                         workload: id.workload.clone(),
                         scale: id.scale.clone(),
@@ -1049,8 +1055,7 @@ impl Session {
                 if let Some(why) = trips_chaos::fit_fault() {
                     return Err(EngineError::Transient(format!("phase fit: {why}")));
                 }
-                let _span = trips_obs::span("session.fit_phase");
-                let _cost = trips_obs::cost::Timed::start(trips_obs::CostKind::Fit);
+                let _span = trips_obs::charged("session.fit_phase", CostKind::Fit);
                 fit()
             },
         )

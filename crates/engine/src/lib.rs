@@ -55,8 +55,10 @@
 //! Every layer is instrumented through [`obs`] (`trips-obs`): session tier
 //! lookups and store I/O count into the metrics registry, pool workers and
 //! replay loops open tracing spans, and each sweep point carries an
-//! [`obs::RowCost`] attributing its wall-clock to capture / fit / warm /
-//! detailed / extrapolate work plus store bytes and queue latency. All of
+//! [`obs::RowCost`] whose nanosecond columns are the durations of the
+//! spans that charged them (capture / fit / warm / detailed / extrapolate
+//! / checkpoint / store read, verify and decode), plus store bytes and
+//! queue latency. All of
 //! it is pay-for-use: with no trace sink installed and no snapshot taken,
 //! the hot loops see only a relaxed atomic load, and timings never enter
 //! memoized or persisted artifacts, so sweep outputs are byte-identical

@@ -32,7 +32,8 @@
 //! a `pool.worker` span and each job a `pool.job` child, so the
 //! `--obs-report` self-profile attributes worker wall-clock to jobs vs
 //! steal/idle time. All per-job costs are O(1) registry-free atomics
-//! plus one `Instant` read on each side of the job.
+//! plus one `Instant` read on each side of the job. Every worker enters
+//! the submitter's cost row, so nested jobs charge the row that asked.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -157,6 +158,7 @@ where
         lock_queue(&queues[i % threads]).push_back((i, seeded, item));
     }
 
+    let row = trips_obs::cost::current();
     let (tx, rx) = mpsc::channel::<(usize, Result<R, JobPanic>)>();
     std::thread::scope(|scope| {
         for me in 0..threads {
@@ -166,7 +168,9 @@ where
             let jobs_total = &jobs_total;
             let steals_total = &steals_total;
             let queue_ns_hist = &queue_ns_hist;
+            let row = &row;
             scope.spawn(move || {
+                let _row = row.enter();
                 let _worker = trips_obs::span_with("pool.worker", || format!("worker={me}"));
                 let loop_start = Instant::now();
                 let mut busy_ns: u64 = 0;
@@ -311,6 +315,16 @@ mod tests {
             scope.finish().queue_ns
         });
         assert_eq!(costs, vec![0, 0]);
+    }
+
+    #[test]
+    fn jobs_charge_the_submitters_row_on_every_worker() {
+        let scope = trips_obs::cost::begin_row();
+        let _ = parallel_map((0..8u64).collect(), 2, |x| {
+            trips_obs::cost::add_store_read(x);
+            x
+        });
+        assert_eq!(scope.finish().store_read_bytes, 28);
     }
 
     #[test]

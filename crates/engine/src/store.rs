@@ -85,7 +85,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use trips_isa::{TraceId, TraceLog};
-use trips_obs::Level;
+use trips_obs::{CostKind, Level};
 use trips_phase::{PhaseArtifact, BBV_VERSION};
 use trips_risc::{RiscTrace, RiscTraceHeader, RISC_TRACE_VERSION};
 
@@ -782,6 +782,7 @@ impl TraceStore {
         let _span = trips_obs::span("store.load");
         let key = id.key();
         let path = self.path_for_key(key);
+        let reading = trips_obs::charged("store.read", CostKind::StoreRead);
         let mut attempt = 0u32;
         let bytes = loop {
             let read = match trips_chaos::read_fault() {
@@ -817,17 +818,22 @@ impl TraceStore {
                 }
             }
         };
+        drop(reading);
         self.record_io_ok();
         trips_obs::counter("store_read_bytes_total").inc(bytes.len() as u64);
         trips_obs::cost::add_store_read(bytes.len() as u64);
-        let decoded =
-            Self::verify_container(key, K::KIND, K::VERSION, &bytes).and_then(|payload| {
-                let v: K::Payload =
-                    serde::bin::from_bytes(payload).map_err(|e| format!("payload decode: {e}"))?;
-                id.check(&v)
-                    .map_err(|e| format!("identity mismatch: {e}"))?;
-                Ok(v)
-            });
+        let verified = {
+            let _span = trips_obs::charged("store.verify", CostKind::StoreVerify);
+            Self::verify_container(key, K::KIND, K::VERSION, &bytes)
+        };
+        let decoded = verified.and_then(|payload| {
+            let _span = trips_obs::charged("store.decode", CostKind::StoreDecode);
+            let v: K::Payload =
+                serde::bin::from_bytes(payload).map_err(|e| format!("payload decode: {e}"))?;
+            id.check(&v)
+                .map_err(|e| format!("identity mismatch: {e}"))?;
+            Ok(v)
+        });
         match decoded {
             Ok(v) => LoadOutcome::Hit(Box::new(v)),
             Err(why) => {

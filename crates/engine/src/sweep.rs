@@ -241,9 +241,10 @@ impl Default for SweepSpec {
 /// underlying statistics (block composition, storage accesses, window
 /// occupancy), so each measurement keeps them here. Deliberately *not*
 /// serialized — JSON/CSV output stays flat and stable.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub enum RowDetail {
     /// No extended statistics (ideal backend).
+    #[default]
     None,
     /// Functional TRIPS ISA statistics, plus the compiled program for
     /// code-size accounting (mirrors the experiment harness's
@@ -263,7 +264,7 @@ pub enum RowDetail {
 }
 
 /// One measurement result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepRow {
     /// Workload name.
     pub workload: String,
@@ -308,79 +309,56 @@ pub struct SweepRow {
     /// it had to fill).
     pub wall_ms: f64,
     /// Where the wall-clock and I/O went: per-row cost attribution
-    /// (tier hit path, capture/fit/warm/detailed/extrapolate nanos, store
-    /// bytes, pool queue latency). Collected thread-locally around this
-    /// point's measurement — never from memoized artifacts, so rows stay
+    /// (tier hit path, span-charged nanos per cost kind, store bytes,
+    /// pool queue latency). Charged by every thread that works for this
+    /// point — so the nanos are busy time summed over threads and can
+    /// exceed `wall_ms` — never from memoized artifacts, so rows stay
     /// byte-identical (timing fields aside) with observability on or off.
     pub cost: trips_obs::RowCost,
     /// Full backend statistics (not serialized).
     pub detail: RowDetail,
 }
 
+impl SweepRow {
+    /// Every rendered column in CSV and JSON order — name, JSON value and
+    /// CSV text — ending with the cost columns; `detail` stays out.
+    fn columns(&self) -> Vec<(&'static str, Value, String)> {
+        let int = |v: u64| (Value::U64(v), v.to_string());
+        let real = |v: f64, digits: usize| (Value::F64(v), format!("{v:.digits$}"));
+        let text = |v: &str| (Value::str(v), v.to_string());
+        let flag = |v: bool| (Value::Bool(v), v.to_string());
+        let head = [
+            ("workload", text(&self.workload)),
+            ("backend", text(&self.backend)),
+            ("config", text(&self.config)),
+            ("cycles", int(self.cycles)),
+            ("ipc", real(self.ipc, 4)),
+            ("blocks", int(self.blocks)),
+            ("mispredict_flushes", int(self.mispredict_flushes)),
+            ("load_flushes", int(self.load_flushes)),
+            ("l1d_misses", int(self.l1d_misses)),
+            ("avg_window", real(self.avg_window, 2)),
+            ("sampled", flag(self.sampled)),
+            ("detailed_frac", real(self.detailed_frac, 4)),
+            ("est_cycles", int(self.est_cycles)),
+            ("phase_k", int(self.phase_k.into())),
+            ("status", text(&self.status)),
+            ("wall_ms", real(self.wall_ms, 3)),
+            ("tier", text(&self.cost.tier)),
+        ];
+        let cost = self.cost.columns().map(|(name, v)| (name, int(v)));
+        head.into_iter()
+            .chain(cost)
+            .map(|(name, (json, csv))| (name, json, csv))
+            .collect()
+    }
+}
+
 impl Serialize for SweepRow {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // Hand-written so `detail` stays out of the rendered row; field
-        // order matches declaration order, like the derive would emit.
-        let m = vec![
-            (Value::str("workload"), serde::to_value(&self.workload)),
-            (Value::str("backend"), serde::to_value(&self.backend)),
-            (Value::str("config"), serde::to_value(&self.config)),
-            (Value::str("cycles"), serde::to_value(&self.cycles)),
-            (Value::str("ipc"), serde::to_value(&self.ipc)),
-            (Value::str("blocks"), serde::to_value(&self.blocks)),
-            (
-                Value::str("mispredict_flushes"),
-                serde::to_value(&self.mispredict_flushes),
-            ),
-            (
-                Value::str("load_flushes"),
-                serde::to_value(&self.load_flushes),
-            ),
-            (Value::str("l1d_misses"), serde::to_value(&self.l1d_misses)),
-            (Value::str("avg_window"), serde::to_value(&self.avg_window)),
-            (Value::str("sampled"), serde::to_value(&self.sampled)),
-            (
-                Value::str("detailed_frac"),
-                serde::to_value(&self.detailed_frac),
-            ),
-            (Value::str("est_cycles"), serde::to_value(&self.est_cycles)),
-            (Value::str("phase_k"), serde::to_value(&self.phase_k)),
-            (Value::str("status"), serde::to_value(&self.status)),
-            (Value::str("wall_ms"), serde::to_value(&self.wall_ms)),
-            (Value::str("tier"), serde::to_value(&self.cost.tier)),
-            (
-                Value::str("capture_ns"),
-                serde::to_value(&self.cost.capture_ns),
-            ),
-            (Value::str("fit_ns"), serde::to_value(&self.cost.fit_ns)),
-            (Value::str("warm_ns"), serde::to_value(&self.cost.warm_ns)),
-            (
-                Value::str("detailed_ns"),
-                serde::to_value(&self.cost.detailed_ns),
-            ),
-            (
-                Value::str("extrapolate_ns"),
-                serde::to_value(&self.cost.extrapolate_ns),
-            ),
-            (
-                Value::str("checkpoint_save_ns"),
-                serde::to_value(&self.cost.checkpoint_save_ns),
-            ),
-            (
-                Value::str("checkpoint_restore_ns"),
-                serde::to_value(&self.cost.checkpoint_restore_ns),
-            ),
-            (Value::str("queue_ns"), serde::to_value(&self.cost.queue_ns)),
-            (
-                Value::str("store_read_bytes"),
-                serde::to_value(&self.cost.store_read_bytes),
-            ),
-            (
-                Value::str("store_write_bytes"),
-                serde::to_value(&self.cost.store_write_bytes),
-            ),
-        ];
-        serializer.serialize_value(Value::Map(m))
+        let columns = self.columns().into_iter();
+        let m = columns.map(|(name, json, _)| (Value::str(name), json));
+        serializer.serialize_value(Value::Map(m.collect()))
     }
 }
 
@@ -422,10 +400,11 @@ fn point_label(p: &Point) -> String {
     }
 }
 
-/// The zeroed stand-in row for a point whose every attempt failed: the
+/// The zeroed row of point `p` with `status`: what a measurement starts
+/// from, and the stand-in for a point whose every attempt failed, so the
 /// cross product stays complete and the failure is visible in-band
 /// (`status` column) as well as in [`SweepReport::errors`].
-fn failed_row(p: &Point) -> SweepRow {
+fn blank_row(p: &Point, status: &str) -> SweepRow {
     SweepRow {
         workload: p.workload.name.to_string(),
         backend: p.backend.label(),
@@ -433,21 +412,8 @@ fn failed_row(p: &Point) -> SweepRow {
             .config
             .as_ref()
             .map_or_else(|| "-".into(), |c| c.name.clone()),
-        cycles: 0,
-        ipc: 0.0,
-        blocks: 0,
-        mispredict_flushes: 0,
-        load_flushes: 0,
-        l1d_misses: 0,
-        avg_window: 0.0,
-        sampled: false,
-        detailed_frac: 0.0,
-        est_cycles: 0,
-        phase_k: 0,
-        status: "failed".into(),
-        wall_ms: 0.0,
-        cost: trips_obs::RowCost::default(),
-        detail: RowDetail::None,
+        status: status.into(),
+        ..SweepRow::default()
     }
 }
 
@@ -499,27 +465,8 @@ fn measure(p: &Point, spec: &SweepSpec, session: &Session) -> Result<SweepRow, E
     let cost_scope = trips_obs::cost::begin_row();
     let mode = ReplayMode::from_plan(spec.sample);
     let mut row = SweepRow {
-        workload: p.workload.name.to_string(),
-        backend: p.backend.label(),
-        config: p
-            .config
-            .as_ref()
-            .map_or_else(|| "-".into(), |c| c.name.clone()),
-        cycles: 0,
-        ipc: 0.0,
-        blocks: 0,
-        mispredict_flushes: 0,
-        load_flushes: 0,
-        l1d_misses: 0,
-        avg_window: 0.0,
-        sampled: false,
         detailed_frac: 1.0,
-        est_cycles: 0,
-        phase_k: 0,
-        status: "ok".into(),
-        wall_ms: 0.0,
-        cost: trips_obs::RowCost::default(),
-        detail: RowDetail::None,
+        ..blank_row(p, "ok")
     };
     match &p.backend {
         BackendSpec::Trips => {
@@ -743,7 +690,7 @@ pub fn run_sweep(spec: &SweepSpec, session: &Session) -> Result<SweepReport, Eng
     let mut errors = Vec::new();
     for (idx, e) in failures.drain(..) {
         errors.push(e);
-        slots[idx] = Some(failed_row(&points[idx]));
+        slots[idx] = Some(blank_row(&points[idx], "failed"));
     }
     let rows: Vec<SweepRow> = slots
         .into_iter()
@@ -779,39 +726,12 @@ pub fn to_csv(rows: &[SweepRow]) -> String {
     // Columns 1..=15 are deterministic; `wall_ms` and the cost columns
     // after it may differ between otherwise identical runs (timings, and
     // tier/store-bytes between cold and warm stores).
-    let mut out = String::from(
-        "workload,backend,config,cycles,ipc,blocks,mispredict_flushes,load_flushes,l1d_misses,avg_window,sampled,detailed_frac,est_cycles,phase_k,status,wall_ms,tier,capture_ns,fit_ns,warm_ns,detailed_ns,extrapolate_ns,checkpoint_save_ns,checkpoint_restore_ns,queue_ns,store_read_bytes,store_write_bytes\n",
-    );
+    let line = |cells: Vec<String>| cells.join(",") + "\n";
+    let names = SweepRow::default().columns().into_iter();
+    let mut out = line(names.map(|(name, ..)| name.to_string()).collect());
     for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{:.4},{},{},{},{},{:.2},{},{:.4},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{}\n",
-            r.workload,
-            r.backend,
-            r.config,
-            r.cycles,
-            r.ipc,
-            r.blocks,
-            r.mispredict_flushes,
-            r.load_flushes,
-            r.l1d_misses,
-            r.avg_window,
-            r.sampled,
-            r.detailed_frac,
-            r.est_cycles,
-            r.phase_k,
-            r.status,
-            r.wall_ms,
-            r.cost.tier,
-            r.cost.capture_ns,
-            r.cost.fit_ns,
-            r.cost.warm_ns,
-            r.cost.detailed_ns,
-            r.cost.extrapolate_ns,
-            r.cost.checkpoint_save_ns,
-            r.cost.checkpoint_restore_ns,
-            r.cost.queue_ns,
-            r.cost.store_read_bytes,
-            r.cost.store_write_bytes
+        out.push_str(&line(
+            r.columns().into_iter().map(|(.., csv)| csv).collect(),
         ));
     }
     out
@@ -1106,6 +1026,49 @@ mod tests {
         assert!(plain.rows[0].phase_k > 0, "{:?}", plain.rows[0]);
         assert_eq!(session.live_points(), None);
         assert_eq!(session.cache_stats().livepoint_misses, misses);
+    }
+
+    #[test]
+    fn warm_live_point_rows_are_charged_for_their_window_jobs_and_decode() {
+        let dir = std::env::temp_dir().join(format!(
+            "trips-sweep-charge-{}-{:x}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        // Two threads: the window jobs of each warm row run on the nested
+        // pool's worker threads, never inline on the row's own thread.
+        let spec = SweepSpec {
+            workloads: vec!["conv".into()],
+            scale: Scale::Ref,
+            configs: vec![ConfigVariant::prototype()],
+            backends: vec![BackendSpec::Trips, BackendSpec::Ooo("core2".into())],
+            phase: Some(PhaseK::Auto),
+            live_points: true,
+            threads: 2,
+            ..SweepSpec::default()
+        };
+        let sweep = || {
+            let store = crate::store::TraceStore::open(&dir).unwrap();
+            let report = run_sweep(&spec, &Session::with_store(store)).unwrap();
+            assert!(report.errors.is_empty(), "{:?}", report.errors);
+            report
+        };
+        let _cold = sweep();
+        let warm = sweep();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(warm.rows.iter().any(|r| r.phase_k > 0), "{:?}", warm.rows);
+        for row in warm.rows.iter().filter(|r| r.phase_k > 0) {
+            let c = &row.cost;
+            assert!(c.detailed_ns > 0, "window replay uncharged: {row:?}");
+            assert!(c.checkpoint_restore_ns > 0, "restore uncharged: {row:?}");
+        }
+        assert!(warm.rows.iter().any(|r| r.cost.store_read_bytes > 0));
+        for row in warm.rows.iter().filter(|r| r.cost.store_read_bytes > 0) {
+            assert!(row.cost.store_decode_ns > 0, "decode uncharged: {row:?}");
+        }
     }
 
     #[test]

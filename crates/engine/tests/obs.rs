@@ -8,7 +8,8 @@
 use std::path::PathBuf;
 
 use trips_engine::sweep::to_csv;
-use trips_engine::{run_sweep, Session, SweepSpec};
+use trips_engine::{run_sweep, ConfigVariant, PhaseK, Session, SweepSpec, TraceStore};
+use trips_workloads::Scale;
 
 /// CSV rows truncated to the 15 deterministic columns (through `status`;
 /// wall_ms and the RowCost columns after it are timing-dependent).
@@ -22,6 +23,20 @@ fn stable_rows(csv: &str) -> Vec<String> {
 fn spec() -> SweepSpec {
     SweepSpec {
         workloads: vec!["vadd".into()],
+        threads: 2,
+        ..SweepSpec::default()
+    }
+}
+
+/// `conv` at Ref scale is the smallest bundled stream whose TRIPS phase
+/// plan classifies, so its live-point rows replay restored windows.
+fn live_spec() -> SweepSpec {
+    SweepSpec {
+        workloads: vec!["conv".into()],
+        scale: Scale::Ref,
+        configs: vec![ConfigVariant::prototype()],
+        phase: Some(PhaseK::Auto),
+        live_points: true,
         threads: 2,
         ..SweepSpec::default()
     }
@@ -69,7 +84,18 @@ fn obs_is_invisible_in_rows_and_coherent_in_telemetry() {
     let journal = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("obs-journal.jsonl");
     trips_obs::enable_trace(&journal).expect("install trace sink");
     let traced = run_sweep(&spec(), &Session::new()).expect("traced sweep");
+    // A cold then warm live-point sweep over one store, on two threads:
+    // store loads and window jobs on nested pool threads charge too.
+    let store = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("obs-store");
+    let _ = std::fs::remove_dir_all(&store);
+    let live: Vec<_> = (0..2)
+        .map(|_| {
+            let session = Session::with_store(TraceStore::open(&store).expect("open store"));
+            run_sweep(&live_spec(), &session).expect("live-point sweep")
+        })
+        .collect();
     trips_obs::flush_trace();
+    let _ = std::fs::remove_dir_all(&store);
 
     // The measurements are byte-identical with tracing on.
     assert_eq!(
@@ -99,6 +125,41 @@ fn obs_is_invisible_in_rows_and_coherent_in_telemetry() {
         "span coverage {:.3} below the acceptance bar",
         profile.coverage
     );
+
+    // One clock: every nanosecond in a cost column is the duration of a
+    // journaled span that charged that column, and nothing else.
+    let mut totals = traced.cost_totals.clone();
+    for report in &live {
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        totals.absorb(&report.cost_totals);
+    }
+    assert!(
+        live[1].rows.iter().any(|r| r.phase_k > 0),
+        "{:?}",
+        live[1].rows
+    );
+    for (column, total) in totals.columns() {
+        if !column.ends_with("_ns") || column == "queue_ns" {
+            continue;
+        }
+        let journaled: u64 = records
+            .iter()
+            .filter(|r| r.cost.as_deref() == Some(column))
+            .map(|r| r.dur_ns)
+            .sum();
+        assert_eq!(total, journaled, "{column}: cost_totals vs charging spans");
+    }
+    for column in [
+        "capture_ns",
+        "detailed_ns",
+        "checkpoint_restore_ns",
+        "store_decode_ns",
+    ] {
+        assert!(
+            totals.columns().any(|(c, v)| c == column && v > 0),
+            "{column} never charged: {totals:?}"
+        );
+    }
 
     // The metrics registry carries the headline series.
     let snap = trips_obs::snapshot_text();

@@ -17,12 +17,16 @@
 //!   hot-loop increments from the work-stealing pool never serialize on a
 //!   shared line; [`metrics::snapshot_text`] renders a Prometheus-style
 //!   exposition (`trips-sweep --metrics`).
-//! * [`cost`] — per-row cost attribution: a thread-local [`cost::RowCost`]
-//!   collector scoped to one sweep point, filled in by the session /
-//!   store / pool / timing-core instrumentation and snapshotted into
-//!   `SweepRow`. Timings live *only* here — never inside memoized or
-//!   persisted artifacts — so sweep outputs stay byte-identical with
-//!   observability on or off.
+//! * [`cost`] — per-row cost attribution: a [`cost::RowCost`] record
+//!   scoped to one sweep point and snapshotted into `SweepRow`. Its
+//!   columns are declared once, in order. One clock feeds it: a charging
+//!   span ([`span::charged`]) adds the duration it journals to one
+//!   [`CostKind`] column of the active row, so the self-profile and the
+//!   CSV are two views of the same measurements. The row is a handle the
+//!   pool carries into nested jobs, so its nanoseconds are busy time
+//!   summed over every thread that worked for it. Timings live *only*
+//!   here — never inside memoized or persisted artifacts — so sweep
+//!   outputs stay byte-identical with observability on or off.
 //! * [`log!`] — a leveled logging macro with a `TRIPS_LOG` environment
 //!   filter (`error|warn|info|debug|trace|off`, default `info`) that the
 //!   CLIs route their diagnostics through.
@@ -33,19 +37,24 @@
 //! by dots: `sweep.run`, `sweep.point`, `pool.worker`, `pool.job`,
 //! `session.compile`, `session.capture_trace`, `session.capture_risc`,
 //! `session.replay_trips`, `session.replay_ooo`, `session.fit_phase`,
-//! `store.load`, `store.save`, `cli.main`. Keep labels static (`&'static
-//! str`): per-instance context goes in the optional `detail` field, built
-//! lazily only when a trace sink is installed.
+//! `store.load`, `store.save`, `cli.main`. The charging spans add
+//! `replay.warm`, `replay.detailed`, `replay.checkpoint`,
+//! `replay.restore`, `replay.extrapolate`, `store.read`, `store.verify`
+//! and `store.decode`. Keep labels static (`&'static str`): per-instance
+//! context goes in the optional `detail` field, built lazily only when a
+//! trace sink is installed.
 
 pub mod cost;
 pub mod metrics;
 pub mod report;
 pub mod span;
 
-pub use cost::{CostKind, RowCost, RowScope, SegmentTimer};
+pub use cost::{CostKind, RowCost, RowScope};
 pub use metrics::{counter, gauge, histogram, snapshot_text};
 pub use report::{fold_report, fold_stacks, SpanProfile};
-pub use span::{enable_trace, flush_trace, span, span_with, trace_enabled, Span};
+pub use span::{
+    charged, charged_with, enable_trace, flush_trace, span, span_with, trace_enabled, Span,
+};
 
 use std::io::Write as _;
 use std::sync::OnceLock;

@@ -19,6 +19,8 @@ pub struct SpanRecord {
     pub label: String,
     /// Optional per-instance detail.
     pub detail: Option<String>,
+    /// The cost column a charging span added its duration to.
+    pub cost: Option<String>,
     /// Start, nanoseconds since the process observability epoch.
     pub start_ns: u64,
     /// Duration in nanoseconds.
@@ -50,7 +52,7 @@ pub fn parse_journal(text: &str) -> Result<Vec<SpanRecord>, serde::Error> {
             Err(_) if lines.peek().is_none() => break,
             Err(e) => return Err(e),
         };
-        let detail = match serde::field(&value, "detail") {
+        let text = |key| match serde::field(&value, key) {
             Ok(Value::Str(s)) => Some(s.clone()),
             _ => None,
         };
@@ -62,7 +64,8 @@ pub fn parse_journal(text: &str) -> Result<Vec<SpanRecord>, serde::Error> {
             thread: num(serde::field(&value, "thread")?)?,
             depth: num(serde::field(&value, "depth")?)? as u32,
             label,
-            detail,
+            detail: text("detail"),
+            cost: text("cost"),
             start_ns: num(serde::field(&value, "start_ns")?)?,
             dur_ns: num(serde::field(&value, "dur_ns")?)?,
         });
@@ -301,6 +304,7 @@ mod tests {
             depth,
             label: label.to_string(),
             detail: None,
+            cost: None,
             start_ns: start,
             dur_ns: dur,
         }
@@ -310,11 +314,14 @@ mod tests {
     fn parse_journal_round_trips_records() {
         let text = "\
 {\"thread\":0,\"depth\":0,\"label\":\"cli.main\",\"start_ns\":0,\"dur_ns\":100}\n\
-{\"thread\":1,\"depth\":1,\"label\":\"pool.job\",\"detail\":\"bzip2\",\"start_ns\":10,\"dur_ns\":20}\n";
+{\"thread\":1,\"depth\":1,\"label\":\"pool.job\",\"detail\":\"bzip2\",\"start_ns\":10,\"dur_ns\":20}\n\
+{\"thread\":1,\"depth\":2,\"label\":\"replay.warm\",\"cost\":\"warm_ns\",\"start_ns\":12,\"dur_ns\":5}\n";
         let recs = parse_journal(text).unwrap();
-        assert_eq!(recs.len(), 2);
+        assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].label, "cli.main");
         assert_eq!(recs[1].detail.as_deref(), Some("bzip2"));
+        assert_eq!(recs[1].cost, None);
+        assert_eq!(recs[2].cost.as_deref(), Some("warm_ns"));
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! never called — the default), [`span()`] is a single relaxed atomic load
 //! and the guard is inert: the hot loops pay nothing.
 //!
+//! A charging span ([`charged`], [`charged_with`]) also adds its duration
+//! to one [`CostKind`] column of the active cost row ([`crate::cost`]) and
+//! journals that column's name under `"cost"`, so the self-profile and
+//! the row's cost columns are two views of one measurement. It reads the
+//! clock only when tracing is on or a row is active; otherwise it is the
+//! same relaxed atomic load plus one thread-local check.
+//!
 //! Spans on one thread are properly nested (guards drop in reverse
 //! creation order), so the journal reconstructs the call tree from
 //! `(thread, start_ns, dur_ns, depth)` alone — see [`crate::report`].
@@ -17,6 +24,8 @@ use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::cost::{self, CostKind};
 
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
 
@@ -77,44 +86,75 @@ struct ActiveSpan {
     start: Instant,
     start_ns: u64,
     depth: u32,
+    charge: Option<CostKind>,
 }
 
 /// RAII span guard; the span ends (and is journaled) when this drops.
-/// Inert when tracing is disabled.
+/// Inert when tracing is off and it charges no row.
 pub struct Span(Option<ActiveSpan>);
 
 /// Open a span named `label` (see the crate-level naming convention).
 #[inline]
 pub fn span(label: &'static str) -> Span {
-    if !trace_enabled() {
-        return Span(None);
-    }
-    Span(Some(open(label, None)))
+    start(label, None, || None)
 }
 
 /// Open a span with a lazily-built per-instance detail string (workload
 /// name, config axis, …). `detail` is only invoked when tracing is on.
 #[inline]
 pub fn span_with<F: FnOnce() -> String>(label: &'static str, detail: F) -> Span {
-    if !trace_enabled() {
-        return Span(None);
-    }
-    Span(Some(open(label, Some(detail()))))
+    start(label, None, || Some(detail()))
 }
 
-fn open(label: &'static str, detail: Option<String>) -> ActiveSpan {
+/// Open a span that charges its duration to `kind` of the active cost
+/// row. Without tracing and without a row it is inert.
+#[inline]
+pub fn charged(label: &'static str, kind: CostKind) -> Span {
+    start(label, Some(kind), || None)
+}
+
+/// [`charged`] with a lazily-built detail string, built only when tracing
+/// is on.
+#[inline]
+pub fn charged_with(label: &'static str, kind: CostKind, detail: impl FnOnce() -> String) -> Span {
+    start(label, Some(kind), || Some(detail()))
+}
+
+/// The one span opener: a plain span (`kind` is `None`) costs one relaxed
+/// atomic load when tracing is off, a charging one also a thread-local
+/// check for an active row.
+#[inline]
+fn start(
+    label: &'static str,
+    kind: Option<CostKind>,
+    detail: impl FnOnce() -> Option<String>,
+) -> Span {
+    let tracing = trace_enabled();
+    let charge = kind.filter(|_| cost::in_row());
+    if !tracing && charge.is_none() {
+        return Span(None);
+    }
     let depth = DEPTH.with(|d| {
         let v = d.get();
         d.set(v + 1);
         v
     });
     let start = Instant::now();
-    ActiveSpan {
+    Span(Some(ActiveSpan {
         label,
-        detail,
+        detail: if tracing { detail() } else { None },
         start,
         start_ns: start.duration_since(epoch()).as_nanos() as u64,
         depth,
+        charge,
+    }))
+}
+
+impl Span {
+    /// True when the span measures: tracing is on or it charges a row.
+    #[cfg(test)]
+    pub(crate) fn reads_clock(&self) -> bool {
+        self.0.is_some()
     }
 }
 
@@ -123,6 +163,12 @@ impl Drop for Span {
         let Some(s) = self.0.take() else { return };
         let dur_ns = s.start.elapsed().as_nanos() as u64;
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+        if let Some(kind) = s.charge {
+            cost::charge(kind, dur_ns);
+        }
+        if !trace_enabled() {
+            return;
+        }
         let mut line = String::with_capacity(96);
         line.push_str("{\"thread\":");
         line.push_str(&thread_ordinal().to_string());
@@ -134,6 +180,11 @@ impl Drop for Span {
         if let Some(detail) = &s.detail {
             line.push_str(",\"detail\":\"");
             push_escaped(&mut line, detail);
+            line.push('"');
+        }
+        if let Some(kind) = s.charge {
+            line.push_str(",\"cost\":\"");
+            line.push_str(kind.column());
             line.push('"');
         }
         line.push_str(",\"start_ns\":");

@@ -5,14 +5,13 @@
 //! per-window body), one per-window body meters every window — the
 //! walker's and a restored live-point's alike — and one estimator turns
 //! the measurements into a result, sequential or assembled. The drivers
-//! also own the cost segments and the `replay_events_total{core=…}`
-//! telemetry.
+//! also own the charging spans, one per contiguous run of units, and the
+//! `replay_events_total{core=…}` telemetry.
 
 use std::ops::Range;
 use std::time::Instant;
 
-use trips_obs::cost::Timed;
-use trips_obs::{CostKind, SegmentTimer};
+use trips_obs::{charged, CostKind};
 
 use crate::{Phase, PhasePlan, PhaseWindow, ReplayMode, SampleSummary, Span, Windows};
 
@@ -84,10 +83,7 @@ pub fn replay<C: TimingCore>(mut core: C, mode: &ReplayMode) -> Result<C::Output
     let start = Instant::now();
     let summary = match windows {
         None => {
-            let _timed = Timed::start(CostKind::Detailed);
-            for _ in 0..units {
-                core.step(Phase::Detailed)?;
-            }
+            run(&mut core, Phase::Detailed, 0..units)?;
             None
         }
         Some(windows) => Some(walk(&mut core, &windows, |_| {})?),
@@ -116,7 +112,7 @@ pub fn capture_phased<C: TimingCore>(
     let start = Instant::now();
     let mut snaps = Vec::with_capacity(plan.windows.len());
     let summary = walk(&mut core, &windows, |core| {
-        let _timed = Timed::start(CostKind::CheckpointSave);
+        let _span = charged("replay.checkpoint", CostKind::CheckpointSave);
         snaps.push(core.snapshot());
     })?;
     record_replay::<C>(units, start);
@@ -139,18 +135,17 @@ pub fn replay_window<C: TimingCore>(
         let units = core.units();
         return Err(C::reject(format!("{w:?} is malformed over {units} units")));
     }
-    let timed = Timed::start(CostKind::CheckpointRestore);
-    let unit = core.restore(snap)?;
-    drop(timed);
+    let unit = {
+        let _span = charged("replay.restore", CostKind::CheckpointRestore);
+        core.restore(snap)?
+    };
     if unit != w.warm_start {
         return Err(C::reject(format!(
             "live-point captured at unit {unit} cannot seed the window warming from {}",
             w.warm_start
         )));
     }
-    let mut seg = SegmentTimer::new();
-    let cycles = measure(&mut core, &mut seg, &Span::from(w))?;
-    seg.finish();
+    let cycles = measure(&mut core, &Span::from(w))?;
     trips_obs::counter(&series::<C>("replay_events_total")).inc(w.end - w.warm_start);
     Ok(WindowMeasure {
         cycles,
@@ -176,7 +171,7 @@ pub fn assemble_windows<C: TimingCore>(
         let n = windows.len();
         return Err(C::reject(format!("{n} window measurements for {plan}")));
     }
-    let _timed = Timed::start(CostKind::Extrapolate);
+    let _span = charged("replay.extrapolate", CostKind::Extrapolate);
     let cycles: Vec<u64> = windows.iter().map(|m| m.cycles).collect();
     let summary = list.estimate(&cycles);
     for m in windows {
@@ -188,59 +183,50 @@ pub fn assemble_windows<C: TimingCore>(
 /// The one window walker: warms functionally up to each window's
 /// `warm_start`, calls `at_window` there (the live-point capture hook),
 /// meters the window with [`measure`], warms through the rest of the
-/// stream and estimates. Cost segments switch once per run of units.
+/// stream and estimates.
 fn walk<C: TimingCore>(
     core: &mut C,
     windows: &Windows,
     mut at_window: impl FnMut(&C),
 ) -> Result<SampleSummary, C::Error> {
-    let mut seg = SegmentTimer::new();
     let mut cycles = Vec::with_capacity(windows.spans.len());
     let mut pos = 0;
     for (span, _) in &windows.spans {
-        run(core, &mut seg, Phase::Warm, pos..span.warm_start)?;
+        run(core, Phase::Warm, pos..span.warm_start)?;
         at_window(core);
-        cycles.push(measure(core, &mut seg, span)?);
+        cycles.push(measure(core, span)?);
         pos = span.end;
     }
-    run(core, &mut seg, Phase::Warm, pos..windows.total)?;
-    seg.finish();
-    let _timed = Timed::start(CostKind::Extrapolate);
+    run(core, Phase::Warm, pos..windows.total)?;
+    let _span = charged("replay.extrapolate", CostKind::Extrapolate);
     Ok(windows.estimate(&cycles))
 }
 
 /// The per-window body: from `span.warm_start`, the timed warmup with its
 /// counters discarded, then the detailed span metered on the core's
 /// clock. Returns the detailed span's cycles.
-fn measure<C: TimingCore>(
-    core: &mut C,
-    seg: &mut SegmentTimer,
-    span: &Span,
-) -> Result<u64, C::Error> {
+fn measure<C: TimingCore>(core: &mut C, span: &Span) -> Result<u64, C::Error> {
     let (warmup, detail) = (
         span.warm_start..span.detail_start,
         span.detail_start..span.end,
     );
-    run(core, seg, Phase::TimedWarm, warmup)?;
+    run(core, Phase::TimedWarm, warmup)?;
     let mark = core.clock();
-    run(core, seg, Phase::Detailed, detail)?;
+    run(core, Phase::Detailed, detail)?;
     Ok(core.clock() - mark)
 }
 
-/// Steps every unit of `units` in `phase`, attributed to its cost segment.
-fn run<C: TimingCore>(
-    core: &mut C,
-    seg: &mut SegmentTimer,
-    phase: Phase,
-    units: Range<u64>,
-) -> Result<(), C::Error> {
+/// Steps every unit of `units` in `phase` under one charging span:
+/// `replay.detailed` for detailed runs, `replay.warm` for warm and timed
+/// warm ones.
+fn run<C: TimingCore>(core: &mut C, phase: Phase, units: Range<u64>) -> Result<(), C::Error> {
     if units.is_empty() {
         return Ok(());
     }
-    seg.switch(match phase {
-        Phase::Detailed => CostKind::Detailed,
-        Phase::Warm | Phase::TimedWarm => CostKind::Warm,
-    });
+    let _span = match phase {
+        Phase::Detailed => charged("replay.detailed", CostKind::Detailed),
+        Phase::Warm | Phase::TimedWarm => charged("replay.warm", CostKind::Warm),
+    };
     for _ in units {
         core.step(phase)?;
     }
