@@ -29,50 +29,49 @@
 //! is set.
 
 use std::env;
+use std::fmt::Display;
 
 use trips_obs::Level;
+
+/// Logs `msg` as an error and exits 1.
+fn fail(msg: impl Display) -> ! {
+    trips_obs::log!(Level::Error, "repro", "{msg}");
+    std::process::exit(1)
+}
+
+/// Removes `flag` and the value after it from `args` and returns the value;
+/// exits 1 with `missing` when the flag is the last argument.
+fn take_value(args: &mut Vec<String>, flag: &str, missing: &str) -> Option<String> {
+    let at = args.iter().position(|a| a == flag)?;
+    if at + 1 >= args.len() {
+        fail(missing);
+    }
+    let value = args.remove(at + 1);
+    args.remove(at);
+    Some(value)
+}
 
 fn main() {
     let mut args: Vec<String> = env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     args.retain(|a| a != "--quick");
-    let mut trace_dir = env::var("TRIPS_TRACE_DIR").ok().filter(|v| !v.is_empty());
-    if let Some(at) = args.iter().position(|a| a == "--trace-dir") {
-        if at + 1 >= args.len() {
-            trips_obs::log!(Level::Error, "repro", "--trace-dir needs a value");
-            std::process::exit(1);
-        }
-        trace_dir = Some(args.remove(at + 1));
-        args.remove(at);
-    }
+    let trace_dir = take_value(&mut args, "--trace-dir", "--trace-dir needs a value")
+        .or_else(|| env::var("TRIPS_TRACE_DIR").ok().filter(|v| !v.is_empty()));
     if let Some(dir) = &trace_dir {
         if let Err(e) = trips_experiments::runner::init_trace_store(std::path::Path::new(dir)) {
-            trips_obs::log!(Level::Error, "repro", "{e}");
-            std::process::exit(1);
+            fail(e);
         }
         trips_obs::log!(Level::Info, "repro", "trace store: {dir}");
     }
-    if let Some(at) = args.iter().position(|a| a == "--sample") {
-        if at + 1 >= args.len() {
-            trips_obs::log!(
-                Level::Error,
-                "repro",
-                "--sample needs warmup,detailed,period"
-            );
-            std::process::exit(1);
-        }
-        let spec = args.remove(at + 1);
-        args.remove(at);
-        let plan = match trips_engine::SamplePlan::parse(&spec) {
-            Ok(p) => p,
-            Err(e) => {
-                trips_obs::log!(Level::Error, "repro", "--sample: {e}");
-                std::process::exit(1);
-            }
-        };
+    if let Some(spec) = take_value(
+        &mut args,
+        "--sample",
+        "--sample needs warmup,detailed,period",
+    ) {
+        let plan = trips_engine::SamplePlan::parse(&spec)
+            .unwrap_or_else(|e| fail(format!("--sample: {e}")));
         if let Err(e) = trips_experiments::runner::set_sample_plan(plan) {
-            trips_obs::log!(Level::Error, "repro", "{e}");
-            std::process::exit(1);
+            fail(e);
         }
         trips_obs::log!(
             Level::Info,
@@ -80,23 +79,11 @@ fn main() {
             "sampling timing backends under plan {plan}"
         );
     }
-    if let Some(at) = args.iter().position(|a| a == "--phase") {
-        if at + 1 >= args.len() {
-            trips_obs::log!(Level::Error, "repro", "--phase needs k|auto");
-            std::process::exit(1);
-        }
-        let spec = args.remove(at + 1);
-        args.remove(at);
-        let k = match trips_engine::PhaseK::parse(&spec) {
-            Ok(k) => k,
-            Err(e) => {
-                trips_obs::log!(Level::Error, "repro", "--phase: {e}");
-                std::process::exit(1);
-            }
-        };
+    if let Some(spec) = take_value(&mut args, "--phase", "--phase needs k|auto") {
+        let k =
+            trips_engine::PhaseK::parse(&spec).unwrap_or_else(|e| fail(format!("--phase: {e}")));
         if let Err(e) = trips_experiments::runner::set_phase_k(k) {
-            trips_obs::log!(Level::Error, "repro", "{e}");
-            std::process::exit(1);
+            fail(e);
         }
         trips_obs::log!(
             Level::Info,
@@ -107,18 +94,13 @@ fn main() {
     let what = match args.as_slice() {
         [] => "all",
         [what] => what.as_str(),
-        [what, rest @ ..] => {
-            trips_obs::log!(
-                Level::Error,
-                "repro",
-                "unexpected argument(s) after `{what}`: {} (one experiment name per run)",
-                rest.iter()
-                    .map(|a| format!("`{a}`"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            std::process::exit(1);
-        }
+        [what, rest @ ..] => fail(format!(
+            "unexpected argument(s) after `{what}`: {} (one experiment name per run)",
+            rest.iter()
+                .map(|a| format!("`{a}`"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        )),
     };
 
     let names: Vec<&str> = if what == "all" {
@@ -130,10 +112,7 @@ fn main() {
         trips_obs::log!(Level::Info, "repro", "running {name} ...");
         match trips_experiments::run_experiment(name, quick) {
             Ok(report) => println!("{report}"),
-            Err(e) => {
-                trips_obs::log!(Level::Error, "repro", "{e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(e),
         }
     }
     if trace_dir.is_some() {

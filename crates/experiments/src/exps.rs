@@ -3,20 +3,29 @@
 //! The measurement loops are declarative: each figure builds a
 //! [`trips_engine::SweepSpec`] over its workloads and backends, executes it
 //! through the engine ([`runner::isa_measurements`],
-//! [`runner::trips_measurements`] — both thin wrappers over
-//! `trips_engine::run_sweep` on the global session), and renders the rows.
-//! The figures therefore measure through the exact code path `trips-sweep`
-//! and `repro` drive, and every artifact (compile, TRIPS trace, RISC event
-//! stream) is captured once and replayed everywhere.
+//! [`runner::trips_measurements`], [`runner::perf_measurements`] and
+//! [`runner::figure_rows`] — thin wrappers over `trips_engine::run_sweep`
+//! on the global session), and renders the rows. The figures therefore
+//! measure through the exact code path `trips-sweep` drives, and every
+//! artifact (compile, TRIPS trace, RISC event stream) is captured once and
+//! replayed everywhere. The exceptions are named where they happen: the
+//! Core 2-icc column ([`runner::perf_measurements`]), the Figure 7
+//! predictor study (which walks branch outcomes, not cycles), the §7
+//! ablations (execution-driven) and the accuracy harnesses (raw replays,
+//! so their speedup column measures replay alone).
 
-use crate::runner::{self, compile_workload, geomean, mean, measure_perf, MEM};
+use crate::runner::{self, compile_workload, geomean, mean, MEM};
 use crate::table::Table;
+use std::collections::HashMap;
 use trips_compiler::CompileOptions;
 use trips_engine::Session;
 use trips_risc::EventSource;
 use trips_sim::predictor::{ExitKind, NextBlockPredictor, TournamentBranchPredictor};
 use trips_sim::TripsConfig;
 use trips_workloads::{simple, suite, Scale, Suite, Workload};
+
+/// The two SPEC suites, in the paper's order.
+const SPEC: [Suite; 2] = [Suite::SpecInt, Suite::SpecFp];
 
 fn simple_set() -> Vec<Workload> {
     simple()
@@ -287,11 +296,7 @@ pub fn code_size(scale: Scale) -> String {
 
 /// Figure 6: average instructions in the window.
 pub fn fig6(scale: Scale) -> String {
-    let c = runner::trips_measurements(
-        &with_suites(simple_set(), &[Suite::SpecInt, Suite::SpecFp]),
-        scale,
-        false,
-    );
+    let c = runner::trips_measurements(&with_suites(simple_set(), &SPEC), scale, false);
     let h = runner::trips_measurements(&simple_set(), scale, true);
     let mut t = Table::new(
         "Figure 6: average instructions in flight",
@@ -311,7 +316,7 @@ pub fn fig6(scale: Scale) -> String {
             &[hs.avg_window_insts(), hs.avg_window_useful()],
         );
     }
-    for s in [Suite::SpecInt, Suite::SpecFp] {
+    for s in SPEC {
         let vals: Vec<(f64, f64)> = suite(s)
             .iter()
             .map(|w| {
@@ -345,10 +350,7 @@ pub fn fig7(scale: Scale) -> String {
             "H preds/B preds",
         ],
     );
-    let spec: Vec<Workload> = suite(Suite::SpecInt)
-        .into_iter()
-        .chain(suite(Suite::SpecFp))
-        .collect();
+    let spec = with_suites(vec![], &SPEC);
     let mut a_m = vec![];
     let mut b_m = vec![];
     let mut h_m = vec![];
@@ -471,10 +473,15 @@ fn block_predictor_mpki(
 
 /// Figure 8: memory bandwidth and OPN traffic profile.
 pub fn fig8(scale: Scale) -> String {
+    let by_name = |n: &str| trips_workloads::by_name(n).unwrap();
+    let hand = runner::trips_measurements(&[by_name("vadd"), by_name("matrix")], scale, true);
+    let eembc: Vec<Workload> = suite(Suite::Eembc).into_iter().take(4).collect();
+    let mut compiled = eembc.clone();
+    compiled.push(by_name("gcc"));
+    let compiled = runner::trips_measurements(&compiled, scale, false);
     let mut out = String::new();
     // Bandwidth: hand vadd at full tilt.
-    let w = trips_workloads::by_name("vadd").unwrap();
-    let s = runner::trips_cycles_for(&w, scale, true);
+    let s = &hand["vadd"];
     let mut t = Table::new(
         "Figure 8a: achieved bandwidth (bytes/cycle), vadd hand",
         &["achieved", "peak", "% of peak"],
@@ -520,16 +527,12 @@ pub fn fig8(scale: Scale) -> String {
             ],
         );
     };
-    profile("vadd (hand)", &s);
-    let mat = runner::trips_cycles_for(&trips_workloads::by_name("matrix").unwrap(), scale, true);
-    profile("matrix (hand)", &mat);
-    let gcc = runner::trips_cycles_for(&trips_workloads::by_name("gcc").unwrap(), scale, false);
-    profile("gcc", &gcc);
-    let eembc = suite(Suite::Eembc);
+    profile("vadd (hand)", s);
+    profile("matrix (hand)", &hand["matrix"]);
+    profile("gcc", &compiled["gcc"]);
     let mut agg = trips_sim::SimStats::default();
-    for w in eembc.iter().take(4) {
-        let s = runner::trips_cycles_for(w, scale, false);
-        agg.opn.absorb(&s.opn);
+    for w in &eembc {
+        agg.opn.absorb(&compiled[w.name].opn);
     }
     profile("EEMBC mean", &agg);
     t2.note("paper: ET-ET dominates; ~half of ET-ET operands bypass locally; ~0.9 avg ET-ET hops");
@@ -539,7 +542,8 @@ pub fn fig8(scale: Scale) -> String {
 
 /// Figure 9: sustained IPC.
 pub fn fig9(scale: Scale) -> String {
-    runner::prewarm(&simple_set(), scale, true);
+    let c = runner::trips_measurements(&with_suites(simple_set(), &SPEC), scale, false);
+    let h = runner::trips_measurements(&simple_set(), scale, true);
     let mut t = Table::new(
         "Figure 9: IPC (executed / useful)",
         &["C exec", "C useful", "H exec", "H useful"],
@@ -547,8 +551,7 @@ pub fn fig9(scale: Scale) -> String {
     let mut cs = vec![];
     let mut hs = vec![];
     for w in simple_set() {
-        let c = runner::trips_cycles_for(&w, scale, false);
-        let h = runner::trips_cycles_for(&w, scale, true);
+        let (c, h) = (&c[w.name], &h[w.name]);
         cs.push(c.ipc_executed());
         hs.push(h.ipc_executed());
         t.row_f(
@@ -565,11 +568,8 @@ pub fn fig9(scale: Scale) -> String {
         "simple mean",
         &[mean(cs.iter().copied()), 0.0, mean(hs.iter().copied()), 0.0],
     );
-    for s in [Suite::SpecInt, Suite::SpecFp] {
-        let vals: Vec<f64> = suite(s)
-            .iter()
-            .map(|w| runner::trips_cycles_for(w, scale, false).ipc_executed())
-            .collect();
+    for s in SPEC {
+        let vals: Vec<f64> = suite(s).iter().map(|w| c[w.name].ipc_executed()).collect();
         t.row_f(
             format!("{} mean (C)", s.label()),
             &[mean(vals), 0.0, 0.0, 0.0],
@@ -577,6 +577,22 @@ pub fn fig9(scale: Scale) -> String {
     }
     t.note("paper: some benchmarks reach 6-10 IPC; hand ~50% above compiled; SPEC lower");
     t.render()
+}
+
+/// Figure 10's IPC columns per workload, from one sweep: the prototype
+/// hardware, then the ideal machine with a 1K window, a 1K window and free
+/// dispatch, and a 128K window.
+fn fig10_ipcs(ws: &[Workload], scale: Scale) -> HashMap<String, [f64; 4]> {
+    const BACKENDS: [&str; 4] = ["trips", "ideal1k", "ideal1k0", "ideal128k"];
+    let mut ipcs: HashMap<String, [f64; 4]> = HashMap::new();
+    for row in runner::figure_rows(ws, scale, false, &BACKENDS.join(",")) {
+        let col = BACKENDS
+            .iter()
+            .position(|b| *b == row.backend)
+            .expect("a requested backend");
+        ipcs.entry(row.workload).or_default()[col] = row.ipc;
+    }
+    ipcs
 }
 
 /// Figure 10: idealized EDGE machine limit study.
@@ -591,47 +607,17 @@ pub fn fig10(scale: Scale) -> String {
             "ideal/hw",
         ],
     );
+    let ws = with_suites(simple_set(), &SPEC);
+    let ipcs = fig10_ipcs(&ws, scale);
     let mut ratios = vec![];
-    for w in simple_set()
-        .into_iter()
-        .chain(suite(Suite::SpecInt))
-        .chain(suite(Suite::SpecFp))
-    {
-        let c = compile_workload(&w, scale, false);
-        let hw = runner::trips_cycles_for(&w, scale, false).ipc_executed();
-        let i1 = trips_ideal::analyze_with_budget(
-            &c,
-            trips_ideal::IdealConfig::window_1k(),
-            MEM,
-            runner::SIM_BUDGET,
-        )
-        .unwrap();
-        let i0 = trips_ideal::analyze_with_budget(
-            &c,
-            trips_ideal::IdealConfig::window_1k_free_dispatch(),
-            MEM,
-            runner::SIM_BUDGET,
-        )
-        .unwrap();
-        let i128 = trips_ideal::analyze_with_budget(
-            &c,
-            trips_ideal::IdealConfig::window_128k(),
-            MEM,
-            runner::SIM_BUDGET,
-        )
-        .unwrap();
+    for w in ws {
+        let [hw, i1, i0, i128] = ipcs[w.name];
         if hw > 0.0 {
-            ratios.push(i1.ipc / hw);
+            ratios.push(i1 / hw);
         }
         t.row_f(
             w.name,
-            &[
-                hw,
-                i1.ipc,
-                i0.ipc,
-                i128.ipc,
-                if hw > 0.0 { i1.ipc / hw } else { 0.0 },
-            ],
+            &[hw, i1, i0, i128, if hw > 0.0 { i1 / hw } else { 0.0 }],
         );
     }
     t.row_f(
@@ -644,7 +630,7 @@ pub fn fig10(scale: Scale) -> String {
 
 /// Figure 11: simple-benchmark speedups over Core2-gcc (cycles).
 pub fn fig11(scale: Scale) -> String {
-    runner::prewarm(&simple_set(), scale, true);
+    let perf = runner::perf_measurements(&simple_set(), scale, true);
     let mut t = Table::new(
         "Figure 11: speedup over Core 2 (gcc), cycles",
         &["TRIPS-C", "TRIPS-H", "Core2-icc", "P4-gcc", "P3-gcc"],
@@ -652,7 +638,7 @@ pub fn fig11(scale: Scale) -> String {
     let mut sc = vec![];
     let mut sh = vec![];
     for w in simple_set() {
-        let p = measure_perf(&w, scale, true);
+        let p = &perf[w.name];
         // Whole-run estimates, not raw detailed-window cycles: under
         // `--sample` the backends time different streams at different
         // rates, and only the extrapolated counts are comparable (for full
@@ -684,10 +670,11 @@ pub fn fig12(scale: Scale) -> String {
         "Figure 12: SPEC speedup over Core 2 (gcc), cycles",
         &["TRIPS-C", "Core2-icc", "P4-gcc", "P3-gcc"],
     );
-    for s in [Suite::SpecInt, Suite::SpecFp] {
+    let perf = runner::perf_measurements(&with_suites(vec![], &SPEC), scale, false);
+    for s in SPEC {
         let mut sp = vec![];
         for w in suite(s) {
-            let p = measure_perf(&w, scale, false);
+            let p = &perf[w.name];
             let base = p.core2_gcc.est_cycles.max(1) as f64;
             let tc = base / p.trips_c.est_cycles.max(1) as f64;
             sp.push(tc);
@@ -723,9 +710,10 @@ pub fn table3(scale: Scale) -> String {
             "useful in flight",
         ],
     );
-    for s in [Suite::SpecInt, Suite::SpecFp] {
+    let c = runner::trips_measurements(&with_suites(vec![], &SPEC), scale, false);
+    for s in SPEC {
         for w in suite(s) {
-            let st = runner::trips_cycles_for(&w, scale, false);
+            let st = &c[w.name];
             t.row_f(
                 w.name,
                 &[
@@ -747,7 +735,7 @@ pub fn table3(scale: Scale) -> String {
 pub fn matmul_fpc(scale: Scale) -> String {
     let w = trips_workloads::by_name("matrix").unwrap();
     let c = compile_workload(&w, scale, true);
-    let s = runner::trips_cycles_for(&w, scale, true);
+    let s = &runner::trips_measurements(std::slice::from_ref(&w), scale, true)[w.name];
     // Count FP multiply-add work from the composition: every useful Fmul and
     // Fadd is one FLOP.
     let flops = count_flops(&c);
@@ -785,19 +773,24 @@ pub fn ablations(scale: Scale) -> String {
     t.render()
 }
 
+/// The accuracy harnesses' workloads: the simple set plus the two largest
+/// bundled streams, where sampling pays off most.
+fn accuracy_set() -> Vec<Workload> {
+    let mut ws = simple_set();
+    ws.extend(
+        ["bzip2", "equake"]
+            .iter()
+            .filter_map(|n| trips_workloads::by_name(n)),
+    );
+    ws
+}
+
 /// Sampled-replay accuracy harness: sampled vs full IPC per workload on
 /// both timing backends, under the per-backend accuracy plans (streams
 /// below a backend's sampling floor replay in full). The footnotes
 /// aggregate the numbers the CI gate asserts on.
 pub fn sample_accuracy(scale: Scale) -> String {
-    let mut ws = simple_set();
-    // The two largest bundled streams: where sampling pays off most.
-    for name in ["bzip2", "equake"] {
-        if let Some(w) = trips_workloads::by_name(name) {
-            ws.push(w);
-        }
-    }
-    let rows = runner::sample_accuracy(&ws, scale);
+    let rows = runner::sample_accuracy(&accuracy_set(), scale);
     let mut t = Table::new(
         format!(
             "Sampled replay accuracy (trips {} >= {} blocks, ooo {} >= {} insts)",
@@ -846,13 +839,7 @@ pub fn sample_accuracy(scale: Scale) -> String {
 /// `TRIPS_PHASE_CSV=path` the per-interval cluster assignments are also
 /// written as CSV (the CI artifact).
 pub fn phase_accuracy(scale: Scale) -> String {
-    let mut ws = simple_set();
-    for name in ["bzip2", "equake"] {
-        if let Some(w) = trips_workloads::by_name(name) {
-            ws.push(w);
-        }
-    }
-    let rows = runner::phase_accuracy(&ws, scale);
+    let rows = runner::phase_accuracy(&accuracy_set(), scale);
     let mut t = Table::new(
         "Phase-classified vs systematic sampling accuracy",
         &[
@@ -966,8 +953,17 @@ mod tests {
 
     #[test]
     fn fig10_ideal_exceeds_hw() {
-        let s = fig10(Scale::Test);
-        assert!(s.contains("geomean ideal-1K/hw"));
+        let ws = with_suites(simple_set(), &SPEC);
+        let ipcs = fig10_ipcs(&ws, Scale::Test);
+        assert_eq!(ipcs.len(), ws.len());
+        for w in &ws {
+            let [hw, ideal_1k, ..] = ipcs[w.name];
+            assert!(
+                ideal_1k > hw && hw > 0.0,
+                "{}: ideal 1K IPC {ideal_1k} must exceed hw IPC {hw}",
+                w.name
+            );
+        }
     }
 
     #[test]

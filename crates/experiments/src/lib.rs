@@ -3,8 +3,8 @@
 //! The experiment harness: one runner per table and figure of *An
 //! Evaluation of the TRIPS Computer System*. Each runner measures the
 //! reproduction's systems and renders a textual table with the same rows and
-//! series the paper reports; EXPERIMENTS.md records reproduction-vs-paper
-//! shape comparisons.
+//! series the paper reports. `tests/golden/` pins the `--quick` output of
+//! every table and figure.
 //!
 //! Run everything with `cargo run --release -p trips-experiments --bin
 //! repro -- all`, or a single experiment with e.g. `-- fig9`.

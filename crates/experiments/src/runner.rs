@@ -6,13 +6,24 @@
 //! *replay* on both backends: TRIPS cycle counts re-time one captured
 //! [`trips_isa::TraceLog`] per configuration
 //! ([`trips_sim::timing::replay_trace_mode`]), and out-of-order reference cycles
-//! re-time one recorded [`trips_risc::RiscTrace`] per platform. The figures
-//! themselves measure through declarative [`SweepSpec`]s executed by
-//! [`trips_engine::run_sweep`] ([`sweep_rows`]), the same code path
-//! `trips-sweep` drives from the command line. With [`init_trace_store`]
-//! the captures also persist to a content-addressed directory, so
-//! successive figure runs (separate processes) pay for each capture once
-//! per *store*.
+//! re-time one recorded [`trips_risc::RiscTrace`] per platform.
+//!
+//! Every figure number measures through a declarative [`SweepSpec`]
+//! executed by [`trips_engine::run_sweep`] ([`sweep_rows`]), the same code
+//! path `trips-sweep` drives from the command line: the sweep resolves the
+//! process-wide `--sample`/`--phase` switches and runs a figure's points as
+//! parallel jobs on the engine's pool. Three measurements stay off the
+//! sweep:
+//! - the Core 2-icc column of [`perf_measurements`], because the sweep's
+//!   OoO backends replay gcc-quality streams only;
+//! - the §7 [`ablations`], which are execution-driven by design;
+//! - the raw replays inside [`sample_accuracy`] and [`phase_accuracy`],
+//!   which bypass the replay memo so their speedup column measures replay
+//!   alone.
+//!
+//! With [`init_trace_store`] the captures also persist to a
+//! content-addressed directory, so successive figure runs (separate
+//! processes) pay for each capture once per *store*.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -20,8 +31,8 @@ use std::time::Instant;
 use trips_compiler::placement::{place_block_with, PlacementPolicy};
 use trips_compiler::{CompileOptions, CompiledProgram};
 use trips_engine::{
-    run_sweep, BackendSpec, ConfigVariant, PhaseK, PhaseSpec, ReplayMode, RowDetail, SamplePlan,
-    Session, SweepRow, SweepSpec,
+    run_sweep, BackendSpec, ConfigVariant, PhaseK, PhasePlan, PhaseSpec, ReplayMode, RowDetail,
+    SamplePlan, Session, SweepRow, SweepSpec,
 };
 use trips_isa::IsaStats;
 use trips_ooo::OooStats;
@@ -106,44 +117,6 @@ pub fn phase_k() -> Option<PhaseK> {
     PHASE_K.get().copied()
 }
 
-/// The [`ReplayMode`] for a TRIPS timing measurement of `w` under the
-/// process-wide sampling/phase switches: phased when `--phase` is
-/// installed (fetching the memoized fitted plan), sampled under
-/// `--sample`, full otherwise.
-pub fn trips_mode_for(w: &Workload, scale: Scale, hand: bool) -> ReplayMode {
-    match phase_k() {
-        Some(k) => {
-            let plan = Session::global()
-                .trips_phase_plan(
-                    w,
-                    scale,
-                    &trips_preset(hand),
-                    hand,
-                    MEM,
-                    SIM_BUDGET,
-                    &PhaseSpec::trips(k),
-                )
-                .unwrap_or_else(|e| panic!("{} (phase): {e}", w.name));
-            ReplayMode::Phased((*plan).clone())
-        }
-        None => replay_mode(),
-    }
-}
-
-/// The OoO counterpart of [`trips_mode_for`] (per optimization level,
-/// since the recorded stream differs).
-pub fn ooo_mode_for(w: &Workload, scale: Scale, level: &CompileOptions) -> ReplayMode {
-    match phase_k() {
-        Some(k) => {
-            let plan = Session::global()
-                .ooo_phase_plan(w, scale, level, MEM, RISC_BUDGET, &PhaseSpec::ooo(k))
-                .unwrap_or_else(|e| panic!("{} (phase): {e}", w.name));
-            ReplayMode::Phased((*plan).clone())
-        }
-        None => replay_mode(),
-    }
-}
-
 /// ISA-level comparison data for one workload (Figures 3–5, §4.4).
 #[derive(Debug, Clone)]
 pub struct IsaMeasurement {
@@ -225,6 +198,33 @@ fn unique_names(ws: &[Workload]) -> Vec<String> {
         .collect()
 }
 
+/// The [`SweepSpec`] behind [`figure_rows`].
+fn figure_spec(ws: &[Workload], scale: Scale, hand: bool, backends: &str) -> SweepSpec {
+    SweepSpec {
+        workloads: unique_names(ws),
+        scale,
+        opts: trips_preset(hand),
+        hand,
+        configs: vec![ConfigVariant::prototype()],
+        backends: BackendSpec::parse_group(backends).expect("static backend list"),
+        mem: MEM,
+        sim_budget: SIM_BUDGET,
+        risc_budget: RISC_BUDGET,
+        sample: sample_plan(),
+        phase: phase_k(),
+        live_points: false,
+        threads: 0,
+    }
+}
+
+/// The sweep behind every timing figure: `backends` (a `trips-sweep
+/// --backends` list) over `ws` on the prototype configuration, under the
+/// process-wide sampling and phase switches. One row per workload and
+/// backend, measured as parallel jobs on the engine's pool.
+pub fn figure_rows(ws: &[Workload], scale: Scale, hand: bool, backends: &str) -> Vec<SweepRow> {
+    sweep_rows(&figure_spec(ws, scale, hand, backends))
+}
+
 /// Measures ISA-level statistics for a workload set through one declarative
 /// sweep (`isa` + `risc` backends), returning per-workload measurements.
 /// The functional runs are memoized in the session; the RISC denominators
@@ -234,23 +234,14 @@ pub fn isa_measurements(
     scale: Scale,
     hand: bool,
 ) -> HashMap<String, IsaMeasurement> {
-    let spec = SweepSpec {
-        workloads: unique_names(ws),
-        scale,
-        opts: trips_preset(hand),
-        hand,
+    let rows = sweep_rows(&SweepSpec {
         configs: Vec::new(),
-        backends: vec![BackendSpec::Isa, BackendSpec::Risc],
-        mem: MEM,
         sim_budget: FUNC_BUDGET,
-        risc_budget: RISC_BUDGET,
         // Functional measurements: sampling has no cycle loop to shorten.
         sample: None,
         phase: None,
-        live_points: false,
-        threads: 0,
-    };
-    let rows = sweep_rows(&spec);
+        ..figure_spec(ws, scale, hand, "isa,risc")
+    });
     let mut isa: HashMap<String, (Arc<IsaStats>, Arc<CompiledProgram>)> = HashMap::new();
     let mut risc: HashMap<String, Arc<RiscStats>> = HashMap::new();
     for row in rows {
@@ -293,22 +284,7 @@ pub fn measure_isa(w: &Workload, scale: Scale, hand: bool) -> IsaMeasurement {
 /// Measures TRIPS cycle-level statistics for a workload set through one
 /// declarative sweep on the prototype configuration.
 pub fn trips_measurements(ws: &[Workload], scale: Scale, hand: bool) -> HashMap<String, SimStats> {
-    let spec = SweepSpec {
-        workloads: unique_names(ws),
-        scale,
-        opts: trips_preset(hand),
-        hand,
-        configs: vec![ConfigVariant::prototype()],
-        backends: vec![BackendSpec::Trips],
-        mem: MEM,
-        sim_budget: SIM_BUDGET,
-        risc_budget: RISC_BUDGET,
-        sample: sample_plan(),
-        phase: phase_k(),
-        live_points: false,
-        threads: 0,
-    };
-    sweep_rows(&spec)
+    figure_rows(ws, scale, hand, "trips")
         .into_iter()
         .filter_map(|row| match row.detail {
             RowDetail::Trips(stats) => Some((row.workload, (*stats).clone())),
@@ -317,9 +293,9 @@ pub fn trips_measurements(ws: &[Workload], scale: Scale, hand: bool) -> HashMap<
         .collect()
 }
 
-/// Cycle-level comparison data for one workload (Figures 6, 9, 11, 12,
-/// Table 3).
-#[derive(Debug, Clone)]
+/// Cross-platform cycle-level comparison data for one workload (Figures 11
+/// and 12).
+#[derive(Debug, Clone, Default)]
 pub struct PerfMeasurement {
     /// Workload name.
     pub name: String,
@@ -337,85 +313,79 @@ pub struct PerfMeasurement {
     pub p3_gcc: OooStats,
 }
 
-fn ooo_run(
-    w: &Workload,
+/// Measures the cross-platform performance comparison for a workload set:
+/// one sweep times compiled TRIPS code and the gcc-quality Core 2, Pentium 4
+/// and Pentium III replays, and, with `include_hand`, a second times
+/// hand-optimized TRIPS code. The Core 2-icc column is the one number off
+/// the sweep (the sweep's OoO backends replay gcc-quality streams only): it
+/// replays the icc-quality stream directly, under the same process-wide
+/// sampling and phase switches, one parallel job per workload.
+pub fn perf_measurements(
+    ws: &[Workload],
     scale: Scale,
-    level: CompileOptions,
-    cfg: &trips_ooo::OooConfig,
-) -> OooStats {
-    // Replays the (memoized) recorded RISC stream: every platform measured
-    // from one functional execution per optimization level, bit-identical
-    // to driving the timing model live (or interval-sampled /
-    // phase-classified under the process-wide switches).
-    Session::global()
-        .ooo_replayed(
+    include_hand: bool,
+) -> HashMap<String, PerfMeasurement> {
+    let mut perf: HashMap<String, PerfMeasurement> = HashMap::new();
+    for row in figure_rows(ws, scale, false, "trips,core2,p4,p3") {
+        let m = perf
+            .entry(row.workload.clone())
+            .or_insert_with(|| PerfMeasurement {
+                name: row.workload.clone(),
+                ..PerfMeasurement::default()
+            });
+        match (row.backend.as_str(), row.detail) {
+            (_, RowDetail::Trips(stats)) => m.trips_c = (*stats).clone(),
+            ("core2", RowDetail::Ooo(stats)) => m.core2_gcc = stats,
+            ("p4", RowDetail::Ooo(stats)) => m.p4_gcc = stats,
+            (_, RowDetail::Ooo(stats)) => m.p3_gcc = stats,
+            _ => {}
+        }
+    }
+    if include_hand {
+        for (name, stats) in trips_measurements(ws, scale, true) {
+            perf.get_mut(&name).expect("compiled row").trips_h = Some(stats);
+        }
+    }
+    let icc = trips_engine::parallel_map(ws.to_vec(), 0, |w| (w.name, core2_icc(&w, scale)));
+    for (name, stats) in icc {
+        perf.get_mut(name).expect("compiled row").core2_icc = stats;
+    }
+    perf
+}
+
+/// Core 2 replaying the icc-quality stream of `w`, in the replay mode the
+/// process-wide `--sample`/`--phase` switches select.
+fn core2_icc(w: &Workload, scale: Scale) -> OooStats {
+    let session = Session::global();
+    let level = icc_preset();
+    let mode = match phase_k() {
+        Some(k) => session
+            .ooo_phase_plan(w, scale, &level, MEM, RISC_BUDGET, &PhaseSpec::ooo(k))
+            .map(|plan| ReplayMode::Phased((*plan).clone())),
+        None => Ok(replay_mode()),
+    };
+    mode.and_then(|mode| {
+        session.ooo_replayed(
             w,
             scale,
             &level,
-            cfg,
+            &trips_ooo::core2(),
             MEM,
             RISC_BUDGET,
-            &ooo_mode_for(w, scale, &level),
+            &mode,
         )
-        .unwrap_or_else(|e| panic!("{} ({}): {e}", w.name, cfg.name))
-        .stats
-        .clone()
+    })
+    .unwrap_or_else(|e| panic!("{} (core2-icc): {e}", w.name))
+    .stats
+    .clone()
 }
 
-/// TRIPS cycle-level statistics via the engine: the workload's functional
-/// trace is captured once (memoized) and replayed against `cfg`.
-pub fn trips_cycles_cfg(w: &Workload, scale: Scale, hand: bool, cfg: &TripsConfig) -> SimStats {
-    Session::global()
-        .replayed(
-            w,
-            scale,
-            &trips_preset(hand),
-            hand,
-            cfg,
-            MEM,
-            SIM_BUDGET,
-            &trips_mode_for(w, scale, hand),
-        )
-        .map(|r| r.stats.clone())
-        .unwrap_or_else(|e| panic!("{} (sim): {e}", w.name))
-}
-
-/// [`trips_cycles_cfg`] on the prototype configuration — the common case.
-pub fn trips_cycles_for(w: &Workload, scale: Scale, hand: bool) -> SimStats {
-    trips_cycles_cfg(w, scale, hand, &TripsConfig::prototype())
-}
-
-/// Measures the full cross-platform performance comparison.
+/// Measures the cross-platform comparison for one workload (convenience
+/// wrapper over [`perf_measurements`]).
 pub fn measure_perf(w: &Workload, scale: Scale, include_hand: bool) -> PerfMeasurement {
-    let trips_c = trips_cycles_for(w, scale, false);
-    let trips_h = if include_hand {
-        Some(trips_cycles_for(w, scale, true))
-    } else {
-        None
-    };
-    PerfMeasurement {
-        name: w.name.to_string(),
-        trips_c,
-        trips_h,
-        core2_gcc: ooo_run(w, scale, gcc_preset(), &trips_ooo::core2()),
-        core2_icc: ooo_run(w, scale, icc_preset(), &trips_ooo::core2()),
-        p4_gcc: ooo_run(w, scale, gcc_preset(), &trips_ooo::pentium4()),
-        p3_gcc: ooo_run(w, scale, gcc_preset(), &trips_ooo::pentium3()),
-    }
-}
-
-/// Fills the session caches for a workload set in parallel (compiles plus
-/// SIM-budget trace captures), so a cycle-level figure's measurement loop
-/// only replays.
-pub fn prewarm(ws: &[Workload], scale: Scale, hand_too: bool) {
-    let mut jobs: Vec<(Workload, bool)> = ws.iter().map(|w| (w.clone(), false)).collect();
-    if hand_too {
-        jobs.extend(ws.iter().map(|w| (w.clone(), true)));
-    }
-    // Failures surface (with context) when the figure actually measures.
-    trips_engine::parallel_map(jobs, 0, |(w, hand)| {
-        let _ = Session::global().trace(&w, scale, &trips_preset(hand), hand, MEM, SIM_BUDGET);
-    });
+    perf_measurements(std::slice::from_ref(w), scale, include_hand)
+        .remove(w.name)
+        .expect("sweep returned the requested workload")
 }
 
 /// The sampling plan the accuracy harness (and the CI gate) uses on the
@@ -464,6 +434,99 @@ fn mode_for(plan: SamplePlan, total_units: u64, floor: u64) -> ReplayMode {
     }
 }
 
+/// What the accuracy harnesses read off one replay.
+struct Replayed {
+    ipc: f64,
+    detailed_frac: f64,
+    detailed_units: u64,
+}
+
+/// One timing core as the accuracy harnesses drive it: its backend label,
+/// its systematic accuracy mode (full replay below the core's sampling
+/// floor), its fitted phase plan (fetched on demand through the memoized,
+/// store-backed session), and a replay of its recorded stream that calls
+/// the timing model directly, bypassing the session's replay memo.
+struct AccuracyCore {
+    backend: &'static str,
+    systematic: ReplayMode,
+    phase_plan: Box<dyn Fn() -> Arc<PhasePlan>>,
+    replay: Box<dyn Fn(&ReplayMode) -> Replayed>,
+}
+
+/// The two cores the accuracy harnesses score `w` on: the TRIPS prototype
+/// over the captured block trace, and Core 2 over the recorded gcc-quality
+/// RISC event stream. Captures are filled through the session first.
+fn accuracy_cores(w: &Workload, scale: Scale) -> [AccuracyCore; 2] {
+    let session = Session::global();
+    let name = w.name;
+    let compiled = compile_workload(w, scale, false);
+    let log = session
+        .trace(w, scale, &trips_preset(false), false, MEM, SIM_BUDGET)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let art = risc_baseline(w, scale);
+    let stream = risc_stream(w, scale);
+    let (tw, ow) = (w.clone(), w.clone());
+    let trips = AccuracyCore {
+        backend: "trips",
+        systematic: mode_for(
+            trips_accuracy_plan(),
+            log.seq.len() as u64,
+            TRIPS_SAMPLE_FLOOR,
+        ),
+        phase_plan: Box::new(move || {
+            let spec = PhaseSpec::trips(PhaseK::Auto);
+            session
+                .trips_phase_plan(
+                    &tw,
+                    scale,
+                    &trips_preset(false),
+                    false,
+                    MEM,
+                    SIM_BUDGET,
+                    &spec,
+                )
+                .unwrap_or_else(|e| panic!("{name} (phase): {e}"))
+        }),
+        replay: Box::new(move |mode| {
+            let cfg = TripsConfig::prototype();
+            let s = trips_sim::timing::replay_trace_mode(&compiled, &cfg, &log, mode)
+                .unwrap_or_else(|e| panic!("{name} ({mode:?}): {e}"))
+                .stats;
+            Replayed {
+                ipc: s.ipc_executed(),
+                detailed_frac: s.detailed_frac(),
+                detailed_units: s.detailed_units,
+            }
+        }),
+    };
+    let core2 = AccuracyCore {
+        backend: "core2",
+        systematic: mode_for(
+            ooo_accuracy_plan(),
+            stream.header.dynamic_insts,
+            OOO_SAMPLE_FLOOR,
+        ),
+        phase_plan: Box::new(move || {
+            let spec = PhaseSpec::ooo(PhaseK::Auto);
+            session
+                .ooo_phase_plan(&ow, scale, &gcc_preset(), MEM, RISC_BUDGET, &spec)
+                .unwrap_or_else(|e| panic!("{name} (ooo phase): {e}"))
+        }),
+        replay: Box::new(move |mode| {
+            let s =
+                trips_ooo::run_timed_trace_mode(&art.program, &stream, &trips_ooo::core2(), mode)
+                    .unwrap_or_else(|e| panic!("{name} (core2 {mode:?}): {e}"))
+                    .stats;
+            Replayed {
+                ipc: s.ipc(),
+                detailed_frac: s.detailed_frac(),
+                detailed_units: s.insts,
+            }
+        }),
+    };
+    [trips, core2]
+}
+
 /// One row of the sampled-vs-full accuracy harness: how close an
 /// interval-sampled measurement of a workload landed to the full-detail
 /// truth on one timing backend, and what it paid for the answer.
@@ -485,30 +548,6 @@ pub struct SampleAccuracy {
     pub speedup: f64,
 }
 
-fn accuracy_row(
-    workload: &str,
-    backend: &str,
-    full_ipc: f64,
-    sampled_ipc: f64,
-    detailed_frac: f64,
-    full_s: f64,
-    sampled_s: f64,
-) -> SampleAccuracy {
-    SampleAccuracy {
-        workload: workload.to_string(),
-        backend: backend.to_string(),
-        full_ipc,
-        sampled_ipc,
-        rel_err: rel_err(sampled_ipc, full_ipc),
-        detailed_frac,
-        speedup: if sampled_s > 0.0 {
-            full_s / sampled_s
-        } else {
-            0.0
-        },
-    }
-}
-
 /// Measures sampled-vs-full agreement for each workload on both timing
 /// backends (TRIPS prototype and the Core 2 reference), under the
 /// per-backend accuracy plans and sampling floors: the accuracy harness
@@ -522,64 +561,29 @@ fn accuracy_row(
 /// speedup column reflects replay work alone, which is what sampling
 /// accelerates.
 pub fn sample_accuracy(ws: &[Workload], scale: Scale) -> Vec<SampleAccuracy> {
-    let session = Session::global();
     let mut rows = Vec::new();
     for w in ws {
-        // TRIPS prototype.
-        let compiled = compile_workload(w, scale, false);
-        let log = session
-            .trace(w, scale, &trips_preset(false), false, MEM, SIM_BUDGET)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let mode = mode_for(
-            trips_accuracy_plan(),
-            log.seq.len() as u64,
-            TRIPS_SAMPLE_FLOOR,
-        );
-        let cfg = TripsConfig::prototype();
-        let t0 = Instant::now();
-        let full = trips_sim::timing::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full)
-            .unwrap_or_else(|e| panic!("{} (full): {e}", w.name));
-        let full_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let sampled = trips_sim::timing::replay_trace_mode(&compiled, &cfg, &log, &mode)
-            .unwrap_or_else(|e| panic!("{} (sampled): {e}", w.name));
-        let sampled_s = t1.elapsed().as_secs_f64();
-        rows.push(accuracy_row(
-            w.name,
-            "trips",
-            full.stats.ipc_executed(),
-            sampled.stats.ipc_executed(),
-            sampled.stats.detailed_frac(),
-            full_s,
-            sampled_s,
-        ));
-
-        // Core 2 over the recorded RISC event stream.
-        let art = risc_baseline(w, scale);
-        let stream = risc_stream(w, scale);
-        let mode = mode_for(
-            ooo_accuracy_plan(),
-            stream.header.dynamic_insts,
-            OOO_SAMPLE_FLOOR,
-        );
-        let ocfg = trips_ooo::core2();
-        let t0 = Instant::now();
-        let full = trips_ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &ReplayMode::Full)
-            .unwrap_or_else(|e| panic!("{} (core2 full): {e}", w.name));
-        let full_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let sampled = trips_ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &mode)
-            .unwrap_or_else(|e| panic!("{} (core2 sampled): {e}", w.name));
-        let sampled_s = t1.elapsed().as_secs_f64();
-        rows.push(accuracy_row(
-            w.name,
-            "core2",
-            full.stats.ipc(),
-            sampled.stats.ipc(),
-            sampled.stats.detailed_frac(),
-            full_s,
-            sampled_s,
-        ));
+        for core in accuracy_cores(w, scale) {
+            let t0 = Instant::now();
+            let full = (core.replay)(&ReplayMode::Full);
+            let full_s = t0.elapsed().as_secs_f64();
+            let t1 = Instant::now();
+            let sampled = (core.replay)(&core.systematic);
+            let sampled_s = t1.elapsed().as_secs_f64();
+            rows.push(SampleAccuracy {
+                workload: w.name.to_string(),
+                backend: core.backend.to_string(),
+                full_ipc: full.ipc,
+                sampled_ipc: sampled.ipc,
+                rel_err: rel_err(sampled.ipc, full.ipc),
+                detailed_frac: sampled.detailed_frac,
+                speedup: if sampled_s > 0.0 {
+                    full_s / sampled_s
+                } else {
+                    0.0
+                },
+            });
+        }
     }
     rows
 }
@@ -611,7 +615,7 @@ pub struct PhaseAccuracy {
     /// phase floor and replayed in full).
     pub k: u32,
     /// The fitted plan itself (for the cluster-assignment CSV artifact).
-    pub plan: Arc<trips_engine::PhasePlan>,
+    pub plan: Arc<PhasePlan>,
 }
 
 impl PhaseAccuracy {
@@ -641,93 +645,27 @@ fn rel_err(estimate: f64, truth: f64) -> f64 {
 /// [`PhaseSpec`]s with a BIC-chosen k, fetched through the (memoized,
 /// store-backed) session so the clustering itself is paid once.
 pub fn phase_accuracy(ws: &[Workload], scale: Scale) -> Vec<PhaseAccuracy> {
-    let session = Session::global();
     let mut rows = Vec::new();
     for w in ws {
-        // TRIPS prototype.
-        let compiled = compile_workload(w, scale, false);
-        let log = session
-            .trace(w, scale, &trips_preset(false), false, MEM, SIM_BUDGET)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let sys_mode = mode_for(
-            trips_accuracy_plan(),
-            log.seq.len() as u64,
-            TRIPS_SAMPLE_FLOOR,
-        );
-        let plan = session
-            .trips_phase_plan(
-                w,
-                scale,
-                &trips_preset(false),
-                false,
-                MEM,
-                SIM_BUDGET,
-                &PhaseSpec::trips(PhaseK::Auto),
-            )
-            .unwrap_or_else(|e| panic!("{} (phase): {e}", w.name));
-        let cfg = TripsConfig::prototype();
-        let replay = |mode: &ReplayMode| {
-            trips_sim::timing::replay_trace_mode(&compiled, &cfg, &log, mode)
-                .unwrap_or_else(|e| panic!("{} ({mode:?}): {e}", w.name))
-                .stats
-        };
-        let full = replay(&ReplayMode::Full);
-        let sys = replay(&sys_mode);
-        let ph = replay(&ReplayMode::Phased((*plan).clone()));
-        rows.push(PhaseAccuracy {
-            workload: w.name.to_string(),
-            backend: "trips".into(),
-            full_ipc: full.ipc_executed(),
-            sys_ipc: sys.ipc_executed(),
-            phase_ipc: ph.ipc_executed(),
-            sys_err: rel_err(sys.ipc_executed(), full.ipc_executed()),
-            phase_err: rel_err(ph.ipc_executed(), full.ipc_executed()),
-            sys_detailed: sys.detailed_units,
-            phase_detailed: ph.detailed_units,
-            k: if plan.covers_everything() { 0 } else { plan.k },
-            plan: Arc::clone(&plan),
-        });
-
-        // Core 2 over the recorded RISC event stream.
-        let art = risc_baseline(w, scale);
-        let stream = risc_stream(w, scale);
-        let sys_mode = mode_for(
-            ooo_accuracy_plan(),
-            stream.header.dynamic_insts,
-            OOO_SAMPLE_FLOOR,
-        );
-        let plan = session
-            .ooo_phase_plan(
-                w,
-                scale,
-                &gcc_preset(),
-                MEM,
-                RISC_BUDGET,
-                &PhaseSpec::ooo(PhaseK::Auto),
-            )
-            .unwrap_or_else(|e| panic!("{} (ooo phase): {e}", w.name));
-        let ocfg = trips_ooo::core2();
-        let replay = |mode: &ReplayMode| {
-            trips_ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, mode)
-                .unwrap_or_else(|e| panic!("{} (core2 {mode:?}): {e}", w.name))
-                .stats
-        };
-        let full = replay(&ReplayMode::Full);
-        let sys = replay(&sys_mode);
-        let ph = replay(&ReplayMode::Phased((*plan).clone()));
-        rows.push(PhaseAccuracy {
-            workload: w.name.to_string(),
-            backend: "core2".into(),
-            full_ipc: full.ipc(),
-            sys_ipc: sys.ipc(),
-            phase_ipc: ph.ipc(),
-            sys_err: rel_err(sys.ipc(), full.ipc()),
-            phase_err: rel_err(ph.ipc(), full.ipc()),
-            sys_detailed: sys.insts,
-            phase_detailed: ph.insts,
-            k: if plan.covers_everything() { 0 } else { plan.k },
-            plan: Arc::clone(&plan),
-        });
+        for core in accuracy_cores(w, scale) {
+            let plan = (core.phase_plan)();
+            let full = (core.replay)(&ReplayMode::Full);
+            let sys = (core.replay)(&core.systematic);
+            let ph = (core.replay)(&ReplayMode::Phased((*plan).clone()));
+            rows.push(PhaseAccuracy {
+                workload: w.name.to_string(),
+                backend: core.backend.to_string(),
+                full_ipc: full.ipc,
+                sys_ipc: sys.ipc,
+                phase_ipc: ph.ipc,
+                sys_err: rel_err(sys.ipc, full.ipc),
+                phase_err: rel_err(ph.ipc, full.ipc),
+                sys_detailed: sys.detailed_units,
+                phase_detailed: ph.detailed_units,
+                k: if plan.covers_everything() { 0 } else { plan.k },
+                plan,
+            });
+        }
     }
     rows
 }

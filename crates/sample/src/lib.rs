@@ -300,7 +300,8 @@ impl PhasePlan {
     }
 
     /// Structural validity: ordered disjoint windows inside the stream,
-    /// weights summing to the stream extent.
+    /// weights summing to the stream extent, and no more interval
+    /// assignments than the stream has intervals.
     ///
     /// # Errors
     /// A description of the first violated invariant.
@@ -329,6 +330,13 @@ impl PhasePlan {
             return Err(format!(
                 "weights sum to {weight}, stream has {} units",
                 self.total_units
+            ));
+        }
+        let intervals = self.total_units.div_ceil(self.interval.max(1));
+        if self.assignments.len() as u64 > intervals {
+            return Err(format!(
+                "{} interval assignments, stream has {intervals} intervals",
+                self.assignments.len()
             ));
         }
         Ok(())
@@ -963,9 +971,15 @@ pub(crate) mod tests {
         let mut bad = plan.clone();
         bad.windows[1].warm_start = 7;
         assert!(bad.validate().is_err(), "windows must not overlap");
-        let mut bad = plan;
+        let mut bad = plan.clone();
         bad.windows[2].end = 41;
         assert!(bad.validate().is_err(), "windows must fit the stream");
+        let mut bad = plan;
+        bad.assignments.push(0);
+        assert!(
+            bad.validate().is_err(),
+            "assignments must fit the stream's intervals"
+        );
     }
 
     #[test]
