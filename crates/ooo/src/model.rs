@@ -23,6 +23,7 @@ use trips_risc::{CursorState, RCat, RProgram, RiscTrace, TraceCursor};
 use trips_sample::{
     Phase, PhasePlan, PhaseWindow, ReplayMode, SampleSummary, TimingCore, WindowMeasure,
 };
+use trips_sim::cache::{Cache, CacheSnapshot};
 
 /// Timing statistics of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -100,51 +101,6 @@ pub struct OooResult {
     pub return_value: u64,
     /// Timing statistics.
     pub stats: OooStats,
-}
-
-/// Simple set-associative LRU tag array (local copy; the TRIPS simulator's
-/// caches model banked structures this machine doesn't have).
-struct Cache {
-    sets: usize,
-    line: usize,
-    /// Tags and LRU clock: the state a live-point carries.
-    img: CacheSnap,
-}
-
-impl Cache {
-    fn new(bytes: usize, ways: usize, line: usize) -> Cache {
-        let sets = (bytes / line / ways).max(1);
-        Cache {
-            sets,
-            line,
-            img: CacheSnap {
-                tags: vec![vec![(u64::MAX, 0); ways]; sets],
-                stamp: 0,
-            },
-        }
-    }
-
-    fn access(&mut self, addr: u64) -> bool {
-        let img = &mut self.img;
-        img.stamp += 1;
-        let lineno = addr / self.line as u64;
-        let set = (lineno % self.sets as u64) as usize;
-        let tag = lineno / self.sets as u64;
-        for w in img.tags[set].iter_mut() {
-            if w.0 == tag {
-                w.1 = img.stamp;
-                return true;
-            }
-        }
-        let v = img.tags[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.1)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        img.tags[set][v] = (tag, img.stamp);
-        false
-    }
 }
 
 /// Gshare/bimodal tournament predictor with a return-address stack.
@@ -257,13 +213,6 @@ impl IssueSlots {
     }
 }
 
-/// Serializable tag-array image of the local [`Cache`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct CacheSnap {
-    tags: Vec<Vec<(u64, u64)>>,
-    stamp: u64,
-}
-
 /// Serializable image of the local [`Predictor`] (tables + history; the
 /// geometry is re-derived from the config on restore and validated).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -283,8 +232,8 @@ struct PredSnap {
 pub struct OooSnapshot {
     unit: u64,
     cursor: CursorState,
-    l1: CacheSnap,
-    l2: CacheSnap,
+    l1: CacheSnapshot,
+    l2: CacheSnapshot,
     pred: PredSnap,
     issue: Vec<(u64, u32)>,
     mem_ports: Vec<(u64, u32)>,
@@ -523,8 +472,8 @@ impl OooState {
         OooSnapshot {
             unit,
             cursor,
-            l1: self.l1.img.clone(),
-            l2: self.l2.img.clone(),
+            l1: self.l1.snapshot(),
+            l2: self.l2.snapshot(),
             pred: self.pred.t.clone(),
             issue: self.issue.snapshot(horizon),
             mem_ports: self.mem_ports.snapshot(horizon),
@@ -539,28 +488,27 @@ impl OooState {
         }
     }
 
-    /// Puts this machine in exactly the captured state, after validating
-    /// that the snapshot's geometry matches this machine's configuration
-    /// (a live-point only fits the configuration that captured it).
+    /// Puts this machine in exactly the captured state. Every piece is
+    /// checked against this machine's configuration (a live-point only
+    /// fits the configuration that captured it), so a malformed or
+    /// foreign snapshot is an `Err`, never a panic; the machine is then
+    /// discarded.
     fn restore(&mut self, s: &OooSnapshot) -> Result<(), String> {
-        let (l1, l2, pred) = (&mut self.l1.img, &mut self.l2.img, &mut self.pred.t);
-        if l1.tags.len() != s.l1.tags.len() || l2.tags.len() != s.l2.tags.len() {
-            return Err("live-point cache geometry does not match this config".into());
-        }
+        let pred = &mut self.pred.t;
         if pred.bim.len() != s.pred.bim.len()
             || pred.gsh.len() != s.pred.gsh.len()
             || pred.chooser.len() != s.pred.chooser.len()
         {
             return Err("live-point predictor geometry does not match this config".into());
         }
+        if s.pred.ras.len() > self.pred.ras_depth {
+            return Err("live-point return stack is deeper than this config's".into());
+        }
         if self.retire_ring.len() != s.retire_ring.len() {
             return Err("live-point ROB depth does not match this config".into());
         }
-        // Field-wise, so the tag arrays reuse their allocations.
-        l1.tags.clone_from(&s.l1.tags);
-        l1.stamp = s.l1.stamp;
-        l2.tags.clone_from(&s.l2.tags);
-        l2.stamp = s.l2.stamp;
+        self.l1.restore(&s.l1)?;
+        self.l2.restore(&s.l2)?;
         pred.clone_from(&s.pred);
         self.issue.restore(&s.issue);
         self.mem_ports.restore(&s.mem_ports);
@@ -780,17 +728,9 @@ impl TimingCore for OooCore<'_> {
 mod tests {
     use super::*;
     use crate::configs;
+    use serde::Value;
     use trips_ir::{IntCc, Operand, ProgramBuilder};
     use trips_risc::compile_program;
-    use trips_sample::assemble_windows;
-
-    fn full_replay(
-        rp: &RProgram,
-        trace: &RiscTrace,
-        cfg: &OooConfig,
-    ) -> Result<OooResult, RiscError> {
-        run_timed_trace_mode(rp, trace, cfg, &ReplayMode::Full)
-    }
 
     fn sum_program(n: i64) -> Program {
         let mut pb = ProgramBuilder::new();
@@ -882,35 +822,30 @@ mod tests {
         assert!(p4.stats.br_mispredicts > 0);
     }
 
-    #[test]
-    fn covering_sample_plan_is_bit_identical_to_full_replay() {
-        let p = sum_program(1200);
-        let rp = compile_program(&p).unwrap();
-        let trace = trips_risc::RiscTrace::capture(
-            &rp,
-            &p,
-            1 << 20,
-            100_000_000,
-            trips_risc::RiscTraceMeta::default(),
-        )
-        .unwrap();
-        let plan = trips_sample::SamplePlan::new(0, 9, 9).unwrap();
-        for cfg in [configs::core2(), configs::pentium4(), configs::pentium3()] {
-            let full = full_replay(&rp, &trace, &cfg).unwrap();
-            let covered =
-                run_timed_trace_mode(&rp, &trace, &cfg, &ReplayMode::Sampled(plan)).unwrap();
-            assert_eq!(covered.stats, full.stats, "{}", cfg.name);
-            assert!(!covered.stats.sampled);
-            assert_eq!(full.stats.est_cycles, full.stats.cycles);
-            assert_eq!(full.stats.total_insts, full.stats.insts);
+    /// `c` with `f` applied to its per-set tag lists, through its serde
+    /// image (the fields belong to `trips_sim`).
+    fn sets(c: &CacheSnapshot, f: impl Fn(&mut Vec<Value>)) -> CacheSnapshot {
+        let mut v = serde::to_value(c);
+        if let Value::Map(fields) = &mut v {
+            if let Some((_, Value::Seq(tags))) =
+                fields.iter_mut().find(|f| f.0 == Value::str("tags"))
+            {
+                f(tags);
+            }
         }
+        serde::from_value(&v).unwrap()
+    }
+
+    /// The serde image of one cache set with `n` empty ways.
+    fn ways(n: usize) -> Value {
+        serde::to_value(&vec![(u64::MAX, 0u64); n])
     }
 
     #[test]
-    fn sampled_replay_times_a_fraction_and_extrapolates() {
-        let p = sum_program(20_000);
+    fn malformed_livepoints_are_rejected_without_panicking() {
+        let p = sum_program(3000);
         let rp = compile_program(&p).unwrap();
-        let trace = trips_risc::RiscTrace::capture(
+        let trace = RiscTrace::capture(
             &rp,
             &p,
             1 << 20,
@@ -919,240 +854,43 @@ mod tests {
         )
         .unwrap();
         let cfg = configs::core2();
-        let full = full_replay(&rp, &trace, &cfg).unwrap().stats;
-        let plan = trips_sample::SamplePlan::new(64, 64, 256).unwrap();
-        let s = run_timed_trace_mode(&rp, &trace, &cfg, &ReplayMode::Sampled(plan))
-            .unwrap()
-            .stats;
-        assert!(s.sampled);
-        assert_eq!(s.total_insts, trace.header.dynamic_insts);
-        assert!(
-            s.insts * 3 < s.total_insts,
-            "a 1/4-detail plan must time a minority: {}/{}",
-            s.insts,
-            s.total_insts
-        );
-        let rel = (s.est_cycles as f64 - full.cycles as f64).abs() / full.cycles as f64;
-        assert!(
-            rel < 0.10,
-            "extrapolation off by {:.1}% (est {} vs full {})",
-            rel * 100.0,
-            s.est_cycles,
-            full.cycles
-        );
-    }
-
-    /// A hand-built phase plan over a stream of `total` units: boundary
-    /// windows plus one weighted interior representative.
-    fn handmade_plan(total: u64) -> trips_sample::PhasePlan {
-        let interval = (total / 5).max(1);
-        let head = interval.min(total);
-        let tail_start = total - interval;
-        let mid_extent = tail_start - head;
-        let rep_start = head + mid_extent / 2;
-        let rep_end = (rep_start + interval / 2)
-            .min(tail_start)
-            .max(rep_start + 1);
-        let warm = rep_start.saturating_sub(interval / 4).max(head);
-        trips_sample::PhasePlan {
-            interval,
-            total_units: total,
-            k: 1,
-            windows: vec![
-                trips_sample::PhaseWindow {
-                    warm_start: 0,
-                    detail_start: 0,
-                    end: head,
-                    weight_units: head,
-                },
-                trips_sample::PhaseWindow {
-                    warm_start: warm,
-                    detail_start: rep_start,
-                    end: rep_end,
-                    weight_units: mid_extent,
-                },
-                trips_sample::PhaseWindow {
-                    warm_start: tail_start,
-                    detail_start: tail_start,
-                    end: total,
-                    weight_units: interval,
-                },
-            ],
-            assignments: vec![],
+        let warm = trace.header.dynamic_insts / 2;
+        let mut core = OooCore::new(&rp, &trace, &cfg);
+        for _ in 0..warm {
+            core.step(Phase::Warm).unwrap();
         }
-    }
-
-    #[test]
-    fn livepoint_window_replay_is_bit_identical_to_sequential_phased() {
-        let p = sum_program(6000);
-        let rp = compile_program(&p).unwrap();
-        let trace = trips_risc::RiscTrace::capture(
-            &rp,
-            &p,
-            1 << 20,
-            100_000_000,
-            trips_risc::RiscTraceMeta::default(),
-        )
-        .unwrap();
-        let plan = handmade_plan(trace.header.dynamic_insts);
-        plan.validate().unwrap();
-        assert!(!plan.covers_everything());
-        for cfg in [configs::core2(), configs::pentium4(), configs::pentium3()] {
-            let sequential =
-                run_timed_trace_mode(&rp, &trace, &cfg, &ReplayMode::Phased(plan.clone())).unwrap();
-            let (captured, snaps) = run_ooo_phased_capture(&rp, &trace, &cfg, &plan).unwrap();
-            assert_eq!(
-                captured.stats, sequential.stats,
-                "{}: capture pass must match the plain phased replay",
-                cfg.name
-            );
-            assert_eq!(snaps.len(), plan.windows.len());
-            // Snapshots round-trip through bytes (the store's discipline).
-            let measures: Vec<WindowMeasure<OooStats>> = plan
-                .windows
-                .iter()
-                .zip(&snaps)
-                .map(|(w, s)| {
-                    let bytes = serde::bin::to_bytes(s);
-                    let back: OooSnapshot = serde::bin::from_bytes(&bytes).unwrap();
-                    assert_eq!(&back, s);
-                    replay_ooo_window(&rp, &trace, &cfg, w, &back).unwrap()
-                })
-                .collect();
-            let assembled =
-                assemble_windows(OooCore::new(&rp, &trace, &cfg), &plan, &measures).unwrap();
-            assert_eq!(
-                assembled.stats, sequential.stats,
-                "{}: restore-then-replay must match fast-forward-then-replay",
-                cfg.name
-            );
-            assert_eq!(assembled.return_value, sequential.return_value);
-        }
-    }
-
-    #[test]
-    fn livepoint_window_rejects_a_foreign_snapshot() {
-        let p = sum_program(3000);
-        let rp = compile_program(&p).unwrap();
-        let trace = trips_risc::RiscTrace::capture(
-            &rp,
-            &p,
-            1 << 20,
-            100_000_000,
-            trips_risc::RiscTraceMeta::default(),
-        )
-        .unwrap();
-        let plan = handmade_plan(trace.header.dynamic_insts);
-        let (_, snaps) = run_ooo_phased_capture(&rp, &trace, &configs::core2(), &plan).unwrap();
-        // Wrong boundary.
-        assert!(
-            replay_ooo_window(&rp, &trace, &configs::core2(), &plan.windows[1], &snaps[0]).is_err()
-        );
-        // Wrong machine geometry (snapshot captured under Core2).
-        assert!(replay_ooo_window(
-            &rp,
-            &trace,
-            &configs::pentium3(),
-            &plan.windows[1],
-            &snaps[1]
-        )
-        .is_err());
-        // Wrong measurement count.
-        let core2 = configs::core2();
-        assert!(assemble_windows(OooCore::new(&rp, &trace, &core2), &plan, &[]).is_err());
-    }
-
-    #[test]
-    fn malformed_windows_are_rejected() {
-        let p = sum_program(3000);
-        let rp = compile_program(&p).unwrap();
-        let trace = trips_risc::RiscTrace::capture(
-            &rp,
-            &p,
-            1 << 20,
-            100_000_000,
-            trips_risc::RiscTraceMeta::default(),
-        )
-        .unwrap();
-        let plan = handmade_plan(trace.header.dynamic_insts);
-        let cfg = configs::core2();
-        let (_, snaps) = run_ooo_phased_capture(&rp, &trace, &cfg, &plan).unwrap();
-        let (good, snap) = (plan.windows[1], &snaps[1]);
-        assert!(good.warm_start < good.detail_start);
-        assert!(replay_ooo_window(&rp, &trace, &cfg, &good, snap).is_ok());
-        for bad in [
-            // Measurement before its own warmup.
-            PhaseWindow {
-                detail_start: good.warm_start - 1,
-                ..good
-            },
-            // Measured span empty or inverted.
-            PhaseWindow {
-                end: good.detail_start,
-                ..good
-            },
-            PhaseWindow {
-                detail_start: good.end + 1,
-                end: good.end,
-                ..good
-            },
-            // Past the stream.
-            PhaseWindow {
-                end: trace.header.dynamic_insts + 1,
-                ..good
-            },
-        ] {
+        let good = core.snapshot();
+        let window = PhaseWindow {
+            warm_start: warm,
+            detail_start: warm + 64,
+            end: warm + 256,
+            weight_units: 192,
+        };
+        assert!(replay_ooo_window(&rp, &trace, &cfg, &window, &good).is_ok());
+        let mutations: [(&str, fn(&mut OooSnapshot)); 9] = [
+            ("L1 set count", |s| s.l1 = sets(&s.l1, |t| t.truncate(1))),
+            ("L2 set count", |s| {
+                s.l2 = sets(&s.l2, |t| t.push(t[0].clone()))
+            }),
+            ("L1 way count", |s| s.l1 = sets(&s.l1, |t| t[0] = ways(0))),
+            ("L2 way count", |s| s.l2 = sets(&s.l2, |t| t[1] = ways(9))),
+            ("bimodal table size", |s| s.pred.bim.truncate(1)),
+            ("gshare table size", |s| s.pred.gsh.push(1)),
+            ("chooser table size", |s| s.pred.chooser.truncate(1)),
+            ("return stack depth", |s| s.pred.ras = vec![(0, 0); 1000]),
+            ("ROB depth", |s| s.retire_ring.truncate(1)),
+        ];
+        for (what, mutate) in mutations {
+            let mut bad = good.clone();
+            mutate(&mut bad);
+            assert_ne!(bad, good, "{what}: mutation must change the snapshot");
             assert!(
                 matches!(
-                    replay_ooo_window(&rp, &trace, &cfg, &bad, snap),
+                    replay_ooo_window(&rp, &trace, &cfg, &window, &bad),
                     Err(RiscError::Trace(_))
                 ),
-                "{bad:?} must be rejected"
+                "{what}: malformed live-point must be rejected"
             );
-        }
-    }
-
-    #[test]
-    fn unsorted_phase_plans_are_rejected() {
-        let p = sum_program(3000);
-        let rp = compile_program(&p).unwrap();
-        let trace = trips_risc::RiscTrace::capture(
-            &rp,
-            &p,
-            1 << 20,
-            100_000_000,
-            trips_risc::RiscTraceMeta::default(),
-        )
-        .unwrap();
-        let mut plan = handmade_plan(trace.header.dynamic_insts);
-        plan.windows.reverse();
-        assert!(plan.validate().is_err());
-        let cfg = configs::core2();
-        let mode = ReplayMode::Phased(plan.clone());
-        assert!(matches!(
-            run_timed_trace_mode(&rp, &trace, &cfg, &mode),
-            Err(RiscError::Trace(_))
-        ));
-        assert!(run_ooo_phased_capture(&rp, &trace, &cfg, &plan).is_err());
-    }
-
-    #[test]
-    fn trace_replay_is_bit_identical_to_direct_timing() {
-        let p = sum_program(800);
-        let rp = compile_program(&p).unwrap();
-        let trace = trips_risc::RiscTrace::capture(
-            &rp,
-            &p,
-            1 << 20,
-            100_000_000,
-            trips_risc::RiscTraceMeta::default(),
-        )
-        .unwrap();
-        for cfg in [configs::core2(), configs::pentium4(), configs::pentium3()] {
-            let direct = run_timed(&rp, &p, &cfg, 1 << 20, 100_000_000).unwrap();
-            let replayed = full_replay(&rp, &trace, &cfg).unwrap();
-            assert_eq!(replayed.return_value, direct.return_value, "{}", cfg.name);
-            assert_eq!(replayed.stats, direct.stats, "{}", cfg.name);
         }
     }
 }

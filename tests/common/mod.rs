@@ -1,0 +1,132 @@
+//! Fixtures shared by the root integration tests: the one copy of each
+//! test program, phase plan and phase spec they build on.
+
+// Each test binary compiles this module and uses a subset of it.
+#![allow(dead_code)]
+
+use trips::engine::sample::{PhasePlan, PhaseWindow};
+use trips::engine::{PhaseK, PhaseSpec};
+use trips::ir::{IntCc, Opcode, Operand, Program, ProgramBuilder};
+
+/// `sum(0..n)` as one counted loop: a steady stream whose blocks repeat.
+pub fn sum_program(n: i64) -> Program {
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.func("main", 0);
+    let e = f.entry();
+    let body = f.block();
+    let done = f.block();
+    f.switch_to(e);
+    let acc = f.iconst(0);
+    let i = f.iconst(0);
+    f.jump(body);
+    f.switch_to(body);
+    f.ibin_to(Opcode::Add, acc, acc, i);
+    f.ibin_to(Opcode::Add, i, i, 1i64);
+    let c = f.icmp(IntCc::Lt, i, n);
+    f.branch(c, body, done);
+    f.switch_to(done);
+    f.ret(Some(Operand::reg(acc)));
+    f.finish();
+    pb.finish("main").unwrap()
+}
+
+/// A hand-built phase plan over a stream of `total` units: the head and
+/// tail windows measured in full plus one weighted interior
+/// representative with a timed warmup.
+pub fn handmade_plan(total: u64) -> PhasePlan {
+    let interval = (total / 5).max(1);
+    let head = interval.min(total);
+    let tail_start = total - interval;
+    let mid_extent = tail_start - head;
+    let rep_start = head + mid_extent / 2;
+    let rep_end = (rep_start + interval / 2)
+        .min(tail_start)
+        .max(rep_start + 1);
+    let warm = rep_start.saturating_sub(interval / 4).max(head);
+    let window = |warm_start, detail_start, end, weight_units| PhaseWindow {
+        warm_start,
+        detail_start,
+        end,
+        weight_units,
+    };
+    PhasePlan {
+        interval,
+        total_units: total,
+        k: 1,
+        windows: vec![
+            window(0, 0, head, head),
+            window(warm, rep_start, rep_end, mid_extent),
+            window(tail_start, tail_start, total, interval),
+        ],
+        assignments: vec![],
+    }
+}
+
+/// One multiplicative step of a 64-bit LCG (Knuth's constants):
+/// [`random_plan`] derives window geometry from a seeded stream of these,
+/// so every plan is reproducible from its seed alone.
+pub fn lcg(x: &mut u64) -> u64 {
+    *x = x
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *x >> 33
+}
+
+/// A random valid phase plan over a `total`-unit stream: up to `nwin`
+/// disjoint windows at seed-derived positions with seed-derived warmup
+/// run-ins, spans capped at `total / 8` so the plan never covers the
+/// stream, and weights topped up to sum exactly to `total`.
+pub fn random_plan(total: u64, interval: u64, seed: u64, nwin: usize) -> PhasePlan {
+    let mut s = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let cap = (total / 8).max(1);
+    let mut windows = Vec::new();
+    let mut cursor = 0u64;
+    for _ in 0..nwin {
+        if cursor >= total {
+            break;
+        }
+        let detail_start = cursor + lcg(&mut s) % ((total - cursor) / 2 + 1);
+        if detail_start >= total {
+            break;
+        }
+        let span = 1 + lcg(&mut s) % cap.min(total - detail_start);
+        let warm_start = detail_start - lcg(&mut s) % (detail_start - cursor + 1);
+        windows.push(PhaseWindow {
+            warm_start,
+            detail_start,
+            end: detail_start + span,
+            weight_units: span,
+        });
+        cursor = detail_start + span;
+    }
+    if windows.is_empty() {
+        windows.push(PhaseWindow {
+            warm_start: 0,
+            detail_start: 0,
+            end: 1,
+            weight_units: 1,
+        });
+    }
+    let short: u64 = total - windows.iter().map(|w| w.weight_units).sum::<u64>();
+    windows.last_mut().unwrap().weight_units += short;
+    PhasePlan {
+        interval,
+        total_units: total,
+        k: 1,
+        windows,
+        assignments: vec![],
+    }
+}
+
+/// A phase spec small enough to classify Test-scale streams.
+pub fn tiny_spec(k: PhaseK) -> PhaseSpec {
+    PhaseSpec {
+        interval: 8,
+        warmup: 4,
+        k,
+        floor: 0,
+        rep_span: 4,
+        boundary: 1,
+        tail: 1,
+    }
+}

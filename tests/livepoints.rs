@@ -1,9 +1,7 @@
-//! Live-point invariants, end to end:
+//! Live-point invariants, end to end (restore ≡ sequential on every
+//! core and configuration, for hand-made plans and random partitions, is
+//! one of the shared contracts in `tests/timing_contracts.rs`):
 //!
-//! * **Bit-identity** — capturing warmed checkpoints at measured-window
-//!   boundaries and replaying each window from its checkpoint reassembles
-//!   the *bit-identical* phased estimate on every timing backend (TRIPS
-//!   and all three OoO reference platforms).
 //! * **Warm-store zero re-warming** — a second session over a warm trace
 //!   store restores checkpoints from disk and replays only the measured
 //!   windows: zero captures, zero stream-prefix re-warming, identical
@@ -14,291 +12,16 @@
 //!   phased replay that re-warms the whole stream prefix (ignored by
 //!   default: wall-clock assertions belong in the release-built CI job).
 
-use proptest::prelude::*;
+mod common;
+
+use common::tiny_spec;
 use trips::compiler::CompileOptions;
-use trips::engine::sample::{assemble_windows, PhasePlan, PhaseWindow};
+use trips::engine::sample::assemble_windows;
 use trips::engine::{parallel_map, PhaseK, PhaseSpec, ReplayMode, Session, TraceStore};
 use trips::workloads::{by_name, Scale};
 use trips::{ooo, sim};
 
 const MEM: usize = 1 << 20;
-
-/// A test-local phase spec small enough to classify test-scale streams.
-fn tiny_spec(k: PhaseK) -> PhaseSpec {
-    PhaseSpec {
-        interval: 8,
-        warmup: 4,
-        k,
-        floor: 0,
-        rep_span: 4,
-        boundary: 1,
-        tail: 1,
-    }
-}
-
-#[test]
-fn restored_window_replay_is_bit_identical_on_every_backend() {
-    let w = by_name("vadd").unwrap();
-    let session = Session::new();
-
-    // TRIPS block-trace replay. o1 keeps the stream short but classifying
-    // under the tiny spec (see tests/phase.rs).
-    let opts = CompileOptions::o1();
-    let compiled = session.compiled(&w, Scale::Test, &opts, false).unwrap();
-    let log = session
-        .trace(&w, Scale::Test, &opts, false, MEM, 1_000_000)
-        .unwrap();
-    let plan = session
-        .trips_phase_plan(
-            &w,
-            Scale::Test,
-            &opts,
-            false,
-            MEM,
-            1_000_000,
-            &tiny_spec(PhaseK::Auto),
-        )
-        .unwrap();
-    assert!(!plan.covers_everything(), "stream long enough to classify");
-    let mode = ReplayMode::Phased((*plan).clone());
-    let cfg = sim::TripsConfig::prototype();
-    let seq = sim::replay_trace_mode(&compiled, &cfg, &log, &mode).unwrap();
-    // The capture pass *is* a sequential phased replay; the checkpoints
-    // ride along for free.
-    let (captured, snaps) = sim::replay_trace_phased_capture(&compiled, &cfg, &log, &plan).unwrap();
-    assert_eq!(captured.stats, seq.stats, "capture pass must be identical");
-    assert_eq!(captured.return_value, seq.return_value);
-    assert_eq!(snaps.len(), plan.windows.len());
-    // Replaying each measured window from its checkpoint — in any order,
-    // on any thread — reassembles the bit-identical estimate.
-    let windows: Vec<_> = plan
-        .windows
-        .iter()
-        .zip(&snaps)
-        .map(|(win, snap)| sim::replay_trips_window(&compiled, &cfg, &log, win, snap).unwrap())
-        .collect();
-    let assembled =
-        assemble_windows(sim::TsimCore::new(&compiled, &cfg, &log), &plan, &windows).unwrap();
-    assert_eq!(assembled.stats, seq.stats, "trips must be bit-identical");
-    assert_eq!(assembled.return_value, seq.return_value);
-
-    // All three OoO reference platforms over the recorded RISC stream.
-    let gcc = CompileOptions::gcc_ref();
-    let art = session.risc_program(&w, Scale::Test, &gcc).unwrap();
-    let stream = session
-        .risc_trace(&w, Scale::Test, &gcc, MEM, 400_000_000)
-        .unwrap();
-    let spec = PhaseSpec {
-        interval: 64,
-        ..tiny_spec(PhaseK::Auto)
-    };
-    let plan = session
-        .ooo_phase_plan(&w, Scale::Test, &gcc, MEM, 400_000_000, &spec)
-        .unwrap();
-    assert!(!plan.covers_everything(), "stream long enough to classify");
-    let mode = ReplayMode::Phased((*plan).clone());
-    for ocfg in [ooo::core2(), ooo::pentium4(), ooo::pentium3()] {
-        let seq = ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &mode).unwrap();
-        let (captured, snaps) =
-            ooo::run_ooo_phased_capture(&art.program, &stream, &ocfg, &plan).unwrap();
-        assert_eq!(captured.stats, seq.stats, "{} capture pass", ocfg.name);
-        assert_eq!(captured.return_value, seq.return_value);
-        let windows: Vec<_> = plan
-            .windows
-            .iter()
-            .zip(&snaps)
-            .map(|(win, snap)| {
-                ooo::replay_ooo_window(&art.program, &stream, &ocfg, win, snap).unwrap()
-            })
-            .collect();
-        let assembled = assemble_windows(
-            ooo::OooCore::new(&art.program, &stream, &ocfg),
-            &plan,
-            &windows,
-        )
-        .unwrap();
-        assert_eq!(
-            assembled.stats, seq.stats,
-            "{} must be bit-identical",
-            ocfg.name
-        );
-        assert_eq!(assembled.return_value, seq.return_value);
-    }
-}
-
-/// One multiplicative step of a 64-bit LCG (Knuth's constants); the
-/// proptest below derives window geometry from a seeded stream of these
-/// so every case is reproducible from its seed alone.
-fn lcg(x: &mut u64) -> u64 {
-    *x = x
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *x >> 33
-}
-
-/// A random valid phase plan over a `total`-unit stream: up to `nwin`
-/// disjoint windows at seed-derived positions with seed-derived warmup
-/// run-ins, spans capped at `total / 8` so the plan never covers the
-/// stream, and weights topped up to sum exactly to `total`.
-fn random_plan(total: u64, interval: u64, seed: u64, nwin: usize) -> PhasePlan {
-    let mut s = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let cap = (total / 8).max(1);
-    let mut windows = Vec::new();
-    let mut cursor = 0u64;
-    for _ in 0..nwin {
-        if cursor >= total {
-            break;
-        }
-        let detail_start = cursor + lcg(&mut s) % ((total - cursor) / 2 + 1);
-        if detail_start >= total {
-            break;
-        }
-        let span = 1 + lcg(&mut s) % cap.min(total - detail_start);
-        let warm_start = detail_start - lcg(&mut s) % (detail_start - cursor + 1);
-        windows.push(PhaseWindow {
-            warm_start,
-            detail_start,
-            end: detail_start + span,
-            weight_units: span,
-        });
-        cursor = detail_start + span;
-    }
-    if windows.is_empty() {
-        windows.push(PhaseWindow {
-            warm_start: 0,
-            detail_start: 0,
-            end: 1,
-            weight_units: 1,
-        });
-    }
-    let short: u64 = total - windows.iter().map(|w| w.weight_units).sum::<u64>();
-    windows.last_mut().unwrap().weight_units += short;
-    PhasePlan {
-        interval,
-        total_units: total,
-        k: 1,
-        windows,
-        assignments: vec![],
-    }
-}
-
-/// Shared captures for the proptest: one compile + trace per stream kind,
-/// reused across every generated case.
-struct PropStreams {
-    compiled: std::sync::Arc<trips::compiler::CompiledProgram>,
-    log: std::sync::Arc<trips::isa::trace::TraceLog>,
-    art: std::sync::Arc<trips::engine::RiscArtifacts>,
-    stream: std::sync::Arc<trips::risc::RiscTrace>,
-    trips_total: u64,
-    risc_total: u64,
-}
-
-fn prop_streams() -> &'static PropStreams {
-    static STREAMS: std::sync::OnceLock<PropStreams> = std::sync::OnceLock::new();
-    STREAMS.get_or_init(|| {
-        let w = by_name("vadd").unwrap();
-        let session = Session::new();
-        let opts = CompileOptions::o1();
-        let compiled = session.compiled(&w, Scale::Test, &opts, false).unwrap();
-        let log = session
-            .trace(&w, Scale::Test, &opts, false, MEM, 1_000_000)
-            .unwrap();
-        let gcc = CompileOptions::gcc_ref();
-        let art = session.risc_program(&w, Scale::Test, &gcc).unwrap();
-        let stream = session
-            .risc_trace(&w, Scale::Test, &gcc, MEM, 400_000_000)
-            .unwrap();
-        // The fitted plans' extents are the streams' unit counts.
-        let trips_total = session
-            .trips_phase_plan(
-                &w,
-                Scale::Test,
-                &opts,
-                false,
-                MEM,
-                1_000_000,
-                &tiny_spec(PhaseK::Auto),
-            )
-            .unwrap()
-            .total_units;
-        let spec = PhaseSpec {
-            interval: 64,
-            ..tiny_spec(PhaseK::Auto)
-        };
-        let risc_total = session
-            .ooo_phase_plan(&w, Scale::Test, &gcc, MEM, 400_000_000, &spec)
-            .unwrap()
-            .total_units;
-        PropStreams {
-            compiled,
-            log,
-            art,
-            stream,
-            trips_total,
-            risc_total,
-        }
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-    /// Restore-then-replay must be bit-identical to
-    /// fast-forward-then-replay for *arbitrary* window partitions, not
-    /// just fitted ones, on all four timing backends.
-    #[test]
-    fn restored_replay_matches_sequential_for_random_partitions(
-        seed in 0u64..1_000_000,
-        nwin in 1usize..5,
-    ) {
-        let s = prop_streams();
-
-        // TRIPS block-trace backend.
-        let plan = random_plan(s.trips_total, (s.trips_total / 5).max(1), seed, nwin);
-        prop_assert_eq!(plan.validate(), Ok(()));
-        prop_assert!(!plan.covers_everything());
-        let cfg = sim::TripsConfig::prototype();
-        let mode = ReplayMode::Phased(plan.clone());
-        let seq = sim::replay_trace_mode(&s.compiled, &cfg, &s.log, &mode).unwrap();
-        let (captured, snaps) =
-            sim::replay_trace_phased_capture(&s.compiled, &cfg, &s.log, &plan).unwrap();
-        prop_assert_eq!(&captured.stats, &seq.stats);
-        let windows: Vec<_> = plan
-            .windows
-            .iter()
-            .zip(&snaps)
-            .map(|(win, snap)| {
-                sim::replay_trips_window(&s.compiled, &cfg, &s.log, win, snap).unwrap()
-            })
-            .collect();
-        let assembled = assemble_windows(sim::TsimCore::new(&s.compiled, &cfg, &s.log), &plan, &windows).unwrap();
-        prop_assert_eq!(&assembled.stats, &seq.stats);
-        prop_assert_eq!(assembled.return_value, seq.return_value);
-
-        // All three OoO reference platforms over the recorded RISC stream.
-        let plan = random_plan(s.risc_total, (s.risc_total / 5).max(1), seed, nwin);
-        prop_assert_eq!(plan.validate(), Ok(()));
-        prop_assert!(!plan.covers_everything());
-        let mode = ReplayMode::Phased(plan.clone());
-        for ocfg in [ooo::core2(), ooo::pentium4(), ooo::pentium3()] {
-            let seq =
-                ooo::run_timed_trace_mode(&s.art.program, &s.stream, &ocfg, &mode).unwrap();
-            let (captured, snaps) =
-                ooo::run_ooo_phased_capture(&s.art.program, &s.stream, &ocfg, &plan).unwrap();
-            prop_assert_eq!(&captured.stats, &seq.stats);
-            let windows: Vec<_> = plan
-                .windows
-                .iter()
-                .zip(&snaps)
-                .map(|(win, snap)| {
-                    ooo::replay_ooo_window(&s.art.program, &s.stream, &ocfg, win, snap).unwrap()
-                })
-                .collect();
-            let assembled = assemble_windows(ooo::OooCore::new(&s.art.program, &s.stream, &ocfg), &plan, &windows).unwrap();
-            prop_assert_eq!(&assembled.stats, &seq.stats, "{} diverged", ocfg.name);
-            prop_assert_eq!(assembled.return_value, seq.return_value);
-        }
-    }
-}
 
 #[test]
 fn warm_store_replays_ooo_windows_without_rewarming() {

@@ -1,8 +1,7 @@
-//! Sampled-replay invariants, end to end:
+//! Sampled-replay invariants, end to end (sample-everything ≡ full
+//! replay on every core and configuration is one of the shared contracts
+//! in `tests/timing_contracts.rs`):
 //!
-//! * **Sample-everything degeneracy** — a plan whose window covers the
-//!   whole period is *bit-identical* to [`ReplayMode::Full`] on every
-//!   timing backend (TRIPS and all three OoO reference platforms).
 //! * **Accuracy** — the interval-sampled IPC estimate stays within the
 //!   documented bounds of full replay on bundled workloads at Ref scale
 //!   (the full-set gate runs in the `sampled-accuracy` CI job; see the
@@ -13,72 +12,9 @@
 
 use trips::compiler::CompileOptions;
 use trips::engine::Session;
-use trips::ooo;
-use trips::sample::{ReplayMode, SamplePlan};
+use trips::sample::ReplayMode;
 use trips::sim;
 use trips::workloads::{by_name, Scale};
-
-const MEM: usize = 1 << 20;
-
-#[test]
-fn sample_everything_is_bit_identical_on_every_backend() {
-    let w = by_name("autocor").unwrap();
-    let session = Session::new();
-    // Plans that measure every unit, in both degenerate shapes.
-    let covering = [
-        SamplePlan::new(0, 64, 64).unwrap(),
-        SamplePlan::new(0, 1, 1).unwrap(),
-    ];
-
-    // TRIPS block-trace replay.
-    let compiled = session
-        .compiled(&w, Scale::Test, &CompileOptions::o2(), false)
-        .unwrap();
-    let log = session
-        .trace(
-            &w,
-            Scale::Test,
-            &CompileOptions::o2(),
-            false,
-            MEM,
-            1_000_000,
-        )
-        .unwrap();
-    let cfg = sim::TripsConfig::prototype();
-    let full = sim::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full).unwrap();
-    for plan in covering {
-        let covered =
-            sim::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Sampled(plan)).unwrap();
-        assert_eq!(covered.stats, full.stats, "trips, plan {plan}");
-        assert_eq!(covered.return_value, full.return_value);
-        assert!(!covered.stats.sampled);
-    }
-
-    // All three OoO reference platforms over the recorded RISC stream.
-    let art = session
-        .risc_program(&w, Scale::Test, &CompileOptions::gcc_ref())
-        .unwrap();
-    let stream = session
-        .risc_trace(
-            &w,
-            Scale::Test,
-            &CompileOptions::gcc_ref(),
-            MEM,
-            400_000_000,
-        )
-        .unwrap();
-    for ocfg in [ooo::core2(), ooo::pentium4(), ooo::pentium3()] {
-        let full =
-            ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &ReplayMode::Full).unwrap();
-        for plan in covering {
-            let covered =
-                ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &ReplayMode::Sampled(plan))
-                    .unwrap();
-            assert_eq!(covered.stats, full.stats, "{}, plan {plan}", ocfg.name);
-            assert_eq!(covered.return_value, full.return_value);
-        }
-    }
-}
 
 /// A fast subset of the accuracy gate that runs under tier-1 `cargo test`:
 /// three Ref-scale workloads, both backends, documented bounds.
