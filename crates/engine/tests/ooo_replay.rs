@@ -1,16 +1,15 @@
-//! The OoO timing-reuse contract across process boundaries: every
-//! reference-platform configuration times a *recorded* RISC event stream
-//! off the trace store, with zero re-executions on the warm side, and the
-//! resulting cycles match driving the timing model from a live functional
-//! execution. (In-process, replay ≡ execution-driven timing is one of the
-//! shared timing contracts in the umbrella crate's
-//! `tests/timing_contracts.rs`.)
+//! The OoO timing-reuse contract: every reference-platform configuration
+//! times a *recorded* RISC event stream, and the resulting statistics are
+//! bit-identical to driving the timing model from a live functional
+//! execution — in-process through the [`Session`], and across real process
+//! boundaries through the trace store with zero re-executions on the warm
+//! side.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use trips_compiler::CompileOptions;
-use trips_engine::Session;
+use trips_engine::{ReplayMode, Session};
 use trips_workloads::{by_name, Scale};
 
 /// Defaults the CLI runs under (see `SweepSpec::default`).
@@ -18,6 +17,56 @@ const MEM: usize = 1 << 22;
 const RISC_BUDGET: u64 = 400_000_000;
 
 const WORKLOADS: [&str; 2] = ["vadd", "autocor"];
+
+fn all_configs() -> [trips_ooo::OooConfig; 3] {
+    [
+        trips_ooo::core2(),
+        trips_ooo::pentium4(),
+        trips_ooo::pentium3(),
+    ]
+}
+
+#[test]
+fn replay_matches_direct_execution_for_every_config() {
+    let session = Session::new();
+    for name in WORKLOADS {
+        let w = by_name(name).unwrap();
+        let art = session
+            .risc_program(&w, Scale::Test, &CompileOptions::gcc_ref())
+            .unwrap();
+        for cfg in all_configs() {
+            let direct =
+                trips_ooo::run_timed(&art.program, &art.ir, &cfg, MEM, RISC_BUDGET).unwrap();
+            let replayed = session
+                .ooo_replayed(
+                    &w,
+                    Scale::Test,
+                    &CompileOptions::gcc_ref(),
+                    &cfg,
+                    MEM,
+                    RISC_BUDGET,
+                    &ReplayMode::Full,
+                )
+                .unwrap();
+            assert_eq!(
+                replayed.return_value, direct.return_value,
+                "{name}/{}",
+                cfg.name
+            );
+            assert_eq!(replayed.stats, direct.stats, "{name}/{}", cfg.name);
+        }
+    }
+    let c = session.cache_stats();
+    assert_eq!(
+        c.risc_captures,
+        WORKLOADS.len() as u64,
+        "one functional execution per workload, however many configs time it"
+    );
+    assert!(
+        c.rtrace_hits >= (WORKLOADS.len() * (all_configs().len() - 1)) as u64,
+        "later configs must reuse the recorded stream: {c:?}"
+    );
+}
 
 fn sweep(store: &Path, out: &Path) -> String {
     let exe = env!("CARGO_BIN_EXE_trips-sweep");

@@ -731,6 +731,15 @@ mod tests {
     use serde::Value;
     use trips_ir::{IntCc, Operand, ProgramBuilder};
     use trips_risc::compile_program;
+    use trips_sample::assemble_windows;
+
+    fn full_replay(
+        rp: &RProgram,
+        trace: &RiscTrace,
+        cfg: &OooConfig,
+    ) -> Result<OooResult, RiscError> {
+        run_timed_trace_mode(rp, trace, cfg, &ReplayMode::Full)
+    }
 
     fn sum_program(n: i64) -> Program {
         let mut pb = ProgramBuilder::new();
@@ -822,6 +831,236 @@ mod tests {
         assert!(p4.stats.br_mispredicts > 0);
     }
 
+    #[test]
+    fn covering_sample_plan_is_bit_identical_to_full_replay() {
+        let p = sum_program(1200);
+        let rp = compile_program(&p).unwrap();
+        let trace = trips_risc::RiscTrace::capture(
+            &rp,
+            &p,
+            1 << 20,
+            100_000_000,
+            trips_risc::RiscTraceMeta::default(),
+        )
+        .unwrap();
+        let plan = trips_sample::SamplePlan::new(0, 9, 9).unwrap();
+        for cfg in [configs::core2(), configs::pentium4(), configs::pentium3()] {
+            let full = full_replay(&rp, &trace, &cfg).unwrap();
+            let covered =
+                run_timed_trace_mode(&rp, &trace, &cfg, &ReplayMode::Sampled(plan)).unwrap();
+            assert_eq!(covered.stats, full.stats, "{}", cfg.name);
+            assert!(!covered.stats.sampled);
+            assert_eq!(full.stats.est_cycles, full.stats.cycles);
+            assert_eq!(full.stats.total_insts, full.stats.insts);
+        }
+    }
+
+    #[test]
+    fn sampled_replay_times_a_fraction_and_extrapolates() {
+        let p = sum_program(20_000);
+        let rp = compile_program(&p).unwrap();
+        let trace = trips_risc::RiscTrace::capture(
+            &rp,
+            &p,
+            1 << 20,
+            100_000_000,
+            trips_risc::RiscTraceMeta::default(),
+        )
+        .unwrap();
+        let cfg = configs::core2();
+        let full = full_replay(&rp, &trace, &cfg).unwrap().stats;
+        let plan = trips_sample::SamplePlan::new(64, 64, 256).unwrap();
+        let s = run_timed_trace_mode(&rp, &trace, &cfg, &ReplayMode::Sampled(plan))
+            .unwrap()
+            .stats;
+        assert!(s.sampled);
+        assert_eq!(s.total_insts, trace.header.dynamic_insts);
+        assert!(
+            s.insts * 3 < s.total_insts,
+            "a 1/4-detail plan must time a minority: {}/{}",
+            s.insts,
+            s.total_insts
+        );
+        let rel = (s.est_cycles as f64 - full.cycles as f64).abs() / full.cycles as f64;
+        assert!(
+            rel < 0.10,
+            "extrapolation off by {:.1}% (est {} vs full {})",
+            rel * 100.0,
+            s.est_cycles,
+            full.cycles
+        );
+    }
+
+    /// A hand-built phase plan over a stream of `total` units: boundary
+    /// windows plus one weighted interior representative.
+    fn handmade_plan(total: u64) -> trips_sample::PhasePlan {
+        let interval = (total / 5).max(1);
+        let head = interval.min(total);
+        let tail_start = total - interval;
+        let mid_extent = tail_start - head;
+        let rep_start = head + mid_extent / 2;
+        let rep_end = (rep_start + interval / 2)
+            .min(tail_start)
+            .max(rep_start + 1);
+        let warm = rep_start.saturating_sub(interval / 4).max(head);
+        trips_sample::PhasePlan {
+            interval,
+            total_units: total,
+            k: 1,
+            windows: vec![
+                trips_sample::PhaseWindow {
+                    warm_start: 0,
+                    detail_start: 0,
+                    end: head,
+                    weight_units: head,
+                },
+                trips_sample::PhaseWindow {
+                    warm_start: warm,
+                    detail_start: rep_start,
+                    end: rep_end,
+                    weight_units: mid_extent,
+                },
+                trips_sample::PhaseWindow {
+                    warm_start: tail_start,
+                    detail_start: tail_start,
+                    end: total,
+                    weight_units: interval,
+                },
+            ],
+            assignments: vec![],
+        }
+    }
+
+    #[test]
+    fn livepoint_window_replay_is_bit_identical_to_sequential_phased() {
+        let p = sum_program(6000);
+        let rp = compile_program(&p).unwrap();
+        let trace = trips_risc::RiscTrace::capture(
+            &rp,
+            &p,
+            1 << 20,
+            100_000_000,
+            trips_risc::RiscTraceMeta::default(),
+        )
+        .unwrap();
+        let plan = handmade_plan(trace.header.dynamic_insts);
+        plan.validate().unwrap();
+        assert!(!plan.covers_everything());
+        for cfg in [configs::core2(), configs::pentium4(), configs::pentium3()] {
+            let sequential =
+                run_timed_trace_mode(&rp, &trace, &cfg, &ReplayMode::Phased(plan.clone())).unwrap();
+            let (captured, snaps) = run_ooo_phased_capture(&rp, &trace, &cfg, &plan).unwrap();
+            assert_eq!(
+                captured.stats, sequential.stats,
+                "{}: capture pass must match the plain phased replay",
+                cfg.name
+            );
+            assert_eq!(snaps.len(), plan.windows.len());
+            // Snapshots round-trip through bytes (the store's discipline).
+            let measures: Vec<WindowMeasure<OooStats>> = plan
+                .windows
+                .iter()
+                .zip(&snaps)
+                .map(|(w, s)| {
+                    let bytes = serde::bin::to_bytes(s);
+                    let back: OooSnapshot = serde::bin::from_bytes(&bytes).unwrap();
+                    assert_eq!(&back, s);
+                    replay_ooo_window(&rp, &trace, &cfg, w, &back).unwrap()
+                })
+                .collect();
+            let assembled =
+                assemble_windows(OooCore::new(&rp, &trace, &cfg), &plan, &measures).unwrap();
+            assert_eq!(
+                assembled.stats, sequential.stats,
+                "{}: restore-then-replay must match fast-forward-then-replay",
+                cfg.name
+            );
+            assert_eq!(assembled.return_value, sequential.return_value);
+        }
+    }
+
+    #[test]
+    fn livepoint_window_rejects_a_foreign_snapshot() {
+        let p = sum_program(3000);
+        let rp = compile_program(&p).unwrap();
+        let trace = trips_risc::RiscTrace::capture(
+            &rp,
+            &p,
+            1 << 20,
+            100_000_000,
+            trips_risc::RiscTraceMeta::default(),
+        )
+        .unwrap();
+        let plan = handmade_plan(trace.header.dynamic_insts);
+        let (_, snaps) = run_ooo_phased_capture(&rp, &trace, &configs::core2(), &plan).unwrap();
+        // Wrong boundary.
+        assert!(
+            replay_ooo_window(&rp, &trace, &configs::core2(), &plan.windows[1], &snaps[0]).is_err()
+        );
+        // Wrong machine geometry (snapshot captured under Core2).
+        assert!(replay_ooo_window(
+            &rp,
+            &trace,
+            &configs::pentium3(),
+            &plan.windows[1],
+            &snaps[1]
+        )
+        .is_err());
+        // Wrong measurement count.
+        let core2 = configs::core2();
+        assert!(assemble_windows(OooCore::new(&rp, &trace, &core2), &plan, &[]).is_err());
+    }
+
+    #[test]
+    fn malformed_windows_are_rejected() {
+        let p = sum_program(3000);
+        let rp = compile_program(&p).unwrap();
+        let trace = trips_risc::RiscTrace::capture(
+            &rp,
+            &p,
+            1 << 20,
+            100_000_000,
+            trips_risc::RiscTraceMeta::default(),
+        )
+        .unwrap();
+        let plan = handmade_plan(trace.header.dynamic_insts);
+        let cfg = configs::core2();
+        let (_, snaps) = run_ooo_phased_capture(&rp, &trace, &cfg, &plan).unwrap();
+        let (good, snap) = (plan.windows[1], &snaps[1]);
+        assert!(good.warm_start < good.detail_start);
+        assert!(replay_ooo_window(&rp, &trace, &cfg, &good, snap).is_ok());
+        for bad in [
+            // Measurement before its own warmup.
+            PhaseWindow {
+                detail_start: good.warm_start - 1,
+                ..good
+            },
+            // Measured span empty or inverted.
+            PhaseWindow {
+                end: good.detail_start,
+                ..good
+            },
+            PhaseWindow {
+                detail_start: good.end + 1,
+                end: good.end,
+                ..good
+            },
+            // Past the stream.
+            PhaseWindow {
+                end: trace.header.dynamic_insts + 1,
+                ..good
+            },
+        ] {
+            assert!(
+                matches!(
+                    replay_ooo_window(&rp, &trace, &cfg, &bad, snap),
+                    Err(RiscError::Trace(_))
+                ),
+                "{bad:?} must be rejected"
+            );
+        }
+    }
+
     /// `c` with `f` applied to its per-set tag lists, through its serde
     /// image (the fields belong to `trips_sim`).
     fn sets(c: &CacheSnapshot, f: impl Fn(&mut Vec<Value>)) -> CacheSnapshot {
@@ -891,6 +1130,50 @@ mod tests {
                 ),
                 "{what}: malformed live-point must be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn unsorted_phase_plans_are_rejected() {
+        let p = sum_program(3000);
+        let rp = compile_program(&p).unwrap();
+        let trace = trips_risc::RiscTrace::capture(
+            &rp,
+            &p,
+            1 << 20,
+            100_000_000,
+            trips_risc::RiscTraceMeta::default(),
+        )
+        .unwrap();
+        let mut plan = handmade_plan(trace.header.dynamic_insts);
+        plan.windows.reverse();
+        assert!(plan.validate().is_err());
+        let cfg = configs::core2();
+        let mode = ReplayMode::Phased(plan.clone());
+        assert!(matches!(
+            run_timed_trace_mode(&rp, &trace, &cfg, &mode),
+            Err(RiscError::Trace(_))
+        ));
+        assert!(run_ooo_phased_capture(&rp, &trace, &cfg, &plan).is_err());
+    }
+
+    #[test]
+    fn trace_replay_is_bit_identical_to_direct_timing() {
+        let p = sum_program(800);
+        let rp = compile_program(&p).unwrap();
+        let trace = trips_risc::RiscTrace::capture(
+            &rp,
+            &p,
+            1 << 20,
+            100_000_000,
+            trips_risc::RiscTraceMeta::default(),
+        )
+        .unwrap();
+        for cfg in [configs::core2(), configs::pentium4(), configs::pentium3()] {
+            let direct = run_timed(&rp, &p, &cfg, 1 << 20, 100_000_000).unwrap();
+            let replayed = full_replay(&rp, &trace, &cfg).unwrap();
+            assert_eq!(replayed.return_value, direct.return_value, "{}", cfg.name);
+            assert_eq!(replayed.stats, direct.stats, "{}", cfg.name);
         }
     }
 }

@@ -853,6 +853,15 @@ impl<'a> Timing<'a> {
 mod tests {
     use super::*;
     use trips_compiler::{compile, CompileOptions};
+    use trips_sample::assemble_windows;
+
+    fn full_replay(
+        compiled: &CompiledProgram,
+        cfg: &TripsConfig,
+        log: &TraceLog,
+    ) -> Result<SimResult, SimError> {
+        replay_trace_mode(compiled, cfg, log, &ReplayMode::Full)
+    }
     use trips_ir::{IntCc, Operand, ProgramBuilder};
 
     fn sum_program(n: i64) -> trips_ir::Program {
@@ -925,6 +934,288 @@ mod tests {
             "loop should predict well, missed {:.1}%",
             mr * 100.0
         );
+    }
+
+    #[test]
+    fn replay_matches_direct_simulation_exactly() {
+        let p = sum_program(3000);
+        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
+        let log = TraceLog::capture(
+            &compiled.trips,
+            &compiled.opt_ir,
+            1 << 20,
+            u64::MAX,
+            Default::default(),
+        )
+        .unwrap();
+        assert!(
+            log.dedup_ratio() > 2.0,
+            "a counted loop should intern well, got {}",
+            log.dedup_ratio()
+        );
+        for cfg in [TripsConfig::prototype(), TripsConfig::improved_predictor()] {
+            let direct = simulate(&compiled, &cfg, 1 << 20).unwrap();
+            let replayed = full_replay(&compiled, &cfg, &log).unwrap();
+            assert_eq!(replayed.return_value, direct.return_value);
+            assert_eq!(
+                replayed.stats, direct.stats,
+                "replay must be bit-identical to direct simulation"
+            );
+        }
+    }
+
+    #[test]
+    fn covering_sample_plan_is_bit_identical_to_full_replay() {
+        let p = sum_program(2000);
+        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
+        let log = TraceLog::capture(
+            &compiled.trips,
+            &compiled.opt_ir,
+            1 << 20,
+            u64::MAX,
+            Default::default(),
+        )
+        .unwrap();
+        let cfg = TripsConfig::prototype();
+        let full = full_replay(&compiled, &cfg, &log).unwrap();
+        let plan = trips_sample::SamplePlan::new(0, 7, 7).unwrap();
+        let covered = replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Sampled(plan)).unwrap();
+        assert_eq!(covered.stats, full.stats, "sample-everything must be Full");
+        assert!(!covered.stats.sampled);
+        assert_eq!(full.stats.est_cycles, full.stats.cycles);
+        assert_eq!(full.stats.detailed_units, full.stats.blocks);
+    }
+
+    #[test]
+    fn sampled_replay_times_a_fraction_and_extrapolates() {
+        let p = sum_program(6000);
+        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
+        let log = TraceLog::capture(
+            &compiled.trips,
+            &compiled.opt_ir,
+            1 << 20,
+            u64::MAX,
+            Default::default(),
+        )
+        .unwrap();
+        let cfg = TripsConfig::prototype();
+        let full = full_replay(&compiled, &cfg, &log).unwrap();
+        let plan = trips_sample::SamplePlan::new(8, 8, 32).unwrap();
+        let s = replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Sampled(plan))
+            .unwrap()
+            .stats;
+        assert!(s.sampled);
+        assert_eq!(s.total_units, log.seq.len() as u64);
+        assert_eq!(s.detailed_units, s.blocks);
+        assert!(
+            s.detailed_units * 3 < s.total_units,
+            "a 1/4-detail plan must time a minority of blocks: {}/{}",
+            s.detailed_units,
+            s.total_units
+        );
+        assert!(s.cycles < full.stats.cycles);
+        // The extrapolated estimate lands near the full-replay truth on a
+        // steady-state loop.
+        let rel = (s.est_cycles as f64 - full.stats.cycles as f64).abs() / full.stats.cycles as f64;
+        assert!(
+            rel < 0.10,
+            "extrapolation off by {:.1}% (est {} vs full {})",
+            rel * 100.0,
+            s.est_cycles,
+            full.stats.cycles
+        );
+        // And the functional composition is untouched by sampling.
+        assert_eq!(s.isa, full.stats.isa);
+    }
+
+    /// A hand-built phase plan over a stream of `total` units: boundary
+    /// windows plus one weighted interior representative per `chunk`.
+    fn handmade_plan(total: u64) -> trips_sample::PhasePlan {
+        let interval = (total / 5).max(1);
+        let head = interval.min(total);
+        let tail_start = total - interval;
+        let mid_extent = tail_start - head;
+        let rep_start = head + mid_extent / 2;
+        let rep_end = (rep_start + interval / 2)
+            .min(tail_start)
+            .max(rep_start + 1);
+        let warm = rep_start.saturating_sub(interval / 4).max(head);
+        trips_sample::PhasePlan {
+            interval,
+            total_units: total,
+            k: 1,
+            windows: vec![
+                trips_sample::PhaseWindow {
+                    warm_start: 0,
+                    detail_start: 0,
+                    end: head,
+                    weight_units: head,
+                },
+                trips_sample::PhaseWindow {
+                    warm_start: warm,
+                    detail_start: rep_start,
+                    end: rep_end,
+                    weight_units: mid_extent,
+                },
+                trips_sample::PhaseWindow {
+                    warm_start: tail_start,
+                    detail_start: tail_start,
+                    end: total,
+                    weight_units: interval,
+                },
+            ],
+            assignments: vec![],
+        }
+    }
+
+    #[test]
+    fn livepoint_window_replay_is_bit_identical_to_sequential_phased() {
+        let p = sum_program(4000);
+        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
+        let log = TraceLog::capture(
+            &compiled.trips,
+            &compiled.opt_ir,
+            1 << 20,
+            u64::MAX,
+            Default::default(),
+        )
+        .unwrap();
+        let plan = handmade_plan(log.seq.len() as u64);
+        plan.validate().unwrap();
+        assert!(!plan.covers_everything());
+        for cfg in [TripsConfig::prototype(), TripsConfig::improved_predictor()] {
+            let sequential =
+                replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Phased(plan.clone()))
+                    .unwrap();
+            let (captured, snaps) =
+                replay_trace_phased_capture(&compiled, &cfg, &log, &plan).unwrap();
+            assert_eq!(
+                captured.stats, sequential.stats,
+                "capture pass must be bit-identical to the plain phased replay"
+            );
+            assert_eq!(snaps.len(), plan.windows.len());
+            // Snapshots round-trip through bytes (the store's discipline).
+            let measures: Vec<WindowMeasure<SimStats>> = plan
+                .windows
+                .iter()
+                .zip(&snaps)
+                .map(|(w, s)| {
+                    let bytes = serde::bin::to_bytes(s);
+                    let back: TsimSnapshot = serde::bin::from_bytes(&bytes).unwrap();
+                    assert_eq!(&back, s);
+                    replay_trips_window(&compiled, &cfg, &log, w, &back).unwrap()
+                })
+                .collect();
+            let assembled =
+                assemble_windows(TsimCore::new(&compiled, &cfg, &log), &plan, &measures).unwrap();
+            assert_eq!(
+                assembled.stats, sequential.stats,
+                "restore-then-replay must be bit-identical to fast-forward-then-replay"
+            );
+            assert_eq!(assembled.return_value, sequential.return_value);
+        }
+    }
+
+    #[test]
+    fn livepoint_window_rejects_a_foreign_snapshot() {
+        let p = sum_program(2000);
+        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
+        let log = TraceLog::capture(
+            &compiled.trips,
+            &compiled.opt_ir,
+            1 << 20,
+            u64::MAX,
+            Default::default(),
+        )
+        .unwrap();
+        let plan = handmade_plan(log.seq.len() as u64);
+        let cfg = TripsConfig::prototype();
+        let (_, snaps) = replay_trace_phased_capture(&compiled, &cfg, &log, &plan).unwrap();
+        // A snapshot from one boundary cannot seed a different window.
+        assert!(matches!(
+            replay_trips_window(&compiled, &cfg, &log, &plan.windows[1], &snaps[0]),
+            Err(SimError::Trace(_))
+        ));
+        // A wrong-count assembly is rejected.
+        assert!(matches!(
+            assemble_windows(TsimCore::new(&compiled, &cfg, &log), &plan, &[]),
+            Err(SimError::Trace(_))
+        ));
+    }
+
+    #[test]
+    fn malformed_windows_are_rejected_without_panicking() {
+        let p = sum_program(2000);
+        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
+        let log = TraceLog::capture(
+            &compiled.trips,
+            &compiled.opt_ir,
+            1 << 20,
+            u64::MAX,
+            Default::default(),
+        )
+        .unwrap();
+        let plan = handmade_plan(log.seq.len() as u64);
+        let cfg = TripsConfig::prototype();
+        let (_, snaps) = replay_trace_phased_capture(&compiled, &cfg, &log, &plan).unwrap();
+        let (good, snap) = (plan.windows[1], &snaps[1]);
+        assert!(good.warm_start < good.detail_start);
+        assert!(replay_trips_window(&compiled, &cfg, &log, &good, snap).is_ok());
+        let total = log.seq.len() as u64;
+        for bad in [
+            // Measurement before its own warmup.
+            PhaseWindow {
+                detail_start: good.warm_start - 1,
+                ..good
+            },
+            // Measured span empty or inverted.
+            PhaseWindow {
+                end: good.detail_start,
+                ..good
+            },
+            PhaseWindow {
+                detail_start: good.end + 1,
+                end: good.end,
+                ..good
+            },
+            // Past the stream.
+            PhaseWindow {
+                end: total + 1,
+                ..good
+            },
+        ] {
+            assert!(
+                matches!(
+                    replay_trips_window(&compiled, &cfg, &log, &bad, snap),
+                    Err(SimError::Trace(_))
+                ),
+                "{bad:?} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn unsorted_phase_plans_are_rejected() {
+        let p = sum_program(2000);
+        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
+        let log = TraceLog::capture(
+            &compiled.trips,
+            &compiled.opt_ir,
+            1 << 20,
+            u64::MAX,
+            Default::default(),
+        )
+        .unwrap();
+        let mut plan = handmade_plan(log.seq.len() as u64);
+        plan.windows.reverse();
+        assert!(plan.validate().is_err());
+        let cfg = TripsConfig::prototype();
+        let mode = ReplayMode::Phased(plan.clone());
+        assert!(matches!(
+            replay_trace_mode(&compiled, &cfg, &log, &mode),
+            Err(SimError::Trace(_))
+        ));
+        assert!(replay_trace_phased_capture(&compiled, &cfg, &log, &plan).is_err());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!   weights sum to exactly the stream's total units, windows are
 //!   ordered and disjoint, and the fit is byte-identical across runs.
 //! * **Covering degeneracy** — a plan with k ≥ the interval count
-//!   measures everything (its replay ≡ full replay on every core and
-//!   configuration is one of the shared contracts in
-//!   `tests/timing_contracts.rs`).
+//!   measures everything, normalizes to [`ReplayMode::Full`], and is
+//!   *bit-identical* to full replay on all four timing backends (TRIPS
+//!   and the three OoO reference platforms).
 //! * **Determinism + persistence** — the same trace key produces the
 //!   byte-identical plan in independent sessions, and a session backed by
 //!   a warm trace store serves the fitted plan from disk with **zero**
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use trips::engine::{PhaseK, PhaseSpec, ReplayMode, Session, TraceStore};
 use trips::phase::fit_plan;
 use trips::workloads::{by_name, Scale};
-use trips::{compiler::CompileOptions, sim};
+use trips::{compiler::CompileOptions, ooo, sim};
 
 const MEM: usize = 1 << 20;
 
@@ -75,6 +75,89 @@ proptest! {
                 prop_assert!(plan.covers_everything());
             }
         }
+    }
+}
+
+#[test]
+fn covering_phase_plan_is_bit_identical_on_every_backend() {
+    let w = by_name("autocor").unwrap();
+    let session = Session::new();
+    // k far past any interval count: the fitted plan covers everything
+    // and must normalize to the bit-exact full path.
+    let spec = tiny_spec(PhaseK::K(100_000));
+
+    // TRIPS block-trace replay.
+    let compiled = session
+        .compiled(&w, Scale::Test, &CompileOptions::o2(), false)
+        .unwrap();
+    let log = session
+        .trace(
+            &w,
+            Scale::Test,
+            &CompileOptions::o2(),
+            false,
+            MEM,
+            1_000_000,
+        )
+        .unwrap();
+    let plan = session
+        .trips_phase_plan(
+            &w,
+            Scale::Test,
+            &CompileOptions::o2(),
+            false,
+            MEM,
+            1_000_000,
+            &spec,
+        )
+        .unwrap();
+    assert!(plan.covers_everything());
+    let mode = ReplayMode::Phased((*plan).clone());
+    assert!(mode.phase().is_none());
+    let cfg = sim::TripsConfig::prototype();
+    let full = sim::replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Full).unwrap();
+    let covered = sim::replay_trace_mode(&compiled, &cfg, &log, &mode).unwrap();
+    assert_eq!(covered.stats, full.stats, "trips must be bit-identical");
+    assert!(!covered.stats.sampled);
+
+    // All three OoO reference platforms over the recorded RISC stream.
+    let art = session
+        .risc_program(&w, Scale::Test, &CompileOptions::gcc_ref())
+        .unwrap();
+    let stream = session
+        .risc_trace(
+            &w,
+            Scale::Test,
+            &CompileOptions::gcc_ref(),
+            MEM,
+            400_000_000,
+        )
+        .unwrap();
+    let spec = PhaseSpec {
+        interval: 64,
+        ..tiny_spec(PhaseK::K(100_000))
+    };
+    let plan = session
+        .ooo_phase_plan(
+            &w,
+            Scale::Test,
+            &CompileOptions::gcc_ref(),
+            MEM,
+            400_000_000,
+            &spec,
+        )
+        .unwrap();
+    assert!(plan.covers_everything());
+    let mode = ReplayMode::Phased((*plan).clone());
+    for ocfg in [ooo::core2(), ooo::pentium4(), ooo::pentium3()] {
+        let full =
+            ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &ReplayMode::Full).unwrap();
+        let covered = ooo::run_timed_trace_mode(&art.program, &stream, &ocfg, &mode).unwrap();
+        assert_eq!(
+            covered.stats, full.stats,
+            "{} must be bit-identical",
+            ocfg.name
+        );
     }
 }
 
