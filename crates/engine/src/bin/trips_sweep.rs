@@ -458,6 +458,11 @@ fn run(
         return ExitCode::SUCCESS;
     }
 
+    // A spec the sweep would reject must not create, scan or prune the
+    // store first.
+    if let Err(e) = spec.validate() {
+        return fail(&e.to_string());
+    }
     let session = match &trace_dir {
         Some(dir) => match trips_engine::TraceStore::open(dir) {
             Ok(store) => {

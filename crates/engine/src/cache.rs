@@ -582,7 +582,7 @@ pub struct Session {
     /// Live-point tier switch: the window-replay worker count when
     /// enabled (0 = one per core, the pool's convention).
     live_points: Mutex<Option<usize>>,
-    store: OnceLock<TraceStore>,
+    store: Option<TraceStore>,
 }
 
 impl Default for Session {
@@ -599,7 +599,7 @@ impl Default for Session {
             livepoints: Memo::new(TierStats::disk("livepoint_")),
             degraded: Count::new("session_degraded".to_string()),
             live_points: Mutex::new(None),
-            store: OnceLock::new(),
+            store: None,
         }
     }
 }
@@ -630,26 +630,20 @@ impl Session {
         Session::default()
     }
 
-    /// A fresh session backed by an on-disk trace store: trace requests
-    /// that miss in memory consult (and fill) `store`.
+    /// A fresh session backed by an on-disk trace store: requests that
+    /// miss in memory consult (and fill) `store`. This is the only way a
+    /// session gets a store, so it keeps the same one (or none, from
+    /// [`Session::new`]) for its whole life.
     pub fn with_store(store: TraceStore) -> Session {
-        let s = Session::new();
-        let _ = s.store.set(store);
-        s
+        Session {
+            store: Some(store),
+            ..Session::default()
+        }
     }
 
-    /// Installs an on-disk trace store after construction (used by the
-    /// experiment harness, whose session is a process-wide static).
-    ///
-    /// # Errors
-    /// Returns the store back if one is already installed.
-    pub fn set_store(&self, store: TraceStore) -> Result<(), TraceStore> {
-        self.store.set(store)
-    }
-
-    /// The on-disk trace store, if one is installed.
+    /// The on-disk trace store, if the session was built with one.
     pub fn store(&self) -> Option<&TraceStore> {
-        self.store.get()
+        self.store.as_ref()
     }
 
     /// Switches the live-point tier: with `Some(threads)`, phased replays
@@ -672,13 +666,6 @@ impl Session {
             .live_points
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The process-wide session used by the experiment harness, so separate
-    /// figures share compiles and captures.
-    pub fn global() -> &'static Session {
-        static GLOBAL: OnceLock<Session> = OnceLock::new();
-        GLOBAL.get_or_init(Session::new)
     }
 
     /// Registers every tier's metrics series, so a `--metrics` snapshot
@@ -705,7 +692,7 @@ impl Session {
     /// (produce instead of read, skip the write-back) rather than
     /// paying retry backoffs against a disk that is plainly gone.
     fn healthy_store(&self) -> Option<&TraceStore> {
-        let store = self.store.get()?;
+        let store = self.store.as_ref()?;
         if store.degraded() {
             self.degraded.bump();
             return None;

@@ -215,6 +215,42 @@ pub struct SweepSpec {
     pub threads: usize,
 }
 
+impl SweepSpec {
+    /// Checks the spec without measuring anything, so a caller can reject
+    /// it before opening a store or running a maintenance pass;
+    /// [`run_sweep`] runs the same checks.
+    ///
+    /// # Errors
+    /// [`EngineError::Spec`] for no workloads, no backends, both sampling
+    /// strategies at once, or a `trips` backend with no config, and
+    /// [`EngineError::UnknownWorkload`] for a name the registry lacks,
+    /// whichever comes first in workload order.
+    pub fn validate(&self) -> Result<(), EngineError> {
+        if self.workloads.is_empty() {
+            return Err(EngineError::Spec("no workloads".into()));
+        }
+        if self.backends.is_empty() {
+            return Err(EngineError::Spec("no backends".into()));
+        }
+        if self.sample.is_some() && self.phase.is_some() {
+            return Err(EngineError::Spec(
+                "--sample and --phase are mutually exclusive sampling strategies".into(),
+            ));
+        }
+        for name in &self.workloads {
+            if by_name(name).is_none() {
+                return Err(EngineError::UnknownWorkload(name.clone()));
+            }
+            if self.configs.is_empty() && self.backends.contains(&BackendSpec::Trips) {
+                return Err(EngineError::Spec(
+                    "trips backend needs at least one config".into(),
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Default for SweepSpec {
     fn default() -> Self {
         SweepSpec {
@@ -418,28 +454,13 @@ fn blank_row(p: &Point, status: &str) -> SweepRow {
 }
 
 fn expand(spec: &SweepSpec) -> Result<Vec<Point>, EngineError> {
-    if spec.workloads.is_empty() {
-        return Err(EngineError::Spec("no workloads".into()));
-    }
-    if spec.backends.is_empty() {
-        return Err(EngineError::Spec("no backends".into()));
-    }
-    if spec.sample.is_some() && spec.phase.is_some() {
-        return Err(EngineError::Spec(
-            "--sample and --phase are mutually exclusive sampling strategies".into(),
-        ));
-    }
+    spec.validate()?;
     let mut points = Vec::new();
     for name in &spec.workloads {
-        let w = by_name(name).ok_or_else(|| EngineError::UnknownWorkload(name.clone()))?;
+        let w = by_name(name).expect("validated workload");
         for b in &spec.backends {
             match b {
                 BackendSpec::Trips => {
-                    if spec.configs.is_empty() {
-                        return Err(EngineError::Spec(
-                            "trips backend needs at least one config".into(),
-                        ));
-                    }
                     for c in &spec.configs {
                         points.push(Point {
                             workload: w.clone(),

@@ -103,3 +103,41 @@ fn two_process_round_trip_is_bit_identical_and_capture_free() {
         }
     }
 }
+
+/// A spec the sweep would reject fails before the store is opened: the
+/// directory is never created, and `--trace-gc` neither scans nor prunes.
+#[test]
+fn rejected_spec_never_opens_the_store() {
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("store-reject-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["--trace-gc", "--workloads", "nosuch"],
+            "unknown workload `nosuch`",
+        ),
+        (
+            &["--sample", "16,48,128", "--phase", "auto"],
+            "--sample and --phase are mutually exclusive",
+        ),
+    ];
+    for (i, (args, message)) in cases.into_iter().enumerate() {
+        let store = root.join(format!("store{i}"));
+        let output = Command::new(env!("CARGO_BIN_EXE_trips-sweep"))
+            .args(args)
+            .arg("--trace-dir")
+            .arg(&store)
+            .output()
+            .expect("spawn trips-sweep");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(message), "{args:?}:\n{stderr}");
+        assert!(
+            !stderr.contains("trace-gc:"),
+            "{args:?} ran the gc:\n{stderr}"
+        );
+        assert!(!store.exists(), "{args:?} created {}", store.display());
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}

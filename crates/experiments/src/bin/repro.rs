@@ -27,11 +27,20 @@
 //! compares both strategies against full replay, and writes the
 //! per-interval cluster assignments as CSV when `TRIPS_PHASE_CSV=path`
 //! is set.
+//!
+//! The whole command line is checked before anything runs: a rejected
+//! flag or experiment name exits 1 without creating the trace store. The
+//! flags then become one [`trips_experiments::Run`] (one session, one
+//! replay mode, one scale) that every experiment measures under, and each
+//! report is printed as soon as it is rendered.
 
 use std::env;
 use std::fmt::Display;
 
+use trips_engine::{PhaseK, SamplePlan, Session, TraceStore};
+use trips_experiments::{experiment, Run, EXPERIMENTS};
 use trips_obs::Level;
+use trips_workloads::Scale;
 
 /// Logs `msg` as an error and exits 1.
 fn fail(msg: impl Display) -> ! {
@@ -57,39 +66,16 @@ fn main() {
     args.retain(|a| a != "--quick");
     let trace_dir = take_value(&mut args, "--trace-dir", "--trace-dir needs a value")
         .or_else(|| env::var("TRIPS_TRACE_DIR").ok().filter(|v| !v.is_empty()));
-    if let Some(dir) = &trace_dir {
-        if let Err(e) = trips_experiments::runner::init_trace_store(std::path::Path::new(dir)) {
-            fail(e);
-        }
-        trips_obs::log!(Level::Info, "repro", "trace store: {dir}");
-    }
-    if let Some(spec) = take_value(
+    let sample = take_value(
         &mut args,
         "--sample",
         "--sample needs warmup,detailed,period",
-    ) {
-        let plan = trips_engine::SamplePlan::parse(&spec)
-            .unwrap_or_else(|e| fail(format!("--sample: {e}")));
-        if let Err(e) = trips_experiments::runner::set_sample_plan(plan) {
-            fail(e);
-        }
-        trips_obs::log!(
-            Level::Info,
-            "repro",
-            "sampling timing backends under plan {plan}"
-        );
-    }
-    if let Some(spec) = take_value(&mut args, "--phase", "--phase needs k|auto") {
-        let k =
-            trips_engine::PhaseK::parse(&spec).unwrap_or_else(|e| fail(format!("--phase: {e}")));
-        if let Err(e) = trips_experiments::runner::set_phase_k(k) {
-            fail(e);
-        }
-        trips_obs::log!(
-            Level::Info,
-            "repro",
-            "phase-classifying timing backends (k={k})"
-        );
+    )
+    .map(|spec| SamplePlan::parse(&spec).unwrap_or_else(|e| fail(format!("--sample: {e}"))));
+    let phase = take_value(&mut args, "--phase", "--phase needs k|auto")
+        .map(|spec| PhaseK::parse(&spec).unwrap_or_else(|e| fail(format!("--phase: {e}"))));
+    if sample.is_some() && phase.is_some() {
+        fail("--sample and --phase are mutually exclusive");
     }
     let what = match args.as_slice() {
         [] => "all",
@@ -102,21 +88,47 @@ fn main() {
                 .join(" ")
         )),
     };
-
-    let names: Vec<&str> = if what == "all" {
-        trips_experiments::EXPERIMENTS.to_vec()
+    let experiments = if what == "all" {
+        EXPERIMENTS.to_vec()
     } else {
-        vec![what]
+        vec![(what, experiment(what).unwrap_or_else(|e| fail(e)))]
     };
-    for name in names {
-        trips_obs::log!(Level::Info, "repro", "running {name} ...");
-        match trips_experiments::run_experiment(name, quick) {
-            Ok(report) => println!("{report}"),
-            Err(e) => fail(e),
+
+    let session = match &trace_dir {
+        Some(dir) => {
+            let store = TraceStore::open(dir)
+                .unwrap_or_else(|e| fail(format!("opening trace store `{dir}`: {e}")));
+            trips_obs::log!(Level::Info, "repro", "trace store: {dir}");
+            Session::with_store(store)
         }
+        None => Session::new(),
+    };
+    if let Some(plan) = sample {
+        trips_obs::log!(
+            Level::Info,
+            "repro",
+            "sampling timing backends under plan {plan}"
+        );
+    }
+    if let Some(k) = phase {
+        trips_obs::log!(
+            Level::Info,
+            "repro",
+            "phase-classifying timing backends (k={k})"
+        );
+    }
+    let run = Run {
+        session: &session,
+        sample,
+        phase,
+        scale: if quick { Scale::Test } else { Scale::Ref },
+    };
+    for (name, render) in experiments {
+        trips_obs::log!(Level::Info, "repro", "running {name} ...");
+        println!("{}", render(&run));
     }
     if trace_dir.is_some() {
-        let c = trips_engine::Session::global().cache_stats();
+        let c = session.cache_stats();
         trips_obs::log!(
             Level::Info,
             "repro",

@@ -5,7 +5,7 @@
 //! through the engine ([`runner::isa_measurements`],
 //! [`runner::trips_measurements`], [`runner::perf_measurements`] and
 //! [`runner::figure_rows`] — thin wrappers over `trips_engine::run_sweep`
-//! on the global session), and renders the rows. The figures therefore
+//! on the [`Run`]'s session), and renders the rows. The figures therefore
 //! measure through the exact code path `trips-sweep` drives, and every
 //! artifact (compile, TRIPS trace, RISC event stream) is captured once and
 //! replayed everywhere. The exceptions are named where they happen: the
@@ -14,15 +14,14 @@
 //! ablations (execution-driven) and the accuracy harnesses (raw replays,
 //! so their speedup column measures replay alone).
 
-use crate::runner::{self, compile_workload, geomean, mean, MEM};
+use crate::runner::{self, compile_workload, geomean, mean, Run, MEM};
 use crate::table::Table;
 use std::collections::HashMap;
 use trips_compiler::CompileOptions;
-use trips_engine::Session;
 use trips_risc::EventSource;
 use trips_sim::predictor::{ExitKind, NextBlockPredictor, TournamentBranchPredictor};
 use trips_sim::TripsConfig;
-use trips_workloads::{simple, suite, Scale, Suite, Workload};
+use trips_workloads::{simple, suite, Suite, Workload};
 
 /// The two SPEC suites, in the paper's order.
 const SPEC: [Suite; 2] = [Suite::SpecInt, Suite::SpecFp];
@@ -104,13 +103,13 @@ pub fn table2() -> String {
 }
 
 /// Figure 3: TRIPS block size and composition, compiled (C) and hand (H).
-pub fn fig3(scale: Scale) -> String {
+pub fn fig3(run: &Run) -> String {
     let c = runner::isa_measurements(
+        run,
         &with_suites(simple_set(), &[Suite::Eembc, Suite::SpecInt, Suite::SpecFp]),
-        scale,
         false,
     );
-    let h = runner::isa_measurements(&simple_set(), scale, true);
+    let h = runner::isa_measurements(run, &simple_set(), true);
     let mut t = Table::new(
         "Figure 3: average block composition (instructions per block)",
         &[
@@ -151,13 +150,13 @@ pub fn fig3(scale: Scale) -> String {
 }
 
 /// Figure 4: fetched TRIPS instructions normalized to the RISC baseline.
-pub fn fig4(scale: Scale) -> String {
+pub fn fig4(run: &Run) -> String {
     let c = runner::isa_measurements(
+        run,
         &with_suites(simple_set(), &[Suite::Eembc, Suite::SpecInt, Suite::SpecFp]),
-        scale,
         false,
     );
-    let h = runner::isa_measurements(&simple_set(), scale, true);
+    let h = runner::isa_measurements(run, &simple_set(), true);
     let mut t = Table::new(
         "Figure 4: TRIPS instructions normalized to RISC (PowerPC-like)",
         &["useful", "moves", "execNU", "fetchNX", "total"],
@@ -196,13 +195,13 @@ pub fn fig4(scale: Scale) -> String {
 }
 
 /// Figure 5: storage accesses normalized to the RISC baseline.
-pub fn fig5(scale: Scale) -> String {
+pub fn fig5(run: &Run) -> String {
     let c = runner::isa_measurements(
+        run,
         &with_suites(simple_set(), &[Suite::Eembc, Suite::SpecInt, Suite::SpecFp]),
-        scale,
         false,
     );
-    let h = runner::isa_measurements(&simple_set(), scale, true);
+    let h = runner::isa_measurements(run, &simple_set(), true);
     let mut t = Table::new(
         "Figure 5: storage accesses normalized to RISC",
         &[
@@ -248,7 +247,7 @@ pub fn fig5(scale: Scale) -> String {
 }
 
 /// §4.4 code size study.
-pub fn code_size(scale: Scale) -> String {
+pub fn code_size(run: &Run) -> String {
     let mut t = Table::new(
         "Sec 4.4: dynamic code size vs RISC",
         &[
@@ -260,7 +259,7 @@ pub fn code_size(scale: Scale) -> String {
         ],
     );
     let all = trips_workloads::all();
-    let c = runner::isa_measurements(&all, scale, false);
+    let c = runner::isa_measurements(run, &all, false);
     let mut raws = vec![];
     let mut comps = vec![];
     for w in all {
@@ -295,9 +294,9 @@ pub fn code_size(scale: Scale) -> String {
 }
 
 /// Figure 6: average instructions in the window.
-pub fn fig6(scale: Scale) -> String {
-    let c = runner::trips_measurements(&with_suites(simple_set(), &SPEC), scale, false);
-    let h = runner::trips_measurements(&simple_set(), scale, true);
+pub fn fig6(run: &Run) -> String {
+    let c = runner::trips_measurements(run, &with_suites(simple_set(), &SPEC), false);
+    let h = runner::trips_measurements(run, &simple_set(), true);
     let mut t = Table::new(
         "Figure 6: average instructions in flight",
         &["total", "useful"],
@@ -338,7 +337,7 @@ pub fn fig6(scale: Scale) -> String {
 }
 
 /// Figure 7: prediction breakdown for the four predictor configurations.
-pub fn fig7(scale: Scale) -> String {
+pub fn fig7(run: &Run) -> String {
     let mut t = Table::new(
         "Figure 7: predictor study (SPEC)",
         &[
@@ -358,10 +357,11 @@ pub fn fig7(scale: Scale) -> String {
     for w in &spec {
         // Useful-instruction baseline from the hyperblock build (memoized
         // functional outcome).
-        let func = Session::global()
+        let func = run
+            .session
             .isa_outcome(
                 w,
-                scale,
+                run.scale,
                 &runner::trips_preset(false),
                 false,
                 MEM,
@@ -373,8 +373,8 @@ pub fn fig7(scale: Scale) -> String {
         // (A) conventional tournament on the RISC conditional-branch
         // stream, replayed from the recorded trace — the same capture every
         // OoO platform times, so the study adds zero functional executions.
-        let art = runner::risc_baseline(w, scale);
-        let stream = runner::risc_stream(w, scale);
+        let art = runner::risc_baseline(run, w);
+        let stream = runner::risc_stream(run, w);
         let mut tourney = TournamentBranchPredictor::new(4096);
         let mut cur = stream.cursor(&art.program);
         while let Some(ev) = cur.next_event().expect("validated stream") {
@@ -386,24 +386,24 @@ pub fn fig7(scale: Scale) -> String {
 
         // (B) TRIPS block predictor on basic-block code (O0).
         let b_mpki = block_predictor_mpki(
+            run,
             w,
-            scale,
             CompileOptions::o0(),
             &TripsConfig::prototype(),
             useful,
         );
         // (H) prototype predictor on hyperblocks.
         let h_mpki = block_predictor_mpki(
+            run,
             w,
-            scale,
             CompileOptions::o1(),
             &TripsConfig::prototype(),
             useful,
         );
         // (I) improved predictor on hyperblocks.
         let i_mpki = block_predictor_mpki(
+            run,
             w,
-            scale,
             CompileOptions::o1(),
             &TripsConfig::improved_predictor(),
             useful,
@@ -435,14 +435,15 @@ pub fn fig7(scale: Scale) -> String {
 }
 
 fn block_predictor_mpki(
+    run: &Run,
     w: &Workload,
-    scale: Scale,
     level: CompileOptions,
     cfg: &TripsConfig,
     useful_baseline: u64,
 ) -> (f64, u64) {
-    let compiled = Session::global()
-        .compiled(w, scale, &level, false)
+    let compiled = run
+        .session
+        .compiled(w, run.scale, &level, false)
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
     let tp = &compiled.trips;
     let mut pred = NextBlockPredictor::new(cfg.exit_entries, cfg.btb_entries, cfg.ras_depth);
@@ -472,13 +473,13 @@ fn block_predictor_mpki(
 }
 
 /// Figure 8: memory bandwidth and OPN traffic profile.
-pub fn fig8(scale: Scale) -> String {
+pub fn fig8(run: &Run) -> String {
     let by_name = |n: &str| trips_workloads::by_name(n).unwrap();
-    let hand = runner::trips_measurements(&[by_name("vadd"), by_name("matrix")], scale, true);
+    let hand = runner::trips_measurements(run, &[by_name("vadd"), by_name("matrix")], true);
     let eembc: Vec<Workload> = suite(Suite::Eembc).into_iter().take(4).collect();
     let mut compiled = eembc.clone();
     compiled.push(by_name("gcc"));
-    let compiled = runner::trips_measurements(&compiled, scale, false);
+    let compiled = runner::trips_measurements(run, &compiled, false);
     let mut out = String::new();
     // Bandwidth: hand vadd at full tilt.
     let s = &hand["vadd"];
@@ -541,9 +542,9 @@ pub fn fig8(scale: Scale) -> String {
 }
 
 /// Figure 9: sustained IPC.
-pub fn fig9(scale: Scale) -> String {
-    let c = runner::trips_measurements(&with_suites(simple_set(), &SPEC), scale, false);
-    let h = runner::trips_measurements(&simple_set(), scale, true);
+pub fn fig9(run: &Run) -> String {
+    let c = runner::trips_measurements(run, &with_suites(simple_set(), &SPEC), false);
+    let h = runner::trips_measurements(run, &simple_set(), true);
     let mut t = Table::new(
         "Figure 9: IPC (executed / useful)",
         &["C exec", "C useful", "H exec", "H useful"],
@@ -582,10 +583,10 @@ pub fn fig9(scale: Scale) -> String {
 /// Figure 10's IPC columns per workload, from one sweep: the prototype
 /// hardware, then the ideal machine with a 1K window, a 1K window and free
 /// dispatch, and a 128K window.
-fn fig10_ipcs(ws: &[Workload], scale: Scale) -> HashMap<String, [f64; 4]> {
+fn fig10_ipcs(run: &Run, ws: &[Workload]) -> HashMap<String, [f64; 4]> {
     const BACKENDS: [&str; 4] = ["trips", "ideal1k", "ideal1k0", "ideal128k"];
     let mut ipcs: HashMap<String, [f64; 4]> = HashMap::new();
-    for row in runner::figure_rows(ws, scale, false, &BACKENDS.join(",")) {
+    for row in runner::figure_rows(run, ws, false, &BACKENDS.join(",")) {
         let col = BACKENDS
             .iter()
             .position(|b| *b == row.backend)
@@ -596,7 +597,7 @@ fn fig10_ipcs(ws: &[Workload], scale: Scale) -> HashMap<String, [f64; 4]> {
 }
 
 /// Figure 10: idealized EDGE machine limit study.
-pub fn fig10(scale: Scale) -> String {
+pub fn fig10(run: &Run) -> String {
     let mut t = Table::new(
         "Figure 10: ideal EDGE machine IPC",
         &[
@@ -608,7 +609,7 @@ pub fn fig10(scale: Scale) -> String {
         ],
     );
     let ws = with_suites(simple_set(), &SPEC);
-    let ipcs = fig10_ipcs(&ws, scale);
+    let ipcs = fig10_ipcs(run, &ws);
     let mut ratios = vec![];
     for w in ws {
         let [hw, i1, i0, i128] = ipcs[w.name];
@@ -629,8 +630,8 @@ pub fn fig10(scale: Scale) -> String {
 }
 
 /// Figure 11: simple-benchmark speedups over Core2-gcc (cycles).
-pub fn fig11(scale: Scale) -> String {
-    let perf = runner::perf_measurements(&simple_set(), scale, true);
+pub fn fig11(run: &Run) -> String {
+    let perf = runner::perf_measurements(run, &simple_set(), true);
     let mut t = Table::new(
         "Figure 11: speedup over Core 2 (gcc), cycles",
         &["TRIPS-C", "TRIPS-H", "Core2-icc", "P4-gcc", "P3-gcc"],
@@ -665,12 +666,12 @@ pub fn fig11(scale: Scale) -> String {
 }
 
 /// Figure 12: SPEC speedups over Core2-gcc.
-pub fn fig12(scale: Scale) -> String {
+pub fn fig12(run: &Run) -> String {
     let mut t = Table::new(
         "Figure 12: SPEC speedup over Core 2 (gcc), cycles",
         &["TRIPS-C", "Core2-icc", "P4-gcc", "P3-gcc"],
     );
-    let perf = runner::perf_measurements(&with_suites(vec![], &SPEC), scale, false);
+    let perf = runner::perf_measurements(run, &with_suites(vec![], &SPEC), false);
     for s in SPEC {
         let mut sp = vec![];
         for w in suite(s) {
@@ -698,7 +699,7 @@ pub fn fig12(scale: Scale) -> String {
 }
 
 /// Table 3: per-SPEC performance-counter data.
-pub fn table3(scale: Scale) -> String {
+pub fn table3(run: &Run) -> String {
     let mut t = Table::new(
         "Table 3: events per 1000 useful TRIPS instructions (SPEC)",
         &[
@@ -710,7 +711,7 @@ pub fn table3(scale: Scale) -> String {
             "useful in flight",
         ],
     );
-    let c = runner::trips_measurements(&with_suites(vec![], &SPEC), scale, false);
+    let c = runner::trips_measurements(run, &with_suites(vec![], &SPEC), false);
     for s in SPEC {
         for w in suite(s) {
             let st = &c[w.name];
@@ -732,10 +733,10 @@ pub fn table3(scale: Scale) -> String {
 }
 
 /// §6 matrix-multiply FLOPS-per-cycle comparison.
-pub fn matmul_fpc(scale: Scale) -> String {
+pub fn matmul_fpc(run: &Run) -> String {
     let w = trips_workloads::by_name("matrix").unwrap();
-    let c = compile_workload(&w, scale, true);
-    let s = &runner::trips_measurements(std::slice::from_ref(&w), scale, true)[w.name];
+    let c = compile_workload(run, &w, true);
+    let s = &runner::trips_measurements(run, std::slice::from_ref(&w), true)[w.name];
     // Count FP multiply-add work from the composition: every useful Fmul and
     // Fadd is one FLOP.
     let flops = count_flops(&c);
@@ -753,12 +754,12 @@ pub fn matmul_fpc(scale: Scale) -> String {
 /// §7 lessons-learned ablations: block-formation cap, per-block dispatch
 /// cost, predictor sizing and instruction placement, each varied alone
 /// against the prototype ([`runner::ablations`]).
-pub fn ablations(scale: Scale) -> String {
+pub fn ablations(run: &Run) -> String {
     let mut t = Table::new(
         "Sec 7: design-choice ablations (prototype unless varied)",
         &["workload", "cycles", "mispredicts", "avg hops"],
     );
-    for a in runner::ablations(scale) {
+    for a in runner::ablations(run.scale) {
         t.row(
             format!("{} {}", a.study, a.setting),
             vec![
@@ -789,8 +790,8 @@ fn accuracy_set() -> Vec<Workload> {
 /// both timing backends, under the per-backend accuracy plans (streams
 /// below a backend's sampling floor replay in full). The footnotes
 /// aggregate the numbers the CI gate asserts on.
-pub fn sample_accuracy(scale: Scale) -> String {
-    let rows = runner::sample_accuracy(&accuracy_set(), scale);
+pub fn sample_accuracy(run: &Run) -> String {
+    let rows = runner::sample_accuracy(run, &accuracy_set());
     let mut t = Table::new(
         format!(
             "Sampled replay accuracy (trips {} >= {} blocks, ooo {} >= {} insts)",
@@ -838,8 +839,8 @@ pub fn sample_accuracy(scale: Scale) -> String {
 /// systematic error and 1%, at a fraction of the detailed units. With
 /// `TRIPS_PHASE_CSV=path` the per-interval cluster assignments are also
 /// written as CSV (the CI artifact).
-pub fn phase_accuracy(scale: Scale) -> String {
-    let rows = runner::phase_accuracy(&accuracy_set(), scale);
+pub fn phase_accuracy(run: &Run) -> String {
+    let rows = runner::phase_accuracy(run, &accuracy_set());
     let mut t = Table::new(
         "Phase-classified vs systematic sampling accuracy",
         &[
@@ -938,6 +939,8 @@ fn count_flops(c: &trips_compiler::CompiledProgram) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trips_engine::Session;
+    use trips_workloads::Scale;
 
     #[test]
     fn static_tables_render() {
@@ -947,14 +950,14 @@ mod tests {
 
     #[test]
     fn fig9_runs_at_test_scale() {
-        let s = fig9(Scale::Test);
+        let s = fig9(&Run::new(&Session::new(), Scale::Test));
         assert!(s.contains("simple mean"));
     }
 
     #[test]
     fn fig10_ideal_exceeds_hw() {
         let ws = with_suites(simple_set(), &SPEC);
-        let ipcs = fig10_ipcs(&ws, Scale::Test);
+        let ipcs = fig10_ipcs(&Run::new(&Session::new(), Scale::Test), &ws);
         assert_eq!(ipcs.len(), ws.len());
         for w in &ws {
             let [hw, ideal_1k, ..] = ipcs[w.name];
@@ -968,7 +971,7 @@ mod tests {
 
     #[test]
     fn fig7_predictors_run() {
-        let s = fig7(Scale::Test);
+        let s = fig7(&Run::new(&Session::new(), Scale::Test));
         assert!(s.contains("A MPKI"));
     }
 }

@@ -6,6 +6,8 @@
 //! series the paper reports. `tests/golden/` pins the `--quick` output of
 //! every table and figure.
 //!
+//! Each runner takes a [`Run`]: the session it memoizes in, its replay
+//! mode and its scale, so runs in different modes can share a process.
 //! Run everything with `cargo run --release -p trips-experiments --bin
 //! repro -- all`, or a single experiment with e.g. `-- fig9`.
 
@@ -13,62 +15,42 @@ pub mod exps;
 pub mod runner;
 pub mod table;
 
-pub use runner::{measure_isa, measure_perf, IsaMeasurement, PerfMeasurement};
+pub use runner::{measure_isa, measure_perf, IsaMeasurement, PerfMeasurement, Run};
 pub use table::Table;
 
-/// All experiment names, in the paper's order.
-pub const EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "code_size",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "table3",
-    "matmul_fpc",
-    "ablations",
-    "sample_accuracy",
-    "phase_accuracy",
+/// Every experiment, in the paper's order: its name and the runner that
+/// renders its report for a [`Run`].
+pub const EXPERIMENTS: &[(&str, fn(&Run) -> String)] = &[
+    ("table1", |_| exps::table1()),
+    ("table2", |_| exps::table2()),
+    ("fig3", exps::fig3),
+    ("fig4", exps::fig4),
+    ("fig5", exps::fig5),
+    ("code_size", exps::code_size),
+    ("fig6", exps::fig6),
+    ("fig7", exps::fig7),
+    ("fig8", exps::fig8),
+    ("fig9", exps::fig9),
+    ("fig10", exps::fig10),
+    ("fig11", exps::fig11),
+    ("fig12", exps::fig12),
+    ("table3", exps::table3),
+    ("matmul_fpc", exps::matmul_fpc),
+    ("ablations", exps::ablations),
+    ("sample_accuracy", exps::sample_accuracy),
+    ("phase_accuracy", exps::phase_accuracy),
 ];
 
-/// Runs one experiment by name, returning its rendered report.
+/// The runner of the experiment called `name`.
 ///
 /// # Errors
-/// Returns an error string for unknown names or simulation failures.
-pub fn run_experiment(name: &str, quick: bool) -> Result<String, String> {
-    let scale = if quick {
-        trips_workloads::Scale::Test
-    } else {
-        trips_workloads::Scale::Ref
-    };
-    match name {
-        "table1" => Ok(exps::table1()),
-        "table2" => Ok(exps::table2()),
-        "fig3" => Ok(exps::fig3(scale)),
-        "fig4" => Ok(exps::fig4(scale)),
-        "fig5" => Ok(exps::fig5(scale)),
-        "code_size" => Ok(exps::code_size(scale)),
-        "fig6" => Ok(exps::fig6(scale)),
-        "fig7" => Ok(exps::fig7(scale)),
-        "fig8" => Ok(exps::fig8(scale)),
-        "fig9" => Ok(exps::fig9(scale)),
-        "fig10" => Ok(exps::fig10(scale)),
-        "fig11" => Ok(exps::fig11(scale)),
-        "fig12" => Ok(exps::fig12(scale)),
-        "table3" => Ok(exps::table3(scale)),
-        "matmul_fpc" => Ok(exps::matmul_fpc(scale)),
-        "ablations" => Ok(exps::ablations(scale)),
-        "sample_accuracy" => Ok(exps::sample_accuracy(scale)),
-        "phase_accuracy" => Ok(exps::phase_accuracy(scale)),
-        other => Err(format!(
-            "unknown experiment {other}; known: {EXPERIMENTS:?}"
-        )),
+/// Names every known experiment when `name` is not one of them.
+pub fn experiment(name: &str) -> Result<fn(&Run) -> String, String> {
+    match EXPERIMENTS.iter().find(|(known, _)| *known == name) {
+        Some(&(_, runner)) => Ok(runner),
+        None => {
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|(known, _)| *known).collect();
+            Err(format!("unknown experiment {name}; known: {known:?}"))
+        }
     }
 }

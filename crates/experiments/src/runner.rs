@@ -1,8 +1,9 @@
 //! Shared measurement plumbing, built on the `trips-engine` session.
 //!
-//! Every compile and functional capture is memoized in the engine's global
-//! [`Session`], so the figures — which revisit the same workloads over and
-//! over — pay for each artifact once per process. Timing comes from trace
+//! Every measurement takes a [`Run`]: the [`Session`] it memoizes in, the
+//! replay mode of its timing measurements and the problem scale. Figures
+//! run on one session revisit the same workloads over and over but pay for
+//! each compile and functional capture once. Timing comes from trace
 //! *replay* on both backends: TRIPS cycle counts re-time one captured
 //! [`trips_isa::TraceLog`] per configuration
 //! ([`trips_sim::timing::replay_trace_mode`]), and out-of-order reference cycles
@@ -11,9 +12,8 @@
 //! Every figure number measures through a declarative [`SweepSpec`]
 //! executed by [`trips_engine::run_sweep`] ([`sweep_rows`]), the same code
 //! path `trips-sweep` drives from the command line: the sweep resolves the
-//! process-wide `--sample`/`--phase` switches and runs a figure's points as
-//! parallel jobs on the engine's pool. Three measurements stay off the
-//! sweep:
+//! run's `sample`/`phase` mode and runs a figure's points as parallel jobs
+//! on the engine's pool. Three measurements stay off the sweep:
 //! - the Core 2-icc column of [`perf_measurements`], because the sweep's
 //!   OoO backends replay gcc-quality streams only;
 //! - the §7 [`ablations`], which are execution-driven by design;
@@ -21,12 +21,13 @@
 //!   which bypass the replay memo so their speedup column measures replay
 //!   alone.
 //!
-//! With [`init_trace_store`] the captures also persist to a
-//! content-addressed directory, so successive figure runs (separate
-//! processes) pay for each capture once per *store*.
+//! A session built with [`Session::with_store`] also persists the captures
+//! to a content-addressed directory, so successive figure runs (separate
+//! processes) pay for each capture once per *store*. Runs with different
+//! modes may share one session, or run side by side on their own.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 use trips_compiler::placement::{place_block_with, PlacementPolicy};
 use trips_compiler::{CompileOptions, CompiledProgram};
@@ -49,72 +50,32 @@ pub const SIM_BUDGET: u64 = 1_000_000;
 /// Dynamic instruction budget for RISC/OoO runs.
 pub const RISC_BUDGET: u64 = 400_000_000;
 
-/// Backs the global [`Session`] with a persistent content-addressed trace
-/// store at `dir`, so every figure — and every later `repro` process
-/// pointed at the same directory — shares one set of captures. Call before
-/// the first measurement; installing a second store is an error.
-///
-/// # Errors
-/// A rendered message if the directory cannot be created or a store is
-/// already installed.
-pub fn init_trace_store(dir: &std::path::Path) -> Result<(), String> {
-    let store = trips_engine::TraceStore::open(dir)
-        .map_err(|e| format!("opening trace store `{}`: {e}", dir.display()))?;
-    Session::global()
-        .set_store(store)
-        .map_err(|_| "a trace store is already installed".to_string())
+/// One run of the experiments: the session every measurement memoizes in,
+/// the replay mode of the timing measurements, and the problem scale.
+/// `sample` and `phase` mirror the [`SweepSpec`] fields of the same names:
+/// both `None` is full replay, and at most one may be set.
+#[derive(Clone, Copy)]
+pub struct Run<'a> {
+    /// The memoizing (and possibly store-backed) session.
+    pub session: &'a Session,
+    /// Interval-sample every timing measurement under this plan.
+    pub sample: Option<SamplePlan>,
+    /// Phase-classify every timing measurement with this cluster count.
+    pub phase: Option<PhaseK>,
+    /// Problem scale of every workload.
+    pub scale: Scale,
 }
 
-static SAMPLE_PLAN: OnceLock<SamplePlan> = OnceLock::new();
-
-/// Switches every timing measurement this process makes (TRIPS replays and
-/// OoO platform replays, including the declarative figure sweeps) to
-/// interval sampling under `plan`. Figures stay full-detail unless this is
-/// called — `repro --sample w,d,p` is the switch. Call before the first
-/// measurement; installing a second plan is an error.
-///
-/// # Errors
-/// A rendered message when a plan is already installed.
-pub fn set_sample_plan(plan: SamplePlan) -> Result<(), String> {
-    SAMPLE_PLAN
-        .set(plan)
-        .map_err(|_| "a sample plan is already installed".to_string())
-}
-
-/// The process-wide sampling plan, if one was installed.
-pub fn sample_plan() -> Option<SamplePlan> {
-    SAMPLE_PLAN.get().copied()
-}
-
-/// The [`ReplayMode`] the installed plan (or its absence) implies.
-pub fn replay_mode() -> ReplayMode {
-    ReplayMode::from_plan(sample_plan())
-}
-
-static PHASE_K: OnceLock<PhaseK> = OnceLock::new();
-
-/// Switches every timing measurement this process makes to
-/// phase-classified sampling: each workload's stream is clustered once
-/// (memoized, store-backed) and replayed under its fitted
-/// [`trips_engine::PhasePlan`]. `repro --phase k|auto` is the switch;
-/// mutually exclusive with [`set_sample_plan`]. Call before the first
-/// measurement; installing a second choice is an error.
-///
-/// # Errors
-/// A rendered message when a choice is already installed or a sampling
-/// plan is active.
-pub fn set_phase_k(k: PhaseK) -> Result<(), String> {
-    if sample_plan().is_some() {
-        return Err("--sample and --phase are mutually exclusive".to_string());
+impl<'a> Run<'a> {
+    /// A full-replay run at `scale` on `session`.
+    pub fn new(session: &'a Session, scale: Scale) -> Run<'a> {
+        Run {
+            session,
+            sample: None,
+            phase: None,
+            scale,
+        }
     }
-    PHASE_K
-        .set(k)
-        .map_err(|_| "a phase choice is already installed".to_string())
-}
-
-/// The process-wide phase choice, if one was installed.
-pub fn phase_k() -> Option<PhaseK> {
-    PHASE_K.get().copied()
 }
 
 /// ISA-level comparison data for one workload (Figures 3–5, §4.4).
@@ -142,10 +103,10 @@ pub fn trips_preset(hand: bool) -> CompileOptions {
 }
 
 /// Compiles a workload for TRIPS ("compiled" or "hand" flavour), memoized
-/// in the engine session.
-pub fn compile_workload(w: &Workload, scale: Scale, hand: bool) -> Arc<CompiledProgram> {
-    Session::global()
-        .compiled(w, scale, &trips_preset(hand), hand)
+/// in the run's session.
+pub fn compile_workload(run: &Run, w: &Workload, hand: bool) -> Arc<CompiledProgram> {
+    run.session
+        .compiled(w, run.scale, &trips_preset(hand), hand)
         .unwrap_or_else(|e| panic!("{}: {e}", w.name))
 }
 
@@ -161,26 +122,26 @@ pub fn icc_preset() -> CompileOptions {
 }
 
 /// The RISC-side artifacts (program + optimized IR) for the gcc-quality
-/// baseline, memoized in the engine session.
-pub fn risc_baseline(w: &Workload, scale: Scale) -> Arc<trips_engine::RiscArtifacts> {
-    Session::global()
-        .risc_program(w, scale, &gcc_preset())
+/// baseline, memoized in the run's session.
+pub fn risc_baseline(run: &Run, w: &Workload) -> Arc<trips_engine::RiscArtifacts> {
+    run.session
+        .risc_program(w, run.scale, &gcc_preset())
         .unwrap_or_else(|e| panic!("{}: {e}", w.name))
 }
 
 /// The recorded RISC event stream of the gcc-quality baseline (memoized;
 /// replayed by the OoO platforms and the predictor study).
-pub fn risc_stream(w: &Workload, scale: Scale) -> Arc<trips_risc::RiscTrace> {
-    Session::global()
-        .risc_trace(w, scale, &gcc_preset(), MEM, RISC_BUDGET)
+pub fn risc_stream(run: &Run, w: &Workload) -> Arc<trips_risc::RiscTrace> {
+    run.session
+        .risc_trace(w, run.scale, &gcc_preset(), MEM, RISC_BUDGET)
         .unwrap_or_else(|e| panic!("{} (risc): {e}", w.name))
 }
 
-/// Executes a declarative sweep on the global session, panicking on any
+/// Executes a declarative sweep on the run's session, panicking on any
 /// failed point (figures treat measurement failure as fatal, as the
 /// hand-rolled loops did).
-pub fn sweep_rows(spec: &SweepSpec) -> Vec<SweepRow> {
-    let report = run_sweep(spec, Session::global()).unwrap_or_else(|e| panic!("sweep: {e}"));
+pub fn sweep_rows(run: &Run, spec: &SweepSpec) -> Vec<SweepRow> {
+    let report = run_sweep(spec, run.session).unwrap_or_else(|e| panic!("sweep: {e}"));
     assert!(
         report.errors.is_empty(),
         "sweep points failed: {:?}",
@@ -199,10 +160,10 @@ fn unique_names(ws: &[Workload]) -> Vec<String> {
 }
 
 /// The [`SweepSpec`] behind [`figure_rows`].
-fn figure_spec(ws: &[Workload], scale: Scale, hand: bool, backends: &str) -> SweepSpec {
+fn figure_spec(run: &Run, ws: &[Workload], hand: bool, backends: &str) -> SweepSpec {
     SweepSpec {
         workloads: unique_names(ws),
-        scale,
+        scale: run.scale,
         opts: trips_preset(hand),
         hand,
         configs: vec![ConfigVariant::prototype()],
@@ -210,38 +171,37 @@ fn figure_spec(ws: &[Workload], scale: Scale, hand: bool, backends: &str) -> Swe
         mem: MEM,
         sim_budget: SIM_BUDGET,
         risc_budget: RISC_BUDGET,
-        sample: sample_plan(),
-        phase: phase_k(),
+        sample: run.sample,
+        phase: run.phase,
         live_points: false,
         threads: 0,
     }
 }
 
 /// The sweep behind every timing figure: `backends` (a `trips-sweep
-/// --backends` list) over `ws` on the prototype configuration, under the
-/// process-wide sampling and phase switches. One row per workload and
-/// backend, measured as parallel jobs on the engine's pool.
-pub fn figure_rows(ws: &[Workload], scale: Scale, hand: bool, backends: &str) -> Vec<SweepRow> {
-    sweep_rows(&figure_spec(ws, scale, hand, backends))
+/// --backends` list) over `ws` on the prototype configuration, in the
+/// run's replay mode. One row per workload and backend, measured as
+/// parallel jobs on the engine's pool.
+pub fn figure_rows(run: &Run, ws: &[Workload], hand: bool, backends: &str) -> Vec<SweepRow> {
+    sweep_rows(run, &figure_spec(run, ws, hand, backends))
 }
 
 /// Measures ISA-level statistics for a workload set through one declarative
 /// sweep (`isa` + `risc` backends), returning per-workload measurements.
 /// The functional runs are memoized in the session; the RISC denominators
 /// come off the recorded event stream.
-pub fn isa_measurements(
-    ws: &[Workload],
-    scale: Scale,
-    hand: bool,
-) -> HashMap<String, IsaMeasurement> {
-    let rows = sweep_rows(&SweepSpec {
-        configs: Vec::new(),
-        sim_budget: FUNC_BUDGET,
-        // Functional measurements: sampling has no cycle loop to shorten.
-        sample: None,
-        phase: None,
-        ..figure_spec(ws, scale, hand, "isa,risc")
-    });
+pub fn isa_measurements(run: &Run, ws: &[Workload], hand: bool) -> HashMap<String, IsaMeasurement> {
+    let rows = sweep_rows(
+        run,
+        &SweepSpec {
+            configs: Vec::new(),
+            sim_budget: FUNC_BUDGET,
+            // Functional measurements: sampling has no cycle loop to shorten.
+            sample: None,
+            phase: None,
+            ..figure_spec(run, ws, hand, "isa,risc")
+        },
+    );
     let mut isa: HashMap<String, (Arc<IsaStats>, Arc<CompiledProgram>)> = HashMap::new();
     let mut risc: HashMap<String, Arc<RiscStats>> = HashMap::new();
     for row in rows {
@@ -275,16 +235,16 @@ pub fn isa_measurements(
 
 /// Measures ISA-level statistics for one workload (convenience wrapper
 /// over [`isa_measurements`] — still one sweep, one code path).
-pub fn measure_isa(w: &Workload, scale: Scale, hand: bool) -> IsaMeasurement {
-    isa_measurements(std::slice::from_ref(w), scale, hand)
+pub fn measure_isa(run: &Run, w: &Workload, hand: bool) -> IsaMeasurement {
+    isa_measurements(run, std::slice::from_ref(w), hand)
         .remove(w.name)
         .expect("sweep returned the requested workload")
 }
 
 /// Measures TRIPS cycle-level statistics for a workload set through one
 /// declarative sweep on the prototype configuration.
-pub fn trips_measurements(ws: &[Workload], scale: Scale, hand: bool) -> HashMap<String, SimStats> {
-    figure_rows(ws, scale, hand, "trips")
+pub fn trips_measurements(run: &Run, ws: &[Workload], hand: bool) -> HashMap<String, SimStats> {
+    figure_rows(run, ws, hand, "trips")
         .into_iter()
         .filter_map(|row| match row.detail {
             RowDetail::Trips(stats) => Some((row.workload, (*stats).clone())),
@@ -318,15 +278,15 @@ pub struct PerfMeasurement {
 /// and Pentium III replays, and, with `include_hand`, a second times
 /// hand-optimized TRIPS code. The Core 2-icc column is the one number off
 /// the sweep (the sweep's OoO backends replay gcc-quality streams only): it
-/// replays the icc-quality stream directly, under the same process-wide
-/// sampling and phase switches, one parallel job per workload.
+/// replays the icc-quality stream directly, in the same replay mode, one
+/// parallel job per workload.
 pub fn perf_measurements(
+    run: &Run,
     ws: &[Workload],
-    scale: Scale,
     include_hand: bool,
 ) -> HashMap<String, PerfMeasurement> {
     let mut perf: HashMap<String, PerfMeasurement> = HashMap::new();
-    for row in figure_rows(ws, scale, false, "trips,core2,p4,p3") {
+    for row in figure_rows(run, ws, false, "trips,core2,p4,p3") {
         let m = perf
             .entry(row.workload.clone())
             .or_insert_with(|| PerfMeasurement {
@@ -342,27 +302,27 @@ pub fn perf_measurements(
         }
     }
     if include_hand {
-        for (name, stats) in trips_measurements(ws, scale, true) {
+        for (name, stats) in trips_measurements(run, ws, true) {
             perf.get_mut(&name).expect("compiled row").trips_h = Some(stats);
         }
     }
-    let icc = trips_engine::parallel_map(ws.to_vec(), 0, |w| (w.name, core2_icc(&w, scale)));
+    let icc = trips_engine::parallel_map(ws.to_vec(), 0, |w| (w.name, core2_icc(run, &w)));
     for (name, stats) in icc {
         perf.get_mut(name).expect("compiled row").core2_icc = stats;
     }
     perf
 }
 
-/// Core 2 replaying the icc-quality stream of `w`, in the replay mode the
-/// process-wide `--sample`/`--phase` switches select.
-fn core2_icc(w: &Workload, scale: Scale) -> OooStats {
-    let session = Session::global();
+/// Core 2 replaying the icc-quality stream of `w`, in the run's replay
+/// mode.
+fn core2_icc(run: &Run, w: &Workload) -> OooStats {
+    let (session, scale) = (run.session, run.scale);
     let level = icc_preset();
-    let mode = match phase_k() {
+    let mode = match run.phase {
         Some(k) => session
             .ooo_phase_plan(w, scale, &level, MEM, RISC_BUDGET, &PhaseSpec::ooo(k))
             .map(|plan| ReplayMode::Phased((*plan).clone())),
-        None => Ok(replay_mode()),
+        None => Ok(ReplayMode::from_plan(run.sample)),
     };
     mode.and_then(|mode| {
         session.ooo_replayed(
@@ -382,8 +342,8 @@ fn core2_icc(w: &Workload, scale: Scale) -> OooStats {
 
 /// Measures the cross-platform comparison for one workload (convenience
 /// wrapper over [`perf_measurements`]).
-pub fn measure_perf(w: &Workload, scale: Scale, include_hand: bool) -> PerfMeasurement {
-    perf_measurements(std::slice::from_ref(w), scale, include_hand)
+pub fn measure_perf(run: &Run, w: &Workload, include_hand: bool) -> PerfMeasurement {
+    perf_measurements(run, std::slice::from_ref(w), include_hand)
         .remove(w.name)
         .expect("sweep returned the requested workload")
 }
@@ -446,25 +406,25 @@ struct Replayed {
 /// floor), its fitted phase plan (fetched on demand through the memoized,
 /// store-backed session), and a replay of its recorded stream that calls
 /// the timing model directly, bypassing the session's replay memo.
-struct AccuracyCore {
+struct AccuracyCore<'a> {
     backend: &'static str,
     systematic: ReplayMode,
-    phase_plan: Box<dyn Fn() -> Arc<PhasePlan>>,
+    phase_plan: Box<dyn Fn() -> Arc<PhasePlan> + 'a>,
     replay: Box<dyn Fn(&ReplayMode) -> Replayed>,
 }
 
 /// The two cores the accuracy harnesses score `w` on: the TRIPS prototype
 /// over the captured block trace, and Core 2 over the recorded gcc-quality
 /// RISC event stream. Captures are filled through the session first.
-fn accuracy_cores(w: &Workload, scale: Scale) -> [AccuracyCore; 2] {
-    let session = Session::global();
+fn accuracy_cores<'a>(run: &Run<'a>, w: &Workload) -> [AccuracyCore<'a>; 2] {
+    let (session, scale) = (run.session, run.scale);
     let name = w.name;
-    let compiled = compile_workload(w, scale, false);
+    let compiled = compile_workload(run, w, false);
     let log = session
         .trace(w, scale, &trips_preset(false), false, MEM, SIM_BUDGET)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let art = risc_baseline(w, scale);
-    let stream = risc_stream(w, scale);
+    let art = risc_baseline(run, w);
+    let stream = risc_stream(run, w);
     let (tw, ow) = (w.clone(), w.clone());
     let trips = AccuracyCore {
         backend: "trips",
@@ -560,10 +520,10 @@ pub struct SampleAccuracy {
 /// streams — deliberately bypassing the memoized-replay tier — so the
 /// speedup column reflects replay work alone, which is what sampling
 /// accelerates.
-pub fn sample_accuracy(ws: &[Workload], scale: Scale) -> Vec<SampleAccuracy> {
+pub fn sample_accuracy(run: &Run, ws: &[Workload]) -> Vec<SampleAccuracy> {
     let mut rows = Vec::new();
     for w in ws {
-        for core in accuracy_cores(w, scale) {
+        for core in accuracy_cores(run, w) {
             let t0 = Instant::now();
             let full = (core.replay)(&ReplayMode::Full);
             let full_s = t0.elapsed().as_secs_f64();
@@ -644,10 +604,10 @@ fn rel_err(estimate: f64, truth: f64) -> f64 {
 /// PR 4 accuracy plans under their floors; phase plans are the default
 /// [`PhaseSpec`]s with a BIC-chosen k, fetched through the (memoized,
 /// store-backed) session so the clustering itself is paid once.
-pub fn phase_accuracy(ws: &[Workload], scale: Scale) -> Vec<PhaseAccuracy> {
+pub fn phase_accuracy(run: &Run, ws: &[Workload]) -> Vec<PhaseAccuracy> {
     let mut rows = Vec::new();
     for w in ws {
-        for core in accuracy_cores(w, scale) {
+        for core in accuracy_cores(run, w) {
             let plan = (core.phase_plan)();
             let full = (core.replay)(&ReplayMode::Full);
             let sys = (core.replay)(&core.systematic);
@@ -864,7 +824,7 @@ mod tests {
     #[test]
     fn isa_measurement_smoke() {
         let w = by_name("vadd").unwrap();
-        let m = measure_isa(&w, Scale::Test, false);
+        let m = measure_isa(&Run::new(&Session::new(), Scale::Test), &w, false);
         assert!(m.trips.fetched > 0);
         assert!(m.risc.insts > 0);
         // TRIPS fetches more (predication/moves), but touches memory less.
@@ -874,7 +834,7 @@ mod tests {
     #[test]
     fn perf_measurement_smoke() {
         let w = by_name("autocor").unwrap();
-        let p = measure_perf(&w, Scale::Test, true);
+        let p = measure_perf(&Run::new(&Session::new(), Scale::Test), &w, true);
         assert!(p.trips_c.cycles > 0);
         assert!(p.trips_h.as_ref().unwrap().cycles > 0);
         assert!(p.core2_gcc.cycles > 0);

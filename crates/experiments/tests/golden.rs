@@ -1,6 +1,8 @@
-//! Golden outputs: `repro --quick all` and `repro --quick --sample
-//! 16,48,128 all` must print exactly what `tests/golden/*.txt` holds, so a
-//! refactor of the measurement path cannot move a figure silently.
+//! Golden outputs: the `repro --quick all` report, rendered in-process
+//! under full replay and under `--sample 16,48,128`, must be exactly what
+//! `tests/golden/*.txt` holds, so a refactor of the measurement path cannot
+//! move a figure silently. Each mode runs on its own session, side by side
+//! in one process: no replay mode or store is process-wide state.
 //!
 //! Only the wall-clock parts are masked: the `speedup` cells of the
 //! sampled-accuracy table and its `mean replay speedup` note.
@@ -9,7 +11,9 @@
 //! current output, fails once, and passes on the next run.
 
 use std::path::PathBuf;
-use std::process::Command;
+use trips_engine::{SamplePlan, Session};
+use trips_experiments::{Run, EXPERIMENTS};
+use trips_workloads::Scale;
 
 /// Masks what depends on the wall-clock in a `repro` report.
 fn mask(report: &str) -> String {
@@ -40,17 +44,17 @@ fn mask(report: &str) -> String {
     out
 }
 
-fn check(golden: &str, args: &[&str]) {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .output()
-        .expect("repro runs");
-    assert!(
-        out.status.success(),
-        "repro {args:?} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let got = mask(&String::from_utf8(out.stdout).expect("utf-8 report"));
+/// What `repro` prints for `all` under `run`: every report, each followed
+/// by a newline.
+fn render_all(run: &Run) -> String {
+    EXPERIMENTS
+        .iter()
+        .map(|(_, experiment)| format!("{}\n", experiment(run)))
+        .collect()
+}
+
+fn check(golden: &str, run: &Run) {
+    let got = mask(&render_all(run));
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(golden);
@@ -69,7 +73,7 @@ fn check(golden: &str, args: &[&str]) {
             .position(|(g, w)| g != w)
             .unwrap_or(got.lines().count().min(want.lines().count()));
         panic!(
-            "repro {args:?} differs from {} at line {}:\n  got:  {:?}\n  want: {:?}",
+            "in-process output differs from {} at line {}:\n  got:  {:?}\n  want: {:?}",
             path.display(),
             first + 1,
             got.lines().nth(first),
@@ -80,15 +84,17 @@ fn check(golden: &str, args: &[&str]) {
 
 #[test]
 fn quick_all_matches_golden() {
-    check("quick_all.txt", &["--quick", "all"]);
+    check("quick_all.txt", &Run::new(&Session::new(), Scale::Test));
 }
 
 #[test]
 fn quick_sample_matches_golden() {
-    check(
-        "quick_sample.txt",
-        &["--quick", "--sample", "16,48,128", "all"],
-    );
+    let session = Session::new();
+    let run = Run {
+        sample: Some(SamplePlan::new(16, 48, 128).expect("valid plan")),
+        ..Run::new(&session, Scale::Test)
+    };
+    check("quick_sample.txt", &run);
 }
 
 #[test]

@@ -1,10 +1,34 @@
 //! The `repro` binary end to end: the §7 ablation numbers it prints are
-//! pinned across builds, and its command line rejects what it would
-//! otherwise silently ignore.
+//! pinned across builds, its command line rejects what it would otherwise
+//! silently ignore before touching the trace store, and its flags measure
+//! exactly what the matching in-process [`Run`] does.
 
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use trips_engine::{PhaseK, SamplePlan, Session};
 use trips_experiments::runner::ablations;
+use trips_experiments::{exps, Run};
 use trips_workloads::Scale;
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs")
+}
+
+/// A fresh scratch directory for one test.
+fn scratch(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("repro-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+fn path_arg(p: &Path) -> &str {
+    p.to_str().expect("utf-8 path")
+}
 
 /// Every ablation point at Test scale as `study setting: workload cycles
 /// mispredicts avg_hops`, computed by an earlier build of the simulator
@@ -40,10 +64,7 @@ fn ablations_reproduce_the_pinned_numbers() {
 #[test]
 fn trailing_arguments_are_an_error() {
     for args in [&["table1", "--bogus"][..], &["table1", "table2"]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(args)
-            .output()
-            .expect("repro runs");
+        let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(
@@ -52,4 +73,90 @@ fn trailing_arguments_are_an_error() {
         );
         assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
     }
+}
+
+#[test]
+fn rejected_command_lines_never_create_the_store() {
+    let root = scratch("reject");
+    let store = root.join("store");
+    let dir = path_arg(&store);
+    for args in [
+        &["--trace-dir", dir, "--sample", "bogus", "table1"][..],
+        &[
+            "--trace-dir",
+            dir,
+            "--sample",
+            "16,48,128",
+            "--phase",
+            "auto",
+            "table1",
+        ],
+        &["--trace-dir", dir, "--phase", "0", "table1"],
+        &["--trace-dir", dir, "nosuch"],
+        &["--trace-dir", dir, "table1", "table2"],
+    ] {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("trace store:"), "{args:?}: {stderr}");
+        assert!(!store.exists(), "{args:?} created the store");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn replay_flags_print_what_the_matching_run_renders() {
+    let session = Session::new();
+    let base = Run::new(&session, Scale::Test);
+    let sampled = Run {
+        sample: Some(SamplePlan::new(16, 48, 128).expect("valid plan")),
+        ..base
+    };
+    let phased = Run {
+        phase: Some(PhaseK::Auto),
+        ..base
+    };
+    for (flags, run) in [
+        (["--sample", "16,48,128"], sampled),
+        (["--phase", "auto"], phased),
+    ] {
+        let out = repro(&["--quick", flags[0], flags[1], "fig8"]);
+        assert!(
+            out.status.success(),
+            "{flags:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8(out.stdout).expect("utf-8 report"),
+            format!("{}\n", exps::fig8(&run)),
+            "{flags:?}"
+        );
+    }
+}
+
+#[test]
+fn a_second_run_replays_every_capture_from_the_store() {
+    let root = scratch("warm");
+    let store = root.join("store");
+    let store_line = || {
+        let out = repro(&["--quick", "--trace-dir", path_arg(&store), "fig8"]);
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 log");
+        assert!(out.status.success(), "{stderr}");
+        stderr
+            .lines()
+            .find(|l| l.contains("] store: "))
+            .unwrap_or_else(|| panic!("no store line in {stderr}"))
+            .to_string()
+    };
+    let cold = store_line();
+    assert!(
+        !cold.ends_with(" captures=0"),
+        "cold run captured nothing: {cold}"
+    );
+    let warm = store_line();
+    assert!(
+        warm.contains("disk_misses=0") && warm.ends_with(" writes=0 captures=0"),
+        "warm run re-captured: {warm}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }

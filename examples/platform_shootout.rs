@@ -6,7 +6,8 @@
 //! cargo run --release --example platform_shootout [workload ...]
 //! ```
 
-use trips::experiments::{measure_perf, Table};
+use trips::engine::Session;
+use trips::experiments::{measure_perf, Run, Table};
 use trips::workloads::{by_name, Scale};
 
 fn main() {
@@ -20,6 +21,8 @@ fn main() {
         args
     };
 
+    let session = Session::new();
+    let run = Run::new(&session, Scale::Ref);
     let mut t = Table::new(
         "cycles on each platform (speedup over Core 2-gcc in parentheses)",
         &["TRIPS-C", "TRIPS-H", "Core2-gcc", "Core2-icc", "P4", "P3"],
@@ -30,7 +33,7 @@ fn main() {
             std::process::exit(1);
         };
         eprintln!("measuring {name} ...");
-        let p = measure_perf(&w, Scale::Ref, true);
+        let p = measure_perf(&run, &w, true);
         let base = p.core2_gcc.cycles as f64;
         let cell = |cyc: u64| format!("{cyc} ({:.2}x)", base / cyc.max(1) as f64);
         t.row(

@@ -22,6 +22,7 @@ mod common;
 use common::tiny_spec;
 use proptest::prelude::*;
 use trips::engine::{PhaseK, PhaseSpec, ReplayMode, Session, TraceStore};
+use trips::experiments::Run;
 use trips::phase::fit_plan;
 use trips::workloads::{by_name, Scale};
 use trips::{compiler::CompileOptions, ooo, sim};
@@ -268,8 +269,8 @@ fn warm_store_serves_fitted_plans_with_zero_reclustering() {
 #[test]
 fn phase_accuracy_tracks_full_replay_on_ref_workloads() {
     let rows = trips::experiments::runner::phase_accuracy(
+        &Run::new(&Session::new(), Scale::Ref),
         &["autocor", "routelookup", "vadd"].map(|n| by_name(n).unwrap()),
-        Scale::Ref,
     );
     assert_eq!(rows.len(), 6);
     for r in &rows {
@@ -297,7 +298,8 @@ fn phase_accuracy_gate_full_set() {
     let mut ws = trips::workloads::simple();
     ws.push(by_name("bzip2").unwrap());
     ws.push(by_name("equake").unwrap());
-    let rows = trips::experiments::runner::phase_accuracy(&ws, Scale::Ref);
+    let rows =
+        trips::experiments::runner::phase_accuracy(&Run::new(&Session::new(), Scale::Ref), &ws);
     for r in &rows {
         assert!(
             r.phase_err <= r.phase_err_bound(),

@@ -12,6 +12,7 @@
 
 use trips::compiler::CompileOptions;
 use trips::engine::Session;
+use trips::experiments::Run;
 use trips::sample::ReplayMode;
 use trips::sim;
 use trips::workloads::{by_name, Scale};
@@ -21,8 +22,8 @@ use trips::workloads::{by_name, Scale};
 #[test]
 fn sampled_ipc_tracks_full_replay_on_ref_workloads() {
     let rows = trips::experiments::runner::sample_accuracy(
+        &Run::new(&Session::new(), Scale::Ref),
         &["autocor", "routelookup", "vadd"].map(|n| by_name(n).unwrap()),
-        Scale::Ref,
     );
     assert_eq!(rows.len(), 6);
     for r in &rows {
@@ -59,7 +60,8 @@ fn sampled_accuracy_gate_full_set() {
     let mut ws = trips::workloads::simple();
     ws.push(by_name("bzip2").unwrap());
     ws.push(by_name("equake").unwrap());
-    let rows = trips::experiments::runner::sample_accuracy(&ws, Scale::Ref);
+    let rows =
+        trips::experiments::runner::sample_accuracy(&Run::new(&Session::new(), Scale::Ref), &ws);
     let mut sum = std::collections::HashMap::new();
     for r in &rows {
         let bound = if r.backend == "trips" { 0.02 } else { 0.04 };
