@@ -11,6 +11,11 @@
 //! estimated cycles of one interval-sampled and one phased replay per
 //! core. A deliberate timing-model change updates them; anything else
 //! must leave them be.
+//!
+//! Each live-point is pinned twice: by the hash of its `serde::bin` bytes
+//! and by the hash of its JSON text. The JSON pins do not depend on the
+//! storage byte format, so a change of that format retires only the byte
+//! pins and the JSON pins still show the machine state is unchanged.
 
 use trips::compiler::CompileOptions;
 use trips::engine::sample::{PhasePlan, PhaseWindow, SamplePlan};
@@ -58,9 +63,24 @@ fn plan(total: u64) -> PhasePlan {
     }
 }
 
+/// Content hashes of the JSON text of each of `snaps`: a pin on the
+/// machine states that does not depend on the binary byte format.
+fn json_hashes<T: serde::Serialize>(snaps: &[T]) -> Vec<u64> {
+    snaps
+        .iter()
+        .map(|s| content_hash(serde::json::to_string(s).as_bytes()))
+        .collect()
+}
+
 /// Checks `workload` under `cfg` against its pinned counters and
-/// live-point hashes.
-fn check(workload: &str, cfg: &TripsConfig, want: &Golden, snaps_want: [u64; 4]) {
+/// live-point hashes (of the binary bytes and of the JSON text).
+fn check(
+    workload: &str,
+    cfg: &TripsConfig,
+    want: &Golden,
+    snaps_want: [u64; 4],
+    json_want: [u64; 4],
+) {
     let w = by_name(workload).unwrap();
     let session = Session::new();
     let opts = CompileOptions::o2();
@@ -93,6 +113,11 @@ fn check(workload: &str, cfg: &TripsConfig, want: &Golden, snaps_want: [u64; 4])
         hashes, snaps_want,
         "{workload}: live-point bytes moved (hashes {hashes:#x?})"
     );
+    let json = json_hashes(&snaps);
+    assert_eq!(
+        json, json_want,
+        "{workload}: live-point JSON moved (hashes {json:#x?})"
+    );
 }
 
 fn slow_dram() -> TripsConfig {
@@ -105,6 +130,8 @@ fn slow_dram() -> TripsConfig {
 
 /// The first live-point of every plan is the idle machine at unit 0.
 const IDLE: u64 = 0xb1fa_4f68_235b_684c;
+/// [`IDLE`]'s JSON-text hash.
+const JSON_IDLE: u64 = 0x0a26_1608_06d2_04b4;
 
 const BZIP2_HIST: [[u64; 6]; 5] = [
     [56744, 42154, 7713, 2784, 0, 672],
@@ -140,7 +167,13 @@ fn bzip2_prototype_is_pinned() {
         0xb7e1_2c62_3aa0_c538,
         0x53fe_418c_8320_ce28,
     ];
-    check("bzip2", &TripsConfig::prototype(), &want, snaps);
+    let json = [
+        JSON_IDLE,
+        0x38e0_4a71_fe4b_83fd,
+        0x0e02_59ba_8060_ad02,
+        0xbeef_2511_6cec_62a3,
+    ];
+    check("bzip2", &TripsConfig::prototype(), &want, snaps, json);
 }
 
 #[test]
@@ -161,7 +194,13 @@ fn bzip2_slow_dram_is_pinned() {
         0x0127_a021_a021_7df3,
         0xf349_0a8f_c882_7828,
     ];
-    check("bzip2", &slow_dram(), &want, snaps);
+    let json = [
+        JSON_IDLE,
+        0xa9a1_77fe_6f01_ca5d,
+        0x8d26_c455_40ba_7167,
+        0xf6c6_1935_18c9_81d2,
+    ];
+    check("bzip2", &slow_dram(), &want, snaps, json);
 }
 
 #[test]
@@ -182,7 +221,13 @@ fn equake_prototype_is_pinned() {
         0x2b20_68be_6fdf_196c,
         0x7671_d992_e75f_6f35,
     ];
-    check("equake", &TripsConfig::prototype(), &want, snaps);
+    let json = [
+        JSON_IDLE,
+        0x31d4_abcc_343f_d646,
+        0xe8f2_3ca7_1ff3_861d,
+        0xeac2_396b_7dcd_de6d,
+    ];
+    check("equake", &TripsConfig::prototype(), &want, snaps, json);
 }
 
 #[test]
@@ -203,12 +248,25 @@ fn equake_slow_dram_is_pinned() {
         0xfa19_2109_6de2_ea57,
         0x8d4a_b17d_cd7b_af0e,
     ];
-    check("equake", &slow_dram(), &want, snaps);
+    let json = [
+        JSON_IDLE,
+        0x798c_6156_cf9f_eaff,
+        0xbd1f_6202_7a24_5387,
+        0xf079_eb63_9c28_df69,
+    ];
+    check("equake", &slow_dram(), &want, snaps, json);
 }
 
 /// Checks `workload`'s recorded RISC stream under the out-of-order `cfg`
-/// against its pinned full-replay counters and live-point hashes.
-fn check_ooo(workload: &str, cfg: &OooConfig, want: &OooStats, snaps_want: [u64; 4]) {
+/// against its pinned full-replay counters and live-point hashes (of the
+/// binary bytes and of the JSON text).
+fn check_ooo(
+    workload: &str,
+    cfg: &OooConfig,
+    want: &OooStats,
+    snaps_want: [u64; 4],
+    json_want: [u64; 4],
+) {
     let w = by_name(workload).unwrap();
     let session = Session::new();
     let opts = CompileOptions::gcc_ref();
@@ -236,12 +294,21 @@ fn check_ooo(workload: &str, cfg: &OooConfig, want: &OooStats, snaps_want: [u64;
         "{workload} on {}: live-point bytes moved (hashes {hashes:#x?})",
         cfg.name
     );
+    let json = json_hashes(&snaps);
+    assert_eq!(
+        json, json_want,
+        "{workload} on {}: live-point JSON moved (hashes {json:#x?})",
+        cfg.name
+    );
 }
 
 /// The first out-of-order live-point of every plan is the idle machine
 /// at unit 0, one per platform geometry.
 const CORE2_IDLE: u64 = 0xa783_10c7_219d_8dcd;
 const PENTIUM4_IDLE: u64 = 0x1a1b_adb0_11b5_6025;
+/// [`CORE2_IDLE`]'s and [`PENTIUM4_IDLE`]'s JSON-text hashes.
+const CORE2_JSON_IDLE: u64 = 0x6c8f_d982_12d5_f79f;
+const PENTIUM4_JSON_IDLE: u64 = 0xf445_cf54_fd5b_f0b3;
 
 /// A full out-of-order replay's counters: unsampled, so `est_cycles`
 /// equals `cycles` and `total_insts` equals `insts`.
@@ -280,7 +347,13 @@ fn bzip2_core2_is_pinned() {
         0x0443_a1a9_8ed6_f406,
         0x147c_1687_3cb7_4de8,
     ];
-    check_ooo("bzip2", &ooo::core2(), &want, snaps);
+    let json = [
+        CORE2_JSON_IDLE,
+        0x7109_7a6b_5d2a_4ebe,
+        0xd16f_4ba9_d32a_b105,
+        0xdd7b_ce54_25d6_3bf5,
+    ];
+    check_ooo("bzip2", &ooo::core2(), &want, snaps, json);
 }
 
 #[test]
@@ -292,7 +365,13 @@ fn bzip2_pentium4_is_pinned() {
         0x7f1d_7563_036d_9262,
         0x00a5_bf5c_5fe1_515e,
     ];
-    check_ooo("bzip2", &ooo::pentium4(), &want, snaps);
+    let json = [
+        PENTIUM4_JSON_IDLE,
+        0xfec0_7ae6_8f20_ab8b,
+        0x86a2_876c_e2a8_6f9c,
+        0x3d88_fe11_81ab_48e2,
+    ];
+    check_ooo("bzip2", &ooo::pentium4(), &want, snaps, json);
 }
 
 #[test]
@@ -304,7 +383,13 @@ fn equake_core2_is_pinned() {
         0xde0a_44e4_7925_8c32,
         0x0e69_c6c8_be26_1b27,
     ];
-    check_ooo("equake", &ooo::core2(), &want, snaps);
+    let json = [
+        CORE2_JSON_IDLE,
+        0x4717_ef79_5033_3612,
+        0xc583_b1ea_38dd_b7af,
+        0x3262_ab55_f1ce_b323,
+    ];
+    check_ooo("equake", &ooo::core2(), &want, snaps, json);
 }
 
 #[test]
@@ -316,7 +401,13 @@ fn equake_pentium4_is_pinned() {
         0x340d_2eb5_7030_8207,
         0xc511_4fe7_6b1d_d806,
     ];
-    check_ooo("equake", &ooo::pentium4(), &want, snaps);
+    let json = [
+        PENTIUM4_JSON_IDLE,
+        0xd3bc_ad2c_46fa_d6f3,
+        0x6359_6bac_b95b_6040,
+        0x5b13_8088_a95d_0f65,
+    ];
+    check_ooo("equake", &ooo::pentium4(), &want, snaps, json);
 }
 
 /// `(cycles, est_cycles)` of one interval-sampled and one phased replay

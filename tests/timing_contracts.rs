@@ -24,7 +24,8 @@
 //! * **extrapolation** — on a steady loop, a 1/4-detail sampled replay
 //!   lands within 10% of full replay;
 //! * **hostile snapshots** — a snapshot with any one sequence emptied or
-//!   grown by one element replays to `Ok` or `Err`, never a panic.
+//!   grown by one element replays to `Ok` or `Err`, never a panic, and
+//!   decodes from its `serde::bin` bytes as from its `Value` tree.
 //!
 //! Tier-1 runs them on both cores at Test scale on a summing loop,
 //! `autocor` and `vadd`, and on TRIPS on `matrix` too. There the
@@ -377,7 +378,9 @@ fn seq_at<'v>(mut v: &'v mut Value, at: &[usize]) -> &'v mut Vec<Value> {
 
 /// For each sequence path of `snap`'s serde image, one sequence emptied
 /// and grown by one element: each edit decodes to `Err`, or to a snapshot
-/// that replays `window` to `Ok` or `Err`. None panics.
+/// that replays `window` to `Ok` or `Err`. None panics. Each edit also
+/// decodes through its `serde::bin` bytes to the same snapshot or `Err`
+/// as from the `Value` tree.
 fn hostile_snapshots_never_panic<C: Contracted>(
     s: &Subject<C>,
     window: &PhaseWindow,
@@ -387,7 +390,7 @@ fn hostile_snapshots_never_panic<C: Contracted>(
     let mut paths = BTreeMap::new();
     seq_paths(&image, "", &mut Vec::new(), &mut paths);
     assert!(!paths.is_empty(), "{}: no sequence to edit", s.name);
-    let mut panics = Vec::new();
+    let (mut panics, mut disagreements) = (Vec::new(), Vec::new());
     for (path, at) in &paths {
         for grow in [false, true] {
             // Edit in place and undo after: the image is large.
@@ -399,9 +402,14 @@ fn hostile_snapshots_never_panic<C: Contracted>(
                 std::mem::take(items)
             };
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Ok(bad) = serde::from_value::<C::Snapshot>(&image) {
+                let decoded = serde::from_value::<C::Snapshot>(&image);
+                let bytes = serde::bin::to_bytes(&image);
+                let via_bytes = serde::bin::from_bytes::<C::Snapshot>(&bytes);
+                let agree = decoded.as_ref().ok() == via_bytes.as_ref().ok();
+                if let Ok(bad) = decoded {
                     let _ = replay_window((s.core)(), window, &bad);
                 }
+                agree
             }));
             let items = seq_at(&mut image, at);
             if grow {
@@ -409,12 +417,20 @@ fn hostile_snapshots_never_panic<C: Contracted>(
             } else {
                 *items = saved;
             }
-            if outcome.is_err() {
-                panics.push(format!("{path} {}", if grow { "grown" } else { "emptied" }));
+            let edit = format!("{path} {}", if grow { "grown" } else { "emptied" });
+            match outcome {
+                Err(_) => panics.push(edit),
+                Ok(false) => disagreements.push(edit),
+                Ok(true) => {}
             }
         }
     }
     assert!(panics.is_empty(), "{}: panicked on {panics:?}", s.name);
+    assert!(
+        disagreements.is_empty(),
+        "{}: bytes and Value tree decode differently on {disagreements:?}",
+        s.name
+    );
 }
 
 /// One program the contracts run on.
