@@ -132,29 +132,50 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// The parsed command line.
+struct Cli {
+    spec: SweepSpec,
+    base_configs: Vec<String>,
+    sweeps: Vec<(String, String)>,
+    backends: Vec<String>,
+    format: String,
+    out_path: Option<String>,
+    trace_dir: Option<String>,
+    trace_gc: bool,
+    store_fsck: bool,
+    chaos_arg: Option<String>,
+    gc_format: String,
+    obs_trace: Option<String>,
+    obs_report: Option<String>,
+    fold: bool,
+    metrics_path: Option<String>,
+    default_demo: bool,
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut spec = SweepSpec {
-        configs: Vec::new(),
-        backends: Vec::new(),
-        ..SweepSpec::default()
+    let mut cli = Cli {
+        spec: SweepSpec {
+            configs: Vec::new(),
+            backends: Vec::new(),
+            ..SweepSpec::default()
+        },
+        base_configs: vec!["prototype".into(), "improved".into()],
+        sweeps: Vec::new(),
+        backends: vec!["trips".into()],
+        format: "json".to_string(),
+        out_path: None,
+        trace_dir: None,
+        trace_gc: false,
+        store_fsck: false,
+        chaos_arg: None,
+        gc_format: "text".to_string(),
+        obs_trace: None,
+        obs_report: None,
+        fold: false,
+        metrics_path: None,
+        default_demo: true,
     };
-    let mut base_configs: Vec<String> = vec!["prototype".into(), "improved".into()];
-    let mut sweeps: Vec<(String, String)> = Vec::new();
-    let mut backends: Vec<String> = vec!["trips".into()];
-    let mut format = "json".to_string();
-    let mut out_path: Option<String> = None;
-    let mut trace_dir: Option<String> = None;
-    let mut trace_gc = false;
-    let mut store_fsck = false;
-    let mut chaos_arg: Option<String> = None;
-    let mut gc_format = "text".to_string();
-    let mut obs_trace: Option<String> = None;
-    let mut obs_report: Option<String> = None;
-    let mut fold = false;
-    let mut metrics_path: Option<String> = None;
-    let mut default_demo = true;
-
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
@@ -179,8 +200,8 @@ fn main() -> ExitCode {
             }
             "--workloads" => match value("--workloads") {
                 Ok(v) => {
-                    default_demo = false;
-                    spec.workloads = match v.as_str() {
+                    cli.default_demo = false;
+                    cli.spec.workloads = match v.as_str() {
                         "simple" => trips_workloads::simple()
                             .iter()
                             .map(|w| w.name.to_string())
@@ -195,107 +216,109 @@ fn main() -> ExitCode {
                 Err(e) => return fail(&e),
             },
             "--scale" => match value("--scale").as_deref() {
-                Ok("test") => spec.scale = Scale::Test,
-                Ok("ref") => spec.scale = Scale::Ref,
+                Ok("test") => cli.spec.scale = Scale::Test,
+                Ok("ref") => cli.spec.scale = Scale::Ref,
                 Ok(other) => return fail(&format!("unknown scale `{other}`")),
                 Err(e) => return fail(e),
             },
             "--opts" => match value("--opts").as_deref() {
-                Ok("o0") => spec.opts = CompileOptions::o0(),
-                Ok("o1") => spec.opts = CompileOptions::o1(),
-                Ok("o2") => spec.opts = CompileOptions::o2(),
-                Ok("hand") => spec.opts = CompileOptions::hand(),
+                Ok("o0") => cli.spec.opts = CompileOptions::o0(),
+                Ok("o1") => cli.spec.opts = CompileOptions::o1(),
+                Ok("o2") => cli.spec.opts = CompileOptions::o2(),
+                Ok("hand") => cli.spec.opts = CompileOptions::hand(),
                 Ok(other) => return fail(&format!("unknown preset `{other}`")),
                 Err(e) => return fail(e),
             },
-            "--hand" => spec.hand = true,
+            "--hand" => cli.spec.hand = true,
             "--configs" => match value("--configs") {
                 Ok(v) => {
-                    default_demo = false;
-                    base_configs = v.split(',').map(str::to_string).collect();
+                    cli.default_demo = false;
+                    cli.base_configs = v.split(',').map(str::to_string).collect();
                 }
                 Err(e) => return fail(&e),
             },
             "--sweep" => match value("--sweep") {
                 Ok(v) => {
-                    default_demo = false;
+                    cli.default_demo = false;
                     match v.split_once('=') {
-                        Some((axis, values)) => sweeps.push((axis.to_string(), values.to_string())),
+                        Some((axis, values)) => {
+                            cli.sweeps.push((axis.to_string(), values.to_string()))
+                        }
                         None => return fail("--sweep expects axis=v1,v2,..."),
                     }
                 }
                 Err(e) => return fail(&e),
             },
             "--backends" => match value("--backends") {
-                Ok(v) => backends = v.split(',').map(str::to_string).collect(),
+                Ok(v) => cli.backends = v.split(',').map(str::to_string).collect(),
                 Err(e) => return fail(&e),
             },
             "--backend" => match value("--backend") {
-                Ok(v) => backends = vec![v],
+                Ok(v) => cli.backends = vec![v],
                 Err(e) => return fail(&e),
             },
             "--sample" => match value("--sample") {
                 Ok(v) => match SamplePlan::parse(&v) {
-                    Ok(plan) => spec.sample = Some(plan),
+                    Ok(plan) => cli.spec.sample = Some(plan),
                     Err(e) => return fail(&format!("--sample: {e}")),
                 },
                 Err(e) => return fail(&e),
             },
             "--phase" => match value("--phase") {
                 Ok(v) => match trips_engine::PhaseK::parse(&v) {
-                    Ok(k) => spec.phase = Some(k),
+                    Ok(k) => cli.spec.phase = Some(k),
                     Err(e) => return fail(&format!("--phase: {e}")),
                 },
                 Err(e) => return fail(&e),
             },
-            "--live-points" => spec.live_points = true,
+            "--live-points" => cli.spec.live_points = true,
             "--threads" => match value("--threads").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) => spec.threads = n,
+                Ok(Ok(n)) => cli.spec.threads = n,
                 _ => return fail("--threads needs a number"),
             },
             "--budget" => match value("--budget").map(|v| v.parse::<u64>()) {
-                Ok(Ok(n)) => spec.sim_budget = n,
+                Ok(Ok(n)) => cli.spec.sim_budget = n,
                 _ => return fail("--budget needs a number"),
             },
             "--mem" => match value("--mem").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) => spec.mem = n,
+                Ok(Ok(n)) => cli.spec.mem = n,
                 _ => return fail("--mem needs a number"),
             },
             "--format" => match value("--format") {
-                Ok(v) if v == "json" || v == "csv" => format = v,
+                Ok(v) if v == "json" || v == "csv" => cli.format = v,
                 Ok(other) => return fail(&format!("unknown format `{other}`")),
                 Err(e) => return fail(&e),
             },
             "--out" => match value("--out") {
-                Ok(v) => out_path = Some(v),
+                Ok(v) => cli.out_path = Some(v),
                 Err(e) => return fail(&e),
             },
             "--trace-dir" => match value("--trace-dir") {
-                Ok(v) => trace_dir = Some(v),
+                Ok(v) => cli.trace_dir = Some(v),
                 Err(e) => return fail(&e),
             },
-            "--trace-gc" => trace_gc = true,
-            "--store-fsck" => store_fsck = true,
+            "--trace-gc" => cli.trace_gc = true,
+            "--store-fsck" => cli.store_fsck = true,
             "--chaos" => match value("--chaos") {
-                Ok(v) => chaos_arg = Some(v),
+                Ok(v) => cli.chaos_arg = Some(v),
                 Err(e) => return fail(&e),
             },
             "--gc-format" => match value("--gc-format") {
-                Ok(v) if v == "text" || v == "json" => gc_format = v,
+                Ok(v) if v == "text" || v == "json" => cli.gc_format = v,
                 Ok(other) => return fail(&format!("unknown gc format `{other}`")),
                 Err(e) => return fail(&e),
             },
             "--obs-trace" => match value("--obs-trace") {
-                Ok(v) => obs_trace = Some(v),
+                Ok(v) => cli.obs_trace = Some(v),
                 Err(e) => return fail(&e),
             },
             "--obs-report" => match value("--obs-report") {
-                Ok(v) => obs_report = Some(v),
+                Ok(v) => cli.obs_report = Some(v),
                 Err(e) => return fail(&e),
             },
-            "--fold" => fold = true,
+            "--fold" => cli.fold = true,
             "--metrics" => match value("--metrics") {
-                Ok(v) => metrics_path = Some(v),
+                Ok(v) => cli.metrics_path = Some(v),
                 Err(e) => return fail(&e),
             },
             other => return fail(&format!("unknown option `{other}`")),
@@ -303,7 +326,7 @@ fn main() -> ExitCode {
     }
 
     // Report mode folds an existing journal and exits: no sweep runs.
-    if let Some(journal) = &obs_report {
+    if let Some(journal) = &cli.obs_report {
         let text = match std::fs::read_to_string(journal) {
             Ok(t) => t,
             Err(e) => return fail(&format!("reading span journal `{journal}`: {e}")),
@@ -312,7 +335,7 @@ fn main() -> ExitCode {
             Ok(r) => r,
             Err(e) => return fail(&format!("parsing span journal `{journal}`: {e}")),
         };
-        let rendered = if fold {
+        let rendered = if cli.fold {
             trips_obs::fold_stacks(&records)
         } else {
             trips_obs::fold_report(&records).render()
@@ -320,17 +343,17 @@ fn main() -> ExitCode {
         let _ = std::io::stdout().lock().write_all(rendered.as_bytes());
         return ExitCode::SUCCESS;
     }
-    if fold {
+    if cli.fold {
         return fail("--fold needs --obs-report");
     }
-    if let Some(path) = &obs_trace {
+    if let Some(path) = &cli.obs_trace {
         if let Err(e) = trips_obs::enable_trace(std::path::Path::new(path)) {
             return fail(&format!("opening span journal `{path}`: {e}"));
         }
     }
     // Arm fault injection before anything touches the store or the pool:
     // the flag wins over TRIPS_CHAOS when both are given.
-    match &chaos_arg {
+    match &cli.chaos_arg {
         Some(s) => match trips_engine::chaos::FaultPlan::parse(s) {
             Ok(plan) => trips_engine::chaos::install(plan),
             Err(e) => return fail(&format!("--chaos: {e}")),
@@ -341,8 +364,22 @@ fn main() -> ExitCode {
             }
         }
     }
-    let code = run(
-        spec,
+    let flush = cli.obs_trace.is_some();
+    let code = run(cli);
+    // The cli.main span (dropped inside `run`) must land in the journal
+    // before the sink is flushed.
+    if flush {
+        trips_obs::flush_trace();
+    }
+    code
+}
+
+/// Everything after argument parsing, wrapped so the `cli.main` root span
+/// closes (and journals) before `main` flushes the trace sink.
+fn run(cli: Cli) -> ExitCode {
+    let _main = trips_obs::span("cli.main");
+    let Cli {
+        mut spec,
         base_configs,
         sweeps,
         backends,
@@ -354,33 +391,8 @@ fn main() -> ExitCode {
         gc_format,
         metrics_path,
         default_demo,
-    );
-    // The cli.main span (dropped inside `run`) must land in the journal
-    // before the sink is flushed.
-    if obs_trace.is_some() {
-        trips_obs::flush_trace();
-    }
-    code
-}
-
-/// Everything after argument parsing, wrapped so the `cli.main` root span
-/// closes (and journals) before `main` flushes the trace sink.
-#[allow(clippy::too_many_arguments)]
-fn run(
-    mut spec: SweepSpec,
-    base_configs: Vec<String>,
-    sweeps: Vec<(String, String)>,
-    backends: Vec<String>,
-    format: String,
-    out_path: Option<String>,
-    trace_dir: Option<String>,
-    trace_gc: bool,
-    store_fsck: bool,
-    gc_format: String,
-    metrics_path: Option<String>,
-    default_demo: bool,
-) -> ExitCode {
-    let _main = trips_obs::span("cli.main");
+        ..
+    } = cli;
 
     // Build the config list: named bases plus one variant per sweep value.
     for name in &base_configs {
@@ -609,27 +621,10 @@ fn run(
         );
     }
     if trace_dir.is_some() {
-        trips_obs::log!(
-            Level::Info,
-            "trips-sweep",
-            "store: disk_hits={} disk_misses={} disk_rejects={} writes={} captures={}",
-            c.disk_hits,
-            c.disk_misses,
-            c.disk_rejects,
-            c.store_writes,
-            c.captures,
-        );
+        let [trips_store, risc_store] = c.store_lines();
+        trips_obs::log!(Level::Info, "trips-sweep", "{trips_store}");
         if c.rtrace_misses > 0 {
-            trips_obs::log!(
-                Level::Info,
-                "trips-sweep",
-                "risc store: disk_hits={} disk_misses={} disk_rejects={} writes={} captures={}",
-                c.risc_disk_hits,
-                c.risc_disk_misses,
-                c.risc_disk_rejects,
-                c.risc_store_writes,
-                c.risc_captures,
-            );
+            trips_obs::log!(Level::Info, "trips-sweep", "{risc_store}");
         }
     }
     if c.risc_misses > 0 {

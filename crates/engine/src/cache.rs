@@ -11,17 +11,21 @@
 //! retried by each sweep point — while transient ones are evicted so a
 //! retry re-resolves the artifact.
 //!
-//! The tiers, and what keys them:
+//! Every request names its stream with one [`Stream`] value — workload,
+//! scale, compile options, hand flag, memory size and budget — and the
+//! tiers key on it:
 //!
-//! * compiled TRIPS programs: `(workload, scale, options-signature, hand)`;
-//! * captured TRIPS trace logs: the compile key plus `(memory size, block
-//!   budget)`;
+//! * compiled TRIPS programs: the stream without its run bounds
+//!   `(workload, scale, options-signature, hand)`;
+//! * captured TRIPS trace logs: the whole stream, with its `(memory size,
+//!   block budget)`;
 //! * functional ISA outcomes (same key, no stream retained);
-//! * compiled RISC programs: the compile key (reference backends);
-//! * captured RISC event streams ([`trips_risc::RiscTrace`]): the compile
-//!   key plus `(memory size, instruction budget)` — one functional RISC
-//!   execution serves the instruction-count figures *and* every
-//!   out-of-order timing configuration
+//! * compiled RISC programs: the program key with `hand` false (reference
+//!   backends; the RISC side has no hand build);
+//! * captured RISC event streams ([`trips_risc::RiscTrace`]): the whole
+//!   stream with `hand` false, its budget counting instructions — one
+//!   functional RISC execution serves the instruction-count figures *and*
+//!   every out-of-order timing configuration
 //!   ([`Session::ooo_replayed`]);
 //! * replayed timing results on both backends: the trace key plus a
 //!   configuration signature **and the normalized replay mode** (full,
@@ -33,10 +37,12 @@
 //! * fitted phase plans ([`Session::trips_phase_plan`] /
 //!   [`Session::ooo_phase_plan`]): the stream key plus the
 //!   [`trips_phase::PhaseSpec`];
-//! * live-point checkpoint sets ([`Session::set_live_points`]): the
-//!   parent stream key plus the fitted plan's signature, the timing
-//!   configuration's signature and the core discriminant. When the tier
-//!   is enabled, a phased replay whose plan skips work first resolves
+//! * live-point checkpoint sets: the parent stream key plus the fitted
+//!   plan's signature, the timing configuration's signature and the core
+//!   discriminant. A replay request asks for the tier with its own
+//!   `live_points` worker count ([`Session::replayed`],
+//!   [`Session::ooo_replayed`]), so sweeps with and without it can share
+//!   one session. Then a phased replay whose plan skips work first resolves
 //!   its checkpoint set (memo → store → one capture pass that *is* the
 //!   sequential replay), then serves every later request by restoring
 //!   each window's warmed state and replaying only the measured windows
@@ -69,7 +75,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -83,7 +89,7 @@ use crate::store::{
 };
 use trips_obs::CostKind;
 use trips_ooo::OooCore;
-use trips_phase::{PhaseArtifact, PhaseSpec};
+use trips_phase::{PhaseArtifact, PhaseK, PhaseSpec};
 use trips_risc::{RiscTrace, RiscTraceMeta};
 use trips_sample::{PhasePlan, PhaseWindow, ReplayMode, SamplePlan, TimingCore};
 use trips_sim::TsimCore;
@@ -197,73 +203,117 @@ fn scale_label(scale: Scale) -> &'static str {
     }
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct CompileKey {
-    workload: String,
-    scale: &'static str,
-    opts: u64,
-    hand: bool,
+/// One measured stream, the value every [`Session`] request names: a
+/// workload built at `scale` (its hand-optimized variant when `hand`),
+/// compiled with `opts`, and run under `mem` bytes of memory and a
+/// `budget` of dynamic units (blocks on the TRIPS side, instructions on
+/// the RISC side). Two streams are the same artifact when their workload
+/// name, scale, options signature ([`opts_sig`]), hand flag, memory and
+/// budget agree; the compile tiers ignore the run bounds, and the RISC
+/// tiers ignore `hand` (the RISC side has no hand build).
+#[derive(Debug, Clone)]
+pub struct Stream {
+    /// The workload.
+    pub workload: Workload,
+    /// Problem scale.
+    pub scale: Scale,
+    /// Compile preset.
+    pub opts: CompileOptions,
+    /// Build the hand-optimized IR variant (the paper's H bars).
+    pub hand: bool,
+    /// Memory image size in bytes.
+    pub mem: usize,
+    /// Dynamic unit budget of the functional run.
+    pub budget: u64,
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct TraceKey {
-    compile: CompileKey,
-    mem: usize,
-    budget: u64,
-}
-
-impl CompileKey {
-    fn new(w: &Workload, scale: Scale, opts: &CompileOptions, hand: bool) -> CompileKey {
-        CompileKey {
-            workload: w.name.to_string(),
-            scale: scale_label(scale),
-            opts: opts_sig(opts),
-            hand,
-        }
-    }
-}
-
-impl TraceKey {
-    fn new(
-        w: &Workload,
+impl Stream {
+    /// The compiled (not hand-optimized) build of `workload`.
+    pub fn new(
+        workload: &Workload,
         scale: Scale,
-        opts: &CompileOptions,
-        hand: bool,
+        opts: CompileOptions,
         mem: usize,
         budget: u64,
-    ) -> TraceKey {
-        TraceKey {
-            compile: CompileKey::new(w, scale, opts, hand),
+    ) -> Stream {
+        Stream {
+            workload: workload.clone(),
+            scale,
+            opts,
+            hand: false,
             mem,
             budget,
         }
     }
 
-    /// The store identity of the TRIPS block trace captured under this key.
+    /// What the memo tiers compare and hash.
+    fn identity(&self) -> (&'static str, &'static str, u64, bool, usize, u64) {
+        (
+            self.workload.name,
+            scale_label(self.scale),
+            opts_sig(&self.opts),
+            self.hand,
+            self.mem,
+            self.budget,
+        )
+    }
+
+    /// The key of the program this stream runs: its run bounds dropped.
+    fn program(&self) -> Stream {
+        Stream {
+            mem: 0,
+            budget: 0,
+            ..self.clone()
+        }
+    }
+
+    /// The stream as the RISC tiers key it.
+    fn risc(&self) -> Stream {
+        Stream {
+            hand: false,
+            ..self.clone()
+        }
+    }
+
+    /// The store identity of the TRIPS block trace captured for this
+    /// stream.
     fn trips_id(&self, compiled: &CompiledProgram) -> TraceId {
-        let c = &self.compile;
         TraceId {
-            workload: c.workload.clone(),
-            scale: c.scale.to_string(),
-            opts_sig: c.opts,
-            hand: c.hand,
+            workload: self.workload.name.to_string(),
+            scale: scale_label(self.scale).to_string(),
+            opts_sig: opts_sig(&self.opts),
+            hand: self.hand,
             code_sig: code_sig(compiled),
             mem_size: self.mem as u64,
             max_blocks: self.budget,
         }
     }
 
-    /// The store identity of the RISC event stream captured under this key.
+    /// The store identity of the RISC event stream captured for this
+    /// stream.
     fn risc_id(&self, art: &RiscArtifacts) -> RiscTraceId {
-        let c = &self.compile;
         RiscTraceId {
-            workload: c.workload.clone(),
-            scale: c.scale.to_string(),
-            opts_sig: c.opts,
+            workload: self.workload.name.to_string(),
+            scale: scale_label(self.scale).to_string(),
+            opts_sig: opts_sig(&self.opts),
             code_sig: risc_code_sig(art),
             mem_size: self.mem as u64,
             max_steps: self.budget,
         }
+    }
+}
+
+impl PartialEq for Stream {
+    fn eq(&self, other: &Stream) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for Stream {}
+
+impl Hash for Stream {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.identity().hash(state);
     }
 }
 
@@ -294,7 +344,7 @@ impl ModeKey {
 /// or fitted phase plan).
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct ReplayKey {
-    trace: TraceKey,
+    trace: Stream,
     cfg: u64,
     mode: ModeKey,
 }
@@ -304,9 +354,24 @@ struct ReplayKey {
 /// in-memory map).
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct PhaseKey {
-    trace: TraceKey,
+    trace: Stream,
     risc: bool,
     spec: PhaseSpec,
+}
+
+/// One memoized replay as the shared driver runs it.
+struct ReplayJob<'a, M, P> {
+    /// The replay's memo key: it names the workload and the
+    /// configuration signature.
+    key: &'a ReplayKey,
+    /// The backend label errors and spans carry (`trips`, or the OoO
+    /// platform's name).
+    label: &'a str,
+    /// A fresh timing machine over the validated stream.
+    make: M,
+    /// The stream's store key, computed only when a live-point set is
+    /// resolved.
+    parent_key: P,
 }
 
 type Slot<T> = Arc<OnceLock<Result<Arc<T>, EngineError>>>;
@@ -565,13 +630,50 @@ pub struct CacheStats {
     pub degraded: u64,
 }
 
+impl CacheStats {
+    /// The store summary lines `trips-sweep` and `repro` log after a run
+    /// on a trace store: the TRIPS block-trace tier's, then the RISC
+    /// stream tier's. Each binary decides when to print them.
+    pub fn store_lines(&self) -> [String; 2] {
+        let line = |tier: &str, [hits, misses, rejects, writes, captures]: [u64; 5]| {
+            format!(
+                "{tier}store: disk_hits={hits} disk_misses={misses} disk_rejects={rejects} \
+                 writes={writes} captures={captures}"
+            )
+        };
+        let c = self;
+        [
+            line(
+                "",
+                [
+                    c.disk_hits,
+                    c.disk_misses,
+                    c.disk_rejects,
+                    c.store_writes,
+                    c.captures,
+                ],
+            ),
+            line(
+                "risc ",
+                [
+                    c.risc_disk_hits,
+                    c.risc_disk_misses,
+                    c.risc_disk_rejects,
+                    c.risc_store_writes,
+                    c.risc_captures,
+                ],
+            ),
+        ]
+    }
+}
+
 /// A memoizing measurement session shared by all sweep workers.
 pub struct Session {
-    compiled: Memo<CompileKey, CompiledProgram>,
-    traces: Memo<TraceKey, TraceLog>,
-    isa: Memo<TraceKey, IsaOutcome>,
-    risc: Memo<CompileKey, RiscArtifacts>,
-    rtraces: Memo<TraceKey, RiscTrace>,
+    compiled: Memo<Stream, CompiledProgram>,
+    traces: Memo<Stream, TraceLog>,
+    isa: Memo<Stream, IsaOutcome>,
+    risc: Memo<Stream, RiscArtifacts>,
+    rtraces: Memo<Stream, RiscTrace>,
     replays: Memo<ReplayKey, trips_sim::SimResult>,
     ooo_replays: Memo<ReplayKey, trips_ooo::OooResult>,
     phases: Memo<PhaseKey, PhasePlan>,
@@ -579,9 +681,6 @@ pub struct Session {
     /// Requests that skipped the disk tier because the store's circuit
     /// breaker is open.
     degraded: Count,
-    /// Live-point tier switch: the window-replay worker count when
-    /// enabled (0 = one per core, the pool's convention).
-    live_points: Mutex<Option<usize>>,
     store: Option<TraceStore>,
 }
 
@@ -598,7 +697,6 @@ impl Default for Session {
             phases: Memo::new(TierStats::disk("phase_")),
             livepoints: Memo::new(TierStats::disk("livepoint_")),
             degraded: Count::new("session_degraded".to_string()),
-            live_points: Mutex::new(None),
             store: None,
         }
     }
@@ -644,28 +742,6 @@ impl Session {
     /// The on-disk trace store, if the session was built with one.
     pub fn store(&self) -> Option<&TraceStore> {
         self.store.as_ref()
-    }
-
-    /// Switches the live-point tier: with `Some(threads)`, phased replays
-    /// whose plan skips work capture (or load) persisted per-window
-    /// checkpoints and replay each measured window as its own job on
-    /// `threads` pool workers (0 = one per core); `None` turns it off.
-    /// Off by default — each sweep sets it from its spec
-    /// (`--live-points`).
-    pub fn set_live_points(&self, threads: Option<usize>) {
-        *self
-            .live_points
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = threads;
-    }
-
-    /// The live-point worker count, when the tier is enabled (0 = one
-    /// per core).
-    pub fn live_points(&self) -> Option<usize> {
-        *self
-            .live_points
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registers every tier's metrics series, so a `--metrics` snapshot
@@ -750,54 +826,40 @@ impl Session {
         Ok(payload)
     }
 
-    /// Compiles `workload` (memoized). `hand` selects the hand-optimized IR
-    /// variant, mirroring the paper's H bars.
+    /// Compiles `stream`'s program (memoized; the run bounds play no
+    /// part). `stream.hand` selects the hand-optimized IR variant,
+    /// mirroring the paper's H bars.
     ///
     /// # Errors
     /// [`EngineError::Compile`] (cached: retries see the same failure).
-    pub fn compiled(
-        &self,
-        w: &Workload,
-        scale: Scale,
-        opts: &CompileOptions,
-        hand: bool,
-    ) -> Result<Arc<CompiledProgram>, EngineError> {
-        self.compiled
-            .get_or_init(&CompileKey::new(w, scale, opts, hand), || {
-                let _span = trips_obs::charged_with("session.compile", CostKind::Capture, || {
-                    w.name.to_string()
-                });
-                trips_obs::counter("session_compiles_total{side=\"trips\"}").inc(1);
-                let program = if hand {
-                    w.build_hand(scale)
-                } else {
-                    (w.build)(scale)
-                };
-                trips_compiler::compile(&program, opts)
-                    .map(Arc::new)
-                    .map_err(|e| EngineError::Compile(format!("{}: {e}", w.name)))
-            })
+    pub fn compiled(&self, stream: &Stream) -> Result<Arc<CompiledProgram>, EngineError> {
+        let w = &stream.workload;
+        self.compiled.get_or_init(&stream.program(), || {
+            let _span = trips_obs::charged_with("session.compile", CostKind::Capture, || {
+                w.name.to_string()
+            });
+            trips_obs::counter("session_compiles_total{side=\"trips\"}").inc(1);
+            let program = if stream.hand {
+                w.build_hand(stream.scale)
+            } else {
+                (w.build)(stream.scale)
+            };
+            trips_compiler::compile(&program, &stream.opts)
+                .map(Arc::new)
+                .map_err(|e| EngineError::Compile(format!("{}: {e}", w.name)))
+        })
     }
 
-    /// Captures (memoized) the functional trace of `workload` compiled with
-    /// `opts`, under `mem` bytes of memory and a `budget` block budget.
+    /// Captures (memoized) the functional TRIPS block trace of `stream`.
     ///
     /// # Errors
     /// [`EngineError::Compile`] or [`EngineError::Capture`] (both cached).
-    pub fn trace(
-        &self,
-        w: &Workload,
-        scale: Scale,
-        opts: &CompileOptions,
-        hand: bool,
-        mem: usize,
-        budget: u64,
-    ) -> Result<Arc<TraceLog>, EngineError> {
-        let key = TraceKey::new(w, scale, opts, hand, mem, budget);
+    pub fn trace(&self, stream: &Stream) -> Result<Arc<TraceLog>, EngineError> {
+        let name = stream.workload.name;
         trips_obs::cost::set_tier("mem");
-        self.traces.get_or_init(&key, || {
-            let compiled = self.compiled(w, scale, opts, hand)?;
-            let id = key.trips_id(&compiled);
+        self.traces.get_or_init(stream, || {
+            let compiled = self.compiled(stream)?;
+            let id = stream.trips_id(&compiled);
             self.through_store(
                 &self.traces.stats,
                 &id,
@@ -807,50 +869,45 @@ impl Session {
                 },
                 || {
                     if let Some(why) = trips_chaos::capture_fault() {
-                        return Err(EngineError::Transient(format!("{}: {why}", w.name)));
+                        return Err(EngineError::Transient(format!("{name}: {why}")));
                     }
                     trips_obs::cost::set_tier("capture");
                     let _span =
                         trips_obs::charged_with("session.capture_trace", CostKind::Capture, || {
-                            w.name.to_string()
+                            name.to_string()
                         });
                     let meta = TraceMeta {
                         workload: id.workload.clone(),
                         scale: id.scale.clone(),
                         opts_sig: id.opts_sig,
                     };
+                    let (mem, budget) = (stream.mem, stream.budget);
                     TraceLog::capture(&compiled.trips, &compiled.opt_ir, mem, budget, meta)
-                        .map_err(|e| EngineError::Capture(format!("{}: {e}", w.name)))
+                        .map_err(|e| EngineError::Capture(format!("{name}: {e}")))
                 },
             )
             .map(Arc::new)
         })
     }
 
-    /// Runs (memoized) the functional interpreter for ISA-level statistics
-    /// only — unlike [`Session::trace`], nothing per-block is retained, so
-    /// this is the right call when no replay will happen (the ISA figures).
+    /// Runs (memoized) the functional interpreter over `stream` for
+    /// ISA-level statistics only — unlike [`Session::trace`], nothing
+    /// per-block is retained, so this is the right call when no replay
+    /// will happen (the ISA figures).
     ///
     /// # Errors
     /// [`EngineError::Compile`] or [`EngineError::Capture`] (both cached).
-    pub fn isa_outcome(
-        &self,
-        w: &Workload,
-        scale: Scale,
-        opts: &CompileOptions,
-        hand: bool,
-        mem: usize,
-        budget: u64,
-    ) -> Result<Arc<IsaOutcome>, EngineError> {
-        let key = TraceKey::new(w, scale, opts, hand, mem, budget);
+    pub fn isa_outcome(&self, stream: &Stream) -> Result<Arc<IsaOutcome>, EngineError> {
+        let name = stream.workload.name;
         trips_obs::cost::set_tier("mem");
-        self.isa.get_or_init(&key, || {
-            let compiled = self.compiled(w, scale, opts, hand)?;
+        self.isa.get_or_init(stream, || {
+            let compiled = self.compiled(stream)?;
             trips_obs::cost::set_tier("capture");
             let _span = trips_obs::charged_with("session.capture_isa", CostKind::Capture, || {
-                w.name.to_string()
+                name.to_string()
             });
             trips_obs::counter("session_isa_runs_total").inc(1);
+            let (mem, budget) = (stream.mem, stream.budget);
             trips_isa::interp::run_program_with(&compiled.trips, &compiled.opt_ir, mem, budget)
                 .map(|out| {
                     Arc::new(IsaOutcome {
@@ -858,40 +915,34 @@ impl Session {
                         return_value: out.return_value,
                     })
                 })
-                .map_err(|e| EngineError::Capture(format!("{}: {e}", w.name)))
+                .map_err(|e| EngineError::Capture(format!("{name}: {e}")))
         })
     }
 
-    /// Builds (memoized) the RISC-side program: IR built, optimized with
-    /// `opts`, and lowered by the RISC code generator. Shared by the RISC
-    /// baseline and every OoO reference platform.
+    /// Builds (memoized) the RISC-side program of `stream`: IR built,
+    /// optimized with its options, and lowered by the RISC code generator.
+    /// Shared by the RISC baseline and every OoO reference platform.
     ///
     /// # Errors
     /// [`EngineError::Compile`] (cached).
-    pub fn risc_program(
-        &self,
-        w: &Workload,
-        scale: Scale,
-        opts: &CompileOptions,
-    ) -> Result<Arc<RiscArtifacts>, EngineError> {
-        self.risc
-            .get_or_init(&CompileKey::new(w, scale, opts, false), || {
-                let _span = trips_obs::charged_with("session.compile", CostKind::Capture, || {
-                    format!("{} (risc)", w.name)
-                });
-                trips_obs::counter("session_compiles_total{side=\"risc\"}").inc(1);
-                let mut ir = (w.build)(scale);
-                trips_compiler::opt::optimize(&mut ir, opts);
-                trips_risc::compile_program(&ir)
-                    .map(|program| Arc::new(RiscArtifacts { program, ir }))
-                    .map_err(|e| EngineError::Compile(format!("{} (risc): {e}", w.name)))
-            })
+    pub fn risc_program(&self, stream: &Stream) -> Result<Arc<RiscArtifacts>, EngineError> {
+        let w = &stream.workload;
+        self.risc.get_or_init(&stream.risc().program(), || {
+            let _span = trips_obs::charged_with("session.compile", CostKind::Capture, || {
+                format!("{} (risc)", w.name)
+            });
+            trips_obs::counter("session_compiles_total{side=\"risc\"}").inc(1);
+            let mut ir = (w.build)(stream.scale);
+            trips_compiler::opt::optimize(&mut ir, &stream.opts);
+            trips_risc::compile_program(&ir)
+                .map(|program| Arc::new(RiscArtifacts { program, ir }))
+                .map_err(|e| EngineError::Compile(format!("{} (risc): {e}", w.name)))
+        })
     }
 
-    /// Captures (memoized) the RISC event stream of `workload` built with
-    /// `opts`, under `mem` bytes of memory and a `budget` instruction
-    /// budget — the execution every out-of-order configuration replays and
-    /// the source of the instruction-count figures' denominators.
+    /// Captures (memoized) the RISC event stream of `stream` — the
+    /// execution every out-of-order configuration replays and the source
+    /// of the instruction-count figures' denominators.
     ///
     /// With a store installed, the disk tier is consulted on an in-memory
     /// miss (and filled on capture), so process B times OoO points from
@@ -899,19 +950,12 @@ impl Session {
     ///
     /// # Errors
     /// [`EngineError::Compile`] or [`EngineError::Capture`] (both cached).
-    pub fn risc_trace(
-        &self,
-        w: &Workload,
-        scale: Scale,
-        opts: &CompileOptions,
-        mem: usize,
-        budget: u64,
-    ) -> Result<Arc<RiscTrace>, EngineError> {
-        let key = TraceKey::new(w, scale, opts, false, mem, budget);
+    pub fn risc_trace(&self, stream: &Stream) -> Result<Arc<RiscTrace>, EngineError> {
+        let name = stream.workload.name;
         trips_obs::cost::set_tier("mem");
-        self.rtraces.get_or_init(&key, || {
-            let art = self.risc_program(w, scale, opts)?;
-            let id = key.risc_id(&art);
+        self.rtraces.get_or_init(&stream.risc(), || {
+            let art = self.risc_program(stream)?;
+            let id = stream.risc_id(&art);
             self.through_store(
                 &self.rtraces.stats,
                 &id,
@@ -922,57 +966,51 @@ impl Session {
                 },
                 || {
                     if let Some(why) = trips_chaos::capture_fault() {
-                        return Err(EngineError::Transient(format!("{} (risc): {why}", w.name)));
+                        return Err(EngineError::Transient(format!("{name} (risc): {why}")));
                     }
                     trips_obs::cost::set_tier("capture");
                     let _span =
                         trips_obs::charged_with("session.capture_risc", CostKind::Capture, || {
-                            w.name.to_string()
+                            name.to_string()
                         });
                     let meta = RiscTraceMeta {
                         workload: id.workload.clone(),
                         scale: id.scale.clone(),
                         opts_sig: id.opts_sig,
                     };
-                    RiscTrace::capture(&art.program, &art.ir, mem, budget, meta)
-                        .map_err(|e| EngineError::Capture(format!("{} (risc): {e}", w.name)))
+                    RiscTrace::capture(&art.program, &art.ir, stream.mem, stream.budget, meta)
+                        .map_err(|e| EngineError::Capture(format!("{name} (risc): {e}")))
                 },
             )
             .map(Arc::new)
         })
     }
 
-    /// The fitted phase plan for a workload's TRIPS block-trace stream
-    /// (memoized, store-backed): BBV extraction + clustering run **once
-    /// per store** — an in-memory miss consults the disk tier (a
-    /// verified, stream-validated [`PhaseArtifact`] stands in for a
-    /// fresh fit), and fresh fits are written back. The fit is seeded
-    /// from the trace's stable key, so every process derives the
-    /// byte-identical plan and N sweep points across N processes cluster
-    /// once.
+    /// The fitted phase plan for `stream`'s TRIPS block trace (memoized,
+    /// store-backed): BBV extraction + clustering run **once per store**
+    /// — an in-memory miss consults the disk tier (a verified,
+    /// stream-validated [`PhaseArtifact`] stands in for a fresh fit), and
+    /// fresh fits are written back. The fit is seeded from the trace's
+    /// stable key, so every process derives the byte-identical plan and N
+    /// sweep points across N processes cluster once.
     ///
     /// # Errors
     /// Any cached artifact failure ([`EngineError::Compile`] /
     /// [`EngineError::Capture`], both cached).
     pub fn trips_phase_plan(
         &self,
-        w: &Workload,
-        scale: Scale,
-        opts: &CompileOptions,
-        hand: bool,
-        mem: usize,
-        budget: u64,
+        stream: &Stream,
         spec: &PhaseSpec,
     ) -> Result<Arc<PhasePlan>, EngineError> {
         let key = PhaseKey {
-            trace: TraceKey::new(w, scale, opts, hand, mem, budget),
+            trace: stream.clone(),
             risc: false,
             spec: *spec,
         };
         self.phases.get_or_init(&key, || {
-            let compiled = self.compiled(w, scale, opts, hand)?;
-            let log = self.trace(w, scale, opts, hand, mem, budget)?;
-            let seed = key.trace.trips_id(&compiled).stable_hash();
+            let compiled = self.compiled(stream)?;
+            let log = self.trace(stream)?;
+            let seed = stream.trips_id(&compiled).stable_hash();
             self.fit_phase(seed, log.seq.len() as u64, spec, || {
                 Ok(trips_phase::trips_fit(&log, spec, seed))
             })
@@ -980,7 +1018,7 @@ impl Session {
     }
 
     /// The RISC-side counterpart of [`Session::trips_phase_plan`]: the
-    /// fitted phase plan over a workload's recorded RISC event stream,
+    /// fitted phase plan over `stream`'s recorded RISC event stream,
     /// shared by every out-of-order platform that replays it.
     ///
     /// # Errors
@@ -988,27 +1026,52 @@ impl Session {
     /// stream walk fails.
     pub fn ooo_phase_plan(
         &self,
-        w: &Workload,
-        scale: Scale,
-        opts: &CompileOptions,
-        mem: usize,
-        budget: u64,
+        stream: &Stream,
         spec: &PhaseSpec,
     ) -> Result<Arc<PhasePlan>, EngineError> {
         let key = PhaseKey {
-            trace: TraceKey::new(w, scale, opts, false, mem, budget),
+            trace: stream.risc(),
             risc: true,
             spec: *spec,
         };
         self.phases.get_or_init(&key, || {
-            let art = self.risc_program(w, scale, opts)?;
-            let trace = self.risc_trace(w, scale, opts, mem, budget)?;
-            let seed = key.trace.risc_id(&art).stable_hash();
+            let art = self.risc_program(stream)?;
+            let trace = self.risc_trace(stream)?;
+            let seed = stream.risc_id(&art).stable_hash();
             self.fit_phase(seed, trace.header.dynamic_insts, spec, || {
-                trips_phase::risc_fit(&trace, &art.program, spec, seed)
-                    .map_err(|e| EngineError::Capture(format!("{} (phase): {e}", w.name)))
+                trips_phase::risc_fit(&trace, &art.program, spec, seed).map_err(|e| {
+                    EngineError::Capture(format!("{} (phase): {e}", stream.workload.name))
+                })
             })
         })
+    }
+
+    /// The replay mode a timing point on `stream` measures under, and the
+    /// `phase_k` it reports: with `phase`, the stream's fitted plan under
+    /// the core's default [`PhaseSpec`] ([`Session::ooo_phase_plan`] when
+    /// `ooo`, else [`Session::trips_phase_plan`]) and its cluster count
+    /// (0 for a plan that covers everything and so replays in full);
+    /// otherwise `sample`'s systematic plan, or full replay, and 0.
+    ///
+    /// # Errors
+    /// Any failure of the phase-plan tier.
+    pub fn timing_mode(
+        &self,
+        stream: &Stream,
+        ooo: bool,
+        sample: Option<SamplePlan>,
+        phase: Option<PhaseK>,
+    ) -> Result<(ReplayMode, u32), EngineError> {
+        let Some(k) = phase else {
+            return Ok((ReplayMode::from_plan(sample), 0));
+        };
+        let plan = if ooo {
+            self.ooo_phase_plan(stream, &PhaseSpec::ooo(k))?
+        } else {
+            self.trips_phase_plan(stream, &PhaseSpec::trips(k))?
+        };
+        let k = if plan.covers_everything() { 0 } else { plan.k };
+        Ok((ReplayMode::Phased((*plan).clone()), k))
     }
 
     /// The disk step both phase tiers share: the stored artifact under the
@@ -1049,34 +1112,41 @@ impl Session {
         .map(|art| Arc::new(art.plan))
     }
 
-    /// The replay both timing backends share. Without live-points, or for
-    /// a mode that is not phased, it is one [`trips_sample::replay`] of a
-    /// fresh `make()` machine (the stream was validated by the tier that
-    /// served it). With them, a phased replay resolves its checkpoint set
-    /// memo → store → capture; a capture pass *is* the sequential phased
-    /// replay, so its result is returned directly and nothing runs twice.
-    /// With a resolved set, each measured window replays from its
-    /// restored state as an independent pool job, and the measurements
-    /// assemble into the bit-identical sequential estimate. Every replay
-    /// error is prefixed `"{workload} ({label}): "`.
-    fn replay_core<C>(
+    /// The replay both timing backends share. Without live-points
+    /// (`live_points` is `None`), or for a mode that is not phased, it is
+    /// one [`trips_sample::replay`] of a fresh `job.make()` machine (the
+    /// stream was validated by the tier that served it). With them, a
+    /// phased replay resolves its checkpoint set memo → store → capture; a
+    /// capture pass *is* the sequential phased replay, so its result is
+    /// returned directly and nothing runs twice. With a resolved set, each
+    /// measured window replays from its restored state as an independent
+    /// job on `live_points` pool workers (0 = one per core), and the
+    /// measurements assemble into the bit-identical sequential estimate.
+    /// Every replay error is prefixed `"{workload} ({label}): "`.
+    fn replay_core<C, M, P>(
         &self,
-        workload: &str,
-        label: &str,
+        job: ReplayJob<'_, M, P>,
         mode: &ReplayMode,
-        cfg_sig: u64,
-        parent_key: impl FnOnce() -> u64,
-        make: impl Fn() -> C + Sync,
+        live_points: Option<usize>,
     ) -> Result<C::Output, EngineError>
     where
         C: TimingCore,
         C::Snapshot: LiveState + Sync,
         C::Stats: Send,
         C::Error: fmt::Display + Send,
+        M: Fn() -> C + Sync,
+        P: FnOnce() -> u64,
     {
+        let ReplayJob {
+            key,
+            label,
+            make,
+            parent_key,
+        } = job;
+        let (workload, cfg_sig) = (key.trace.workload.name, key.cfg);
         let fail = |why: String| EngineError::Replay(format!("{workload} ({label}): {why}"));
         let core_fail = |e: C::Error| fail(e.to_string());
-        let (Some(threads), Some(plan)) = (self.live_points(), mode.phase()) else {
+        let (Some(threads), Some(plan)) = (live_points, mode.phase()) else {
             return trips_sample::replay(make(), mode).map_err(core_fail);
         };
         let id = LivePointId {
@@ -1130,85 +1200,81 @@ impl Session {
     }
 
     /// The out-of-order front of the session's generic replay: times one
-    /// reference platform over the (memoized) recorded RISC stream — one
-    /// functional execution, N of these. Results are memoized like
-    /// [`Session::replayed`]'s.
+    /// reference platform over `stream`'s (memoized) recorded RISC event
+    /// stream under `mode` — one functional execution, N of these. With
+    /// `live_points`, a phased replay serves from live-point checkpoints on
+    /// that many window workers (see [`Session::replayed`]). Results are
+    /// memoized like [`Session::replayed`]'s.
     ///
     /// # Errors
     /// Any cached artifact failure, or [`EngineError::Replay`] (cached).
     pub fn ooo_replayed(
         &self,
-        w: &Workload,
-        scale: Scale,
-        opts: &CompileOptions,
+        stream: &Stream,
         cfg: &trips_ooo::OooConfig,
-        mem: usize,
-        budget: u64,
         mode: &ReplayMode,
+        live_points: Option<usize>,
     ) -> Result<Arc<trips_ooo::OooResult>, EngineError> {
         let key = ReplayKey {
-            trace: TraceKey::new(w, scale, opts, false, mem, budget),
+            trace: stream.risc(),
             cfg: ooo_cfg_sig(cfg),
             mode: ModeKey::of(mode),
         };
         trips_obs::cost::set_tier("memo");
         self.ooo_replays.get_or_init(&key, || {
-            let art = self.risc_program(w, scale, opts)?;
-            let trace = self.risc_trace(w, scale, opts, mem, budget)?;
-            let _span =
-                trips_obs::span_with("session.replay_ooo", || format!("{} {}", w.name, cfg.name));
-            self.replay_core(
-                w.name,
-                &cfg.name,
-                mode,
-                key.cfg,
-                || key.trace.risc_id(&art).stable_hash(),
-                || OooCore::new(&art.program, &trace, cfg),
-            )
-            .map(Arc::new)
+            let art = self.risc_program(stream)?;
+            let trace = self.risc_trace(stream)?;
+            let _span = trips_obs::span_with("session.replay_ooo", || {
+                format!("{} {}", stream.workload.name, cfg.name)
+            });
+            let job = ReplayJob {
+                key: &key,
+                label: &cfg.name,
+                make: || OooCore::new(&art.program, &trace, cfg),
+                parent_key: || stream.risc_id(&art).stable_hash(),
+            };
+            self.replay_core(job, mode, live_points).map(Arc::new)
         })
     }
 
-    /// The TRIPS front of the session's generic replay: replays the (memoized)
-    /// block trace against one timing configuration — one capture, N of
-    /// these. Results are memoized under the trace key, the configuration
-    /// signature *and* the normalized mode, so full, sampled and phased
-    /// measurements never alias.
+    /// The TRIPS front of the session's generic replay: replays `stream`'s
+    /// (memoized) block trace against one timing configuration under
+    /// `mode` — one capture, N of these. Results are memoized under the
+    /// stream, the configuration signature *and* the normalized mode, so
+    /// full, sampled and phased measurements never alias. With
+    /// `live_points` (a window-worker count, 0 = one per core), a phased
+    /// replay whose plan skips work serves from the live-point tier; the
+    /// count is not part of the key, because the result is bit-identical
+    /// either way.
     ///
     /// # Errors
     /// Any cached artifact failure, or [`EngineError::Replay`] (cached).
     pub fn replayed(
         &self,
-        w: &Workload,
-        scale: Scale,
-        opts: &CompileOptions,
-        hand: bool,
+        stream: &Stream,
         cfg: &trips_sim::TripsConfig,
-        mem: usize,
-        budget: u64,
         mode: &ReplayMode,
+        live_points: Option<usize>,
     ) -> Result<Arc<trips_sim::SimResult>, EngineError> {
         let key = ReplayKey {
-            trace: TraceKey::new(w, scale, opts, hand, mem, budget),
+            trace: stream.clone(),
             cfg: trips_cfg_sig(cfg),
             mode: ModeKey::of(mode),
         };
         trips_obs::cost::set_tier("memo");
         self.replays.get_or_init(&key, || {
-            let compiled = self.compiled(w, scale, opts, hand)?;
-            let log = self.trace(w, scale, opts, hand, mem, budget)?;
+            let compiled = self.compiled(stream)?;
+            let log = self.trace(stream)?;
             let _span = trips_obs::span_with("session.replay_trips", || {
-                format!("{} cfg={:016x}", w.name, key.cfg)
+                format!("{} cfg={:016x}", stream.workload.name, key.cfg)
             });
-            self.replay_core(
-                w.name,
-                "trips",
-                mode,
-                key.cfg,
-                || key.trace.trips_id(&compiled).stable_hash(),
-                || TsimCore::new(&compiled, cfg, &log),
-            )
-            .map(Arc::new)
+            let job = ReplayJob {
+                key: &key,
+                label: "trips",
+                make: || TsimCore::new(&compiled, cfg, &log),
+                parent_key: || stream.trips_id(&compiled).stable_hash(),
+            };
+            self.replay_core(job, mode, live_points).map(Arc::new)
         })
     }
 
@@ -1276,16 +1342,23 @@ mod tests {
     use super::*;
     use trips_workloads::by_name;
 
+    /// vadd at Test scale under `opts` with the sweep defaults' bounds.
+    fn vadd(opts: CompileOptions, budget: u64) -> Stream {
+        Stream::new(
+            &by_name("vadd").unwrap(),
+            Scale::Test,
+            opts,
+            1 << 22,
+            budget,
+        )
+    }
+
     #[test]
     fn compile_cache_deduplicates() {
         let s = Session::new();
-        let w = by_name("vadd").unwrap();
-        let a = s
-            .compiled(&w, Scale::Test, &CompileOptions::o1(), false)
-            .unwrap();
-        let b = s
-            .compiled(&w, Scale::Test, &CompileOptions::o1(), false)
-            .unwrap();
+        let a = s.compiled(&vadd(CompileOptions::o1(), 1)).unwrap();
+        // The run bounds are no part of the program's key.
+        let b = s.compiled(&vadd(CompileOptions::o1(), 2)).unwrap();
         assert!(
             Arc::ptr_eq(&a, &b),
             "second request must be served from cache"
@@ -1293,42 +1366,21 @@ mod tests {
         let st = s.cache_stats();
         assert_eq!((st.compile_misses, st.compile_hits), (1, 1));
         // Different options are a different artifact.
-        let c = s
-            .compiled(&w, Scale::Test, &CompileOptions::o2(), false)
-            .unwrap();
+        let c = s.compiled(&vadd(CompileOptions::o2(), 1)).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
     }
 
     #[test]
     fn trace_cache_is_keyed_on_budget() {
         let s = Session::new();
-        let w = by_name("vadd").unwrap();
-        let full = s
-            .trace(
-                &w,
-                Scale::Test,
-                &CompileOptions::o1(),
-                false,
-                1 << 22,
-                u64::MAX,
-            )
-            .unwrap();
-        let again = s
-            .trace(
-                &w,
-                Scale::Test,
-                &CompileOptions::o1(),
-                false,
-                1 << 22,
-                u64::MAX,
-            )
-            .unwrap();
+        let full = s.trace(&vadd(CompileOptions::o1(), u64::MAX)).unwrap();
+        let again = s.trace(&vadd(CompileOptions::o1(), u64::MAX)).unwrap();
         assert!(Arc::ptr_eq(&full, &again));
         // A tiny budget is a distinct (failing) artifact, and the failure
         // itself is cached.
-        let clipped = s.trace(&w, Scale::Test, &CompileOptions::o1(), false, 1 << 22, 1);
+        let clipped = s.trace(&vadd(CompileOptions::o1(), 1));
         assert!(matches!(clipped, Err(EngineError::Capture(_))));
-        let clipped2 = s.trace(&w, Scale::Test, &CompileOptions::o1(), false, 1 << 22, 1);
+        let clipped2 = s.trace(&vadd(CompileOptions::o1(), 1));
         assert_eq!(clipped.unwrap_err(), clipped2.unwrap_err());
     }
 
@@ -1352,19 +1404,9 @@ mod tests {
     #[test]
     fn replay_results_are_memoized_per_config_and_plan() {
         let s = Session::new();
-        let w = by_name("vadd").unwrap();
+        let stream = vadd(CompileOptions::o1(), 1_000_000);
         let cfg = trips_sim::TripsConfig::prototype();
-        let args = (
-            Scale::Test,
-            CompileOptions::o1(),
-            false,
-            1usize << 22,
-            1_000_000u64,
-        );
-        let run = |mode: &ReplayMode| {
-            s.replayed(&w, args.0, &args.1, args.2, &cfg, args.3, args.4, mode)
-                .unwrap()
-        };
+        let run = |mode: &ReplayMode| s.replayed(&stream, &cfg, mode, None).unwrap();
         let full = run(&ReplayMode::Full);
         let again = run(&ReplayMode::Full);
         assert!(Arc::ptr_eq(&full, &again), "full replay must memoize");
@@ -1387,7 +1429,7 @@ mod tests {
     #[test]
     fn phase_plans_memoize_and_drive_phased_replay() {
         let s = Session::new();
-        let w = by_name("vadd").unwrap();
+        let stream = vadd(CompileOptions::o1(), 1_000_000);
         // Interval 8 over vadd's ~170-block test stream: ~19 interior
         // intervals, more than the auto sweep's k cap, so the fitted plan
         // can never cover everything.
@@ -1400,30 +1442,20 @@ mod tests {
             boundary: 1,
             tail: 1,
         };
-        let args = (Scale::Test, CompileOptions::o1(), false, 1usize << 22);
-        let plan = s
-            .trips_phase_plan(&w, args.0, &args.1, args.2, args.3, 1_000_000, &spec)
-            .unwrap();
-        let again = s
-            .trips_phase_plan(&w, args.0, &args.1, args.2, args.3, 1_000_000, &spec)
-            .unwrap();
+        let plan = s.trips_phase_plan(&stream, &spec).unwrap();
+        let again = s.trips_phase_plan(&stream, &spec).unwrap();
         assert!(
             Arc::ptr_eq(&plan, &again),
             "second fit must come from cache"
         );
         plan.validate().unwrap();
-        let log = s
-            .trace(&w, args.0, &args.1, args.2, args.3, 1_000_000)
-            .unwrap();
+        let log = s.trace(&stream).unwrap();
         assert_eq!(plan.total_units, log.seq.len() as u64);
         assert!(!plan.covers_everything(), "stream long enough to classify");
 
         // Phased replay is a distinct memoized artifact from full replay.
         let cfg = trips_sim::TripsConfig::prototype();
-        let run = |mode: &ReplayMode| {
-            s.replayed(&w, args.0, &args.1, args.2, &cfg, args.3, 1_000_000, mode)
-                .unwrap()
-        };
+        let run = |mode: &ReplayMode| s.replayed(&stream, &cfg, mode, None).unwrap();
         let full = run(&ReplayMode::Full);
         let phased = run(&ReplayMode::Phased((*plan).clone()));
         assert!(
@@ -1443,8 +1475,7 @@ mod tests {
     #[test]
     fn live_point_tier_is_bit_identical_and_captures_once() {
         let s = Session::new();
-        s.set_live_points(Some(2));
-        let w = by_name("vadd").unwrap();
+        let stream = vadd(CompileOptions::o1(), 1_000_000);
         let spec = PhaseSpec {
             interval: 8,
             warmup: 4,
@@ -1454,23 +1485,15 @@ mod tests {
             boundary: 1,
             tail: 1,
         };
-        let (scale, opts, hand) = (Scale::Test, CompileOptions::o1(), false);
-        let (mem, budget) = (1usize << 22, 1_000_000u64);
-        let plan = s
-            .trips_phase_plan(&w, scale, &opts, hand, mem, budget, &spec)
-            .unwrap();
+        let plan = s.trips_phase_plan(&stream, &spec).unwrap();
         assert!(!plan.covers_everything());
         let cfg = trips_sim::TripsConfig::prototype();
         let mode = ReplayMode::Phased((*plan).clone());
         // Sequential reference from a live-point-free session.
-        let seq = Session::new()
-            .replayed(&w, scale, &opts, hand, &cfg, mem, budget, &mode)
-            .unwrap();
+        let seq = Session::new().replayed(&stream, &cfg, &mode, None).unwrap();
         // The first request runs the capture pass, which *is* a
         // sequential phased replay.
-        let first = s
-            .replayed(&w, scale, &opts, hand, &cfg, mem, budget, &mode)
-            .unwrap();
+        let first = s.replayed(&stream, &cfg, &mode, Some(2)).unwrap();
         assert_eq!(first.stats, seq.stats);
         assert_eq!(first.return_value, seq.return_value);
         let st = s.cache_stats();
@@ -1478,28 +1501,30 @@ mod tests {
         // A repeat under the same key is served by the replay memo, so
         // drive the tier directly to exercise restore + parallel replay
         // from the memoized checkpoint set.
-        let compiled = s.compiled(&w, scale, &opts, hand).unwrap();
-        let log = s.trace(&w, scale, &opts, hand, mem, budget).unwrap();
+        let compiled = s.compiled(&stream).unwrap();
+        let log = s.trace(&stream).unwrap();
         let parent_key = TraceId {
-            workload: w.name.to_string(),
+            workload: "vadd".to_string(),
             scale: "test".to_string(),
-            opts_sig: opts_sig(&opts),
-            hand,
+            opts_sig: opts_sig(&stream.opts),
+            hand: false,
             code_sig: code_sig(&compiled),
-            mem_size: mem as u64,
-            max_blocks: budget,
+            mem_size: 1 << 22,
+            max_blocks: 1_000_000,
         }
         .stable_hash();
-        let par = s
-            .replay_core(
-                w.name,
-                "trips",
-                &mode,
-                trips_cfg_sig(&cfg),
-                || parent_key,
-                || TsimCore::new(&compiled, &cfg, &log),
-            )
-            .unwrap();
+        let key = ReplayKey {
+            trace: stream.clone(),
+            cfg: trips_cfg_sig(&cfg),
+            mode: ModeKey::of(&mode),
+        };
+        let job = ReplayJob {
+            key: &key,
+            label: "trips",
+            make: || TsimCore::new(&compiled, &cfg, &log),
+            parent_key: || parent_key,
+        };
+        let par = s.replay_core(job, &mode, Some(2)).unwrap();
         assert_eq!(
             par.stats, seq.stats,
             "restored parallel replay must be bit-identical"
@@ -1514,7 +1539,6 @@ mod tests {
 
     #[test]
     fn replay_errors_name_the_workload_on_both_cores() {
-        let w = by_name("vadd").unwrap();
         // A plan fitted to a three-unit stream: both of vadd's are longer.
         let foreign = ReplayMode::Phased(PhasePlan {
             interval: 1,
@@ -1528,41 +1552,32 @@ mod tests {
             }],
             assignments: vec![],
         });
-        let (scale, mem) = (Scale::Test, 1usize << 22);
-        for live_points in [false, true] {
+        for live_points in [None, Some(1)] {
             let s = Session::new();
-            if live_points {
-                s.set_live_points(Some(1));
-            }
             let trips = s
                 .replayed(
-                    &w,
-                    scale,
-                    &CompileOptions::o1(),
-                    false,
+                    &vadd(CompileOptions::o1(), 1_000_000),
                     &trips_sim::TripsConfig::prototype(),
-                    mem,
-                    1_000_000,
                     &foreign,
+                    live_points,
                 )
                 .map(drop);
             let ooo = s
                 .ooo_replayed(
-                    &w,
-                    scale,
-                    &CompileOptions::gcc_ref(),
+                    &vadd(CompileOptions::gcc_ref(), 400_000_000),
                     &trips_ooo::core2(),
-                    mem,
-                    400_000_000,
                     &foreign,
+                    live_points,
                 )
                 .map(drop);
             for res in [trips, ooo] {
                 match res {
                     Err(EngineError::Replay(msg)) => {
-                        assert!(msg.starts_with("vadd ("), "live={live_points}: {msg}");
+                        assert!(msg.starts_with("vadd ("), "live={live_points:?}: {msg}");
                     }
-                    other => panic!("live={live_points}: expected a replay error, got {other:?}"),
+                    other => {
+                        panic!("live={live_points:?}: expected a replay error, got {other:?}")
+                    }
                 }
             }
         }
@@ -1572,14 +1587,12 @@ mod tests {
     fn concurrent_requests_share_one_compile() {
         let s = Session::new();
         let w = by_name("autocor").unwrap();
+        let stream = Stream::new(&w, Scale::Test, CompileOptions::o1(), 1 << 22, 1_000_000);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
-                    let (s, w) = (&s, &w);
-                    scope.spawn(move || {
-                        s.compiled(w, Scale::Test, &CompileOptions::o1(), false)
-                            .unwrap()
-                    })
+                    let (s, stream) = (&s, &stream);
+                    scope.spawn(move || s.compiled(stream).unwrap())
                 })
                 .collect();
             let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();

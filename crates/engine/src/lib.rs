@@ -7,10 +7,11 @@
 //!
 //! Four layers:
 //!
-//! * [`Session`] — a memoizing artifact store. Compiled programs are cached
-//!   by `(workload, scale, options, hand)`; captured [`trips_isa::TraceLog`]s
-//!   and recorded [`trips_risc::RiscTrace`] event streams by the same key
-//!   plus `(memory, budget)`. Concurrent requests for the same artifact
+//! * [`Session`] — a memoizing artifact store, asked for every artifact
+//!   with one [`Stream`] value. Compiled programs are cached by its
+//!   `(workload, scale, options, hand)`; captured [`trips_isa::TraceLog`]s
+//!   and recorded [`trips_risc::RiscTrace`] event streams by the whole
+//!   stream, `(memory, budget)` included. Concurrent requests for the same artifact
 //!   block on one in-flight computation instead of duplicating it
 //!   (per-entry `OnceLock`, see McKenney's *Is Parallel Programming
 //!   Hard?* on sharing read-mostly data cheaply).
@@ -44,8 +45,10 @@
 //! walker fast-forwards between them with functional warming, and one
 //! estimator extrapolates from what they measured, with full and sampled
 //! results memoized under distinct keys.
-//! With live-points enabled (`Session::set_live_points`, `trips-sweep
-//! --live-points`), the warmed machine state at each measured-window
+//! With live-points requested (the `live_points` argument of
+//! [`Session::replayed`] and [`Session::ooo_replayed`], which a sweep
+//! passes from `SweepSpec::live_points`, `trips-sweep --live-points`),
+//! the warmed machine state at each measured-window
 //! boundary is checkpointed into the store as a fourth container kind, so
 //! later sweep points — in this process or any other sharing the store —
 //! replay only the detailed windows, in parallel, without ever touching
@@ -103,7 +106,7 @@ pub use trips_obs as obs;
 /// is a single relaxed atomic load.
 pub use trips_chaos as chaos;
 
-pub use cache::{CacheStats, EngineError, IsaOutcome, RiscArtifacts, Session};
+pub use cache::{CacheStats, EngineError, IsaOutcome, RiscArtifacts, Session, Stream};
 pub use phase::{PhaseK, PhaseSpec};
 pub use pool::{parallel_map, parallel_map_catch, JobPanic};
 pub use sample::{PhasePlan, ReplayMode, SamplePlan};

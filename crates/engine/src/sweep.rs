@@ -6,14 +6,14 @@
 //! all artifacts shared through a [`Session`], and returns per-point
 //! [`SweepRow`]s plus a throughput summary.
 
-use crate::cache::{EngineError, Session};
+use crate::cache::{EngineError, Session, Stream};
 use crate::pool::{effective_threads, parallel_map_catch};
 use serde::{Serialize, Serializer, Value};
 use std::sync::Arc;
 use std::time::Instant;
 use trips_compiler::{CompileOptions, CompiledProgram};
-use trips_phase::{PhaseK, PhaseSpec};
-use trips_sample::{ReplayMode, SamplePlan};
+use trips_phase::PhaseK;
+use trips_sample::SamplePlan;
 use trips_sim::TripsConfig;
 use trips_workloads::{by_name, Scale, Workload};
 
@@ -200,8 +200,8 @@ pub struct SweepSpec {
     /// mutually exclusive with [`SweepSpec::sample`]). Each timing point
     /// fetches the fitted [`trips_sample::PhasePlan`] for its workload's
     /// stream from the session (clustered once, store-backed) under the
-    /// per-backend default [`PhaseSpec`]s; streams below the floor replay
-    /// in full.
+    /// per-backend default [`PhaseSpec`](trips_phase::PhaseSpec)s;
+    /// streams below the floor replay in full.
     pub phase: Option<PhaseK>,
     /// Live-point checkpoints for phased timing points (needs
     /// [`SweepSpec::phase`] to have any effect): the session captures the
@@ -484,11 +484,26 @@ fn measure(p: &Point, spec: &SweepSpec, session: &Session) -> Result<SweepRow, E
     let t0 = Instant::now();
     let _span = trips_obs::span_with("sweep.point", || point_label(p));
     let cost_scope = trips_obs::cost::begin_row();
-    let mode = ReplayMode::from_plan(spec.sample);
     let mut row = SweepRow {
         detailed_frac: 1.0,
         ..blank_row(p, "ok")
     };
+    let w = &p.workload;
+    let trips = Stream {
+        hand: spec.hand,
+        ..Stream::new(w, spec.scale, spec.opts.clone(), spec.mem, spec.sim_budget)
+    };
+    let risc = Stream::new(
+        w,
+        spec.scale,
+        CompileOptions::gcc_ref(),
+        spec.mem,
+        spec.risc_budget,
+    );
+    // Window jobs run on a nested pool inside each point's job; give them
+    // the sweep's own thread budget (the pool clamps to the window count,
+    // so small plans do not over-spawn).
+    let live_points = spec.live_points.then_some(spec.threads);
     match &p.backend {
         BackendSpec::Trips => {
             let cfg = &p.config.as_ref().expect("trips point carries a config").cfg;
@@ -496,33 +511,12 @@ fn measure(p: &Point, spec: &SweepSpec, session: &Session) -> Result<SweepRow, E
             // workload's stream from the session (clustered once per
             // process, once per store); short streams come back covering
             // and normalize to full replay.
-            let mode = match spec.phase {
-                Some(k) => {
-                    let plan = session.trips_phase_plan(
-                        &p.workload,
-                        spec.scale,
-                        &spec.opts,
-                        spec.hand,
-                        spec.mem,
-                        spec.sim_budget,
-                        &PhaseSpec::trips(k),
-                    )?;
-                    row.phase_k = if plan.covers_everything() { 0 } else { plan.k };
-                    ReplayMode::Phased((*plan).clone())
-                }
-                None => mode,
-            };
-            let r = session.replayed(
-                &p.workload,
-                spec.scale,
-                &spec.opts,
-                spec.hand,
-                cfg,
-                spec.mem,
-                spec.sim_budget,
-                &mode,
-            )?;
-            let s = r.stats.clone();
+            let (mode, phase_k) = session.timing_mode(&trips, false, spec.sample, spec.phase)?;
+            let s = session
+                .replayed(&trips, cfg, &mode, live_points)?
+                .stats
+                .clone();
+            row.phase_k = phase_k;
             row.cycles = s.cycles;
             row.ipc = s.ipc_executed();
             row.blocks = s.blocks;
@@ -536,15 +530,8 @@ fn measure(p: &Point, spec: &SweepSpec, session: &Session) -> Result<SweepRow, E
             row.detail = RowDetail::Trips(Arc::new(s));
         }
         BackendSpec::Isa => {
-            let compiled = session.compiled(&p.workload, spec.scale, &spec.opts, spec.hand)?;
-            let out = session.isa_outcome(
-                &p.workload,
-                spec.scale,
-                &spec.opts,
-                spec.hand,
-                spec.mem,
-                spec.sim_budget,
-            )?;
+            let compiled = session.compiled(&trips)?;
+            let out = session.isa_outcome(&trips)?;
             row.cycles = out.stats.fetched;
             row.blocks = out.stats.blocks_executed;
             row.est_cycles = row.cycles;
@@ -556,13 +543,7 @@ fn measure(p: &Point, spec: &SweepSpec, session: &Session) -> Result<SweepRow, E
         BackendSpec::Risc => {
             // Instruction counts come straight off the recorded stream: a
             // warm store serves this row with zero functional execution.
-            let trace = session.risc_trace(
-                &p.workload,
-                spec.scale,
-                &CompileOptions::gcc_ref(),
-                spec.mem,
-                spec.risc_budget,
-            )?;
+            let trace = session.risc_trace(&risc)?;
             row.cycles = trace.stats.insts;
             row.est_cycles = row.cycles;
             row.detail = RowDetail::Risc(Arc::new(trace.stats.clone()));
@@ -573,30 +554,9 @@ fn measure(p: &Point, spec: &SweepSpec, session: &Session) -> Result<SweepRow, E
                 "p4" => trips_ooo::pentium4(),
                 _ => trips_ooo::pentium3(),
             };
-            let mode = match spec.phase {
-                Some(k) => {
-                    let plan = session.ooo_phase_plan(
-                        &p.workload,
-                        spec.scale,
-                        &CompileOptions::gcc_ref(),
-                        spec.mem,
-                        spec.risc_budget,
-                        &PhaseSpec::ooo(k),
-                    )?;
-                    row.phase_k = if plan.covers_everything() { 0 } else { plan.k };
-                    ReplayMode::Phased((*plan).clone())
-                }
-                None => mode,
-            };
-            let out = session.ooo_replayed(
-                &p.workload,
-                spec.scale,
-                &CompileOptions::gcc_ref(),
-                &cfg,
-                spec.mem,
-                spec.risc_budget,
-                &mode,
-            )?;
+            let (mode, phase_k) = session.timing_mode(&risc, true, spec.sample, spec.phase)?;
+            let out = session.ooo_replayed(&risc, &cfg, &mode, live_points)?;
+            row.phase_k = phase_k;
             row.cycles = out.stats.cycles;
             row.ipc = out.stats.ipc();
             row.sampled = out.stats.sampled;
@@ -610,9 +570,9 @@ fn measure(p: &Point, spec: &SweepSpec, session: &Session) -> Result<SweepRow, E
                 "1k0" => trips_ideal::IdealConfig::window_1k_free_dispatch(),
                 _ => trips_ideal::IdealConfig::window_128k(),
             };
-            let compiled = session.compiled(&p.workload, spec.scale, &spec.opts, spec.hand)?;
+            let compiled = session.compiled(&trips)?;
             let r = trips_ideal::analyze_with_budget(&compiled, icfg, spec.mem, spec.sim_budget)
-                .map_err(|e| EngineError::Capture(format!("{} (ideal): {e}", p.workload.name)))?;
+                .map_err(|e| EngineError::Capture(format!("{} (ideal): {e}", w.name)))?;
             row.cycles = r.cycles;
             row.ipc = r.ipc;
             row.est_cycles = r.cycles;
@@ -648,11 +608,6 @@ pub fn run_sweep(spec: &SweepSpec, session: &Session) -> Result<SweepReport, Eng
     ] {
         let _ = trips_obs::counter(series);
     }
-    // Window jobs run on a nested pool inside each point's job; give them
-    // the sweep's own thread budget (the pool clamps to the window count,
-    // so small plans do not over-spawn). Every spec sets the switch, so a
-    // live-point sweep never leaks into a later plain one.
-    session.set_live_points(spec.live_points.then_some(spec.threads));
     let points = expand(spec)?;
     let n = points.len();
     let threads = effective_threads(spec.threads, n);
@@ -1029,7 +984,6 @@ mod tests {
         let session = Session::new();
         let live = run_sweep(&base, &session).unwrap();
         assert!(live.errors.is_empty(), "{:?}", live.errors);
-        assert_eq!(session.live_points(), Some(2));
         let misses = session.cache_stats().livepoint_misses;
         assert!(misses > 0, "the live sweep must use the tier");
         // A later plain sweep on the same session, on a configuration the
@@ -1045,8 +999,47 @@ mod tests {
         .unwrap();
         assert!(plain.errors.is_empty(), "{:?}", plain.errors);
         assert!(plain.rows[0].phase_k > 0, "{:?}", plain.rows[0]);
-        assert_eq!(session.live_points(), None);
         assert_eq!(session.cache_stats().livepoint_misses, misses);
+    }
+
+    #[test]
+    fn concurrent_sweeps_keep_their_own_live_point_choice() {
+        let live_spec = SweepSpec {
+            workloads: vec!["conv".into()],
+            scale: Scale::Ref,
+            configs: vec![ConfigVariant::prototype()],
+            backends: vec![BackendSpec::Trips],
+            phase: Some(PhaseK::Auto),
+            threads: 2,
+            live_points: true,
+            ..SweepSpec::default()
+        };
+        let plain_spec = SweepSpec {
+            configs: vec![ConfigVariant::improved()],
+            live_points: false,
+            ..live_spec.clone()
+        };
+        // Columns 1-15 of each CSV line: the deterministic prefix.
+        let prefix = |report: &SweepReport| -> Vec<String> {
+            let csv = to_csv(&report.rows);
+            let cut = |line: &str| line.split(',').take(15).collect::<Vec<_>>().join(",");
+            csv.lines().map(cut).collect()
+        };
+        let session = Session::new();
+        let (live, plain) = std::thread::scope(|scope| {
+            let live = scope.spawn(|| run_sweep(&live_spec, &session).unwrap());
+            let plain = scope.spawn(|| run_sweep(&plain_spec, &session).unwrap());
+            (live.join().unwrap(), plain.join().unwrap())
+        });
+        assert!(live.errors.is_empty(), "{:?}", live.errors);
+        assert!(plain.errors.is_empty(), "{:?}", plain.errors);
+        assert!(plain.rows[0].phase_k > 0, "{:?}", plain.rows[0]);
+        let fresh = run_sweep(&plain_spec, &Session::new()).unwrap();
+        assert_eq!(prefix(&plain), prefix(&fresh));
+        // One checkpoint set: the live sweep's single point. The plain
+        // sweep on `improved` never asked for the tier.
+        let c = session.cache_stats();
+        assert_eq!((c.livepoint_misses, c.livepoint_captures), (1, 1), "{c:?}");
     }
 
     #[test]

@@ -20,7 +20,9 @@ use trips_engine::cache::{code_sig, opts_sig};
 use trips_engine::chaos::{self, FaultPlan, Profile};
 use trips_engine::store::BREAKER_TRIP_AFTER;
 use trips_engine::sweep::to_csv;
-use trips_engine::{run_sweep, BackendSpec, LoadOutcome, Session, SweepRow, SweepSpec, TraceStore};
+use trips_engine::{
+    run_sweep, BackendSpec, LoadOutcome, Session, Stream, SweepRow, SweepSpec, TraceStore,
+};
 use trips_isa::{TraceId, TraceLog, TraceMeta};
 use trips_workloads::{by_name, Scale};
 
@@ -282,14 +284,13 @@ fn io_failure_storm_trips_the_breaker_and_degrades_to_memory_tiers() {
     let w = by_name("vadd").unwrap();
     for i in 0..(BREAKER_TRIP_AFTER + 2) {
         let log = session
-            .trace(
+            .trace(&Stream::new(
                 &w,
                 Scale::Test,
-                &CompileOptions::o1(),
-                false,
+                CompileOptions::o1(),
                 MEM,
                 BUDGET - i,
-            )
+            ))
             .unwrap();
         assert!(!log.seq.is_empty());
     }

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use trips_compiler::CompileOptions;
-use trips_engine::{ReplayMode, Session};
+use trips_engine::{ReplayMode, Session, Stream};
 use trips_workloads::{by_name, Scale};
 
 /// Defaults the CLI runs under (see `SweepSpec::default`).
@@ -31,22 +31,13 @@ fn replay_matches_direct_execution_for_every_config() {
     let session = Session::new();
     for name in WORKLOADS {
         let w = by_name(name).unwrap();
-        let art = session
-            .risc_program(&w, Scale::Test, &CompileOptions::gcc_ref())
-            .unwrap();
+        let stream = Stream::new(&w, Scale::Test, CompileOptions::gcc_ref(), MEM, RISC_BUDGET);
+        let art = session.risc_program(&stream).unwrap();
         for cfg in all_configs() {
             let direct =
                 trips_ooo::run_timed(&art.program, &art.ir, &cfg, MEM, RISC_BUDGET).unwrap();
             let replayed = session
-                .ooo_replayed(
-                    &w,
-                    Scale::Test,
-                    &CompileOptions::gcc_ref(),
-                    &cfg,
-                    MEM,
-                    RISC_BUDGET,
-                    &ReplayMode::Full,
-                )
+                .ooo_replayed(&stream, &cfg, &ReplayMode::Full, None)
                 .unwrap();
             assert_eq!(
                 replayed.return_value, direct.return_value,
@@ -143,7 +134,13 @@ fn two_process_round_trip_times_ooo_points_with_zero_reexecutions() {
         let w = by_name(name).unwrap();
         let session = Session::new();
         let art = session
-            .risc_program(&w, Scale::Test, &CompileOptions::gcc_ref())
+            .risc_program(&Stream::new(
+                &w,
+                Scale::Test,
+                CompileOptions::gcc_ref(),
+                MEM,
+                RISC_BUDGET,
+            ))
             .unwrap();
         for (label, cfg) in [
             ("core2", trips_ooo::core2()),

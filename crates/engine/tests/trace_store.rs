@@ -10,14 +10,20 @@ use trips_compiler::CompileOptions;
 use trips_engine::cache::{code_sig, opts_sig, risc_code_sig, trips_cfg_sig};
 use trips_engine::store::{plan_sig, LivePointId, LivePointSet, LivePointStates, KIND_BLOCK_TRACE};
 use trips_engine::{
-    BbvId, CacheStats, LoadOutcome, PhaseK, PhaseSpec, ReplayMode, RiscTraceId, Session, TraceStore,
+    BbvId, CacheStats, LoadOutcome, PhaseK, PhaseSpec, ReplayMode, RiscTraceId, Session, Stream,
+    TraceStore,
 };
 use trips_isa::{TraceId, TraceLog, TraceMeta};
 use trips_risc::{RiscTrace, RiscTraceMeta};
-use trips_workloads::{by_name, Scale};
+use trips_workloads::{by_name, Scale, Workload};
 
 const MEM: usize = 1 << 22;
 const BUDGET: u64 = 1_000_000;
+
+/// `w` at Test scale under `opts`, with this file's memory and budget.
+fn stream(w: &Workload, opts: &CompileOptions) -> Stream {
+    Stream::new(w, Scale::Test, opts.clone(), MEM, BUDGET)
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -59,7 +65,7 @@ fn captured_vadd_risc() -> (RiscTraceId, RiscTrace) {
     let opts = CompileOptions::gcc_ref();
     let w = by_name("vadd").unwrap();
     let session = Session::new();
-    let art = session.risc_program(&w, Scale::Test, &opts).unwrap();
+    let art = session.risc_program(&stream(&w, &opts)).unwrap();
     let trace = RiscTrace::capture(
         &art.program,
         &art.ir,
@@ -252,11 +258,7 @@ fn concurrent_sessions_race_load_against_save_without_torn_reads() {
             .map(|i| {
                 let (sessions, w) = (&sessions, &w);
                 let opts = opts.clone();
-                scope.spawn(move || {
-                    sessions[i % 2]
-                        .trace(w, Scale::Test, &opts, false, MEM, BUDGET)
-                        .unwrap()
-                })
+                scope.spawn(move || sessions[i % 2].trace(&stream(w, &opts)).unwrap())
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -283,9 +285,7 @@ fn session_recovers_from_garbage_and_repopulates() {
 
     let session = Session::with_store(TraceStore::open(&dir).unwrap());
     let w = by_name("vadd").unwrap();
-    let log = session
-        .trace(&w, Scale::Test, &CompileOptions::o1(), false, MEM, BUDGET)
-        .unwrap();
+    let log = session.trace(&stream(&w, &CompileOptions::o1())).unwrap();
     let st = session.cache_stats();
     assert_eq!(
         (st.disk_rejects, st.captures, st.store_writes),
@@ -294,9 +294,7 @@ fn session_recovers_from_garbage_and_repopulates() {
     );
     // The repopulated file now serves a fresh session from disk.
     let session2 = Session::with_store(TraceStore::open(&dir).unwrap());
-    let log2 = session2
-        .trace(&w, Scale::Test, &CompileOptions::o1(), false, MEM, BUDGET)
-        .unwrap();
+    let log2 = session2.trace(&stream(&w, &CompileOptions::o1())).unwrap();
     let st2 = session2.cache_stats();
     assert_eq!((st2.disk_hits, st2.captures), (1, 0));
     assert_eq!(*log, *log2);
@@ -309,19 +307,13 @@ fn disk_tier_is_keyed_on_identity_not_name() {
     let dir = tmp_dir("identity");
     let w = by_name("vadd").unwrap();
     let session = Session::with_store(TraceStore::open(&dir).unwrap());
-    let a = session
-        .trace(&w, Scale::Test, &CompileOptions::o1(), false, MEM, BUDGET)
-        .unwrap();
+    let a = session.trace(&stream(&w, &CompileOptions::o1())).unwrap();
     let session2 = Session::with_store(TraceStore::open(&dir).unwrap());
     let b = session2
-        .trace(
-            &w,
-            Scale::Test,
-            &CompileOptions::o1(),
-            false,
-            MEM,
-            BUDGET / 2,
-        )
+        .trace(&Stream {
+            budget: BUDGET / 2,
+            ..stream(&w, &CompileOptions::o1())
+        })
         .unwrap();
     assert_eq!(session2.cache_stats().disk_hits, 0);
     assert_eq!(a.header.max_blocks, BUDGET);
@@ -523,9 +515,7 @@ fn risc_disk_tier_serves_a_fresh_session_without_execution() {
     let w = by_name("vadd").unwrap();
     let opts = CompileOptions::gcc_ref();
     let session = Session::with_store(TraceStore::open(&dir).unwrap());
-    let a = session
-        .risc_trace(&w, Scale::Test, &opts, MEM, BUDGET)
-        .unwrap();
+    let a = session.risc_trace(&stream(&w, &opts)).unwrap();
     let st = session.cache_stats();
     assert_eq!(
         (st.risc_captures, st.risc_store_writes, st.risc_disk_misses),
@@ -534,9 +524,7 @@ fn risc_disk_tier_serves_a_fresh_session_without_execution() {
     );
 
     let session2 = Session::with_store(TraceStore::open(&dir).unwrap());
-    let b = session2
-        .risc_trace(&w, Scale::Test, &opts, MEM, BUDGET)
-        .unwrap();
+    let b = session2.risc_trace(&stream(&w, &opts)).unwrap();
     let st2 = session2.cache_stats();
     assert_eq!(
         (st2.risc_disk_hits, st2.risc_captures),
@@ -786,14 +774,11 @@ fn warm_store_serves_livepoints_to_a_fresh_session_without_rewarming() {
     let cfg = trips_sim::TripsConfig::prototype();
     let run = |dir: &Path| {
         let s = Session::with_store(TraceStore::open(dir).unwrap());
-        s.set_live_points(Some(2));
-        let plan = s
-            .trips_phase_plan(&w, Scale::Test, &opts, false, MEM, BUDGET, &spec)
-            .unwrap();
+        let plan = s.trips_phase_plan(&stream(&w, &opts), &spec).unwrap();
         assert!(!plan.covers_everything());
         let mode = ReplayMode::Phased((*plan).clone());
         let res = s
-            .replayed(&w, Scale::Test, &opts, false, &cfg, MEM, BUDGET, &mode)
+            .replayed(&stream(&w, &opts), &cfg, &mode, Some(2))
             .unwrap();
         (res, s.cache_stats())
     };
@@ -879,7 +864,7 @@ fn deep_validation_rejects_on_every_disk_tier() {
         &dir,
         &store.path_for(&block_id),
         |s| {
-            s.trace(&w, Scale::Test, &opts, false, MEM, BUDGET).unwrap();
+            s.trace(&stream(&w, &opts)).unwrap();
         },
         |st| (st.disk_rejects, st.captures, st.store_writes, st.disk_hits),
     );
@@ -896,7 +881,7 @@ fn deep_validation_rejects_on_every_disk_tier() {
         &dir,
         &store.path_for(&risc_id),
         |s| {
-            s.risc_trace(&w, Scale::Test, &CompileOptions::gcc_ref(), MEM, BUDGET)
+            s.risc_trace(&stream(&w, &CompileOptions::gcc_ref()))
                 .unwrap();
         },
         |st| {
@@ -921,8 +906,7 @@ fn deep_validation_rejects_on_every_disk_tier() {
         &dir,
         &store.path_for(&bbv_id),
         |s| {
-            s.trips_phase_plan(&w, Scale::Test, &opts, false, MEM, BUDGET, &spec)
-                .unwrap();
+            s.trips_phase_plan(&stream(&w, &opts), &spec).unwrap();
         },
         |st| {
             (
@@ -949,13 +933,10 @@ fn deep_validation_rejects_on_every_disk_tier() {
         &dir,
         &store.path_for(&lp_id),
         |s| {
-            s.set_live_points(Some(2));
-            let plan = s
-                .trips_phase_plan(&w, Scale::Test, &opts, false, MEM, BUDGET, &spec)
-                .unwrap();
+            let plan = s.trips_phase_plan(&stream(&w, &opts), &spec).unwrap();
             assert!(!plan.covers_everything());
             let mode = ReplayMode::Phased((*plan).clone());
-            s.replayed(&w, Scale::Test, &opts, false, &cfg, MEM, BUDGET, &mode)
+            s.replayed(&stream(&w, &opts), &cfg, &mode, Some(2))
                 .unwrap();
         },
         |st| {

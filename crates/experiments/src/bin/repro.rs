@@ -128,26 +128,8 @@ fn main() {
         println!("{}", render(&run));
     }
     if trace_dir.is_some() {
-        let c = session.cache_stats();
-        trips_obs::log!(
-            Level::Info,
-            "repro",
-            "store: disk_hits={} disk_misses={} disk_rejects={} writes={} captures={}",
-            c.disk_hits,
-            c.disk_misses,
-            c.disk_rejects,
-            c.store_writes,
-            c.captures,
-        );
-        trips_obs::log!(
-            Level::Info,
-            "repro",
-            "risc store: disk_hits={} disk_misses={} disk_rejects={} writes={} captures={}",
-            c.risc_disk_hits,
-            c.risc_disk_misses,
-            c.risc_disk_rejects,
-            c.risc_store_writes,
-            c.risc_captures,
-        );
+        for line in session.cache_stats().store_lines() {
+            trips_obs::log!(Level::Info, "repro", "{line}");
+        }
     }
 }

@@ -18,6 +18,7 @@ use crate::runner::{self, compile_workload, geomean, mean, Run, MEM};
 use crate::table::Table;
 use std::collections::HashMap;
 use trips_compiler::CompileOptions;
+use trips_engine::Stream;
 use trips_risc::EventSource;
 use trips_sim::predictor::{ExitKind, NextBlockPredictor, TournamentBranchPredictor};
 use trips_sim::TripsConfig;
@@ -357,16 +358,16 @@ pub fn fig7(run: &Run) -> String {
     for w in &spec {
         // Useful-instruction baseline from the hyperblock build (memoized
         // functional outcome).
+        let stream = Stream::new(
+            w,
+            run.scale,
+            runner::trips_preset(false),
+            MEM,
+            runner::FUNC_BUDGET,
+        );
         let func = run
             .session
-            .isa_outcome(
-                w,
-                run.scale,
-                &runner::trips_preset(false),
-                false,
-                MEM,
-                runner::FUNC_BUDGET,
-            )
+            .isa_outcome(&stream)
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let useful = func.stats.useful.max(1);
 
@@ -443,7 +444,7 @@ fn block_predictor_mpki(
 ) -> (f64, u64) {
     let compiled = run
         .session
-        .compiled(w, run.scale, &level, false)
+        .compiled(&Stream::new(w, run.scale, level, MEM, runner::FUNC_BUDGET))
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
     let tp = &compiled.trips;
     let mut pred = NextBlockPredictor::new(cfg.exit_entries, cfg.btb_entries, cfg.ras_depth);

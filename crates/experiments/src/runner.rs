@@ -33,7 +33,7 @@ use trips_compiler::placement::{place_block_with, PlacementPolicy};
 use trips_compiler::{CompileOptions, CompiledProgram};
 use trips_engine::{
     run_sweep, BackendSpec, ConfigVariant, PhaseK, PhasePlan, PhaseSpec, ReplayMode, RowDetail,
-    SamplePlan, Session, SweepRow, SweepSpec,
+    SamplePlan, Session, Stream, SweepRow, SweepSpec,
 };
 use trips_isa::IsaStats;
 use trips_ooo::OooStats;
@@ -102,11 +102,20 @@ pub fn trips_preset(hand: bool) -> CompileOptions {
     }
 }
 
+/// The TRIPS stream of `w` in the run ("compiled" or "hand" flavour)
+/// under the cycle-level block budget.
+fn trips_side(run: &Run, w: &Workload, hand: bool) -> Stream {
+    Stream {
+        hand,
+        ..Stream::new(w, run.scale, trips_preset(hand), MEM, SIM_BUDGET)
+    }
+}
+
 /// Compiles a workload for TRIPS ("compiled" or "hand" flavour), memoized
 /// in the run's session.
 pub fn compile_workload(run: &Run, w: &Workload, hand: bool) -> Arc<CompiledProgram> {
     run.session
-        .compiled(w, run.scale, &trips_preset(hand), hand)
+        .compiled(&trips_side(run, w, hand))
         .unwrap_or_else(|e| panic!("{}: {e}", w.name))
 }
 
@@ -121,11 +130,17 @@ pub fn icc_preset() -> CompileOptions {
     CompileOptions::o2()
 }
 
+/// The RISC stream of `w` in the run under `opts` and the instruction
+/// budget.
+fn risc_side(run: &Run, w: &Workload, opts: CompileOptions) -> Stream {
+    Stream::new(w, run.scale, opts, MEM, RISC_BUDGET)
+}
+
 /// The RISC-side artifacts (program + optimized IR) for the gcc-quality
 /// baseline, memoized in the run's session.
 pub fn risc_baseline(run: &Run, w: &Workload) -> Arc<trips_engine::RiscArtifacts> {
     run.session
-        .risc_program(w, run.scale, &gcc_preset())
+        .risc_program(&risc_side(run, w, gcc_preset()))
         .unwrap_or_else(|e| panic!("{}: {e}", w.name))
 }
 
@@ -133,7 +148,7 @@ pub fn risc_baseline(run: &Run, w: &Workload) -> Arc<trips_engine::RiscArtifacts
 /// replayed by the OoO platforms and the predictor study).
 pub fn risc_stream(run: &Run, w: &Workload) -> Arc<trips_risc::RiscTrace> {
     run.session
-        .risc_trace(w, run.scale, &gcc_preset(), MEM, RISC_BUDGET)
+        .risc_trace(&risc_side(run, w, gcc_preset()))
         .unwrap_or_else(|e| panic!("{} (risc): {e}", w.name))
 }
 
@@ -316,28 +331,13 @@ pub fn perf_measurements(
 /// Core 2 replaying the icc-quality stream of `w`, in the run's replay
 /// mode.
 fn core2_icc(run: &Run, w: &Workload) -> OooStats {
-    let (session, scale) = (run.session, run.scale);
-    let level = icc_preset();
-    let mode = match run.phase {
-        Some(k) => session
-            .ooo_phase_plan(w, scale, &level, MEM, RISC_BUDGET, &PhaseSpec::ooo(k))
-            .map(|plan| ReplayMode::Phased((*plan).clone())),
-        None => Ok(ReplayMode::from_plan(run.sample)),
-    };
-    mode.and_then(|mode| {
-        session.ooo_replayed(
-            w,
-            scale,
-            &level,
-            &trips_ooo::core2(),
-            MEM,
-            RISC_BUDGET,
-            &mode,
-        )
-    })
-    .unwrap_or_else(|e| panic!("{} (core2-icc): {e}", w.name))
-    .stats
-    .clone()
+    let (session, stream) = (run.session, risc_side(run, w, icc_preset()));
+    session
+        .timing_mode(&stream, true, run.sample, run.phase)
+        .and_then(|(mode, _)| session.ooo_replayed(&stream, &trips_ooo::core2(), &mode, None))
+        .unwrap_or_else(|e| panic!("{} (core2-icc): {e}", w.name))
+        .stats
+        .clone()
 }
 
 /// Measures the cross-platform comparison for one workload (convenience
@@ -417,15 +417,15 @@ struct AccuracyCore<'a> {
 /// over the captured block trace, and Core 2 over the recorded gcc-quality
 /// RISC event stream. Captures are filled through the session first.
 fn accuracy_cores<'a>(run: &Run<'a>, w: &Workload) -> [AccuracyCore<'a>; 2] {
-    let (session, scale) = (run.session, run.scale);
+    let session = run.session;
     let name = w.name;
+    let (trips_src, gcc_src) = (trips_side(run, w, false), risc_side(run, w, gcc_preset()));
     let compiled = compile_workload(run, w, false);
     let log = session
-        .trace(w, scale, &trips_preset(false), false, MEM, SIM_BUDGET)
+        .trace(&trips_src)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let art = risc_baseline(run, w);
     let stream = risc_stream(run, w);
-    let (tw, ow) = (w.clone(), w.clone());
     let trips = AccuracyCore {
         backend: "trips",
         systematic: mode_for(
@@ -434,17 +434,8 @@ fn accuracy_cores<'a>(run: &Run<'a>, w: &Workload) -> [AccuracyCore<'a>; 2] {
             TRIPS_SAMPLE_FLOOR,
         ),
         phase_plan: Box::new(move || {
-            let spec = PhaseSpec::trips(PhaseK::Auto);
             session
-                .trips_phase_plan(
-                    &tw,
-                    scale,
-                    &trips_preset(false),
-                    false,
-                    MEM,
-                    SIM_BUDGET,
-                    &spec,
-                )
+                .trips_phase_plan(&trips_src, &PhaseSpec::trips(PhaseK::Auto))
                 .unwrap_or_else(|e| panic!("{name} (phase): {e}"))
         }),
         replay: Box::new(move |mode| {
@@ -467,9 +458,8 @@ fn accuracy_cores<'a>(run: &Run<'a>, w: &Workload) -> [AccuracyCore<'a>; 2] {
             OOO_SAMPLE_FLOOR,
         ),
         phase_plan: Box::new(move || {
-            let spec = PhaseSpec::ooo(PhaseK::Auto);
             session
-                .ooo_phase_plan(&ow, scale, &gcc_preset(), MEM, RISC_BUDGET, &spec)
+                .ooo_phase_plan(&gcc_src, &PhaseSpec::ooo(PhaseK::Auto))
                 .unwrap_or_else(|e| panic!("{name} (ooo phase): {e}"))
         }),
         replay: Box::new(move |mode| {

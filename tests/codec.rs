@@ -18,7 +18,7 @@ use common::{handmade_plan, tiny_spec};
 use serde::{DeserializeOwned, Serialize, Value};
 use trips::compiler::CompileOptions;
 use trips::engine::store::{LivePointSet, LivePointStates, KIND_BLOCK_TRACE, KIND_RISC_TRACE};
-use trips::engine::{PhaseK, Session};
+use trips::engine::{PhaseK, Session, Stream};
 use trips::ooo::{self, OooCore};
 use trips::sample::capture_phased;
 use trips::sim::{TripsConfig, TsimCore};
@@ -55,11 +55,9 @@ fn live_points(states: LivePointStates, core: u32, total_units: u64) -> LivePoin
 fn trips_payloads_encode_and_decode_as_their_value_image() {
     let w = by_name("autocor").unwrap();
     let session = Session::new();
-    let opts = CompileOptions::o2();
-    let compiled = session.compiled(&w, Scale::Test, &opts, false).unwrap();
-    let log = session
-        .trace(&w, Scale::Test, &opts, false, MEM, 1_000_000)
-        .unwrap();
+    let stream = Stream::new(&w, Scale::Test, CompileOptions::o2(), MEM, 1_000_000);
+    let compiled = session.compiled(&stream).unwrap();
+    let log = session.trace(&stream).unwrap();
     same_as_value_path("TraceLog", &*log);
 
     let art = trips::phase::trips_fit(&log, &tiny_spec(PhaseK::Auto), 7);
@@ -78,11 +76,9 @@ fn trips_payloads_encode_and_decode_as_their_value_image() {
 fn ooo_payloads_encode_and_decode_as_their_value_image() {
     let w = by_name("autocor").unwrap();
     let session = Session::new();
-    let gcc = CompileOptions::gcc_ref();
-    let art = session.risc_program(&w, Scale::Test, &gcc).unwrap();
-    let trace = session
-        .risc_trace(&w, Scale::Test, &gcc, MEM, 400_000_000)
-        .unwrap();
+    let stream = Stream::new(&w, Scale::Test, CompileOptions::gcc_ref(), MEM, 400_000_000);
+    let art = session.risc_program(&stream).unwrap();
+    let trace = session.risc_trace(&stream).unwrap();
     same_as_value_path("RiscTrace", &*trace);
 
     let spec = tiny_spec(PhaseK::Auto);

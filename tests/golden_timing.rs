@@ -19,7 +19,7 @@
 
 use trips::compiler::CompileOptions;
 use trips::engine::sample::{PhasePlan, PhaseWindow, SamplePlan};
-use trips::engine::{ReplayMode, Session};
+use trips::engine::{ReplayMode, Session, Stream};
 use trips::isa::hash::content_hash;
 use trips::ooo::{self, OooConfig, OooStats};
 use trips::sim::{self, TripsConfig};
@@ -84,10 +84,9 @@ fn check(
     let w = by_name(workload).unwrap();
     let session = Session::new();
     let opts = CompileOptions::o2();
-    let compiled = session.compiled(&w, Scale::Test, &opts, false).unwrap();
-    let log = session
-        .trace(&w, Scale::Test, &opts, false, 1 << 22, 1_000_000)
-        .unwrap();
+    let stream = Stream::new(&w, Scale::Test, opts, 1 << 22, 1_000_000);
+    let compiled = session.compiled(&stream).unwrap();
+    let log = session.trace(&stream).unwrap();
     let s = sim::replay_trace_mode(&compiled, cfg, &log, &ReplayMode::Full)
         .unwrap()
         .stats;
@@ -270,10 +269,9 @@ fn check_ooo(
     let w = by_name(workload).unwrap();
     let session = Session::new();
     let opts = CompileOptions::gcc_ref();
-    let art = session.risc_program(&w, Scale::Test, &opts).unwrap();
-    let trace = session
-        .risc_trace(&w, Scale::Test, &opts, 1 << 22, 400_000_000)
-        .unwrap();
+    let stream = Stream::new(&w, Scale::Test, opts, 1 << 22, 400_000_000);
+    let art = session.risc_program(&stream).unwrap();
+    let trace = session.risc_trace(&stream).unwrap();
     let s = ooo::run_timed_trace_mode(&art.program, &trace, cfg, &ReplayMode::Full)
         .unwrap()
         .stats;
@@ -419,10 +417,9 @@ fn sampled_and_phased_estimates_are_pinned() {
     let session = Session::new();
 
     let opts = CompileOptions::o2();
-    let compiled = session.compiled(&w, Scale::Test, &opts, false).unwrap();
-    let log = session
-        .trace(&w, Scale::Test, &opts, false, 1 << 22, 1_000_000)
-        .unwrap();
+    let stream = Stream::new(&w, Scale::Test, opts, 1 << 22, 1_000_000);
+    let compiled = session.compiled(&stream).unwrap();
+    let log = session.trace(&stream).unwrap();
     let cfg = TripsConfig::prototype();
     let trips = |mode: &ReplayMode| {
         let s = sim::replay_trace_mode(&compiled, &cfg, &log, mode)
@@ -440,10 +437,9 @@ fn sampled_and_phased_estimates_are_pinned() {
     );
 
     let gcc = CompileOptions::gcc_ref();
-    let art = session.risc_program(&w, Scale::Test, &gcc).unwrap();
-    let trace = session
-        .risc_trace(&w, Scale::Test, &gcc, 1 << 22, 400_000_000)
-        .unwrap();
+    let stream = Stream::new(&w, Scale::Test, gcc, 1 << 22, 400_000_000);
+    let art = session.risc_program(&stream).unwrap();
+    let trace = session.risc_trace(&stream).unwrap();
     let ocfg = ooo::core2();
     let ooo = |mode: &ReplayMode| {
         let s = ooo::run_timed_trace_mode(&art.program, &trace, &ocfg, mode)

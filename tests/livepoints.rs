@@ -17,7 +17,7 @@ mod common;
 use common::tiny_spec;
 use trips::compiler::CompileOptions;
 use trips::engine::sample::assemble_windows;
-use trips::engine::{parallel_map, PhaseK, PhaseSpec, ReplayMode, Session, TraceStore};
+use trips::engine::{parallel_map, PhaseK, PhaseSpec, ReplayMode, Session, Stream, TraceStore};
 use trips::workloads::{by_name, Scale};
 use trips::{ooo, sim};
 
@@ -34,29 +34,18 @@ fn warm_store_replays_ooo_windows_without_rewarming() {
             .as_nanos()
     ));
     let w = by_name("vadd").unwrap();
-    let gcc = CompileOptions::gcc_ref();
+    let risc = Stream::new(&w, Scale::Test, CompileOptions::gcc_ref(), MEM, 400_000_000);
     let spec = PhaseSpec {
         interval: 64,
         ..tiny_spec(PhaseK::Auto)
     };
     let run = |dir: &std::path::Path| {
         let s = Session::with_store(TraceStore::open(dir).unwrap());
-        s.set_live_points(Some(2));
-        let plan = s
-            .ooo_phase_plan(&w, Scale::Test, &gcc, MEM, 400_000_000, &spec)
-            .unwrap();
+        let plan = s.ooo_phase_plan(&risc, &spec).unwrap();
         assert!(!plan.covers_everything());
         let mode = ReplayMode::Phased((*plan).clone());
         let res = s
-            .ooo_replayed(
-                &w,
-                Scale::Test,
-                &gcc,
-                &ooo::core2(),
-                MEM,
-                400_000_000,
-                &mode,
-            )
+            .ooo_replayed(&risc, &ooo::core2(), &mode, Some(2))
             .unwrap();
         (res, s.cache_stats())
     };
@@ -100,22 +89,11 @@ fn parallel_window_replay_is_3x_faster_on_the_largest_workload() {
     }
     let w = by_name("bzip2").unwrap();
     let session = Session::new();
-    let opts = CompileOptions::o2();
-    let (mem, budget) = (1usize << 22, 1_000_000u64);
-    let compiled = session.compiled(&w, Scale::Ref, &opts, false).unwrap();
-    let log = session
-        .trace(&w, Scale::Ref, &opts, false, mem, budget)
-        .unwrap();
+    let trips = Stream::new(&w, Scale::Ref, CompileOptions::o2(), 1 << 22, 1_000_000);
+    let compiled = session.compiled(&trips).unwrap();
+    let log = session.trace(&trips).unwrap();
     let plan = session
-        .trips_phase_plan(
-            &w,
-            Scale::Ref,
-            &opts,
-            false,
-            mem,
-            budget,
-            &PhaseSpec::trips(PhaseK::Auto),
-        )
+        .trips_phase_plan(&trips, &PhaseSpec::trips(PhaseK::Auto))
         .unwrap();
     assert!(
         !plan.covers_everything(),

@@ -21,7 +21,7 @@ mod common;
 
 use common::tiny_spec;
 use proptest::prelude::*;
-use trips::engine::{PhaseK, PhaseSpec, ReplayMode, Session, TraceStore};
+use trips::engine::{PhaseK, PhaseSpec, ReplayMode, Session, Stream, TraceStore};
 use trips::experiments::Run;
 use trips::phase::fit_plan;
 use trips::workloads::{by_name, Scale};
@@ -88,30 +88,10 @@ fn covering_phase_plan_is_bit_identical_on_every_backend() {
     let spec = tiny_spec(PhaseK::K(100_000));
 
     // TRIPS block-trace replay.
-    let compiled = session
-        .compiled(&w, Scale::Test, &CompileOptions::o2(), false)
-        .unwrap();
-    let log = session
-        .trace(
-            &w,
-            Scale::Test,
-            &CompileOptions::o2(),
-            false,
-            MEM,
-            1_000_000,
-        )
-        .unwrap();
-    let plan = session
-        .trips_phase_plan(
-            &w,
-            Scale::Test,
-            &CompileOptions::o2(),
-            false,
-            MEM,
-            1_000_000,
-            &spec,
-        )
-        .unwrap();
+    let trips = Stream::new(&w, Scale::Test, CompileOptions::o2(), MEM, 1_000_000);
+    let compiled = session.compiled(&trips).unwrap();
+    let log = session.trace(&trips).unwrap();
+    let plan = session.trips_phase_plan(&trips, &spec).unwrap();
     assert!(plan.covers_everything());
     let mode = ReplayMode::Phased((*plan).clone());
     assert!(mode.phase().is_none());
@@ -122,32 +102,14 @@ fn covering_phase_plan_is_bit_identical_on_every_backend() {
     assert!(!covered.stats.sampled);
 
     // All three OoO reference platforms over the recorded RISC stream.
-    let art = session
-        .risc_program(&w, Scale::Test, &CompileOptions::gcc_ref())
-        .unwrap();
-    let stream = session
-        .risc_trace(
-            &w,
-            Scale::Test,
-            &CompileOptions::gcc_ref(),
-            MEM,
-            400_000_000,
-        )
-        .unwrap();
+    let risc = Stream::new(&w, Scale::Test, CompileOptions::gcc_ref(), MEM, 400_000_000);
+    let art = session.risc_program(&risc).unwrap();
+    let stream = session.risc_trace(&risc).unwrap();
     let spec = PhaseSpec {
         interval: 64,
         ..tiny_spec(PhaseK::K(100_000))
     };
-    let plan = session
-        .ooo_phase_plan(
-            &w,
-            Scale::Test,
-            &CompileOptions::gcc_ref(),
-            MEM,
-            400_000_000,
-            &spec,
-        )
-        .unwrap();
+    let plan = session.ooo_phase_plan(&risc, &spec).unwrap();
     assert!(plan.covers_everything());
     let mode = ReplayMode::Phased((*plan).clone());
     for ocfg in [ooo::core2(), ooo::pentium4(), ooo::pentium3()] {
@@ -168,29 +130,11 @@ fn phased_replay_rejects_a_foreign_stream_length() {
     let session = Session::new();
     // o1 keeps the stream ~170 blocks: at interval 8 the ~19 interior
     // intervals exceed the auto sweep's k cap, so the plan never covers.
-    let compiled = session
-        .compiled(&w, Scale::Test, &CompileOptions::o1(), false)
-        .unwrap();
-    let log = session
-        .trace(
-            &w,
-            Scale::Test,
-            &CompileOptions::o1(),
-            false,
-            MEM,
-            1_000_000,
-        )
-        .unwrap();
+    let trips = Stream::new(&w, Scale::Test, CompileOptions::o1(), MEM, 1_000_000);
+    let compiled = session.compiled(&trips).unwrap();
+    let log = session.trace(&trips).unwrap();
     let plan = session
-        .trips_phase_plan(
-            &w,
-            Scale::Test,
-            &CompileOptions::o1(),
-            false,
-            MEM,
-            1_000_000,
-            &tiny_spec(PhaseK::Auto),
-        )
+        .trips_phase_plan(&trips, &tiny_spec(PhaseK::Auto))
         .unwrap();
     assert!(!plan.covers_everything(), "stream long enough to classify");
     let mut foreign = (*plan).clone();
@@ -217,20 +161,9 @@ fn warm_store_serves_fitted_plans_with_zero_reclustering() {
             .as_nanos()
     ));
     let w = by_name("vadd").unwrap();
+    let trips = Stream::new(&w, Scale::Test, CompileOptions::o2(), MEM, 1_000_000);
     let spec = tiny_spec(PhaseK::Auto);
-    let fit = |session: &Session| {
-        session
-            .trips_phase_plan(
-                &w,
-                Scale::Test,
-                &CompileOptions::o2(),
-                false,
-                MEM,
-                1_000_000,
-                &spec,
-            )
-            .unwrap()
-    };
+    let fit = |session: &Session| session.trips_phase_plan(&trips, &spec).unwrap();
 
     // Process A: fits and persists.
     let a = Session::with_store(TraceStore::open(&dir).unwrap());

@@ -11,7 +11,7 @@
 //!   wall-clock assertions belong in the release-built CI job).
 
 use trips::compiler::CompileOptions;
-use trips::engine::Session;
+use trips::engine::{Session, Stream};
 use trips::experiments::Run;
 use trips::sample::ReplayMode;
 use trips::sim;
@@ -102,19 +102,9 @@ fn sampled_replay_is_5x_faster_on_the_largest_workload() {
     use std::time::Instant;
     let w = by_name("bzip2").unwrap();
     let session = Session::new();
-    let compiled = session
-        .compiled(&w, Scale::Ref, &CompileOptions::o2(), false)
-        .unwrap();
-    let log = session
-        .trace(
-            &w,
-            Scale::Ref,
-            &CompileOptions::o2(),
-            false,
-            1 << 22,
-            1_000_000,
-        )
-        .unwrap();
+    let trips = Stream::new(&w, Scale::Ref, CompileOptions::o2(), 1 << 22, 1_000_000);
+    let compiled = session.compiled(&trips).unwrap();
+    let log = session.trace(&trips).unwrap();
     let cfg = sim::TripsConfig::prototype();
     let mode = ReplayMode::Sampled(trips::experiments::runner::speedup_plan());
     // Warm both paths once, then take the best of three to damp CI noise.

@@ -44,7 +44,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use common::{handmade_plan, lcg, random_plan, sum_program, tiny_spec};
 use serde::{DeserializeOwned, Serialize, Value};
 use trips::compiler::CompileOptions;
-use trips::engine::{PhaseK, PhaseSpec, Session};
+use trips::engine::{PhaseK, PhaseSpec, Session, Stream};
 use trips::isa::hash::content_hash;
 use trips::ooo::{self, OooCore, OooResult, OooStats};
 use trips::risc::exec::RiscError;
@@ -490,16 +490,16 @@ fn covering_spec(interval: u64) -> PhaseSpec {
 /// The contracts on the TRIPS prototype and improved-predictor
 /// configurations.
 fn trips_contracts(input: &Input) {
-    let (w, scale, opts) = (&input.workload, input.scale, &input.opts);
+    let w = &input.workload;
+    let trips = Stream::new(w, input.scale, input.opts.clone(), MEM, TRIPS_BUDGET);
     let session = Session::new();
-    let compiled = session.compiled(w, scale, opts, false).unwrap();
-    let log = session.trace(w, scale, opts, false, MEM, TRIPS_BUDGET);
-    let log = log.unwrap();
+    let compiled = session.compiled(&trips).unwrap();
+    let log = session.trace(&trips).unwrap();
     // A counted loop interns to a few distinct block shapes.
     let dedup = log.dedup_ratio();
     assert!(dedup >= 1.0 && (dedup > 2.0 || !input.steady), "{dedup}");
     let spec = covering_spec(8);
-    let covering = session.trips_phase_plan(w, scale, opts, false, MEM, TRIPS_BUDGET, &spec);
+    let covering = session.trips_phase_plan(&trips, &spec);
     let (covering, compiled, log) = (covering.unwrap(), &*compiled, &*log);
     let cfgs = [
         ("prototype", TripsConfig::prototype()),
@@ -526,12 +526,13 @@ fn trips_contracts(input: &Input) {
 /// The contracts on the Core 2, Pentium 4 and Pentium III models, which
 /// all time one recorded RISC stream, also through the session.
 fn ooo_contracts(input: &Input) {
-    let (w, scale, gcc) = (&input.workload, input.scale, &CompileOptions::gcc_ref());
+    let w = &input.workload;
+    let risc = Stream::new(w, input.scale, CompileOptions::gcc_ref(), MEM, RISC_BUDGET);
     let session = Session::new();
-    let art = session.risc_program(w, scale, gcc).unwrap();
-    let stream = session.risc_trace(w, scale, gcc, MEM, RISC_BUDGET).unwrap();
+    let art = session.risc_program(&risc).unwrap();
+    let stream = session.risc_trace(&risc).unwrap();
     let spec = covering_spec(64);
-    let covering = session.ooo_phase_plan(w, scale, gcc, MEM, RISC_BUDGET, &spec);
+    let covering = session.ooo_phase_plan(&risc, &spec);
     let (covering, rp, stream) = (covering.unwrap(), &art.program, &*stream);
     let cfgs = [ooo::core2(), ooo::pentium4(), ooo::pentium3()];
     let subjects: Vec<_> = cfgs
@@ -539,7 +540,7 @@ fn ooo_contracts(input: &Input) {
         .map(|cfg| {
             let direct = ooo::run_timed(rp, &art.ir, cfg, MEM, RISC_BUDGET).unwrap();
             let full = &ReplayMode::Full;
-            let session_replay = session.ooo_replayed(w, scale, gcc, cfg, MEM, RISC_BUDGET, full);
+            let session_replay = session.ooo_replayed(&risc, cfg, full, None);
             let session_replay = session_replay.unwrap();
             assert_eq!(session_replay.return_value, direct.return_value);
             assert_eq!(session_replay.stats, direct.stats, "{}", cfg.name);
