@@ -261,8 +261,7 @@ pub fn code_size(run: &Run) -> String {
     );
     let all = trips_workloads::all();
     let c = runner::isa_measurements(run, &all, false);
-    let mut raws = vec![];
-    let mut comps = vec![];
+    let mut rows = vec![];
     for w in all {
         let m = &c[w.name];
         let touched = &m.trips.blocks_touched;
@@ -274,22 +273,17 @@ pub fn code_size(run: &Run) -> String {
             })
             .sum();
         let risc = m.risc.code_footprint_bytes() as usize;
-        let rx = raw as f64 / risc.max(1) as f64;
-        let cx = comp as f64 / risc.max(1) as f64;
-        raws.push(rx);
-        comps.push(cx);
-        t.row_f(
-            w.name,
-            &[
-                raw as f64 / 1024.0,
-                comp as f64 / 1024.0,
-                risc as f64 / 1024.0,
-                rx,
-                cx,
-            ],
-        );
+        let row = vec![
+            raw as f64 / 1024.0,
+            comp as f64 / 1024.0,
+            risc as f64 / 1024.0,
+            raw as f64 / risc.max(1) as f64,
+            comp as f64 / risc.max(1) as f64,
+        ];
+        t.row_f(w.name, &row);
+        rows.push(row);
     }
-    t.row_f("geomean", &[0.0, 0.0, 0.0, geomean(raws), geomean(comps)]);
+    t.row_f("geomean", &per_column(&rows, geomean));
     t.note("paper: ~6x raw over PowerPC, ~4x with 32/64/96/128 block compression");
     t.render()
 }
@@ -302,14 +296,12 @@ pub fn fig6(run: &Run) -> String {
         "Figure 6: average instructions in flight",
         &["total", "useful"],
     );
-    let mut totals_c = vec![];
+    let window = |s: &trips_sim::SimStats| vec![s.avg_window_insts(), s.avg_window_useful()];
+    let mut simple_c = vec![];
     for w in simple_set() {
-        let cs = &c[w.name];
-        t.row_f(
-            format!("{} (C)", w.name),
-            &[cs.avg_window_insts(), cs.avg_window_useful()],
-        );
-        totals_c.push(cs.avg_window_insts());
+        let row = window(&c[w.name]);
+        t.row_f(format!("{} (C)", w.name), &row);
+        simple_c.push(row);
         let hs = &h[w.name];
         t.row_f(
             format!("{} (H)", w.name),
@@ -317,22 +309,10 @@ pub fn fig6(run: &Run) -> String {
         );
     }
     for s in SPEC {
-        let vals: Vec<(f64, f64)> = suite(s)
-            .iter()
-            .map(|w| {
-                let cs = &c[w.name];
-                (cs.avg_window_insts(), cs.avg_window_useful())
-            })
-            .collect();
-        t.row_f(
-            format!("{} mean (C)", s.label()),
-            &[
-                mean(vals.iter().map(|v| v.0)),
-                mean(vals.iter().map(|v| v.1)),
-            ],
-        );
+        let rows: Vec<Vec<f64>> = suite(s).iter().map(|w| window(&c[w.name])).collect();
+        t.row_f(format!("{} mean (C)", s.label()), &per_column(&rows, mean));
     }
-    t.row_f("simple mean (C)", &[mean(totals_c.iter().copied()), 0.0]);
+    t.row_f("simple mean (C)", &per_column(&simple_c, mean));
     t.note("paper: compiled mean 450 total in flight (887 peak benchmark), hand 630 (1013 peak)");
     t.render()
 }
@@ -351,10 +331,7 @@ pub fn fig7(run: &Run) -> String {
         ],
     );
     let spec = with_suites(vec![], &SPEC);
-    let mut a_m = vec![];
-    let mut b_m = vec![];
-    let mut h_m = vec![];
-    let mut i_m = vec![];
+    let mut rows = vec![];
     for w in &spec {
         // Useful-instruction baseline from the hyperblock build (memoized
         // functional outcome).
@@ -409,30 +386,31 @@ pub fn fig7(run: &Run) -> String {
             &TripsConfig::improved_predictor(),
             useful,
         );
-        a_m.push(a_mpki);
-        b_m.push(b_mpki.0);
-        h_m.push(h_mpki.0);
-        i_m.push(i_mpki.0);
-        t.row_f(
-            w.name,
-            &[
-                tourney.predictions as f64,
-                a_mpki,
-                b_mpki.0,
-                h_mpki.0,
-                i_mpki.0,
-                h_mpki.1 as f64 / b_mpki.1.max(1) as f64,
-            ],
-        );
+        let row = vec![
+            tourney.predictions as f64,
+            a_mpki,
+            b_mpki.0,
+            h_mpki.0,
+            i_mpki.0,
+            h_mpki.1 as f64 / b_mpki.1.max(1) as f64,
+        ];
+        t.row_f(w.name, &row);
+        rows.push(row);
     }
-    t.row_f(
-        "mean",
-        &[0.0, mean(a_m), mean(b_m), mean(h_m), mean(i_m), 0.0],
-    );
+    t.row_f("mean", &per_column(&rows, mean));
     t.note(
         "paper SPEC INT MPKI: A=14.9 B=14.8 H=8.5 I=6.9; hyperblocks make ~70% fewer predictions",
     );
     t.render()
+}
+
+/// One aggregate per column of `rows` (`mean` or `geomean`): what a
+/// table's summary row prints under each column.
+fn per_column(rows: &[Vec<f64>], agg: impl Fn(Vec<f64>) -> f64) -> Vec<f64> {
+    let width = rows.first().map_or(0, Vec::len);
+    (0..width)
+        .map(|i| agg(rows.iter().map(|r| r[i]).collect()))
+        .collect()
 }
 
 fn block_predictor_mpki(
@@ -550,31 +528,22 @@ pub fn fig9(run: &Run) -> String {
         "Figure 9: IPC (executed / useful)",
         &["C exec", "C useful", "H exec", "H useful"],
     );
-    let mut cs = vec![];
-    let mut hs = vec![];
+    let ipcs = |s: &trips_sim::SimStats| vec![s.ipc_executed(), s.ipc_useful()];
+    let mut rows = vec![];
     for w in simple_set() {
-        let (c, h) = (&c[w.name], &h[w.name]);
-        cs.push(c.ipc_executed());
-        hs.push(h.ipc_executed());
-        t.row_f(
-            w.name,
-            &[
-                c.ipc_executed(),
-                c.ipc_useful(),
-                h.ipc_executed(),
-                h.ipc_useful(),
-            ],
-        );
+        let row = [ipcs(&c[w.name]), ipcs(&h[w.name])].concat();
+        t.row_f(w.name, &row);
+        rows.push(row);
     }
-    t.row_f(
-        "simple mean",
-        &[mean(cs.iter().copied()), 0.0, mean(hs.iter().copied()), 0.0],
-    );
+    t.row_f("simple mean", &per_column(&rows, mean));
     for s in SPEC {
-        let vals: Vec<f64> = suite(s).iter().map(|w| c[w.name].ipc_executed()).collect();
-        t.row_f(
+        // No hand-optimized SPEC builds: the H columns have nothing to
+        // average.
+        let rows: Vec<Vec<f64>> = suite(s).iter().map(|w| ipcs(&c[w.name])).collect();
+        let m = per_column(&rows, mean);
+        t.row_opt(
             format!("{} mean (C)", s.label()),
-            &[mean(vals), 0.0, 0.0, 0.0],
+            &[Some(m[0]), Some(m[1]), None, None],
         );
     }
     t.note("paper: some benchmarks reach 6-10 IPC; hand ~50% above compiled; SPEC lower");
@@ -611,21 +580,15 @@ pub fn fig10(run: &Run) -> String {
     );
     let ws = with_suites(simple_set(), &SPEC);
     let ipcs = fig10_ipcs(run, &ws);
-    let mut ratios = vec![];
+    let mut rows = vec![];
     for w in ws {
         let [hw, i1, i0, i128] = ipcs[w.name];
-        if hw > 0.0 {
-            ratios.push(i1 / hw);
-        }
-        t.row_f(
-            w.name,
-            &[hw, i1, i0, i128, if hw > 0.0 { i1 / hw } else { 0.0 }],
-        );
+        // A zero ratio drops out of the geomean, as a zero IPC does.
+        let row = vec![hw, i1, i0, i128, if hw > 0.0 { i1 / hw } else { 0.0 }];
+        t.row_f(w.name, &row);
+        rows.push(row);
     }
-    t.row_f(
-        "geomean ideal-1K/hw",
-        &[0.0, 0.0, 0.0, 0.0, geomean(ratios)],
-    );
+    t.row_f("geomean ideal-1K/hw", &per_column(&rows, geomean));
     t.note("paper: ideal 1K ~2.5x over prototype; zero-dispatch ~5x more; 128K windows reach 10s-100s IPC");
     t.render()
 }
@@ -637,8 +600,7 @@ pub fn fig11(run: &Run) -> String {
         "Figure 11: speedup over Core 2 (gcc), cycles",
         &["TRIPS-C", "TRIPS-H", "Core2-icc", "P4-gcc", "P3-gcc"],
     );
-    let mut sc = vec![];
-    let mut sh = vec![];
+    let mut rows = vec![];
     for w in simple_set() {
         let p = &perf[w.name];
         // Whole-run estimates, not raw detailed-window cycles: under
@@ -646,22 +608,17 @@ pub fn fig11(run: &Run) -> String {
         // rates, and only the extrapolated counts are comparable (for full
         // runs est_cycles == cycles).
         let base = p.core2_gcc.est_cycles.max(1) as f64;
-        let tc = base / p.trips_c.est_cycles.max(1) as f64;
-        let th = base / p.trips_h.as_ref().unwrap().est_cycles.max(1) as f64;
-        sc.push(tc);
-        sh.push(th);
-        t.row_f(
-            w.name,
-            &[
-                tc,
-                th,
-                base / p.core2_icc.est_cycles.max(1) as f64,
-                base / p.p4_gcc.est_cycles.max(1) as f64,
-                base / p.p3_gcc.est_cycles.max(1) as f64,
-            ],
-        );
+        let row = vec![
+            base / p.trips_c.est_cycles.max(1) as f64,
+            base / p.trips_h.as_ref().unwrap().est_cycles.max(1) as f64,
+            base / p.core2_icc.est_cycles.max(1) as f64,
+            base / p.p4_gcc.est_cycles.max(1) as f64,
+            base / p.p3_gcc.est_cycles.max(1) as f64,
+        ];
+        t.row_f(w.name, &row);
+        rows.push(row);
     }
-    t.row_f("geomean", &[geomean(sc), geomean(sh), 0.0, 0.0, 0.0]);
+    t.row_f("geomean", &per_column(&rows, geomean));
     t.note("paper: TRIPS compiled ~1.5x Core2-gcc on simple codes; hand ~2.9x; P3/P4 below Core 2");
     t.render()
 }
@@ -674,25 +631,22 @@ pub fn fig12(run: &Run) -> String {
     );
     let perf = runner::perf_measurements(run, &with_suites(vec![], &SPEC), false);
     for s in SPEC {
-        let mut sp = vec![];
+        let mut rows = vec![];
         for w in suite(s) {
             let p = &perf[w.name];
             let base = p.core2_gcc.est_cycles.max(1) as f64;
-            let tc = base / p.trips_c.est_cycles.max(1) as f64;
-            sp.push(tc);
-            t.row_f(
-                w.name,
-                &[
-                    tc,
-                    base / p.core2_icc.est_cycles.max(1) as f64,
-                    base / p.p4_gcc.est_cycles.max(1) as f64,
-                    base / p.p3_gcc.est_cycles.max(1) as f64,
-                ],
-            );
+            let row = vec![
+                base / p.trips_c.est_cycles.max(1) as f64,
+                base / p.core2_icc.est_cycles.max(1) as f64,
+                base / p.p4_gcc.est_cycles.max(1) as f64,
+                base / p.p3_gcc.est_cycles.max(1) as f64,
+            ];
+            t.row_f(w.name, &row);
+            rows.push(row);
         }
         t.row_f(
             format!("{} geomean", s.label()),
-            &[geomean(sp), 0.0, 0.0, 0.0],
+            &per_column(&rows, geomean),
         );
     }
     t.note("paper: SPEC INT ~0.5x Core2-gcc; SPEC FP ~1.0x; TRIPS roughly matches Pentium 4");

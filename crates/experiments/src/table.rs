@@ -33,6 +33,13 @@ impl Table {
         self.row(label, cells.iter().map(|v| format!("{v:.2}")).collect())
     }
 
+    /// Adds a row of floats rendered with 2 decimals, with `-` for each
+    /// cell the row has no value for.
+    pub fn row_opt(&mut self, label: impl Into<String>, cells: &[Option<f64>]) -> &mut Table {
+        let cell = |v: &Option<f64>| v.map_or_else(|| "-".to_string(), |v| format!("{v:.2}"));
+        self.row(label, cells.iter().map(cell).collect())
+    }
+
     /// Appends a free-form footnote.
     pub fn note(&mut self, s: impl Into<String>) -> &mut Table {
         self.notes.push(s.into());
