@@ -1026,9 +1026,15 @@ mod tests {
             csv.lines().map(cut).collect()
         };
         let session = Session::new();
+        // Both sweeps start together, so their points overlap.
+        let start = std::sync::Barrier::new(2);
+        let sweep = |spec: &SweepSpec| {
+            start.wait();
+            run_sweep(spec, &session).unwrap()
+        };
         let (live, plain) = std::thread::scope(|scope| {
-            let live = scope.spawn(|| run_sweep(&live_spec, &session).unwrap());
-            let plain = scope.spawn(|| run_sweep(&plain_spec, &session).unwrap());
+            let live = scope.spawn(|| sweep(&live_spec));
+            let plain = scope.spawn(|| sweep(&plain_spec));
             (live.join().unwrap(), plain.join().unwrap())
         });
         assert!(live.errors.is_empty(), "{:?}", live.errors);
