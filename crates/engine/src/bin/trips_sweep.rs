@@ -26,8 +26,12 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use trips_compiler::CompileOptions;
+use trips_engine::chaos::FaultPlan;
 use trips_engine::sweep::{to_csv, to_json_lines};
-use trips_engine::{run_sweep, BackendSpec, ConfigVariant, SamplePlan, Session, SweepSpec};
+use trips_engine::{
+    run_sweep, BackendSpec, ConfigVariant, PhaseK, SamplePlan, Session, SweepReport, SweepSpec,
+    TraceStore,
+};
 use trips_obs::Level;
 use trips_sim::TripsConfig;
 use trips_workloads::Scale;
@@ -132,12 +136,24 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// The parsed command line.
+/// What the command line asks for.
+enum Command {
+    Help,
+    ListWorkloads,
+    /// Fold the span journal `journal` and exit: no sweep runs.
+    ObsReport {
+        journal: String,
+        fold: bool,
+    },
+    Sweep(Box<Cli>),
+}
+
+/// The parsed sweep command line.
 struct Cli {
     spec: SweepSpec,
     base_configs: Vec<String>,
     sweeps: Vec<(String, String)>,
-    backends: Vec<String>,
+    backends: String,
     format: String,
     out_path: Option<String>,
     trace_dir: Option<String>,
@@ -146,14 +162,28 @@ struct Cli {
     chaos_arg: Option<String>,
     gc_format: String,
     obs_trace: Option<String>,
-    obs_report: Option<String>,
-    fold: bool,
     metrics_path: Option<String>,
     default_demo: bool,
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse(std::env::args().skip(1)).and_then(run) {
+        Ok(code) => code,
+        Err(msg) => fail(&msg),
+    }
+}
+
+/// `value` as a number, or "`flag` needs a number" when it is missing or
+/// is not one.
+fn number<T: std::str::FromStr>(flag: &str, value: Result<String, String>) -> Result<T, String> {
+    value
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs a number"))
+}
+
+/// Reads the whole command line; the first rejected flag is the error.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
     let mut cli = Cli {
         spec: SweepSpec {
             configs: Vec::new(),
@@ -162,393 +192,241 @@ fn main() -> ExitCode {
         },
         base_configs: vec!["prototype".into(), "improved".into()],
         sweeps: Vec::new(),
-        backends: vec!["trips".into()],
-        format: "json".to_string(),
+        backends: "trips".into(),
+        format: "json".into(),
         out_path: None,
         trace_dir: None,
         trace_gc: false,
         store_fsck: false,
         chaos_arg: None,
-        gc_format: "text".to_string(),
+        gc_format: "text".into(),
         obs_trace: None,
-        obs_report: None,
-        fold: false,
         metrics_path: None,
         default_demo: true,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+    let mut obs_report = None;
+    let mut fold = false;
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag {
+            "-h" | "--help" => return Ok(Command::Help),
+            "--list-workloads" => return Ok(Command::ListWorkloads),
+            "--workloads" => {
+                cli.spec.workloads = match value()?.as_str() {
+                    "simple" => trips_workloads::simple()
+                        .iter()
+                        .map(|w| w.name.to_string())
+                        .collect(),
+                    "all" => trips_workloads::all()
+                        .iter()
+                        .map(|w| w.name.to_string())
+                        .collect(),
+                    list => list.split(',').map(str::to_string).collect(),
+                };
+                cli.default_demo = false;
             }
-            "--list-workloads" => {
-                let listing: String = trips_workloads::all()
-                    .iter()
-                    .map(|w| format!("{}\n", w.name))
-                    .collect();
-                // write_all, not println!: a consumer like `| head -3`
-                // closing the pipe early must not panic the listing.
-                let _ = std::io::stdout().lock().write_all(listing.as_bytes());
-                return ExitCode::SUCCESS;
-            }
-            "--workloads" => match value("--workloads") {
-                Ok(v) => {
-                    cli.default_demo = false;
-                    cli.spec.workloads = match v.as_str() {
-                        "simple" => trips_workloads::simple()
-                            .iter()
-                            .map(|w| w.name.to_string())
-                            .collect(),
-                        "all" => trips_workloads::all()
-                            .iter()
-                            .map(|w| w.name.to_string())
-                            .collect(),
-                        list => list.split(',').map(str::to_string).collect(),
-                    };
+            "--scale" => {
+                cli.spec.scale = match value()?.as_str() {
+                    "test" => Scale::Test,
+                    "ref" => Scale::Ref,
+                    other => return Err(format!("unknown scale `{other}`")),
                 }
-                Err(e) => return fail(&e),
-            },
-            "--scale" => match value("--scale").as_deref() {
-                Ok("test") => cli.spec.scale = Scale::Test,
-                Ok("ref") => cli.spec.scale = Scale::Ref,
-                Ok(other) => return fail(&format!("unknown scale `{other}`")),
-                Err(e) => return fail(e),
-            },
-            "--opts" => match value("--opts").as_deref() {
-                Ok("o0") => cli.spec.opts = CompileOptions::o0(),
-                Ok("o1") => cli.spec.opts = CompileOptions::o1(),
-                Ok("o2") => cli.spec.opts = CompileOptions::o2(),
-                Ok("hand") => cli.spec.opts = CompileOptions::hand(),
-                Ok(other) => return fail(&format!("unknown preset `{other}`")),
-                Err(e) => return fail(e),
-            },
+            }
+            "--opts" => {
+                cli.spec.opts = match value()?.as_str() {
+                    "o0" => CompileOptions::o0(),
+                    "o1" => CompileOptions::o1(),
+                    "o2" => CompileOptions::o2(),
+                    "hand" => CompileOptions::hand(),
+                    other => return Err(format!("unknown preset `{other}`")),
+                }
+            }
             "--hand" => cli.spec.hand = true,
-            "--configs" => match value("--configs") {
-                Ok(v) => {
-                    cli.default_demo = false;
-                    cli.base_configs = v.split(',').map(str::to_string).collect();
-                }
-                Err(e) => return fail(&e),
-            },
-            "--sweep" => match value("--sweep") {
-                Ok(v) => {
-                    cli.default_demo = false;
-                    match v.split_once('=') {
-                        Some((axis, values)) => {
-                            cli.sweeps.push((axis.to_string(), values.to_string()))
-                        }
-                        None => return fail("--sweep expects axis=v1,v2,..."),
-                    }
-                }
-                Err(e) => return fail(&e),
-            },
-            "--backends" => match value("--backends") {
-                Ok(v) => cli.backends = v.split(',').map(str::to_string).collect(),
-                Err(e) => return fail(&e),
-            },
-            "--backend" => match value("--backend") {
-                Ok(v) => cli.backends = vec![v],
-                Err(e) => return fail(&e),
-            },
-            "--sample" => match value("--sample") {
-                Ok(v) => match SamplePlan::parse(&v) {
-                    Ok(plan) => cli.spec.sample = Some(plan),
-                    Err(e) => return fail(&format!("--sample: {e}")),
-                },
-                Err(e) => return fail(&e),
-            },
-            "--phase" => match value("--phase") {
-                Ok(v) => match trips_engine::PhaseK::parse(&v) {
-                    Ok(k) => cli.spec.phase = Some(k),
-                    Err(e) => return fail(&format!("--phase: {e}")),
-                },
-                Err(e) => return fail(&e),
-            },
+            "--configs" => {
+                cli.base_configs = value()?.split(',').map(str::to_string).collect();
+                cli.default_demo = false;
+            }
+            "--sweep" => {
+                let v = value()?;
+                let (axis, values) = v.split_once('=').ok_or("--sweep expects axis=v1,v2,...")?;
+                cli.sweeps.push((axis.to_string(), values.to_string()));
+                cli.default_demo = false;
+            }
+            // `parse_group` splits the comma list, so the two spellings are
+            // one flag.
+            "--backends" | "--backend" => cli.backends = value()?,
+            "--sample" => {
+                let plan = SamplePlan::parse(&value()?).map_err(|e| format!("--sample: {e}"))?;
+                cli.spec.sample = Some(plan);
+            }
+            "--phase" => {
+                let k = PhaseK::parse(&value()?).map_err(|e| format!("--phase: {e}"))?;
+                cli.spec.phase = Some(k);
+            }
             "--live-points" => cli.spec.live_points = true,
-            "--threads" => match value("--threads").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) => cli.spec.threads = n,
-                _ => return fail("--threads needs a number"),
+            "--threads" => cli.spec.threads = number(flag, value())?,
+            "--budget" => cli.spec.sim_budget = number(flag, value())?,
+            "--mem" => cli.spec.mem = number(flag, value())?,
+            "--format" => match value()? {
+                v if v == "json" || v == "csv" => cli.format = v,
+                other => return Err(format!("unknown format `{other}`")),
             },
-            "--budget" => match value("--budget").map(|v| v.parse::<u64>()) {
-                Ok(Ok(n)) => cli.spec.sim_budget = n,
-                _ => return fail("--budget needs a number"),
-            },
-            "--mem" => match value("--mem").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) => cli.spec.mem = n,
-                _ => return fail("--mem needs a number"),
-            },
-            "--format" => match value("--format") {
-                Ok(v) if v == "json" || v == "csv" => cli.format = v,
-                Ok(other) => return fail(&format!("unknown format `{other}`")),
-                Err(e) => return fail(&e),
-            },
-            "--out" => match value("--out") {
-                Ok(v) => cli.out_path = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--trace-dir" => match value("--trace-dir") {
-                Ok(v) => cli.trace_dir = Some(v),
-                Err(e) => return fail(&e),
-            },
+            "--out" => cli.out_path = Some(value()?),
+            "--trace-dir" => cli.trace_dir = Some(value()?),
             "--trace-gc" => cli.trace_gc = true,
             "--store-fsck" => cli.store_fsck = true,
-            "--chaos" => match value("--chaos") {
-                Ok(v) => cli.chaos_arg = Some(v),
-                Err(e) => return fail(&e),
+            "--chaos" => cli.chaos_arg = Some(value()?),
+            "--gc-format" => match value()? {
+                v if v == "text" || v == "json" => cli.gc_format = v,
+                other => return Err(format!("unknown gc format `{other}`")),
             },
-            "--gc-format" => match value("--gc-format") {
-                Ok(v) if v == "text" || v == "json" => cli.gc_format = v,
-                Ok(other) => return fail(&format!("unknown gc format `{other}`")),
-                Err(e) => return fail(&e),
-            },
-            "--obs-trace" => match value("--obs-trace") {
-                Ok(v) => cli.obs_trace = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--obs-report" => match value("--obs-report") {
-                Ok(v) => cli.obs_report = Some(v),
-                Err(e) => return fail(&e),
-            },
-            "--fold" => cli.fold = true,
-            "--metrics" => match value("--metrics") {
-                Ok(v) => cli.metrics_path = Some(v),
-                Err(e) => return fail(&e),
-            },
-            other => return fail(&format!("unknown option `{other}`")),
+            "--obs-trace" => cli.obs_trace = Some(value()?),
+            "--obs-report" => obs_report = Some(value()?),
+            "--fold" => fold = true,
+            "--metrics" => cli.metrics_path = Some(value()?),
+            other => return Err(format!("unknown option `{other}`")),
         }
     }
+    match obs_report {
+        Some(journal) => Ok(Command::ObsReport { journal, fold }),
+        None if fold => Err("--fold needs --obs-report".into()),
+        None => Ok(Command::Sweep(Box::new(cli))),
+    }
+}
 
-    // Report mode folds an existing journal and exits: no sweep runs.
-    if let Some(journal) = &cli.obs_report {
-        let text = match std::fs::read_to_string(journal) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("reading span journal `{journal}`: {e}")),
-        };
-        let records = match trips_obs::report::parse_journal(&text) {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("parsing span journal `{journal}`: {e}")),
-        };
-        let rendered = if cli.fold {
-            trips_obs::fold_stacks(&records)
-        } else {
-            trips_obs::fold_report(&records).render()
-        };
-        let _ = std::io::stdout().lock().write_all(rendered.as_bytes());
-        return ExitCode::SUCCESS;
-    }
-    if cli.fold {
-        return fail("--fold needs --obs-report");
-    }
-    if let Some(path) = &cli.obs_trace {
-        if let Err(e) = trips_obs::enable_trace(std::path::Path::new(path)) {
-            return fail(&format!("opening span journal `{path}`: {e}"));
+fn run(command: Command) -> Result<ExitCode, String> {
+    let cli = match command {
+        Command::Help => {
+            println!("{USAGE}");
+            return Ok(ExitCode::SUCCESS);
         }
+        Command::ListWorkloads => {
+            let listing: String = trips_workloads::all()
+                .iter()
+                .map(|w| format!("{}\n", w.name))
+                .collect();
+            // write_all, not println!: a consumer like `| head -3` closing
+            // the pipe early must not panic the listing.
+            let _ = std::io::stdout().lock().write_all(listing.as_bytes());
+            return Ok(ExitCode::SUCCESS);
+        }
+        Command::ObsReport { journal, fold } => {
+            let text = std::fs::read_to_string(&journal)
+                .map_err(|e| format!("reading span journal `{journal}`: {e}"))?;
+            let records = trips_obs::report::parse_journal(&text)
+                .map_err(|e| format!("parsing span journal `{journal}`: {e}"))?;
+            let rendered = if fold {
+                trips_obs::fold_stacks(&records)
+            } else {
+                trips_obs::fold_report(&records).render()
+            };
+            let _ = std::io::stdout().lock().write_all(rendered.as_bytes());
+            return Ok(ExitCode::SUCCESS);
+        }
+        Command::Sweep(cli) => cli,
+    };
+    if let Some(path) = &cli.obs_trace {
+        trips_obs::enable_trace(std::path::Path::new(path))
+            .map_err(|e| format!("opening span journal `{path}`: {e}"))?;
     }
     // Arm fault injection before anything touches the store or the pool:
     // the flag wins over TRIPS_CHAOS when both are given.
     match &cli.chaos_arg {
-        Some(s) => match trips_engine::chaos::FaultPlan::parse(s) {
-            Ok(plan) => trips_engine::chaos::install(plan),
-            Err(e) => return fail(&format!("--chaos: {e}")),
-        },
+        Some(s) => {
+            let plan = FaultPlan::parse(s).map_err(|e| format!("--chaos: {e}"))?;
+            trips_engine::chaos::install(plan);
+        }
         None => {
-            if let Err(e) = trips_engine::chaos::init_from_env() {
-                return fail(&format!("TRIPS_CHAOS: {e}"));
-            }
+            trips_engine::chaos::init_from_env().map_err(|e| format!("TRIPS_CHAOS: {e}"))?;
         }
     }
-    let flush = cli.obs_trace.is_some();
-    let code = run(cli);
-    // The cli.main span (dropped inside `run`) must land in the journal
+    let code = sweep(*cli);
+    // The cli.main span (dropped inside `sweep`) must land in the journal
     // before the sink is flushed.
-    if flush {
-        trips_obs::flush_trace();
-    }
+    trips_obs::flush_trace();
     code
 }
 
-/// Everything after argument parsing, wrapped so the `cli.main` root span
-/// closes (and journals) before `main` flushes the trace sink.
-fn run(cli: Cli) -> ExitCode {
+/// Everything after argument parsing, under the `cli.main` root span.
+fn sweep(cli: Cli) -> Result<ExitCode, String> {
     let _main = trips_obs::span("cli.main");
-    let Cli {
-        mut spec,
-        base_configs,
-        sweeps,
-        backends,
-        format,
-        out_path,
-        trace_dir,
-        trace_gc,
-        store_fsck,
-        gc_format,
-        metrics_path,
-        default_demo,
-        ..
-    } = cli;
+    let mut spec = cli.spec;
 
     // Build the config list: named bases plus one variant per sweep value.
-    for name in &base_configs {
-        match name.as_str() {
-            "prototype" => spec.configs.push(ConfigVariant::prototype()),
-            "improved" => spec.configs.push(ConfigVariant::improved()),
+    for name in &cli.base_configs {
+        spec.configs.push(match name.as_str() {
+            "prototype" => ConfigVariant::prototype(),
+            "improved" => ConfigVariant::improved(),
             other => {
-                return fail(&format!(
+                return Err(format!(
                     "unknown base config `{other}` (prototype, improved)"
                 ))
             }
-        }
+        });
     }
-    for (axis, values) in &sweeps {
+    let proto = TripsConfig::prototype();
+    for (axis, values) in &cli.sweeps {
         let vals: Vec<&str> = values.split(',').collect();
-        match ConfigVariant::axis(&TripsConfig::prototype(), axis, &vals) {
-            Ok(mut vs) => spec.configs.append(&mut vs),
-            Err(e) => return fail(&e.to_string()),
-        }
+        let mut variants = ConfigVariant::axis(&proto, axis, &vals).map_err(|e| e.to_string())?;
+        spec.configs.append(&mut variants);
     }
-    if default_demo {
+    if cli.default_demo {
         // The out-of-the-box demo: 2 workloads × 4 configs = 8 points.
-        let proto = TripsConfig::prototype();
         spec.configs
             .extend(ConfigVariant::axis(&proto, "dispatch_interval", &["1"]).expect("known axis"));
         spec.configs
             .extend(ConfigVariant::axis(&proto, "flush_penalty", &["4"]).expect("known axis"));
     }
-    for b in &backends {
-        match BackendSpec::parse_group(b) {
-            Ok(parsed) => {
-                for spec_b in parsed {
-                    if !spec.backends.contains(&spec_b) {
-                        spec.backends.push(spec_b);
-                    }
-                }
-            }
-            Err(e) => return fail(&e.to_string()),
-        }
+    spec.backends = BackendSpec::parse_group(&cli.backends).map_err(|e| e.to_string())?;
+    if cli.trace_gc && cli.trace_dir.is_none() {
+        return Err("--trace-gc needs --trace-dir".into());
     }
-    if trace_gc && trace_dir.is_none() {
-        return fail("--trace-gc needs --trace-dir");
-    }
+    let json = cli.gc_format == "json";
 
     // Fsck mode verifies (and self-heals) the store, reports, and exits:
     // no sweep runs, so a repair pass never perturbs measurement caches.
-    if store_fsck {
-        let Some(dir) = &trace_dir else {
-            return fail("--store-fsck needs --trace-dir");
-        };
-        let store = match trips_engine::TraceStore::open(dir) {
-            Ok(s) => s,
-            Err(e) => return fail(&format!("opening trace store `{dir}`: {e}")),
-        };
-        let report = match store.fsck() {
-            Ok(r) => r,
-            Err(e) => return fail(&format!("fsck of trace store `{dir}`: {e}")),
-        };
-        if gc_format == "json" {
-            let obj = serde::Value::Map(vec![(
-                serde::Value::Str("fsck".into()),
-                serde::to_value(&report),
-            )]);
-            println!("{}", serde::json::to_string(&obj));
-        } else {
-            trips_obs::log!(
-                Level::Info,
-                "trips-sweep",
-                "store-fsck: scanned {} containers: {} ok, {} stale, {} quarantined, {} unreadable, {} tmp files repaired; quarantine holds {} containers ({} bytes)",
-                report.scanned, report.ok, report.stale, report.quarantined,
-                report.unreadable, report.repaired_tmp,
-                report.quarantine_containers, report.quarantine_bytes
-            );
-        }
-        return ExitCode::SUCCESS;
+    if cli.store_fsck {
+        let dir = cli.trace_dir.ok_or("--store-fsck needs --trace-dir")?;
+        fsck(&open_store(&dir)?, &dir, json)?;
+        return Ok(ExitCode::SUCCESS);
     }
 
     // A spec the sweep would reject must not create, scan or prune the
     // store first.
-    if let Err(e) = spec.validate() {
-        return fail(&e.to_string());
-    }
-    let session = match &trace_dir {
-        Some(dir) => match trips_engine::TraceStore::open(dir) {
-            Ok(store) => {
-                if trace_gc {
-                    // Per-container-kind census first (one line per
-                    // payload kind, not one aggregate, so a shared
-                    // directory's composition is visible at a glance),
-                    // then the prune — the stale count is what the prune
-                    // is about to reclaim.
-                    let census = match store.stats() {
-                        Ok(s) => s,
-                        Err(e) => return fail(&format!("scanning trace store `{dir}`: {e}")),
-                    };
-                    let prune = match store.prune_stale() {
-                        Ok(r) => r,
-                        Err(e) => return fail(&format!("pruning trace store `{dir}`: {e}")),
-                    };
-                    if gc_format == "json" {
-                        // One machine-readable object on stderr, keeping
-                        // stdout free for the sweep rows.
-                        let obj = serde::Value::Map(vec![
-                            (serde::Value::Str("census".into()), serde::to_value(&census)),
-                            (serde::Value::Str("prune".into()), serde::to_value(&prune)),
-                        ]);
-                        eprintln!("{}", serde::json::to_string(&obj));
-                    } else {
-                        trips_obs::log!(
-                            Level::Info,
-                            "trips-sweep",
-                            "trace-gc: {} containers ({} bytes): {} TRIPS traces, {} RISC traces, {} BBV plans, {} live-point sets, {} stale, {} quarantined ({} bytes)",
-                            census.containers, census.bytes, census.block_traces,
-                            census.risc_traces, census.bbv_plans, census.live_points,
-                            census.stale, census.quarantined, census.quarantine_bytes
-                        );
-                        trips_obs::log!(
-                            Level::Info,
-                            "trips-sweep",
-                            "trace-gc: scanned {} containers, pruned {} ({} stale-version, {} orphaned live-points, {} bytes reclaimed), kept {}",
-                            prune.scanned, prune.removed,
-                            prune.removed - prune.orphaned, prune.orphaned,
-                            prune.bytes_freed, prune.kept
-                        );
-                    }
-                }
-                Session::with_store(store)
+    spec.validate().map_err(|e| e.to_string())?;
+    let session = match &cli.trace_dir {
+        Some(dir) => {
+            let store = open_store(dir)?;
+            if cli.trace_gc {
+                gc(&store, dir, json)?;
             }
-            Err(e) => return fail(&format!("opening trace store `{dir}`: {e}")),
-        },
+            Session::with_store(store)
+        }
         None => Session::new(),
     };
-    let report = match run_sweep(&spec, &session) {
-        Ok(r) => r,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let report = run_sweep(&spec, &session).map_err(|e| e.to_string())?;
 
-    let rendered = match format.as_str() {
+    let rendered = match cli.format.as_str() {
         "csv" => to_csv(&report.rows),
         _ => to_json_lines(&report.rows),
     };
-    match &out_path {
+    match &cli.out_path {
         Some(path) => {
             if let Err(e) = std::fs::write(path, rendered) {
                 trips_obs::log!(Level::Error, "trips-sweep", "writing {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
         None => {
             let mut stdout = std::io::stdout().lock();
             if stdout.write_all(rendered.as_bytes()).is_err() {
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
-    if let Some(path) = &metrics_path {
+    if let Some(path) = &cli.metrics_path {
         // Snapshot after the sweep so every series — including per-worker
         // pool gauges recorded at worker exit — is present.
         if let Err(e) = std::fs::write(path, trips_obs::snapshot_text()) {
@@ -557,12 +435,91 @@ fn run(cli: Cli) -> ExitCode {
                 "trips-sweep",
                 "writing metrics snapshot {path}: {e}"
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
-
-    let c = &report.cache;
     let ok_rows = report.rows.iter().filter(|r| r.status != "failed").count();
+    summarize(&spec, &report, ok_rows, cli.trace_dir.is_some());
+    Ok(if ok_rows == 0 && !report.errors.is_empty() {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    })
+}
+
+fn open_store(dir: &str) -> Result<TraceStore, String> {
+    TraceStore::open(dir).map_err(|e| format!("opening trace store `{dir}`: {e}"))
+}
+
+/// Verifies every container of `store`, quarantining damaged ones, and
+/// reports what happened (one JSON object on stdout, or a log line).
+fn fsck(store: &TraceStore, dir: &str, json: bool) -> Result<(), String> {
+    let report = store
+        .fsck()
+        .map_err(|e| format!("fsck of trace store `{dir}`: {e}"))?;
+    if json {
+        let obj = serde::Value::Map(vec![(
+            serde::Value::Str("fsck".into()),
+            serde::to_value(&report),
+        )]);
+        println!("{}", serde::json::to_string(&obj));
+    } else {
+        trips_obs::log!(
+            Level::Info,
+            "trips-sweep",
+            "store-fsck: scanned {} containers: {} ok, {} stale, {} quarantined, {} unreadable, {} tmp files repaired; quarantine holds {} containers ({} bytes)",
+            report.scanned, report.ok, report.stale, report.quarantined,
+            report.unreadable, report.repaired_tmp,
+            report.quarantine_containers, report.quarantine_bytes
+        );
+    }
+    Ok(())
+}
+
+/// Reports the per-container-kind census of `store` and prunes its stale
+/// containers. The census comes first (one line per payload kind, not one
+/// aggregate, so a shared directory's composition is visible at a
+/// glance): its stale count is what the prune is about to reclaim.
+fn gc(store: &TraceStore, dir: &str, json: bool) -> Result<(), String> {
+    let census = store
+        .stats()
+        .map_err(|e| format!("scanning trace store `{dir}`: {e}"))?;
+    let prune = store
+        .prune_stale()
+        .map_err(|e| format!("pruning trace store `{dir}`: {e}"))?;
+    if json {
+        // One machine-readable object on stderr, keeping stdout free for
+        // the sweep rows.
+        let obj = serde::Value::Map(vec![
+            (serde::Value::Str("census".into()), serde::to_value(&census)),
+            (serde::Value::Str("prune".into()), serde::to_value(&prune)),
+        ]);
+        eprintln!("{}", serde::json::to_string(&obj));
+    } else {
+        trips_obs::log!(
+            Level::Info,
+            "trips-sweep",
+            "trace-gc: {} containers ({} bytes): {} TRIPS traces, {} RISC traces, {} BBV plans, {} live-point sets, {} stale, {} quarantined ({} bytes)",
+            census.containers, census.bytes, census.block_traces,
+            census.risc_traces, census.bbv_plans, census.live_points,
+            census.stale, census.quarantined, census.quarantine_bytes
+        );
+        trips_obs::log!(
+            Level::Info,
+            "trips-sweep",
+            "trace-gc: scanned {} containers, pruned {} ({} stale-version, {} orphaned live-points, {} bytes reclaimed), kept {}",
+            prune.scanned, prune.removed,
+            prune.removed - prune.orphaned, prune.orphaned,
+            prune.bytes_freed, prune.kept
+        );
+    }
+    Ok(())
+}
+
+/// The stderr summary: throughput, cache tiers, sampling, chaos and the
+/// failed points.
+fn summarize(spec: &SweepSpec, report: &SweepReport, ok_rows: usize, stored: bool) {
+    let c = &report.cache;
     trips_obs::log!(
         Level::Info,
         "trips-sweep",
@@ -620,7 +577,7 @@ fn run(cli: Cli) -> ExitCode {
             c.livepoint_store_writes,
         );
     }
-    if trace_dir.is_some() {
+    if stored {
         let [trips_store, risc_store] = c.store_lines();
         trips_obs::log!(Level::Info, "trips-sweep", "{trips_store}");
         if c.rtrace_misses > 0 {
@@ -653,8 +610,4 @@ fn run(cli: Cli) -> ExitCode {
     for e in &report.errors {
         trips_obs::log!(Level::Error, "trips-sweep", "point failed: {e}");
     }
-    if ok_rows == 0 && !report.errors.is_empty() {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }

@@ -378,25 +378,24 @@ type Slot<T> = Arc<OnceLock<Result<Arc<T>, EngineError>>>;
 
 /// One session counter, kept in two places by one writer: a relaxed
 /// atomic that [`Session::cache_stats`] reads, and the metrics-registry
-/// series a `--metrics` snapshot reads. Artifact-granularity (per
-/// compile, capture or disk probe, never per replayed unit), so the
-/// registry lock is uncontended in practice.
+/// series a `--metrics` snapshot reads. The series is looked up (and so
+/// registered, as a zero) once, when the session is built.
 struct Count {
     n: AtomicU64,
-    series: String,
+    series: Arc<trips_obs::metrics::Counter>,
 }
 
 impl Count {
-    fn new(series: String) -> Count {
+    fn new(series: &str) -> Count {
         Count {
             n: AtomicU64::new(0),
-            series,
+            series: trips_obs::counter(series),
         }
     }
 
     fn bump(&self) {
         self.n.fetch_add(1, Ordering::Relaxed);
-        trips_obs::counter(&self.series).inc(1);
+        self.series.inc(1);
     }
 
     fn get(&self) -> u64 {
@@ -455,7 +454,7 @@ impl TierStats {
         TierStats(
             events
                 .iter()
-                .map(|e| Count::new(format!("session_{prefix}{e}")))
+                .map(|e| Count::new(&format!("session_{prefix}{e}")))
                 .collect(),
         )
     }
@@ -696,7 +695,7 @@ impl Default for Session {
             ooo_replays: Memo::new(TierStats::memo("ooo_replay_")),
             phases: Memo::new(TierStats::disk("phase_")),
             livepoints: Memo::new(TierStats::disk("livepoint_")),
-            degraded: Count::new("session_degraded".to_string()),
+            degraded: Count::new("session_degraded"),
             store: None,
         }
     }
@@ -742,25 +741,6 @@ impl Session {
     /// The on-disk trace store, if the session was built with one.
     pub fn store(&self) -> Option<&TraceStore> {
         self.store.as_ref()
-    }
-
-    /// Registers every tier's metrics series, so a `--metrics` snapshot
-    /// carries them (as zeros) even when a run never hit the event.
-    pub(crate) fn register_series(&self) {
-        let tiers = [
-            &self.compiled.stats,
-            &self.traces.stats,
-            &self.isa.stats,
-            &self.risc.stats,
-            &self.rtraces.stats,
-            &self.replays.stats,
-            &self.ooo_replays.stats,
-            &self.phases.stats,
-            &self.livepoints.stats,
-        ];
-        for count in tiers.into_iter().flat_map(|t| &t.0).chain([&self.degraded]) {
-            let _ = trips_obs::counter(&count.series);
-        }
     }
 
     /// The disk tier, unless the store's circuit breaker has tripped —

@@ -593,9 +593,8 @@ pub fn run_sweep(spec: &SweepSpec, session: &Session) -> Result<SweepReport, Eng
     let _span = trips_obs::span("sweep.run");
     // Pre-register the headline series so a `--metrics` snapshot contains
     // them even when this particular run never exercised the event
-    // (e.g. a cold run has zero disk hits, a store-less run writes no
-    // bytes). The pool registers its own series the same way.
-    session.register_series();
+    // (e.g. a store-less run writes no bytes). The session registered its
+    // tiers' series when it was built; the pool registers its own.
     for series in [
         "store_read_bytes_total",
         "store_write_bytes_total",

@@ -112,7 +112,9 @@ fn rejected_spec_never_opens_the_store() {
         .join(format!("store-reject-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).unwrap();
-    let cases: [(&[&str], &str); 2] = [
+    // One row per message the command line can be rejected with; the
+    // store flag comes first so a flag missing its value can be last.
+    let cases: [(&[&str], &str); 16] = [
         (
             &["--trace-gc", "--workloads", "nosuch"],
             "unknown workload `nosuch`",
@@ -121,13 +123,33 @@ fn rejected_spec_never_opens_the_store() {
             &["--sample", "16,48,128", "--phase", "auto"],
             "--sample and --phase are mutually exclusive",
         ),
+        (&["--trace-gc", "--workloads"], "--workloads needs a value"),
+        (&["--scale", "huge"], "unknown scale `huge`"),
+        (&["--opts", "o9"], "unknown preset `o9`"),
+        (&["--format", "xml"], "unknown format `xml`"),
+        (&["--gc-format", "yaml"], "unknown gc format `yaml`"),
+        (
+            &["--sweep", "dispatch_interval"],
+            "--sweep expects axis=v1,v2,...",
+        ),
+        (
+            &["--trace-gc", "--configs", "bogus"],
+            "unknown base config `bogus` (prototype, improved)",
+        ),
+        (&["--threads", "many"], "--threads needs a number"),
+        (&["--sample", "bogus"], "--sample: "),
+        (&["--phase", "0"], "--phase: "),
+        (&["--chaos", "bogus"], "--chaos: "),
+        (&["--fold"], "--fold needs --obs-report"),
+        (&["--trace-gc", "--bogus"], "unknown option `--bogus`"),
+        (&["--threads"], "--threads needs a number"),
     ];
     for (i, (args, message)) in cases.into_iter().enumerate() {
         let store = root.join(format!("store{i}"));
         let output = Command::new(env!("CARGO_BIN_EXE_trips-sweep"))
-            .args(args)
             .arg("--trace-dir")
             .arg(&store)
+            .args(args)
             .output()
             .expect("spawn trips-sweep");
         let stderr = String::from_utf8_lossy(&output.stderr);

@@ -36,81 +36,115 @@
 
 use std::env;
 use std::fmt::Display;
+use std::process::ExitCode;
 
 use trips_engine::{PhaseK, SamplePlan, Session, TraceStore};
 use trips_experiments::{experiment, Run, EXPERIMENTS};
 use trips_obs::Level;
 use trips_workloads::Scale;
 
-/// Logs `msg` as an error and exits 1.
-fn fail(msg: impl Display) -> ! {
+/// Logs `msg` as an error; the process exits 1.
+fn fail(msg: impl Display) -> ExitCode {
     trips_obs::log!(Level::Error, "repro", "{msg}");
-    std::process::exit(1)
+    ExitCode::FAILURE
+}
+
+/// The parsed command line.
+struct Cli {
+    quick: bool,
+    trace_dir: Option<String>,
+    sample: Option<SamplePlan>,
+    phase: Option<PhaseK>,
+    /// The experiments to run, by name, in order.
+    experiments: Vec<(String, fn(&Run) -> String)>,
+}
+
+fn main() -> ExitCode {
+    match parse(env::args().skip(1).collect()).and_then(run) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => fail(msg),
+    }
 }
 
 /// Removes `flag` and the value after it from `args` and returns the value;
-/// exits 1 with `missing` when the flag is the last argument.
-fn take_value(args: &mut Vec<String>, flag: &str, missing: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == flag)?;
+/// `missing` is the error when the flag is the last argument.
+fn take_value(args: &mut Vec<String>, flag: &str, missing: &str) -> Result<Option<String>, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
     if at + 1 >= args.len() {
-        fail(missing);
+        return Err(missing.into());
     }
     let value = args.remove(at + 1);
     args.remove(at);
-    Some(value)
+    Ok(Some(value))
 }
 
-fn main() {
-    let mut args: Vec<String> = env::args().skip(1).collect();
+/// Reads the whole command line. Flags may appear anywhere; what is left
+/// is at most one experiment name.
+fn parse(mut args: Vec<String>) -> Result<Cli, String> {
     let quick = args.iter().any(|a| a == "--quick");
     args.retain(|a| a != "--quick");
-    let trace_dir = take_value(&mut args, "--trace-dir", "--trace-dir needs a value")
+    let trace_dir = take_value(&mut args, "--trace-dir", "--trace-dir needs a value")?
         .or_else(|| env::var("TRIPS_TRACE_DIR").ok().filter(|v| !v.is_empty()));
     let sample = take_value(
         &mut args,
         "--sample",
         "--sample needs warmup,detailed,period",
-    )
-    .map(|spec| SamplePlan::parse(&spec).unwrap_or_else(|e| fail(format!("--sample: {e}"))));
-    let phase = take_value(&mut args, "--phase", "--phase needs k|auto")
-        .map(|spec| PhaseK::parse(&spec).unwrap_or_else(|e| fail(format!("--phase: {e}"))));
+    )?
+    .map(|spec| SamplePlan::parse(&spec).map_err(|e| format!("--sample: {e}")))
+    .transpose()?;
+    let phase = take_value(&mut args, "--phase", "--phase needs k|auto")?
+        .map(|spec| PhaseK::parse(&spec).map_err(|e| format!("--phase: {e}")))
+        .transpose()?;
     if sample.is_some() && phase.is_some() {
-        fail("--sample and --phase are mutually exclusive");
+        return Err("--sample and --phase are mutually exclusive".into());
     }
-    let what = match args.as_slice() {
-        [] => "all",
-        [what] => what.as_str(),
-        [what, rest @ ..] => fail(format!(
-            "unexpected argument(s) after `{what}`: {} (one experiment name per run)",
-            rest.iter()
-                .map(|a| format!("`{a}`"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        )),
+    let experiments = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] | ["all"] => EXPERIMENTS
+            .iter()
+            .map(|&(name, render)| (name.to_string(), render))
+            .collect(),
+        [what] => vec![(what.to_string(), experiment(what)?)],
+        [what, ref rest @ ..] => {
+            return Err(format!(
+                "unexpected argument(s) after `{what}`: {} (one experiment name per run)",
+                rest.iter()
+                    .map(|a| format!("`{a}`"))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            ))
+        }
     };
-    let experiments = if what == "all" {
-        EXPERIMENTS.to_vec()
-    } else {
-        vec![(what, experiment(what).unwrap_or_else(|e| fail(e)))]
-    };
+    Ok(Cli {
+        quick,
+        trace_dir,
+        sample,
+        phase,
+        experiments,
+    })
+}
 
-    let session = match &trace_dir {
+/// Opens the store, builds the one [`Run`] and prints each report as soon
+/// as it is rendered.
+fn run(cli: Cli) -> Result<(), String> {
+    let session = match &cli.trace_dir {
         Some(dir) => {
-            let store = TraceStore::open(dir)
-                .unwrap_or_else(|e| fail(format!("opening trace store `{dir}`: {e}")));
+            let store =
+                TraceStore::open(dir).map_err(|e| format!("opening trace store `{dir}`: {e}"))?;
             trips_obs::log!(Level::Info, "repro", "trace store: {dir}");
             Session::with_store(store)
         }
         None => Session::new(),
     };
-    if let Some(plan) = sample {
+    if let Some(plan) = cli.sample {
         trips_obs::log!(
             Level::Info,
             "repro",
             "sampling timing backends under plan {plan}"
         );
     }
-    if let Some(k) = phase {
+    if let Some(k) = cli.phase {
         trips_obs::log!(
             Level::Info,
             "repro",
@@ -119,17 +153,18 @@ fn main() {
     }
     let run = Run {
         session: &session,
-        sample,
-        phase,
-        scale: if quick { Scale::Test } else { Scale::Ref },
+        sample: cli.sample,
+        phase: cli.phase,
+        scale: if cli.quick { Scale::Test } else { Scale::Ref },
     };
-    for (name, render) in experiments {
+    for (name, render) in &cli.experiments {
         trips_obs::log!(Level::Info, "repro", "running {name} ...");
         println!("{}", render(&run));
     }
-    if trace_dir.is_some() {
+    if cli.trace_dir.is_some() {
         for line in session.cache_stats().store_lines() {
             trips_obs::log!(Level::Info, "repro", "{line}");
         }
     }
+    Ok(())
 }

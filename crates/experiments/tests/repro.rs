@@ -80,24 +80,48 @@ fn rejected_command_lines_never_create_the_store() {
     let root = scratch("reject");
     let store = root.join("store");
     let dir = path_arg(&store);
-    for args in [
-        &["--trace-dir", dir, "--sample", "bogus", "table1"][..],
-        &[
-            "--trace-dir",
-            dir,
-            "--sample",
-            "16,48,128",
-            "--phase",
-            "auto",
-            "table1",
-        ],
-        &["--trace-dir", dir, "--phase", "0", "table1"],
-        &["--trace-dir", dir, "nosuch"],
-        &["--trace-dir", dir, "table1", "table2"],
+    for (args, message) in [
+        (
+            &["--trace-dir", dir, "--sample", "bogus", "table1"][..],
+            "--sample: expected `warmup,detailed,period`",
+        ),
+        (
+            &[
+                "--trace-dir",
+                dir,
+                "--sample",
+                "16,48,128",
+                "--phase",
+                "auto",
+                "table1",
+            ],
+            "--sample and --phase are mutually exclusive",
+        ),
+        (
+            &["--trace-dir", dir, "--phase", "0", "table1"],
+            "--phase: expected `auto` or a positive cluster count",
+        ),
+        (
+            &["--trace-dir", dir, "nosuch"],
+            "unknown experiment nosuch; known: [",
+        ),
+        (
+            &["--trace-dir", dir, "table1", "table2"],
+            "unexpected argument(s) after `table1`: `table2` (one experiment name per run)",
+        ),
+        (
+            &["table1", "--trace-dir", dir, "--sample"],
+            "--sample needs warmup,detailed,period",
+        ),
+        (
+            &["--trace-dir", dir, "table1", "--phase"],
+            "--phase needs k|auto",
+        ),
     ] {
         let out = repro(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
         assert!(!stderr.contains("trace store:"), "{args:?}: {stderr}");
         assert!(!store.exists(), "{args:?} created the store");
     }

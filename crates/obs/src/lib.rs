@@ -12,11 +12,10 @@
 //!   (inclusive/exclusive time per label, call counts, worst-case
 //!   instance, wall-clock coverage) for `trips-sweep --obs-report`.
 //! * [`metrics`] — a process-global registry of named [`metrics::Counter`]s,
-//!   [`metrics::Gauge`]s, and log2-bucketed [`metrics::Histogram`]s. Counters
-//!   and histograms are sharded across cache-line-padded atomics so
-//!   hot-loop increments from the work-stealing pool never serialize on a
-//!   shared line; [`metrics::snapshot_text`] renders a Prometheus-style
-//!   exposition (`trips-sweep --metrics`).
+//!   [`metrics::Gauge`]s, and log2-bucketed [`metrics::Histogram`]s, each
+//!   value one relaxed atomic (updates are per artifact, replay or pool
+//!   job, never per replayed unit); [`metrics::snapshot_text`] renders a
+//!   Prometheus-style exposition (`trips-sweep --metrics`).
 //! * [`cost`] — per-row cost attribution: a [`cost::RowCost`] record
 //!   scoped to one sweep point and snapshotted into `SweepRow`. Its
 //!   columns are declared once, in order. One clock feeds it: a charging

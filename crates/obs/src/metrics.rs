@@ -1,12 +1,10 @@
 //! Process-global metrics registry: named counters, gauges, and
 //! log2-bucketed histograms.
 //!
-//! Counters and histograms are **sharded**: each holds `SHARDS`
-//! cache-line-padded atomic cells, and every thread picks a home shard
-//! from its dense ordinal, so concurrent hot-loop increments from the
-//! work-stealing pool land on different cache lines instead of
-//! serializing on one. Reads ([`Counter::get`], snapshots) sum the shards
-//! — they are racy-consistent, which is fine for telemetry.
+//! Each counter, gauge and histogram bucket is one relaxed atomic cell.
+//! Updates come once per artifact, replay or pool job, never per replayed
+//! unit, so one shared cell per value is enough; reads ([`Counter::get`],
+//! snapshots) are racy-consistent, which is fine for telemetry.
 //!
 //! Metric names follow Prometheus conventions and may embed labels
 //! directly: `pool_worker_busy_ns{worker="3"}` registers a distinct
@@ -18,46 +16,23 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Number of per-metric shards. A small power of two: enough to spread
-/// the sweep pool's workers, cheap to sum at snapshot time.
-pub const SHARDS: usize = 16;
-
 /// Number of log2 histogram buckets: bucket `b > 0` counts values in
 /// `[2^(b-1), 2^b)`, bucket 0 counts zeros, bucket 64 counts the rest.
 pub const BUCKETS: usize = 65;
 
-#[repr(align(64))]
-struct PaddedU64(AtomicU64);
-
-#[inline]
-fn shard_index() -> usize {
-    crate::span::thread_ordinal() as usize % SHARDS
-}
-
-/// Monotonically increasing counter, sharded across padded atomics.
-pub struct Counter {
-    shards: [PaddedU64; SHARDS],
-}
+/// Monotonically increasing counter.
+pub struct Counter(AtomicU64);
 
 impl Counter {
-    fn new() -> Self {
-        Counter {
-            shards: std::array::from_fn(|_| PaddedU64(AtomicU64::new(0))),
-        }
-    }
-
-    /// Add `n` to the calling thread's home shard.
+    /// Add `n`.
     #[inline]
     pub fn inc(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Sum of all shards (racy-consistent).
+    /// The current value.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -77,23 +52,10 @@ impl Gauge {
     }
 }
 
-struct HistShard {
+/// Log2-bucketed histogram of `u64` samples.
+pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
-}
-
-impl HistShard {
-    fn new() -> Self {
-        HistShard {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Log2-bucketed histogram of `u64` samples, sharded like [`Counter`].
-pub struct Histogram {
-    shards: [HistShard; SHARDS],
 }
 
 /// Bucket index for a sample: 0 for zero, else `64 - leading_zeros`,
@@ -118,48 +80,31 @@ pub fn bucket_bound(b: usize) -> u64 {
 impl Histogram {
     fn new() -> Self {
         Histogram {
-            shards: std::array::from_fn(|_| HistShard::new()),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
         }
     }
 
-    /// Record one sample on the calling thread's home shard.
+    /// Record one sample.
     #[inline]
     pub fn observe(&self, v: u64) {
-        let shard = &self.shards[shard_index()];
-        shard.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        shard.sum.fetch_add(v, Ordering::Relaxed);
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Total number of recorded samples across all shards.
+    /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.buckets
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .sum::<u64>()
-            })
-            .sum()
+        self.buckets().iter().sum()
     }
 
-    /// Sum of all recorded samples across all shards.
+    /// Sum of all recorded samples.
     pub fn sum(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.sum.load(Ordering::Relaxed))
-            .sum()
+        self.sum.load(Ordering::Relaxed)
     }
 
-    /// Per-bucket counts summed across shards.
+    /// Per-bucket counts.
     pub fn buckets(&self) -> [u64; BUCKETS] {
-        let mut out = [0u64; BUCKETS];
-        for s in &self.shards {
-            for (o, b) in out.iter_mut().zip(s.buckets.iter()) {
-                *o += b.load(Ordering::Relaxed);
-            }
-        }
-        out
+        std::array::from_fn(|b| self.buckets[b].load(Ordering::Relaxed))
     }
 }
 
@@ -182,7 +127,7 @@ pub fn counter(name: &str) -> Arc<Counter> {
     let mut reg = registry().lock().unwrap();
     match reg
         .entry(name.to_string())
-        .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
+        .or_insert_with(|| Metric::Counter(Arc::new(Counter(AtomicU64::new(0)))))
     {
         Metric::Counter(c) => Arc::clone(c),
         _ => panic!("metric {name:?} already registered with a different type"),

@@ -43,7 +43,7 @@ fn epoch() -> Instant {
 
 /// Small dense thread ordinal (0, 1, 2, …) assigned on first use per
 /// thread; stable for the thread's lifetime and cheaper to journal than
-/// `std::thread::ThreadId`. Also used by the metrics shard selector.
+/// `std::thread::ThreadId`.
 pub(crate) fn thread_ordinal() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     thread_local! {
