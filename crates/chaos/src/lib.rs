@@ -6,43 +6,43 @@
 //! failures on purpose, deterministically, with the same design rules
 //! as `trips-obs`:
 //!
-//! - **Zero cost when disabled.** Every injection helper first reads
-//!   one relaxed [`AtomicBool`]; with no plan installed that is the
-//!   entire overhead, so production paths keep their performance and
-//!   tier-1 tests keep their byte-identical outputs.
+//! - **Owned, not global.** A [`FaultPlan`] is a value. An engine
+//!   session that is armed holds one in its [`Instruments`], next to its
+//!   metrics registry, and hands both to its store and to the pools it
+//!   runs. Two sessions in one process never share a schedule, and an
+//!   unarmed session's draw is one `Option` check.
 //! - **No dependencies** beyond `trips-obs` (for `chaos_*` counters and
 //!   leveled logging of each injection).
-//! - **Deterministic.** A [`FaultPlan`] is a seed plus a [`Profile`] of
+//! - **Deterministic.** A plan is a seed plus a [`Profile`] of
 //!   parts-per-million rates. Each injection point draws from its own
 //!   splitmix64 sequence (`splitmix64(seed ^ point_tag ^ n)` for the
 //!   point's n-th draw), so a fixed seed and a fixed order of
 //!   operations (e.g. a `--threads 1` sweep) replays the exact same
 //!   fault schedule. CI pins a seed and asserts the engine survives it.
 //!
-//! Plans come from `trips-sweep --chaos seed[:profile]`, the
-//! `TRIPS_CHAOS` environment variable (same syntax), or [`install`] in
-//! tests. The `zero` profile arms the layer with every rate at zero —
-//! used to prove the instrumented code paths are behavior-preserving.
+//! Plans come from `trips-sweep --chaos seed[:profile]` or the
+//! `TRIPS_CHAOS` environment variable (same syntax), both parsed once by
+//! the binary, or from [`FaultPlan::new`] in tests. The `zero` profile
+//! arms the layer with every rate at zero — used to prove the
+//! instrumented code paths are behavior-preserving.
 //!
-//! Injection points:
+//! Injection points, each drawn with [`FaultPlan::fire`]:
 //!
-//! | helper | profile field | consumed by |
+//! | point | profile field | consumed by |
 //! |---|---|---|
-//! | [`read_fault`] | `read_err_ppm` | `TraceStore` container reads |
-//! | [`enospc_fault`] | `enospc_ppm` | `TraceStore` writes (device-full) |
-//! | [`short_write_fault`] | `short_write_ppm` | `TraceStore` temp-file writes |
-//! | [`bitflip_fault`] | `bitflip_ppm` | `TraceStore` post-rename corruption |
-//! | [`capture_fault`] | `capture_fail_ppm` | `Session` capture tiers |
-//! | [`fit_fault`] | `fit_fail_ppm` | `Session` phase-plan fits |
-//! | [`job_panic`] | `panic_budget` | pool job wrapper |
-//! | [`job_delay`] | `delay_ppm`/`delay_us` | pool job wrapper |
+//! | [`FaultPoint::StoreRead`] | `read_err_ppm` | `TraceStore` container reads |
+//! | [`FaultPoint::StoreEnospc`] | `enospc_ppm` | `TraceStore` writes (device-full) |
+//! | [`FaultPoint::StoreShortWrite`] | `short_write_ppm` | `TraceStore` temp-file writes |
+//! | [`FaultPoint::StoreBitflip`] | `bitflip_ppm` | `TraceStore` post-rename corruption |
+//! | [`FaultPoint::CaptureFail`] | `capture_fail_ppm` | `Session` capture tiers |
+//! | [`FaultPoint::FitFail`] | `fit_fail_ppm` | `Session` phase-plan fits |
+//! | [`FaultPoint::PoolPanic`] | `panic_budget` | pool job wrapper |
+//! | [`FaultPoint::PoolDelay`] | `delay_ppm`/`delay_us` | pool job wrapper |
 
-use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use trips_obs::Level;
+use trips_obs::{Level, Registry};
 
 /// One draw per million below which an injection point fires.
 const PPM: u64 = 1_000_000;
@@ -71,19 +71,6 @@ pub enum FaultPoint {
 const POINT_COUNT: usize = 8;
 
 impl FaultPoint {
-    fn idx(self) -> usize {
-        match self {
-            FaultPoint::StoreRead => 0,
-            FaultPoint::StoreEnospc => 1,
-            FaultPoint::StoreShortWrite => 2,
-            FaultPoint::StoreBitflip => 3,
-            FaultPoint::CaptureFail => 4,
-            FaultPoint::FitFail => 5,
-            FaultPoint::PoolPanic => 6,
-            FaultPoint::PoolDelay => 7,
-        }
-    }
-
     /// Stable label used in `chaos_injected_total{point="..."}`.
     pub fn label(self) -> &'static str {
         match self {
@@ -102,12 +89,12 @@ impl FaultPoint {
     /// two points never share a fault schedule.
     fn tag(self) -> u64 {
         // splitmix64 of the point index, precomputed at runtime (cheap)
-        splitmix64(0x7472_6970_735f_6368 ^ self.idx() as u64)
+        splitmix64(0x7472_6970_735f_6368 ^ self as u64)
     }
 }
 
 /// Parts-per-million fault rates for every injection point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Profile {
     /// Rate of injected container read errors.
     pub read_err_ppm: u32,
@@ -134,17 +121,7 @@ impl Profile {
     /// All rates zero: the layer is armed but inert. Used to prove the
     /// injection points are behavior-preserving when they do not fire.
     pub fn zero() -> Profile {
-        Profile {
-            read_err_ppm: 0,
-            enospc_ppm: 0,
-            short_write_ppm: 0,
-            bitflip_ppm: 0,
-            capture_fail_ppm: 0,
-            fit_fail_ppm: 0,
-            delay_ppm: 0,
-            delay_us: 0,
-            panic_budget: 0,
-        }
+        Profile::default()
     }
 
     /// Low-rate background noise across every point.
@@ -169,26 +146,17 @@ impl Profile {
             enospc_ppm: 150_000,
             short_write_ppm: 150_000,
             bitflip_ppm: 300_000,
-            capture_fail_ppm: 0,
-            fit_fail_ppm: 0,
-            delay_ppm: 0,
-            delay_us: 0,
-            panic_budget: 0,
+            ..Profile::zero()
         }
     }
 
     /// Pool-focused: panics and delays only.
     pub fn pool() -> Profile {
         Profile {
-            read_err_ppm: 0,
-            enospc_ppm: 0,
-            short_write_ppm: 0,
-            bitflip_ppm: 0,
-            capture_fail_ppm: 0,
-            fit_fail_ppm: 0,
             delay_ppm: 300_000,
             delay_us: 1_000,
             panic_budget: 2,
+            ..Profile::zero()
         }
     }
 
@@ -201,10 +169,10 @@ impl Profile {
             short_write_ppm: 150_000,
             bitflip_ppm: 400_000,
             capture_fail_ppm: 100_000,
-            fit_fail_ppm: 0,
             delay_ppm: 100_000,
             delay_us: 1_000,
             panic_budget: 1,
+            ..Profile::zero()
         }
     }
 
@@ -293,7 +261,7 @@ impl FaultPlan {
 
     /// The point's next pseudo-random draw.
     fn draw(&self, point: FaultPoint) -> u64 {
-        let n = self.draws[point.idx()].fetch_add(1, Ordering::Relaxed);
+        let n = self.draws[point as usize].fetch_add(1, Ordering::Relaxed);
         splitmix64(self.seed ^ point.tag() ^ n)
     }
 
@@ -301,18 +269,42 @@ impl FaultPlan {
     /// splitmix64 step of entropy for the fault's parameters (bit
     /// position, truncation offset, ...).
     fn fires(&self, point: FaultPoint, ppm: u32) -> Option<u64> {
-        if ppm == 0 {
-            // Still consume a draw so `zero` exercises the same
-            // sequence bookkeeping as live profiles.
-            let _ = self.draw(point);
-            return None;
-        }
+        // A zero rate still consumes a draw, so `zero` exercises the same
+        // sequence bookkeeping as live profiles.
         let r = self.draw(point);
-        if r % PPM < u64::from(ppm) {
-            Some(splitmix64(r))
-        } else {
-            None
-        }
+        (r % PPM < u64::from(ppm)).then(|| splitmix64(r))
+    }
+
+    /// Draws `point` once. On fire it returns entropy for the fault's
+    /// parameters and records the injection in `metrics` as
+    /// `chaos_injected_total` plus its `{point="…"}` series. A rated point
+    /// fires at its profile's rate. [`FaultPoint::PoolPanic`] fires for
+    /// the first `panic_budget` draws, which makes "exactly one forced
+    /// panic" deterministic even under a multi-threaded pool.
+    pub fn fire(&self, point: FaultPoint, metrics: &Registry) -> Option<u64> {
+        let p = &self.profile;
+        let entropy = match point {
+            FaultPoint::StoreRead => self.fires(point, p.read_err_ppm),
+            FaultPoint::StoreEnospc => self.fires(point, p.enospc_ppm),
+            FaultPoint::StoreShortWrite => self.fires(point, p.short_write_ppm),
+            FaultPoint::StoreBitflip => self.fires(point, p.bitflip_ppm),
+            FaultPoint::CaptureFail => self.fires(point, p.capture_fail_ppm),
+            FaultPoint::FitFail => self.fires(point, p.fit_fail_ppm),
+            FaultPoint::PoolDelay => self.fires(point, p.delay_ppm),
+            FaultPoint::PoolPanic => self
+                .panics_left
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
+                .ok(),
+        }?;
+        metrics.counter("chaos_injected_total").inc(1);
+        metrics
+            .counter(&format!(
+                "chaos_injected_total{{point=\"{}\"}}",
+                point.label()
+            ))
+            .inc(1);
+        trips_obs::log!(Level::Debug, "chaos", "injected {}", point.label());
+        Some(entropy)
     }
 }
 
@@ -324,192 +316,48 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-fn plan_cell() -> &'static Mutex<Option<Arc<FaultPlan>>> {
-    static CELL: OnceLock<Mutex<Option<Arc<FaultPlan>>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(None))
+/// What one engine session's components record into and draw faults
+/// from: the session's metrics registry and its fault plan, if armed.
+/// Cloning shares both, which is how a session hands them to its store
+/// and to the pools it runs.
+#[derive(Clone, Debug, Default)]
+pub struct Instruments {
+    /// The registry every series of the session is recorded in.
+    pub metrics: Registry,
+    /// The armed plan; `None` injects nothing.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
-/// Installs a plan process-wide and arms the injection points.
-pub fn install(plan: FaultPlan) {
-    trips_obs::log!(
-        Level::Info,
-        "chaos",
-        "armed: seed=0x{:016x} profile={}",
-        plan.seed(),
-        plan.profile_name()
-    );
-    let mut guard = plan_cell().lock().unwrap_or_else(|e| e.into_inner());
-    *guard = Some(Arc::new(plan));
-    ENABLED.store(true, Ordering::Release);
-}
-
-/// Disarms injection and drops the plan. Existing draws are kept only
-/// by the dropped plan, so a later [`install`] starts a fresh schedule.
-pub fn disarm() {
-    ENABLED.store(false, Ordering::Release);
-    let mut guard = plan_cell().lock().unwrap_or_else(|e| e.into_inner());
-    *guard = None;
-}
-
-/// Whether a plan is armed.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// The armed plan, if any.
-pub fn active_plan() -> Option<Arc<FaultPlan>> {
-    if !enabled() {
-        return None;
-    }
-    plan_cell()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-}
-
-/// Arms from the `TRIPS_CHAOS` environment variable (`seed[:profile]`)
-/// if set. Returns whether a plan was installed.
-pub fn init_from_env() -> Result<bool, String> {
-    match std::env::var("TRIPS_CHAOS") {
-        Ok(v) if !v.is_empty() => {
-            install(FaultPlan::parse(&v).map_err(|e| format!("TRIPS_CHAOS: {e}"))?);
-            Ok(true)
+impl Instruments {
+    /// A fresh registry and `faults` as the plan.
+    pub fn new(faults: Option<FaultPlan>) -> Instruments {
+        Instruments {
+            metrics: Registry::default(),
+            faults: faults.map(Arc::new),
         }
-        _ => Ok(false),
     }
-}
 
-/// Records one injection: `chaos_injected_total` plus a per-point
-/// labeled series, and a debug log line.
-fn record(point: FaultPoint) {
-    trips_obs::counter("chaos_injected_total").inc(1);
-    trips_obs::counter(&format!(
-        "chaos_injected_total{{point=\"{}\"}}",
-        point.label()
-    ))
-    .inc(1);
-    trips_obs::log!(Level::Debug, "chaos", "injected {}", point.label());
-}
-
-/// Injected container-read error, if the plan fires.
-pub fn read_fault() -> Option<io::Error> {
-    if !enabled() {
-        return None;
+    /// Draws `point` from the armed plan ([`FaultPlan::fire`]); never
+    /// fires when unarmed.
+    pub fn fault(&self, point: FaultPoint) -> Option<u64> {
+        self.faults.as_ref()?.fire(point, &self.metrics)
     }
-    let plan = active_plan()?;
-    plan.fires(FaultPoint::StoreRead, plan.profile.read_err_ppm)
-        .map(|_| {
-            record(FaultPoint::StoreRead);
-            io::Error::other("injected read error (chaos)")
-        })
-}
-
-/// Injected device-full write error, if the plan fires.
-pub fn enospc_fault() -> Option<io::Error> {
-    if !enabled() {
-        return None;
-    }
-    let plan = active_plan()?;
-    plan.fires(FaultPoint::StoreEnospc, plan.profile.enospc_ppm)
-        .map(|_| {
-            record(FaultPoint::StoreEnospc);
-            io::Error::other("injected ENOSPC (chaos)")
-        })
-}
-
-/// Injected short write, if the plan fires: returns entropy the caller
-/// uses to pick how many prefix bytes actually land on disk.
-pub fn short_write_fault() -> Option<u64> {
-    if !enabled() {
-        return None;
-    }
-    let plan = active_plan()?;
-    plan.fires(FaultPoint::StoreShortWrite, plan.profile.short_write_ppm)
-        .inspect(|_| record(FaultPoint::StoreShortWrite))
-}
-
-/// Injected post-rename bitflip, if the plan fires: returns entropy the
-/// caller uses to pick which payload bit to flip.
-pub fn bitflip_fault() -> Option<u64> {
-    if !enabled() {
-        return None;
-    }
-    let plan = active_plan()?;
-    plan.fires(FaultPoint::StoreBitflip, plan.profile.bitflip_ppm)
-        .inspect(|_| record(FaultPoint::StoreBitflip))
-}
-
-/// Injected capture-tier failure, if the plan fires.
-pub fn capture_fault() -> Option<String> {
-    if !enabled() {
-        return None;
-    }
-    let plan = active_plan()?;
-    plan.fires(FaultPoint::CaptureFail, plan.profile.capture_fail_ppm)
-        .map(|_| {
-            record(FaultPoint::CaptureFail);
-            "injected capture failure (chaos)".to_string()
-        })
-}
-
-/// Injected phase-fit failure, if the plan fires.
-pub fn fit_fault() -> Option<String> {
-    if !enabled() {
-        return None;
-    }
-    let plan = active_plan()?;
-    plan.fires(FaultPoint::FitFail, plan.profile.fit_fail_ppm)
-        .map(|_| {
-            record(FaultPoint::FitFail);
-            "injected fit failure (chaos)".to_string()
-        })
-}
-
-/// Forced pool-job panic while the plan's budget lasts. The first
-/// `panic_budget` jobs that ask are told to panic, which makes "exactly
-/// one forced panic" deterministic even under a multi-threaded pool.
-pub fn job_panic() -> Option<String> {
-    if !enabled() {
-        return None;
-    }
-    let plan = active_plan()?;
-    if plan.profile.panic_budget == 0 {
-        return None;
-    }
-    plan.panics_left
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1))
-        .ok()
-        .map(|_| {
-            record(FaultPoint::PoolPanic);
-            "injected job panic (chaos)".to_string()
-        })
-}
-
-/// Injected pool-job delay, if the plan fires.
-pub fn job_delay() -> Option<Duration> {
-    if !enabled() {
-        return None;
-    }
-    let plan = active_plan()?;
-    plan.fires(FaultPoint::PoolDelay, plan.profile.delay_ppm)
-        .map(|_| {
-            record(FaultPoint::PoolDelay);
-            Duration::from_micros(u64::from(plan.profile.delay_us))
-        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Chaos state is process-global; every test that arms it holds
-    /// this lock.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    const POINTS: [FaultPoint; POINT_COUNT] = [
+        FaultPoint::StoreRead,
+        FaultPoint::StoreEnospc,
+        FaultPoint::StoreShortWrite,
+        FaultPoint::StoreBitflip,
+        FaultPoint::CaptureFail,
+        FaultPoint::FitFail,
+        FaultPoint::PoolPanic,
+        FaultPoint::PoolDelay,
+    ];
 
     #[test]
     fn splitmix64_is_stable() {
@@ -534,63 +382,59 @@ mod tests {
 
     #[test]
     fn disabled_layer_injects_nothing() {
-        let _g = guard();
-        disarm();
-        assert!(!enabled());
-        assert!(read_fault().is_none());
-        assert!(enospc_fault().is_none());
-        assert!(short_write_fault().is_none());
-        assert!(bitflip_fault().is_none());
-        assert!(capture_fault().is_none());
-        assert!(fit_fault().is_none());
-        assert!(job_panic().is_none());
-        assert!(job_delay().is_none());
+        let unarmed = Instruments::default();
+        for point in POINTS {
+            assert!(unarmed.fault(point).is_none(), "{point:?}");
+        }
+        assert_eq!(unarmed.metrics.render(), "");
     }
 
     #[test]
     fn zero_profile_arms_but_never_fires() {
-        let _g = guard();
-        install(FaultPlan::new(99, "zero", Profile::zero()));
-        assert!(enabled());
+        let armed = Instruments::new(Some(FaultPlan::new(99, "zero", Profile::zero())));
         for _ in 0..1000 {
-            assert!(read_fault().is_none());
-            assert!(bitflip_fault().is_none());
-            assert!(job_panic().is_none());
+            for point in POINTS {
+                assert!(armed.fault(point).is_none(), "{point:?}");
+            }
         }
-        disarm();
-        assert!(!enabled());
+        assert_eq!(armed.metrics.render(), "");
     }
 
     #[test]
     fn full_rate_always_fires_and_counts() {
-        let _g = guard();
         let mut p = Profile::zero();
         p.read_err_ppm = 1_000_000;
-        install(FaultPlan::new(7, "zero", p));
+        let armed = Instruments::new(Some(FaultPlan::new(7, "zero", p)));
         for _ in 0..10 {
-            assert!(read_fault().is_some());
+            assert!(armed.fault(FaultPoint::StoreRead).is_some());
         }
-        disarm();
-        assert!(trips_obs::counter("chaos_injected_total").get() >= 10);
+        assert!(armed.fault(FaultPoint::StoreBitflip).is_none());
+        let m = &armed.metrics;
+        assert_eq!(m.counter("chaos_injected_total").get(), 10);
+        let series = "chaos_injected_total{point=\"store_read\"}";
+        assert_eq!(m.counter(series).get(), 10);
     }
 
     #[test]
     fn panic_budget_is_exact() {
-        let _g = guard();
         let mut p = Profile::zero();
         p.panic_budget = 3;
-        install(FaultPlan::new(1, "zero", p));
-        let fired: usize = (0..100).filter(|_| job_panic().is_some()).count();
-        disarm();
+        let plan = FaultPlan::new(1, "zero", p);
+        let metrics = Registry::default();
+        let fired = (0..100)
+            .filter(|_| plan.fire(FaultPoint::PoolPanic, &metrics).is_some())
+            .count();
         assert_eq!(fired, 3);
+        assert_eq!(metrics.counter("chaos_injected_total").get(), 3);
     }
 
     #[test]
     fn schedules_are_seed_deterministic() {
         let seq = |seed: u64| -> Vec<bool> {
             let plan = FaultPlan::new(seed, "io", Profile::io());
+            let metrics = Registry::default();
             (0..64)
-                .map(|_| plan.fires(FaultPoint::StoreRead, 300_000).is_some())
+                .map(|_| plan.fire(FaultPoint::StoreRead, &metrics).is_some())
                 .collect()
         };
         assert_eq!(seq(123), seq(123));

@@ -18,7 +18,8 @@
 //!
 //! Observability: `--obs-trace FILE` journals every engine span to JSONL,
 //! `--obs-report FILE` folds such a journal into a self-profile,
-//! `--metrics FILE` snapshots the metrics registry after the sweep, and
+//! `--metrics FILE` snapshots the session's metrics registry after the
+//! sweep, and
 //! `TRIPS_LOG` filters the stderr diagnostics (all routed through
 //! `trips_obs::log!`).
 
@@ -29,8 +30,8 @@ use trips_compiler::CompileOptions;
 use trips_engine::chaos::FaultPlan;
 use trips_engine::sweep::{to_csv, to_json_lines};
 use trips_engine::{
-    run_sweep, BackendSpec, ConfigVariant, PhaseK, SamplePlan, Session, SweepReport, SweepSpec,
-    TraceStore,
+    run_sweep, BackendSpec, ConfigVariant, Instruments, PhaseK, SamplePlan, Session, SweepReport,
+    SweepSpec, TraceStore,
 };
 use trips_obs::Level;
 use trips_sim::TripsConfig;
@@ -148,26 +149,25 @@ enum Command {
     Sweep(Box<Cli>),
 }
 
-/// The parsed sweep command line.
+/// The parsed sweep command line: every name resolved and the spec
+/// checked, so nothing after parsing rejects it.
 struct Cli {
     spec: SweepSpec,
-    base_configs: Vec<String>,
-    sweeps: Vec<(String, String)>,
-    backends: String,
     format: String,
     out_path: Option<String>,
     trace_dir: Option<String>,
     trace_gc: bool,
     store_fsck: bool,
-    chaos_arg: Option<String>,
+    /// The fault plan from `--chaos`, else from `TRIPS_CHAOS`.
+    faults: Option<FaultPlan>,
     gc_format: String,
     obs_trace: Option<String>,
     metrics_path: Option<String>,
-    default_demo: bool,
 }
 
 fn main() -> ExitCode {
-    match parse(std::env::args().skip(1)).and_then(run) {
+    let env_chaos = std::env::var("TRIPS_CHAOS").ok();
+    match parse(std::env::args().skip(1), env_chaos).and_then(run) {
         Ok(code) => code,
         Err(msg) => fail(&msg),
     }
@@ -182,28 +182,34 @@ fn number<T: std::str::FromStr>(flag: &str, value: Result<String, String>) -> Re
         .ok_or_else(|| format!("{flag} needs a number"))
 }
 
-/// Reads the whole command line; the first rejected flag is the error.
-fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
+/// Reads the whole command line, with `env_chaos` the value of
+/// `TRIPS_CHAOS`; the first rejected flag is the error, then the first
+/// rejected name or spec. A sweep command it returns is fully resolved.
+fn parse(
+    args: impl IntoIterator<Item = String>,
+    env_chaos: Option<String>,
+) -> Result<Command, String> {
     let mut cli = Cli {
         spec: SweepSpec {
             configs: Vec::new(),
             backends: Vec::new(),
             ..SweepSpec::default()
         },
-        base_configs: vec!["prototype".into(), "improved".into()],
-        sweeps: Vec::new(),
-        backends: "trips".into(),
         format: "json".into(),
         out_path: None,
         trace_dir: None,
         trace_gc: false,
         store_fsck: false,
-        chaos_arg: None,
+        faults: None,
         gc_format: "text".into(),
         obs_trace: None,
         metrics_path: None,
-        default_demo: true,
     };
+    let mut base_configs = vec!["prototype".to_string(), "improved".to_string()];
+    let mut sweeps: Vec<(String, String)> = Vec::new();
+    let mut backends = "trips".to_string();
+    let mut default_demo = true;
+    let mut chaos_arg = None;
     let mut obs_report = None;
     let mut fold = false;
     let mut args = args.into_iter();
@@ -225,7 +231,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
                         .collect(),
                     list => list.split(',').map(str::to_string).collect(),
                 };
-                cli.default_demo = false;
+                default_demo = false;
             }
             "--scale" => {
                 cli.spec.scale = match value()?.as_str() {
@@ -245,18 +251,18 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
             }
             "--hand" => cli.spec.hand = true,
             "--configs" => {
-                cli.base_configs = value()?.split(',').map(str::to_string).collect();
-                cli.default_demo = false;
+                base_configs = value()?.split(',').map(str::to_string).collect();
+                default_demo = false;
             }
             "--sweep" => {
                 let v = value()?;
                 let (axis, values) = v.split_once('=').ok_or("--sweep expects axis=v1,v2,...")?;
-                cli.sweeps.push((axis.to_string(), values.to_string()));
-                cli.default_demo = false;
+                sweeps.push((axis.to_string(), values.to_string()));
+                default_demo = false;
             }
             // `parse_group` splits the comma list, so the two spellings are
             // one flag.
-            "--backends" | "--backend" => cli.backends = value()?,
+            "--backends" | "--backend" => backends = value()?,
             "--sample" => {
                 let plan = SamplePlan::parse(&value()?).map_err(|e| format!("--sample: {e}"))?;
                 cli.spec.sample = Some(plan);
@@ -277,7 +283,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
             "--trace-dir" => cli.trace_dir = Some(value()?),
             "--trace-gc" => cli.trace_gc = true,
             "--store-fsck" => cli.store_fsck = true,
-            "--chaos" => cli.chaos_arg = Some(value()?),
+            "--chaos" => chaos_arg = Some(value()?),
             "--gc-format" => match value()? {
                 v if v == "text" || v == "json" => cli.gc_format = v,
                 other => return Err(format!("unknown gc format `{other}`")),
@@ -290,10 +296,58 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
         }
     }
     match obs_report {
-        Some(journal) => Ok(Command::ObsReport { journal, fold }),
-        None if fold => Err("--fold needs --obs-report".into()),
-        None => Ok(Command::Sweep(Box::new(cli))),
+        Some(journal) => return Ok(Command::ObsReport { journal, fold }),
+        None if fold => return Err("--fold needs --obs-report".into()),
+        None => {}
     }
+
+    // The flag wins over TRIPS_CHAOS when both are given.
+    cli.faults = match (chaos_arg, env_chaos) {
+        (Some(s), _) => Some(FaultPlan::parse(&s).map_err(|e| format!("--chaos: {e}"))?),
+        (None, Some(v)) if !v.is_empty() => {
+            Some(FaultPlan::parse(&v).map_err(|e| format!("TRIPS_CHAOS: {e}"))?)
+        }
+        (None, _) => None,
+    };
+    // The config list: named bases plus one variant per sweep value.
+    let spec = &mut cli.spec;
+    for name in &base_configs {
+        spec.configs.push(match name.as_str() {
+            "prototype" => ConfigVariant::prototype(),
+            "improved" => ConfigVariant::improved(),
+            other => {
+                return Err(format!(
+                    "unknown base config `{other}` (prototype, improved)"
+                ))
+            }
+        });
+    }
+    let proto = TripsConfig::prototype();
+    for (axis, values) in &sweeps {
+        let vals: Vec<&str> = values.split(',').collect();
+        let mut variants = ConfigVariant::axis(&proto, axis, &vals).map_err(|e| e.to_string())?;
+        spec.configs.append(&mut variants);
+    }
+    if default_demo {
+        // The out-of-the-box demo: 2 workloads × 4 configs = 8 points.
+        spec.configs
+            .extend(ConfigVariant::axis(&proto, "dispatch_interval", &["1"]).expect("known axis"));
+        spec.configs
+            .extend(ConfigVariant::axis(&proto, "flush_penalty", &["4"]).expect("known axis"));
+    }
+    spec.backends = BackendSpec::parse_group(&backends).map_err(|e| e.to_string())?;
+    if cli.trace_gc && cli.trace_dir.is_none() {
+        return Err("--trace-gc needs --trace-dir".into());
+    }
+    if cli.store_fsck {
+        // Fsck mode sweeps nothing, so the spec plays no part.
+        if cli.trace_dir.is_none() {
+            return Err("--store-fsck needs --trace-dir".into());
+        }
+    } else {
+        spec.validate().map_err(|e| e.to_string())?;
+    }
+    Ok(Command::Sweep(Box::new(cli)))
 }
 
 fn run(command: Command) -> Result<ExitCode, String> {
@@ -331,16 +385,14 @@ fn run(command: Command) -> Result<ExitCode, String> {
         trips_obs::enable_trace(std::path::Path::new(path))
             .map_err(|e| format!("opening span journal `{path}`: {e}"))?;
     }
-    // Arm fault injection before anything touches the store or the pool:
-    // the flag wins over TRIPS_CHAOS when both are given.
-    match &cli.chaos_arg {
-        Some(s) => {
-            let plan = FaultPlan::parse(s).map_err(|e| format!("--chaos: {e}"))?;
-            trips_engine::chaos::install(plan);
-        }
-        None => {
-            trips_engine::chaos::init_from_env().map_err(|e| format!("TRIPS_CHAOS: {e}"))?;
-        }
+    if let Some(plan) = &cli.faults {
+        trips_obs::log!(
+            Level::Info,
+            "chaos",
+            "armed: seed=0x{:016x} profile={}",
+            plan.seed(),
+            plan.profile_name()
+        );
     }
     let code = sweep(*cli);
     // The cli.main span (dropped inside `sweep`) must land in the journal
@@ -350,62 +402,27 @@ fn run(command: Command) -> Result<ExitCode, String> {
 }
 
 /// Everything after argument parsing, under the `cli.main` root span.
+/// The fault plan goes to the one store (fsck) or session (sweep) built
+/// here, which hands it on with its metrics registry.
 fn sweep(cli: Cli) -> Result<ExitCode, String> {
     let _main = trips_obs::span("cli.main");
-    let mut spec = cli.spec;
-
-    // Build the config list: named bases plus one variant per sweep value.
-    for name in &cli.base_configs {
-        spec.configs.push(match name.as_str() {
-            "prototype" => ConfigVariant::prototype(),
-            "improved" => ConfigVariant::improved(),
-            other => {
-                return Err(format!(
-                    "unknown base config `{other}` (prototype, improved)"
-                ))
-            }
-        });
-    }
-    let proto = TripsConfig::prototype();
-    for (axis, values) in &cli.sweeps {
-        let vals: Vec<&str> = values.split(',').collect();
-        let mut variants = ConfigVariant::axis(&proto, axis, &vals).map_err(|e| e.to_string())?;
-        spec.configs.append(&mut variants);
-    }
-    if cli.default_demo {
-        // The out-of-the-box demo: 2 workloads × 4 configs = 8 points.
-        spec.configs
-            .extend(ConfigVariant::axis(&proto, "dispatch_interval", &["1"]).expect("known axis"));
-        spec.configs
-            .extend(ConfigVariant::axis(&proto, "flush_penalty", &["4"]).expect("known axis"));
-    }
-    spec.backends = BackendSpec::parse_group(&cli.backends).map_err(|e| e.to_string())?;
-    if cli.trace_gc && cli.trace_dir.is_none() {
-        return Err("--trace-gc needs --trace-dir".into());
-    }
+    let spec = cli.spec;
     let json = cli.gc_format == "json";
 
     // Fsck mode verifies (and self-heals) the store, reports, and exits:
     // no sweep runs, so a repair pass never perturbs measurement caches.
     if cli.store_fsck {
-        let dir = cli.trace_dir.ok_or("--store-fsck needs --trace-dir")?;
-        fsck(&open_store(&dir)?, &dir, json)?;
+        let dir = cli.trace_dir.expect("parse requires --trace-dir");
+        let store = open_store(&dir)?.instrumented(Instruments::new(cli.faults));
+        fsck(&store, &dir, json)?;
         return Ok(ExitCode::SUCCESS);
     }
 
-    // A spec the sweep would reject must not create, scan or prune the
-    // store first.
-    spec.validate().map_err(|e| e.to_string())?;
-    let session = match &cli.trace_dir {
-        Some(dir) => {
-            let store = open_store(dir)?;
-            if cli.trace_gc {
-                gc(&store, dir, json)?;
-            }
-            Session::with_store(store)
-        }
-        None => Session::new(),
-    };
+    let store = cli.trace_dir.as_deref().map(open_store).transpose()?;
+    let session = Session::open(store, cli.faults);
+    if let (true, Some(store), Some(dir)) = (cli.trace_gc, session.store(), &cli.trace_dir) {
+        gc(store, dir, json)?;
+    }
     let report = run_sweep(&spec, &session).map_err(|e| e.to_string())?;
 
     let rendered = match cli.format.as_str() {
@@ -429,7 +446,7 @@ fn sweep(cli: Cli) -> Result<ExitCode, String> {
     if let Some(path) = &cli.metrics_path {
         // Snapshot after the sweep so every series — including per-worker
         // pool gauges recorded at worker exit — is present.
-        if let Err(e) = std::fs::write(path, trips_obs::snapshot_text()) {
+        if let Err(e) = std::fs::write(path, session.instruments().metrics.render()) {
             trips_obs::log!(
                 Level::Error,
                 "trips-sweep",
@@ -439,7 +456,7 @@ fn sweep(cli: Cli) -> Result<ExitCode, String> {
         }
     }
     let ok_rows = report.rows.iter().filter(|r| r.status != "failed").count();
-    summarize(&spec, &report, ok_rows, cli.trace_dir.is_some());
+    summarize(&spec, &report, &session, ok_rows);
     Ok(if ok_rows == 0 && !report.errors.is_empty() {
         ExitCode::FAILURE
     } else {
@@ -516,9 +533,9 @@ fn gc(store: &TraceStore, dir: &str, json: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// The stderr summary: throughput, cache tiers, sampling, chaos and the
-/// failed points.
-fn summarize(spec: &SweepSpec, report: &SweepReport, ok_rows: usize, stored: bool) {
+/// The stderr summary: throughput, cache tiers, sampling, chaos (from
+/// `session`'s registry) and the failed points.
+fn summarize(spec: &SweepSpec, report: &SweepReport, session: &Session, ok_rows: usize) {
     let c = &report.cache;
     trips_obs::log!(
         Level::Info,
@@ -577,7 +594,7 @@ fn summarize(spec: &SweepSpec, report: &SweepReport, ok_rows: usize, stored: boo
             c.livepoint_store_writes,
         );
     }
-    if stored {
+    if session.store().is_some() {
         let [trips_store, risc_store] = c.store_lines();
         trips_obs::log!(Level::Info, "trips-sweep", "{trips_store}");
         if c.rtrace_misses > 0 {
@@ -592,7 +609,9 @@ fn summarize(spec: &SweepSpec, report: &SweepReport, ok_rows: usize, stored: boo
             c.risc_misses, c.risc_hits, c.risc_captures, c.rtrace_hits,
         );
     }
-    if let Some(plan) = trips_engine::chaos::active_plan() {
+    let ins = session.instruments();
+    if let Some(plan) = &ins.faults {
+        let count = |series: &str| ins.metrics.counter(series).get();
         let retried = report.rows.iter().filter(|r| r.status == "retried").count();
         trips_obs::log!(
             Level::Info,
@@ -600,10 +619,10 @@ fn summarize(spec: &SweepSpec, report: &SweepReport, ok_rows: usize, stored: boo
             "chaos: seed={:#x} profile={} injected={} store_retries={} quarantined={} job_panics={} rows_retried={}",
             plan.seed(),
             plan.profile_name(),
-            trips_obs::counter("chaos_injected_total").get(),
-            trips_obs::counter("store_retries_total").get(),
-            trips_obs::counter("store_quarantined_total").get(),
-            trips_obs::counter("pool_job_panics_total").get(),
+            count("chaos_injected_total"),
+            count("store_retries_total"),
+            count("store_quarantined_total"),
+            count("pool_job_panics_total"),
             retried,
         );
     }

@@ -67,17 +67,23 @@
 //! what process A captured. A store whose circuit breaker has tripped is
 //! skipped: the session degrades to memory-only tiers.
 //!
-//! Each tier counts its events — memo hits and misses, and for the four
-//! store-backed tiers also captures, disk hits, misses, rejects, I/O
-//! errors and store writes — once, into both [`CacheStats`] and a
-//! metrics-registry series named `session_<tier prefix><event>`.
+//! Each session owns its [`Instruments`]: one metrics registry and, when
+//! armed, one fault plan. It hands them to its store and to every pool it
+//! runs, so each series counts this session's work only. Each tier counts
+//! its events — memo hits and misses, and for the four store-backed tiers
+//! also captures, disk hits, misses, rejects, I/O errors and store writes
+//! — once, in a registry series named `session_<tier prefix><event>`,
+//! which [`Session::cache_stats`] reads back. The session also records
+//! what its replays and fits walked (`replay_events_*`,
+//! `sample_*_units_total`, `phase_fits_total`, `phase_fit_ns`) from what
+//! those calls return.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 use trips_compiler::{CompileOptions, CompiledProgram};
 use trips_isa::{TraceId, TraceLog, TraceMeta};
@@ -87,7 +93,8 @@ use crate::store::{
     plan_sig, BbvId, LivePointId, LivePointSet, LiveState, LoadOutcome, RiscTraceId, StoreKey,
     TraceStore,
 };
-use trips_obs::CostKind;
+use trips_chaos::{FaultPlan, FaultPoint, Instruments};
+use trips_obs::{CostKind, Registry};
 use trips_ooo::OooCore;
 use trips_phase::{PhaseArtifact, PhaseK, PhaseSpec};
 use trips_risc::{RiscTrace, RiscTraceMeta};
@@ -376,30 +383,28 @@ struct ReplayJob<'a, M, P> {
 
 type Slot<T> = Arc<OnceLock<Result<Arc<T>, EngineError>>>;
 
-/// One session counter, kept in two places by one writer: a relaxed
-/// atomic that [`Session::cache_stats`] reads, and the metrics-registry
-/// series a `--metrics` snapshot reads. The series is looked up (and so
-/// registered, as a zero) once, when the session is built.
-struct Count {
-    n: AtomicU64,
-    series: Arc<trips_obs::metrics::Counter>,
+/// Why an injected capture fault failed a capture tier.
+const CAPTURE_FAULT: &str = "injected capture failure (chaos)";
+
+/// What a finished replay reports about the stream it walked, for the
+/// session's replay telemetry: the stream length, the units timed in
+/// detail, and whether a window list was walked (a sampled or phased
+/// replay) instead of the whole stream.
+trait Walked {
+    fn walked(&self) -> (u64, u64, bool);
 }
 
-impl Count {
-    fn new(series: &str) -> Count {
-        Count {
-            n: AtomicU64::new(0),
-            series: trips_obs::counter(series),
-        }
+impl Walked for trips_sim::SimResult {
+    fn walked(&self) -> (u64, u64, bool) {
+        let s = &self.stats;
+        (s.total_units, s.detailed_units, s.sampled)
     }
+}
 
-    fn bump(&self) {
-        self.n.fetch_add(1, Ordering::Relaxed);
-        self.series.inc(1);
-    }
-
-    fn get(&self) -> u64 {
-        self.n.load(Ordering::Relaxed)
+impl Walked for trips_ooo::OooResult {
+    fn walked(&self) -> (u64, u64, bool) {
+        let s = &self.stats;
+        (s.total_insts, s.insts, s.sampled)
     }
 }
 
@@ -433,38 +438,22 @@ const EVENT_SERIES: [&str; 8] = [
     "store_writes",
 ];
 
-/// One tier's event counters, with registry series named
-/// `session_<prefix><event>`. The TRIPS block-trace tier has the empty
-/// prefix (its series predate the other tiers'), so its disk hits are
+/// One tier's event counters: the series `session_<prefix><event>` of
+/// the session registry. The TRIPS block-trace tier has the empty prefix
+/// (its series predate the other tiers'), so its disk hits are
 /// `session_disk_hits` and the RISC tier's `session_risc_disk_hits`.
-struct TierStats(Vec<Count>);
+struct TierStats {
+    metrics: Registry,
+    prefix: &'static str,
+}
 
 impl TierStats {
-    /// A memory-only tier: memo hits and misses.
-    fn memo(prefix: &str) -> TierStats {
-        TierStats::counting(prefix, &EVENT_SERIES[..2])
-    }
-
-    /// A store-backed tier: every [`Event`].
-    fn disk(prefix: &str) -> TierStats {
-        TierStats::counting(prefix, &EVENT_SERIES)
-    }
-
-    fn counting(prefix: &str, events: &[&str]) -> TierStats {
-        TierStats(
-            events
-                .iter()
-                .map(|e| Count::new(&format!("session_{prefix}{e}")))
-                .collect(),
-        )
-    }
-
+    /// Counts one `e`: a registry lookup, once per tier request.
     fn bump(&self, e: Event) {
-        self.0[e as usize].bump();
-    }
-
-    fn get(&self, e: Event) -> u64 {
-        self.0[e as usize].get()
+        let (prefix, event) = (self.prefix, EVENT_SERIES[e as usize]);
+        self.metrics
+            .counter(&format!("session_{prefix}{event}"))
+            .inc(1);
     }
 }
 
@@ -524,8 +513,60 @@ impl<K: Clone + Eq + Hash, T> Memo<K, T> {
     }
 }
 
+/// Which session registry series each [`CacheStats`] field reads, in
+/// field order: the stats are a view over the session's
+/// `session_<tier prefix><event>` series (see [`Session::cache_stats`]).
+pub const CACHE_SERIES: [(&str, &str); 43] = [
+    ("compile_hits", "session_compile_memo_hits"),
+    ("compile_misses", "session_compile_memo_misses"),
+    ("trace_hits", "session_memo_hits"),
+    ("trace_misses", "session_memo_misses"),
+    ("isa_hits", "session_isa_memo_hits"),
+    ("isa_misses", "session_isa_memo_misses"),
+    ("risc_hits", "session_risc_program_memo_hits"),
+    ("risc_misses", "session_risc_program_memo_misses"),
+    ("captures", "session_captures"),
+    ("disk_hits", "session_disk_hits"),
+    ("disk_misses", "session_disk_misses"),
+    ("disk_rejects", "session_disk_rejects"),
+    ("store_writes", "session_store_writes"),
+    ("rtrace_hits", "session_risc_memo_hits"),
+    ("rtrace_misses", "session_risc_memo_misses"),
+    ("risc_captures", "session_risc_captures"),
+    ("risc_disk_hits", "session_risc_disk_hits"),
+    ("risc_disk_misses", "session_risc_disk_misses"),
+    ("risc_disk_rejects", "session_risc_disk_rejects"),
+    ("risc_store_writes", "session_risc_store_writes"),
+    ("phase_hits", "session_phase_memo_hits"),
+    ("phase_misses", "session_phase_memo_misses"),
+    ("phase_fits", "session_phase_captures"),
+    ("phase_disk_hits", "session_phase_disk_hits"),
+    ("phase_disk_misses", "session_phase_disk_misses"),
+    ("phase_disk_rejects", "session_phase_disk_rejects"),
+    ("phase_store_writes", "session_phase_store_writes"),
+    ("livepoint_hits", "session_livepoint_memo_hits"),
+    ("livepoint_misses", "session_livepoint_memo_misses"),
+    ("livepoint_captures", "session_livepoint_captures"),
+    ("livepoint_disk_hits", "session_livepoint_disk_hits"),
+    ("livepoint_disk_misses", "session_livepoint_disk_misses"),
+    ("livepoint_disk_rejects", "session_livepoint_disk_rejects"),
+    ("livepoint_store_writes", "session_livepoint_store_writes"),
+    ("replay_hits", "session_replay_memo_hits"),
+    ("replay_misses", "session_replay_memo_misses"),
+    ("ooo_replay_hits", "session_ooo_replay_memo_hits"),
+    ("ooo_replay_misses", "session_ooo_replay_memo_misses"),
+    ("disk_io_errors", "session_disk_io_errors"),
+    ("risc_disk_io_errors", "session_risc_disk_io_errors"),
+    ("phase_disk_io_errors", "session_phase_disk_io_errors"),
+    (
+        "livepoint_disk_io_errors",
+        "session_livepoint_disk_io_errors",
+    ),
+    ("degraded", "session_degraded"),
+];
+
 /// Cache hit/miss counters (for the sweep report's summary).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
     /// Compile requests served from cache.
     pub compile_hits: u64,
@@ -677,27 +718,14 @@ pub struct Session {
     ooo_replays: Memo<ReplayKey, trips_ooo::OooResult>,
     phases: Memo<PhaseKey, PhasePlan>,
     livepoints: Memo<LivePointId, LivePointSet>,
-    /// Requests that skipped the disk tier because the store's circuit
-    /// breaker is open.
-    degraded: Count,
     store: Option<TraceStore>,
+    /// The registry every counter above lives in, and the fault plan.
+    ins: Instruments,
 }
 
 impl Default for Session {
     fn default() -> Session {
-        Session {
-            compiled: Memo::new(TierStats::memo("compile_")),
-            traces: Memo::new(TierStats::disk("")),
-            isa: Memo::new(TierStats::memo("isa_")),
-            risc: Memo::new(TierStats::memo("risc_program_")),
-            rtraces: Memo::new(TierStats::disk("risc_")),
-            replays: Memo::new(TierStats::memo("replay_")),
-            ooo_replays: Memo::new(TierStats::memo("ooo_replay_")),
-            phases: Memo::new(TierStats::disk("phase_")),
-            livepoints: Memo::new(TierStats::disk("livepoint_")),
-            degraded: Count::new("session_degraded"),
-            store: None,
-        }
+        Session::open(None, None)
     }
 }
 
@@ -728,14 +756,45 @@ impl Session {
     }
 
     /// A fresh session backed by an on-disk trace store: requests that
-    /// miss in memory consult (and fill) `store`. This is the only way a
-    /// session gets a store, so it keeps the same one (or none, from
-    /// [`Session::new`]) for its whole life.
+    /// miss in memory consult (and fill) `store`.
     pub fn with_store(store: TraceStore) -> Session {
-        Session {
-            store: Some(store),
-            ..Session::default()
+        Session::open(Some(store), None)
+    }
+
+    /// A fresh session on `store` (memory-only without one) whose capture
+    /// and fit tiers, store and pools draw faults from `faults` (none
+    /// when `None`). The session builds its own metrics registry and
+    /// hands it, with the plan, to the store. A session keeps the store
+    /// and plan it was built with for its whole life.
+    pub fn open(store: Option<TraceStore>, faults: Option<FaultPlan>) -> Session {
+        let ins = Instruments::new(faults);
+        // Register every tier series, so a snapshot lists them at zero.
+        for (_, series) in CACHE_SERIES {
+            ins.metrics.counter(series);
         }
+        let tier = |prefix| TierStats {
+            metrics: ins.metrics.clone(),
+            prefix,
+        };
+        Session {
+            compiled: Memo::new(tier("compile_")),
+            traces: Memo::new(tier("")),
+            isa: Memo::new(tier("isa_")),
+            risc: Memo::new(tier("risc_program_")),
+            rtraces: Memo::new(tier("risc_")),
+            replays: Memo::new(tier("replay_")),
+            ooo_replays: Memo::new(tier("ooo_replay_")),
+            phases: Memo::new(tier("phase_")),
+            livepoints: Memo::new(tier("livepoint_")),
+            store: store.map(|s| s.instrumented(ins.clone())),
+            ins,
+        }
+    }
+
+    /// The session's metrics registry and fault plan: what `--metrics`
+    /// renders, and what the sweep's pool records into and draws from.
+    pub fn instruments(&self) -> &Instruments {
+        &self.ins
     }
 
     /// The on-disk trace store, if the session was built with one.
@@ -750,7 +809,7 @@ impl Session {
     fn healthy_store(&self) -> Option<&TraceStore> {
         let store = self.store.as_ref()?;
         if store.degraded() {
-            self.degraded.bump();
+            self.ins.metrics.counter("session_degraded").inc(1);
             return None;
         }
         Some(store)
@@ -818,7 +877,10 @@ impl Session {
             let _span = trips_obs::charged_with("session.compile", CostKind::Capture, || {
                 w.name.to_string()
             });
-            trips_obs::counter("session_compiles_total{side=\"trips\"}").inc(1);
+            self.ins
+                .metrics
+                .counter("session_compiles_total{side=\"trips\"}")
+                .inc(1);
             let program = if stream.hand {
                 w.build_hand(stream.scale)
             } else {
@@ -848,8 +910,8 @@ impl Session {
                         .map_err(|e| format!("log does not match the compiled program: {e}"))
                 },
                 || {
-                    if let Some(why) = trips_chaos::capture_fault() {
-                        return Err(EngineError::Transient(format!("{name}: {why}")));
+                    if self.ins.fault(FaultPoint::CaptureFail).is_some() {
+                        return Err(EngineError::Transient(format!("{name}: {CAPTURE_FAULT}")));
                     }
                     trips_obs::cost::set_tier("capture");
                     let _span =
@@ -886,7 +948,7 @@ impl Session {
             let _span = trips_obs::charged_with("session.capture_isa", CostKind::Capture, || {
                 name.to_string()
             });
-            trips_obs::counter("session_isa_runs_total").inc(1);
+            self.ins.metrics.counter("session_isa_runs_total").inc(1);
             let (mem, budget) = (stream.mem, stream.budget);
             trips_isa::interp::run_program_with(&compiled.trips, &compiled.opt_ir, mem, budget)
                 .map(|out| {
@@ -911,7 +973,10 @@ impl Session {
             let _span = trips_obs::charged_with("session.compile", CostKind::Capture, || {
                 format!("{} (risc)", w.name)
             });
-            trips_obs::counter("session_compiles_total{side=\"risc\"}").inc(1);
+            self.ins
+                .metrics
+                .counter("session_compiles_total{side=\"risc\"}")
+                .inc(1);
             let mut ir = (w.build)(stream.scale);
             trips_compiler::opt::optimize(&mut ir, &stream.opts);
             trips_risc::compile_program(&ir)
@@ -945,8 +1010,10 @@ impl Session {
                         .map_err(|e| format!("stream does not match the compiled program: {e}"))
                 },
                 || {
-                    if let Some(why) = trips_chaos::capture_fault() {
-                        return Err(EngineError::Transient(format!("{name} (risc): {why}")));
+                    if self.ins.fault(FaultPoint::CaptureFail).is_some() {
+                        return Err(EngineError::Transient(format!(
+                            "{name} (risc): {CAPTURE_FAULT}"
+                        )));
                     }
                     trips_obs::cost::set_tier("capture");
                     let _span =
@@ -1082,11 +1149,22 @@ impl Session {
                     .map_err(|e| format!("artifact fitted to a different stream: {e}"))
             },
             || {
-                if let Some(why) = trips_chaos::fit_fault() {
-                    return Err(EngineError::Transient(format!("phase fit: {why}")));
+                if self.ins.fault(FaultPoint::FitFail).is_some() {
+                    let why = "phase fit: injected fit failure (chaos)";
+                    return Err(EngineError::Transient(why.into()));
                 }
                 let _span = trips_obs::charged("session.fit_phase", CostKind::Fit);
-                fit()
+                let start = Instant::now();
+                let art = fit()?;
+                // Streams under the floor get a covering plan without a
+                // clustering run, and count no fit.
+                if total_units >= spec.floor {
+                    let m = &self.ins.metrics;
+                    m.counter("phase_fits_total").inc(1);
+                    m.histogram("phase_fit_ns")
+                        .observe(start.elapsed().as_nanos() as u64);
+                }
+                Ok(art)
             },
         )
         .map(|art| Arc::new(art.plan))
@@ -1111,6 +1189,7 @@ impl Session {
     ) -> Result<C::Output, EngineError>
     where
         C: TimingCore,
+        C::Output: Walked,
         C::Snapshot: LiveState + Sync,
         C::Stats: Send,
         C::Error: fmt::Display + Send,
@@ -1127,7 +1206,10 @@ impl Session {
         let fail = |why: String| EngineError::Replay(format!("{workload} ({label}): {why}"));
         let core_fail = |e: C::Error| fail(e.to_string());
         let (Some(threads), Some(plan)) = (live_points, mode.phase()) else {
-            return trips_sample::replay(make(), mode).map_err(core_fail);
+            let start = Instant::now();
+            let out = trips_sample::replay(make(), mode).map_err(core_fail)?;
+            self.record_walk::<C>(&out, mode, Some(start));
+            return Ok(out);
         };
         let id = LivePointId {
             parent_key: parent_key(),
@@ -1146,8 +1228,10 @@ impl Session {
                     let _span = trips_obs::span_with("session.capture_livepoints", || {
                         format!("{label} cfg={cfg_sig:016x}")
                     });
+                    let start = Instant::now();
                     let (res, snaps) =
                         trips_sample::capture_phased(make(), plan).map_err(core_fail)?;
+                    self.record_walk::<C>(&res, mode, Some(start));
                     fresh = Some(res);
                     Ok(LivePointSet {
                         parent_key: id.parent_key,
@@ -1170,13 +1254,55 @@ impl Session {
         });
         let jobs: Vec<(PhaseWindow, &C::Snapshot)> =
             plan.windows.iter().copied().zip(snaps).collect();
-        let windows = crate::pool::parallel_map(jobs, threads, |(window, snap)| {
-            trips_sample::replay_window(make(), &window, snap)
+        // A panicking window job propagates, as in `parallel_map`.
+        let windows = crate::pool::parallel_map_catch(jobs, threads, &self.ins, |(w, snap)| {
+            trips_sample::replay_window(make(), &w, snap)
         })
         .into_iter()
+        .map(|job| job.unwrap_or_else(|p| panic!("{p}")))
         .collect::<Result<Vec<_>, _>>()
         .map_err(core_fail)?;
-        trips_sample::assemble_windows(make(), plan, &windows).map_err(core_fail)
+        let replayed = plan.windows.iter().map(|w| w.end - w.warm_start).sum();
+        let series = format!("replay_events_total{{core=\"{}\"}}", C::LABEL);
+        self.ins.metrics.counter(&series).inc(replayed);
+        let out = trips_sample::assemble_windows(make(), plan, &windows).map_err(core_fail)?;
+        self.record_walk::<C>(&out, mode, None);
+        Ok(out)
+    }
+
+    /// Records one finished replay of a `C` stream under `mode`: a whole
+    /// stream walked since `start` adds its units to
+    /// `replay_events_total{core=…}` and its rate to
+    /// `replay_events_per_sec{core=…}`; a window list walked (sampled or
+    /// phased, including windows assembled after a restored replay) adds
+    /// to `sample_{measured,stream}_units_total{kind=…}`.
+    fn record_walk<C: TimingCore>(&self, out: &C::Output, mode: &ReplayMode, start: Option<Instant>)
+    where
+        C::Output: Walked,
+    {
+        let m = &self.ins.metrics;
+        let (total, measured, windowed) = out.walked();
+        if let Some(start) = start {
+            let core = C::LABEL;
+            m.counter(&format!("replay_events_total{{core=\"{core}\"}}"))
+                .inc(total);
+            let elapsed_ns = start.elapsed().as_nanos() as u64;
+            if elapsed_ns > 0 && total > 0 {
+                m.histogram(&format!("replay_events_per_sec{{core=\"{core}\"}}"))
+                    .observe(total.saturating_mul(1_000_000_000) / elapsed_ns);
+            }
+        }
+        if windowed {
+            let kind = if mode.phase().is_some() {
+                "phase"
+            } else {
+                "interval"
+            };
+            m.counter(&format!("sample_measured_units_total{{kind=\"{kind}\"}}"))
+                .inc(measured);
+            m.counter(&format!("sample_stream_units_total{{kind=\"{kind}\"}}"))
+                .inc(total);
+        }
     }
 
     /// The out-of-order front of the session's generic replay: times one
@@ -1258,62 +1384,15 @@ impl Session {
         })
     }
 
-    /// Current hit/miss counters.
+    /// Current hit/miss counters, read from the session's registry
+    /// series ([`CACHE_SERIES`]).
     pub fn cache_stats(&self) -> CacheStats {
-        use Event::{
-            Capture, DiskHit, DiskIoError, DiskMiss, DiskReject, MemoHit, MemoMiss, StoreWrite,
-        };
-        let (t, r, p, l) = (
-            &self.traces.stats,
-            &self.rtraces.stats,
-            &self.phases.stats,
-            &self.livepoints.stats,
-        );
-        CacheStats {
-            compile_hits: self.compiled.stats.get(MemoHit),
-            compile_misses: self.compiled.stats.get(MemoMiss),
-            trace_hits: t.get(MemoHit),
-            trace_misses: t.get(MemoMiss),
-            isa_hits: self.isa.stats.get(MemoHit),
-            isa_misses: self.isa.stats.get(MemoMiss),
-            risc_hits: self.risc.stats.get(MemoHit),
-            risc_misses: self.risc.stats.get(MemoMiss),
-            captures: t.get(Capture),
-            disk_hits: t.get(DiskHit),
-            disk_misses: t.get(DiskMiss),
-            disk_rejects: t.get(DiskReject),
-            store_writes: t.get(StoreWrite),
-            rtrace_hits: r.get(MemoHit),
-            rtrace_misses: r.get(MemoMiss),
-            risc_captures: r.get(Capture),
-            risc_disk_hits: r.get(DiskHit),
-            risc_disk_misses: r.get(DiskMiss),
-            risc_disk_rejects: r.get(DiskReject),
-            risc_store_writes: r.get(StoreWrite),
-            phase_hits: p.get(MemoHit),
-            phase_misses: p.get(MemoMiss),
-            phase_fits: p.get(Capture),
-            phase_disk_hits: p.get(DiskHit),
-            phase_disk_misses: p.get(DiskMiss),
-            phase_disk_rejects: p.get(DiskReject),
-            phase_store_writes: p.get(StoreWrite),
-            livepoint_hits: l.get(MemoHit),
-            livepoint_misses: l.get(MemoMiss),
-            livepoint_captures: l.get(Capture),
-            livepoint_disk_hits: l.get(DiskHit),
-            livepoint_disk_misses: l.get(DiskMiss),
-            livepoint_disk_rejects: l.get(DiskReject),
-            livepoint_store_writes: l.get(StoreWrite),
-            replay_hits: self.replays.stats.get(MemoHit),
-            replay_misses: self.replays.stats.get(MemoMiss),
-            ooo_replay_hits: self.ooo_replays.stats.get(MemoHit),
-            ooo_replay_misses: self.ooo_replays.stats.get(MemoMiss),
-            disk_io_errors: t.get(DiskIoError),
-            risc_disk_io_errors: r.get(DiskIoError),
-            phase_disk_io_errors: p.get(DiskIoError),
-            livepoint_disk_io_errors: l.get(DiskIoError),
-            degraded: self.degraded.get(),
-        }
+        let fields = CACHE_SERIES.iter().map(|(field, series)| {
+            let n = self.ins.metrics.counter(series).get();
+            (serde::Value::str(field), serde::Value::U64(n))
+        });
+        serde::from_value(&serde::Value::Map(fields.collect()))
+            .expect("CACHE_SERIES names every CacheStats field")
     }
 }
 

@@ -56,7 +56,9 @@
 //! phased replay.
 //!
 //! Every layer is instrumented through [`obs`] (`trips-obs`): session tier
-//! lookups and store I/O count into the metrics registry, pool workers and
+//! lookups, store I/O, pool jobs and replays count into the metrics
+//! registry of the session that ran them (one [`Session`] owns one
+//! registry and shares it with its store and pools), pool workers and
 //! replay loops open tracing spans, and each sweep point carries an
 //! [`obs::RowCost`] whose nanosecond columns are the durations of the
 //! spans that charged them (capture / fit / warm / detailed / extrapolate
@@ -90,23 +92,25 @@ pub use trips_phase as phase;
 
 /// Observability (re-exported from `trips-obs`): tracing spans
 /// ([`obs::span()`], journaled by `trips-sweep --obs-trace` and folded by
-/// `--obs-report`), the process-global metrics registry ([`obs::counter`]
-/// / [`obs::gauge`] / [`obs::histogram`], snapshotted by `--metrics`),
+/// `--obs-report`), the metrics [`obs::Registry`] each [`Session`] owns
+/// and shares with its store and pools (rendered by `--metrics`),
 /// per-row cost attribution ([`obs::RowCost`] on every [`SweepRow`]), and
 /// the `TRIPS_LOG`-filtered [`obs::log!`] diagnostics macro.
 pub use trips_obs as obs;
 
 /// Deterministic fault injection (re-exported from `trips-chaos`): a
-/// seeded [`chaos::FaultPlan`] armed process-globally (`trips-sweep
-/// --chaos seed[:profile]` / `TRIPS_CHAOS`) makes the store, the session
-/// tiers, and the pool inject I/O errors, short writes, bit flips,
-/// capture/fit failures, job panics, and delays on a reproducible
-/// schedule — the harness the recovery paths (retries, quarantine,
-/// circuit breaker, caught jobs) are tested under. Disarmed, every hook
-/// is a single relaxed atomic load.
+/// seeded [`chaos::FaultPlan`] handed to one [`Session`]
+/// ([`Session::open`]; `trips-sweep --chaos seed[:profile]` or
+/// `TRIPS_CHAOS`) makes that session's store, capture and fit tiers, and
+/// pools inject I/O errors, short writes, bit flips, capture/fit
+/// failures, job panics, and delays on a reproducible schedule — the
+/// harness the recovery paths (retries, quarantine, circuit breaker,
+/// caught jobs) are tested under. Other sessions in the process are
+/// untouched; an unarmed session's hook is one `Option` check.
 pub use trips_chaos as chaos;
 
 pub use cache::{CacheStats, EngineError, IsaOutcome, RiscArtifacts, Session, Stream};
+pub use chaos::Instruments;
 pub use phase::{PhaseK, PhaseSpec};
 pub use pool::{parallel_map, parallel_map_catch, JobPanic};
 pub use sample::{PhasePlan, ReplayMode, SamplePlan};

@@ -17,13 +17,15 @@
 //! poisoning (`PoisonError::into_inner`) so a panicked worker cannot
 //! wedge its siblings. [`parallel_map`] keeps its historical contract
 //! (a job panic propagates) but re-raises on the collecting thread
-//! *after* every other job has finished. The `trips-chaos` layer
+//! *after* every other job has finished. A session's armed fault plan
 //! injects panics and delays into the same wrapper, which is how the
 //! containment path stays exercised.
 //!
 //! ## Telemetry
 //!
-//! The pool registers `pool_jobs_total`, `pool_steals_total`,
+//! The pool records into the metrics registry of the [`Instruments`] it
+//! is handed (a session's; [`parallel_map`] gets a fresh, unarmed set):
+//! `pool_jobs_total`, `pool_steals_total`,
 //! `pool_job_panics_total`, a `pool_queue_ns` histogram (enqueue →
 //! dequeue latency, also surfaced per-row as `RowCost::queue_ns`), and
 //! per-worker `pool_worker_busy_ns{worker="i"}` /
@@ -31,7 +33,7 @@
 //! `parallel_map` run. With tracing enabled each worker's whole loop is
 //! a `pool.worker` span and each job a `pool.job` child, so the
 //! `--obs-report` self-profile attributes worker wall-clock to jobs vs
-//! steal/idle time. All per-job costs are O(1) registry-free atomics
+//! steal/idle time. All per-job costs are O(1) lookup-free atomics
 //! plus one `Instant` read on each side of the job. Every worker enters
 //! the submitter's cost row, so nested jobs charge the row that asked.
 
@@ -41,6 +43,7 @@ use std::sync::mpsc;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
+use trips_chaos::{FaultPoint, Instruments};
 use trips_obs::Level;
 
 /// A job that panicked instead of returning a result.
@@ -77,21 +80,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs one job inside the containment wrapper: chaos delay/panic
 /// injection, `catch_unwind`, and panic accounting.
-fn run_caught<T, R, F>(f: &F, idx: usize, item: T) -> Result<R, JobPanic>
+fn run_caught<T, R, F>(ins: &Instruments, f: &F, idx: usize, item: T) -> Result<R, JobPanic>
 where
     F: Fn(T) -> R,
 {
-    if let Some(d) = trips_chaos::job_delay() {
-        std::thread::sleep(d);
+    if ins.fault(FaultPoint::PoolDelay).is_some() {
+        let delay_us = ins.faults.as_ref().map_or(0, |p| p.profile().delay_us);
+        std::thread::sleep(std::time::Duration::from_micros(u64::from(delay_us)));
     }
     catch_unwind(AssertUnwindSafe(|| {
-        if let Some(msg) = trips_chaos::job_panic() {
-            panic!("{msg}");
+        if ins.fault(FaultPoint::PoolPanic).is_some() {
+            panic!("injected job panic (chaos)");
         }
         f(item)
     }))
     .map_err(|payload| {
-        trips_obs::counter("pool_job_panics_total").inc(1);
+        ins.metrics.counter("pool_job_panics_total").inc(1);
         let message = panic_message(payload.as_ref());
         trips_obs::log!(Level::Warn, "pool", "job {idx} panicked: {message}");
         JobPanic {
@@ -102,7 +106,9 @@ where
 }
 
 /// Applies `f` to every item on `threads` workers (0 = one per core),
-/// returning results in input order.
+/// returning results in input order. The pool records into a fresh
+/// registry and injects no faults; [`parallel_map_catch`] runs under a
+/// session's [`Instruments`].
 ///
 /// A panic in `f` is re-raised on the calling thread, but only after
 /// every other job has run to completion — one bad item no longer
@@ -114,16 +120,22 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    parallel_map_catch(items, threads, f)
+    parallel_map_catch(items, threads, &Instruments::default(), f)
         .into_iter()
         .map(|r| r.unwrap_or_else(|p| panic!("{p}")))
         .collect()
 }
 
-/// Like [`parallel_map`], but panicking jobs yield `Err(`[`JobPanic`]`)`
-/// in their slot instead of propagating: the sweep layer turns these
-/// into structured `failed` rows and retries.
-pub fn parallel_map_catch<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<Result<R, JobPanic>>
+/// Like [`parallel_map`], but recording into `ins.metrics`, drawing job
+/// faults from `ins.faults`, and yielding `Err(`[`JobPanic`]`)` in a
+/// panicking job's slot instead of propagating: the sweep layer turns
+/// these into structured `failed` rows and retries.
+pub fn parallel_map_catch<T, R, F>(
+    items: Vec<T>,
+    threads: usize,
+    ins: &Instruments,
+    f: F,
+) -> Vec<Result<R, JobPanic>>
 where
     T: Send,
     R: Send,
@@ -133,10 +145,11 @@ where
     let threads = effective_threads(threads, n);
     // Register the pool series up front so a snapshot taken after any
     // sweep contains them even when no steal or panic ever happened.
-    let jobs_total = trips_obs::counter("pool_jobs_total");
-    let steals_total = trips_obs::counter("pool_steals_total");
-    let queue_ns_hist = trips_obs::histogram("pool_queue_ns");
-    let _ = trips_obs::counter("pool_job_panics_total");
+    let metrics = &ins.metrics;
+    let jobs_total = metrics.counter("pool_jobs_total");
+    let steals_total = metrics.counter("pool_steals_total");
+    let queue_ns_hist = metrics.histogram("pool_queue_ns");
+    let _ = metrics.counter("pool_job_panics_total");
     if threads <= 1 {
         return items
             .into_iter()
@@ -145,7 +158,7 @@ where
                 jobs_total.inc(1);
                 trips_obs::cost::note_queue_ns(0);
                 let _job = trips_obs::span("pool.job");
-                run_caught(&f, idx, item)
+                run_caught(ins, &f, idx, item)
             })
             .collect();
     }
@@ -205,7 +218,7 @@ where
                             let r = {
                                 let _job =
                                     trips_obs::span_with("pool.job", || format!("idx={idx}"));
-                                run_caught(f, idx, item)
+                                run_caught(ins, f, idx, item)
                             };
                             busy_ns += started.elapsed().as_nanos() as u64;
                             if tx.send((idx, r)).is_err() {
@@ -218,8 +231,11 @@ where
                     }
                 }
                 let total_ns = loop_start.elapsed().as_nanos() as u64;
-                trips_obs::gauge(&format!("pool_worker_busy_ns{{worker=\"{me}\"}}")).set(busy_ns);
-                trips_obs::gauge(&format!("pool_worker_idle_ns{{worker=\"{me}\"}}"))
+                metrics
+                    .gauge(&format!("pool_worker_busy_ns{{worker=\"{me}\"}}"))
+                    .set(busy_ns);
+                metrics
+                    .gauge(&format!("pool_worker_idle_ns{{worker=\"{me}\"}}"))
                     .set(total_ns.saturating_sub(busy_ns));
             });
         }
@@ -298,10 +314,10 @@ mod tests {
 
     #[test]
     fn pool_series_register_even_without_steals() {
-        let before = trips_obs::counter("pool_jobs_total").get();
-        let _ = parallel_map(vec![1u8, 2, 3], 2, |x| x);
-        assert!(trips_obs::counter("pool_jobs_total").get() >= before + 3);
-        let snap = trips_obs::snapshot_text();
+        let ins = Instruments::default();
+        let _ = parallel_map_catch(vec![1u8, 2, 3], 2, &ins, |x| x);
+        assert_eq!(ins.metrics.counter("pool_jobs_total").get(), 3);
+        let snap = ins.metrics.render();
         assert!(snap.contains("pool_steals_total"));
         assert!(snap.contains("pool_queue_ns"));
         assert!(snap.contains("pool_job_panics_total"));
@@ -329,8 +345,8 @@ mod tests {
 
     #[test]
     fn catch_isolates_panicking_jobs() {
-        let before = trips_obs::counter("pool_job_panics_total").get();
-        let out = parallel_map_catch((0..16i32).collect(), 4, |x| {
+        let ins = Instruments::default();
+        let out = parallel_map_catch((0..16i32).collect(), 4, &ins, |x| {
             if x == 7 {
                 panic!("boom at {x}");
             }
@@ -346,12 +362,12 @@ mod tests {
                 assert_eq!(*r.as_ref().unwrap(), i as i32 * 2);
             }
         }
-        assert!(trips_obs::counter("pool_job_panics_total").get() > before);
+        assert_eq!(ins.metrics.counter("pool_job_panics_total").get(), 1);
     }
 
     #[test]
     fn catch_isolates_panics_on_single_thread_path_too() {
-        let out = parallel_map_catch(vec![1u8, 2, 3], 1, |x| {
+        let out = parallel_map_catch(vec![1u8, 2, 3], 1, &Instruments::default(), |x| {
             if x == 2 {
                 panic!("odd one out");
             }

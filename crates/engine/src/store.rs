@@ -65,10 +65,11 @@
 //!   not count — the disk delivered the bytes it had) and trips a circuit
 //!   breaker after [`BREAKER_TRIP_AFTER`] of them; [`TraceStore::degraded`]
 //!   then reads true and the owning [`Session`](crate::Session) falls back
-//!   to memory-only tiers instead of hammering a dead disk. The
-//!   `trips-chaos` fault-injection layer drives these paths determin-
-//!   istically (injected read/write errors, short writes, post-rename
-//!   bitflips, ENOSPC) so they stay tested, and [`TraceStore::fsck`]
+//!   to memory-only tiers instead of hammering a dead disk. The owning
+//!   session's `trips-chaos` fault plan, handed to the store with its
+//!   metrics registry ([`TraceStore::instrumented`]), drives these paths
+//!   deterministically (injected read/write errors, short writes,
+//!   post-rename bitflips, ENOSPC) so they stay tested, and [`TraceStore::fsck`]
 //!   audits every container on demand (`trips-sweep --store-fsck`),
 //!   quarantining any that fail verification.
 //! * **Garbage is collectable.** Because each container records its kind
@@ -84,6 +85,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
+use trips_chaos::{FaultPoint, Instruments};
 use trips_isa::{TraceId, TraceLog};
 use trips_obs::{CostKind, Level};
 use trips_phase::{PhaseArtifact, BBV_VERSION};
@@ -620,10 +622,12 @@ enum ContainerClass {
 /// The store itself is stateless apart from a temp-name counter and its
 /// health tracker; hit/miss accounting lives in the
 /// [`Session`](crate::Session) that owns it, next to the in-memory tiers'
-/// counters.
+/// counters. The store's own I/O series (`store_*`) go to the registry of
+/// its [`Instruments`], which the owning session shares with it.
 #[derive(Debug)]
 pub struct TraceStore {
     dir: PathBuf,
+    ins: Instruments,
     tmp_seq: AtomicU64,
     /// Consecutive I/O failures (each already past its own retries).
     /// Any I/O success resets it.
@@ -656,10 +660,19 @@ impl TraceStore {
         }
         Ok(TraceStore {
             dir,
+            ins: Instruments::default(),
             tmp_seq: AtomicU64::new(0),
             io_failures: AtomicU64::new(0),
             breaker_open: AtomicBool::new(false),
         })
+    }
+
+    /// This store, recording its `store_*` series into `ins.metrics` and
+    /// drawing I/O faults from `ins.faults`. [`TraceStore::open`] starts
+    /// with a fresh registry and no plan; a session hands over its own.
+    #[must_use]
+    pub fn instrumented(self, ins: Instruments) -> TraceStore {
+        TraceStore { ins, ..self }
     }
 
     /// True once the circuit breaker has tripped: [`BREAKER_TRIP_AFTER`]
@@ -679,7 +692,7 @@ impl TraceStore {
     fn record_io_failure(&self) {
         let n = self.io_failures.fetch_add(1, Ordering::Relaxed) + 1;
         if n >= BREAKER_TRIP_AFTER && !self.breaker_open.swap(true, Ordering::Relaxed) {
-            trips_obs::counter("store_breaker_trips_total").inc(1);
+            self.ins.metrics.counter("store_breaker_trips_total").inc(1);
             trips_obs::log!(
                 Level::Warn,
                 "store",
@@ -785,8 +798,8 @@ impl TraceStore {
         let reading = trips_obs::charged("store.read", CostKind::StoreRead);
         let mut attempt = 0u32;
         let bytes = loop {
-            let read = match trips_chaos::read_fault() {
-                Some(e) => Err(e),
+            let read = match self.ins.fault(FaultPoint::StoreRead) {
+                Some(_) => Err(io::Error::other("injected read error (chaos)")),
                 None => fs::read(&path),
             };
             match read {
@@ -807,7 +820,7 @@ impl TraceStore {
                             "read failed after {attempt} attempts: {e}"
                         ));
                     }
-                    trips_obs::counter("store_retries_total").inc(1);
+                    self.ins.metrics.counter("store_retries_total").inc(1);
                     trips_obs::log!(
                         Level::Debug,
                         "store",
@@ -820,7 +833,10 @@ impl TraceStore {
         };
         drop(reading);
         self.record_io_ok();
-        trips_obs::counter("store_read_bytes_total").inc(bytes.len() as u64);
+        self.ins
+            .metrics
+            .counter("store_read_bytes_total")
+            .inc(bytes.len() as u64);
         trips_obs::cost::add_store_read(bytes.len() as u64);
         let verified = {
             let _span = trips_obs::charged("store.verify", CostKind::StoreVerify);
@@ -871,7 +887,10 @@ impl TraceStore {
             match self.write_container(key, &bytes) {
                 Ok(()) => {
                     self.record_io_ok();
-                    trips_obs::counter("store_write_bytes_total").inc(bytes.len() as u64);
+                    self.ins
+                        .metrics
+                        .counter("store_write_bytes_total")
+                        .inc(bytes.len() as u64);
                     trips_obs::cost::add_store_write(bytes.len() as u64);
                     return Ok(());
                 }
@@ -881,7 +900,7 @@ impl TraceStore {
                         self.record_io_failure();
                         return Err(e);
                     }
-                    trips_obs::counter("store_retries_total").inc(1);
+                    self.ins.metrics.counter("store_retries_total").inc(1);
                     trips_obs::log!(
                         Level::Debug,
                         "store",
@@ -908,10 +927,10 @@ impl TraceStore {
             std::process::id(),
             self.tmp_seq.fetch_add(1, Ordering::Relaxed),
         ));
-        if let Some(e) = trips_chaos::enospc_fault() {
-            return Err(e);
+        if self.ins.fault(FaultPoint::StoreEnospc).is_some() {
+            return Err(io::Error::other("injected ENOSPC (chaos)"));
         }
-        let written = match trips_chaos::short_write_fault() {
+        let written = match self.ins.fault(FaultPoint::StoreShortWrite) {
             Some(entropy) => {
                 let cut = (entropy as usize) % bytes.len().max(1);
                 let _ = fs::write(&tmp, &bytes[..cut]);
@@ -922,7 +941,7 @@ impl TraceStore {
         written
             .and_then(|()| fs::rename(&tmp, self.path_for_key(key)))
             .inspect(|()| {
-                if let Some(entropy) = trips_chaos::bitflip_fault() {
+                if let Some(entropy) = self.ins.fault(FaultPoint::StoreBitflip) {
                     self.flip_payload_bit(key, entropy);
                 }
             })
@@ -971,7 +990,7 @@ impl TraceStore {
             Ok(()) => {
                 let reason = qdir.join(format!("{}.reason", name.to_string_lossy()));
                 let _ = fs::write(&reason, format!("{why}\n"));
-                trips_obs::counter("store_quarantined_total").inc(1);
+                self.ins.metrics.counter("store_quarantined_total").inc(1);
                 trips_obs::log!(
                     Level::Warn,
                     "store",

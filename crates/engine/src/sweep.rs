@@ -594,7 +594,10 @@ pub fn run_sweep(spec: &SweepSpec, session: &Session) -> Result<SweepReport, Eng
     // Pre-register the headline series so a `--metrics` snapshot contains
     // them even when this particular run never exercised the event
     // (e.g. a store-less run writes no bytes). The session registered its
-    // tiers' series when it was built; the pool registers its own.
+    // tiers' series when it was built; the pool registers its own (the
+    // fourth chaos series, `pool_job_panics_total`, among them). All of
+    // them live in the session's registry.
+    let ins = session.instruments();
     for series in [
         "store_read_bytes_total",
         "store_write_bytes_total",
@@ -603,9 +606,8 @@ pub fn run_sweep(spec: &SweepSpec, session: &Session) -> Result<SweepReport, Eng
         "chaos_injected_total",
         "store_retries_total",
         "store_quarantined_total",
-        "pool_job_panics_total",
     ] {
-        let _ = trips_obs::counter(series);
+        let _ = ins.metrics.counter(series);
     }
     let points = expand(spec)?;
     let n = points.len();
@@ -634,7 +636,7 @@ pub fn run_sweep(spec: &SweepSpec, session: &Session) -> Result<SweepReport, Eng
             );
         }
         let points_ref = &points;
-        let results = parallel_map_catch(pending.clone(), threads, move |i| {
+        let results = parallel_map_catch(pending.clone(), threads, ins, move |i| {
             let p = &points_ref[i];
             let label = point_label(p);
             measure(p, spec, session).map_err(|e| format!("{label}: {e}"))

@@ -5,58 +5,32 @@
 //! trips the circuit breaker into memory-only degradation, and `fsck`
 //! converges — a second pass over a repaired store finds nothing left to
 //! do. With a zero-rate plan armed, every injection point is
-//! behavior-preserving.
+//! behavior-preserving, and a session armed beside an unarmed one leaves
+//! the unarmed one's rows and counters untouched.
 //!
-//! Chaos arming is process-global, so this file lives in its own test
-//! binary and every test (installing or not) serializes on one lock.
+//! Each test arms only the session or store it builds, with a plan of its
+//! own, so the tests run in parallel.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Barrier, OnceLock};
 
 use proptest::prelude::*;
 use trips_compiler::CompileOptions;
-use trips_engine::cache::{code_sig, opts_sig};
-use trips_engine::chaos::{self, FaultPlan, Profile};
+use trips_engine::cache::{code_sig, opts_sig, CACHE_SERIES};
+use trips_engine::chaos::{FaultPlan, Profile};
 use trips_engine::store::BREAKER_TRIP_AFTER;
 use trips_engine::sweep::to_csv;
 use trips_engine::{
-    run_sweep, BackendSpec, LoadOutcome, Session, Stream, SweepRow, SweepSpec, TraceStore,
+    run_sweep, BackendSpec, Instruments, LoadOutcome, Session, Stream, SweepRow, SweepSpec,
+    TraceStore,
 };
 use trips_isa::{TraceId, TraceLog, TraceMeta};
 use trips_workloads::{by_name, Scale};
 
 const MEM: usize = 1 << 22;
 const BUDGET: u64 = 1_000_000;
-
-/// Serializes every test in this binary: the armed plan is process
-/// state, and even chaos-off tests must not run while another test has
-/// faults firing.
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-/// RAII guard: holds the lock, arms (or disarms) the layer, and always
-/// disarms on drop so a panicking test cannot leak faults into the next.
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Armed {
-    fn none() -> Armed {
-        let g = CHAOS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        chaos::disarm();
-        Armed(g)
-    }
-
-    fn with(plan: FaultPlan) -> Armed {
-        let g = CHAOS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        chaos::install(plan);
-        Armed(g)
-    }
-}
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        chaos::disarm();
-    }
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -70,8 +44,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// A real capture of `vadd` plus its store identity, captured once per
-/// process (chaos is disarmed while the caller holds the lock, so the
-/// capture is clean).
+/// process (outside any session, so no plan can touch it).
 fn captured_vadd() -> (TraceId, TraceLog) {
     static CACHE: OnceLock<(TraceId, TraceLog)> = OnceLock::new();
     CACHE
@@ -127,14 +100,59 @@ fn stable_rows(rows: &[SweepRow]) -> Vec<String> {
 }
 
 #[test]
+fn two_concurrent_sessions_each_count_only_their_own_work() {
+    let clean_session = Session::new();
+    let clean = run_sweep(&demo_spec(), &clean_session).unwrap();
+    let dir = tmp_dir("pair");
+    let armed = Session::open(
+        Some(TraceStore::open(&dir).unwrap()),
+        Some(FaultPlan::new(3, "ci", Profile::ci())),
+    );
+    let unarmed = Session::new();
+    let start = Barrier::new(2);
+    let sweep = |session: &Session| {
+        start.wait();
+        run_sweep(&demo_spec(), session).unwrap()
+    };
+    let (armed_report, unarmed_report) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| sweep(&armed));
+        let u = scope.spawn(|| sweep(&unarmed));
+        (a.join().unwrap(), u.join().unwrap())
+    });
+
+    // Each registry holds exactly the tier series its CacheStats reads,
+    // and counts its own session's work in them.
+    let rendered = |s: &Session| s.instruments().metrics.render();
+    for session in [&armed, &unarmed] {
+        let text = rendered(session);
+        let tiers: BTreeSet<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("session_") && !l.contains("_total"))
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        assert_eq!(tiers, CACHE_SERIES.iter().map(|(_, s)| *s).collect());
+    }
+    assert_eq!(unarmed.cache_stats(), clean_session.cache_stats());
+    assert_ne!(armed.cache_stats(), unarmed.cache_stats());
+    assert!(!rendered(&armed).contains("\nchaos_injected_total 0\n"));
+    assert!(armed_report.rows.iter().any(|r| r.status == "retried"));
+    // None of the armed session's faults reached the unarmed one.
+    assert!(rendered(&unarmed).contains("\nchaos_injected_total 0\n"));
+    assert!(
+        unarmed_report.errors.is_empty(),
+        "{:?}",
+        unarmed_report.errors
+    );
+    assert_eq!(stable_rows(&clean.rows), stable_rows(&unarmed_report.rows));
+}
+
+#[test]
 fn zero_rate_plan_is_behavior_preserving() {
-    let _g = Armed::none();
     let off = run_sweep(&demo_spec(), &Session::new()).unwrap();
     assert!(off.errors.is_empty(), "{:?}", off.errors);
 
-    chaos::install(FaultPlan::new(0xDEAD_BEEF, "zero", Profile::zero()));
-    assert!(chaos::enabled());
-    let on = run_sweep(&demo_spec(), &Session::new()).unwrap();
+    let zero = FaultPlan::new(0xDEAD_BEEF, "zero", Profile::zero());
+    let on = run_sweep(&demo_spec(), &Session::open(None, Some(zero))).unwrap();
     assert!(on.errors.is_empty(), "{:?}", on.errors);
 
     assert_eq!(
@@ -151,13 +169,12 @@ fn seeded_fault_sweep_resolves_every_row_ok_or_retried() {
     // seed for the CLI path): injects a forced job panic plus I/O
     // faults, and the sweep must absorb all of it — no abort, no failed
     // rows, and the measurement columns identical to a clean run.
-    let clean = {
-        let _g = Armed::none();
-        run_sweep(&demo_spec(), &Session::new()).unwrap()
-    };
-    let _g = Armed::with(FaultPlan::new(3, "ci", Profile::ci()));
+    let clean = run_sweep(&demo_spec(), &Session::new()).unwrap();
     let dir = tmp_dir("ci-sweep");
-    let session = Session::with_store(TraceStore::open(&dir).unwrap());
+    let session = Session::open(
+        Some(TraceStore::open(&dir).unwrap()),
+        Some(FaultPlan::new(3, "ci", Profile::ci())),
+    );
     let report = run_sweep(&demo_spec(), &session).unwrap();
 
     assert_eq!(report.rows.len(), 4);
@@ -186,24 +203,26 @@ fn seeded_fault_sweep_resolves_every_row_ok_or_retried() {
 
 #[test]
 fn bitflipped_container_is_quarantined_with_reason_never_unlinked() {
-    let _g = Armed::with(FaultPlan::new(
+    let plan = FaultPlan::new(
         7,
         "bitflip",
         Profile {
             bitflip_ppm: 1_000_000,
             ..Profile::zero()
         },
-    ));
+    );
     let dir = tmp_dir("bitflip");
     let (id, log) = captured_vadd();
     let store = TraceStore::open(&dir).unwrap();
-    store.save(&id, &log).unwrap();
+    let ins = Instruments::new(Some(plan));
+    store.instrumented(ins).save(&id, &log).unwrap();
+    let store = TraceStore::open(&dir).unwrap();
     let path = store.path_for(&id);
     let corrupted = std::fs::read(&path).unwrap();
 
     // The full-rate post-rename bitflip corrupted the payload; the write
-    // itself succeeded, so only a verified load can catch it.
-    chaos::disarm();
+    // itself succeeded, so only a verified load (on an unarmed store)
+    // can catch it.
     match store.load(&id) {
         LoadOutcome::Reject(why) => assert!(why.contains("hash"), "{why}"),
         other => panic!("expected a reject, got {other:?}"),
@@ -235,30 +254,30 @@ fn bitflipped_container_is_quarantined_with_reason_never_unlinked() {
 
 #[test]
 fn persistent_write_failure_surfaces_after_bounded_retries() {
-    let _g = Armed::with(FaultPlan::new(
+    let plan = FaultPlan::new(
         11,
         "enospc",
         Profile {
             enospc_ppm: 1_000_000,
             ..Profile::zero()
         },
-    ));
+    );
     let dir = tmp_dir("enospc");
     let (id, log) = captured_vadd();
-    let store = TraceStore::open(&dir).unwrap();
-    let before = trips_obs::counter("store_retries_total").get();
-    assert!(store.save(&id, &log).is_err(), "full device must surface");
+    let ins = Instruments::new(Some(plan));
+    let armed = TraceStore::open(&dir).unwrap().instrumented(ins.clone());
+    assert!(armed.save(&id, &log).is_err(), "full device must surface");
     assert!(
-        trips_obs::counter("store_retries_total").get() >= before + 2,
+        ins.metrics.counter("store_retries_total").get() >= 2,
         "each save retries with backoff before giving up"
     );
     // No debris: the failed attempts left neither temp files nor a
     // partial container.
     let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert!(entries.is_empty(), "debris: {entries:?}");
-    // The device recovers -> the same store serves again (breaker not yet
+    // The device recovers -> the directory serves again (breaker not yet
     // tripped by a single failed save).
-    chaos::disarm();
+    let store = TraceStore::open(&dir).unwrap();
     store.save(&id, &log).unwrap();
     assert!(matches!(store.load(&id), LoadOutcome::Hit(_)));
 }
@@ -270,7 +289,7 @@ fn io_failure_storm_trips_the_breaker_and_degrades_to_memory_tiers() {
     // failed save each) reach BREAKER_TRIP_AFTER = 4 and latch the
     // breaker open. The remaining requests must skip the disk entirely —
     // and every request still succeeds from the capture tier.
-    let _g = Armed::with(FaultPlan::new(
+    let plan = FaultPlan::new(
         13,
         "iostorm",
         Profile {
@@ -278,9 +297,9 @@ fn io_failure_storm_trips_the_breaker_and_degrades_to_memory_tiers() {
             enospc_ppm: 1_000_000,
             ..Profile::zero()
         },
-    ));
+    );
     let dir = tmp_dir("breaker");
-    let session = Session::with_store(TraceStore::open(&dir).unwrap());
+    let session = Session::open(Some(TraceStore::open(&dir).unwrap()), Some(plan));
     let w = by_name("vadd").unwrap();
     for i in 0..(BREAKER_TRIP_AFTER + 2) {
         let log = session
@@ -315,7 +334,6 @@ fn io_failure_storm_trips_the_breaker_and_degrades_to_memory_tiers() {
 
 #[test]
 fn fsck_repairs_debris_quarantines_damage_and_converges() {
-    let _g = Armed::none();
     let dir = tmp_dir("fsck");
     let (id, log) = captured_vadd();
     let store = TraceStore::open(&dir).unwrap();
@@ -361,7 +379,6 @@ proptest! {
         cut_frac in 0usize..1000,
         flip in any::<u32>(),
     ) {
-        let _g = Armed::none();
         let dir = tmp_dir("prop");
         let (id, log) = captured_vadd();
         let store = TraceStore::open(&dir).unwrap();

@@ -88,11 +88,12 @@ fn obs_is_invisible_in_rows_and_coherent_in_telemetry() {
     // store loads and window jobs on nested pool threads charge too.
     let store = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("obs-store");
     let _ = std::fs::remove_dir_all(&store);
-    let live: Vec<_> = (0..2)
-        .map(|_| {
-            let session = Session::with_store(TraceStore::open(&store).expect("open store"));
-            run_sweep(&live_spec(), &session).expect("live-point sweep")
-        })
+    let sessions: Vec<Session> = (0..2)
+        .map(|_| Session::with_store(TraceStore::open(&store).expect("open store")))
+        .collect();
+    let live: Vec<_> = sessions
+        .iter()
+        .map(|session| run_sweep(&live_spec(), session).expect("live-point sweep"))
         .collect();
     trips_obs::flush_trace();
     let _ = std::fs::remove_dir_all(&store);
@@ -161,8 +162,9 @@ fn obs_is_invisible_in_rows_and_coherent_in_telemetry() {
         );
     }
 
-    // The metrics registry carries the headline series.
-    let snap = trips_obs::snapshot_text();
+    // The warm session's metrics registry carries the headline series.
+    let metrics = &sessions[1].instruments().metrics;
+    let snap = metrics.render();
     for series in [
         "session_captures",
         "session_disk_hits",
@@ -175,7 +177,7 @@ fn obs_is_invisible_in_rows_and_coherent_in_telemetry() {
         assert!(snap.contains(series), "missing {series} in snapshot");
     }
     assert!(
-        trips_obs::counter("replay_events_total{core=\"trips\"}").get() > 0,
+        metrics.counter("replay_events_total{core=\"trips\"}").get() > 0,
         "trips replay loop must count its events"
     );
 }

@@ -105,7 +105,8 @@ fn two_process_round_trip_is_bit_identical_and_capture_free() {
 }
 
 /// A spec the sweep would reject fails before the store is opened: the
-/// directory is never created, and `--trace-gc` neither scans nor prunes.
+/// directory is never created, `--trace-gc` neither scans nor prunes, and
+/// an `--obs-trace` journal is left as it was.
 #[test]
 fn rejected_spec_never_opens_the_store() {
     let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
@@ -144,22 +145,44 @@ fn rejected_spec_never_opens_the_store() {
         (&["--trace-gc", "--bogus"], "unknown option `--bogus`"),
         (&["--threads"], "--threads needs a number"),
     ];
-    for (i, (args, message)) in cases.into_iter().enumerate() {
+    // Every case also names a journal, which must keep its contents; one
+    // more case sets a bad TRIPS_CHAOS, whose prefix is printed once.
+    let journal = root.join("journal.jsonl");
+    std::fs::write(&journal, "kept\n").unwrap();
+    let env_case: (&[&str], &str) = (&[], "trips-sweep: TRIPS_CHAOS: bad chaos seed \"bogus\"");
+    let runs = cases.map(|case| (None, case));
+    for (i, (chaos, (args, message))) in runs
+        .into_iter()
+        .chain([(Some("bogus"), env_case)])
+        .enumerate()
+    {
         let store = root.join(format!("store{i}"));
-        let output = Command::new(env!("CARGO_BIN_EXE_trips-sweep"))
+        let mut command = Command::new(env!("CARGO_BIN_EXE_trips-sweep"));
+        command
             .arg("--trace-dir")
             .arg(&store)
-            .args(args)
-            .output()
-            .expect("spawn trips-sweep");
+            .arg("--obs-trace")
+            .arg(&journal)
+            .args(args);
+        command.env_remove("TRIPS_CHAOS");
+        if let Some(v) = chaos {
+            command.env("TRIPS_CHAOS", v);
+        }
+        let output = command.output().expect("spawn trips-sweep");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(1), "{args:?}:\n{stderr}");
         assert!(stderr.contains(message), "{args:?}:\n{stderr}");
+        assert_eq!(
+            stderr.matches("TRIPS_CHAOS: ").count(),
+            usize::from(chaos.is_some())
+        );
         assert!(
             !stderr.contains("trace-gc:"),
             "{args:?} ran the gc:\n{stderr}"
         );
         assert!(!store.exists(), "{args:?} created {}", store.display());
+        let kept = std::fs::read_to_string(&journal).unwrap();
+        assert_eq!(kept, "kept\n", "{args:?} opened the journal");
     }
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -5,7 +5,10 @@
 //! in one process: no replay mode or store is process-wide state.
 //!
 //! Only the wall-clock parts are masked: the `speedup` cells of the
-//! sampled-accuracy table and its `mean replay speedup` note.
+//! sampled-accuracy table and its `mean replay speedup` note. The full
+//! replay run also checks the figures' own claims: Figure 9 has its
+//! `simple mean` row, Figure 7 its `A MPKI` column, and every Figure 10
+//! row has an ideal 1K IPC above its nonzero hardware IPC.
 //!
 //! To bless, delete the golden file and run this test: it writes the
 //! current output, fails once, and passes on the next run.
@@ -53,7 +56,9 @@ fn render_all(run: &Run) -> String {
         .collect()
 }
 
-fn check(golden: &str, run: &Run) {
+/// Checks the masked `all` report of `run` against `golden` and returns
+/// it.
+fn check(golden: &str, run: &Run) -> String {
     let got = mask(&render_all(run));
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -80,11 +85,35 @@ fn check(golden: &str, run: &Run) {
             want.lines().nth(first)
         );
     }
+    got
+}
+
+/// The report section that starts at the line starting with `title`,
+/// up to the first blank line.
+fn section<'a>(report: &'a str, title: &str) -> &'a str {
+    let at = report
+        .find(title)
+        .unwrap_or_else(|| panic!("no section {title:?}"));
+    report[at..].split("\n\n").next().unwrap_or_default()
 }
 
 #[test]
 fn quick_all_matches_golden() {
-    check("quick_all.txt", &Run::new(&Session::new(), Scale::Test));
+    let report = check("quick_all.txt", &Run::new(&Session::new(), Scale::Test));
+    assert!(section(&report, "== Figure 9").contains("\nsimple mean"));
+    assert!(section(&report, "== Figure 7").contains("A MPKI"));
+    // Past the title and column header, up to the geomean row.
+    let fig10 = section(&report, "== Figure 10").lines().skip(2);
+    let rows: Vec<&str> = fig10.take_while(|l| !l.starts_with("geomean")).collect();
+    assert_eq!(rows.len(), 33, "one row per simple and SPEC workload");
+    for row in rows {
+        let ipc = |col: usize| -> f64 { row.split_whitespace().nth(col).unwrap().parse().unwrap() };
+        let (hw, ideal_1k) = (ipc(1), ipc(2));
+        assert!(
+            ideal_1k > hw && hw > 0.0,
+            "ideal 1K IPC must exceed hw IPC: {row}"
+        );
+    }
 }
 
 #[test]

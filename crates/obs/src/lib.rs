@@ -11,10 +11,11 @@
 //!   [`report`] folds a journal back into a self-profile
 //!   (inclusive/exclusive time per label, call counts, worst-case
 //!   instance, wall-clock coverage) for `trips-sweep --obs-report`.
-//! * [`metrics`] — a process-global registry of named [`metrics::Counter`]s,
+//! * [`metrics`] — a [`Registry`] value of named [`metrics::Counter`]s,
 //!   [`metrics::Gauge`]s, and log2-bucketed [`metrics::Histogram`]s, each
 //!   value one relaxed atomic (updates are per artifact, replay or pool
-//!   job, never per replayed unit); [`metrics::snapshot_text`] renders a
+//!   job, never per replayed unit). Each engine session owns one and
+//!   shares it with its store and pools; [`Registry::render`] writes a
 //!   Prometheus-style exposition (`trips-sweep --metrics`).
 //! * [`cost`] — per-row cost attribution: a [`cost::RowCost`] record
 //!   scoped to one sweep point and snapshotted into `SweepRow`. Its
@@ -49,7 +50,7 @@ pub mod report;
 pub mod span;
 
 pub use cost::{CostKind, RowCost, RowScope};
-pub use metrics::{counter, gauge, histogram, snapshot_text};
+pub use metrics::Registry;
 pub use report::{fold_report, fold_stacks, SpanProfile};
 pub use span::{
     charged, charged_with, enable_trace, flush_trace, span, span_with, trace_enabled, Span,

@@ -1,5 +1,7 @@
-//! Process-global metrics registry: named counters, gauges, and
-//! log2-bucketed histograms.
+//! A metrics registry value: named counters, gauges, and log2-bucketed
+//! histograms. Each engine `Session` owns one [`Registry`] and hands it
+//! to the store and the pools it runs, so every series counts one
+//! session's work and nothing else.
 //!
 //! Each counter, gauge and histogram bucket is one relaxed atomic cell.
 //! Updates come once per artifact, replay or pool job, never per replayed
@@ -8,19 +10,20 @@
 //!
 //! Metric names follow Prometheus conventions and may embed labels
 //! directly: `pool_worker_busy_ns{worker="3"}` registers a distinct
-//! series per label set. [`snapshot_text`] renders the whole registry in
+//! series per label set. [`Registry::render`] renders the whole registry in
 //! deterministic (sorted) order as Prometheus text exposition, ready for
 //! `trips-sweep --metrics` today and the streaming sweep daemon later.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of log2 histogram buckets: bucket `b > 0` counts values in
 /// `[2^(b-1), 2^b)`, bucket 0 counts zeros, bucket 64 counts the rest.
 pub const BUCKETS: usize = 65;
 
 /// Monotonically increasing counter.
+#[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
@@ -37,6 +40,7 @@ impl Counter {
 }
 
 /// Last-write-wins gauge holding a `u64`.
+#[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
 impl Gauge {
@@ -53,6 +57,7 @@ impl Gauge {
 }
 
 /// Log2-bucketed histogram of `u64` samples.
+#[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
@@ -77,14 +82,16 @@ pub fn bucket_bound(b: usize) -> u64 {
     }
 }
 
-impl Histogram {
-    fn new() -> Self {
+impl Default for Histogram {
+    fn default() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
         }
     }
+}
 
+impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn observe(&self, v: u64) {
@@ -108,58 +115,116 @@ impl Histogram {
     }
 }
 
+#[derive(Clone, Debug)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
-fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
-    static REG: OnceLock<Mutex<BTreeMap<String, Metric>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
+/// A registry of named series. Cloning yields another handle on the same
+/// series (the registry is shared, not copied), so a session, its store
+/// and its pools all record into the one registry the session renders.
+#[derive(Clone, Debug, Default)]
+pub struct Registry(Arc<Mutex<BTreeMap<String, Metric>>>);
 
-/// Look up (registering on first use) the counter named `name`.
-///
-/// Registration takes the registry lock; cache the returned `Arc` outside
-/// hot loops. Panics if `name` is already registered as another type.
-pub fn counter(name: &str) -> Arc<Counter> {
-    let mut reg = registry().lock().unwrap();
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Counter(Arc::new(Counter(AtomicU64::new(0)))))
-    {
-        Metric::Counter(c) => Arc::clone(c),
-        _ => panic!("metric {name:?} already registered with a different type"),
+impl Registry {
+    /// The series map. A panic elsewhere cannot leave it half-updated
+    /// (every update is one insert), so a poisoned lock is recovered.
+    fn series(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The series named `name`, registered as `make()` on first use.
+    fn entry(&self, name: &str, make: fn() -> Metric) -> Metric {
+        let mut reg = self.series();
+        reg.entry(name.to_string()).or_insert_with(make).clone()
+    }
+
+    /// Looks up (registering on first use) the counter named `name`.
+    ///
+    /// Registration takes the registry lock; cache the returned `Arc`
+    /// outside hot loops. Panics if `name` is already registered as
+    /// another type.
+    pub fn counter(&self, name: &str) -> Arc<Counter> {
+        match self.entry(name, || Metric::Counter(Arc::default())) {
+            Metric::Counter(c) => c,
+            _ => mistyped(name),
+        }
+    }
+
+    /// Looks up (registering on first use) the gauge named `name`.
+    ///
+    /// Panics if `name` is already registered as another type.
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        match self.entry(name, || Metric::Gauge(Arc::default())) {
+            Metric::Gauge(g) => g,
+            _ => mistyped(name),
+        }
+    }
+
+    /// Looks up (registering on first use) the histogram named `name`.
+    ///
+    /// Panics if `name` is already registered as another type.
+    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        match self.entry(name, || Metric::Histogram(Arc::default())) {
+            Metric::Histogram(h) => h,
+            _ => mistyped(name),
+        }
+    }
+
+    /// Renders every registered series as Prometheus-style text
+    /// exposition, in sorted name order (deterministic given the same
+    /// series).
+    ///
+    /// Histograms render cumulative `_bucket{le=…}` series plus `_sum`
+    /// and `_count`, skipping empty buckets to keep snapshots readable.
+    pub fn render(&self) -> String {
+        let reg = self.series();
+        let mut out = String::new();
+        let mut typed: BTreeMap<&str, &'static str> = BTreeMap::new();
+        for (name, metric) in reg.iter() {
+            let base = base_name(name);
+            let kind = match metric {
+                Metric::Counter(_) => "counter",
+                Metric::Gauge(_) => "gauge",
+                Metric::Histogram(_) => "histogram",
+            };
+            if typed.insert(base, kind).is_none() {
+                out.push_str(&format!("# TYPE {base} {kind}\n"));
+            }
+            match metric {
+                Metric::Counter(c) => out.push_str(&format!("{name} {}\n", c.get())),
+                Metric::Gauge(g) => out.push_str(&format!("{name} {}\n", g.get())),
+                Metric::Histogram(h) => {
+                    let buckets = h.buckets();
+                    let mut cum = 0u64;
+                    for (b, n) in buckets.iter().enumerate() {
+                        cum += n;
+                        if *n == 0 {
+                            continue;
+                        }
+                        let le = bucket_bound(b);
+                        let extra = labels(name).map(|l| {
+                            // splice le into the existing label set
+                            format!("{}{},le=\"{le}\"}}", base_name(name), &l[..l.len() - 1])
+                        });
+                        match extra {
+                            Some(s) => out.push_str(&format!("{s} {cum}\n")),
+                            None => out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n")),
+                        }
+                    }
+                    out.push_str(&format!("{name}_sum {}\n", h.sum()));
+                    out.push_str(&format!("{name}_count {}\n", h.count()));
+                }
+            }
+        }
+        out
     }
 }
 
-/// Look up (registering on first use) the gauge named `name`.
-///
-/// Panics if `name` is already registered as another type.
-pub fn gauge(name: &str) -> Arc<Gauge> {
-    let mut reg = registry().lock().unwrap();
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Gauge(Arc::new(Gauge(AtomicU64::new(0)))))
-    {
-        Metric::Gauge(g) => Arc::clone(g),
-        _ => panic!("metric {name:?} already registered with a different type"),
-    }
-}
-
-/// Look up (registering on first use) the histogram named `name`.
-///
-/// Panics if `name` is already registered as another type.
-pub fn histogram(name: &str) -> Arc<Histogram> {
-    let mut reg = registry().lock().unwrap();
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
-    {
-        Metric::Histogram(h) => Arc::clone(h),
-        _ => panic!("metric {name:?} already registered with a different type"),
-    }
+fn mistyped(name: &str) -> ! {
+    panic!("metric {name:?} already registered with a different type")
 }
 
 fn base_name(name: &str) -> &str {
@@ -170,70 +235,13 @@ fn labels(name: &str) -> Option<&str> {
     name.find('{').map(|i| &name[i..])
 }
 
-/// Render every registered metric as Prometheus-style text exposition,
-/// in sorted name order (deterministic given the same series).
-///
-/// Histograms render cumulative `_bucket{le=…}` series plus `_sum` and
-/// `_count`, skipping empty buckets to keep snapshots readable.
-pub fn snapshot_text() -> String {
-    let reg = registry().lock().unwrap();
-    let mut out = String::new();
-    let mut typed: BTreeMap<&str, &'static str> = BTreeMap::new();
-    for (name, metric) in reg.iter() {
-        let base = base_name(name);
-        let kind = match metric {
-            Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
-        };
-        if typed.insert(base, kind).is_none() {
-            out.push_str(&format!("# TYPE {base} {kind}\n"));
-        }
-        match metric {
-            Metric::Counter(c) => out.push_str(&format!("{name} {}\n", c.get())),
-            Metric::Gauge(g) => out.push_str(&format!("{name} {}\n", g.get())),
-            Metric::Histogram(h) => {
-                let buckets = h.buckets();
-                let mut cum = 0u64;
-                for (b, n) in buckets.iter().enumerate() {
-                    cum += n;
-                    if *n == 0 {
-                        continue;
-                    }
-                    let le = bucket_bound(b);
-                    let extra = labels(name).map(|l| {
-                        // splice le into the existing label set
-                        format!("{}{},le=\"{le}\"}}", base_name(name), &l[..l.len() - 1])
-                    });
-                    match extra {
-                        Some(s) => out.push_str(&format!("{s} {cum}\n")),
-                        None => out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n")),
-                    }
-                }
-                out.push_str(&format!("{name}_sum {}\n", h.sum()));
-                out.push_str(&format!("{name}_count {}\n", h.count()));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Held by every test that touches the process-global registry, so no
-    /// series moves while another test renders two snapshots.
-    static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
-
-    fn hold_registry() -> std::sync::MutexGuard<'static, ()> {
-        REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn counter_sums_across_threads() {
-        let _g = hold_registry();
-        let c = counter("test_counter_total");
+        let c = Registry::default().counter("test_counter_total");
         let mut handles = Vec::new();
         for _ in 0..4 {
             let c = Arc::clone(&c);
@@ -266,8 +274,7 @@ mod tests {
 
     #[test]
     fn histogram_conserves_count_and_sum() {
-        let _g = hold_registry();
-        let h = histogram("test_hist_ns");
+        let h = Registry::default().histogram("test_hist_ns");
         for v in [0u64, 1, 7, 8, 1023, 1024, 1 << 40] {
             h.observe(v);
         }
@@ -278,27 +285,28 @@ mod tests {
 
     #[test]
     fn snapshot_is_deterministic_and_typed() {
-        let _g = hold_registry();
-        counter("test_snap_b_total").inc(2);
-        gauge("test_snap_a").set(9);
-        let one = snapshot_text();
-        let two = snapshot_text();
-        assert_eq!(one, two);
-        assert!(one.contains("# TYPE test_snap_a gauge"));
-        assert!(one.contains("test_snap_a 9"));
-        assert!(one.contains("test_snap_b_total 2"));
-        // sorted order: a before b
-        let ia = one.find("test_snap_a").unwrap();
-        let ib = one.find("test_snap_b_total").unwrap();
-        assert!(ia < ib);
+        let reg = Registry::default();
+        reg.counter("test_snap_b_total").inc(2);
+        reg.gauge("test_snap_a").set(9);
+        let one = reg.render();
+        assert_eq!(one, reg.render());
+        assert_eq!(
+            one,
+            "# TYPE test_snap_a gauge\ntest_snap_a 9\n\
+             # TYPE test_snap_b_total counter\ntest_snap_b_total 2\n"
+        );
+        // A clone is a handle on the same series; a new registry is not.
+        reg.clone().counter("test_snap_b_total").inc(1);
+        assert_eq!(reg.counter("test_snap_b_total").get(), 3);
+        assert_eq!(Registry::default().render(), "");
     }
 
     #[test]
     fn labeled_series_are_distinct() {
-        let _g = hold_registry();
-        gauge("test_worker_busy_ns{worker=\"0\"}").set(5);
-        gauge("test_worker_busy_ns{worker=\"1\"}").set(6);
-        let snap = snapshot_text();
+        let reg = Registry::default();
+        reg.gauge("test_worker_busy_ns{worker=\"0\"}").set(5);
+        reg.gauge("test_worker_busy_ns{worker=\"1\"}").set(6);
+        let snap = reg.render();
         assert!(snap.contains("test_worker_busy_ns{worker=\"0\"} 5"));
         assert!(snap.contains("test_worker_busy_ns{worker=\"1\"} 6"));
         // one TYPE line for the shared base name

@@ -16,9 +16,8 @@ proptest! {
             1..6,
         )
     ) {
-        // A fresh registry name per case so cases don't accumulate.
-        let name = format!("prop_hist_{}", next_case());
-        let h = trips_obs::histogram(&name);
+        // A fresh registry per case, so cases don't accumulate.
+        let h = trips_obs::Registry::default().histogram("prop_hist");
         let expected_count: u64 = per_thread.iter().map(|v| v.len() as u64).sum();
         let expected_sum: u64 = per_thread
             .iter()
@@ -52,8 +51,7 @@ proptest! {
             1..6,
         )
     ) {
-        let name = format!("prop_counter_{}", next_case());
-        let c = trips_obs::counter(&name);
+        let c = trips_obs::Registry::default().counter("prop_counter");
         let expected: u64 = per_thread.iter().flatten().sum();
         let handles: Vec<_> = per_thread
             .into_iter()
@@ -71,10 +69,4 @@ proptest! {
         }
         prop_assert_eq!(c.get(), expected);
     }
-}
-
-fn next_case() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }

@@ -452,15 +452,12 @@ pub fn fit_artifact(
     let _span = trips_obs::span_with("phase.fit", || {
         format!("intervals={} total_units={total_units}", features.len())
     });
-    let fit_start = std::time::Instant::now();
-    trips_obs::counter("phase_fits_total").inc(1);
     let interval = spec.interval.max(1);
     let n = features.len();
     let boundary = (spec.boundary.max(1) as usize).min(n / 2);
     let tail = (spec.tail.max(1) as usize).min(n / 2);
     debug_assert_eq!(n as u64, total_units.div_ceil(interval));
     if total_units < spec.floor || n < boundary + tail + 2 {
-        trips_obs::histogram("phase_fit_ns").observe(fit_start.elapsed().as_nanos() as u64);
         return PhaseArtifact {
             seed,
             vectors: Vec::new(),
@@ -591,7 +588,6 @@ pub fn fit_artifact(
         assignments,
     };
     debug_assert_eq!(plan.validate(), Ok(()));
-    trips_obs::histogram("phase_fit_ns").observe(fit_start.elapsed().as_nanos() as u64);
     PhaseArtifact {
         seed,
         vectors: points,

@@ -5,11 +5,10 @@
 //! per-window body), one per-window body meters every window — the
 //! walker's and a restored live-point's alike — and one estimator turns
 //! the measurements into a result, sequential or assembled. The drivers
-//! also own the charging spans, one per contiguous run of units, and the
-//! `replay_events_total{core=…}` telemetry.
+//! also own the charging spans, one per contiguous run of units; the
+//! caller records what a replay walked from what it returns.
 
 use std::ops::Range;
-use std::time::Instant;
 
 use trips_obs::{charged, CostKind};
 
@@ -30,7 +29,8 @@ pub trait TimingCore {
     type Output;
     /// Replay failure.
     type Error;
-    /// The `core` label of this core's replay telemetry.
+    /// The `core` label of this core's replay telemetry (recorded by the
+    /// engine session that runs the replay).
     const LABEL: &'static str;
 
     /// Units in the recorded stream.
@@ -80,7 +80,6 @@ pub struct WindowMeasure<S> {
 pub fn replay<C: TimingCore>(mut core: C, mode: &ReplayMode) -> Result<C::Output, C::Error> {
     let units = core.units();
     let windows = mode.windows(units).map_err(C::reject)?;
-    let start = Instant::now();
     let summary = match windows {
         None => {
             run(&mut core, Phase::Detailed, 0..units)?;
@@ -88,7 +87,6 @@ pub fn replay<C: TimingCore>(mut core: C, mode: &ReplayMode) -> Result<C::Output
         }
         Some(windows) => Some(walk(&mut core, &windows, |_| {})?),
     };
-    record_replay::<C>(units, start);
     Ok(core.finish(summary.as_ref()))
 }
 
@@ -109,13 +107,11 @@ pub fn capture_phased<C: TimingCore>(
     }
     let units = core.units();
     let windows = Windows::phased(plan, units).map_err(C::reject)?;
-    let start = Instant::now();
     let mut snaps = Vec::with_capacity(plan.windows.len());
     let summary = walk(&mut core, &windows, |core| {
         let _span = charged("replay.checkpoint", CostKind::CheckpointSave);
         snaps.push(core.snapshot());
     })?;
-    record_replay::<C>(units, start);
     Ok((core.finish(Some(&summary)), snaps))
 }
 
@@ -146,7 +142,6 @@ pub fn replay_window<C: TimingCore>(
         )));
     }
     let cycles = measure(&mut core, &Span::from(w))?;
-    trips_obs::counter(&series::<C>("replay_events_total")).inc(w.end - w.warm_start);
     Ok(WindowMeasure {
         cycles,
         stats: core.window_stats(),
@@ -231,21 +226,6 @@ fn run<C: TimingCore>(core: &mut C, phase: Phase, units: Range<u64>) -> Result<(
         core.step(phase)?;
     }
     Ok(())
-}
-
-/// The registry series `name{core="<label>"}` of core `C`.
-fn series<C: TimingCore>(name: &str) -> String {
-    format!("{name}{{core=\"{}\"}}", C::LABEL)
-}
-
-/// Per-core replay throughput telemetry: O(1) per whole-stream replay.
-fn record_replay<C: TimingCore>(units: u64, start: Instant) {
-    trips_obs::counter(&series::<C>("replay_events_total")).inc(units);
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    if elapsed_ns > 0 && units > 0 {
-        trips_obs::histogram(&series::<C>("replay_events_per_sec"))
-            .observe(units.saturating_mul(1_000_000_000) / elapsed_ns);
-    }
 }
 
 #[cfg(test)]

@@ -471,9 +471,6 @@ impl From<&PhaseWindow> for Span {
 /// the units it measures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Windows {
-    /// The `kind` label of the `sample_*_units_total` series: `interval`
-    /// or `phase`.
-    pub(crate) kind: &'static str,
     /// Stream units.
     pub(crate) total: u64,
     /// The windows in stream order, each with its group index.
@@ -527,7 +524,6 @@ impl Windows {
             spans.push((Span::detailed(0, total), 0));
         }
         Windows {
-            kind: "interval",
             total,
             spans,
             weights,
@@ -550,7 +546,6 @@ impl Windows {
         plan.validate()
             .map_err(|why| format!("malformed phase plan: {why}"))?;
         Ok(Windows {
-            kind: "phase",
             total,
             spans: plan.windows.iter().map(Span::from).zip(0..).collect(),
             weights: plan.windows.iter().map(|w| w.weight_units).collect(),
@@ -561,9 +556,7 @@ impl Windows {
     /// order): every group's pooled rate is scaled over the units it stands
     /// for, `est = Σ_g cycles_g × weight_g / units_g` in 128-bit precision,
     /// and never falls below the measured cycles. A group that measured
-    /// nothing keeps its weight out of the estimate. Records the
-    /// `sample_*_units_total{kind=…}` series: one registry touch per
-    /// replay.
+    /// nothing keeps its weight out of the estimate.
     pub(crate) fn estimate(&self, cycles: &[u64]) -> SampleSummary {
         let mut groups = vec![(0u64, 0u64); self.weights.len()];
         for ((span, g), c) in self.spans.iter().zip(cycles) {
@@ -577,18 +570,12 @@ impl Windows {
             }
         }
         let measured_cycles = groups.iter().map(|g| g.0).sum();
-        let summary = SampleSummary {
+        SampleSummary {
             total_units: self.total,
             measured_units: groups.iter().map(|g| g.1).sum(),
             measured_cycles,
             est_cycles: u64::try_from(est).unwrap_or(u64::MAX).max(measured_cycles),
-        };
-        let kind = self.kind;
-        trips_obs::counter(&format!("sample_measured_units_total{{kind=\"{kind}\"}}"))
-            .inc(summary.measured_units);
-        trips_obs::counter(&format!("sample_stream_units_total{{kind=\"{kind}\"}}"))
-            .inc(summary.total_units);
-        summary
+        }
     }
 }
 
@@ -1067,11 +1054,12 @@ pub(crate) mod tests {
         let plan = tiny_phase_plan();
         let mode = ReplayMode::Phased(plan.clone());
         assert_eq!(mode.phase(), Some(&plan));
-        assert_eq!(mode.windows(40).unwrap().unwrap().kind, "phase");
+        let windows = mode.windows(40).unwrap().unwrap();
+        assert_eq!(windows.spans.len(), plan.windows.len());
         assert!(mode.windows(39).is_err(), "foreign stream length rejected");
         // Sampled modes route through the same surface.
         let sampled = ReplayMode::Sampled(SamplePlan::new(2, 2, 8).unwrap());
-        assert_eq!(sampled.windows(100).unwrap().unwrap().kind, "interval");
+        assert!(sampled.windows(100).unwrap().is_some());
         assert!(ReplayMode::Full.windows(100).unwrap().is_none());
     }
 
@@ -1105,7 +1093,6 @@ pub(crate) mod tests {
     fn extrapolation_is_exact_and_total() {
         // One group of `weight` units measured over `[0, units)`.
         let one = |total, weight, units| Windows {
-            kind: "interval",
             total,
             spans: vec![(Span::detailed(0, units), 0)],
             weights: vec![weight],
