@@ -894,10 +894,39 @@ fn count_flops(c: &trips_compiler::CompiledProgram) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trips_engine::Session;
+    use trips_workloads::Scale;
 
     #[test]
     fn static_tables_render() {
         assert!(table1().contains("TRIPS"));
         assert!(table2().contains("SPEC INT"));
+    }
+
+    #[test]
+    fn fig9_runs_at_test_scale() {
+        let s = fig9(&Run::new(&Session::new(), Scale::Test));
+        assert!(s.contains("simple mean"));
+    }
+
+    #[test]
+    fn fig10_ideal_exceeds_hw() {
+        let ws = with_suites(simple_set(), &SPEC);
+        let ipcs = fig10_ipcs(&Run::new(&Session::new(), Scale::Test), &ws);
+        assert_eq!(ipcs.len(), ws.len());
+        for w in &ws {
+            let [hw, ideal_1k, ..] = ipcs[w.name];
+            assert!(
+                ideal_1k > hw && hw > 0.0,
+                "{}: ideal 1K IPC {ideal_1k} must exceed hw IPC {hw}",
+                w.name
+            );
+        }
+    }
+
+    #[test]
+    fn fig7_predictors_run() {
+        let s = fig7(&Run::new(&Session::new(), Scale::Test));
+        assert!(s.contains("A MPKI"));
     }
 }
