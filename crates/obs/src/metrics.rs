@@ -178,7 +178,8 @@ impl Registry {
     /// series).
     ///
     /// Histograms render cumulative `_bucket{le=…}` series plus `_sum`
-    /// and `_count`, skipping empty buckets to keep snapshots readable.
+    /// and `_count`, skipping empty buckets to keep snapshots readable; a
+    /// labeled histogram adds `le` to its own label set.
     pub fn render(&self) -> String {
         let reg = self.series();
         let mut out = String::new();
@@ -197,25 +198,23 @@ impl Registry {
                 Metric::Counter(c) => out.push_str(&format!("{name} {}\n", c.get())),
                 Metric::Gauge(g) => out.push_str(&format!("{name} {}\n", g.get())),
                 Metric::Histogram(h) => {
-                    let buckets = h.buckets();
+                    // The suffixes go on the base name, and `le` joins the
+                    // series' own labels: `base_bucket{labels,le="…"}`,
+                    // `base_sum{labels}`, `base_count{labels}`.
+                    let set = labels(name).unwrap_or("");
+                    let inner = set.trim_start_matches('{').trim_end_matches('}');
+                    let sep = if inner.is_empty() { "" } else { "," };
                     let mut cum = 0u64;
-                    for (b, n) in buckets.iter().enumerate() {
+                    for (b, n) in h.buckets().iter().enumerate() {
                         cum += n;
                         if *n == 0 {
                             continue;
                         }
                         let le = bucket_bound(b);
-                        let extra = labels(name).map(|l| {
-                            // splice le into the existing label set
-                            format!("{}{},le=\"{le}\"}}", base_name(name), &l[..l.len() - 1])
-                        });
-                        match extra {
-                            Some(s) => out.push_str(&format!("{s} {cum}\n")),
-                            None => out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n")),
-                        }
+                        out.push_str(&format!("{base}_bucket{{{inner}{sep}le=\"{le}\"}} {cum}\n"));
                     }
-                    out.push_str(&format!("{name}_sum {}\n", h.sum()));
-                    out.push_str(&format!("{name}_count {}\n", h.count()));
+                    out.push_str(&format!("{base}_sum{set} {}\n", h.sum()));
+                    out.push_str(&format!("{base}_count{set} {}\n", h.count()));
                 }
             }
         }
@@ -311,5 +310,53 @@ mod tests {
         assert!(snap.contains("test_worker_busy_ns{worker=\"1\"} 6"));
         // one TYPE line for the shared base name
         assert_eq!(snap.matches("# TYPE test_worker_busy_ns gauge").count(), 1);
+    }
+
+    /// Whether `line` is a Prometheus sample line:
+    /// `^[A-Za-z_:][A-Za-z0-9_:]*(\{[^}]*\})? \S+$`.
+    fn is_sample_line(line: &str) -> bool {
+        let name_end = line
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+            .unwrap_or(line.len());
+        let (name, mut rest) = line.split_at(name_end);
+        if name.is_empty() || name.starts_with(|c: char| c.is_ascii_digit()) {
+            return false;
+        }
+        if let Some(set) = rest.strip_prefix('{') {
+            let Some(close) = set.find('}') else {
+                return false;
+            };
+            rest = &set[close + 1..];
+        }
+        rest.strip_prefix(' ')
+            .is_some_and(|v| !v.is_empty() && !v.contains(char::is_whitespace))
+    }
+
+    #[test]
+    fn histograms_render_valid_exposition_text() {
+        let reg = Registry::default();
+        reg.histogram("test_plain_ns").observe(3);
+        let labeled = reg.histogram("test_rate{core=\"ooo\"}");
+        labeled.observe(0);
+        labeled.observe(5);
+        let text = reg.render();
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            assert!(is_sample_line(line), "not a sample line: {line}");
+        }
+        for want in [
+            "test_plain_ns_bucket{le=\"3\"} 1",
+            "test_plain_ns_sum 3",
+            "test_plain_ns_count 1",
+            "test_rate_bucket{core=\"ooo\",le=\"0\"} 1",
+            "test_rate_bucket{core=\"ooo\",le=\"7\"} 2",
+            "test_rate_sum{core=\"ooo\"} 5",
+            "test_rate_count{core=\"ooo\"} 2",
+        ] {
+            assert!(
+                text.lines().any(|l| l == want),
+                "missing {want:?} in\n{text}"
+            );
+        }
+        assert!(!is_sample_line("test_rate{core=\"ooo\"}_count 2"));
     }
 }

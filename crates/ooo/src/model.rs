@@ -16,14 +16,13 @@
 
 use crate::configs::OooConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use trips_ir::Program;
 use trips_risc::exec::{CtrlKind, EventSource, MachineSource, RiscError, StepEvent};
 use trips_risc::{CursorState, RCat, RProgram, RiscTrace, TraceCursor};
 use trips_sample::{
     Phase, PhasePlan, PhaseWindow, ReplayMode, SampleSummary, TimingCore, WindowMeasure,
 };
-use trips_sim::cache::{Cache, CacheSnapshot};
+use trips_sim::cache::{partition_point_from_end, Cache, CacheSnapshot};
 
 /// Timing statistics of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -163,53 +162,93 @@ impl Predictor {
     }
 }
 
+/// A tracker holding more than this many cycles prunes on its next take.
+const PRUNE_ABOVE: usize = 4096;
+/// How far behind the cycle just taken a prune keeps pairs.
+const PRUNE_KEEP: u64 = 1024;
+
 /// Issue-bandwidth tracker: at most `width` issues per cycle.
+///
+/// Holds one `(cycle, count)` pair per cycle with at least one issue,
+/// sorted by cycle, with `1 ≤ count ≤ width`. Slot searches start at
+/// operand-ready times near the newest pairs, so a take gallops back from
+/// the end of the list. Once more than [`PRUNE_ABOVE`] pairs are held,
+/// each take drops every pair more than [`PRUNE_KEEP`] cycles behind the
+/// cycle it took. That is the rule of the cycle-keyed hash map this list
+/// replaced, so after every take the list holds exactly the map's pairs
+/// and a snapshot lists the same pairs in the same (sorted) order: the
+/// live-point bytes did not change with the representation.
 struct IssueSlots {
     width: u32,
-    counts: HashMap<u64, u32>,
+    slots: Vec<(u64, u32)>,
 }
 
 impl IssueSlots {
     fn new(width: u32) -> IssueSlots {
         IssueSlots {
             width,
-            counts: HashMap::new(),
+            slots: Vec::new(),
         }
     }
 
+    /// Takes a slot in the first cycle at or after `earliest` with one
+    /// free, and returns that cycle.
     fn take(&mut self, earliest: u64) -> u64 {
         let mut t = earliest;
+        let mut i = partition_point_from_end(&self.slots, |s| s.0 < t);
         loop {
-            let c = self.counts.entry(t).or_insert(0);
-            if *c < self.width {
-                *c += 1;
-                // Opportunistic pruning keeps the map small.
-                if self.counts.len() > 4096 {
-                    let min = t.saturating_sub(1024);
-                    self.counts.retain(|&k, _| k >= min);
+            match self.slots.get_mut(i) {
+                Some(s) if s.0 == t && s.1 >= self.width => {
+                    t += 1;
+                    i += 1;
                 }
-                return t;
+                Some(s) if s.0 == t => {
+                    s.1 += 1;
+                    break;
+                }
+                _ => {
+                    self.slots.insert(i, (t, 1));
+                    break;
+                }
             }
-            t += 1;
         }
+        if self.slots.len() > PRUNE_ABOVE {
+            let floor = t.saturating_sub(PRUNE_KEEP);
+            let cut = self.slots.partition_point(|s| s.0 < floor);
+            self.slots.drain(..cut);
+        }
+        t
     }
 
-    /// Captures the per-cycle issue counts at cycle ≥ `horizon` — slot
-    /// searches start at operand-ready times near the current clock, so
-    /// counts far enough behind it are dead weight in a live-point.
+    /// The pairs at cycle `horizon` or later, in ascending order.
     fn snapshot(&self, horizon: u64) -> Vec<(u64, u32)> {
-        let mut v: Vec<(u64, u32)> = self
-            .counts
-            .iter()
-            .filter(|&(&t, _)| t >= horizon)
-            .map(|(&t, &c)| (t, c))
-            .collect();
-        v.sort_unstable();
-        v
+        self.slots[self.slots.partition_point(|s| s.0 < horizon)..].to_vec()
     }
 
-    fn restore(&mut self, counts: &[(u64, u32)]) {
-        self.counts = counts.iter().copied().collect();
+    /// Puts the tracker in the state [`IssueSlots::snapshot`] listed.
+    ///
+    /// # Errors
+    /// When the cycles are not strictly ascending, or a count is 0 or
+    /// above the width.
+    fn restore(&mut self, pairs: &[(u64, u32)]) -> Result<(), String> {
+        let mut prev = None;
+        for &(t, n) in pairs {
+            if let Some(p) = prev.filter(|&p| p >= t) {
+                return Err(format!(
+                    "live-point issue cycles not strictly ascending ({p} then {t})"
+                ));
+            }
+            if n == 0 || n > self.width {
+                return Err(format!(
+                    "live-point issues {n} at cycle {t} on a {}-wide port",
+                    self.width
+                ));
+            }
+            prev = Some(t);
+        }
+        self.slots.clear();
+        self.slots.extend_from_slice(pairs);
+        Ok(())
     }
 }
 
@@ -352,7 +391,7 @@ impl OooState {
 
         // Operand readiness.
         let mut ready = fetch_t + cfg.frontend;
-        for r in inst.reads() {
+        for r in inst.reads().iter() {
             ready = ready.max(self.reg_ready[r.0 as usize]);
         }
         let mut issue_t = self.issue.take(ready);
@@ -461,9 +500,13 @@ impl OooState {
 
     fn snapshot(&self, unit: u64, cursor: CursorState) -> OooSnapshot {
         // Port/issue counts ~1M cycles behind the clock can never be
-        // probed again; keep them out of the snapshot (the tracker's own
-        // opportunistic pruning already assumes 1024-cycle recency). The
-        // anchor is the most conservative of the machine's clocks.
+        // probed again: every later take starts at or after
+        // `fetch_cycle`, since an instruction is ready no earlier than its
+        // fetch plus the front end. Keep them out of the snapshot. The
+        // anchor is the most conservative of the machine's clocks. A
+        // shorter list can delay the restored tracker's next prune, which
+        // only matters if a prune drops a pair some later take probes;
+        // the restored-window ≡ sequential checks would see that.
         let horizon = self
             .acct
             .min(self.fetch_cycle)
@@ -510,9 +553,9 @@ impl OooState {
         self.l1.restore(&s.l1)?;
         self.l2.restore(&s.l2)?;
         pred.clone_from(&s.pred);
-        self.issue.restore(&s.issue);
-        self.mem_ports.restore(&s.mem_ports);
-        self.fp_ports.restore(&s.fp_ports);
+        self.issue.restore(&s.issue)?;
+        self.mem_ports.restore(&s.mem_ports)?;
+        self.fp_ports.restore(&s.fp_ports)?;
         self.reg_ready = s.reg_ready;
         self.fetch_cycle = s.fetch_cycle;
         self.fetched_this_cycle = s.fetched_this_cycle;
@@ -728,7 +771,9 @@ impl TimingCore for OooCore<'_> {
 mod tests {
     use super::*;
     use crate::configs;
+    use proptest::prelude::*;
     use serde::Value;
+    use std::collections::HashMap;
     use trips_ir::{IntCc, Operand, ProgramBuilder};
     use trips_risc::compile_program;
     use trips_sample::assemble_windows;
@@ -1155,6 +1200,136 @@ mod tests {
             Err(RiscError::Trace(_))
         ));
         assert!(run_ooo_phased_capture(&rp, &trace, &cfg, &plan).is_err());
+    }
+
+    /// The issue tracker as it was before the sorted list: a cycle-keyed
+    /// map, probed forward, pruned past 4096 cycles to the last 1024
+    /// behind the cycle taken. The reference model for [`IssueSlots`].
+    struct IssueSlotsModel {
+        width: u32,
+        counts: HashMap<u64, u32>,
+    }
+
+    impl IssueSlotsModel {
+        fn new(width: u32) -> IssueSlotsModel {
+            IssueSlotsModel {
+                width,
+                counts: HashMap::new(),
+            }
+        }
+
+        fn take(&mut self, earliest: u64) -> u64 {
+            let mut t = earliest;
+            loop {
+                let c = self.counts.entry(t).or_insert(0);
+                if *c < self.width {
+                    *c += 1;
+                    // Opportunistic pruning keeps the map small.
+                    if self.counts.len() > 4096 {
+                        let min = t.saturating_sub(1024);
+                        self.counts.retain(|&k, _| k >= min);
+                    }
+                    return t;
+                }
+                t += 1;
+            }
+        }
+
+        fn snapshot(&self, horizon: u64) -> Vec<(u64, u32)> {
+            let mut v: Vec<(u64, u32)> = self
+                .counts
+                .iter()
+                .filter(|&(&t, _)| t >= horizon)
+                .map(|(&t, &c)| (t, c))
+                .collect();
+            v.sort_unstable();
+            v
+        }
+
+        fn restore(&mut self, counts: &[(u64, u32)]) {
+            self.counts = counts.iter().copied().collect();
+        }
+    }
+
+    /// Drives both trackers through the same takes. Of 16 `kind`s, 8
+    /// query near the clock, 1 hundreds of cycles ahead of it (a DRAM
+    /// miss's dependent), 1 behind it, and 6 advance it. Returns how often
+    /// the reference map shrank (pruned).
+    fn drive_slots(
+        slots: &mut IssueSlots,
+        model: &mut IssueSlotsModel,
+        clock: &mut u64,
+        ops: &[(u8, u64)],
+    ) -> Result<u32, TestCaseError> {
+        let mut prunes = 0;
+        for &(kind, off) in ops {
+            let t = match kind {
+                0..8 => *clock + off % 4,
+                8 => *clock + 100 + off % 900,
+                9 => clock.saturating_sub(off % 2048),
+                _ => {
+                    *clock += off % 4;
+                    continue;
+                }
+            };
+            let before = model.counts.len();
+            prop_assert_eq!(slots.take(t), model.take(t), "take({})", t);
+            prop_assert_eq!(slots.slots.len(), model.counts.len());
+            if model.counts.len() < before {
+                prunes += 1;
+            }
+        }
+        Ok(prunes)
+    }
+
+    fn slot_ops(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u8, u64)>> {
+        prop::collection::vec((0u8..16, 0u64..1 << 16), n)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn issue_slots_match_the_reference_map(
+            width in 1u32..7,
+            start in 0u64..3000,
+            ops in slot_ops(50_000..60_000),
+            more in slot_ops(2_000..4_000),
+            horizons in prop::collection::vec(0u64..1 << 16, 4..5),
+        ) {
+            let mut slots = IssueSlots::new(width);
+            let mut model = IssueSlotsModel::new(width);
+            let mut clock = start;
+            let prunes = drive_slots(&mut slots, &mut model, &mut clock, &ops)?;
+            prop_assert!(prunes >= 3, "{} takes pruned only {} times", ops.len(), prunes);
+            let below = horizons.iter().map(|&h| clock.saturating_sub(h));
+            for h in below.chain([0, clock, u64::MAX]) {
+                prop_assert_eq!(slots.snapshot(h), model.snapshot(h), "horizon {}", h);
+            }
+            // A restored full snapshot keeps agreeing.
+            let snap = slots.snapshot(0);
+            let mut slots = IssueSlots::new(width);
+            slots.restore(&snap).unwrap();
+            model.restore(&model.snapshot(0));
+            drive_slots(&mut slots, &mut model, &mut clock, &more)?;
+            prop_assert_eq!(slots.snapshot(0), model.snapshot(0));
+        }
+    }
+
+    #[test]
+    fn issue_slots_reject_unsorted_empty_or_overfull_cycles() {
+        let mut slots = IssueSlots::new(3);
+        slots.restore(&[]).unwrap();
+        slots.restore(&[(4, 1), (5, 3), (900, 2)]).unwrap();
+        assert_eq!(slots.snapshot(0), [(4, 1), (5, 3), (900, 2)]);
+        assert_eq!(slots.take(5), 6);
+        for bad in [
+            &[(5, 1), (4, 1)][..],
+            &[(5, 1), (5, 1)],
+            &[(4, 1), (5, 0)],
+            &[(4, 4)],
+        ] {
+            assert!(slots.restore(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -54,6 +54,34 @@ pub enum RCat {
     Control,
 }
 
+/// The registers one instruction reads, in operand order: at most three,
+/// held inline so the per-instruction timing and counting paths allocate
+/// nothing. Derefs to `[Reg]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reads {
+    regs: [Reg; 3],
+    len: u8,
+}
+
+impl Reads {
+    fn of<const N: usize>(regs: [Reg; N]) -> Reads {
+        let mut r = Reads {
+            regs: [Reg(0); 3],
+            len: N as u8,
+        };
+        r.regs[..N].copy_from_slice(&regs);
+        r
+    }
+}
+
+impl std::ops::Deref for Reads {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
 /// One RISC instruction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RInst {
@@ -150,23 +178,22 @@ impl RInst {
     }
 
     /// Registers read by this instruction (≤3).
-    pub fn reads(&self) -> Vec<Reg> {
+    pub fn reads(&self) -> Reads {
         match self {
-            RInst::Li { .. } | RInst::B { .. } | RInst::Bl { .. } | RInst::Blr => vec![],
-            RInst::Oris { src, .. } => vec![*src],
+            RInst::Li { .. } | RInst::B { .. } | RInst::Bl { .. } | RInst::Blr => Reads::of([]),
+            RInst::Oris { src, .. } | RInst::Mr { src, .. } => Reads::of([*src]),
             RInst::Alu { a, b, .. }
             | RInst::Cmp { a, b, .. }
             | RInst::Fbin { a, b, .. }
-            | RInst::Fcmp { a, b, .. } => vec![*a, *b],
+            | RInst::Fcmp { a, b, .. } => Reads::of([*a, *b]),
             RInst::Alui { a, .. }
             | RInst::Alun { a, .. }
             | RInst::Cmpi { a, .. }
-            | RInst::Fun { a, .. } => vec![*a],
-            RInst::Mr { src, .. } => vec![*src],
-            RInst::Select { c, a, b, .. } => vec![*c, *a, *b],
-            RInst::Load { base, .. } => vec![*base],
-            RInst::Store { src, base, .. } => vec![*src, *base],
-            RInst::Bnz { c, .. } | RInst::Bz { c, .. } => vec![*c],
+            | RInst::Fun { a, .. } => Reads::of([*a]),
+            RInst::Select { c, a, b, .. } => Reads::of([*c, *a, *b]),
+            RInst::Load { base, .. } => Reads::of([*base]),
+            RInst::Store { src, base, .. } => Reads::of([*src, *base]),
+            RInst::Bnz { c, .. } | RInst::Bz { c, .. } => Reads::of([*c]),
         }
     }
 
@@ -274,7 +301,7 @@ mod tests {
             a: Reg(5),
             b: Reg(6),
         };
-        assert_eq!(i.reads(), vec![Reg(4), Reg(5), Reg(6)]);
+        assert_eq!(*i.reads(), [Reg(4), Reg(5), Reg(6)]);
         assert_eq!(i.writes(), Some(Reg(3)));
         assert_eq!(RInst::Blr.writes(), None);
         let s = RInst::Store {
@@ -283,7 +310,8 @@ mod tests {
             base: Reg(1),
             off: 8,
         };
-        assert_eq!(s.reads(), vec![Reg(7), Reg(1)]);
+        assert_eq!(*s.reads(), [Reg(7), Reg(1)]);
+        assert!(RInst::Blr.reads().is_empty());
         assert_eq!(s.writes(), None);
     }
 

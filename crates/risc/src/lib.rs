@@ -24,7 +24,7 @@ pub mod trace;
 
 pub use codegen::{compile_program, CodegenError};
 pub use exec::{run, EventSource, Machine, MachineSource, RiscOutcome, RiscStats};
-pub use inst::{RCat, RInst, RProgram, Reg};
+pub use inst::{RCat, RInst, RProgram, Reads, Reg};
 pub use trace::{
     CursorState, RiscTrace, RiscTraceHeader, RiscTraceMeta, TraceCursor, RISC_TRACE_VERSION,
 };

@@ -150,6 +150,25 @@ struct ClaimWord {
     bits: u64,
 }
 
+/// `items.partition_point(pred)` for searches that land near the end of
+/// `items`: gallops backwards from the end in doubling steps, then
+/// bisects the last step. `pred` must hold on a prefix of `items`.
+#[inline]
+pub fn partition_point_from_end<T>(items: &[T], pred: impl Fn(&T) -> bool) -> usize {
+    // Every item at or after `hi` fails `pred`.
+    let mut hi = items.len();
+    let mut step = 1;
+    while hi > 0 {
+        let probe = hi.saturating_sub(step);
+        if pred(&items[probe]) {
+            return probe + 1 + items[probe + 1..hi].partition_point(&pred);
+        }
+        hi = probe;
+        step *= 2;
+    }
+    0
+}
+
 /// The exact set of cycles a single-ported resource (a data bank, a DRAM
 /// channel, one directed mesh link) has been claimed for.
 ///
@@ -168,22 +187,9 @@ pub(crate) struct ClaimList {
 
 impl ClaimList {
     /// Index of the first word whose base is at least `base`. Requests
-    /// land near the newest claims, so the search gallops backwards from
-    /// the end before bisecting.
+    /// land near the newest claims.
     fn locate(&self, base: u64) -> usize {
-        let words = &self.words;
-        // Every word at or after `hi` has a base ≥ `base`.
-        let mut hi = words.len();
-        let mut step = 1;
-        while hi > 0 {
-            let probe = hi.saturating_sub(step);
-            if words[probe].base < base {
-                return probe + 1 + words[probe + 1..hi].partition_point(|w| w.base < base);
-            }
-            hi = probe;
-            step *= 2;
-        }
-        0
+        partition_point_from_end(&self.words, |w| w.base < base)
     }
 
     /// The first `start ≥ t` with cycles `start..start + n` all free.

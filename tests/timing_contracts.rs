@@ -25,7 +25,9 @@
 //!   lands within 10% of full replay;
 //! * **hostile snapshots** — a snapshot with any one sequence emptied or
 //!   grown by one element replays to `Ok` or `Err`, never a panic, and
-//!   decodes from its `serde::bin` bytes as from its `Value` tree.
+//!   decodes from its `serde::bin` bytes as from its `Value` tree; an
+//!   OoO snapshot whose issue cycles are out of order, empty or over the
+//!   width is an `Err`.
 //!
 //! Tier-1 runs them on both cores at Test scale on a summing loop,
 //! `autocor` and `vadd`, and on TRIPS on `matrix` too. There the
@@ -80,6 +82,10 @@ struct Figures {
     ipc: f64,
 }
 
+/// A named edit of a snapshot's serde image, given the machine's issue
+/// width.
+type SnapshotEdit = (&'static str, fn(&mut Value, u32));
+
 /// A [`TimingCore`] whose replays the contracts can read.
 trait Contracted:
     TimingCore<
@@ -93,6 +99,8 @@ trait Contracted:
     fn figures(s: &Self::Stats) -> Figures;
     /// Whether `e` is the core's rejection of a malformed input.
     fn rejected(e: &Self::Error) -> bool;
+    /// Edits of a snapshot that restoring must reject.
+    const REJECTED_EDITS: &'static [SnapshotEdit] = &[];
 }
 
 impl Contracted for TsimCore<'_> {
@@ -139,6 +147,39 @@ impl Contracted for OooCore<'_> {
     fn rejected(e: &RiscError) -> bool {
         matches!(e, RiscError::Trace(_))
     }
+
+    /// The issue tracker's `(cycle, count)` pairs must be strictly
+    /// ascending by cycle, with counts from 1 to the width.
+    const REJECTED_EDITS: &'static [SnapshotEdit] = &[
+        ("issue cycles out of order", |v, _| {
+            issue_pairs(v).swap(0, 1)
+        }),
+        ("an issue cycle with no issues", |v, _| {
+            set_first_issues(v, 0)
+        }),
+        ("an issue cycle over the width", |v, width| {
+            set_first_issues(v, u64::from(width) + 1)
+        }),
+    ];
+}
+
+/// The issue tracker's pairs in an [`ooo::OooSnapshot`]'s serde image.
+fn issue_pairs(image: &mut Value) -> &mut Vec<Value> {
+    let Value::Map(fields) = image else {
+        panic!("a snapshot is a struct")
+    };
+    match fields.iter_mut().find(|f| f.0 == Value::str("issue")) {
+        Some((_, Value::Seq(pairs))) if pairs.len() > 1 => pairs,
+        _ => panic!("the snapshot holds at least two issue cycles"),
+    }
+}
+
+/// Sets the count of `image`'s first issue pair to `n`.
+fn set_first_issues(image: &mut Value, n: u64) {
+    let Value::Seq(pair) = &mut issue_pairs(image)[0] else {
+        panic!("an issue pair is a tuple")
+    };
+    pair[1] = Value::U64(n);
 }
 
 /// One configuration of a core over one recorded program.
@@ -380,7 +421,8 @@ fn seq_at<'v>(mut v: &'v mut Value, at: &[usize]) -> &'v mut Vec<Value> {
 /// and grown by one element: each edit decodes to `Err`, or to a snapshot
 /// that replays `window` to `Ok` or `Err`. None panics. Each edit also
 /// decodes through its `serde::bin` bytes to the same snapshot or `Err`
-/// as from the `Value` tree.
+/// as from the `Value` tree. Each of the core's
+/// [`Contracted::REJECTED_EDITS`] replays to `Err`, without panicking.
 fn hostile_snapshots_never_panic<C: Contracted>(
     s: &Subject<C>,
     window: &PhaseWindow,
@@ -423,6 +465,19 @@ fn hostile_snapshots_never_panic<C: Contracted>(
                 Ok(false) => disagreements.push(edit),
                 Ok(true) => {}
             }
+        }
+    }
+    for (what, edit) in C::REJECTED_EDITS {
+        let mut bad = image.clone();
+        edit(&mut bad, s.issue_width);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let bad = serde::from_value::<C::Snapshot>(&bad).unwrap();
+            replay_window((s.core)(), window, &bad).map(drop)
+        }));
+        match outcome {
+            Err(_) => panics.push(what.to_string()),
+            Ok(Ok(())) => panic!("{}: {what} must be rejected", s.name),
+            Ok(Err(e)) => assert!(C::rejected(&e), "{}: {what}: wrong error {e:?}", s.name),
         }
     }
     assert!(panics.is_empty(), "{}: panicked on {panics:?}", s.name);
