@@ -9,6 +9,10 @@
 //! * `from_bytes::<T>(b)` equals `from_value::<T>(&from_bytes::<Value>(b))`
 //!   and `x` itself, so a store written by the `Value` path decodes to the
 //!   same payload.
+//!
+//! One payload of each stored kind, and the `IsaStats` of a functional
+//! run, are also pinned by the content hash of their bytes and of their
+//! JSON text, so a change to the capture paths cannot move them unseen.
 
 mod common;
 
@@ -19,6 +23,7 @@ use serde::{DeserializeOwned, Serialize, Value};
 use trips::compiler::CompileOptions;
 use trips::engine::store::{LivePointSet, LivePointStates, KIND_BLOCK_TRACE, KIND_RISC_TRACE};
 use trips::engine::{PhaseK, Session, Stream};
+use trips::isa::hash::content_hash;
 use trips::ooo::{self, OooCore};
 use trips::sample::capture_phased;
 use trips::sim::{TripsConfig, TsimCore};
@@ -92,4 +97,54 @@ fn ooo_payloads_encode_and_decode_as_their_value_image() {
     let (_, snaps) = capture_phased(core, &handmade_plan(total)).unwrap();
     let set = live_points(LivePointStates::Ooo(snaps), KIND_RISC_TRACE, total);
     same_as_value_path("LivePointSet (OoO)", &set);
+}
+
+/// Content hashes of `x`'s `serde::bin` bytes and of its JSON text.
+fn pins<T: Serialize>(x: &T) -> (u64, u64) {
+    (
+        content_hash(&serde::bin::to_bytes(x)),
+        content_hash(serde::json::to_string(x).as_bytes()),
+    )
+}
+
+/// One Test-scale payload of each surviving stored kind, and the ISA
+/// statistics of a functional run, pinned by content hash. The values
+/// were computed by an earlier build: a change to the capture paths or
+/// to the byte format must keep them (a format change retires only the
+/// byte pins, the first of each pair).
+#[test]
+fn test_scale_payloads_and_isa_stats_are_pinned() {
+    let w = by_name("autocor").unwrap();
+    let session = Session::new();
+    let stream = Stream::new(&w, Scale::Test, CompileOptions::o2(), MEM, 1_000_000);
+    let log = session.trace(&stream).unwrap();
+    let art = trips::phase::trips_fit(&log, &tiny_spec(PhaseK::Auto), 7);
+
+    let ooo = Stream::new(&w, Scale::Test, CompileOptions::gcc_ref(), MEM, 400_000_000);
+    let risc = session.risc_trace(&ooo).unwrap();
+
+    let compiled = session.compiled(&stream).unwrap();
+    let out =
+        trips::isa::interp::run_program_with(&compiled.trips, &compiled.opt_ir, MEM, stream.budget)
+            .unwrap();
+    let stats = &out.stats;
+
+    let got = [pins(&*log), pins(&*risc), pins(&art), pins(stats)];
+    let want = [
+        (0x374c_9ce7_f498_dee6, 0x60fd_09a2_3211_dac8),
+        (0xe681_d9fe_2db0_9b82, 0x897f_bc43_fc21_0a6b),
+        (0x350d_6025_378f_5e0a, 0xca4b_96fd_a887_90a3),
+        (0x5e73_0a5b_5300_40b3, 0xf00a_cc59_cfc5_7c95),
+    ];
+    assert_eq!(got, want, "TraceLog, RiscTrace, PhaseArtifact, IsaStats");
+    assert_eq!(
+        (
+            stats.blocks_executed,
+            stats.executed,
+            stats.useful,
+            stats.blocks_touched.len()
+        ),
+        (294, 19_709, 11_138, 6)
+    );
+    assert_eq!(*stats, log.stats, "capture and the plain run count alike");
 }
