@@ -138,6 +138,101 @@ pub struct TraceMem {
     pub is_store: bool,
 }
 
+/// The operand sources of one fired instruction, held inline: at most
+/// two operands and a predicate. Unused slots hold `Read(0)`, so the
+/// derived `Eq` and `Hash` see only the listed sources. It derefs to
+/// `[TraceSrc]` and encodes as the `Vec<TraceSrc>` of its sources.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Srcs {
+    len: u8,
+    srcs: [TraceSrc; Srcs::CAP],
+}
+
+impl Srcs {
+    /// Most sources one instruction can list.
+    pub const CAP: usize = 3;
+
+    /// No sources.
+    pub const EMPTY: Srcs = Srcs {
+        len: 0,
+        srcs: [TraceSrc::Read(0); Srcs::CAP],
+    };
+
+    /// Appends `src`.
+    ///
+    /// # Panics
+    /// When [`Srcs::CAP`] sources are already listed.
+    pub fn push(&mut self, src: TraceSrc) {
+        self.srcs[usize::from(self.len)] = src;
+        self.len += 1;
+    }
+}
+
+impl Default for Srcs {
+    fn default() -> Srcs {
+        Srcs::EMPTY
+    }
+}
+
+impl std::ops::Deref for Srcs {
+    type Target = [TraceSrc];
+
+    fn deref(&self) -> &[TraceSrc] {
+        &self.srcs[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Srcs {
+    type Item = &'a TraceSrc;
+    type IntoIter = std::slice::Iter<'a, TraceSrc>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+fn too_many_srcs(n: usize) -> serde::Error {
+    serde::Error::msg(format!("{n} operand sources, at most {}", Srcs::CAP))
+}
+
+impl Serialize for Srcs {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        (**self).serialize(s)
+    }
+    fn encode_bin(&self, out: &mut Vec<u8>) {
+        (**self).encode_bin(out);
+    }
+}
+
+impl<'de> Deserialize<'de> for Srcs {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Srcs, D::Error> {
+        use serde::de::Error;
+        let items = match d.value_ref() {
+            serde::Value::Seq(items) => items,
+            _ => return Err(D::Error::custom("expected sequence")),
+        };
+        if items.len() > Srcs::CAP {
+            return Err(D::Error::custom(too_many_srcs(items.len())));
+        }
+        let mut out = Srcs::EMPTY;
+        for v in items {
+            out.push(serde::from_value(v).map_err(D::Error::custom)?);
+        }
+        Ok(out)
+    }
+    fn decode_bin(r: &mut serde::bin::Reader<'_>) -> Result<Srcs, serde::Error> {
+        let len = r.seq()?;
+        if len > Srcs::CAP {
+            return Err(too_many_srcs(len));
+        }
+        let mut out = Srcs::EMPTY;
+        for _ in 0..len {
+            out.push(TraceSrc::decode_bin(r)?);
+        }
+        Ok(out)
+    }
+}
+
 /// One fired instruction in a block execution, in fire order.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TraceInst {
@@ -145,7 +240,7 @@ pub struct TraceInst {
     pub idx: u8,
     /// Producers that delivered this instruction's operands (including the
     /// predicate operand).
-    pub srcs: Vec<TraceSrc>,
+    pub srcs: Srcs,
     /// Memory access, if any.
     pub mem: Option<TraceMem>,
 }
@@ -204,6 +299,10 @@ pub fn run_program_with(
 /// dynamic block execution (in program order). This is the execution oracle
 /// driving the cycle-level simulator.
 ///
+/// The run allocates nothing per dynamic block: one trace buffer and one
+/// set of working buffers serve every block, and each static block's
+/// producer map is built on its first execution.
+///
 /// # Errors
 /// See [`run_program_with`].
 pub fn run_program_traced(
@@ -220,6 +319,10 @@ pub fn run_program_traced(
     let mut call_stack: Vec<u32> = Vec::new();
     let mut cur = tp.entry;
     let mut budget = max_blocks;
+    // One per static block, built when the block is first touched.
+    let mut producers: Vec<Option<ProducerMap>> = tp.blocks.iter().map(|_| None).collect();
+    let mut scratch = Scratch::default();
+    let mut trace = BlockTrace::default();
 
     loop {
         if budget == 0 {
@@ -230,9 +333,19 @@ pub fn run_program_traced(
             .blocks
             .get(cur as usize)
             .ok_or_else(|| TripsExecError::BadProgram(format!("block index {cur} out of range")))?;
-        stats.blocks_touched.insert(cur);
-        let mut trace = BlockTrace::default();
-        let exec = execute_block(block, &mut regs, &mut mem, &mut stats, &mut trace)?;
+        let map = producers[cur as usize].get_or_insert_with(|| {
+            stats.blocks_touched.insert(cur);
+            ProducerMap::of(block)
+        });
+        let exec = execute_block(
+            block,
+            map,
+            &mut scratch,
+            &mut regs,
+            &mut mem,
+            &mut stats,
+            &mut trace,
+        )?;
         on_block(cur, &trace);
         match exec {
             ExitTarget::Block(b) => cur = b,
@@ -263,263 +376,295 @@ struct Slots {
     pred_from: Option<Producer>,
 }
 
+/// Which producers target each `(instruction, slot)` of one block. It
+/// depends only on the static block, so a run builds it once per block.
+struct ProducerMap {
+    /// `from[start[k]..start[k + 1]]` are the producers of key
+    /// `k = 3 * instruction + slot code`.
+    start: Vec<u32>,
+    from: Vec<Producer>,
+}
+
+impl ProducerMap {
+    fn of(block: &Block) -> ProducerMap {
+        let arcs = || {
+            let reads =
+                block.reads.iter().enumerate().flat_map(|(ri, r)| {
+                    r.targets.iter().map(move |t| (t, Producer::Read(ri as u8)))
+                });
+            let insts = block.insts.iter().enumerate().flat_map(|(ii, inst)| {
+                inst.targets
+                    .iter()
+                    .map(move |t| (t, Producer::Inst(ii as u8)))
+            });
+            reads.chain(insts).filter_map(|(t, p)| match *t {
+                Target::Inst { idx, slot } => {
+                    Some((3 * usize::from(idx) + usize::from(slot.code()), p))
+                }
+                Target::Write(_) => None,
+            })
+        };
+        let mut start = vec![0u32; 3 * block.insts.len() + 1];
+        for (k, _) in arcs() {
+            start[k + 1] += 1;
+        }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        let mut next = start.clone();
+        let mut from = vec![Producer::Read(0); start[start.len() - 1] as usize];
+        for (k, p) in arcs() {
+            from[next[k] as usize] = p;
+            next[k] += 1;
+        }
+        ProducerMap { start, from }
+    }
+
+    /// The producers targeting the slot coded `slot` of instruction `i`.
+    fn of_slot(&self, i: usize, slot: usize) -> &[Producer] {
+        let k = 3 * i + slot;
+        &self.from[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+}
+
+/// The working state of one block execution. A run keeps one and
+/// [`Scratch::reset`]s it per block, so once its buffers have grown to
+/// the largest block, executing a block allocates nothing.
+#[derive(Default)]
+struct Scratch {
+    slots: Vec<Slots>,
+    fired: Vec<bool>,
+    /// Instructions that can never fire.
+    dead: Vec<bool>,
+    produced: Vec<Option<Val>>,
+    /// Store completion state per LSID.
+    lsid_done: [bool; crate::limits::MAX_LSIDS],
+    write_vals: Vec<Option<(Val, Option<Producer>)>>,
+    exit_taken: Option<u8>,
+    /// Instructions to try firing, popped from the back.
+    ready: Vec<u8>,
+    /// Loads that fired dataflow-wise but wait for LSID order.
+    waiting_mem: Vec<u8>,
+    /// Pending stores `(lsid, addr, width, bits)`, LSID-sorted.
+    store_buf: Vec<(u8, u64, MemWidth, u64)>,
+    /// Fired instructions that fed a block output.
+    used: Vec<bool>,
+    work: Vec<Producer>,
+}
+
+impl Scratch {
+    fn reset(&mut self, block: &Block) {
+        fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+            v.clear();
+            v.resize(n, x);
+        }
+        let n = block.insts.len();
+        refill(&mut self.slots, n, Slots::default());
+        refill(&mut self.fired, n, false);
+        refill(&mut self.dead, n, false);
+        refill(&mut self.produced, n, None);
+        refill(&mut self.used, n, false);
+        refill(&mut self.write_vals, block.writes.len(), None);
+        self.lsid_done = [false; crate::limits::MAX_LSIDS];
+        self.exit_taken = None;
+        self.ready.clear();
+        self.waiting_mem.clear();
+        self.store_buf.clear();
+        self.work.clear();
+    }
+
+    /// Whether instruction `i` has every operand and a matching predicate.
+    fn is_ready(&self, block: &Block, i: usize) -> bool {
+        let inst = &block.insts[i];
+        let s = &self.slots[i];
+        s.op[..inst.op.num_operands()].iter().all(Option::is_some)
+            && inst
+                .pred
+                // A mismatched predicate is handled as dead elsewhere.
+                .is_none_or(|pol| s.pred.is_some_and(|p| p.truthy() == pol))
+    }
+
+    /// Whether no producer in `ps` can still deliver: each is a dead
+    /// instruction or one that fired without a value (header reads
+    /// always deliver).
+    fn none_can_deliver(&self, ps: &[Producer]) -> bool {
+        ps.iter().all(|p| match *p {
+            Producer::Read(_) => false,
+            Producer::Inst(j) => {
+                let j = usize::from(j);
+                self.dead[j] || (self.fired[j] && self.produced[j].is_none())
+            }
+        })
+    }
+}
+
+/// Whether a load with LSID `lsid` must still wait for an earlier store.
+fn load_blocked(block: &Block, lsid: u8, lsid_done: &[bool]) -> bool {
+    (0..lsid).any(|l| ((block.store_mask >> l) & 1) == 1 && !lsid_done[l as usize])
+}
+
+/// Delivers `val` from `from` to target `t`.
+fn deliver(
+    block: &Block,
+    t: &Target,
+    val: Val,
+    from: Producer,
+    sc: &mut Scratch,
+    stats: &mut IsaStats,
+) -> Result<(), TripsExecError> {
+    match t {
+        Target::Inst { idx, slot } => {
+            let i = *idx as usize;
+            if matches!(from, Producer::Inst(_)) {
+                stats.et_et_operands += 1;
+            } else {
+                stats.read_operands += 1;
+            }
+            let s = &mut sc.slots[i];
+            match slot {
+                TargetSlot::Op0 | TargetSlot::Op1 => {
+                    let k = slot.code() as usize;
+                    if s.op[k].is_some() {
+                        return Err(TripsExecError::DoubleDelivery {
+                            block: block.name.clone(),
+                            at: format!("N[{i},{k}]"),
+                        });
+                    }
+                    s.op[k] = Some(val);
+                    s.op_from[k] = Some(from);
+                }
+                TargetSlot::Pred => {
+                    if s.pred.is_some() {
+                        return Err(TripsExecError::DoubleDelivery {
+                            block: block.name.clone(),
+                            at: format!("N[{i},p]"),
+                        });
+                    }
+                    s.pred = Some(val);
+                    s.pred_from = Some(from);
+                    // A mismatched predicate kills the instruction.
+                    if let Some(pol) = block.insts[i].pred {
+                        if val.truthy() != pol {
+                            sc.dead[i] = true;
+                        }
+                    }
+                }
+            }
+            if !sc.fired[i] && !sc.dead[i] {
+                sc.ready.push(i as u8); // re-checked before firing
+            }
+            Ok(())
+        }
+        Target::Write(w) => {
+            stats.write_operands += 1;
+            let wi = *w as usize;
+            if sc.write_vals[wi].is_some() {
+                return Err(TripsExecError::DoubleDelivery {
+                    block: block.name.clone(),
+                    at: format!("W[{wi}]"),
+                });
+            }
+            sc.write_vals[wi] = Some((val, Some(from)));
+            Ok(())
+        }
+    }
+}
+
+/// The trace record of instruction `i` firing with the operands in `s`.
+fn trace_inst(i: usize, inst: &BInst, s: &Slots) -> TraceInst {
+    let mut srcs = Srcs::EMPTY;
+    for p in s.op_from[..inst.op.num_operands()].iter().flatten() {
+        srcs.push((*p).into());
+    }
+    if let Some(p) = s.pred_from {
+        srcs.push(p.into());
+    }
+    let mem = if inst.op.is_load() || inst.op.is_store() {
+        let a = s.op[0].unwrap_or(Val::v(0));
+        if a.null || (inst.op.is_store() && s.op[1].map(|v| v.null).unwrap_or(false)) {
+            None
+        } else {
+            let addr = a.bits.wrapping_add(inst.imm as i64 as u64);
+            let bytes = match inst.op {
+                TOpcode::Lb | TOpcode::Lbs | TOpcode::Sb => 1,
+                TOpcode::Lh | TOpcode::Lhs | TOpcode::Sh => 2,
+                TOpcode::Lw | TOpcode::Lws | TOpcode::Sw => 4,
+                _ => 8,
+            };
+            Some(TraceMem {
+                addr,
+                bytes,
+                is_store: inst.op.is_store(),
+            })
+        }
+    } else {
+        None
+    };
+    TraceInst {
+        idx: i as u8,
+        srcs,
+        mem,
+    }
+}
+
 fn execute_block(
     block: &Block,
+    producers: &ProducerMap,
+    sc: &mut Scratch,
     regs: &mut [u64; crate::limits::NUM_REGS],
     mem: &mut Memory,
     stats: &mut IsaStats,
     trace: &mut BlockTrace,
 ) -> Result<ExitTarget, TripsExecError> {
     let n = block.insts.len();
-    let mut slots: Vec<Slots> = vec![Slots::default(); n];
-    let mut fired = vec![false; n];
-    let mut dead = vec![false; n];
-    let mut produced: Vec<Option<Val>> = vec![None; n];
-    // Pending memory operations: loads that fired dataflow-wise but wait for
-    // LSID order. Store completion state per LSID.
-    let mut lsid_done = vec![false; crate::limits::MAX_LSIDS];
-    let mut write_vals: Vec<Option<(Val, Option<Producer>)>> = vec![None; block.writes.len()];
-    let mut exit_taken: Option<u8> = None;
-
-    // Producer map: which producers target each (inst, slot).
-    let mut producers: Vec<[Vec<Producer>; 3]> = vec![[Vec::new(), Vec::new(), Vec::new()]; n];
-    let record = |producers: &mut Vec<[Vec<Producer>; 3]>, t: &Target, p: Producer| {
-        if let Target::Inst { idx, slot } = t {
-            producers[*idx as usize][slot.code() as usize].push(p);
-        }
-    };
-    for (ri, r) in block.reads.iter().enumerate() {
-        for t in &r.targets {
-            record(&mut producers, t, Producer::Read(ri as u8));
-        }
-    }
-    for (ii, inst) in block.insts.iter().enumerate() {
-        for t in &inst.targets {
-            record(&mut producers, t, Producer::Inst(ii as u8));
-        }
-    }
-
-    let mut ready: Vec<u8> = Vec::new();
-    let mut waiting_mem: Vec<u8> = Vec::new();
-
-    // Check readiness of instruction `i` after a delivery.
-    let is_ready = |i: usize, slots: &[Slots], block: &Block| -> bool {
-        let inst = &block.insts[i];
-        let need = inst.op.num_operands();
-        for s in 0..need {
-            if slots[i].op[s].is_none() {
-                return false;
-            }
-        }
-        if let Some(pol) = inst.pred {
-            match slots[i].pred {
-                Some(p) => {
-                    if p.truthy() != pol {
-                        return false; // mismatched: handled as dead elsewhere
-                    }
-                }
-                None => return false,
-            }
-        }
-        true
-    };
-
-    // Deliver `val` from `from` to target `t`.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        block: &Block,
-        t: &Target,
-        val: Val,
-        from: Producer,
-        slots: &mut [Slots],
-        write_vals: &mut [Option<(Val, Option<Producer>)>],
-        stats: &mut IsaStats,
-        fired: &[bool],
-        ready: &mut Vec<u8>,
-        dead: &mut [bool],
-    ) -> Result<(), TripsExecError> {
-        match t {
-            Target::Inst { idx, slot } => {
-                let i = *idx as usize;
-                if matches!(from, Producer::Inst(_)) {
-                    stats.et_et_operands += 1;
-                } else {
-                    stats.read_operands += 1;
-                }
-                let s = &mut slots[i];
-                match slot {
-                    TargetSlot::Op0 | TargetSlot::Op1 => {
-                        let k = slot.code() as usize;
-                        if s.op[k].is_some() {
-                            return Err(TripsExecError::DoubleDelivery {
-                                block: block.name.clone(),
-                                at: format!("N[{i},{k}]"),
-                            });
-                        }
-                        s.op[k] = Some(val);
-                        s.op_from[k] = Some(from);
-                    }
-                    TargetSlot::Pred => {
-                        if s.pred.is_some() {
-                            return Err(TripsExecError::DoubleDelivery {
-                                block: block.name.clone(),
-                                at: format!("N[{i},p]"),
-                            });
-                        }
-                        s.pred = Some(val);
-                        s.pred_from = Some(from);
-                        // A mismatched predicate kills the instruction.
-                        if let Some(pol) = block.insts[i].pred {
-                            if val.truthy() != pol {
-                                dead[i] = true;
-                            }
-                        }
-                    }
-                }
-                if !fired[i] && !dead[i] {
-                    ready.push(i as u8); // re-checked before firing
-                }
-                Ok(())
-            }
-            Target::Write(w) => {
-                stats.write_operands += 1;
-                let wi = *w as usize;
-                if write_vals[wi].is_some() {
-                    return Err(TripsExecError::DoubleDelivery {
-                        block: block.name.clone(),
-                        at: format!("W[{wi}]"),
-                    });
-                }
-                write_vals[wi] = Some((val, Some(from)));
-                Ok(())
-            }
-        }
-    }
+    sc.reset(block);
+    trace.fired.clear();
 
     // Header reads inject register values.
     stats.reads_fetched += block.reads.len() as u64;
     for (ri, r) in block.reads.iter().enumerate() {
         let val = Val::v(regs[r.reg as usize]);
         for t in &r.targets {
-            deliver(
-                block,
-                t,
-                val,
-                Producer::Read(ri as u8),
-                &mut slots,
-                &mut write_vals,
-                stats,
-                &fired,
-                &mut ready,
-                &mut dead,
-            )?;
+            deliver(block, t, val, Producer::Read(ri as u8), sc, stats)?;
         }
     }
     // Zero-operand unpredicated instructions are ready immediately;
     // predicated ones wait for their predicate.
     for (i, inst) in block.insts.iter().enumerate() {
         if inst.op.num_operands() == 0 && inst.pred.is_none() {
-            ready.push(i as u8);
+            sc.ready.push(i as u8);
         }
     }
 
-    let mut speculative_store_buffer: Vec<(u8, u64, MemWidth, u64)> = Vec::new(); // (lsid, addr, width, bits)
-
     loop {
         // Fire everything currently ready.
-        while let Some(i8idx) = ready.pop() {
+        while let Some(i8idx) = sc.ready.pop() {
             let i = i8idx as usize;
-            if fired[i] || dead[i] || !is_ready(i, &slots, block) {
+            if sc.fired[i] || sc.dead[i] || !sc.is_ready(block, i) {
                 continue;
             }
             let inst = &block.insts[i];
             // Loads must wait for all earlier-LSID stores to resolve.
             if inst.op.is_load() {
                 let lsid = inst.lsid.expect("load has lsid");
-                let blocked =
-                    (0..lsid).any(|l| ((block.store_mask >> l) & 1) == 1 && !lsid_done[l as usize]);
-                if blocked {
-                    waiting_mem.push(i as u8);
+                if load_blocked(block, lsid, &sc.lsid_done) {
+                    sc.waiting_mem.push(i8idx);
                     continue;
                 }
             }
-            fired[i] = true;
+            sc.fired[i] = true;
             stats.executed += 1;
-            {
-                let s = &slots[i];
-                let mut srcs: Vec<TraceSrc> = Vec::new();
-                for k in 0..inst.op.num_operands() {
-                    if let Some(p) = s.op_from[k] {
-                        srcs.push(p.into());
-                    }
-                }
-                if let Some(p) = s.pred_from {
-                    srcs.push(p.into());
-                }
-                let mem_acc = if inst.op.is_load() || inst.op.is_store() {
-                    let a = s.op[0].unwrap_or(Val::v(0));
-                    if a.null || (inst.op.is_store() && s.op[1].map(|v| v.null).unwrap_or(false)) {
-                        None
-                    } else {
-                        let addr = a.bits.wrapping_add(inst.imm as i64 as u64);
-                        let bytes = match inst.op {
-                            TOpcode::Lb | TOpcode::Lbs | TOpcode::Sb => 1,
-                            TOpcode::Lh | TOpcode::Lhs | TOpcode::Sh => 2,
-                            TOpcode::Lw | TOpcode::Lws | TOpcode::Sw => 4,
-                            _ => 8,
-                        };
-                        Some(TraceMem {
-                            addr,
-                            bytes,
-                            is_store: inst.op.is_store(),
-                        })
-                    }
-                } else {
-                    None
-                };
-                trace.fired.push(TraceInst {
-                    idx: i as u8,
-                    srcs,
-                    mem: mem_acc,
-                });
-            }
-            let val = fire_inst(
-                block,
-                i,
-                inst,
-                &slots,
-                mem,
-                &mut lsid_done,
-                &mut speculative_store_buffer,
-                &mut exit_taken,
-                stats,
-            )?;
-            produced[i] = val;
+            trace.fired.push(trace_inst(i, inst, &sc.slots[i]));
+            let val = fire_inst(block, i, inst, sc, mem, stats)?;
+            sc.produced[i] = val;
             if let Some(v) = val {
                 for t in &inst.targets {
-                    deliver(
-                        block,
-                        t,
-                        v,
-                        Producer::Inst(i as u8),
-                        &mut slots,
-                        &mut write_vals,
-                        stats,
-                        &fired,
-                        &mut ready,
-                        &mut dead,
-                    )?;
+                    deliver(block, t, v, Producer::Inst(i8idx), sc, stats)?;
                 }
             }
             // A completed store may unblock waiting loads.
             if inst.op.is_store() || inst.op == TOpcode::Null {
-                let mut still = Vec::new();
-                for &w in &waiting_mem {
-                    ready.push(w);
-                    let _ = &still;
-                }
-                waiting_mem.clear();
-                std::mem::swap(&mut waiting_mem, &mut still);
+                sc.ready.append(&mut sc.waiting_mem);
             }
         }
 
@@ -529,50 +674,36 @@ fn execute_block(
         while changed {
             changed = false;
             for i in 0..n {
-                if fired[i] || dead[i] {
+                if sc.fired[i] || sc.dead[i] {
                     continue;
                 }
                 let inst = &block.insts[i];
-                let mut doomed = false;
                 // Mismatched predicate already marked at delivery; here:
                 // any needed slot with all producers dead is unfillable.
-                for s in 0..inst.op.num_operands() {
-                    if slots[i].op[s].is_none() {
-                        let ps = &producers[i][s];
-                        if ps.iter().all(|p| match p {
-                            Producer::Read(_) => false, // reads always fire
-                            Producer::Inst(j) => {
-                                dead[*j as usize]
-                                    || (fired[*j as usize] && produced[*j as usize].is_none())
-                            }
-                        }) {
-                            doomed = true;
-                        }
-                    }
-                }
-                if inst.pred.is_some() && slots[i].pred.is_none() {
-                    let ps = &producers[i][TargetSlot::Pred.code() as usize];
-                    if ps.iter().all(|p| match p {
-                        Producer::Read(_) => false,
-                        Producer::Inst(j) => {
-                            dead[*j as usize]
-                                || (fired[*j as usize] && produced[*j as usize].is_none())
-                        }
-                    }) {
+                let mut doomed = false;
+                for k in 0..inst.op.num_operands() {
+                    if sc.slots[i].op[k].is_none() && sc.none_can_deliver(producers.of_slot(i, k)) {
                         doomed = true;
                     }
                 }
+                let pred = TargetSlot::Pred.code() as usize;
+                if inst.pred.is_some()
+                    && sc.slots[i].pred.is_none()
+                    && sc.none_can_deliver(producers.of_slot(i, pred))
+                {
+                    doomed = true;
+                }
                 if doomed {
-                    dead[i] = true;
+                    sc.dead[i] = true;
                     changed = true;
                 }
             }
             // Dead stores release LSID ordering.
             for i in 0..n {
-                if dead[i] && (block.insts[i].op.is_store()) {
+                if sc.dead[i] && (block.insts[i].op.is_store()) {
                     if let Some(l) = block.insts[i].lsid {
-                        if !lsid_done[l as usize] {
-                            lsid_done[l as usize] = true;
+                        if !sc.lsid_done[l as usize] {
+                            sc.lsid_done[l as usize] = true;
                             changed = true;
                         }
                     }
@@ -581,26 +712,23 @@ fn execute_block(
         }
         // Retry waiting loads.
         let mut progress = false;
-        let mut still = Vec::new();
-        for &w in &waiting_mem {
+        let (ready, lsid_done) = (&mut sc.ready, &sc.lsid_done);
+        sc.waiting_mem.retain(|&w| {
             let lsid = block.insts[w as usize].lsid.expect("load has lsid");
-            let blocked =
-                (0..lsid).any(|l| ((block.store_mask >> l) & 1) == 1 && !lsid_done[l as usize]);
-            if blocked {
-                still.push(w);
-            } else {
+            let blocked = load_blocked(block, lsid, lsid_done);
+            if !blocked {
                 ready.push(w);
                 progress = true;
             }
-        }
-        waiting_mem = still;
-        if !progress && ready.is_empty() {
+            blocked
+        });
+        if !progress && sc.ready.is_empty() {
             break;
         }
     }
 
     // Completion checks.
-    for (wi, wv) in write_vals.iter().enumerate() {
+    for (wi, wv) in sc.write_vals.iter().enumerate() {
         if wv.is_none() {
             return Err(TripsExecError::IncompleteBlock {
                 block: block.name.clone(),
@@ -612,14 +740,14 @@ fn execute_block(
         }
     }
     for l in 0..crate::limits::MAX_LSIDS {
-        if ((block.store_mask >> l) & 1) == 1 && !lsid_done[l] {
+        if ((block.store_mask >> l) & 1) == 1 && !sc.lsid_done[l] {
             return Err(TripsExecError::IncompleteBlock {
                 block: block.name.clone(),
                 missing: format!("store LSID {l} never produced"),
             });
         }
     }
-    let exit = match exit_taken {
+    let exit = match sc.exit_taken {
         Some(e) => e,
         None => {
             return Err(TripsExecError::IncompleteBlock {
@@ -630,32 +758,30 @@ fn execute_block(
     };
 
     // ---- backward used-marking from block outputs ------------------------------
-    let mut used = vec![false; n];
-    let mut work: Vec<Producer> = Vec::new();
-    for wv in write_vals.iter().flatten() {
+    for wv in sc.write_vals.iter().flatten() {
         if let (_, Some(p)) = wv {
-            work.push(*p);
+            sc.work.push(*p);
         }
     }
     for (i, inst) in block.insts.iter().enumerate() {
-        if fired[i] && (inst.op.is_store() || inst.op.is_branch()) {
+        if sc.fired[i] && (inst.op.is_store() || inst.op.is_branch()) {
             // Stores and the fired branch are outputs themselves: their
             // operand and predicate sources are used.
-            mark_sources(i, &slots, &mut work);
-            used[i] = true;
+            mark_sources(i, &sc.slots, &mut sc.work);
+            sc.used[i] = true;
         }
-        if fired[i] && inst.op == TOpcode::Null {
+        if sc.fired[i] && inst.op == TOpcode::Null {
             // Null tokens satisfy outputs; their predicate chain is used.
-            mark_sources(i, &slots, &mut work);
-            used[i] = true;
+            mark_sources(i, &sc.slots, &mut sc.work);
+            sc.used[i] = true;
         }
     }
-    while let Some(p) = work.pop() {
+    while let Some(p) = sc.work.pop() {
         if let Producer::Inst(j) = p {
             let j = j as usize;
-            if !used[j] {
-                used[j] = true;
-                mark_sources(j, &slots, &mut work);
+            if !sc.used[j] {
+                sc.used[j] = true;
+                mark_sources(j, &sc.slots, &mut sc.work);
             }
         }
     }
@@ -665,10 +791,10 @@ fn execute_block(
     stats.fetched += n as u64;
     stats.exits_taken += 1;
     for (i, inst) in block.insts.iter().enumerate() {
-        let kind = if !fired[i] {
+        let kind = if !sc.fired[i] {
             stats.fetched_not_executed += 1;
             CompositionKind::FetchedNotExecuted
-        } else if !used[i] {
+        } else if !sc.used[i] {
             stats.executed_not_used += 1;
             CompositionKind::ExecutedNotUsed
         } else {
@@ -703,14 +829,11 @@ fn execute_block(
     }
 
     // ---- commit -----------------------------------------------------------------
-    for (addr, w, bits) in speculative_store_buffer
-        .iter()
-        .map(|&(_, a, w, b)| (a, w, b))
-    {
+    for &(_, addr, w, bits) in &sc.store_buf {
         mem.store(addr, w, bits)?;
         stats.stores_committed += 1;
     }
-    for (wi, wv) in write_vals.iter().enumerate() {
+    for (wi, wv) in sc.write_vals.iter().enumerate() {
         let (val, _) = wv.expect("checked above");
         if !val.null {
             regs[block.writes[wi].reg as usize] = val.bits;
@@ -719,13 +842,13 @@ fn execute_block(
     }
 
     trace.exit = exit;
-    trace.write_srcs = write_vals
-        .iter()
-        .map(|wv| match wv {
+    trace.write_srcs.clear();
+    trace
+        .write_srcs
+        .extend(sc.write_vals.iter().map(|wv| match wv {
             Some((val, Some(p))) if !val.null => Some(TraceSrc::from(*p)),
             _ => None,
-        })
-        .collect();
+        }));
 
     block.exits.get(exit as usize).copied().ok_or_else(|| {
         TripsExecError::BadProgram(format!("block {} exit {exit} out of range", block.name))
@@ -743,20 +866,18 @@ fn mark_sources(i: usize, slots: &[Slots], work: &mut Vec<Producer>) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fire_inst(
     block: &Block,
-    _i: usize,
+    i: usize,
     inst: &BInst,
-    slots: &[Slots],
+    sc: &mut Scratch,
     mem: &mut Memory,
-    lsid_done: &mut [bool],
-    store_buf: &mut Vec<(u8, u64, MemWidth, u64)>,
-    exit_taken: &mut Option<u8>,
     stats: &mut IsaStats,
 ) -> Result<Option<Val>, TripsExecError> {
     use TOpcode::*;
-    let s = &slots[_i];
+    let s = sc.slots[i];
+    let (lsid_done, store_buf, exit_taken) =
+        (&mut sc.lsid_done, &mut sc.store_buf, &mut sc.exit_taken);
     let a = s.op[0].unwrap_or(Val::v(0));
     let b = s.op[1].unwrap_or(Val::v(0));
     // A null operand flowing into a store nullifies it; into anything else
@@ -939,6 +1060,57 @@ mod tests {
         f.ret(None);
         f.finish();
         pb.finish("main").unwrap()
+    }
+
+    fn hash_of(x: &impl std::hash::Hash) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        BuildHasherDefault::<DefaultHasher>::default().hash_one(x)
+    }
+
+    /// `Srcs` built by pushes, by the direct decoder and by the `Value`
+    /// path from the same sources are one value, and it encodes as the
+    /// `Vec` of its sources.
+    #[test]
+    fn srcs_from_the_same_sources_are_equal_and_hash_equal() {
+        let lists: [&[TraceSrc]; 4] = [
+            &[],
+            &[TraceSrc::Read(0)],
+            &[TraceSrc::Inst(7), TraceSrc::Read(0)],
+            &[TraceSrc::Read(3), TraceSrc::Inst(1), TraceSrc::Inst(9)],
+        ];
+        let mut seen = Vec::new();
+        for list in lists {
+            let mut pushed = Srcs::EMPTY;
+            list.iter().for_each(|&s| pushed.push(s));
+            assert_eq!(&*pushed, list);
+            let vec = list.to_vec();
+            let bytes = serde::bin::to_bytes(&vec);
+            assert_eq!(serde::bin::to_bytes(&pushed), bytes);
+            assert_eq!(serde::to_value(&pushed), serde::to_value(&vec));
+            let decoded: Srcs = serde::bin::from_bytes(&bytes).unwrap();
+            let via_value: Srcs = serde::from_value(&serde::to_value(&vec)).unwrap();
+            for other in [decoded, via_value] {
+                assert_eq!(other, pushed);
+                assert_eq!(hash_of(&other), hash_of(&pushed));
+            }
+            seen.push(pushed);
+        }
+        // An empty list and one `Read(0)` differ although the unused
+        // slots hold `Read(0)`: the length is part of the value.
+        for (i, a) in seen.iter().enumerate() {
+            for b in &seen[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn more_than_three_srcs_are_an_error() {
+        let four = vec![TraceSrc::Read(1); 4];
+        assert!(serde::bin::from_bytes::<Srcs>(&serde::bin::to_bytes(&four)).is_err());
+        assert!(serde::from_value::<Srcs>(&serde::to_value(&four)).is_err());
+        let not_a_seq = serde::to_value(&TraceSrc::Read(1));
+        assert!(serde::from_value::<Srcs>(&not_a_seq).is_err());
     }
 
     /// Single block: rv = 40 + 2, then ret.

@@ -23,6 +23,7 @@ use crate::stats::IsaStats;
 use crate::TripsProgram;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use trips_ir::Program;
 
 /// `b"TRLG"` — identifies a serialized trace log.
@@ -70,6 +71,50 @@ pub struct TraceLog {
     pub return_value: u64,
     /// ISA-level statistics of the functional run.
     pub stats: IsaStats,
+}
+
+/// The interning hasher of [`TraceLog::capture`]: a fixed, unseeded
+/// multiplicative hash (one rotate, xor and multiply per word). It only
+/// buckets shapes in memory; nothing it computes is stored.
+#[derive(Default)]
+struct ShapeHasher(u64);
+
+impl ShapeHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for ShapeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    #[inline]
+    fn write_u8(&mut self, x: u8) {
+        self.add(u64::from(x));
+    }
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+    #[inline]
+    fn write_isize(&mut self, x: isize) {
+        self.add(x as u64);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits, which the multiply mixes least.
+        self.0.rotate_left(26)
+    }
 }
 
 /// Capture provenance supplied by the caller (free-form; the engine uses it
@@ -198,21 +243,26 @@ impl TraceLog {
         max_blocks: u64,
         meta: TraceMeta,
     ) -> Result<TraceLog, TripsExecError> {
-        let mut shapes: Vec<BlockTrace> = Vec::new();
-        let mut intern: HashMap<BlockTrace, u32> = HashMap::new();
+        // Shape ids are assigned in order of first occurrence, so the
+        // hasher cannot change the log; each new shape is cloned once.
+        let mut intern: HashMap<BlockTrace, u32, BuildHasherDefault<ShapeHasher>> =
+            HashMap::default();
         let mut seq: Vec<(u32, u32)> = Vec::new();
         let outcome = run_program_traced(tp, ir, mem_size, max_blocks, |bidx, trace| {
             let shape = match intern.get(trace) {
                 Some(&id) => id,
                 None => {
-                    let id = u32::try_from(shapes.len()).expect("fewer than 2^32 shapes");
+                    let id = u32::try_from(intern.len()).expect("fewer than 2^32 shapes");
                     intern.insert(trace.clone(), id);
-                    shapes.push(trace.clone());
                     id
                 }
             };
             seq.push((bidx, shape));
         })?;
+        let mut shapes = vec![BlockTrace::default(); intern.len()];
+        for (trace, id) in intern {
+            shapes[id as usize] = trace;
+        }
         Ok(TraceLog {
             header: TraceHeader {
                 magic: TRACE_MAGIC,

@@ -24,6 +24,8 @@ use trips::compiler::CompileOptions;
 use trips::engine::store::{LivePointSet, LivePointStates, KIND_BLOCK_TRACE, KIND_RISC_TRACE};
 use trips::engine::{PhaseK, Session, Stream};
 use trips::isa::hash::content_hash;
+use trips::isa::interp::TraceSrc;
+use trips::isa::TraceLog;
 use trips::ooo::{self, OooCore};
 use trips::sample::capture_phased;
 use trips::sim::{TripsConfig, TsimCore};
@@ -43,6 +45,27 @@ fn same_as_value_path<T: Serialize + DeserializeOwned + PartialEq + Debug>(what:
     let via_value: T = serde::from_value(&tree).unwrap();
     assert!(direct == via_value, "{what}: direct decode differs");
     assert!(direct == *x, "{what}: decode does not round-trip");
+    let back: T = serde::from_value(&serde::to_value(x)).unwrap();
+    assert!(back == *x, "{what}: the Value image does not round-trip");
+}
+
+/// The value of field `name` of the struct image `v`.
+fn field_mut<'a>(v: &'a mut Value, name: &str) -> &'a mut Value {
+    match v {
+        Value::Map(fields) => fields
+            .iter_mut()
+            .find(|(k, _)| *k == Value::str(name))
+            .map(|(_, val)| val)
+            .unwrap(),
+        _ => panic!("not a struct image"),
+    }
+}
+
+fn items_mut(v: &mut Value) -> &mut Vec<Value> {
+    match v {
+        Value::Seq(items) => items,
+        _ => panic!("not a sequence image"),
+    }
 }
 
 fn live_points(states: LivePointStates, core: u32, total_units: u64) -> LivePointSet {
@@ -75,6 +98,36 @@ fn trips_payloads_encode_and_decode_as_their_value_image() {
     let (_, snaps) = capture_phased(core, &handmade_plan(total)).unwrap();
     let set = live_points(LivePointStates::Trips(snaps), KIND_BLOCK_TRACE, total);
     same_as_value_path("LivePointSet (TRIPS)", &set);
+}
+
+/// The `srcs` image of the first fired instruction of the first shape of
+/// the trace-log image `v`.
+fn first_srcs(v: &mut Value) -> &mut Vec<Value> {
+    let shape = &mut items_mut(field_mut(v, "shapes"))[0];
+    let inst = &mut items_mut(field_mut(shape, "fired"))[0];
+    items_mut(field_mut(inst, "srcs"))
+}
+
+/// An instruction lists at most three operand sources; a trace-log image
+/// that lists four is an error on both decode paths, not a panic.
+#[test]
+fn a_trace_log_with_four_sources_on_one_instruction_is_an_error() {
+    let w = by_name("autocor").unwrap();
+    let session = Session::new();
+    let stream = Stream::new(&w, Scale::Test, CompileOptions::o2(), MEM, 1_000_000);
+    let log = session.trace(&stream).unwrap();
+    let src = serde::to_value(&TraceSrc::Read(0));
+    for (n, ok) in [(3, true), (4, false)] {
+        let mut v = serde::to_value(&*log);
+        first_srcs(&mut v).resize(n, src.clone());
+        let bytes = serde::bin::to_bytes(&v);
+        assert_eq!(
+            serde::bin::from_bytes::<TraceLog>(&bytes).is_ok(),
+            ok,
+            "{n} sources"
+        );
+        assert_eq!(serde::from_value::<TraceLog>(&v).is_ok(), ok, "{n} sources");
+    }
 }
 
 #[test]
