@@ -150,10 +150,10 @@ pub struct Srcs {
 
 impl Srcs {
     /// Most sources one instruction can list.
-    pub const CAP: usize = 3;
+    pub(crate) const CAP: usize = 3;
 
     /// No sources.
-    pub const EMPTY: Srcs = Srcs {
+    pub(crate) const EMPTY: Srcs = Srcs {
         len: 0,
         srcs: [TraceSrc::Read(0); Srcs::CAP],
     };
@@ -162,7 +162,7 @@ impl Srcs {
     ///
     /// # Panics
     /// When [`Srcs::CAP`] sources are already listed.
-    pub fn push(&mut self, src: TraceSrc) {
+    pub(crate) fn push(&mut self, src: TraceSrc) {
         self.srcs[usize::from(self.len)] = src;
         self.len += 1;
     }
