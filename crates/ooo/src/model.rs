@@ -778,14 +778,6 @@ mod tests {
     use trips_risc::compile_program;
     use trips_sample::assemble_windows;
 
-    fn full_replay(
-        rp: &RProgram,
-        trace: &RiscTrace,
-        cfg: &OooConfig,
-    ) -> Result<OooResult, RiscError> {
-        run_timed_trace_mode(rp, trace, cfg, &ReplayMode::Full)
-    }
-
     fn sum_program(n: i64) -> Program {
         let mut pb = ProgramBuilder::new();
         let mut f = pb.func("main", 0);
@@ -874,66 +866,6 @@ mod tests {
         assert_eq!(c2.return_value, p4.return_value);
         assert!(p4.stats.cycles > c2.stats.cycles);
         assert!(p4.stats.br_mispredicts > 0);
-    }
-
-    #[test]
-    fn covering_sample_plan_is_bit_identical_to_full_replay() {
-        let p = sum_program(1200);
-        let rp = compile_program(&p).unwrap();
-        let trace = trips_risc::RiscTrace::capture(
-            &rp,
-            &p,
-            1 << 20,
-            100_000_000,
-            trips_risc::RiscTraceMeta::default(),
-        )
-        .unwrap();
-        let plan = trips_sample::SamplePlan::new(0, 9, 9).unwrap();
-        for cfg in [configs::core2(), configs::pentium4(), configs::pentium3()] {
-            let full = full_replay(&rp, &trace, &cfg).unwrap();
-            let covered =
-                run_timed_trace_mode(&rp, &trace, &cfg, &ReplayMode::Sampled(plan)).unwrap();
-            assert_eq!(covered.stats, full.stats, "{}", cfg.name);
-            assert!(!covered.stats.sampled);
-            assert_eq!(full.stats.est_cycles, full.stats.cycles);
-            assert_eq!(full.stats.total_insts, full.stats.insts);
-        }
-    }
-
-    #[test]
-    fn sampled_replay_times_a_fraction_and_extrapolates() {
-        let p = sum_program(20_000);
-        let rp = compile_program(&p).unwrap();
-        let trace = trips_risc::RiscTrace::capture(
-            &rp,
-            &p,
-            1 << 20,
-            100_000_000,
-            trips_risc::RiscTraceMeta::default(),
-        )
-        .unwrap();
-        let cfg = configs::core2();
-        let full = full_replay(&rp, &trace, &cfg).unwrap().stats;
-        let plan = trips_sample::SamplePlan::new(64, 64, 256).unwrap();
-        let s = run_timed_trace_mode(&rp, &trace, &cfg, &ReplayMode::Sampled(plan))
-            .unwrap()
-            .stats;
-        assert!(s.sampled);
-        assert_eq!(s.total_insts, trace.header.dynamic_insts);
-        assert!(
-            s.insts * 3 < s.total_insts,
-            "a 1/4-detail plan must time a minority: {}/{}",
-            s.insts,
-            s.total_insts
-        );
-        let rel = (s.est_cycles as f64 - full.cycles as f64).abs() / full.cycles as f64;
-        assert!(
-            rel < 0.10,
-            "extrapolation off by {:.1}% (est {} vs full {})",
-            rel * 100.0,
-            s.est_cycles,
-            full.cycles
-        );
     }
 
     /// A hand-built phase plan over a stream of `total` units: boundary
@@ -1329,26 +1261,6 @@ mod tests {
             &[(4, 4)],
         ] {
             assert!(slots.restore(bad).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn trace_replay_is_bit_identical_to_direct_timing() {
-        let p = sum_program(800);
-        let rp = compile_program(&p).unwrap();
-        let trace = trips_risc::RiscTrace::capture(
-            &rp,
-            &p,
-            1 << 20,
-            100_000_000,
-            trips_risc::RiscTraceMeta::default(),
-        )
-        .unwrap();
-        for cfg in [configs::core2(), configs::pentium4(), configs::pentium3()] {
-            let direct = run_timed(&rp, &p, &cfg, 1 << 20, 100_000_000).unwrap();
-            let replayed = full_replay(&rp, &trace, &cfg).unwrap();
-            assert_eq!(replayed.return_value, direct.return_value, "{}", cfg.name);
-            assert_eq!(replayed.stats, direct.stats, "{}", cfg.name);
         }
     }
 }

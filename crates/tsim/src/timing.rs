@@ -855,13 +855,6 @@ mod tests {
     use trips_compiler::{compile, CompileOptions};
     use trips_sample::assemble_windows;
 
-    fn full_replay(
-        compiled: &CompiledProgram,
-        cfg: &TripsConfig,
-        log: &TraceLog,
-    ) -> Result<SimResult, SimError> {
-        replay_trace_mode(compiled, cfg, log, &ReplayMode::Full)
-    }
     use trips_ir::{IntCc, Operand, ProgramBuilder};
 
     fn sum_program(n: i64) -> trips_ir::Program {
@@ -934,98 +927,6 @@ mod tests {
             "loop should predict well, missed {:.1}%",
             mr * 100.0
         );
-    }
-
-    #[test]
-    fn replay_matches_direct_simulation_exactly() {
-        let p = sum_program(3000);
-        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
-        let log = TraceLog::capture(
-            &compiled.trips,
-            &compiled.opt_ir,
-            1 << 20,
-            u64::MAX,
-            Default::default(),
-        )
-        .unwrap();
-        assert!(
-            log.dedup_ratio() > 2.0,
-            "a counted loop should intern well, got {}",
-            log.dedup_ratio()
-        );
-        for cfg in [TripsConfig::prototype(), TripsConfig::improved_predictor()] {
-            let direct = simulate(&compiled, &cfg, 1 << 20).unwrap();
-            let replayed = full_replay(&compiled, &cfg, &log).unwrap();
-            assert_eq!(replayed.return_value, direct.return_value);
-            assert_eq!(
-                replayed.stats, direct.stats,
-                "replay must be bit-identical to direct simulation"
-            );
-        }
-    }
-
-    #[test]
-    fn covering_sample_plan_is_bit_identical_to_full_replay() {
-        let p = sum_program(2000);
-        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
-        let log = TraceLog::capture(
-            &compiled.trips,
-            &compiled.opt_ir,
-            1 << 20,
-            u64::MAX,
-            Default::default(),
-        )
-        .unwrap();
-        let cfg = TripsConfig::prototype();
-        let full = full_replay(&compiled, &cfg, &log).unwrap();
-        let plan = trips_sample::SamplePlan::new(0, 7, 7).unwrap();
-        let covered = replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Sampled(plan)).unwrap();
-        assert_eq!(covered.stats, full.stats, "sample-everything must be Full");
-        assert!(!covered.stats.sampled);
-        assert_eq!(full.stats.est_cycles, full.stats.cycles);
-        assert_eq!(full.stats.detailed_units, full.stats.blocks);
-    }
-
-    #[test]
-    fn sampled_replay_times_a_fraction_and_extrapolates() {
-        let p = sum_program(6000);
-        let compiled = compile(&p, &CompileOptions::o1()).unwrap();
-        let log = TraceLog::capture(
-            &compiled.trips,
-            &compiled.opt_ir,
-            1 << 20,
-            u64::MAX,
-            Default::default(),
-        )
-        .unwrap();
-        let cfg = TripsConfig::prototype();
-        let full = full_replay(&compiled, &cfg, &log).unwrap();
-        let plan = trips_sample::SamplePlan::new(8, 8, 32).unwrap();
-        let s = replay_trace_mode(&compiled, &cfg, &log, &ReplayMode::Sampled(plan))
-            .unwrap()
-            .stats;
-        assert!(s.sampled);
-        assert_eq!(s.total_units, log.seq.len() as u64);
-        assert_eq!(s.detailed_units, s.blocks);
-        assert!(
-            s.detailed_units * 3 < s.total_units,
-            "a 1/4-detail plan must time a minority of blocks: {}/{}",
-            s.detailed_units,
-            s.total_units
-        );
-        assert!(s.cycles < full.stats.cycles);
-        // The extrapolated estimate lands near the full-replay truth on a
-        // steady-state loop.
-        let rel = (s.est_cycles as f64 - full.stats.cycles as f64).abs() / full.stats.cycles as f64;
-        assert!(
-            rel < 0.10,
-            "extrapolation off by {:.1}% (est {} vs full {})",
-            rel * 100.0,
-            s.est_cycles,
-            full.stats.cycles
-        );
-        // And the functional composition is untouched by sampling.
-        assert_eq!(s.isa, full.stats.isa);
     }
 
     /// A hand-built phase plan over a stream of `total` units: boundary

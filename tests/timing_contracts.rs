@@ -2,54 +2,60 @@
 //! [`TimingCore`] and run on both cores: the TRIPS model ([`TsimCore`];
 //! prototype and improved-predictor configurations) and the out-of-order
 //! reference platforms ([`OooCore`]; Core 2, Pentium 4 and Pentium III).
-//! For every core × configuration × program, [`contracts`] checks:
+//! Each contract is one test per core, `trips_<contract>` and
+//! `ooo_<contract>`, and checks every configuration of every program:
 //!
-//! * **execution-driven ≡ replay** — full replay of the recorded stream
-//!   is bit-identical to timing the live functional execution, and
-//!   deterministic;
-//! * **issue bound** — full-replay IPC never exceeds what the machine can
-//!   issue in a cycle: 16 on TRIPS (16 execution tiles, one issue each),
-//!   `issue_width` on the OoO platforms;
-//! * **covering plans ≡ full** — the `Sampled` plans `0,d,d` and `0,1,1`
-//!   and a fitted `Phased` plan that measures every unit equal full
-//!   replay;
-//! * **restore ≡ sequential** — the live-point capture pass equals the
-//!   plain phased replay, and windows replayed from its snapshots
+//! * **`replay_equals_execution`** — full replay of the recorded stream
+//!   is bit-identical to timing the live functional execution,
+//!   deterministic and times every unit, and its IPC never exceeds what
+//!   the machine can issue in a cycle: 16 on TRIPS (16 execution tiles,
+//!   one issue each), `issue_width` on the OoO platforms;
+//! * **`covering_plans_equal_full`** — the `Sampled` plans `0,d,d` for
+//!   each `d` in [`COVERING_PERIODS`] and a fitted `Phased` plan that
+//!   measures every unit equal full replay;
+//! * **`sampled_replay_extrapolates`** — on a steady loop, a 1/4-detail
+//!   sampled replay times a minority of the stream, leaves its functional
+//!   view alone and lands within 10% of full replay;
+//! * **`restore_equals_sequential`** — the live-point capture pass equals
+//!   the plain phased replay, and windows replayed from its snapshots
 //!   assemble to the same result: for a hand-made plan with every
 //!   snapshot round-tripped through `serde::bin` bytes, and for seeded
 //!   random partitions;
-//! * **rejection** — malformed windows, unsorted plans, snapshots of
-//!   another boundary or configuration and a wrong measurement count are
-//!   all `Err`;
-//! * **extrapolation** — on a steady loop, a 1/4-detail sampled replay
-//!   lands within 10% of full replay;
-//! * **hostile snapshots** — a snapshot with any one sequence emptied or
-//!   grown by one element replays to `Ok` or `Err`, never a panic, and
-//!   decodes from its `serde::bin` bytes as from its `Value` tree; an
-//!   OoO snapshot whose issue cycles are out of order, empty or over the
-//!   width is an `Err`.
+//! * **`rejects_malformed_inputs`** — malformed windows, unsorted plans,
+//!   snapshots of another boundary or configuration and a wrong
+//!   measurement count are all `Err`;
+//! * **`hostile_snapshots_never_panic`** — a snapshot with any one
+//!   sequence emptied or grown by one element replays to `Ok` or `Err`,
+//!   never a panic, and decodes from its `serde::bin` bytes as from its
+//!   `Value` tree; an OoO snapshot whose issue cycles are out of order,
+//!   empty or over the width is an `Err`.
 //!
-//! Tier-1 runs them on both cores at Test scale on a summing loop,
-//! `autocor` and `vadd`, and on TRIPS on `matrix` too. There the
-//! hostile-snapshot contract runs on `autocor` only: it decodes the
-//! whole snapshot once per edit, which costs seconds per core in a debug
-//! build. The `#[ignore]`d instantiation runs every contract on `bzip2`
-//! and `equake` at Ref scale (release-built, in the `sampled-accuracy`
-//! CI job).
+//! Tier-1 runs them at Test scale on a summing loop, `autocor` and
+//! `vadd`, and on TRIPS on `matrix` too. Each core records these
+//! programs once per test binary (compile, capture, covering phase fit
+//! and the execution-driven runs), and every test replays from that
+//! recording. The hostile-snapshot contract runs on `autocor` only: it
+//! decodes the whole snapshot once per edit, which costs seconds per
+//! core in a debug build. The `#[ignore]`d test runs every contract on
+//! `bzip2` and `equake` at Ref scale (release-built, in the
+//! `sampled-accuracy` CI job).
 
 mod common;
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
 
 use common::{handmade_plan, lcg, random_plan, sum_program, tiny_spec};
 use serde::{DeserializeOwned, Serialize, Value};
-use trips::compiler::CompileOptions;
-use trips::engine::{PhaseK, PhaseSpec, Session, Stream};
+use trips::compiler::{CompileOptions, CompiledProgram};
+use trips::engine::{PhaseK, PhaseSpec, RiscArtifacts, Session, Stream};
 use trips::isa::hash::content_hash;
-use trips::ooo::{self, OooCore, OooResult, OooStats};
+use trips::isa::TraceLog;
+use trips::ooo::{self, OooConfig, OooCore, OooResult, OooStats};
 use trips::risc::exec::RiscError;
+use trips::risc::RiscTrace;
 use trips::sample::{
     assemble_windows, capture_phased, replay, replay_window, PhasePlan, PhaseWindow, ReplayMode,
     SamplePlan, TimingCore,
@@ -64,6 +70,8 @@ const RISC_BUDGET: u64 = 400_000_000;
 const SUM_N: i64 = 4_000;
 /// Random partitions each subject replays.
 const RANDOM_PARTITIONS: usize = 3;
+/// Periods `d` of the covering `Sampled` plans `0,d,d`.
+const COVERING_PERIODS: [u64; 4] = [64, 1, 7, 9];
 
 /// What the contracts read off a core's counters.
 #[derive(Debug)]
@@ -90,7 +98,7 @@ type SnapshotEdit = (&'static str, fn(&mut Value, u32));
 trait Contracted:
     TimingCore<
     Snapshot: Clone + Debug + PartialEq + Serialize + DeserializeOwned,
-    Stats: Debug + PartialEq,
+    Stats: Debug + PartialEq + Sync,
     Error: Debug,
 >
 {
@@ -187,112 +195,141 @@ struct Subject<'a, C: TimingCore> {
     /// `workload/config`, for messages.
     name: String,
     /// A fresh machine at the start of the stream.
-    core: Box<dyn Fn() -> C + 'a>,
+    core: Box<dyn Fn() -> C + Sync + 'a>,
     /// Return value and counters of the execution-driven run.
-    direct: (u64, C::Stats),
+    direct: &'a (u64, C::Stats),
     /// A fitted phase plan that measures every unit.
-    covering: PhasePlan,
+    covering: &'a PhasePlan,
     /// A 1/4-detail sampled plan, for steady loops only.
     steady: Option<SamplePlan>,
+    /// Run the hostile-snapshot contract.
+    hostile: bool,
     /// Most instructions the machine issues in one cycle.
     issue_width: u32,
 }
 
-/// Runs every contract on each subject, the hostile-snapshot one only
-/// when `hostile`. `subjects` are the configurations of one core over
-/// one program; each one's snapshots also seed the next one's machine,
-/// which must refuse them.
-fn contracts<C: Contracted>(subjects: &[Subject<C>], hostile: bool) {
-    assert!(subjects.len() > 1, "the wrong-config check needs two");
-    for (i, s) in subjects.iter().enumerate() {
-        let full = execution_driven_equals_replay(s);
+/// A contract over the configurations of one core on one program.
+type Contract<C> = fn(&[Subject<C>]);
+
+/// Every contract, for the Ref-scale run.
+fn every_contract<C: Contracted>(subjects: &[Subject<C>]) {
+    replay_equals_execution(subjects);
+    covering_plans_equal_full(subjects);
+    sampled_replay_extrapolates(subjects);
+    restore_equals_sequential(subjects);
+    rejects_malformed_inputs(subjects);
+    hostile_snapshots_never_panic(subjects);
+}
+
+fn full_replay<C: Contracted>(s: &Subject<C>) -> (u64, C::Stats) {
+    C::split(replay((s.core)(), &ReplayMode::Full).unwrap())
+}
+
+/// Panics unless `stats` are of an unsampled replay that timed every
+/// unit.
+fn times_every_unit<C: Contracted>(name: &str, stats: &C::Stats) {
+    let f = C::figures(stats);
+    assert!(
+        !f.sampled && f.est_cycles == f.cycles && f.detailed == f.measured && f.total == f.measured,
+        "{name}: an unsampled replay times every unit: {f:?}"
+    );
+}
+
+/// Full replay equals the execution-driven run, twice over, times every
+/// unit, and issues no more than the machine can in a cycle.
+fn replay_equals_execution<C: Contracted>(subjects: &[Subject<C>]) {
+    for s in subjects {
+        let (full, name) = (full_replay(s), &s.name);
+        assert_eq!(&full, s.direct, "{name}: replay ≢ execution-driven timing");
+        let again = full_replay(s);
+        assert_eq!(again, full, "{name}: replay must be deterministic");
+        times_every_unit::<C>(name, &full.1);
         let ipc = C::figures(&full.1).ipc;
         let width = f64::from(s.issue_width);
-        assert!(ipc > 0.0 && ipc <= width, "{}: IPC {ipc} > {width}", s.name);
-        covering_plans_equal_full(s, &full);
-        extrapolates_on_steady_loops(s, &full);
-        let plan = handmade_plan((s.core)().units());
-        assert_eq!(plan.validate(), Ok(()));
-        assert!(!plan.covers_everything());
-        let snaps = restore_equals_sequential(s, &plan, true);
+        assert!(ipc > 0.0 && ipc <= width, "{name}: IPC {ipc} > {width}");
+    }
+}
+
+/// Plans that measure every unit equal full replay.
+fn covering_plans_equal_full<C: Contracted>(subjects: &[Subject<C>]) {
+    for s in subjects {
+        let (full, name) = (full_replay(s), &s.name);
+        for d in COVERING_PERIODS {
+            let plan = SamplePlan::new(0, d, d).unwrap();
+            assert!(plan.covers_everything());
+            let covered = C::split(replay((s.core)(), &ReplayMode::Sampled(plan)).unwrap());
+            times_every_unit::<C>(name, &covered.1);
+            assert_eq!(covered, full, "{name}: plan {plan} must equal full");
+        }
+        assert!(s.covering.covers_everything(), "{name}");
+        let mode = ReplayMode::Phased(s.covering.clone());
+        assert!(mode.phase().is_none(), "covering phase plans normalize");
+        let covered = C::split(replay((s.core)(), &mode).unwrap());
+        assert_eq!(covered, full, "{name}: covering phase plan");
+    }
+}
+
+/// A 1/4-detail sampled replay of a steady loop times a minority of the
+/// stream, leaves its functional view alone, and extrapolates to within
+/// 10% of full replay.
+fn sampled_replay_extrapolates<C: Contracted>(subjects: &[Subject<C>]) {
+    for s in subjects {
+        let Some(plan) = s.steady else { continue };
+        let sampled = C::split(replay((s.core)(), &ReplayMode::Sampled(plan)).unwrap()).1;
+        let full = full_replay(s).1;
+        let (f, truth, name) = (C::figures(&sampled), C::figures(&full), &s.name);
+        assert!(f.sampled && f.detailed == f.measured, "{name}: {f:?}");
+        let stream = ((s.core)().units(), truth.functional);
+        assert!(
+            (f.total, f.functional) == stream,
+            "{name}: sampling changed the stream: {f:?}"
+        );
+        assert!(f.detailed * 3 < f.total, "{name}: not a minority: {f:?}");
+        assert!(f.cycles < truth.cycles, "{name}");
+        let rel = (f.est_cycles as f64 - truth.cycles as f64).abs() / truth.cycles as f64;
+        assert!(
+            rel < 0.10,
+            "{name}: extrapolation off by {:.1}% (est {} vs full {})",
+            rel * 100.0,
+            f.est_cycles,
+            truth.cycles
+        );
+    }
+}
+
+/// The hand-made plan over `s`'s stream, checked valid and not covering.
+fn handmade<C: Contracted>(s: &Subject<C>) -> PhasePlan {
+    let plan = handmade_plan((s.core)().units());
+    assert_eq!(plan.validate(), Ok(()), "{}", s.name);
+    assert!(!plan.covers_everything(), "{}", s.name);
+    plan
+}
+
+/// Restored windows equal sequential phased replay under the hand-made
+/// plan, with its snapshots round-tripped through bytes, and under
+/// seeded random partitions.
+fn restore_equals_sequential<C: Contracted>(subjects: &[Subject<C>]) {
+    for s in subjects {
+        restored_windows_equal_phased(s, &handmade(s), true);
         let (total, mut draw) = ((s.core)().units(), 0x5eed);
         for _ in 0..RANDOM_PARTITIONS {
             let (seed, nwin) = (lcg(&mut draw) % 1_000_000, 1 + lcg(&mut draw) % 4);
             let plan = random_plan(total, (total / 5).max(1), seed, nwin as usize);
             assert_eq!(plan.validate(), Ok(()), "{}: seed {seed}", s.name);
             assert!(!plan.covers_everything(), "{}: seed {seed}", s.name);
-            restore_equals_sequential(s, &plan, false);
-        }
-        rejects_malformed_inputs(s, &subjects[(i + 1) % subjects.len()], &plan, &snaps);
-        if hostile {
-            hostile_snapshots_never_panic(s, &plan.windows[1], &snaps[1]);
+            restored_windows_equal_phased(s, &plan, false);
         }
     }
-}
-
-/// Full replay equals the execution-driven run, twice over, and times
-/// every unit.
-fn execution_driven_equals_replay<C: Contracted>(s: &Subject<C>) -> (u64, C::Stats) {
-    let full = C::split(replay((s.core)(), &ReplayMode::Full).unwrap());
-    let name = &s.name;
-    assert_eq!(full, s.direct, "{name}: replay ≢ execution-driven timing");
-    let again = C::split(replay((s.core)(), &ReplayMode::Full).unwrap());
-    assert_eq!(again, full, "{name}: replay must be deterministic");
-    let f = C::figures(&full.1);
-    assert!(
-        !f.sampled && f.est_cycles == f.cycles && f.detailed == f.measured && f.total == f.measured,
-        "{name}: a full replay times every unit: {f:?}"
-    );
-    full
-}
-
-/// Plans that measure every unit equal full replay.
-fn covering_plans_equal_full<C: Contracted>(s: &Subject<C>, full: &(u64, C::Stats)) {
-    let name = &s.name;
-    for (d, p) in [(64, 64), (1, 1)] {
-        let plan = SamplePlan::new(0, d, p).unwrap();
-        assert!(plan.covers_everything());
-        let covered = C::split(replay((s.core)(), &ReplayMode::Sampled(plan)).unwrap());
-        assert_eq!(&covered, full, "{name}: plan {plan} must equal full");
-    }
-    assert!(s.covering.covers_everything(), "{name}");
-    let mode = ReplayMode::Phased(s.covering.clone());
-    assert!(mode.phase().is_none(), "covering phase plans normalize");
-    let covered = C::split(replay((s.core)(), &mode).unwrap());
-    assert_eq!(&covered, full, "{name}: covering phase plan");
-}
-
-/// A 1/4-detail sampled replay of a steady loop times a minority of the
-/// stream, leaves its functional view alone, and extrapolates to within
-/// 10% of full replay.
-fn extrapolates_on_steady_loops<C: Contracted>(s: &Subject<C>, full: &(u64, C::Stats)) {
-    let Some(plan) = s.steady else { return };
-    let sampled = C::split(replay((s.core)(), &ReplayMode::Sampled(plan)).unwrap()).1;
-    let (f, truth, name) = (C::figures(&sampled), C::figures(&full.1), &s.name);
-    assert!(f.sampled && f.detailed == f.measured, "{name}: {f:?}");
-    let same = (f.total, f.functional) == (truth.total, truth.functional);
-    assert!(same, "{name}: sampling changed the stream: {f:?}");
-    assert!(f.detailed * 3 < f.total, "{name}: not a minority: {f:?}");
-    assert!(f.cycles < truth.cycles, "{name}");
-    let rel = (f.est_cycles as f64 - truth.cycles as f64).abs() / truth.cycles as f64;
-    assert!(
-        rel < 0.10,
-        "{name}: extrapolation off by {:.1}% (est {} vs full {})",
-        rel * 100.0,
-        f.est_cycles,
-        truth.cycles
-    );
 }
 
 /// The capture pass equals the plain phased replay under `plan`, and its
 /// snapshots (round-tripped through `serde::bin` bytes first when
 /// `through_bytes`) replay windows that assemble to the same result.
-/// Returns the snapshots.
-fn restore_equals_sequential<C: Contracted>(
+fn restored_windows_equal_phased<C: Contracted>(
     s: &Subject<C>,
     plan: &PhasePlan,
     through_bytes: bool,
-) -> Vec<C::Snapshot> {
+) {
     let what = format!("{}, {plan}", s.name);
     let mode = ReplayMode::Phased(plan.clone());
     let sequential = C::split(replay((s.core)(), &mode).unwrap());
@@ -314,62 +351,62 @@ fn restore_equals_sequential<C: Contracted>(
         .collect();
     let assembled = C::split(assemble_windows((s.core)(), plan, &measures).unwrap());
     assert_eq!(assembled, sequential, "{what}: restored windows ≢ phased");
-    snaps
 }
 
 /// Malformed windows, unsorted plans, snapshots of another boundary or
-/// of `foreign`'s configuration and a wrong measurement count are
-/// rejected. `snaps` are `plan`'s live-points.
-fn rejects_malformed_inputs<C: Contracted>(
-    s: &Subject<C>,
-    foreign: &Subject<C>,
-    plan: &PhasePlan,
-    snaps: &[C::Snapshot],
-) {
-    let rejects = |r: Result<(), C::Error>, what: &str| match r {
-        Ok(_) => panic!("{}: {what} must be rejected", s.name),
-        Err(e) => assert!(C::rejected(&e), "{}: {what}: wrong error {e:?}", s.name),
-    };
-    let (good, snap, total) = (plan.windows[1], &snaps[1], (s.core)().units());
-    assert!(good.warm_start < good.detail_start, "{}", s.name);
-    assert!(replay_window((s.core)(), &good, snap).is_ok(), "{}", s.name);
-    let window = |detail_start, end| PhaseWindow {
-        detail_start,
-        end,
-        ..good
-    };
-    for bad in [
-        // Measurement before its own warmup.
-        window(good.warm_start - 1, good.end),
-        // Measured span empty or inverted.
-        window(good.detail_start, good.detail_start),
-        window(good.end + 1, good.end),
-        // Past the stream.
-        window(good.detail_start, total + 1),
-    ] {
+/// of the next subject's configuration and a wrong measurement count
+/// are rejected.
+fn rejects_malformed_inputs<C: Contracted>(subjects: &[Subject<C>]) {
+    assert!(subjects.len() > 1, "the wrong-config check needs two");
+    for (i, s) in subjects.iter().enumerate() {
+        let foreign = &subjects[(i + 1) % subjects.len()];
+        let rejects = |r: Result<(), C::Error>, what: &str| match r {
+            Ok(_) => panic!("{}: {what} must be rejected", s.name),
+            Err(e) => assert!(C::rejected(&e), "{}: {what}: wrong error {e:?}", s.name),
+        };
+        let plan = handmade(s);
+        let snaps = capture_phased((s.core)(), &plan).unwrap().1;
+        let (good, snap, total) = (plan.windows[1], &snaps[1], (s.core)().units());
+        assert!(good.warm_start < good.detail_start, "{}", s.name);
+        assert!(replay_window((s.core)(), &good, snap).is_ok(), "{}", s.name);
+        let window = |detail_start, end| PhaseWindow {
+            detail_start,
+            end,
+            ..good
+        };
+        for bad in [
+            // Measurement before its own warmup.
+            window(good.warm_start - 1, good.end),
+            // Measured span empty or inverted.
+            window(good.detail_start, good.detail_start),
+            window(good.end + 1, good.end),
+            // Past the stream.
+            window(good.detail_start, total + 1),
+        ] {
+            rejects(
+                replay_window((s.core)(), &bad, snap).map(drop),
+                &format!("{bad:?}"),
+            );
+        }
+        let mut unsorted = plan.clone();
+        unsorted.windows.reverse();
+        assert!(unsorted.validate().is_err());
+        let mode = ReplayMode::Phased(unsorted.clone());
+        rejects(replay((s.core)(), &mode).map(drop), "unsorted plan");
         rejects(
-            replay_window((s.core)(), &bad, snap).map(drop),
-            &format!("{bad:?}"),
+            capture_phased((s.core)(), &unsorted).map(drop),
+            "unsorted capture",
         );
+        let foreign_boundary = replay_window((s.core)(), &good, &snaps[0]);
+        rejects(foreign_boundary.map(drop), "snapshot of another boundary");
+        let foreign_config = replay_window((foreign.core)(), &good, snap);
+        rejects(
+            foreign_config.map(drop),
+            &format!("snapshot on {}", foreign.name),
+        );
+        let none = assemble_windows((s.core)(), &plan, &[]);
+        rejects(none.map(drop), "assembly of no measurements");
     }
-    let mut unsorted = plan.clone();
-    unsorted.windows.reverse();
-    assert!(unsorted.validate().is_err());
-    let mode = ReplayMode::Phased(unsorted.clone());
-    rejects(replay((s.core)(), &mode).map(drop), "unsorted plan");
-    rejects(
-        capture_phased((s.core)(), &unsorted).map(drop),
-        "unsorted capture",
-    );
-    let foreign_boundary = replay_window((s.core)(), &good, &snaps[0]);
-    rejects(foreign_boundary.map(drop), "snapshot of another boundary");
-    let foreign_config = replay_window((foreign.core)(), &good, snap);
-    rejects(
-        foreign_config.map(drop),
-        &format!("snapshot on {}", foreign.name),
-    );
-    let none = assemble_windows((s.core)(), plan, &[]);
-    rejects(none.map(drop), "assembly of no measurements");
 }
 
 /// Records, for each distinct field path under `v` (sequence elements
@@ -417,18 +454,28 @@ fn seq_at<'v>(mut v: &'v mut Value, at: &[usize]) -> &'v mut Vec<Value> {
     }
 }
 
-/// For each sequence path of `snap`'s serde image, one sequence emptied
-/// and grown by one element: each edit decodes to `Err`, or to a snapshot
-/// that replays `window` to `Ok` or `Err`. None panics. Each edit also
+/// Runs [`hostile_edits_never_panic`] on each hostile subject, one
+/// thread each: every edit decodes the whole snapshot.
+fn hostile_snapshots_never_panic<C: Contracted>(subjects: &[Subject<C>]) {
+    std::thread::scope(|scope| {
+        for s in subjects.iter().filter(|s| s.hostile) {
+            scope.spawn(|| hostile_edits_never_panic(s));
+        }
+    });
+}
+
+/// Edits the snapshot that starts the hand-made plan's interior window:
+/// for each sequence path of its serde image, one sequence emptied and
+/// grown by one element. Each edit decodes to `Err`, or to a snapshot
+/// that replays the window to `Ok` or `Err`. None panics. Each edit also
 /// decodes through its `serde::bin` bytes to the same snapshot or `Err`
 /// as from the `Value` tree. Each of the core's
 /// [`Contracted::REJECTED_EDITS`] replays to `Err`, without panicking.
-fn hostile_snapshots_never_panic<C: Contracted>(
-    s: &Subject<C>,
-    window: &PhaseWindow,
-    snap: &C::Snapshot,
-) {
-    let mut image = serde::to_value(snap);
+fn hostile_edits_never_panic<C: Contracted>(s: &Subject<C>) {
+    let plan = handmade(s);
+    let window = &plan.windows[1];
+    let snaps = capture_phased((s.core)(), &plan).unwrap().1;
+    let mut image = serde::to_value(&snaps[1]);
     let mut paths = BTreeMap::new();
     seq_paths(&image, "", &mut Vec::new(), &mut paths);
     assert!(!paths.is_empty(), "{}: no sequence to edit", s.name);
@@ -533,6 +580,16 @@ fn bundled(name: &str, scale: Scale, hostile: bool) -> Input {
     }
 }
 
+/// The Test-scale programs of both cores: the summing loop, `autocor`
+/// (the one hostile-snapshot input) and `vadd`.
+fn test_inputs() -> Vec<Input> {
+    vec![
+        sum_loop(),
+        bundled("autocor", Scale::Test, true),
+        bundled("vadd", Scale::Test, false),
+    ]
+}
+
 /// A phase spec whose fit covers every unit: `k` exceeds any interval
 /// count.
 fn covering_spec(interval: u64) -> PhaseSpec {
@@ -542,112 +599,189 @@ fn covering_spec(interval: u64) -> PhaseSpec {
     }
 }
 
-/// The contracts on the TRIPS prototype and improved-predictor
+/// A program recorded for the TRIPS prototype and improved-predictor
 /// configurations.
-fn trips_contracts(input: &Input) {
-    let w = &input.workload;
-    let trips = Stream::new(w, input.scale, input.opts.clone(), MEM, TRIPS_BUDGET);
-    let session = Session::new();
-    let compiled = session.compiled(&trips).unwrap();
-    let log = session.trace(&trips).unwrap();
-    // A counted loop interns to a few distinct block shapes.
-    let dedup = log.dedup_ratio();
-    assert!(dedup >= 1.0 && (dedup > 2.0 || !input.steady), "{dedup}");
-    let spec = covering_spec(8);
-    let covering = session.trips_phase_plan(&trips, &spec);
-    let (covering, compiled, log) = (covering.unwrap(), &*compiled, &*log);
-    let cfgs = [
-        ("prototype", TripsConfig::prototype()),
-        ("improved_predictor", TripsConfig::improved_predictor()),
-    ];
-    let subjects: Vec<_> = cfgs
-        .iter()
-        .map(|(label, cfg)| {
-            let direct = sim::timing::simulate_with_budget(compiled, cfg, MEM, TRIPS_BUDGET);
-            let direct = direct.unwrap();
-            Subject {
-                name: format!("{}/{label}", w.name),
+struct TripsRecording {
+    input: Input,
+    compiled: Arc<CompiledProgram>,
+    log: Arc<TraceLog>,
+    covering: Arc<PhasePlan>,
+    /// Each configuration with its execution-driven return value and
+    /// counters.
+    runs: Vec<(&'static str, TripsConfig, (u64, SimStats))>,
+}
+
+impl TripsRecording {
+    fn record(input: Input) -> TripsRecording {
+        let w = &input.workload;
+        let trips = Stream::new(w, input.scale, input.opts.clone(), MEM, TRIPS_BUDGET);
+        let session = Session::new();
+        let compiled = session.compiled(&trips).unwrap();
+        let log = session.trace(&trips).unwrap();
+        // A counted loop interns to a few distinct block shapes.
+        let dedup = log.dedup_ratio();
+        assert!(dedup >= 1.0 && (dedup > 2.0 || !input.steady), "{dedup}");
+        let covering = session.trips_phase_plan(&trips, &covering_spec(8));
+        let cfgs = [
+            ("prototype", TripsConfig::prototype()),
+            ("improved_predictor", TripsConfig::improved_predictor()),
+        ];
+        let runs = cfgs
+            .into_iter()
+            .map(|(label, cfg)| {
+                let direct = sim::timing::simulate_with_budget(&compiled, &cfg, MEM, TRIPS_BUDGET);
+                let direct = direct.unwrap();
+                (label, cfg, (direct.return_value, direct.stats))
+            })
+            .collect();
+        TripsRecording {
+            covering: covering.unwrap(),
+            input,
+            compiled,
+            log,
+            runs,
+        }
+    }
+
+    fn subjects(&self) -> Vec<Subject<'_, TsimCore<'_>>> {
+        let (input, compiled, log) = (&self.input, &*self.compiled, &*self.log);
+        self.runs
+            .iter()
+            .map(|(label, cfg, direct)| Subject {
+                name: format!("{}/{label}", input.workload.name),
                 core: Box::new(move || TsimCore::new(compiled, cfg, log)),
-                direct: (direct.return_value, direct.stats),
-                covering: (*covering).clone(),
+                direct,
+                covering: &self.covering,
                 steady: input.steady.then(|| SamplePlan::new(8, 8, 32).unwrap()),
+                hostile: input.hostile,
                 issue_width: 16,
-            }
-        })
-        .collect();
-    contracts(&subjects, input.hostile);
+            })
+            .collect()
+    }
 }
 
-/// The contracts on the Core 2, Pentium 4 and Pentium III models, which
-/// all time one recorded RISC stream, also through the session.
-fn ooo_contracts(input: &Input) {
-    let w = &input.workload;
-    let risc = Stream::new(w, input.scale, CompileOptions::gcc_ref(), MEM, RISC_BUDGET);
-    let session = Session::new();
-    let art = session.risc_program(&risc).unwrap();
-    let stream = session.risc_trace(&risc).unwrap();
-    let spec = covering_spec(64);
-    let covering = session.ooo_phase_plan(&risc, &spec);
-    let (covering, rp, stream) = (covering.unwrap(), &art.program, &*stream);
-    let cfgs = [ooo::core2(), ooo::pentium4(), ooo::pentium3()];
-    let subjects: Vec<_> = cfgs
-        .iter()
-        .map(|cfg| {
-            let direct = ooo::run_timed(rp, &art.ir, cfg, MEM, RISC_BUDGET).unwrap();
-            let full = &ReplayMode::Full;
-            let session_replay = session.ooo_replayed(&risc, cfg, full, None);
-            let session_replay = session_replay.unwrap();
-            assert_eq!(session_replay.return_value, direct.return_value);
-            assert_eq!(session_replay.stats, direct.stats, "{}", cfg.name);
-            Subject {
-                name: format!("{}/{}", w.name, cfg.name),
+/// A program recorded for the Core 2, Pentium 4 and Pentium III models,
+/// which all time one recorded RISC stream.
+struct OooRecording {
+    input: Input,
+    art: Arc<RiscArtifacts>,
+    stream: Arc<RiscTrace>,
+    covering: Arc<PhasePlan>,
+    /// Each configuration with its execution-driven return value and
+    /// counters.
+    runs: Vec<(OooConfig, (u64, OooStats))>,
+}
+
+impl OooRecording {
+    /// Also checks that the session's own full replay of each
+    /// configuration equals its execution-driven run.
+    fn record(input: Input) -> OooRecording {
+        let w = &input.workload;
+        let risc = Stream::new(w, input.scale, CompileOptions::gcc_ref(), MEM, RISC_BUDGET);
+        let session = Session::new();
+        let art = session.risc_program(&risc).unwrap();
+        let stream = session.risc_trace(&risc).unwrap();
+        let covering = session.ooo_phase_plan(&risc, &covering_spec(64));
+        let cfgs = [ooo::core2(), ooo::pentium4(), ooo::pentium3()];
+        let runs = cfgs
+            .into_iter()
+            .map(|cfg| {
+                let direct = ooo::run_timed(&art.program, &art.ir, &cfg, MEM, RISC_BUDGET).unwrap();
+                let full = &ReplayMode::Full;
+                let session_replay = session.ooo_replayed(&risc, &cfg, full, None);
+                let session_replay = session_replay.unwrap();
+                assert_eq!(session_replay.return_value, direct.return_value);
+                assert_eq!(session_replay.stats, direct.stats, "{}", cfg.name);
+                (cfg, (direct.return_value, direct.stats))
+            })
+            .collect();
+        // One functional execution, however many configurations time it.
+        let c = session.cache_stats();
+        assert!(c.risc_captures == 1 && c.rtrace_hits >= 2, "{c:?}");
+        OooRecording {
+            covering: covering.unwrap(),
+            input,
+            art,
+            stream,
+            runs,
+        }
+    }
+
+    fn subjects(&self) -> Vec<Subject<'_, OooCore<'_>>> {
+        let (input, rp, stream) = (&self.input, &self.art.program, &*self.stream);
+        self.runs
+            .iter()
+            .map(|(cfg, direct)| Subject {
+                name: format!("{}/{}", input.workload.name, cfg.name),
                 core: Box::new(move || OooCore::new(rp, stream, cfg)),
-                direct: (direct.return_value, direct.stats),
-                covering: (*covering).clone(),
+                direct,
+                covering: &self.covering,
                 steady: input.steady.then(|| SamplePlan::new(64, 64, 256).unwrap()),
+                hostile: input.hostile,
                 issue_width: cfg.issue_width,
-            }
-        })
-        .collect();
-    // One functional execution, however many configurations time it.
-    let c = session.cache_stats();
-    assert!(c.risc_captures == 1 && c.rtrace_hits >= 2, "{c:?}");
-    contracts(&subjects, input.hostile);
+            })
+            .collect()
+    }
 }
 
-#[test]
-fn trips_meets_the_contracts_on_the_sum_loop() {
-    trips_contracts(&sum_loop());
+/// Records each input on its own thread: the tests that wait for the
+/// recordings have nothing else to do.
+fn record_each<R: Send>(inputs: Vec<Input>, record: fn(Input) -> R) -> Vec<R> {
+    std::thread::scope(|scope| {
+        let jobs: Vec<_> = inputs
+            .into_iter()
+            .map(|input| scope.spawn(move || record(input)))
+            .collect();
+        jobs.into_iter().map(|job| job.join().unwrap()).collect()
+    })
 }
 
-#[test]
-fn trips_meets_the_contracts_on_autocor() {
-    trips_contracts(&bundled("autocor", Scale::Test, true));
+/// Runs `contract` on every Test-scale TRIPS program: the shared ones
+/// and `matrix`, recorded once per test binary.
+fn on_trips(contract: Contract<TsimCore<'static>>) {
+    static RECORDED: OnceLock<Vec<TripsRecording>> = OnceLock::new();
+    let recorded = RECORDED.get_or_init(|| {
+        let mut inputs = test_inputs();
+        inputs.push(bundled("matrix", Scale::Test, false));
+        record_each(inputs, TripsRecording::record)
+    });
+    for r in recorded {
+        contract(&r.subjects());
+    }
 }
 
-#[test]
-fn trips_meets_the_contracts_on_vadd() {
-    trips_contracts(&bundled("vadd", Scale::Test, false));
+/// Runs `contract` on every Test-scale OoO program, recorded once per
+/// test binary.
+fn on_ooo(contract: Contract<OooCore<'static>>) {
+    static RECORDED: OnceLock<Vec<OooRecording>> = OnceLock::new();
+    let recorded = RECORDED.get_or_init(|| record_each(test_inputs(), OooRecording::record));
+    for r in recorded {
+        contract(&r.subjects());
+    }
 }
 
-#[test]
-fn trips_meets_the_contracts_on_matrix() {
-    trips_contracts(&bundled("matrix", Scale::Test, false));
+/// One test per core × contract: `$trips` and `$ooo` run `$contract`.
+macro_rules! contract_tests {
+    ($($contract:ident: $trips:ident, $ooo:ident;)*) => {$(
+        #[test]
+        fn $trips() {
+            on_trips($contract);
+        }
+
+        #[test]
+        fn $ooo() {
+            on_ooo($contract);
+        }
+    )*};
 }
 
-#[test]
-fn ooo_meets_the_contracts_on_the_sum_loop() {
-    ooo_contracts(&sum_loop());
-}
-
-#[test]
-fn ooo_meets_the_contracts_on_autocor() {
-    ooo_contracts(&bundled("autocor", Scale::Test, true));
-}
-
-#[test]
-fn ooo_meets_the_contracts_on_vadd() {
-    ooo_contracts(&bundled("vadd", Scale::Test, false));
+contract_tests! {
+    replay_equals_execution: trips_replay_equals_execution, ooo_replay_equals_execution;
+    covering_plans_equal_full: trips_covering_plans_equal_full, ooo_covering_plans_equal_full;
+    sampled_replay_extrapolates: trips_sampled_replay_extrapolates, ooo_sampled_replay_extrapolates;
+    restore_equals_sequential: trips_restore_equals_sequential, ooo_restore_equals_sequential;
+    rejects_malformed_inputs: trips_rejects_malformed_inputs, ooo_rejects_malformed_inputs;
+    hostile_snapshots_never_panic: trips_hostile_snapshots_never_panic, ooo_hostile_snapshots_never_panic;
 }
 
 /// The two largest bundled streams at Ref scale, on both cores.
@@ -655,7 +789,7 @@ fn ooo_meets_the_contracts_on_vadd() {
 #[ignore = "Ref-scale streams; release-built in the sampled-accuracy CI job"]
 fn both_cores_meet_the_contracts_at_ref_scale() {
     for name in ["bzip2", "equake"] {
-        trips_contracts(&bundled(name, Scale::Ref, true));
-        ooo_contracts(&bundled(name, Scale::Ref, true));
+        every_contract(&TripsRecording::record(bundled(name, Scale::Ref, true)).subjects());
+        every_contract(&OooRecording::record(bundled(name, Scale::Ref, true)).subjects());
     }
 }
