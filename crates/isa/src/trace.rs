@@ -33,6 +33,10 @@ pub const TRACE_MAGIC: u32 = 0x5452_4C47;
 /// [`TraceLog`], [`BlockTrace`] or their encodings.
 pub const TRACE_VERSION: u32 = 1;
 
+/// [`TraceLog::validate`]'s mark for a shape not yet checked against any
+/// block.
+const UNCHECKED: u32 = u32::MAX;
+
 /// Provenance and format metadata stored ahead of the trace body.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceHeader {
@@ -319,6 +323,11 @@ impl TraceLog {
                 self.shapes.len()
             ));
         }
+        // Each distinct (block, shape) pair is checked once, at its first
+        // occurrence. Nearly every shape pairs with one block, so the
+        // block a shape was first checked against is kept densely and
+        // only a shape's later blocks go through the set.
+        let mut first_block = vec![UNCHECKED; self.shapes.len()];
         let mut seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
         for &(bidx, shape) in &self.seq {
             if bidx as usize >= num_blocks {
@@ -332,7 +341,13 @@ impl TraceLog {
                     self.shapes.len()
                 ));
             }
-            if !seen.insert((bidx, shape)) {
+            let first = &mut first_block[shape as usize];
+            if *first == bidx {
+                continue;
+            }
+            if *first == UNCHECKED {
+                *first = bidx;
+            } else if !seen.insert((bidx, shape)) {
                 continue;
             }
             Self::validate_shape(&self.shapes[shape as usize], &tp.blocks[bidx as usize])
@@ -525,6 +540,49 @@ mod tests {
         let mut bad = log;
         bad.seq[0].1 = 7;
         assert!(bad.validate(&tp).is_err());
+    }
+
+    /// A block that only returns: no writes, one instruction.
+    fn ret_block() -> crate::Block {
+        let mut b = BlockBuilder::new("ret");
+        let mut ret = inst(TOpcode::Ret);
+        ret.exit = Some(0);
+        b.add_inst(ret).unwrap();
+        b.add_exit(ExitTarget::Ret).unwrap();
+        b.finish()
+    }
+
+    /// `log` with its stream replaced by `seq` (header kept consistent).
+    fn with_seq(log: &TraceLog, seq: &[(u32, u32)]) -> TraceLog {
+        let mut log = log.clone();
+        log.seq = seq.to_vec();
+        log.header.dynamic_blocks = seq.len() as u64;
+        log
+    }
+
+    #[test]
+    fn validate_checks_a_shapes_later_blocks() {
+        let mut tp = tiny_program();
+        let log =
+            TraceLog::capture(&tp, &empty_ir(), 1 << 20, u64::MAX, TraceMeta::default()).unwrap();
+        // Block 1 cannot hold block 0's shape (three fired instructions,
+        // one write), so pairing the shape with it later in the stream is
+        // caught, with the message of the pair's first occurrence.
+        tp.blocks.push(ret_block());
+        let want = Err("shape 0 does not fit block 1: fired instruction 2 of 1".to_string());
+        for seq in [
+            &[(0, 0), (1, 0)][..],
+            &[(0, 0), (0, 0), (0, 0), (1, 0), (0, 0)],
+            &[(1, 0), (0, 0)],
+        ] {
+            assert_eq!(with_seq(&log, seq).validate(&tp), want, "{seq:?}");
+        }
+        // A shape shared by two blocks that both fit it is accepted.
+        tp.blocks[1] = tp.blocks[0].clone();
+        assert_eq!(
+            with_seq(&log, &[(0, 0), (1, 0), (1, 0), (0, 0)]).validate(&tp),
+            Ok(())
+        );
     }
 
     #[test]

@@ -747,7 +747,7 @@ impl TimingCore for OooCore<'_> {
         stats.total_insts = self.trace.header.dynamic_insts;
         match summary {
             Some(s) => {
-                debug_assert_eq!(s.measured_units, stats.insts);
+                assert_eq!(s.measured_units, stats.insts, "measured insts ≠ planned");
                 stats.sampled = true;
                 // Measured-window cycles only: timed warmup advanced the
                 // clock but is not part of the sample.

@@ -12,7 +12,9 @@
 //! directions, counting the unused off-mesh ones) has a slot in one
 //! array holding its claimed cycles as a `ClaimList` (see
 //! [`crate::cache`]), and the hop histogram is a fixed array indexed by
-//! [`TrafficClass`].
+//! [`TrafficClass`]. Each hop is one single-cycle claim on its link: one
+//! search finds the first free cycle at or after the operand's ready
+//! time and marks it taken.
 
 use crate::cache::ClaimList;
 use serde::{Deserialize, Serialize};

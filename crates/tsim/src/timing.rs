@@ -31,9 +31,9 @@ use std::fmt;
 use trips_compiler::CompiledProgram;
 use trips_ir::Program;
 use trips_isa::block::ExitTarget;
-use trips_isa::interp::{BlockTrace, TraceSrc, TripsExecError};
+use trips_isa::interp::{BlockTrace, TraceMem, TraceSrc, TripsExecError};
 use trips_isa::limits::NUM_REGS;
-use trips_isa::{TOpcode, TraceLog};
+use trips_isa::{Block, TOpcode, TraceLog};
 use trips_sample::{
     Phase, PhasePlan, PhaseWindow, ReplayMode, SampleSummary, TimingCore, WindowMeasure,
 };
@@ -163,6 +163,9 @@ pub struct TsimCore<'a> {
     log: &'a TraceLog,
     /// Next stream unit.
     pos: u64,
+    /// The log's memory operations per shape, built on the first warmed
+    /// unit: a full replay never warms and never builds it.
+    warm: Option<WarmIndex>,
 }
 
 impl<'a> TsimCore<'a> {
@@ -174,6 +177,7 @@ impl<'a> TsimCore<'a> {
             t: Timing::new(compiled, cfg),
             log,
             pos: 0,
+            warm: None,
         }
     }
 }
@@ -207,7 +211,11 @@ impl TimingCore for TsimCore<'_> {
             .ok_or_else(|| SimError::Trace(format!("shape index {sidx} out of range")))?;
         self.pos += 1;
         match phase {
-            Phase::Warm => self.t.warm_block(bidx, trace),
+            Phase::Warm => {
+                let log = self.log;
+                let warm = self.warm.get_or_insert_with(|| WarmIndex::new(log));
+                self.t.warm_block(bidx, trace, warm.shape(sidx));
+            }
             Phase::TimedWarm => self.t.time_block_discarded(bidx, trace),
             Phase::Detailed => self.t.time_block(bidx, trace),
         }
@@ -254,7 +262,7 @@ impl TimingCore for TsimCore<'_> {
         let mut stats = self.t.finish();
         stats.isa = self.log.stats.clone();
         if let Some(s) = summary {
-            debug_assert_eq!(s.measured_units, stats.blocks);
+            assert_eq!(s.measured_units, stats.blocks, "measured blocks ≠ planned");
             stats.sampled = true;
             stats.total_units = s.total_units;
             stats.cycles = s.measured_cycles.max(u64::from(stats.blocks > 0));
@@ -268,6 +276,42 @@ impl TimingCore for TsimCore<'_> {
 
     fn reject(why: String) -> SimError {
         SimError::Trace(why)
+    }
+}
+
+/// One memory operation of a trace shape: `(fire position, instruction
+/// index, access)`.
+type WarmMem = (u32, u8, TraceMem);
+
+/// Every shape's memory operations in fire order, flattened: all that
+/// `Timing::warm_block` reads of a shape besides its exit. A warmed block
+/// fires tens of instructions but only a handful touch memory.
+struct WarmIndex {
+    /// Shape `s` owns `mems[starts[s]..starts[s + 1]]`.
+    starts: Vec<u32>,
+    mems: Vec<WarmMem>,
+}
+
+impl WarmIndex {
+    fn new(log: &TraceLog) -> WarmIndex {
+        let mut starts = Vec::with_capacity(log.shapes.len() + 1);
+        let mut mems = Vec::new();
+        starts.push(0);
+        for shape in &log.shapes {
+            mems.extend(
+                (0u32..)
+                    .zip(&shape.fired)
+                    .filter_map(|(at, ti)| Some((at, ti.idx, ti.mem?))),
+            );
+            starts.push(mems.len() as u32);
+        }
+        WarmIndex { starts, mems }
+    }
+
+    /// The memory operations of shape `sidx`, which must be in range.
+    fn shape(&self, sidx: u32) -> &[WarmMem] {
+        let s = sidx as usize;
+        &self.mems[self.starts[s] as usize..self.starts[s + 1] as usize]
     }
 }
 
@@ -417,36 +461,37 @@ impl<'a> Timing<'a> {
     /// Functionally warms one block: the next-block predictor, I-cache,
     /// data hierarchy and load-wait table observe it, but no cycles are
     /// accounted and no counters move — warming keeps long-lived state
-    /// representative for the detailed window that follows.
-    fn warm_block(&mut self, bidx: u32, trace: &BlockTrace) {
+    /// representative for the detailed window that follows. `mems` is the
+    /// trace's memory operations in fire order (its [`WarmIndex`] entry),
+    /// so only they are walked, not every fired instruction.
+    fn warm_block(&mut self, bidx: u32, trace: &BlockTrace, mems: &[WarmMem]) {
         let block = &self.cp.trips.blocks[bidx as usize];
-
-        // Train the predictor on the warmed control transfer. The detailed
-        // counters must only reflect detailed blocks, so the accounting is
-        // snapshotted around the update.
-        if let Some((pb, pexit, kind, cont, _)) = self.pending.take() {
-            let multi = self.cp.trips.blocks[pb as usize].exits.len() > 1;
-            let saved = self.predictor.stats;
-            let _ = self
-                .predictor
-                .predict_and_update(pb, pexit, kind, bidx, cont, multi);
-            self.predictor.stats = saved;
-        }
-
-        // I-cache (and L2) warming: the block image's lines.
-        let base_addr = bidx as u64 * 1024;
-        let lines = (trips_isa::encode::encoded_size_compressed(block) as u64).div_ceil(128);
-        for l in 0..lines {
-            if !self.icache.access(base_addr + l * 128) {
-                self.l2.access(base_addr + l * 128);
-            }
-        }
+        self.warm_fetch(bidx);
 
         // Data-hierarchy and dependence-predictor warming. Without cycle
         // accounting there is no bank-resolution order, so program (LSID +
         // fire) order stands in: a load observing an overlapping older
         // store that fires *after* it would have read the bank too early,
         // and trains its wait bit exactly as the timed path would.
+        self.stores.clear();
+        self.stores
+            .extend(mems.iter().filter(|m| m.2.is_store).map(|&(at, idx, mem)| {
+                let lsid = block.insts[idx as usize].lsid.unwrap_or(0);
+                (lsid, u64::from(at), mem.addr, mem.bytes)
+            }));
+        for &(at, idx, mem) in mems {
+            self.warm_access(bidx, block, u64::from(at), idx, mem);
+        }
+
+        self.warm_exit(bidx, trace.exit);
+    }
+
+    /// [`Timing::warm_block`] as it walked the whole trace, twice: the
+    /// reference the warming index is checked against.
+    #[cfg(test)]
+    fn warm_block_two_pass(&mut self, bidx: u32, trace: &BlockTrace) {
+        let block = &self.cp.trips.blocks[bidx as usize];
+        self.warm_fetch(bidx);
         self.stores.clear();
         self.stores
             .extend(trace.fired.iter().enumerate().filter_map(|(at, ti)| {
@@ -456,37 +501,71 @@ impl<'a> Timing<'a> {
             }));
         for (at, ti) in trace.fired.iter().enumerate() {
             let Some(mem) = ti.mem else { continue };
-            let bank = ((mem.addr / self.cfg.line as u64) % TripsConfig::L1D_BANKS as u64) as usize;
-            // Mirror the timed path's fill policy exactly: loads allocate
-            // into L2 on an L1 miss, stores do not.
-            if !self.l1d[bank].access(mem.addr) && !mem.is_store {
-                self.l2.access(mem.addr);
+            self.warm_access(bidx, block, at as u64, ti.idx, mem);
+        }
+        self.warm_exit(bidx, trace.exit);
+    }
+
+    /// Warming's view of fetching block `bidx`: the predictor trains on
+    /// the transfer that led here, and the block image's lines pass
+    /// through the I-cache (and L2).
+    fn warm_fetch(&mut self, bidx: u32) {
+        // The detailed counters must only reflect detailed blocks, so the
+        // predictor's accounting is snapshotted around the update.
+        if let Some((pb, pexit, kind, cont, _)) = self.pending.take() {
+            let multi = self.cp.trips.blocks[pb as usize].exits.len() > 1;
+            let saved = self.predictor.stats;
+            let _ = self
+                .predictor
+                .predict_and_update(pb, pexit, kind, bidx, cont, multi);
+            self.predictor.stats = saved;
+        }
+        let block = &self.cp.trips.blocks[bidx as usize];
+        let base_addr = bidx as u64 * 1024;
+        let lines = (trips_isa::encode::encoded_size_compressed(block) as u64).div_ceil(128);
+        for l in 0..lines {
+            if !self.icache.access(base_addr + l * 128) {
+                self.l2.access(base_addr + l * 128);
             }
-            if !mem.is_store && !self.lwt.should_wait(bidx, ti.idx) {
-                if let Some(l) = block.insts[ti.idx as usize].lsid {
-                    let would_violate = self.stores.iter().any(|&(l2, at2, a2, b2)| {
-                        l2 < l
-                            && at2 > at as u64
-                            && a2 < mem.addr + mem.bytes as u64
-                            && mem.addr < a2 + b2 as u64
-                    });
-                    if would_violate {
-                        self.lwt.record_violation(bidx, ti.idx);
-                    }
+        }
+    }
+
+    /// Warms one memory operation, fired at position `at` of its block,
+    /// against `self.stores` (the block's stores as `warm_block` lists
+    /// them).
+    fn warm_access(&mut self, bidx: u32, block: &Block, at: u64, idx: u8, mem: TraceMem) {
+        let bank = ((mem.addr / self.cfg.line as u64) % TripsConfig::L1D_BANKS as u64) as usize;
+        // Mirror the timed path's fill policy exactly: loads allocate
+        // into L2 on an L1 miss, stores do not.
+        if !self.l1d[bank].access(mem.addr) && !mem.is_store {
+            self.l2.access(mem.addr);
+        }
+        if !mem.is_store && !self.lwt.should_wait(bidx, idx) {
+            if let Some(l) = block.insts[idx as usize].lsid {
+                let would_violate = self.stores.iter().any(|&(l2, at2, a2, b2)| {
+                    l2 < l
+                        && at2 > at
+                        && a2 < mem.addr + mem.bytes as u64
+                        && mem.addr < a2 + b2 as u64
+                });
+                if would_violate {
+                    self.lwt.record_violation(bidx, idx);
                 }
             }
         }
+    }
 
-        // Dispatch bookkeeping for the next block's stream latency, and the
-        // transition the next block scores the predictor with.
+    /// Dispatch bookkeeping for the next block's stream latency, and the
+    /// transition the next block scores the predictor with.
+    fn warm_exit(&mut self, bidx: u32, exit: u8) {
+        let block = &self.cp.trips.blocks[bidx as usize];
         self.prev_chunk = block.chunk_capacity();
-        let exit = block.exits[trace.exit as usize];
-        let (kind, cont) = match exit {
+        let (kind, cont) = match block.exits[exit as usize] {
             ExitTarget::Block(_) => (ExitKind::Jump, None),
             ExitTarget::Call { cont, .. } => (ExitKind::Call, Some(cont)),
             ExitTarget::Ret => (ExitKind::Ret, None),
         };
-        self.pending = Some((bidx, trace.exit, kind, cont, 0));
+        self.pending = Some((bidx, exit, kind, cont, 0));
     }
 
     fn time_block(&mut self, bidx: u32, trace: &BlockTrace) {
@@ -854,6 +933,7 @@ mod tests {
     use super::*;
     use trips_compiler::{compile, CompileOptions};
     use trips_sample::assemble_windows;
+    use trips_workloads::Scale;
 
     use trips_ir::{IntCc, Operand, ProgramBuilder};
 
@@ -1247,6 +1327,57 @@ mod tests {
                 ),
                 "{what}: malformed live-point must be rejected"
             );
+        }
+    }
+
+    /// The indexed warming path moves the machine exactly as the two-pass
+    /// walk over every fired instruction did: on every Test-scale
+    /// workload, warming stretches broken up by detailed blocks reach
+    /// equal live-points through either path at several stream points.
+    /// Each stream also runs with every shape's fire order reversed: no
+    /// recorded Test-scale stream has an older store fire after an
+    /// overlapping load, and the reversed ones train the load-wait table.
+    #[test]
+    fn indexed_warming_equals_the_two_pass_walk() {
+        let cfg = TripsConfig::prototype();
+        for w in trips_workloads::all() {
+            let compiled = compile(&(w.build)(Scale::Test), &CompileOptions::o2()).unwrap();
+            let log = TraceLog::capture(
+                &compiled.trips,
+                &compiled.opt_ir,
+                1 << 22,
+                1_000_000,
+                Default::default(),
+            )
+            .unwrap();
+            let mut reversed = log.clone();
+            for shape in &mut reversed.shapes {
+                shape.fired.reverse();
+            }
+            for (log, order) in [(&log, "recorded"), (&reversed, "reversed")] {
+                let units = log.seq.len() as u64;
+                let checks = [1, units / 4, units / 2, units - 1, units];
+                let mut indexed = TsimCore::new(&compiled, &cfg, log);
+                let mut reference = Timing::new(&compiled, &cfg);
+                for (unit, &(bidx, sidx)) in (1..).zip(&log.seq) {
+                    let trace = &log.shapes[sidx as usize];
+                    if unit % 64 < 8 {
+                        indexed.step(Phase::Detailed).unwrap();
+                        reference.time_block(bidx, trace);
+                    } else {
+                        indexed.step(Phase::Warm).unwrap();
+                        reference.warm_block_two_pass(bidx, trace);
+                    }
+                    if checks.contains(&unit) {
+                        assert_eq!(
+                            indexed.snapshot(),
+                            reference.snapshot(unit),
+                            "{} ({order} fire order) at unit {unit} of {units}",
+                            w.name
+                        );
+                    }
+                }
+            }
         }
     }
 

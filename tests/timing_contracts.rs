@@ -30,6 +30,12 @@
 //!   `Value` tree; an OoO snapshot whose issue cycles are out of order,
 //!   empty or over the width is an `Err`.
 //!
+//! Every sampled, phased and restored replay these contracts make also
+//! passes each core's own check, in `finish`, that it measured exactly
+//! the units its plan details (an `assert_eq!`, so release builds check
+//! it too): timed warmup that leaks into the counters fails even where
+//! the sequential and restored paths agree.
+//!
 //! Tier-1 runs them at Test scale on a summing loop, `autocor` and
 //! `vadd`, and on TRIPS on `matrix` too. Each core records these
 //! programs once per test binary (compile, capture, covering phase fit
