@@ -4,6 +4,13 @@
 //! move a figure silently. Each mode runs on its own session, side by side
 //! in one process: no replay mode or store is process-wide state.
 //!
+//! The `ref_*` tests do the same for `repro all` at Ref scale, the scale
+//! the paper reports, under full replay, `--sample 16,48,128` and
+//! `--phase auto` (every Test-scale stream is under the phase floor, so
+//! only Ref reaches phased figures). They are `#[ignore]`d: run them in
+//! release with `cargo test --release -p trips-experiments --test golden
+//! -- --ignored`.
+//!
 //! Only the wall-clock parts are masked: the `speedup` cells of the
 //! sampled-accuracy table and its `mean replay speedup` note. The full
 //! replay run also checks the figures' own claims: Figure 9 has its
@@ -14,7 +21,7 @@
 //! current output, fails once, and passes on the next run.
 
 use std::path::PathBuf;
-use trips_engine::{SamplePlan, Session};
+use trips_engine::{PhaseK, SamplePlan, Session};
 use trips_experiments::{Run, EXPERIMENTS};
 use trips_workloads::Scale;
 
@@ -124,6 +131,37 @@ fn quick_sample_matches_golden() {
         ..Run::new(&session, Scale::Test)
     };
     check("quick_sample.txt", &run);
+}
+
+/// Checks `repro all` at Ref scale on its own session, in one of the
+/// modes `tweak` selects, against `golden`.
+fn check_ref(golden: &str, tweak: impl FnOnce(Run) -> Run) {
+    let session = Session::new();
+    check(golden, &tweak(Run::new(&session, Scale::Ref)));
+}
+
+#[test]
+#[ignore = "Ref scale: run in release"]
+fn ref_all_matches_golden() {
+    check_ref("ref_all.txt", |run| run);
+}
+
+#[test]
+#[ignore = "Ref scale: run in release"]
+fn ref_sample_matches_golden() {
+    check_ref("ref_sample.txt", |run| Run {
+        sample: Some(SamplePlan::new(16, 48, 128).expect("valid plan")),
+        ..run
+    });
+}
+
+#[test]
+#[ignore = "Ref scale: run in release"]
+fn ref_phase_matches_golden() {
+    check_ref("ref_phase.txt", |run| Run {
+        phase: Some(PhaseK::Auto),
+        ..run
+    });
 }
 
 #[test]
