@@ -395,58 +395,6 @@ impl TraceLog {
         }
     }
 
-    /// Per-interval basic-block vectors over the dynamic stream: the
-    /// stream is cut into `interval`-block intervals (the last may be
-    /// short), and each yields the execution frequency of every distinct
-    /// `(block, shape)` pairing inside it — the TRIPS-side feature for
-    /// phase classification — plus one **first-touch novelty** feature
-    /// counting the 64 B cache lines the interval accesses that no
-    /// earlier interval has touched. Novelty is what separates the first sweep
-    /// over a large working set (compulsory misses, several times the
-    /// steady-state cost) from later sweeps that execute the *identical*
-    /// blocks over the *identical* addresses warm; without it those
-    /// intervals cluster together and a cold interval can end up standing
-    /// for warm ones (or vice versa). Within an interval, features are
-    /// sorted by id, so the output is a pure function of the stream.
-    ///
-    /// The feature id packs the block index in the high word and the
-    /// shape index in the low word; the novelty feature lives at a tagged
-    /// id (`1 << 63`) no pairing can collide with.
-    #[must_use]
-    pub fn interval_features(&self, interval: u64) -> Vec<Vec<(u64, u32)>> {
-        let interval = interval.max(1) as usize;
-        let mut out = Vec::with_capacity(self.seq.len().div_ceil(interval));
-        let mut seen_lines: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for chunk in self.seq.chunks(interval) {
-            let mut counts: HashMap<u64, u32> = HashMap::new();
-            let mut novel: u32 = 0;
-            for &(bidx, shape) in chunk {
-                *counts
-                    .entry((u64::from(bidx) << 32) | u64::from(shape))
-                    .or_insert(0) += 1;
-                for ti in self
-                    .shapes
-                    .get(shape as usize)
-                    .map(|s| s.fired.as_slice())
-                    .unwrap_or_default()
-                {
-                    if let Some(mem) = ti.mem {
-                        if seen_lines.insert(mem.addr >> 6) {
-                            novel += 1;
-                        }
-                    }
-                }
-            }
-            if novel > 0 {
-                counts.insert(1 << 63, novel);
-            }
-            let mut features: Vec<(u64, u32)> = counts.into_iter().collect();
-            features.sort_unstable();
-            out.push(features);
-        }
-        out
-    }
-
     /// Interning effectiveness: dynamic blocks per stored shape (≥ 1).
     pub fn dedup_ratio(&self) -> f64 {
         if self.shapes.is_empty() {
@@ -701,24 +649,5 @@ mod tests {
         let tp = tiny_program();
         let err = TraceLog::capture(&tp, &empty_ir(), 1 << 20, 0, TraceMeta::default());
         assert!(matches!(err, Err(TripsExecError::StepLimit)));
-    }
-
-    #[test]
-    fn interval_features_census_the_stream() {
-        let tp = tiny_program();
-        let mut log =
-            TraceLog::capture(&tp, &empty_ir(), 1 << 20, u64::MAX, TraceMeta::default()).unwrap();
-        // Synthesize a longer stream: alternate two pairings.
-        log.seq = vec![(0, 0), (0, 0), (0, 0), (1, 0), (0, 0), (1, 1), (1, 1)];
-        let bbvs = log.interval_features(4);
-        assert_eq!(bbvs.len(), 2, "7 blocks at interval 4 = 2 intervals");
-        assert_eq!(bbvs[0], vec![(0, 3), (1 << 32, 1)]);
-        assert_eq!(bbvs[1], vec![(0, 1), ((1 << 32) | 1, 2)]);
-        // Counts sum to the interval lengths, and the extraction is a
-        // pure function of the stream.
-        assert_eq!(bbvs[0].iter().map(|f| u64::from(f.1)).sum::<u64>(), 4);
-        assert_eq!(bbvs[1].iter().map(|f| u64::from(f.1)).sum::<u64>(), 3);
-        assert_eq!(bbvs, log.interval_features(4));
-        assert_eq!(log.interval_features(100).len(), 1);
     }
 }

@@ -184,74 +184,6 @@ impl RiscTrace {
         }
     }
 
-    /// Per-interval basic-block vectors over the recorded instruction
-    /// stream: the stream is cut into `interval`-instruction intervals
-    /// (the last may be short), and each yields the frequency of every
-    /// control-transfer destination — branch targets, fallthrough paths
-    /// of untaken branches, call entries and return sites — executed
-    /// inside it, plus the frequency of every 4 KiB **memory page**
-    /// touched and one **first-touch novelty** feature counting the
-    /// cache lines (64 B) no earlier interval has touched (each tagged
-    /// into a disjoint id domain). Destinations are basic-block leaders; the page features
-    /// catch phases that share control flow but walk different working
-    /// sets, and novelty separates the compulsory-miss first sweep over a
-    /// working set from the warm revisits that execute identically —
-    /// both move an out-of-order machine's cycle count without moving a
-    /// pure control-flow BBV. Extracted by walking the program through a
-    /// [`TraceCursor`] (no functional re-execution); features are sorted
-    /// by id within each interval, so the output is a pure function of
-    /// the stream.
-    ///
-    /// # Errors
-    /// The same stream-corruption errors replay would raise.
-    pub fn interval_features(
-        &self,
-        rp: &RProgram,
-        interval: u64,
-    ) -> Result<Vec<Vec<(u64, u32)>>, RiscError> {
-        let interval = interval.max(1);
-        let mut out = Vec::with_capacity(
-            usize::try_from(self.header.dynamic_insts.div_ceil(interval)).unwrap_or_default(),
-        );
-        let mut cursor = self.cursor(rp);
-        let mut counts: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        let mut seen_lines: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut in_interval = 0u64;
-        let flush = |counts: &mut std::collections::HashMap<u64, u32>,
-                     out: &mut Vec<Vec<(u64, u32)>>| {
-            let mut features: Vec<(u64, u32)> = counts.drain().collect();
-            features.sort_unstable();
-            out.push(features);
-        };
-        while let Some(ev) = cursor.next_event()? {
-            if ev.ctrl_kind != CtrlKind::None {
-                // Where control actually went: the recorded transfer, or
-                // the fallthrough of an untaken conditional.
-                let (tf, ti) = ev.transfer.unwrap_or((ev.func, ev.idx + 1));
-                *counts
-                    .entry((u64::from(tf) << 32) | u64::from(ti))
-                    .or_insert(0) += 1;
-            }
-            if let Some((addr, _)) = ev.mem {
-                // Page-granular working-set feature, top bit tagging the
-                // domain so pages can never alias block leaders.
-                *counts.entry((1 << 63) | (addr >> 12)).or_insert(0) += 1;
-                if seen_lines.insert(addr >> 6) {
-                    *counts.entry(1 << 62).or_insert(0) += 1;
-                }
-            }
-            in_interval += 1;
-            if in_interval == interval {
-                flush(&mut counts, &mut out);
-                in_interval = 0;
-            }
-        }
-        if in_interval > 0 {
-            flush(&mut counts, &mut out);
-        }
-        Ok(out)
-    }
-
     /// Checks the header and replays the full stream against `rp`: every
     /// reconstructed program counter must be in bounds and the recorded
     /// counts must match exactly. A stream captured from a different binary
@@ -618,50 +550,5 @@ mod tests {
         let rp = compile_program(&ir).unwrap();
         let err = RiscTrace::capture(&rp, &ir, 1 << 20, 3, RiscTraceMeta::default());
         assert!(matches!(err, Err(RiscError::StepLimit)));
-    }
-
-    #[test]
-    fn interval_features_count_control_destinations() {
-        let ir = busy_program();
-        let rp = compile_program(&ir).unwrap();
-        let trace =
-            RiscTrace::capture(&rp, &ir, 1 << 20, 1_000_000, RiscTraceMeta::default()).unwrap();
-        let total = trace.header.dynamic_insts;
-        let bbvs = trace.interval_features(&rp, 16).unwrap();
-        assert_eq!(bbvs.len() as u64, total.div_ceil(16));
-        // Every control event contributes one destination, every memory
-        // access one page count (plus at most one novelty count), so the
-        // census is bounded by three features per instruction.
-        let events: u64 = bbvs
-            .iter()
-            .flat_map(|v| v.iter())
-            .map(|f| u64::from(f.1))
-            .sum();
-        assert!(events > 0 && events <= 3 * total);
-        // The loop re-walks one small buffer: every page is novel exactly
-        // once, and only in the interval that first touches it.
-        let novel: u64 = bbvs
-            .iter()
-            .flat_map(|v| v.iter())
-            .filter(|f| f.0 == 1 << 62)
-            .map(|f| u64::from(f.1))
-            .sum();
-        assert!(novel >= 1, "the first touch of the buffer must be novel");
-        assert!(
-            bbvs[1..]
-                .iter()
-                .flat_map(|v| v.iter())
-                .all(|f| f.0 != 1 << 62),
-            "revisits of the same pages are not novel"
-        );
-        // Deterministic, and one big interval covers the whole stream.
-        assert_eq!(bbvs, trace.interval_features(&rp, 16).unwrap());
-        let whole = trace.interval_features(&rp, total).unwrap();
-        assert_eq!(whole.len(), 1);
-        assert_eq!(whole[0].iter().map(|f| u64::from(f.1)).sum::<u64>(), events);
-        // A corrupt stream surfaces the same errors replay would.
-        let mut bad = trace.clone();
-        bad.conds[0] ^= 1;
-        assert!(bad.interval_features(&rp, 16).is_err());
     }
 }

@@ -12,6 +12,10 @@
 //!   byte-identical plan in independent sessions, and a session backed by
 //!   a warm trace store serves the fitted plan from disk with **zero**
 //!   re-clustering.
+//! * **Signature features** — the one extractor counts `(block, path)`
+//!   keys on a TRIPS stream, so shapes that differ only in their
+//!   addresses are one key, and control destinations plus pages on a
+//!   RISC stream, with one first-touch novelty feature on both.
 //! * **Accuracy** — phase-classified estimates stay within the larger of
 //!   the systematic-plan error and the 1% target band, at (on the
 //!   largest workload) ≥ 2× fewer detailed units (the full-set gate runs
@@ -21,9 +25,12 @@ mod common;
 
 use common::tiny_spec;
 use proptest::prelude::*;
-use trips::engine::{PhaseK, PhaseSpec, ReplayMode, Session, Stream, TraceStore};
+use trips::engine::{
+    run_sweep, BackendSpec, ConfigVariant, PhaseK, PhaseSpec, ReplayMode, SamplePlan, Session,
+    Stream, SweepRow, SweepSpec, TraceStore,
+};
 use trips::experiments::Run;
-use trips::phase::fit_plan;
+use trips::phase::{fit_plan, risc_features, trips_features, NOVELTY};
 use trips::workloads::{by_name, Scale};
 use trips::{compiler::CompileOptions, ooo, sim};
 
@@ -77,6 +84,122 @@ proptest! {
             }
         }
     }
+}
+
+/// Distinct 64 B lines among `addrs`: what the novelty features of a
+/// whole stream must sum to.
+fn lines(addrs: impl IntoIterator<Item = u64>) -> u32 {
+    let lines: std::collections::HashSet<u64> = addrs.into_iter().map(|a| a >> 6).collect();
+    lines.len() as u32
+}
+
+/// A TRIPS log over three shapes of a real Test-scale capture: `a` (one
+/// with memory operations), `a` with every address moved by 1 MiB, and a
+/// shape without memory operations. The stream is left empty.
+fn three_shape_log() -> trips::isa::TraceLog {
+    let w = by_name("autocor").unwrap();
+    let stream = Stream::new(&w, Scale::Test, CompileOptions::o2(), MEM, 1_000_000);
+    let mut log = (*Session::new().trace(&stream).unwrap()).clone();
+    let with_mem = |s: &&trips::isa::interp::BlockTrace| s.fired.iter().any(|t| t.mem.is_some());
+    let a = log.shapes.iter().find(with_mem).unwrap().clone();
+    let b = log.shapes.iter().find(|s| !with_mem(s)).unwrap().clone();
+    let mut moved = a.clone();
+    for mem in moved.fired.iter_mut().filter_map(|t| t.mem.as_mut()) {
+        mem.addr += 1 << 20;
+    }
+    log.shapes = vec![a, moved, b];
+    log.seq.clear();
+    log
+}
+
+#[test]
+fn trips_features_census_the_stream_by_path() {
+    let mut log = three_shape_log();
+    log.seq = vec![(0, 0), (0, 0), (0, 2), (1, 2), (0, 0), (1, 2), (1, 2)];
+    let touched = lines(
+        log.shapes[0]
+            .fired
+            .iter()
+            .filter_map(|t| t.mem)
+            .map(|m| m.addr),
+    );
+    let bbvs = trips_features(&log, 4);
+    assert_eq!(bbvs.len(), 2, "7 blocks at interval 4 = 2 intervals");
+    // Key = block << 32 | path; shape 2 is path 1. Only the first
+    // interval touches lines no earlier interval touched.
+    assert_eq!(
+        bbvs[0],
+        vec![(0, 2), (1, 1), ((1 << 32) | 1, 1), (NOVELTY, touched)]
+    );
+    assert_eq!(bbvs[1], vec![(0, 1), ((1 << 32) | 1, 2)]);
+    // The extraction is a pure function of the stream, and one long
+    // interval covers it.
+    assert_eq!(bbvs, trips_features(&log, 4));
+    let whole = trips_features(&log, 100);
+    assert_eq!(whole.len(), 1);
+    assert_eq!(whole[0].iter().map(|f| f.1).sum::<u32>(), 7 + touched);
+}
+
+#[test]
+fn trips_shapes_differing_only_in_addresses_are_one_key() {
+    let mut log = three_shape_log();
+    log.seq = vec![(0, 0), (0, 1), (0, 0), (0, 1)];
+    let addrs = |s: usize| {
+        log.shapes[s]
+            .fired
+            .iter()
+            .filter_map(|t| t.mem)
+            .map(|m| m.addr)
+    };
+    let touched = lines(addrs(0).chain(addrs(1)));
+    assert_eq!(
+        touched,
+        2 * lines(addrs(0)),
+        "the moved shape touches new lines"
+    );
+    // Both shapes run one path of block 0: one control key, four counts;
+    // only first-touch novelty sees the addresses.
+    assert_eq!(
+        trips_features(&log, 4),
+        vec![vec![(0, 4), (NOVELTY, touched)]]
+    );
+}
+
+#[test]
+fn risc_features_count_control_destinations_and_pages() {
+    let w = by_name("autocor").unwrap();
+    let session = Session::new();
+    let stream = Stream::new(&w, Scale::Test, CompileOptions::gcc_ref(), MEM, 400_000_000);
+    let rp = &session.risc_program(&stream).unwrap().program;
+    let trace = session.risc_trace(&stream).unwrap();
+    let total = trace.header.dynamic_insts;
+    let bbvs = risc_features(&trace, rp, 16).unwrap();
+    assert_eq!(bbvs.len() as u64, total.div_ceil(16));
+    let sum = |pick: &dyn Fn(u64) -> bool| -> u64 {
+        let all = bbvs.iter().flatten();
+        all.filter(|f| pick(f.0)).map(|f| u64::from(f.1)).sum()
+    };
+    // Every memory access counts one page (top bit set), every line is
+    // novel once, and each control instruction counts one destination.
+    assert_eq!(sum(&|id| id >> 63 == 1), trace.mems.len() as u64);
+    assert_eq!(
+        sum(&|id| id == NOVELTY),
+        u64::from(lines(trace.mems.iter().copied()))
+    );
+    let dests = sum(&|id| id < NOVELTY);
+    assert!(dests > 0 && dests <= total);
+    // Deterministic, and one big interval covers the whole stream.
+    assert_eq!(bbvs, risc_features(&trace, rp, 16).unwrap());
+    let whole = risc_features(&trace, rp, total).unwrap();
+    assert_eq!(whole.len(), 1);
+    assert_eq!(
+        whole[0].iter().map(|f| u64::from(f.1)).sum::<u64>(),
+        sum(&|_| true)
+    );
+    // A corrupt stream surfaces the same errors replay would.
+    let mut bad = (*trace).clone();
+    bad.conds[0] ^= 1;
+    assert!(risc_features(&bad, rp, 16).is_err());
 }
 
 #[test]
@@ -265,4 +388,57 @@ fn phase_accuracy_gate_full_set() {
     let csv = trips::experiments::runner::phase_assignment_csv(&rows);
     let intervals: usize = rows.iter().map(|r| r.plan.assignments.len()).sum();
     assert_eq!(csv.lines().count(), intervals + 1);
+}
+
+/// The phase gate through the sweep engine, over every workload at Ref
+/// scale on TRIPS, on the prototype and on it with 3x DRAM latency: each
+/// row's phased cycle estimate is within the larger of the systematic
+/// (`--sample 16,48,128`) error and 1% of full replay. A signature that
+/// mistakes addresses for behavior picks representatives whose memory
+/// cost is off, which the slower DRAM magnifies. Run by the
+/// `sampled-accuracy` CI job in release.
+#[test]
+#[ignore = "release-built CI gate (slow under the debug profile)"]
+fn phase_gate_holds_on_every_workload_and_dram_latency() {
+    let session = Session::new();
+    let prototype = ConfigVariant::prototype();
+    let mut configs = ConfigVariant::axis(&prototype.cfg, "dram_lat", &["240"]).unwrap();
+    configs.insert(0, prototype);
+    let full = SweepSpec {
+        workloads: trips::workloads::all()
+            .iter()
+            .map(|w| w.name.to_string())
+            .collect(),
+        scale: Scale::Ref,
+        configs,
+        backends: vec![BackendSpec::Trips],
+        ..SweepSpec::default()
+    };
+    let sys = SweepSpec {
+        sample: Some(SamplePlan::new(16, 48, 128).unwrap()),
+        ..full.clone()
+    };
+    let phased = SweepSpec {
+        phase: Some(PhaseK::Auto),
+        ..full.clone()
+    };
+    let [full, sys, phased] = [full, sys, phased].map(|spec| run_sweep(&spec, &session).unwrap());
+    let mut misses = Vec::new();
+    for ((f, s), p) in full.rows.iter().zip(&sys.rows).zip(&phased.rows) {
+        assert_eq!((&p.workload, &p.config), (&f.workload, &f.config));
+        assert!([f, s, p].iter().all(|r| r.status == "ok"), "{p:?}");
+        let err = |r: &SweepRow| r.est_cycles.abs_diff(f.cycles) as f64 / f.cycles as f64;
+        if err(p) > err(s).max(0.01) {
+            misses.push(format!(
+                "{}/{}: phase {:.2}% (k={}) vs systematic {:.2}%",
+                p.workload,
+                p.config,
+                err(p) * 100.0,
+                p.phase_k,
+                err(s) * 100.0
+            ));
+        }
+    }
+    assert_eq!(full.rows.len(), 2 * trips::workloads::all().len());
+    assert!(misses.is_empty(), "{}", misses.join("\n"));
 }
