@@ -13,6 +13,9 @@
 //! One payload of each stored kind, and the `IsaStats` of a functional
 //! run, are also pinned by the content hash of their bytes and of their
 //! JSON text, so a change to the capture paths cannot move them unseen.
+//! The TRIPS block stream is pinned once more in a layout of its own,
+//! expanded block by block, so a trace format change cannot move what
+//! replay sees.
 
 mod common;
 
@@ -158,6 +161,53 @@ fn pins<T: Serialize>(x: &T) -> (u64, u64) {
         content_hash(&serde::bin::to_bytes(x)),
         content_hash(serde::json::to_string(x).as_bytes()),
     )
+}
+
+/// A word of [`expanded_stream_hash`]'s layout for operand source `s`.
+fn src_word(s: TraceSrc) -> u64 {
+    match s {
+        TraceSrc::Read(r) => u64::from(r),
+        TraceSrc::Inst(p) => 0x100 | u64::from(p),
+    }
+}
+
+/// The content hash of `log`'s dynamic stream expanded block by block,
+/// in a layout of its own that no trace format change moves: per block,
+/// its index, then per fired instruction its `idx`, its operand sources
+/// and its memory operation (`bytes`, `is_store` and address), then its
+/// write sources and its exit. Every list is preceded by its length.
+fn expanded_stream_hash(log: &TraceLog) -> u64 {
+    let mut words: Vec<u64> = Vec::new();
+    for &(block, shape) in &log.seq {
+        let shape = &log.shapes[shape as usize];
+        words.extend([u64::from(block), shape.fired.len() as u64]);
+        for ti in &shape.fired {
+            words.extend([u64::from(ti.idx), ti.srcs.len() as u64]);
+            words.extend(ti.srcs.iter().map(|&s| src_word(s)));
+            match ti.mem {
+                None => words.push(0),
+                Some(m) => words.extend([1, u64::from(m.bytes), u64::from(m.is_store), m.addr]),
+            }
+        }
+        words.push(shape.write_srcs.len() as u64);
+        let writes = shape.write_srcs.iter();
+        words.extend(writes.map(|w| w.map_or(u64::MAX, src_word)));
+        words.push(u64::from(shape.exit));
+    }
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    content_hash(&bytes)
+}
+
+/// The autocor Test-scale block stream, expanded: what every replay of
+/// the log sees, whatever layout stores it. The value was computed by an
+/// earlier build and must not move with the trace format.
+#[test]
+fn the_expanded_trips_stream_is_pinned() {
+    let w = by_name("autocor").unwrap();
+    let stream = Stream::new(&w, Scale::Test, CompileOptions::o2(), MEM, 1_000_000);
+    let log = Session::new().trace(&stream).unwrap();
+    assert_eq!(log.seq.len(), 294);
+    assert_eq!(expanded_stream_hash(&log), 0xf8c9_52a4_a8e7_617e);
 }
 
 /// One Test-scale payload of each surviving stored kind (the phase
