@@ -1038,8 +1038,8 @@ impl Session {
     /// — an in-memory miss consults the disk tier (a verified,
     /// stream-validated [`PhaseArtifact`] stands in for a fresh fit), and
     /// fresh fits are written back. The fit is seeded from the trace's
-    /// stable key, so every process derives the byte-identical plan and N
-    /// sweep points across N processes cluster once.
+    /// [`TraceId::fit_seed`], so every process derives the byte-identical
+    /// plan and N sweep points across N processes cluster once.
     ///
     /// # Errors
     /// Any cached artifact failure ([`EngineError::Compile`] /
@@ -1057,7 +1057,7 @@ impl Session {
         self.phases.get_or_init(&key, || {
             let compiled = self.compiled(stream)?;
             let log = self.trace(stream)?;
-            let seed = stream.trips_id(&compiled).stable_hash();
+            let seed = stream.trips_id(&compiled).fit_seed();
             self.fit_phase(seed, log.seq.len() as u64, spec, || {
                 Ok(trips_phase::trips_fit(&log, spec, seed))
             })

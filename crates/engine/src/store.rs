@@ -328,13 +328,14 @@ impl RiscTraceId {
     }
 }
 
-/// The complete identity of one fitted phase plan: the key of the parent
-/// recorded stream (a [`TraceId`] or [`RiscTraceId`] stable hash — their
-/// domains are disjoint, so the parent kind rides along in the key) plus
-/// every fit parameter that, if changed, would change the plan.
+/// The complete identity of one fitted phase plan: the fit seed of the
+/// parent recorded stream ([`TraceId::fit_seed`] or the
+/// [`RiscTraceId`] stable hash — their domains are disjoint, so the
+/// parent kind rides along in the key) plus every fit parameter that, if
+/// changed, would change the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BbvId {
-    /// Stable key of the trace the BBVs were extracted from.
+    /// Fit seed of the trace the BBVs were extracted from.
     pub parent_key: u64,
     /// Classification interval (stream units).
     pub interval: u64,

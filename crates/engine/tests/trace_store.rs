@@ -443,7 +443,7 @@ fn fitted_vadd_bbv(
     log: &TraceLog,
 ) -> (BbvId, trips_engine::phase::PhaseArtifact) {
     let spec = vadd_fit_spec();
-    let seed = block_id.stable_hash();
+    let seed = block_id.fit_seed();
     let art = trips_engine::phase::trips_fit(log, &spec, seed);
     (
         BbvId {

@@ -432,7 +432,7 @@ fn block_predictor_mpki(
         &compiled.opt_ir,
         MEM,
         runner::FUNC_BUDGET,
-        |b, tr| {
+        |b, tr, _| {
             if let Some((pb, pexit, kind, cont)) = pending.take() {
                 let multi = tp.blocks[pb as usize].exits.len() > 1;
                 pred.predict_and_update(pb, pexit, kind, b, cont, multi);
@@ -876,7 +876,7 @@ fn count_flops(c: &trips_compiler::CompiledProgram) -> u64 {
         &c.opt_ir,
         MEM,
         runner::SIM_BUDGET,
-        |b, tr| {
+        |b, tr, _| {
             for ti in &tr.fired {
                 let op = c.trips.blocks[b as usize].insts[ti.idx as usize].op;
                 if matches!(

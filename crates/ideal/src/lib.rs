@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 use trips_compiler::CompiledProgram;
-use trips_isa::interp::{TraceSrc, TripsExecError};
+use trips_isa::interp::{run_program_traced, TraceSrc, TripsExecError};
 
 /// Configuration of the idealized machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,71 +101,72 @@ pub fn analyze_with_budget(
     let mut prev_dispatch: u64 = 0;
     let mut first = true;
 
-    let outcome =
-        trips_isa::interp::run_program_traced(tp, ir, mem_size, max_blocks, |bidx, trace| {
-            let block = &tp.blocks[bidx as usize];
-            let seq = completions.len() as u64;
-            let mut dispatch = if first {
-                0
-            } else {
-                prev_dispatch + cfg.dispatch_cost
-            };
-            first = false;
-            if seq >= cfg.window_blocks {
-                dispatch = dispatch.max(completions[(seq - cfg.window_blocks) as usize]);
-            }
-            prev_dispatch = dispatch;
+    let outcome = run_program_traced(tp, ir, mem_size, max_blocks, |bidx, trace, addrs| {
+        let block = &tp.blocks[bidx as usize];
+        let seq = completions.len() as u64;
+        let mut dispatch = if first {
+            0
+        } else {
+            prev_dispatch + cfg.dispatch_cost
+        };
+        first = false;
+        if seq >= cfg.window_blocks {
+            dispatch = dispatch.max(completions[(seq - cfg.window_blocks) as usize]);
+        }
+        prev_dispatch = dispatch;
 
-            let mut done: HashMap<u8, u64> = HashMap::new();
-            let mut completion = dispatch;
-            for ti in &trace.fired {
-                let inst = &block.insts[ti.idx as usize];
-                let mut ready = dispatch;
-                for s in &ti.srcs {
-                    let t = match s {
-                        TraceSrc::Read(r) => reg_time[block.reads[*r as usize].reg as usize],
-                        TraceSrc::Inst(p) => done.get(p).copied().unwrap_or(dispatch),
-                    };
-                    ready = ready.max(t);
-                }
-                if let Some(mem) = ti.mem {
-                    let lo = mem.addr >> 3;
-                    let hi = (mem.addr + mem.bytes as u64 - 1) >> 3;
-                    if mem.is_store {
-                        let t = ready + 1;
-                        for g in lo..=hi {
-                            mem_time.insert(g, t);
-                        }
-                        done.insert(ti.idx, t);
-                        completion = completion.max(t);
-                    } else {
-                        for g in lo..=hi {
-                            ready = ready.max(mem_time.get(&g).copied().unwrap_or(0));
-                        }
-                        let t = ready + inst.op.latency() as u64;
-                        done.insert(ti.idx, t);
-                        completion = completion.max(t);
+        let mut done: HashMap<u8, u64> = HashMap::new();
+        let mut completion = dispatch;
+        let mut addrs = addrs.iter();
+        for ti in &trace.fired {
+            let inst = &block.insts[ti.idx as usize];
+            let mut ready = dispatch;
+            for s in &ti.srcs {
+                let t = match s {
+                    TraceSrc::Read(r) => reg_time[block.reads[*r as usize].reg as usize],
+                    TraceSrc::Inst(p) => done.get(p).copied().unwrap_or(dispatch),
+                };
+                ready = ready.max(t);
+            }
+            if let Some(mem) = ti.mem {
+                let addr = *addrs.next().expect("one address per memory operation");
+                let lo = addr >> 3;
+                let hi = (addr + mem.bytes as u64 - 1) >> 3;
+                if mem.is_store {
+                    let t = ready + 1;
+                    for g in lo..=hi {
+                        mem_time.insert(g, t);
                     }
+                    done.insert(ti.idx, t);
+                    completion = completion.max(t);
                 } else {
+                    for g in lo..=hi {
+                        ready = ready.max(mem_time.get(&g).copied().unwrap_or(0));
+                    }
                     let t = ready + inst.op.latency() as u64;
                     done.insert(ti.idx, t);
                     completion = completion.max(t);
                 }
-                insts += 1;
+            } else {
+                let t = ready + inst.op.latency() as u64;
+                done.insert(ti.idx, t);
+                completion = completion.max(t);
             }
-            for (wi, src) in trace.write_srcs.iter().enumerate() {
-                if let Some(s) = src {
-                    let t = match s {
-                        TraceSrc::Read(r) => reg_time[block.reads[*r as usize].reg as usize],
-                        TraceSrc::Inst(p) => done.get(p).copied().unwrap_or(dispatch),
-                    };
-                    reg_time[block.writes[wi].reg as usize] = t;
-                    completion = completion.max(t);
-                }
+            insts += 1;
+        }
+        for (wi, src) in trace.write_srcs.iter().enumerate() {
+            if let Some(s) = src {
+                let t = match s {
+                    TraceSrc::Read(r) => reg_time[block.reads[*r as usize].reg as usize],
+                    TraceSrc::Inst(p) => done.get(p).copied().unwrap_or(dispatch),
+                };
+                reg_time[block.writes[wi].reg as usize] = t;
+                completion = completion.max(t);
             }
-            completions.push(completion);
-            makespan = makespan.max(completion);
-        });
+        }
+        completions.push(completion);
+        makespan = makespan.max(completion);
+    });
 
     match outcome {
         Ok(_) | Err(TripsExecError::StepLimit) => {}

@@ -127,11 +127,10 @@ pub enum TraceSrc {
     Inst(u8),
 }
 
-/// A memory access performed by a fired instruction.
+/// A memory access performed by a fired instruction; its address travels
+/// beside the trace (see [`run_program_traced`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TraceMem {
-    /// Byte address.
-    pub addr: u64,
     /// Access size in bytes.
     pub bytes: u8,
     /// True for stores.
@@ -245,9 +244,9 @@ pub struct TraceInst {
     pub mem: Option<TraceMem>,
 }
 
-/// Dynamic dataflow trace of one block execution, consumed by the
-/// cycle-level timing model (`trips-sim`) either live (execution-driven) or
-/// recorded into a [`crate::trace::TraceLog`] and replayed.
+/// Dynamic dataflow trace of one block execution without its addresses
+/// (its path), consumed by the cycle-level timing model (`trips-sim`)
+/// either live or recorded into a [`crate::trace::TraceLog`] and replayed.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BlockTrace {
     /// Fired instructions in fire order.
@@ -292,15 +291,16 @@ pub fn run_program_with(
     mem_size: usize,
     max_blocks: u64,
 ) -> Result<ExecOutcome, TripsExecError> {
-    run_program_traced(tp, ir, mem_size, max_blocks, |_, _| {})
+    run_program_traced(tp, ir, mem_size, max_blocks, |_, _, _| {})
 }
 
-/// Runs a program, invoking `on_block` with the dataflow trace of every
-/// dynamic block execution (in program order). This is the execution oracle
-/// driving the cycle-level simulator.
+/// Runs a program, invoking `on_block` with the index, dataflow trace and
+/// addresses (one per [`TraceMem`], in fire order) of every dynamic block
+/// execution, in program order. This is the execution oracle driving the
+/// cycle-level simulator.
 ///
-/// The run allocates nothing per dynamic block: one trace buffer and one
-/// set of working buffers serve every block, and each static block's
+/// The run allocates nothing per dynamic block: one set of trace, address
+/// and working buffers serves every block, and each static block's
 /// producer map is built on its first execution.
 ///
 /// # Errors
@@ -310,7 +310,7 @@ pub fn run_program_traced(
     ir: &Program,
     mem_size: usize,
     max_blocks: u64,
-    mut on_block: impl FnMut(u32, &BlockTrace),
+    mut on_block: impl FnMut(u32, &BlockTrace, &[u64]),
 ) -> Result<ExecOutcome, TripsExecError> {
     let mut mem = Memory::new(ir, mem_size);
     let mut regs = [0u64; crate::limits::NUM_REGS];
@@ -323,6 +323,7 @@ pub fn run_program_traced(
     let mut producers: Vec<Option<ProducerMap>> = tp.blocks.iter().map(|_| None).collect();
     let mut scratch = Scratch::default();
     let mut trace = BlockTrace::default();
+    let mut addrs: Vec<u64> = Vec::new();
 
     loop {
         if budget == 0 {
@@ -345,8 +346,9 @@ pub fn run_program_traced(
             &mut mem,
             &mut stats,
             &mut trace,
+            &mut addrs,
         )?;
-        on_block(cur, &trace);
+        on_block(cur, &trace, &addrs);
         match exec {
             ExitTarget::Block(b) => cur = b,
             ExitTarget::Call { callee, cont } => {
@@ -570,8 +572,9 @@ fn deliver(
     }
 }
 
-/// The trace record of instruction `i` firing with the operands in `s`.
-fn trace_inst(i: usize, inst: &BInst, s: &Slots) -> TraceInst {
+/// The trace record of instruction `i` firing with the operands in `s`;
+/// the address of its memory access, if any, goes to `addrs`.
+fn trace_inst(i: usize, inst: &BInst, s: &Slots, addrs: &mut Vec<u64>) -> TraceInst {
     let mut srcs = Srcs::EMPTY;
     for p in s.op_from[..inst.op.num_operands()].iter().flatten() {
         srcs.push((*p).into());
@@ -584,7 +587,7 @@ fn trace_inst(i: usize, inst: &BInst, s: &Slots) -> TraceInst {
         if a.null || (inst.op.is_store() && s.op[1].map(|v| v.null).unwrap_or(false)) {
             None
         } else {
-            let addr = a.bits.wrapping_add(inst.imm as i64 as u64);
+            addrs.push(a.bits.wrapping_add(inst.imm as i64 as u64));
             let bytes = match inst.op {
                 TOpcode::Lb | TOpcode::Lbs | TOpcode::Sb => 1,
                 TOpcode::Lh | TOpcode::Lhs | TOpcode::Sh => 2,
@@ -592,7 +595,6 @@ fn trace_inst(i: usize, inst: &BInst, s: &Slots) -> TraceInst {
                 _ => 8,
             };
             Some(TraceMem {
-                addr,
                 bytes,
                 is_store: inst.op.is_store(),
             })
@@ -615,10 +617,12 @@ fn execute_block(
     mem: &mut Memory,
     stats: &mut IsaStats,
     trace: &mut BlockTrace,
+    addrs: &mut Vec<u64>,
 ) -> Result<ExitTarget, TripsExecError> {
     let n = block.insts.len();
     sc.reset(block);
     trace.fired.clear();
+    addrs.clear();
 
     // Header reads inject register values.
     stats.reads_fetched += block.reads.len() as u64;
@@ -654,7 +658,7 @@ fn execute_block(
             }
             sc.fired[i] = true;
             stats.executed += 1;
-            trace.fired.push(trace_inst(i, inst, &sc.slots[i]));
+            trace.fired.push(trace_inst(i, inst, &sc.slots[i], addrs));
             let val = fire_inst(block, i, inst, sc, mem, stats)?;
             sc.produced[i] = val;
             if let Some(v) = val {

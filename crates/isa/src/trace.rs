@@ -9,21 +9,25 @@
 //!
 //! Two properties keep logs compact:
 //!
-//! * **Shape interning** — loop-dominated programs execute the same block
-//!   with the same dataflow shape over and over. Each distinct
-//!   [`BlockTrace`] value is stored once in [`TraceLog::shapes`]; the
-//!   dynamic stream is a sequence of `(block, shape)` index pairs.
+//! * **Path interning** — TRIPS runs a hyperblock atomically, so each
+//!   execution of a block follows one of the few predicated dataflow
+//!   paths its compiled code allows; only its load and store addresses
+//!   change from one execution to the next. A [`BlockTrace`] carries no
+//!   addresses, so it is such a path: each distinct one is stored once in
+//!   [`TraceLog::shapes`], the dynamic stream is a sequence of
+//!   `(block, path)` index pairs, and every address goes, in fire order,
+//!   into one flat run, [`TraceLog::addrs`] (the way the RISC trace
+//!   stores its own). Each execution of a path takes the next
+//!   [`MemIndex::path`]`(p).len()` addresses of the run.
 //! * **A versioned header** — [`TraceHeader`] carries a magic number,
 //!   format version, provenance (workload/scale/options signature) and the
 //!   capture budget, so a stored log is never replayed against the wrong
 //!   binary or a future incompatible format.
 
-use crate::interp::{run_program_traced, BlockTrace, TripsExecError};
+use crate::interp::{run_program_traced, BlockTrace, TraceMem, TripsExecError};
 use crate::stats::IsaStats;
 use crate::TripsProgram;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use trips_ir::Program;
 
 /// `b"TRLG"` — identifies a serialized trace log.
@@ -31,7 +35,7 @@ pub const TRACE_MAGIC: u32 = 0x5452_4C47;
 
 /// Current trace-log format version. Bump on any incompatible change to
 /// [`TraceLog`], [`BlockTrace`] or their encodings.
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
 
 /// [`TraceLog::validate`]'s mark for a shape not yet checked against any
 /// block.
@@ -57,68 +61,28 @@ pub struct TraceHeader {
     pub max_blocks: u64,
     /// Dynamic blocks recorded.
     pub dynamic_blocks: u64,
-    /// Distinct trace shapes after interning.
+    /// Distinct paths after interning (the length of
+    /// [`TraceLog::shapes`]).
     pub unique_shapes: u64,
 }
 
-/// A captured functional execution: every dynamic block's dataflow trace,
-/// shape-interned, plus the run's outcome.
+/// A captured functional execution: every dynamic block's path, interned,
+/// and its addresses, plus the run's outcome.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceLog {
     /// Format and provenance metadata.
     pub header: TraceHeader,
-    /// Distinct block-trace shapes, indexed by [`TraceLog::seq`].
+    /// Distinct block paths, indexed by [`TraceLog::seq`], in order of
+    /// first occurrence.
     pub shapes: Vec<BlockTrace>,
-    /// The dynamic stream: `(block index, shape index)` per block execution.
+    /// The dynamic stream: `(block index, path index)` per block execution.
     pub seq: Vec<(u32, u32)>,
+    /// Every memory access's address, in stream and fire order.
+    pub addrs: Vec<u64>,
     /// The program's return value.
     pub return_value: u64,
     /// ISA-level statistics of the functional run.
     pub stats: IsaStats,
-}
-
-/// The interning hasher of [`TraceLog::capture`]: a fixed, unseeded
-/// multiplicative hash (one rotate, xor and multiply per word). It only
-/// buckets shapes in memory; nothing it computes is stored.
-#[derive(Default)]
-struct ShapeHasher(u64);
-
-impl ShapeHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for ShapeHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, x: u8) {
-        self.add(u64::from(x));
-    }
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.add(x);
-    }
-    #[inline]
-    fn write_usize(&mut self, x: usize) {
-        self.add(x as u64);
-    }
-    #[inline]
-    fn write_isize(&mut self, x: isize) {
-        self.add(x as u64);
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The table indexes by the low bits, which the multiply mixes least.
-        self.0.rotate_left(26)
-    }
 }
 
 /// Capture provenance supplied by the caller (free-form; the engine uses it
@@ -166,9 +130,22 @@ impl TraceId {
     /// once (old keys simply never match again).
     #[must_use]
     pub fn stable_hash(&self) -> u64 {
+        self.hash_under(TRACE_VERSION)
+    }
+
+    /// The seed of every phase fit over this stream: its key under trace
+    /// format 1. A format change stores the same stream, so it moves the
+    /// key but neither the seed nor any plan fitted with it.
+    #[must_use]
+    pub fn fit_seed(&self) -> u64 {
+        self.hash_under(1)
+    }
+
+    /// The hash of every identity field plus the format `version`.
+    fn hash_under(&self, version: u32) -> u64 {
         let mut h = crate::hash::StableHasher::new();
         h.write_str("trips.trace");
-        h.write_u64(u64::from(TRACE_VERSION));
+        h.write_u64(u64::from(version));
         h.write_str(&self.workload);
         h.write_str(&self.scale);
         h.write_u64(self.opts_sig);
@@ -188,18 +165,7 @@ impl TraceId {
     /// # Errors
     /// A description of the first mismatching field.
     pub fn matches_header(&self, h: &TraceHeader) -> Result<(), String> {
-        if h.magic != TRACE_MAGIC {
-            return Err(format!(
-                "bad trace magic {:#x} (expected {TRACE_MAGIC:#x})",
-                h.magic
-            ));
-        }
-        if h.version != TRACE_VERSION {
-            return Err(format!(
-                "trace version {} unsupported (expected {TRACE_VERSION})",
-                h.version
-            ));
-        }
+        h.check_format()?;
         if h.workload != self.workload {
             return Err(format!(
                 "trace is of workload `{}`, wanted `{}`",
@@ -234,8 +200,81 @@ impl TraceId {
     }
 }
 
+impl TraceHeader {
+    /// Checks the magic number and the format version.
+    fn check_format(&self) -> Result<(), String> {
+        if self.magic != TRACE_MAGIC {
+            return Err(format!(
+                "bad trace magic {:#x} (expected {TRACE_MAGIC:#x})",
+                self.magic
+            ));
+        }
+        if self.version != TRACE_VERSION {
+            return Err(format!(
+                "trace version {} unsupported (expected {TRACE_VERSION})",
+                self.version
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// One memory operation of a path: `(fire position, instruction index,
+/// access)`.
+pub type PathMem = (u32, u8, TraceMem);
+
+/// Every path's memory operations in fire order, flattened: all warming
+/// reads of a path besides its exit, and, by their count, how many
+/// addresses of [`TraceLog::addrs`] one execution of the path takes.
+#[derive(Debug, Clone)]
+pub struct MemIndex {
+    /// Path `p` owns `mems[starts[p]..starts[p + 1]]`.
+    starts: Vec<u32>,
+    mems: Vec<PathMem>,
+}
+
+impl MemIndex {
+    /// The index of `paths` (a log's [`TraceLog::shapes`]).
+    #[must_use]
+    pub fn new(paths: &[BlockTrace]) -> MemIndex {
+        let mut starts = Vec::with_capacity(paths.len() + 1);
+        let mut mems = Vec::new();
+        starts.push(0);
+        for path in paths {
+            mems.extend(
+                (0u32..)
+                    .zip(&path.fired)
+                    .filter_map(|(at, ti)| Some((at, ti.idx, ti.mem?))),
+            );
+            starts.push(mems.len() as u32);
+        }
+        MemIndex { starts, mems }
+    }
+
+    /// The memory operations of path `p`, or `None` past the last path.
+    #[inline]
+    #[must_use]
+    pub fn path(&self, p: u32) -> Option<&[PathMem]> {
+        let p = p as usize;
+        let (&start, &end) = (self.starts.get(p)?, self.starts.get(p + 1)?);
+        Some(&self.mems[start as usize..end as usize])
+    }
+
+    /// How many addresses the blocks of `seq` take from the run, or `None`
+    /// when one names a path past the last.
+    #[must_use]
+    pub fn addrs_taken(&self, seq: &[(u32, u32)]) -> Option<usize> {
+        let (starts, paths) = (&self.starts, self.starts.len() - 1);
+        seq.iter().try_fold(0, |n, &(_, p)| {
+            let p = p as usize;
+            (p < paths).then(|| n + (starts[p + 1] - starts[p]) as usize)
+        })
+    }
+}
+
 impl TraceLog {
-    /// Runs `tp` to completion, recording every dynamic block trace.
+    /// Runs `tp` to completion, recording every dynamic block's path and
+    /// addresses.
     ///
     /// # Errors
     /// Any [`TripsExecError`] of the underlying functional run, including
@@ -247,26 +286,30 @@ impl TraceLog {
         max_blocks: u64,
         meta: TraceMeta,
     ) -> Result<TraceLog, TripsExecError> {
-        // Shape ids are assigned in order of first occurrence, so the
-        // hasher cannot change the log; each new shape is cloned once.
-        let mut intern: HashMap<BlockTrace, u32, BuildHasherDefault<ShapeHasher>> =
-            HashMap::default();
+        // Each block is compared with the few paths it has taken before;
+        // a path new to the block is looked up among every path, so ids
+        // are assigned in order of first occurrence in the stream.
+        let mut taken: Vec<Vec<u32>> = vec![Vec::new(); tp.blocks.len()];
+        let mut shapes: Vec<BlockTrace> = Vec::new();
         let mut seq: Vec<(u32, u32)> = Vec::new();
-        let outcome = run_program_traced(tp, ir, mem_size, max_blocks, |bidx, trace| {
-            let shape = match intern.get(trace) {
-                Some(&id) => id,
+        let mut addrs: Vec<u64> = Vec::new();
+        let outcome = run_program_traced(tp, ir, mem_size, max_blocks, |bidx, trace, at| {
+            let known = &mut taken[bidx as usize];
+            let path = match known.iter().find(|&&p| shapes[p as usize] == *trace) {
+                Some(&p) => p,
                 None => {
-                    let id = u32::try_from(intern.len()).expect("fewer than 2^32 shapes");
-                    intern.insert(trace.clone(), id);
-                    id
+                    let p = shapes.iter().position(|s| s == trace).unwrap_or_else(|| {
+                        shapes.push(trace.clone());
+                        shapes.len() - 1
+                    });
+                    let p = u32::try_from(p).expect("fewer than 2^32 paths");
+                    known.push(p);
+                    p
                 }
             };
-            seq.push((bidx, shape));
+            seq.push((bidx, path));
+            addrs.extend_from_slice(at);
         })?;
-        let mut shapes = vec![BlockTrace::default(); intern.len()];
-        for (trace, id) in intern {
-            shapes[id as usize] = trace;
-        }
         Ok(TraceLog {
             header: TraceHeader {
                 magic: TRACE_MAGIC,
@@ -281,34 +324,25 @@ impl TraceLog {
             },
             shapes,
             seq,
+            addrs,
             return_value: outcome.return_value,
             stats: outcome.stats,
         })
     }
 
     /// Checks the header and internal consistency against the program the
-    /// log will be replayed on: magic/version, counts, and — for every
-    /// distinct `(block, shape)` pairing — that the shape's instruction,
-    /// read, write and exit indices all exist in that block. A log captured
-    /// from a different binary cannot drive the timing model out of bounds.
+    /// log will be replayed on: magic/version, counts, for every distinct
+    /// `(block, path)` pairing that the path's instruction, read, write
+    /// and exit indices all exist in that block, and that the address run
+    /// holds exactly the addresses the stream takes. A log captured from a
+    /// different binary cannot drive the timing model out of bounds.
     ///
     /// # Errors
     /// A description of the first mismatch.
     pub fn validate(&self, tp: &TripsProgram) -> Result<(), String> {
         let num_blocks = tp.blocks.len();
         let h = &self.header;
-        if h.magic != TRACE_MAGIC {
-            return Err(format!(
-                "bad trace magic {:#x} (expected {TRACE_MAGIC:#x})",
-                h.magic
-            ));
-        }
-        if h.version != TRACE_VERSION {
-            return Err(format!(
-                "trace version {} unsupported (expected {TRACE_VERSION})",
-                h.version
-            ));
-        }
+        h.check_format()?;
         if h.dynamic_blocks != self.seq.len() as u64 {
             return Err(format!(
                 "header says {} blocks, body has {}",
@@ -323,10 +357,12 @@ impl TraceLog {
                 self.shapes.len()
             ));
         }
-        // Each distinct (block, shape) pair is checked once, at its first
-        // occurrence. Nearly every shape pairs with one block, so the
-        // block a shape was first checked against is kept densely and
-        // only a shape's later blocks go through the set.
+        // Each distinct (block, path) pair is checked once, at its first
+        // occurrence. Nearly every path pairs with one block, so the
+        // block a path was first checked against is kept densely and
+        // only a path's later blocks go through the set.
+        let mems = MemIndex::new(&self.shapes);
+        let mut taken = 0;
         let mut first_block = vec![UNCHECKED; self.shapes.len()];
         let mut seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
         for &(bidx, shape) in &self.seq {
@@ -335,12 +371,13 @@ impl TraceLog {
                     "trace references block {bidx}, program has {num_blocks}"
                 ));
             }
-            if shape as usize >= self.shapes.len() {
+            let Some(path_mems) = mems.path(shape) else {
                 return Err(format!(
                     "trace references shape {shape}, log has {}",
                     self.shapes.len()
                 ));
-            }
+            };
+            taken += path_mems.len();
             let first = &mut first_block[shape as usize];
             if *first == bidx {
                 continue;
@@ -353,10 +390,16 @@ impl TraceLog {
             Self::validate_shape(&self.shapes[shape as usize], &tp.blocks[bidx as usize])
                 .map_err(|e| format!("shape {shape} does not fit block {bidx}: {e}"))?;
         }
+        if taken != self.addrs.len() {
+            return Err(format!(
+                "stream takes {taken} addresses, log has {}",
+                self.addrs.len()
+            ));
+        }
         Ok(())
     }
 
-    /// Structural fit of one trace shape against one block.
+    /// Structural fit of one path against one block.
     fn validate_shape(shape: &BlockTrace, block: &crate::Block) -> Result<(), String> {
         let ninsts = block.insts.len();
         let src_ok = |src: &crate::interp::TraceSrc| match *src {
@@ -387,15 +430,7 @@ impl TraceLog {
         Ok(())
     }
 
-    /// Replays the recorded stream into `on_block`, exactly as the live
-    /// interpreter would have called it.
-    pub fn replay(&self, mut on_block: impl FnMut(u32, &BlockTrace)) {
-        for &(bidx, shape) in &self.seq {
-            on_block(bidx, &self.shapes[shape as usize]);
-        }
-    }
-
-    /// Interning effectiveness: dynamic blocks per stored shape (≥ 1).
+    /// Interning effectiveness: dynamic blocks per stored path (≥ 1).
     pub fn dedup_ratio(&self) -> f64 {
         if self.shapes.is_empty() {
             return 1.0;
@@ -458,12 +493,11 @@ mod tests {
         assert_eq!(log.header.dynamic_blocks, 1);
         log.validate(&tp).unwrap();
 
-        // Replay delivers the identical trace stream.
-        let mut replayed = Vec::new();
-        log.replay(|b, t| replayed.push((b, t.clone())));
-        assert_eq!(replayed.len(), 1);
-        assert_eq!(replayed[0].0, 0);
-        assert_eq!(replayed[0].1.exit, 0);
+        // The stream is block 0 down its one path, which touches no
+        // memory.
+        let (block, path) = log.seq[0];
+        assert_eq!((block, log.shapes[path as usize].exit), (0, 0));
+        assert!(log.addrs.is_empty());
     }
 
     #[test]
@@ -483,6 +517,14 @@ mod tests {
         let mut bad = log.clone();
         bad.seq.push((99, 0));
         assert!(bad.validate(&tp).is_err());
+
+        // An address the stream does not take.
+        let mut bad = log.clone();
+        bad.addrs.push(0);
+        assert_eq!(
+            bad.validate(&tp),
+            Err("stream takes 0 addresses, log has 1".to_string())
+        );
 
         // Out-of-range shape index.
         let mut bad = log;

@@ -17,7 +17,7 @@
 //!    stream kind into intervals and counts per-interval sparse features,
 //!    each kind supplying per unit its keys and its memory addresses:
 //!    [`trips_features`] (`(block, path)` frequencies over the block
-//!    `seq`, where a path is a shape with its addresses removed) and
+//!    `seq`, keyed on the log's own address-free path ids) and
 //!    [`risc_features`] (control-transfer destination and 4 KiB page
 //!    frequencies over the walked event stream), plus one first-touch
 //!    novelty feature for both.
@@ -46,7 +46,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::fmt;
-use trips_isa::interp::BlockTrace;
+use trips_isa::trace::MemIndex;
 use trips_isa::TraceLog;
 use trips_risc::exec::{CtrlKind, EventSource, RiscError};
 use trips_risc::{RProgram, RiscTrace};
@@ -651,32 +651,21 @@ where
     Ok(out)
 }
 
-/// The signature features of a TRIPS block-trace stream: per block one
-/// `(block, path)` key, where the path id interns the shape with its
-/// addresses removed, and the addresses it touched. So the key sees code,
+/// The signature features of a TRIPS block-trace stream, which must pass
+/// [`TraceLog::validate`]: per block one `(block, path)` key, on the
+/// log's own path id, and the addresses it touched. So the key sees code,
 /// not addresses. There are no page keys: with them, `art`'s phased
 /// estimate on the prototype with 3x DRAM latency at Ref was 11.6% off
 /// full replay, against 0.4% without.
 #[must_use]
 pub fn trips_features(log: &TraceLog, interval: u64) -> Vec<Vec<(u64, u32)>> {
-    let mut paths: HashMap<BlockTrace, u64> = HashMap::new();
-    let path_of: Vec<u64> = log
-        .shapes
-        .iter()
-        .map(|shape| {
-            let mut path = shape.clone();
-            for mem in path.fired.iter_mut().filter_map(|ti| ti.mem.as_mut()) {
-                mem.addr = 0;
-            }
-            let next = paths.len() as u64;
-            *paths.entry(path).or_insert(next)
-        })
-        .collect();
-    let units = log.seq.iter().map(|&(block, shape)| {
-        let fired = log.shapes[shape as usize].fired.iter();
-        let addrs = fired.filter_map(|ti| ti.mem).map(|mem| mem.addr);
-        let key = u64::from(block) << 32 | path_of[shape as usize];
-        Ok::<_, Infallible>((Some(key), addrs))
+    let mems = MemIndex::new(&log.shapes);
+    let mut at = 0;
+    let units = log.seq.iter().map(|&(block, path)| {
+        let n = mems.path(path).expect("a validated log").len();
+        let addrs = log.addrs[at..at + n].iter().copied();
+        at += n;
+        Ok::<_, Infallible>((Some(u64::from(block) << 32 | u64::from(path)), addrs))
     });
     let Ok(features) = interval_features(units, interval);
     features

@@ -12,10 +12,11 @@
 //! `Timing::time_block_discarded` (the same with its counters discarded)
 //! and `Timing::warm_block` (functional warming only: the I-cache, data
 //! hierarchy, next-block predictor and load-wait table see the block, but
-//! no cycles are accounted). [`TsimCore`] walks a recorded [`TraceLog`]
-//! through them as a [`trips_sample::TimingCore`], so full, sampled and
-//! phased replay, live-point capture and restored windows are the shared
-//! drivers of `trips-sample`.
+//! no cycles are accounted). Each takes a block's path and its addresses,
+//! the pair the traced interpreter hands over live. [`TsimCore`] walks a
+//! recorded [`TraceLog`] through them as a [`trips_sample::TimingCore`],
+//! so full, sampled and phased replay, live-point capture and restored
+//! windows are the shared drivers of `trips-sample`.
 
 use crate::cache::{BankPorts, BankPortsSnapshot, Cache, CacheSnapshot};
 use crate::config::TripsConfig;
@@ -33,6 +34,7 @@ use trips_ir::Program;
 use trips_isa::block::ExitTarget;
 use trips_isa::interp::{BlockTrace, TraceMem, TraceSrc, TripsExecError};
 use trips_isa::limits::NUM_REGS;
+use trips_isa::trace::{MemIndex, PathMem};
 use trips_isa::{Block, TOpcode, TraceLog};
 use trips_sample::{
     Phase, PhasePlan, PhaseWindow, ReplayMode, SampleSummary, TimingCore, WindowMeasure,
@@ -93,8 +95,8 @@ pub fn simulate_with_budget(
     let tp = &compiled.trips;
     let mut t = Timing::new(compiled, cfg);
     let outcome =
-        trips_isa::interp::run_program_traced(tp, ir, mem_size, max_blocks, |b, trace| {
-            t.time_block(b, trace)
+        trips_isa::interp::run_program_traced(tp, ir, mem_size, max_blocks, |b, trace, addrs| {
+            t.time_block(b, trace, addrs)
         })
         .map_err(SimError::Exec)?;
     let mut stats = t.finish();
@@ -144,7 +146,7 @@ pub fn replay_trace_phased_capture(
 ///
 /// # Errors
 /// [`SimError::Trace`] for a malformed window, a foreign snapshot or a
-/// shape index outside the log.
+/// path index outside the log.
 pub fn replay_trips_window(
     compiled: &CompiledProgram,
     cfg: &TripsConfig,
@@ -161,11 +163,12 @@ pub fn replay_trips_window(
 pub struct TsimCore<'a> {
     t: Timing<'a>,
     log: &'a TraceLog,
+    /// The log's memory operations per path.
+    mems: MemIndex,
     /// Next stream unit.
     pos: u64,
-    /// The log's memory operations per shape, built on the first warmed
-    /// unit: a full replay never warms and never builds it.
-    warm: Option<WarmIndex>,
+    /// Where the next unit's addresses start in the log's address run.
+    addr: usize,
 }
 
 impl<'a> TsimCore<'a> {
@@ -176,8 +179,9 @@ impl<'a> TsimCore<'a> {
         TsimCore {
             t: Timing::new(compiled, cfg),
             log,
+            mems: MemIndex::new(&log.shapes),
             pos: 0,
-            warm: None,
+            addr: 0,
         }
     }
 }
@@ -199,25 +203,27 @@ impl TimingCore for TsimCore<'_> {
 
     #[inline]
     fn step(&mut self, phase: Phase) -> Result<(), SimError> {
-        let &(bidx, sidx) = self
-            .log
+        let log = self.log;
+        let &(bidx, path) = log
             .seq
             .get(self.pos as usize)
             .ok_or_else(|| SimError::Trace(format!("no block at unit {}", self.pos)))?;
-        let trace = self
-            .log
+        let (trace, mems) = log
             .shapes
-            .get(sidx as usize)
-            .ok_or_else(|| SimError::Trace(format!("shape index {sidx} out of range")))?;
+            .get(path as usize)
+            .zip(self.mems.path(path))
+            .ok_or_else(|| SimError::Trace(format!("path index {path} out of range")))?;
+        let end = self.addr + mems.len();
+        let addrs = log
+            .addrs
+            .get(self.addr..end)
+            .ok_or_else(|| SimError::Trace(format!("address run ends before unit {}", self.pos)))?;
         self.pos += 1;
+        self.addr = end;
         match phase {
-            Phase::Warm => {
-                let log = self.log;
-                let warm = self.warm.get_or_insert_with(|| WarmIndex::new(log));
-                self.t.warm_block(bidx, trace, warm.shape(sidx));
-            }
-            Phase::TimedWarm => self.t.time_block_discarded(bidx, trace),
-            Phase::Detailed => self.t.time_block(bidx, trace),
+            Phase::Warm => self.t.warm_block(bidx, trace, mems, addrs),
+            Phase::TimedWarm => self.t.time_block_discarded(bidx, trace, addrs),
+            Phase::Detailed => self.t.time_block(bidx, trace, addrs),
         }
         Ok(())
     }
@@ -226,9 +232,19 @@ impl TimingCore for TsimCore<'_> {
         self.t.snapshot(self.pos)
     }
 
+    /// Also finds the address cursor of the snapshot's unit, from the
+    /// memory operations of the paths before it.
     fn restore(&mut self, snap: &TsimSnapshot) -> Result<u64, SimError> {
+        let before = self.log.seq.get(..snap.unit as usize);
+        let addr = before
+            .and_then(|seq| self.mems.addrs_taken(seq))
+            .ok_or_else(|| {
+                let n = self.log.seq.len();
+                SimError::Trace(format!("no live-point at unit {} of {n}", snap.unit))
+            })?;
         self.t.restore(snap).map_err(SimError::Trace)?;
         self.pos = snap.unit;
+        self.addr = addr;
         Ok(snap.unit)
     }
 
@@ -276,42 +292,6 @@ impl TimingCore for TsimCore<'_> {
 
     fn reject(why: String) -> SimError {
         SimError::Trace(why)
-    }
-}
-
-/// One memory operation of a trace shape: `(fire position, instruction
-/// index, access)`.
-type WarmMem = (u32, u8, TraceMem);
-
-/// Every shape's memory operations in fire order, flattened: all that
-/// `Timing::warm_block` reads of a shape besides its exit. A warmed block
-/// fires tens of instructions but only a handful touch memory.
-struct WarmIndex {
-    /// Shape `s` owns `mems[starts[s]..starts[s + 1]]`.
-    starts: Vec<u32>,
-    mems: Vec<WarmMem>,
-}
-
-impl WarmIndex {
-    fn new(log: &TraceLog) -> WarmIndex {
-        let mut starts = Vec::with_capacity(log.shapes.len() + 1);
-        let mut mems = Vec::new();
-        starts.push(0);
-        for shape in &log.shapes {
-            mems.extend(
-                (0u32..)
-                    .zip(&shape.fired)
-                    .filter_map(|(at, ti)| Some((at, ti.idx, ti.mem?))),
-            );
-            starts.push(mems.len() as u32);
-        }
-        WarmIndex { starts, mems }
-    }
-
-    /// The memory operations of shape `sidx`, which must be in range.
-    fn shape(&self, sidx: u32) -> &[WarmMem] {
-        let s = sidx as usize;
-        &self.mems[self.starts[s] as usize..self.starts[s + 1] as usize]
     }
 }
 
@@ -444,13 +424,13 @@ impl<'a> Timing<'a> {
     /// advances exactly as [`Timing::time_block`] would advance it, so the
     /// measurement window that follows starts on a busy, representative
     /// pipeline; only the accounting is thrown away.
-    fn time_block_discarded(&mut self, bidx: u32, trace: &BlockTrace) {
+    fn time_block_discarded(&mut self, bidx: u32, trace: &BlockTrace, addrs: &[u64]) {
         let stats = self.stats.clone();
         let predictor = self.predictor.stats;
         let opn = self.opn.stats.clone();
         let conflicts = self.dt_banks.conflict_cycles;
         let violations = self.lwt.violations;
-        self.time_block(bidx, trace);
+        self.time_block(bidx, trace, addrs);
         self.stats = stats;
         self.predictor.stats = predictor;
         self.opn.stats = opn;
@@ -462,9 +442,10 @@ impl<'a> Timing<'a> {
     /// data hierarchy and load-wait table observe it, but no cycles are
     /// accounted and no counters move — warming keeps long-lived state
     /// representative for the detailed window that follows. `mems` is the
-    /// trace's memory operations in fire order (its [`WarmIndex`] entry),
-    /// so only they are walked, not every fired instruction.
-    fn warm_block(&mut self, bidx: u32, trace: &BlockTrace, mems: &[WarmMem]) {
+    /// path's memory operations in fire order (its [`MemIndex`] entry),
+    /// so only they are walked, not every fired instruction, and `addrs`
+    /// their addresses.
+    fn warm_block(&mut self, bidx: u32, trace: &BlockTrace, mems: &[PathMem], addrs: &[u64]) {
         let block = &self.cp.trips.blocks[bidx as usize];
         self.warm_fetch(bidx);
 
@@ -474,35 +455,18 @@ impl<'a> Timing<'a> {
         // store that fires *after* it would have read the bank too early,
         // and trains its wait bit exactly as the timed path would.
         self.stores.clear();
+        let accesses = mems.iter().zip(addrs);
         self.stores
-            .extend(mems.iter().filter(|m| m.2.is_store).map(|&(at, idx, mem)| {
-                let lsid = block.insts[idx as usize].lsid.unwrap_or(0);
-                (lsid, u64::from(at), mem.addr, mem.bytes)
-            }));
-        for &(at, idx, mem) in mems {
-            self.warm_access(bidx, block, u64::from(at), idx, mem);
+            .extend(accesses.clone().filter(|(m, _)| m.2.is_store).map(
+                |(&(at, idx, mem), &addr)| {
+                    let lsid = block.insts[idx as usize].lsid.unwrap_or(0);
+                    (lsid, u64::from(at), addr, mem.bytes)
+                },
+            ));
+        for (&(at, idx, mem), &addr) in accesses {
+            self.warm_access(bidx, block, u64::from(at), idx, mem, addr);
         }
 
-        self.warm_exit(bidx, trace.exit);
-    }
-
-    /// [`Timing::warm_block`] as it walked the whole trace, twice: the
-    /// reference the warming index is checked against.
-    #[cfg(test)]
-    fn warm_block_two_pass(&mut self, bidx: u32, trace: &BlockTrace) {
-        let block = &self.cp.trips.blocks[bidx as usize];
-        self.warm_fetch(bidx);
-        self.stores.clear();
-        self.stores
-            .extend(trace.fired.iter().enumerate().filter_map(|(at, ti)| {
-                let mem = ti.mem.filter(|m| m.is_store)?;
-                let lsid = block.insts[ti.idx as usize].lsid.unwrap_or(0);
-                Some((lsid, at as u64, mem.addr, mem.bytes))
-            }));
-        for (at, ti) in trace.fired.iter().enumerate() {
-            let Some(mem) = ti.mem else { continue };
-            self.warm_access(bidx, block, at as u64, ti.idx, mem);
-        }
         self.warm_exit(bidx, trace.exit);
     }
 
@@ -530,23 +494,28 @@ impl<'a> Timing<'a> {
         }
     }
 
-    /// Warms one memory operation, fired at position `at` of its block,
-    /// against `self.stores` (the block's stores as `warm_block` lists
-    /// them).
-    fn warm_access(&mut self, bidx: u32, block: &Block, at: u64, idx: u8, mem: TraceMem) {
-        let bank = ((mem.addr / self.cfg.line as u64) % TripsConfig::L1D_BANKS as u64) as usize;
+    /// Warms one memory operation at `addr`, fired at position `at` of its
+    /// block, against `self.stores` (the block's stores as `warm_block`
+    /// lists them).
+    fn warm_access(
+        &mut self,
+        bidx: u32,
+        block: &Block,
+        at: u64,
+        idx: u8,
+        mem: TraceMem,
+        addr: u64,
+    ) {
+        let bank = ((addr / self.cfg.line as u64) % TripsConfig::L1D_BANKS as u64) as usize;
         // Mirror the timed path's fill policy exactly: loads allocate
         // into L2 on an L1 miss, stores do not.
-        if !self.l1d[bank].access(mem.addr) && !mem.is_store {
-            self.l2.access(mem.addr);
+        if !self.l1d[bank].access(addr) && !mem.is_store {
+            self.l2.access(addr);
         }
         if !mem.is_store && !self.lwt.should_wait(bidx, idx) {
             if let Some(l) = block.insts[idx as usize].lsid {
                 let would_violate = self.stores.iter().any(|&(l2, at2, a2, b2)| {
-                    l2 < l
-                        && at2 > at
-                        && a2 < mem.addr + mem.bytes as u64
-                        && mem.addr < a2 + b2 as u64
+                    l2 < l && at2 > at && a2 < addr + mem.bytes as u64 && addr < a2 + b2 as u64
                 });
                 if would_violate {
                     self.lwt.record_violation(bidx, idx);
@@ -568,7 +537,9 @@ impl<'a> Timing<'a> {
         self.pending = Some((bidx, exit, kind, cont, 0));
     }
 
-    fn time_block(&mut self, bidx: u32, trace: &BlockTrace) {
+    /// Times one block down `trace`'s path; `addrs` holds its memory
+    /// operations' addresses in fire order.
+    fn time_block(&mut self, bidx: u32, trace: &BlockTrace, addrs: &[u64]) {
         let block = &self.cp.trips.blocks[bidx as usize];
         let placement = &self.cp.placements[bidx as usize];
 
@@ -625,6 +596,7 @@ impl<'a> Timing<'a> {
         let mut completion = dispatch + 1;
         let mut resolve = dispatch + 1;
         let mut violated = false;
+        let mut addrs = addrs.iter();
 
         for ti in &trace.fired {
             let inst = &block.insts[ti.idx as usize];
@@ -656,15 +628,15 @@ impl<'a> Timing<'a> {
             self.et_free[et as usize] = issue + 1;
 
             let out_t = if let Some(mem) = ti.mem {
-                let bank =
-                    ((mem.addr / self.cfg.line as u64) % TripsConfig::L1D_BANKS as u64) as usize;
+                let addr = *addrs.next().expect("one address per memory operation");
+                let bank = ((addr / self.cfg.line as u64) % TripsConfig::L1D_BANKS as u64) as usize;
                 let dtn = Node::dt(bank as u8);
                 if mem.is_store {
                     let arr = self.opn.route(here, dtn, issue + 1, TrafficClass::EtDt);
                     let t = self.dt_banks.reserve(bank, arr, 1);
-                    self.l1d[bank].access(mem.addr);
+                    self.l1d[bank].access(addr);
                     self.stats.l1_bytes += mem.bytes as u64;
-                    let entry = (inst.lsid.unwrap_or(0), t + 1, mem.addr, mem.bytes);
+                    let entry = (inst.lsid.unwrap_or(0), t + 1, addr, mem.bytes);
                     match self.stores.iter_mut().find(|s| s.0 == entry.0) {
                         Some(s) => *s = entry,
                         None => self.stores.push(entry),
@@ -687,20 +659,19 @@ impl<'a> Timing<'a> {
                     self.stats.l1d_accesses += 1;
                     self.stats.l1_bytes += mem.bytes as u64;
                     let mut lat = self.cfg.l1d_hit;
-                    if !self.l1d[bank].access(mem.addr) {
+                    if !self.l1d[bank].access(addr) {
                         self.stats.l1d_misses += 1;
                         self.stats.l2_accesses += 1;
                         self.stats.l2_bytes += self.cfg.line as u64;
-                        let l2b = ((mem.addr / self.cfg.line as u64) % TripsConfig::L2_BANKS as u64)
-                            as usize;
+                        let l2b =
+                            ((addr / self.cfg.line as u64) % TripsConfig::L2_BANKS as u64) as usize;
                         let nuca = (l2b % 4 + l2b / 4) as u64;
                         let l2t = self.l2_banks.reserve(l2b, t + lat, 1);
                         lat += (l2t - t - lat.min(l2t)) + self.cfg.l2_base + self.cfg.l2_hop * nuca;
-                        if !self.l2.access(mem.addr) {
+                        if !self.l2.access(addr) {
                             self.stats.l2_misses += 1;
                             self.stats.dram_bytes += self.cfg.line as u64;
-                            let ch =
-                                (mem.addr as usize / self.cfg.line) % TripsConfig::DRAM_CHANNELS;
+                            let ch = (addr as usize / self.cfg.line) % TripsConfig::DRAM_CHANNELS;
                             let dt = self.dram.reserve(ch, t + lat, self.cfg.dram_occupancy);
                             lat = dt - t + self.cfg.dram_lat;
                         }
@@ -710,8 +681,7 @@ impl<'a> Timing<'a> {
                     if !self.lwt.should_wait(bidx, ti.idx) {
                         if let Some(l) = inst.lsid {
                             for &(lsid2, t2, a2, b2) in &self.stores {
-                                let overlap =
-                                    a2 < mem.addr + mem.bytes as u64 && mem.addr < a2 + b2 as u64;
+                                let overlap = a2 < addr + mem.bytes as u64 && addr < a2 + b2 as u64;
                                 if lsid2 < l && overlap && t2 > t {
                                     violated = true;
                                     self.lwt.record_violation(bidx, ti.idx);
@@ -1330,13 +1300,43 @@ mod tests {
         }
     }
 
+    impl Timing<'_> {
+        /// [`Timing::warm_block`] as it walked the whole trace, twice: the
+        /// reference the warming index is checked against.
+        fn warm_block_two_pass(&mut self, bidx: u32, trace: &BlockTrace, addrs: &[u64]) {
+            let block = &self.cp.trips.blocks[bidx as usize];
+            self.warm_fetch(bidx);
+            let fired = || {
+                let with_mem = trace
+                    .fired
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, ti)| ti.mem.is_some());
+                with_mem
+                    .zip(addrs)
+                    .map(|((at, ti), &addr)| (at as u64, ti, ti.mem.unwrap(), addr))
+            };
+            self.stores.clear();
+            self.stores
+                .extend(fired().filter(|f| f.2.is_store).map(|(at, ti, mem, addr)| {
+                    let lsid = block.insts[ti.idx as usize].lsid.unwrap_or(0);
+                    (lsid, at, addr, mem.bytes)
+                }));
+            for (at, ti, mem, addr) in fired() {
+                self.warm_access(bidx, block, at, ti.idx, mem, addr);
+            }
+            self.warm_exit(bidx, trace.exit);
+        }
+    }
+
     /// The indexed warming path moves the machine exactly as the two-pass
     /// walk over every fired instruction did: on every Test-scale
     /// workload, warming stretches broken up by detailed blocks reach
     /// equal live-points through either path at several stream points.
-    /// Each stream also runs with every shape's fire order reversed: no
-    /// recorded Test-scale stream has an older store fire after an
-    /// overlapping load, and the reversed ones train the load-wait table.
+    /// Each stream also runs with every path's fire order, and so each
+    /// block's addresses, reversed: no recorded Test-scale stream has an
+    /// older store fire after an overlapping load, and the reversed ones
+    /// train the load-wait table.
     #[test]
     fn indexed_warming_equals_the_two_pass_walk() {
         let cfg = TripsConfig::prototype();
@@ -1350,23 +1350,34 @@ mod tests {
                 Default::default(),
             )
             .unwrap();
+            let mems = MemIndex::new(&log.shapes);
             let mut reversed = log.clone();
-            for shape in &mut reversed.shapes {
-                shape.fired.reverse();
+            for path in &mut reversed.shapes {
+                path.fired.reverse();
+            }
+            let mut at = 0;
+            for &(_, path) in &log.seq {
+                let n = mems.path(path).unwrap().len();
+                reversed.addrs[at..at + n].reverse();
+                at += n;
             }
             for (log, order) in [(&log, "recorded"), (&reversed, "reversed")] {
                 let units = log.seq.len() as u64;
                 let checks = [1, units / 4, units / 2, units - 1, units];
                 let mut indexed = TsimCore::new(&compiled, &cfg, log);
                 let mut reference = Timing::new(&compiled, &cfg);
-                for (unit, &(bidx, sidx)) in (1..).zip(&log.seq) {
-                    let trace = &log.shapes[sidx as usize];
+                let mut at = 0;
+                for (unit, &(bidx, path)) in (1..).zip(&log.seq) {
+                    let trace = &log.shapes[path as usize];
+                    let n = mems.path(path).unwrap().len();
+                    let addrs = &log.addrs[at..at + n];
+                    at += n;
                     if unit % 64 < 8 {
                         indexed.step(Phase::Detailed).unwrap();
-                        reference.time_block(bidx, trace);
+                        reference.time_block(bidx, trace, addrs);
                     } else {
                         indexed.step(Phase::Warm).unwrap();
-                        reference.warm_block_two_pass(bidx, trace);
+                        reference.warm_block_two_pass(bidx, trace, addrs);
                     }
                     if checks.contains(&unit) {
                         assert_eq!(

@@ -21,17 +21,19 @@ mod common;
 
 use std::fmt::Debug;
 
-use common::{handmade_plan, tiny_spec};
+use common::{handmade_plan, hostile_sequence_edits, tiny_spec};
 use serde::{DeserializeOwned, Serialize, Value};
 use trips::compiler::CompileOptions;
 use trips::engine::store::{LivePointSet, LivePointStates, KIND_BLOCK_TRACE, KIND_RISC_TRACE};
-use trips::engine::{PhaseK, Session, Stream};
+use trips::engine::{PhaseK, RiscTraceId, Session, Stream};
 use trips::isa::hash::content_hash;
 use trips::isa::interp::TraceSrc;
-use trips::isa::TraceLog;
+use trips::isa::{TraceHeader, TraceId, TraceLog};
 use trips::ooo::{self, OooCore};
-use trips::sample::capture_phased;
-use trips::sim::{TripsConfig, TsimCore};
+use trips::phase::PhaseArtifact;
+use trips::risc::{RiscTrace, RiscTraceHeader};
+use trips::sample::{capture_phased, replay, replay_window, ReplayMode, SamplePlan, TimingCore};
+use trips::sim::{TripsConfig, TsimCore, TsimSnapshot};
 use trips::workloads::{by_name, Scale};
 
 const MEM: usize = 1 << 22;
@@ -155,6 +157,126 @@ fn ooo_payloads_encode_and_decode_as_their_value_image() {
     same_as_value_path("LivePointSet (OoO)", &set);
 }
 
+/// The identity a stored log with header `h` is loaded under.
+fn trace_id(h: &TraceHeader) -> TraceId {
+    TraceId {
+        workload: h.workload.clone(),
+        scale: h.scale.clone(),
+        opts_sig: h.opts_sig,
+        hand: false,
+        code_sig: 0,
+        mem_size: h.mem_size,
+        max_blocks: h.max_blocks,
+    }
+}
+
+/// The identity a stored RISC stream with header `h` is loaded under.
+fn risc_id(h: &RiscTraceHeader) -> RiscTraceId {
+    RiscTraceId {
+        workload: h.workload.clone(),
+        scale: h.scale.clone(),
+        opts_sig: h.opts_sig,
+        code_sig: 0,
+        mem_size: h.mem_size,
+        max_steps: h.max_steps,
+    }
+}
+
+/// Every stored payload kind but the live-point sets (the timing
+/// contracts edit their snapshots), on autocor at Test scale, under
+/// [`hostile_sequence_edits`]: each edit decodes to `Err`, or to a
+/// payload that the session's load check (identity, then the payload's
+/// own `validate`) rejects or that replays to `Ok` or `Err`. None
+/// panics, and `serde::bin` decodes each as the `Value` tree does.
+#[test]
+fn stored_payloads_never_panic_under_hostile_sequence_edits() {
+    let w = by_name("autocor").unwrap();
+    let session = Session::new();
+    let stream = Stream::new(&w, Scale::Test, CompileOptions::o2(), MEM, 1_000_000);
+    let compiled = session.compiled(&stream).unwrap();
+    let log = session.trace(&stream).unwrap();
+    let spec = tiny_spec(PhaseK::Auto);
+    let trips_art = trips::phase::trips_fit(&log, &spec, 7);
+    let ooo_stream = Stream::new(&w, Scale::Test, CompileOptions::gcc_ref(), MEM, 400_000_000);
+    let rp = &session.risc_program(&ooo_stream).unwrap().program;
+    let risc = session.risc_trace(&ooo_stream).unwrap();
+    let risc_art = trips::phase::risc_fit(&risc, rp, &spec, 7).unwrap();
+    let (cfg, core2) = (TripsConfig::prototype(), ooo::core2());
+
+    let trips_modes = [
+        ReplayMode::Full,
+        ReplayMode::Sampled(SamplePlan::new(8, 8, 32).unwrap()),
+    ];
+    hostile_sequence_edits("TraceLog", &*log, |bad: TraceLog| {
+        let id = trace_id(&log.header);
+        if id.matches_header(&bad.header).is_ok() && bad.validate(&compiled.trips).is_ok() {
+            for mode in &trips_modes {
+                let _ = replay(TsimCore::new(&compiled, &cfg, &bad), mode);
+            }
+        }
+    });
+    let ooo_modes = [
+        ReplayMode::Full,
+        ReplayMode::Sampled(SamplePlan::new(64, 64, 256).unwrap()),
+    ];
+    hostile_sequence_edits("RiscTrace", &*risc, |bad: RiscTrace| {
+        let id = risc_id(&risc.header);
+        if id.matches_header(&bad.header).is_ok() && bad.validate(rp).is_ok() {
+            for mode in &ooo_modes {
+                let _ = replay(OooCore::new(rp, &bad, &core2), mode);
+            }
+        }
+    });
+    let total = log.seq.len() as u64;
+    hostile_sequence_edits("PhaseArtifact (TRIPS)", &trips_art, |bad: PhaseArtifact| {
+        if bad.validate(&spec, total).is_ok() {
+            let mode = ReplayMode::Phased(bad.plan);
+            let _ = replay(TsimCore::new(&compiled, &cfg, &log), &mode);
+        }
+    });
+    let insts = risc.header.dynamic_insts;
+    hostile_sequence_edits("PhaseArtifact (OoO)", &risc_art, |bad: PhaseArtifact| {
+        if bad.validate(&spec, insts).is_ok() {
+            let mode = ReplayMode::Phased(bad.plan);
+            let _ = replay(OooCore::new(rp, &risc, &core2), &mode);
+        }
+    });
+}
+
+/// The address run holds exactly the addresses the stream takes: one
+/// short or one long is an `Err`. A TRIPS live-point restores at most at
+/// the end of its stream: one unit past it is an `Err`.
+#[test]
+fn a_short_or_long_address_run_and_a_live_point_past_the_stream_are_errors() {
+    let w = by_name("autocor").unwrap();
+    let session = Session::new();
+    let stream = Stream::new(&w, Scale::Test, CompileOptions::o2(), MEM, 1_000_000);
+    let compiled = session.compiled(&stream).unwrap();
+    let log = session.trace(&stream).unwrap();
+    let n = log.addrs.len();
+    for (what, len) in [("short", n - 1), ("long", n + 1)] {
+        let mut bad = (*log).clone();
+        bad.addrs.resize(len, 0);
+        let want = format!("stream takes {n} addresses, log has {len}");
+        assert_eq!(bad.validate(&compiled.trips), Err(want), "{what}");
+    }
+
+    let total = log.seq.len() as u64;
+    let plan = handmade_plan(total);
+    let cfg = TripsConfig::prototype();
+    let core = || TsimCore::new(&compiled, &cfg, &log);
+    let (_, snaps) = capture_phased(core(), &plan).unwrap();
+    let at_unit = |unit: u64| -> TsimSnapshot {
+        let mut image = serde::to_value(&snaps[2]);
+        *field_mut(&mut image, "unit") = Value::U64(unit);
+        serde::from_value(&image).unwrap()
+    };
+    assert_eq!(core().restore(&at_unit(total)).ok(), Some(total));
+    let past = at_unit(total + 1);
+    assert!(core().restore(&past).is_err());
+    assert!(replay_window(core(), &plan.windows[2], &past).is_err());
+}
+
 /// Content hashes of `x`'s `serde::bin` bytes and of its JSON text.
 fn pins<T: Serialize>(x: &T) -> (u64, u64) {
     (
@@ -178,6 +300,7 @@ fn src_word(s: TraceSrc) -> u64 {
 /// write sources and its exit. Every list is preceded by its length.
 fn expanded_stream_hash(log: &TraceLog) -> u64 {
     let mut words: Vec<u64> = Vec::new();
+    let mut addrs = log.addrs.iter();
     for &(block, shape) in &log.seq {
         let shape = &log.shapes[shape as usize];
         words.extend([u64::from(block), shape.fired.len() as u64]);
@@ -186,7 +309,10 @@ fn expanded_stream_hash(log: &TraceLog) -> u64 {
             words.extend(ti.srcs.iter().map(|&s| src_word(s)));
             match ti.mem {
                 None => words.push(0),
-                Some(m) => words.extend([1, u64::from(m.bytes), u64::from(m.is_store), m.addr]),
+                Some(m) => {
+                    let addr = *addrs.next().unwrap();
+                    words.extend([1, u64::from(m.bytes), u64::from(m.is_store), addr]);
+                }
             }
         }
         words.push(shape.write_srcs.len() as u64);
@@ -194,6 +320,7 @@ fn expanded_stream_hash(log: &TraceLog) -> u64 {
         words.extend(writes.map(|w| w.map_or(u64::MAX, src_word)));
         words.push(u64::from(shape.exit));
     }
+    assert!(addrs.next().is_none(), "the stream takes every address");
     let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
     content_hash(&bytes)
 }
@@ -213,9 +340,11 @@ fn the_expanded_trips_stream_is_pinned() {
 /// One Test-scale payload of each surviving stored kind (the phase
 /// artifact once per stream kind), and the ISA statistics of a
 /// functional run, pinned by content hash. The values were computed by
-/// an earlier build: a change to the capture paths or to the byte format
-/// must keep them (a format change retires only the byte pins, the first
-/// of each pair).
+/// an earlier build: a change to the capture paths must keep them. A
+/// change to the byte encoding alone retires only the byte pins, the
+/// first of each pair; a change to a payload's layout moves its JSON pin
+/// too (trace format 2 moved both `TraceLog` pins, while
+/// [`the_expanded_trips_stream_is_pinned`] held).
 #[test]
 fn test_scale_payloads_and_isa_stats_are_pinned() {
     let w = by_name("autocor").unwrap();
@@ -243,7 +372,7 @@ fn test_scale_payloads_and_isa_stats_are_pinned() {
         pins(stats),
     ];
     let want = [
-        (0x374c_9ce7_f498_dee6, 0x60fd_09a2_3211_dac8),
+        (0x90e1_9e8a_19ef_831f, 0xa1f3_f97a_79a2_a08f),
         (0xe681_d9fe_2db0_9b82, 0x897f_bc43_fc21_0a6b),
         (0x07c1_2285_552c_a150, 0x45ba_ab9b_f811_073d),
         (0xb0d6_89c2_f952_ad85, 0x0420_7d10_0fb5_1260),

@@ -4,8 +4,11 @@
 // Each test binary compiles this module and uses a subset of it.
 #![allow(dead_code)]
 
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use serde::{DeserializeOwned, Serialize, Value};
 use trips::engine::sample::{PhasePlan, PhaseWindow};
 use trips::engine::{PhaseK, PhaseSpec};
 use trips::ir::{IntCc, Opcode, Operand, Program, ProgramBuilder};
@@ -150,4 +153,105 @@ pub fn best_of_interleaved(a: &dyn Fn(), b: &dyn Fn()) -> (f64, f64) {
         rounds += 1;
     }
     (best[0], best[1])
+}
+
+/// Records, for each distinct field path under `v` (sequence elements
+/// written `[]`) that holds a nonempty sequence, the index path —
+/// sequence positions and map entries from the root — of its first such
+/// sequence.
+fn seq_paths(v: &Value, here: &str, at: &mut Vec<usize>, out: &mut BTreeMap<String, Vec<usize>>) {
+    let mut visit = |i, x, child: &str| {
+        at.push(i);
+        seq_paths(x, child, at, out);
+        at.pop();
+    };
+    match v {
+        Value::Seq(items) => {
+            let child = format!("{here}[]");
+            for (i, x) in items.iter().enumerate() {
+                visit(i, x, &child);
+            }
+            if !items.is_empty() {
+                out.entry(here.to_string()).or_insert_with(|| at.clone());
+            }
+        }
+        Value::Map(entries) => {
+            for (i, (k, x)) in entries.iter().enumerate() {
+                let key = if let Value::Str(k) = k { k } else { "{}" };
+                visit(i, x, &format!("{here}.{key}"));
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The sequence at index path `at` (see [`seq_paths`]).
+fn seq_at<'v>(mut v: &'v mut Value, at: &[usize]) -> &'v mut Vec<Value> {
+    for &i in at {
+        v = match v {
+            Value::Seq(items) => &mut items[i],
+            Value::Map(entries) => &mut entries[i].1,
+            _ => unreachable!("index paths lead through containers"),
+        };
+    }
+    match v {
+        Value::Seq(items) => items,
+        _ => unreachable!("index paths end at a sequence"),
+    }
+}
+
+/// Edits `x`'s serde image one sequence at a time: for each sequence path
+/// of the image, its first sequence emptied and grown by a copy of its
+/// last element. Each edit is decoded from the `Value` tree and from its
+/// `serde::bin` bytes, and a decoded payload goes to `run`. Panics, naming
+/// `what` and the edits, when a decode or a run panics or the two decodes
+/// differ.
+pub fn hostile_sequence_edits<T>(what: &str, x: &T, run: impl Fn(T))
+where
+    T: Serialize + DeserializeOwned + PartialEq,
+{
+    let mut image = serde::to_value(x);
+    let mut paths = BTreeMap::new();
+    seq_paths(&image, "", &mut Vec::new(), &mut paths);
+    assert!(!paths.is_empty(), "{what}: no sequence to edit");
+    let (mut panics, mut disagreements) = (Vec::new(), Vec::new());
+    for (path, at) in &paths {
+        for grow in [false, true] {
+            // Edit in place and undo after: the image may be large.
+            let items = seq_at(&mut image, at);
+            let saved = if grow {
+                items.push(items[items.len() - 1].clone());
+                Vec::new()
+            } else {
+                std::mem::take(items)
+            };
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let decoded = serde::from_value::<T>(&image);
+                let bytes = serde::bin::to_bytes(&image);
+                let via_bytes = serde::bin::from_bytes::<T>(&bytes);
+                let agree = decoded.as_ref().ok() == via_bytes.as_ref().ok();
+                if let Ok(bad) = decoded {
+                    run(bad);
+                }
+                agree
+            }));
+            let items = seq_at(&mut image, at);
+            if grow {
+                items.pop();
+            } else {
+                *items = saved;
+            }
+            let edit = format!("{path} {}", if grow { "grown" } else { "emptied" });
+            match outcome {
+                Err(_) => panics.push(edit),
+                Ok(false) => disagreements.push(edit),
+                Ok(true) => {}
+            }
+        }
+    }
+    assert!(panics.is_empty(), "{what}: panicked on {panics:?}");
+    assert!(
+        disagreements.is_empty(),
+        "{what}: bytes and Value tree decode differently on {disagreements:?}"
+    );
 }

@@ -30,6 +30,7 @@ use trips::engine::{
     Stream, SweepRow, SweepSpec, TraceStore,
 };
 use trips::experiments::Run;
+use trips::isa::trace::MemIndex;
 use trips::phase::{fit_plan, risc_features, trips_features, NOVELTY};
 use trips::workloads::{by_name, Scale};
 use trips::{compiler::CompileOptions, ooo, sim};
@@ -93,40 +94,36 @@ fn lines(addrs: impl IntoIterator<Item = u64>) -> u32 {
     lines.len() as u32
 }
 
-/// A TRIPS log over three shapes of a real Test-scale capture: `a` (one
-/// with memory operations), `a` with every address moved by 1 MiB, and a
-/// shape without memory operations. The stream is left empty.
-fn three_shape_log() -> trips::isa::TraceLog {
+/// A TRIPS log over two paths of a real Test-scale capture, path 0 with
+/// memory operations and path 1 without, and the addresses of path 0's
+/// first execution there. The stream and its address run are left empty.
+fn two_path_log() -> (trips::isa::TraceLog, Vec<u64>) {
     let w = by_name("autocor").unwrap();
     let stream = Stream::new(&w, Scale::Test, CompileOptions::o2(), MEM, 1_000_000);
     let mut log = (*Session::new().trace(&stream).unwrap()).clone();
-    let with_mem = |s: &&trips::isa::interp::BlockTrace| s.fired.iter().any(|t| t.mem.is_some());
-    let a = log.shapes.iter().find(with_mem).unwrap().clone();
-    let b = log.shapes.iter().find(|s| !with_mem(s)).unwrap().clone();
-    let mut moved = a.clone();
-    for mem in moved.fired.iter_mut().filter_map(|t| t.mem.as_mut()) {
-        mem.addr += 1 << 20;
-    }
-    log.shapes = vec![a, moved, b];
+    let mems = MemIndex::new(&log.shapes);
+    let taken = |p: usize| mems.path(p as u32).unwrap().len();
+    let a = (0..log.shapes.len()).find(|&p| taken(p) > 0).unwrap();
+    let b = (0..log.shapes.len()).find(|&p| taken(p) == 0).unwrap();
+    let first = log.seq.iter().position(|s| s.1 as usize == a).unwrap();
+    let at = mems.addrs_taken(&log.seq[..first]).unwrap();
+    let addrs = log.addrs[at..at + taken(a)].to_vec();
+    log.shapes = vec![log.shapes[a].clone(), log.shapes[b].clone()];
     log.seq.clear();
-    log
+    log.addrs.clear();
+    (log, addrs)
 }
 
 #[test]
 fn trips_features_census_the_stream_by_path() {
-    let mut log = three_shape_log();
-    log.seq = vec![(0, 0), (0, 0), (0, 2), (1, 2), (0, 0), (1, 2), (1, 2)];
-    let touched = lines(
-        log.shapes[0]
-            .fired
-            .iter()
-            .filter_map(|t| t.mem)
-            .map(|m| m.addr),
-    );
+    let (mut log, a) = two_path_log();
+    log.seq = vec![(0, 0), (0, 0), (0, 1), (1, 1), (0, 0), (1, 1), (1, 1)];
+    log.addrs = a.repeat(3);
+    let touched = lines(a.iter().copied());
     let bbvs = trips_features(&log, 4);
     assert_eq!(bbvs.len(), 2, "7 blocks at interval 4 = 2 intervals");
-    // Key = block << 32 | path; shape 2 is path 1. Only the first
-    // interval touches lines no earlier interval touched.
+    // Key = block << 32 | path. Only the first interval touches lines
+    // no earlier interval touched.
     assert_eq!(
         bbvs[0],
         vec![(0, 2), (1, 1), ((1 << 32) | 1, 1), (NOVELTY, touched)]
@@ -140,25 +137,20 @@ fn trips_features_census_the_stream_by_path() {
     assert_eq!(whole[0].iter().map(|f| f.1).sum::<u32>(), 7 + touched);
 }
 
+/// Executions of one path whose addresses differ, here by 1 MiB, are one
+/// key: only first-touch novelty sees the addresses.
 #[test]
 fn trips_shapes_differing_only_in_addresses_are_one_key() {
-    let mut log = three_shape_log();
-    log.seq = vec![(0, 0), (0, 1), (0, 0), (0, 1)];
-    let addrs = |s: usize| {
-        log.shapes[s]
-            .fired
-            .iter()
-            .filter_map(|t| t.mem)
-            .map(|m| m.addr)
-    };
-    let touched = lines(addrs(0).chain(addrs(1)));
+    let (mut log, a) = two_path_log();
+    let moved: Vec<u64> = a.iter().map(|addr| addr + (1 << 20)).collect();
+    log.seq = vec![(0, 0); 4];
+    log.addrs = [&a[..], &moved, &a, &moved].concat();
+    let touched = lines(a.iter().chain(&moved).copied());
     assert_eq!(
         touched,
-        2 * lines(addrs(0)),
-        "the moved shape touches new lines"
+        2 * lines(a.iter().copied()),
+        "the moved addresses touch new lines"
     );
-    // Both shapes run one path of block 0: one control key, four counts;
-    // only first-touch novelty sees the addresses.
     assert_eq!(
         trips_features(&log, 4),
         vec![vec![(0, 4), (NOVELTY, touched)]]
