@@ -323,7 +323,6 @@ pub fn run_program_traced(
     let mut producers: Vec<Option<ProducerMap>> = tp.blocks.iter().map(|_| None).collect();
     let mut scratch = Scratch::default();
     let mut trace = BlockTrace::default();
-    let mut addrs: Vec<u64> = Vec::new();
 
     loop {
         if budget == 0 {
@@ -346,9 +345,8 @@ pub fn run_program_traced(
             &mut mem,
             &mut stats,
             &mut trace,
-            &mut addrs,
         )?;
-        on_block(cur, &trace, &addrs);
+        on_block(cur, &trace, &scratch.addrs);
         match exec {
             ExitTarget::Block(b) => cur = b,
             ExitTarget::Call { callee, cont } => {
@@ -452,6 +450,8 @@ struct Scratch {
     /// Fired instructions that fed a block output.
     used: Vec<bool>,
     work: Vec<Producer>,
+    /// The block's memory addresses in fire order.
+    addrs: Vec<u64>,
 }
 
 impl Scratch {
@@ -617,12 +617,11 @@ fn execute_block(
     mem: &mut Memory,
     stats: &mut IsaStats,
     trace: &mut BlockTrace,
-    addrs: &mut Vec<u64>,
 ) -> Result<ExitTarget, TripsExecError> {
     let n = block.insts.len();
     sc.reset(block);
     trace.fired.clear();
-    addrs.clear();
+    sc.addrs.clear();
 
     // Header reads inject register values.
     stats.reads_fetched += block.reads.len() as u64;
@@ -658,7 +657,9 @@ fn execute_block(
             }
             sc.fired[i] = true;
             stats.executed += 1;
-            trace.fired.push(trace_inst(i, inst, &sc.slots[i], addrs));
+            trace
+                .fired
+                .push(trace_inst(i, inst, &sc.slots[i], &mut sc.addrs));
             let val = fire_inst(block, i, inst, sc, mem, stats)?;
             sc.produced[i] = val;
             if let Some(v) = val {
